@@ -93,8 +93,16 @@ class PerfPowerFit:
         return self.coefficients[-1]
 
     def raw(self, power_w: float) -> float:
-        """Unclamped polynomial value (internal solver use)."""
-        return float(np.polyval(self.coefficients, power_w))
+        """Unclamped polynomial value (internal solver use).
+
+        A scalar Horner loop: the same multiply-then-add sequence as
+        ``np.polyval``, so the result is bit-identical, without its
+        per-call array overhead.
+        """
+        value = 0.0
+        for c in self.coefficients:
+            value = value * power_w + c
+        return float(value)
 
     def predict(self, power_w: float) -> float:
         """Projected performance at an allocated ``power_w`` (Section IV-B.3).

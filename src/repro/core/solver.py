@@ -19,22 +19,31 @@ power to same-type servers — so the decision variable is the *per-server*
 power ``p_i`` in the box ``[min_i, max_i]``, with group totals
 ``count_i * p_i`` bounded by the budget.
 
-Three mechanisms are combined for robustness:
+Two paths solve it:
 
-1. **Subset enumeration** — powering a server below idle wastes the whole
-   allocation, so the solver explicitly considers switching entire groups
-   off (all 2^k - 1 non-empty subsets; the paper bounds k at 3).
-2. **KKT candidate enumeration** — inside a subset the objective is a
-   pure quadratic over a box intersected with one budget hyperplane, so
-   every KKT point is the solution of a tiny linear system: each group is
-   at its lower bound, upper bound, or free with equal marginal
-   throughput-per-watt (the water-filling condition
-   ``f_i'(p_i) = lambda``).  All candidates are enumerated and scored;
-   this is exact for quadratic projections.
-3. **Grid safety net** — a simplex sweep at configurable granularity
-   guards against degenerate fits (non-concave parabolas from noisy
-   samples, linear fall-backs) where the KKT enumeration may miss the
-   global maximum.
+1. **Exact path (linear and quadratic fits)** — powering a server below
+   idle wastes the whole allocation, so the solver considers every
+   non-empty subset of powered groups (2^k - 1 of them; the paper bounds
+   k at 3).  Inside a subset each group sits at its lower bound, at its
+   upper bound, or is free.  Free groups either stand at their own
+   vertex (budget slack, ``f_i'(p_i) = 0``) or share one marginal
+   throughput-per-watt with the budget tight (the water-filling
+   condition ``f_i'(p_i) = lambda``), so every candidate is the solution
+   of a tiny linear system.  The objective is separable and the
+   constraints are linear, so every local maximum — concave fit or not —
+   is one of these KKT points (or ties one on a flat edge).  A group the
+   ``max(0, .)`` clamp zeroes might as well be off, which is another
+   subset, and the clamp can only raise a candidate's score.  Scoring
+   all candidates is therefore exact.
+2. **Cubic fallback** — the enumeration reads only a fit's quadratic and
+   linear terms, so for cubic fits it is a heuristic.  A simplex grid
+   sweep and an SLSQP polish of the best point back it up.  Either
+   replaces the answer only when it wins by more than
+   :data:`TIE_REL_TOL`, so the mechanism credited in the metrics is the
+   one that actually decided.
+
+:meth:`PARSolver.solve_via` forces one mechanism (KKT, grid or SLSQP) so
+:mod:`repro.verify.differential` can cross-check them.
 
 The same machinery at 10% granularity with the *measured* objective is
 exactly the paper's Manual baseline (:meth:`PARSolver.compositions`).
@@ -74,6 +83,12 @@ _CACHE_STALE = _CACHE_LOOKUPS.labels("stale")
 #: meter noise).
 FEASIBILITY_SLACK_W = 1e-6
 
+#: On the cubic fallback, a later mechanism replaces the earlier answer
+#: only when its projected performance is higher by more than this
+#: fraction: smaller "wins" are float noise, and the earlier mechanism
+#: keeps both the answer and the ``repro_solver_solves_total`` credit.
+TIE_REL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class GroupModel:
@@ -112,8 +127,10 @@ class PARSolution:
     expected_perf:
         Projected aggregate performance under the database fits.
     method:
-        Which mechanism produced the winner (``"kkt"``, ``"grid"``, or
-        ``"uniform-fallback"``).
+        Which mechanism produced the winner: ``"kkt"`` (always, for
+        linear and quadratic fits), ``"grid"`` or ``"slsqp"`` (cubic
+        fallback or :meth:`PARSolver.solve_via`), or ``"kkt-partial"``
+        (:class:`PartialGroupSolver`).
     """
 
     ratios: tuple[float, ...]
@@ -137,8 +154,8 @@ class PARSolver:
     Parameters
     ----------
     granularity:
-        Step of the grid safety net for <= 2 groups (finer) — 3-group
-        racks use ``coarse_granularity`` to keep the sweep cheap.
+        Step of the cubic-fallback grid sweep for <= 2 groups (finer) —
+        3-group racks use ``coarse_granularity`` to keep the sweep cheap.
     coarse_granularity:
         Simplex step used when there are 3 or more groups.
     max_groups:
@@ -162,7 +179,6 @@ class PARSolver:
         coarse_granularity: float = 0.04,
         max_groups: int = 4,
         safety_margin: float = 0.05,
-        scipy_polish: bool = True,
         cache_size: int = 1024,
     ) -> None:
         if not 0.0 < granularity <= 0.5:
@@ -177,7 +193,6 @@ class PARSolver:
         self.coarse_granularity = coarse_granularity
         self.max_groups = max_groups
         self.safety_margin = safety_margin
-        self.scipy_polish = scipy_polish
         self.cache_size = cache_size
         self.cache_hits = 0
         self.cache_misses = 0
@@ -277,28 +292,15 @@ class PARSolver:
             raise SolverError(
                 f"unknown solve method {method!r}; expected one of {self.METHODS}"
             )
-        k = len(groups)
-        zero = PARSolution((0.0,) * k, (0.0,) * k, 0.0, method)
         if total_power_w == 0:
-            return zero
-
-        if method == "kkt":
-            best_p: tuple[float, ...] = (0.0,) * k
-            best_score = 0.0
-            for candidate in self._kkt_candidates(groups, total_power_w):
-                score = self._score(groups, candidate)
-                if score > best_score:
-                    best_p, best_score = candidate, score
+            best_p, best_score = (0.0,) * len(groups), 0.0
+        elif method == "kkt":
+            best_p, best_score = self._kkt_best(groups, total_power_w)
         elif method == "grid":
             best_p, best_score = self._grid_best(groups, total_power_w)
         else:
             best_p, best_score = self._slsqp_best(groups, total_power_w)
-
-        if best_score <= 0.0:
-            return zero
-        return self._to_solution(
-            groups, tuple(best_p), best_score, method, total_power_w
-        )
+        return self._to_solution(groups, best_p, best_score, method, total_power_w)
 
     def _slsqp_best(
         self, groups: Sequence[GroupModel], budget_w: float
@@ -399,34 +401,24 @@ class PARSolver:
     def _solve_impl(
         self, groups: Sequence[GroupModel], total_power_w: float
     ) -> PARSolution:
-        k = len(groups)
-        zero = PARSolution((0.0,) * k, (0.0,) * k, 0.0, "kkt")
         if total_power_w == 0:
-            return zero
-
-        best_p: tuple[float, ...] = (0.0,) * k
-        best_score = 0.0
-        best_method = "kkt"
-
-        for candidate in self._kkt_candidates(groups, total_power_w):
-            score = self._score(groups, candidate)
-            if score > best_score:
-                best_p, best_score, best_method = candidate, score, "kkt"
-
-        grid_p, grid_score = self._grid_best(groups, total_power_w)
-        if grid_score > best_score + 1e-12:
-            best_p, best_score, best_method = grid_p, grid_score, "grid"
-
-        if self.scipy_polish and best_score > 0.0:
+            return self._to_solution(groups, (0.0,) * len(groups), 0.0, "kkt", 0.0)
+        best_p, best_score = self._kkt_best(groups, total_power_w)
+        method = "kkt"
+        if any(len(g.fit.coefficients) > 3 for g in groups):
+            # Cubic fallback: KKT saw only the quadratic part of the fit.
+            grid_p, grid_score = self._grid_best(groups, total_power_w)
+            if self._beats(grid_score, best_score):
+                best_p, best_score, method = grid_p, grid_score, "grid"
             polished = self._polish(groups, total_power_w, best_p)
-            if polished is not None:
-                p, score = polished
-                if score > best_score + 1e-9:
-                    best_p, best_score, best_method = p, score, "slsqp"
+            if polished is not None and self._beats(polished[1], best_score):
+                (best_p, best_score), method = polished, "slsqp"
+        return self._to_solution(groups, best_p, best_score, method, total_power_w)
 
-        if best_score <= 0.0:
-            return zero
-        return self._to_solution(groups, best_p, best_score, best_method, total_power_w)
+    @staticmethod
+    def _beats(score: float, incumbent: float) -> bool:
+        """Whether ``score`` wins by more than :data:`TIE_REL_TOL`."""
+        return score > incumbent + TIE_REL_TOL * abs(incumbent)
 
     @staticmethod
     def compositions(k: int, granularity: float = 0.1) -> list[tuple[float, ...]]:
@@ -488,26 +480,43 @@ class PARSolver:
         score: float,
         method: str,
         total_power_w: float,
+        powered_counts: tuple[int, ...] | None = None,
     ) -> PARSolution:
+        k = len(groups)
+        if score <= 0.0:
+            zeros = None if powered_counts is None else (0,) * k
+            return PARSolution((0.0,) * k, (0.0,) * k, 0.0, method, zeros)
         # Never hand a server more than its plateau: trimming to max_w
         # keeps performance identical and releases power to the battery.
         trimmed = tuple(
             min(p, g.fit.max_power_w) if p > 0 else 0.0
             for g, p in zip(groups, per_server_w)
         )
-        ratios = tuple(
-            g.count * p / total_power_w for g, p in zip(groups, trimmed)
-        )
+        counts = powered_counts or tuple(g.count for g in groups)
+        ratios = tuple(c * p / total_power_w for c, p in zip(counts, trimmed))
         return PARSolution(
             ratios=ratios,
             per_server_w=trimmed,
             expected_perf=score,
             method=method,
+            powered_counts=powered_counts,
         )
 
     # ------------------------------------------------------------------
     # KKT enumeration
     # ------------------------------------------------------------------
+    def _kkt_best(
+        self, groups: Sequence[GroupModel], budget_w: float
+    ) -> tuple[tuple[float, ...], float]:
+        """Best-scoring KKT candidate (the first one on ties)."""
+        best_p: tuple[float, ...] = (0.0,) * len(groups)
+        best_score = 0.0
+        for candidate in self._kkt_candidates(groups, budget_w):
+            score = self._score(groups, candidate)
+            if score > best_score:
+                best_p, best_score = candidate, score
+        return best_p, best_score
+
     def _kkt_candidates(
         self, groups: Sequence[GroupModel], budget_w: float
     ) -> Iterable[tuple[float, ...]]:
@@ -557,57 +566,62 @@ class PARSolver:
                 else:
                     free.append(i)
 
-            fixed_total = sum(groups[i].count * fixed[i] for i in fixed)
             if not free:
                 candidate = assemble(fixed)
                 if candidate is not None:
                     yield candidate
                 continue
 
-            # Budget-slack stationary point: f_i'(p_i) = 0 for free i.
-            interior: dict[int, float] = dict(fixed)
-            ok = True
-            for i in free:
-                fit = groups[i].fit
-                if abs(fit.l) < 1e-15:
-                    ok = False  # linear fit: no interior stationary point
-                    break
-                interior[i] = -fit.m / (2.0 * fit.l)
-            if ok:
+            # Budget-slack stationary point: f_i'(p_i) = 0 for free i.  A
+            # linear free group has none (or is flat, tying its bounds).
+            linear = [i for i in free if abs(groups[i].fit.l) < 1e-15]
+            if not linear:
+                interior: dict[int, float] = dict(fixed)
+                for i in free:
+                    fit = groups[i].fit
+                    interior[i] = -fit.m / (2.0 * fit.l)
                 candidate = assemble(interior)
                 if candidate is not None:
                     yield candidate
 
             # Budget-tight stationary point: f_i'(p_i) = lambda for free i,
-            # sum count_i p_i = budget.  Solve the 1-D linear system for
-            # lambda: p_i = (lambda - m_i) / (2 l_i).
-            denom = 0.0
-            offset = 0.0
-            degenerate = False
-            for i in free:
-                fit = groups[i].fit
-                if abs(fit.l) < 1e-15:
-                    degenerate = True
-                    break
-                denom += groups[i].count / (2.0 * fit.l)
-                offset += groups[i].count * fit.m / (2.0 * fit.l)
-            if degenerate or abs(denom) < 1e-15:
+            # sum count_i p_i = budget, so p_i = (lambda - m_i) / (2 l_i).
+            if len(linear) > 1:
+                # Equal slopes make a flat edge whose ends are enumerated
+                # elsewhere; unequal slopes admit no common lambda.
                 continue
-            remaining = budget_w - fixed_total
-            lam = (remaining + offset) / denom
+            rest = budget_w - sum(groups[i].count * fixed[i] for i in fixed)
+            absorber: int | None = None
+            if linear or len(free) == 1:
+                # One free group takes what the others leave: a linear one
+                # (lambda is its slope) or a lone one of any curvature (a
+                # vertex of the box-plus-budget polytope).
+                absorber = linear[0] if linear else free[0]
+                lam = groups[absorber].fit.m
+            else:
+                denom = sum(groups[i].count / (2.0 * groups[i].fit.l) for i in free)
+                if abs(denom) < 1e-15:
+                    continue  # a flat family whose ends are enumerated
+                offset = sum(
+                    groups[i].count * groups[i].fit.m / (2.0 * groups[i].fit.l)
+                    for i in free
+                )
+                lam = (rest + offset) / denom
             tight: dict[int, float] = dict(fixed)
             for i in free:
-                fit = groups[i].fit
-                tight[i] = (lam - fit.m) / (2.0 * fit.l)
+                if i != absorber:
+                    fit = groups[i].fit
+                    tight[i] = (lam - fit.m) / (2.0 * fit.l)
+                    rest -= groups[i].count * tight[i]
+            if absorber is not None:
+                tight[absorber] = rest / groups[absorber].count
             candidate = assemble(tight)
             if candidate is not None:
                 yield candidate
 
     # ------------------------------------------------------------------
-    # SLSQP polish: refine the winning candidate within its powered
-    # subset's box.  Exact KKT already handles pure quadratics; the
-    # polish pays off when the grid's coarse step won (3-group racks,
-    # degenerate fits).
+    # SLSQP polish (cubic fallback): refine the best point within its
+    # powered subset's box.
     # ------------------------------------------------------------------
     def _polish(
         self,
@@ -652,7 +666,8 @@ class PARSolver:
         return tuple(p), self._score(groups, p)
 
     # ------------------------------------------------------------------
-    # Grid safety net (vectorised: the 3-group simplex has ~10^4 points)
+    # Grid sweep (cubic fallback; vectorised: the 3-group simplex has
+    # ~10^4 points)
     # ------------------------------------------------------------------
     def _predict_array(self, fit: PerfPowerFit, p: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`PerfPowerFit.predict` with the safety margin."""
@@ -728,15 +743,11 @@ class PartialGroupSolver(PARSolver):
             )
 
         n = len(groups)
-        zero = PARSolution(
-            (0.0,) * n, (0.0,) * n, 0.0, "kkt", powered_counts=(0,) * n
-        )
-        if total_power_w == 0:
-            return zero
-
         best_p: tuple[float, ...] = (0.0,) * n
         best_k: tuple[int, ...] = (0,) * n
         best_score = 0.0
+        if total_power_w == 0:
+            return self._to_solution(groups, best_p, 0.0, "kkt", 0.0, best_k)
 
         for k in itertools.product(*(range(g.count + 1) for g in groups)):
             if not any(k):
@@ -766,19 +777,7 @@ class PartialGroupSolver(PARSolver):
                     best_k = tuple(k)
                     best_score = score
 
-        if best_score <= 0.0:
-            return zero
-        trimmed = tuple(
-            min(p, g.fit.max_power_w) if p > 0 else 0.0
-            for g, p in zip(groups, best_p)
-        )
-        ratios = tuple(
-            ki * p / total_power_w for ki, p in zip(best_k, trimmed)
-        )
-        return PARSolution(
-            ratios=ratios,
-            per_server_w=trimmed,
-            expected_perf=best_score,
-            method="kkt-partial",
-            powered_counts=best_k,
+        method = "kkt-partial" if best_score > 0.0 else "kkt"
+        return self._to_solution(
+            groups, best_p, best_score, method, total_power_w, best_k
         )

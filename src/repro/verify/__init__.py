@@ -6,7 +6,8 @@ Two complementary harnesses:
   simulation's power accounting (wired into
   :class:`~repro.sim.engine.Simulation` behind ``strict=``/``--strict``);
 * :mod:`repro.verify.differential` — cross-checking the PAR solver's
-  three mechanisms on a seeded randomized corpus;
+  exact path against its grid and SLSQP references on a seeded
+  randomized corpus;
 * :mod:`repro.verify.fuzz` — checkpoint round-trip fuzzing for
   serve/shift state;
 * :mod:`repro.verify.reference` — strict-mode end-to-end reference

@@ -1,23 +1,35 @@
-"""Differential checking of the PAR solver's three mechanisms.
+"""Differential checking of the PAR solver against its reference mechanisms.
 
-The solver combines an analytic KKT enumeration, a dense grid sweep, and
-an SLSQP polish, and normally reports only the arbitrated winner — so a
-bug in one mechanism hides behind the others.  This module solves seeded
-randomized programs with each mechanism *forced*
-(:meth:`~repro.core.solver.PARSolver.solve_via`) and cross-checks them:
+For linear and quadratic fits the solver answers by analytic KKT
+enumeration alone; the dense grid sweep and the SLSQP polish survive as
+the cubic fallback and as independent references.  This module solves
+seeded randomized programs with the production path
+(:meth:`~repro.core.solver.PARSolver.solve`) and with each mechanism
+*forced* (:meth:`~repro.core.solver.PARSolver.solve_via`), and
+cross-checks them:
 
 * every returned solution must be feasible (budget and per-server box);
-* the grid sweep may never beat the exact KKT enumeration (the programs
-  are strictly concave quadratics, for which KKT is provably optimal);
-* SLSQP must agree with KKT to :data:`SLSQP_REL_TOL`;
-* the grid may lag KKT by at most :data:`GRID_REL_SLACK` (its step is
-  coarse, but a larger gap means a mechanism is broken).
+* ``solve()`` must equal the forced KKT solution bit for bit (the exact
+  path is KKT alone);
+* neither the grid nor SLSQP may beat ``solve()`` by more than
+  :data:`EXACT_REL_TOL` plus what the shared
+  :data:`~repro.core.solver.FEASIBILITY_SLACK_W` of extra power can buy;
+* on programs whose fits are all concave and positive over their boxes,
+  SLSQP must also agree with KKT to
+  :data:`SLSQP_REL_TOL`, and the grid may lag it by at most
+  :data:`GRID_REL_SLACK` (its step is coarse, but a larger gap means a
+  mechanism is broken).  Elsewhere SLSQP may stop at a local optimum or
+  on the clamp's flat zero.
 
-Cases are generated from a deterministic seed, so the corpus doubles as
-a regression suite: a failure reproduces bit-identically from its case
-seed.  Budgets are floored well above the subset's power-on cliff —
-right at the cliff the coarse grid legitimately loses whole groups,
-which would drown real failures in step-size noise.
+The corpus draws each group's fit from :data:`SHAPES`, the shapes the
+live system produces: concave and convex quadratics, quadratics that dip
+below zero inside the box (where the ``max(0, .)`` clamp acts), and
+linear fits.  Cases are generated from a deterministic seed, so the
+corpus doubles as a regression suite: a failure reproduces
+bit-identically from its case seed.  Budgets are floored well above the
+subset's power-on cliff — right at the cliff the coarse grid
+legitimately loses whole groups, which would drown real failures in
+step-size noise.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from dataclasses import dataclass
 
 from repro.core.database import FitKind, PerfPowerFit
 from repro.core.solver import FEASIBILITY_SLACK_W, GroupModel, PARSolver
+from repro.errors import ConfigurationError
 
 #: Required relative agreement between the SLSQP path and exact KKT.
 SLSQP_REL_TOL = 1e-3
@@ -36,8 +49,12 @@ SLSQP_REL_TOL = 1e-3
 #: 3-group racks sweep at the coarse granularity).
 GRID_REL_SLACK = 0.25
 
-#: Tight tolerance for "grid must not beat exact KKT" (pure float slack).
+#: Tight tolerance for "no reference mechanism beats the exact solve"
+#: (pure float slack).
 EXACT_REL_TOL = 1e-9
+
+#: Fit shapes :func:`random_case` draws from, one per group.
+SHAPES = ("concave", "convex", "dipping", "linear")
 
 
 @dataclass(frozen=True)
@@ -85,35 +102,70 @@ class DifferentialReport:
         return "\n".join(lines)
 
 
-def random_case(
-    rng: random.Random, safety_margin: float = 0.05
-) -> tuple[tuple[GroupModel, ...], float]:
-    """One seeded random PAR program with a strictly concave objective.
+def random_fit(rng: random.Random, shape: str) -> PerfPowerFit:
+    """One seeded fit of the given :data:`SHAPES` entry.
 
-    Each group gets a concave increasing quadratic (vertex at or beyond
-    the plateau, positive performance at the power-on point), so the KKT
-    enumeration is provably exact and every cross-mechanism disagreement
-    indicts a mechanism, not the program.  The budget is floored at 1.4x
-    the all-groups power-on total to stay clear of the cliffs where the
-    coarse grid legitimately drops groups.
+    * ``concave`` — increasing concave quadratic (vertex at or beyond the
+      plateau, positive performance at the power-on point);
+    * ``convex`` — a bowl ``l (p - v)^2 + c`` with ``l, c > 0``, its
+      vertex left of or inside the box;
+    * ``dipping`` — a concave or convex quadratic that crosses zero
+      inside the box, so the ``max(0, .)`` clamp zeroes part of it;
+    * ``linear`` — increasing, positive at the power-on point.
     """
-    k = rng.randint(1, 3)
-    groups = []
-    for i in range(k):
-        count = rng.randint(1, 6)
-        min_p = rng.uniform(40.0, 120.0)
-        max_p = min_p * rng.uniform(1.5, 3.0)
+    if shape not in SHAPES:
+        raise ConfigurationError(f"unknown fit shape {shape!r}; expected one of {SHAPES}")
+    min_p = rng.uniform(40.0, 120.0)
+    max_p = min_p * rng.uniform(1.5, 3.0)
+    span = max_p - min_p
+    kind = FitKind.QUADRATIC
+    if shape == "concave":
         l = -rng.uniform(0.01, 0.5)
         vertex = max_p * rng.uniform(1.0, 1.5)
         m = -2.0 * l * vertex
         perf_at_min = rng.uniform(10.0, 100.0)
         n = perf_at_min - (l * min_p**2 + m * min_p)
-        fit = PerfPowerFit(
-            coefficients=(l, m, n),
-            min_power_w=min_p,
-            max_power_w=max_p,
-            kind=FitKind.QUADRATIC,
-        )
+        coefficients: tuple[float, ...] = (l, m, n)
+    elif shape == "linear":
+        slope = rng.uniform(0.1, 10.0)
+        coefficients = (slope, rng.uniform(10.0, 100.0) - slope * min_p)
+        kind = FitKind.LINEAR
+    else:
+        if shape == "convex":
+            l = rng.uniform(0.01, 0.5)
+            vertex = rng.uniform(min_p - 0.5 * span, max_p)
+            floor = rng.uniform(10.0, 100.0)
+        elif rng.random() < 0.5:  # concave, negative below a zero crossing
+            l = -rng.uniform(0.01, 0.5)
+            vertex = max_p * rng.uniform(1.0, 1.5)
+            crossing = min_p + rng.uniform(0.05, 0.5) * span
+            floor = -l * (crossing - vertex) ** 2
+        else:  # convex, negative around its vertex
+            l = rng.uniform(0.01, 0.5)
+            vertex = rng.uniform(min_p + 0.25 * span, max_p - 0.25 * span)
+            crossing = rng.uniform(min_p, vertex)
+            floor = -l * (crossing - vertex) ** 2
+        coefficients = (l, -2.0 * l * vertex, l * vertex**2 + floor)
+    return PerfPowerFit(
+        coefficients=coefficients, min_power_w=min_p, max_power_w=max_p, kind=kind
+    )
+
+
+def random_case(
+    rng: random.Random, safety_margin: float = 0.05
+) -> tuple[tuple[GroupModel, ...], float]:
+    """One seeded random PAR program.
+
+    Each group's fit comes from :func:`random_fit`, its shape drawn from
+    :data:`SHAPES`.  The budget is floored at 1.4x the all-groups power-on
+    total to stay clear of the cliffs where the coarse grid legitimately
+    drops groups.
+    """
+    k = rng.randint(1, 3)
+    groups = []
+    for i in range(k):
+        count = rng.randint(1, 6)
+        fit = random_fit(rng, rng.choice(SHAPES))
         groups.append(GroupModel(name=f"g{i}", count=count, fit=fit))
     power_on_total = sum(
         g.count * g.fit.min_power_w * (1.0 + safety_margin) for g in groups
@@ -122,17 +174,36 @@ def random_case(
     return tuple(groups), budget
 
 
+def _slack_value(groups: tuple[GroupModel, ...]) -> float:
+    """Most performance :data:`FEASIBILITY_SLACK_W` extra watts can buy.
+
+    ``|f'|`` of a linear or quadratic fit peaks at an end of its box.
+    """
+    return FEASIBILITY_SLACK_W * max(
+        abs(g.fit.derivative(p))
+        for g in groups
+        for p in (g.fit.min_power_w, g.fit.max_power_w)
+    )
+
+
+def _concave_positive(fit: PerfPowerFit) -> bool:
+    """Strictly concave and positive over its whole box: the programs on
+    which SLSQP's local search is also global."""
+    return fit.l < 0 and min(fit.raw(fit.min_power_w), fit.raw(fit.max_power_w)) > 0
+
+
 def check_case(
     solver: PARSolver,
     groups: tuple[GroupModel, ...],
     budget_w: float,
     case_seed: int,
 ) -> CaseOutcome:
-    """Solve one program three ways and cross-check the results."""
-    solutions = {
-        method: solver.solve_via(groups, budget_w, method)
+    """Solve one program via ``solve()`` and each forced mechanism; cross-check."""
+    solutions = {"solve": solver.solve(groups, budget_w)}
+    solutions.update(
+        (method, solver.solve_via(groups, budget_w, method))
         for method in PARSolver.METHODS
-    }
+    )
     failures: list[str] = []
 
     for method, sol in solutions.items():
@@ -149,32 +220,39 @@ def check_case(
                     f"its plateau {g.fit.max_power_w:.6f} W"
                 )
 
+    exact = solutions["solve"].expected_perf
     kkt = solutions["kkt"].expected_perf
     grid = solutions["grid"].expected_perf
     slsqp = solutions["slsqp"].expected_perf
 
-    # For strictly concave quadratics KKT is exact — nothing may beat it.
-    ceiling = kkt * (1.0 + EXACT_REL_TOL) + 1e-6
-    if grid > ceiling:
+    if solutions["solve"] != solutions["kkt"]:
         failures.append(
-            f"grid ({grid:.9f}) beats the exact KKT optimum ({kkt:.9f})"
+            f"solve ({exact:.9f}) is not the forced KKT solution ({kkt:.9f})"
         )
-    if abs(slsqp - kkt) > SLSQP_REL_TOL * max(abs(kkt), 1.0):
-        failures.append(
-            f"slsqp ({slsqp:.9f}) disagrees with KKT ({kkt:.9f}) "
-            f"beyond rel tol {SLSQP_REL_TOL}"
-        )
-    if grid < (1.0 - GRID_REL_SLACK) * kkt:
-        failures.append(
-            f"grid ({grid:.9f}) lags KKT ({kkt:.9f}) by more than "
-            f"{GRID_REL_SLACK:.0%}"
-        )
+    # For linear and quadratic fits KKT is exact — nothing may beat it.
+    ceiling = exact * (1.0 + EXACT_REL_TOL) + _slack_value(groups)
+    for method, score in (("grid", grid), ("slsqp", slsqp)):
+        if score > ceiling:
+            failures.append(
+                f"{method} ({score:.9f}) beats the exact solve ({exact:.9f})"
+            )
+    if all(_concave_positive(g.fit) for g in groups):
+        if abs(slsqp - kkt) > SLSQP_REL_TOL * max(abs(kkt), 1.0):
+            failures.append(
+                f"slsqp ({slsqp:.9f}) disagrees with KKT ({kkt:.9f}) "
+                f"beyond rel tol {SLSQP_REL_TOL}"
+            )
+        if grid < (1.0 - GRID_REL_SLACK) * kkt:
+            failures.append(
+                f"grid ({grid:.9f}) lags KKT ({kkt:.9f}) by more than "
+                f"{GRID_REL_SLACK:.0%}"
+            )
 
     return CaseOutcome(
         case_seed=case_seed,
         n_groups=len(groups),
         budget_w=budget_w,
-        perf=tuple((m, solutions[m].expected_perf) for m in PARSolver.METHODS),
+        perf=tuple((m, sol.expected_perf) for m, sol in solutions.items()),
         failures=tuple(failures),
     )
 

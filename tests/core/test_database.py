@@ -52,6 +52,15 @@ class TestPerfPowerFit:
         fit = self._fit(coefficients=(0.0, 1.0, -1000.0))
         assert fit.predict(100.0) == 0.0
 
+    def test_raw_is_polyval_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for degree in (1, 2, 3):
+            for _ in range(200):
+                coeffs = tuple(float(c) for c in rng.normal(0.0, 50.0, degree + 1))
+                fit = self._fit(coefficients=coeffs)
+                p = float(rng.uniform(0.0, 300.0))
+                assert fit.raw(p) == float(np.polyval(coeffs, p))
+
     def test_derivative(self):
         fit = self._fit()
         assert fit.derivative(100.0) == pytest.approx(-2 * 2 * 100 + 600)

@@ -2,11 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from repro.core.database import FitKind
 from repro.core.solver import FEASIBILITY_SLACK_W, PARSolver
+from repro.errors import ConfigurationError
 from repro.verify import run_differential
-from repro.verify.differential import check_case, random_case
+from repro.verify.differential import check_case, random_case, random_fit
 
 
 class TestCorpus:
@@ -39,12 +42,40 @@ class TestCaseGeneration:
     def test_concavity_of_generated_fits(self):
         rng = random.Random(12)
         for _ in range(20):
-            groups, _ = random_case(rng)
-            for g in groups:
-                l, m, _ = g.fit.coefficients
-                assert l < 0  # strictly concave
-                vertex = -m / (2.0 * l)
-                assert vertex >= g.fit.max_power_w - 1e-9  # increasing
+            fit = random_fit(rng, "concave")
+            l, m, _ = fit.coefficients
+            assert l < 0  # strictly concave
+            vertex = -m / (2.0 * l)
+            assert vertex >= fit.max_power_w - 1e-9  # increasing
+
+    def test_corpus_covers_every_live_shape(self):
+        rng = random.Random(13)
+        fits = [g.fit for _ in range(40) for g in random_case(rng)[0]]
+        assert any(f.l < 0 for f in fits)
+        assert any(f.l > 0 for f in fits)
+        assert any(f.kind is FitKind.LINEAR for f in fits)
+        # Some quadratic dips below zero inside its box (the clamp acts).
+        assert any(
+            f.kind is FitKind.QUADRATIC
+            and min(f.raw(p) for p in np.linspace(f.min_power_w, f.max_power_w, 201)) < 0
+            for f in fits
+        )
+
+    def test_solve_equals_forced_kkt_bit_for_bit(self):
+        solver = PARSolver(cache_size=0)
+        rng = random.Random(15)
+        kinds = set()
+        for _ in range(60):
+            groups, budget = random_case(rng, solver.safety_margin)
+            kinds.update(g.fit.kind for g in groups)
+            assert solver.solve(groups, budget) == solver.solve_via(
+                groups, budget, "kkt"
+            )
+        assert kinds == {FitKind.LINEAR, FitKind.QUADRATIC}
+
+    def test_unknown_shape_rejected(self):
+        with pytest.raises(ConfigurationError):
+            random_fit(random.Random(0), "sigmoid")
 
 
 class TestCheckCase:
@@ -70,6 +101,18 @@ class TestCheckCase:
         assert any(
             "infeasible" in f or "plateau" in f for f in outcome.failures
         )
+
+    def test_detects_an_inexact_solve(self):
+        rng = random.Random(22)
+        groups, budget = random_case(rng)
+
+        class GridSolver(PARSolver):
+            # A broken production path: answers with the coarse grid.
+            def solve(self, groups, total_power_w):
+                return self.solve_via(groups, total_power_w, "grid")
+
+        outcome = check_case(GridSolver(cache_size=0), groups, budget, 22)
+        assert any("forced KKT" in f for f in outcome.failures)
 
     def test_solutions_stay_within_budget(self):
         solver = PARSolver(cache_size=0)

@@ -8,8 +8,9 @@ Three gates, in the order a regression would surface:
    default grid-backed supply and once in the constrained-supply
    (``supply_fractions``) regime.  Zero violations required.
 2. **Differential solver corpus**: 200 seeded randomized PAR programs
-   solved with each mechanism forced (KKT / grid / SLSQP) and
-   cross-checked for feasibility and agreement.
+   solved the production way and with each mechanism forced (KKT /
+   grid / SLSQP), cross-checked for feasibility and for no reference
+   beating the exact solve.
 3. **Checkpoint round-trip fuzzing**: serve/shift state documents must
    be serialization fixed points under randomized state.
 
