@@ -356,32 +356,46 @@ class GreenHeteroController:
                 samples[g] = curves[g].serve(states[g], caps[g] * frac)
         return samples
 
-    def _measure_rack(
-        self, group_budgets_w: tuple[float, ...], load_fraction: float
-    ) -> float:
-        """Aggregate rack throughput if ``group_budgets_w`` were enforced."""
-        states = [
+    def _states_for_budgets(self, group_budgets_w: tuple[float, ...]) -> list:
+        """The power state the SPC would enforce on each group's servers."""
+        return [
             self.rack.curve(i).state_for_budget(budget / group.count)
             for i, (group, budget) in enumerate(zip(self.rack.groups, group_budgets_w))
         ]
+
+    def _rack_throughput(self, states, load_fraction: float) -> float:
+        """Noise-free aggregate rack throughput with every server at ``states``."""
         samples = self._samples_for_states(states, load_fraction)
         return sum(
             group.count * sample.throughput
             for group, sample in zip(self.rack.groups, samples)
         )
 
+    def _measure_rack(
+        self, group_budgets_w: tuple[float, ...], load_fraction: float
+    ) -> float:
+        """Aggregate rack throughput if ``group_budgets_w`` were enforced."""
+        return self._rack_throughput(
+            self._states_for_budgets(group_budgets_w), load_fraction
+        )
+
     def _make_oracle(self, budget_w: float, load_fraction: float):
         """The Manual policy's physical trial run: enforce, run, meter.
 
         Like the paper's physical trials, the measurement carries the
-        Monitor's throughput noise.
+        Monitor's throughput noise.  Many compositions map onto the same
+        power states, so the noise-free throughput is computed once per
+        state tuple; each trial is still metered on its own.
         """
+        rack_perf: dict[tuple[int, ...], float] = {}
 
         def measure(ratios: tuple[float, ...]) -> float:
-            budgets = tuple(r * budget_w for r in ratios)
-            return self.monitor.observe_throughput(
-                self._measure_rack(budgets, load_fraction)
-            )
+            states = self._states_for_budgets(tuple(r * budget_w for r in ratios))
+            key = tuple(state.index for state in states)
+            perf = rack_perf.get(key)
+            if perf is None:
+                perf = rack_perf[key] = self._rack_throughput(states, load_fraction)
+            return self.monitor.observe_throughput(perf)
 
         return measure
 
@@ -409,32 +423,37 @@ class GreenHeteroController:
         brownout = False
         soc_wh = self.pdu.battery.soc_wh
 
+        # States, load and counts hold for the whole epoch, so the rack
+        # physics is computed once; only the meters and the sources vary
+        # between substeps.
         states = [group_servers[0].state for group_servers in self.servers]
         effective = self._effective_counts(powered_counts)
+        samples = self._samples_for_states(states, load_fraction, effective)
+        draw_total = 0.0
+        perf_total = 0.0
+        useful_total = 0.0
+        for count, sample in zip(effective, samples):
+            draw_total += count * sample.power_w
+            perf_total += count * sample.throughput
+            if sample.throughput > 0.0:
+                useful_total += count * sample.power_w * sample.utilization
         for i in range(N_SUBSTEPS):
             t_sub = time_s + i * sub_s
-            draw_total = 0.0
-            perf_total = 0.0
-            useful = 0.0
-            samples = self._samples_for_states(states, load_fraction, effective)
             for g, sample in enumerate(samples):
-                count = effective[g]
-                draw_total += count * sample.power_w
-                perf_total += count * sample.throughput
-                if sample.throughput > 0.0:
-                    useful += count * sample.power_w * sample.utilization
                 observations.append(
                     self.monitor.observe_server(sample, g, t_sub)
                 )
+            perf = perf_total
+            useful = useful_total
             flows = self.enforcer.psc.apply(decision, draw_total, t_sub, sub_s)
             if flows.delivered_w < draw_total - 1e-6:
                 # Sources under-delivered against the plan (forecast
                 # error): the rack browns out proportionally.
                 scale = flows.delivered_w / draw_total if draw_total > 0 else 0.0
-                perf_total *= scale
+                perf *= scale
                 useful *= scale
                 brownout = True
-            perf_sum += perf_total
+            perf_sum += perf
             useful_sum += useful
             renewable_sum += flows.renewable_available_w
             # The PV sensor is read once per substep, like every other

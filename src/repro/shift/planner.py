@@ -26,6 +26,38 @@ space is small enough to afford it.  A ``no_shift`` policy places every
 job at its earliest feasible epoch — the run-immediately baseline the
 benchmark compares against.
 
+The exhaustive search is a branch-and-bound that returns exactly the
+plan of the full enumeration.  Placing a job at an offset adds at most
+``value + perf_weight * n_epochs * P`` minus the least energy penalty
+that offset can pay, where ``P = sum_g count_g * max(0, max of
+fit_g.raw over [min_power_w, max_power_w])``:
+
+* a marginal performance is at most the with-job solve's
+  ``expected_perf``, which is at most ``P``;
+* commits only take supply away, so an offset the untouched ledger
+  cannot price is infeasible in every branch, and an offset pays at
+  least the grid price for the grid energy the untouched ledger quotes
+  it and the cheaper of the two prices for its battery energy (the
+  constructor rejects negative prices, so penalties never pay out);
+* a skip adds ``-value`` for a must-start-now job and zero otherwise.
+
+A job's bound is the largest of these over its options.  A branch is
+dropped, before its offset is priced and before the supply ledger is
+cloned for it, when its running total plus its own option plus the
+bounds of the jobs after it cannot beat the incumbent by more than
+``_EPS`` (with a 1e-12 relative float margin).  The enumeration accepts
+a leaf only when it beats the incumbent by more than ``_EPS``, and the
+incumbent only rises, so a dropped subtree never held an accepted leaf:
+the sequence of accepted leaves, and hence the plan, is unchanged.
+
+One caveat: two memos make a price depend on search history.  The
+marginal-performance cache keys on powers rounded to 6 decimals, and
+the solver's memo cache on budgets quantized to 1e-6 W, so the first
+unrounded power to reach a key fixes its value for the rest of the
+plan (or, for the solver, until evicted).  Pruning only removes visits,
+so a price can move by what 1e-6 W buys; the differential test compares
+placements exactly and floats within 1e-9 relative.
+
 Only offset-0 placements are executed; the rest of the plan is
 re-derived next epoch from fresh forecasts (standard receding-horizon
 control), so a renewable dropout injected mid-run simply shows up in
@@ -38,13 +70,20 @@ import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+import numpy as np
+
 from repro.core.predictor import HoltPredictor
 from repro.core.solver import GroupModel, PARSolver
 from repro.errors import ConfigurationError, SolverError
 from repro.obs.metrics import REGISTRY as _REGISTRY
+from repro.obs.tracing import trace
 from repro.shift.queue import JobQueue, ShiftJob
 
 _EPS = 1e-9
+
+#: Float headroom of the exhaustive search's bound test, relative to the
+#: magnitude of the terms summed into a bound.
+_PRUNE_REL = 1e-12
 
 _PLAN_SECONDS = _REGISTRY.histogram(
     "repro_shift_plan_seconds", "ShiftPlanner.plan wall time"
@@ -55,7 +94,8 @@ _PLANS_TOTAL = _REGISTRY.counter(
     labelnames=("method",),
 )
 _CANDIDATES_TOTAL = _REGISTRY.counter(
-    "repro_shift_candidates_total", "Candidate (job, offset) placements evaluated"
+    "repro_shift_candidates_total",
+    "Candidates priced: (job, offset) placements evaluated against supply",
 )
 _PLACEMENTS_TOTAL = _REGISTRY.counter(
     "repro_shift_placements_total", "Jobs placed into plan windows"
@@ -362,9 +402,49 @@ class _SupplyState:
         self.capacity_w[h] = max(0.0, self.capacity_w[h] - power_w)
 
 
+@dataclass(frozen=True)
+class _PlanJob:
+    """A pending job with the constants one plan reads for every candidate."""
+
+    job_id: str
+    power_w: float
+    energy_wh: float
+    value: float
+    earliest_start_s: float
+    n_epochs: int
+    #: Start offsets inside the horizon that respect the job's window.
+    offsets: tuple[int, ...]
+    #: Whether the job's last feasible start is this epoch.
+    must_start_now: bool
+
+    @classmethod
+    def of(cls, job: ShiftJob, inputs: PlanInputs, horizon: int) -> "_PlanJob":
+        latest_start_s = job.latest_start_s(inputs.epoch_s)
+        offsets = []
+        for h in range(horizon):
+            start_s = inputs.time_s + h * inputs.epoch_s
+            if start_s + _EPS < job.earliest_start_s:
+                continue
+            if start_s > latest_start_s + _EPS:
+                break
+            offsets.append(h)
+        return cls(
+            job_id=job.job_id,
+            power_w=job.power_w,
+            energy_wh=job.energy_wh,
+            value=job.value,
+            earliest_start_s=job.earliest_start_s,
+            n_epochs=job.n_epochs(inputs.epoch_s),
+            offsets=tuple(offsets),
+            must_start_now=(
+                inputs.time_s + inputs.epoch_s > latest_start_s + _EPS
+            ),
+        )
+
+
 @dataclass
 class _Candidate:
-    job: ShiftJob
+    job: _PlanJob
     offset: int
     split: tuple[tuple[float, float, float], ...]
     marginal_perf: float
@@ -373,6 +453,27 @@ class _Candidate:
     @property
     def density(self) -> float:
         return self.utility / self.job.energy_wh
+
+
+def _peak_perf(models: tuple[GroupModel, ...]) -> float:
+    """``sum_g count_g * max(0, max of fit_g.raw over its power box)``.
+
+    No solve of ``models`` can project more: a solve scores each group
+    with ``fit.predict``, which is zero below the box and the clamped,
+    non-negative polynomial inside it.  The maximum of the polynomial
+    over the box is taken at an endpoint or at a real root of its
+    derivative inside the box.
+    """
+    total = 0.0
+    for model in models:
+        fit = model.fit
+        lo, hi = fit.min_power_w, fit.max_power_w
+        points = [lo, hi]
+        # Real parts of complex roots are harmless extra points in the box.
+        for root in np.roots(np.polyder(np.asarray(fit.coefficients, float))):
+            points.append(min(hi, max(lo, float(root.real))))
+        total += model.count * max(0.0, max(fit.raw(p) for p in points))
+    return total
 
 
 class ShiftPlanner:
@@ -387,13 +488,13 @@ class ShiftPlanner:
         ``"shift"`` (utility-maximizing) or ``"no_shift"`` (every job at
         its earliest feasible epoch — the baseline).
     grid_penalty_per_kwh / battery_penalty_per_kwh:
-        Energy prices in the utility, in units of job value.  The grid
-        penalty dominating the battery penalty is what makes deferral
-        into renewable-rich epochs win.
+        Energy prices in the utility, in units of job value; must be
+        non-negative.  The grid penalty dominating the battery penalty
+        is what makes deferral into renewable-rich epochs win.
     perf_weight:
-        Weight of the solver-priced marginal performance term; small, so
-        it breaks ties between energy-equivalent epochs rather than
-        overriding energy costs.
+        Non-negative weight of the solver-priced marginal performance
+        term; small, so it breaks ties between energy-equivalent epochs
+        rather than overriding energy costs.
     exhaustive_limit:
         Maximum size of the job->epoch assignment space for which the
         exact enumeration replaces the greedy search.
@@ -418,6 +519,13 @@ class ShiftPlanner:
             raise ConfigurationError(f"unknown shift policy {policy!r}")
         if exhaustive_limit < 0:
             raise ConfigurationError("exhaustive_limit must be non-negative")
+        # The exhaustive search's bound assumes a placement can never earn
+        # more than its value plus its best-case performance term.
+        for name, price in (("grid_penalty_per_kwh", grid_penalty_per_kwh),
+                            ("battery_penalty_per_kwh", battery_penalty_per_kwh),
+                            ("perf_weight", perf_weight)):
+            if not price >= 0:
+                raise ConfigurationError(f"{name} must be non-negative, got {price}")
         self.horizon = horizon
         self.policy = policy
         self.grid_penalty_per_kwh = grid_penalty_per_kwh
@@ -426,13 +534,17 @@ class ShiftPlanner:
         self.exhaustive_limit = exhaustive_limit
         self.solver = solver if solver is not None else PARSolver()
         self._perf_cache: dict[tuple, float] = {}
+        #: Candidates priced by the plan in progress.
+        self._priced = 0
 
     # ------------------------------------------------------------------
+    @trace("shift.plan")
     def plan(self, queue: JobQueue, inputs: PlanInputs) -> ShiftPlan:
         """Produce the plan for this epoch.  The queue is not mutated."""
         with _PLAN_SECONDS.time():
             result = self._plan_impl(queue, inputs)
         _PLANS_TOTAL.labels(result.method).inc()
+        _CANDIDATES_TOTAL.inc(self._priced)
         if result.placements:
             _PLACEMENTS_TOTAL.inc(len(result.placements))
         if result.unplaced:
@@ -441,10 +553,9 @@ class ShiftPlanner:
 
     def _plan_impl(self, queue: JobQueue, inputs: PlanInputs) -> ShiftPlan:
         self._perf_cache.clear()
-        pending = queue.pending()
-        span = self.horizon + max(
-            (j.n_epochs(inputs.epoch_s) for j in pending), default=1
-        )
+        self._priced = 0
+        pending = [_PlanJob.of(j, inputs, self.horizon) for j in queue.pending()]
+        span = self.horizon + max((j.n_epochs for j in pending), default=1)
         state = _SupplyState(inputs, span)
         pristine = state.clone()
 
@@ -456,7 +567,7 @@ class ShiftPlanner:
         for job in pending:
             if inputs.time_s + _EPS < job.earliest_start_s:
                 continue
-            split = pristine.price(job.power_w, 0, job.n_epochs(inputs.epoch_s))
+            split = pristine.price(job.power_w, 0, job.n_epochs)
             if split is not None:
                 start_now_grid.append((job.job_id, sum(s[2] for s in split)))
 
@@ -465,26 +576,17 @@ class ShiftPlanner:
             method = "no_shift"
         else:
             n_combos = 1
-            offset_sets = {
-                j.job_id: self._feasible_offsets(j, inputs) for j in pending
-            }
-            for offsets in offset_sets.values():
-                n_combos *= len(offsets) + 1
+            for job in pending:
+                n_combos *= len(job.offsets) + 1
                 if n_combos > self.exhaustive_limit:
                     break
             if pending and n_combos <= self.exhaustive_limit:
-                placements, unplaced = self._plan_exhaustive(
-                    pending, offset_sets, inputs, state
-                )
+                placements, unplaced = self._plan_exhaustive(pending, inputs, state)
                 method = "exhaustive"
             else:
-                placements, unplaced = self._plan_greedy(
-                    pending, offset_sets, inputs, state
-                )
+                placements, unplaced = self._plan_greedy(pending, inputs, state)
                 method = "greedy"
-            placements = self._attach_grid_avoided(
-                placements, pending, inputs, pristine
-            )
+            placements = self._attach_grid_avoided(placements, pending, pristine)
 
         batch_power = tuple(
             state.batch_power_at(inputs.batch_capacity_w, h)
@@ -505,21 +607,6 @@ class ShiftPlanner:
     # ------------------------------------------------------------------
     # Candidate machinery
     # ------------------------------------------------------------------
-    def _feasible_offsets(self, job: ShiftJob, inputs: PlanInputs) -> list[int]:
-        offsets = []
-        for h in range(self.horizon):
-            start_s = inputs.time_s + h * inputs.epoch_s
-            if start_s + _EPS < job.earliest_start_s:
-                continue
-            if start_s > job.latest_start_s(inputs.epoch_s) + _EPS:
-                break
-            offsets.append(h)
-        return offsets
-
-    def _must_start_now(self, job: ShiftJob, inputs: PlanInputs) -> bool:
-        next_start = inputs.time_s + inputs.epoch_s
-        return next_start > job.latest_start_s(inputs.epoch_s) + _EPS
-
     def _marginal_perf(self, base_power_w: float, power_w: float,
                        models: tuple[GroupModel, ...]) -> float:
         if not models:
@@ -543,13 +630,13 @@ class ShiftPlanner:
 
     def _evaluate(
         self,
-        job: ShiftJob,
+        job: _PlanJob,
         offset: int,
         inputs: PlanInputs,
         state: _SupplyState,
     ) -> _Candidate | None:
-        _CANDIDATES_TOTAL.inc()
-        n = job.n_epochs(inputs.epoch_s)
+        self._priced += 1
+        n = job.n_epochs
         split = state.price(job.power_w, offset, n)
         if split is None:
             return None
@@ -578,7 +665,7 @@ class ShiftPlanner:
             job_id=cand.job.job_id,
             start_offset=cand.offset,
             start_s=inputs.time_s + cand.offset * inputs.epoch_s,
-            n_epochs=cand.job.n_epochs(inputs.epoch_s),
+            n_epochs=cand.job.n_epochs,
             power_w=cand.job.power_w,
             renewable_wh=sum(s[0] for s in cand.split),
             battery_wh=sum(s[1] for s in cand.split),
@@ -588,22 +675,16 @@ class ShiftPlanner:
             grid_avoided_wh=0.0,
         )
 
-    def _commit(self, cand: _Candidate, inputs: PlanInputs,
-                state: _SupplyState) -> None:
-        state.commit(
-            cand.job.power_w,
-            cand.offset,
-            cand.job.n_epochs(inputs.epoch_s),
-            cand.split,
-        )
+    @staticmethod
+    def _commit(cand: _Candidate, state: _SupplyState) -> None:
+        state.commit(cand.job.power_w, cand.offset, cand.job.n_epochs, cand.split)
 
     # ------------------------------------------------------------------
     # Search strategies
     # ------------------------------------------------------------------
     def _plan_greedy(
         self,
-        pending: list[ShiftJob],
-        offset_sets: dict[str, list[int]],
+        pending: list[_PlanJob],
         inputs: PlanInputs,
         state: _SupplyState,
     ) -> tuple[list[Placement], list[str]]:
@@ -612,7 +693,7 @@ class ShiftPlanner:
         while open_jobs:
             best: _Candidate | None = None
             for job in open_jobs:
-                for offset in offset_sets[job.job_id]:
+                for offset in job.offsets:
                     cand = self._evaluate(job, offset, inputs, state)
                     if cand is None or cand.utility <= 0.0:
                         continue
@@ -626,19 +707,16 @@ class ShiftPlanner:
                         best = cand
             if best is None:
                 break
-            self._commit(best, inputs, state)
+            self._commit(best, state)
             placements.append(self._to_placement(best, inputs))
             open_jobs = [j for j in open_jobs if j.job_id != best.job.job_id]
 
-        return self._force_deadline_starts(
-            placements, open_jobs, offset_sets, inputs, state
-        )
+        return self._force_deadline_starts(placements, open_jobs, inputs, state)
 
     def _force_deadline_starts(
         self,
         placements: list[Placement],
-        open_jobs: list[ShiftJob],
-        offset_sets: dict[str, list[int]],
+        open_jobs: list[_PlanJob],
         inputs: PlanInputs,
         state: _SupplyState,
     ) -> tuple[list[Placement], list[str]]:
@@ -647,10 +725,10 @@ class ShiftPlanner:
         longer an option, so utility does not gate it."""
         still_open = []
         for job in open_jobs:
-            if self._must_start_now(job, inputs) and 0 in offset_sets[job.job_id]:
+            if job.must_start_now and 0 in job.offsets:
                 cand = self._evaluate(job, 0, inputs, state)
                 if cand is not None:
-                    self._commit(cand, inputs, state)
+                    self._commit(cand, state)
                     placements.append(self._to_placement(cand, inputs))
                     continue
             still_open.append(job)
@@ -658,8 +736,7 @@ class ShiftPlanner:
 
     def _plan_exhaustive(
         self,
-        pending: list[ShiftJob],
-        offset_sets: dict[str, list[int]],
+        pending: list[_PlanJob],
         inputs: PlanInputs,
         state: _SupplyState,
     ) -> tuple[list[Placement], list[str]]:
@@ -670,42 +747,9 @@ class ShiftPlanner:
         first assignment (in enumeration order) achieving the strictly
         best total utility wins, so the result is deterministic.
         """
-        best_total = -math.inf
-        best_cands: list[_Candidate | None] | None = None
-
-        def recurse(idx: int, scratch: _SupplyState, total: float,
-                    chosen: list[_Candidate | None]) -> None:
-            nonlocal best_total, best_cands
-            if idx == len(pending):
-                if total > best_total + _EPS:
-                    best_total = total
-                    best_cands = list(chosen)
-                return
-            job = pending[idx]
-            # Option 1: skip (penalized only when the job would be lost).
-            penalty = (
-                job.value if self._must_start_now(job, inputs) else 0.0
-            )
-            chosen.append(None)
-            recurse(idx + 1, scratch, total - penalty, chosen)
-            chosen.pop()
-            # Option 2: each feasible offset.
-            for offset in offset_sets[job.job_id]:
-                cand = self._evaluate(job, offset, inputs, scratch)
-                if cand is None:
-                    continue
-                branch = scratch.clone()
-                self._commit(cand, inputs, branch)
-                chosen.append(cand)
-                recurse(idx + 1, branch, total + cand.utility, chosen)
-                chosen.pop()
-
-        recurse(0, state, 0.0, [])
-
+        best_cands = self._search_exhaustive(pending, inputs, state)
         placements: list[Placement] = []
-        skipped: list[ShiftJob] = []
-        if best_cands is None:
-            best_cands = [None] * len(pending)
+        skipped: list[_PlanJob] = []
         for job, cand in zip(pending, best_cands):
             if cand is None:
                 skipped.append(job)
@@ -716,18 +760,114 @@ class ShiftPlanner:
                 if final is None:  # pragma: no cover - clones agree
                     skipped.append(job)
                     continue
-                self._commit(final, inputs, state)
+                self._commit(final, state)
                 placements.append(self._to_placement(final, inputs))
         # The enumeration may rationally "skip" a job whose last chance
         # is now (cost > value); the forced pass overrides that, exactly
         # as in the greedy path — a deadline start is not optional.
-        return self._force_deadline_starts(
-            placements, skipped, offset_sets, inputs, state
+        return self._force_deadline_starts(placements, skipped, inputs, state)
+
+    def _search_exhaustive(
+        self,
+        pending: list[_PlanJob],
+        inputs: PlanInputs,
+        state: _SupplyState,
+    ) -> list[_Candidate | None]:
+        """The winning assignment (``None`` = skip) of the enumeration.
+
+        Branches that cannot win are pruned by the bound of the module
+        docstring, which leaves the winner unchanged.  ``state`` is not
+        mutated.
+        """
+        best_total = -math.inf
+        best_cands: list[_Candidate | None] | None = None
+
+        options = self._option_bounds(pending, inputs, state)
+        skip = [-j.value if j.must_start_now else 0.0 for j in pending]
+        # bound[i]: the most job i can add; rest[i]: the most jobs i.. can
+        # add together.
+        bound = [max([s, *(b for _, b in opts)]) for s, opts in zip(skip, options)]
+        rest = [0.0] * (len(pending) + 1)
+        for i in reversed(range(len(pending))):
+            rest[i] = rest[i + 1] + bound[i]
+
+        def hopeless(total: float, option: float, after: float) -> bool:
+            """Whether no leaf below can beat the incumbent by > _EPS."""
+            upper = total + option + after
+            headroom = _PRUNE_REL * (abs(total) + abs(option) + abs(after))
+            return upper + headroom <= best_total + _EPS
+
+        def recurse(idx: int, scratch: _SupplyState, total: float,
+                    chosen: list[_Candidate | None]) -> None:
+            nonlocal best_total, best_cands
+            if idx == len(pending):
+                if total > best_total + _EPS:
+                    best_total = total
+                    best_cands = list(chosen)
+                return
+            job = pending[idx]
+            after = rest[idx + 1]
+            # Option 1: skip (penalized only when the job would be lost).
+            if not hopeless(total, skip[idx], after):
+                chosen.append(None)
+                recurse(idx + 1, scratch, total + skip[idx], chosen)
+                chosen.pop()
+            # Option 2: each feasible offset.
+            for offset, offset_bound in options[idx]:
+                if hopeless(total, offset_bound, after):
+                    continue
+                cand = self._evaluate(job, offset, inputs, scratch)
+                if cand is None or hopeless(total, cand.utility, after):
+                    continue
+                branch = scratch.clone()
+                self._commit(cand, branch)
+                chosen.append(cand)
+                recurse(idx + 1, branch, total + cand.utility, chosen)
+                chosen.pop()
+
+        recurse(0, state, 0.0, [])
+        return best_cands if best_cands is not None else [None] * len(pending)
+
+    def _option_bounds(
+        self,
+        pending: list[_PlanJob],
+        inputs: PlanInputs,
+        state: _SupplyState,
+    ) -> list[list[tuple[int, float]]]:
+        """``(offset, bound)`` for each offset a job can take in the search.
+
+        Offsets the untouched ``state`` cannot price are left out, and
+        each bound is the module docstring's: value plus the best-case
+        performance term, less the least energy penalty the offset can
+        pay.  That penalty allows for the grid price of
+        :meth:`_SupplyState.price`'s per-epoch shortfall tolerance.
+        """
+        peak = _peak_perf(inputs.batch_models)
+        grid_price = self.grid_penalty_per_kwh / 1000.0
+        battery_price = (
+            min(self.grid_penalty_per_kwh, self.battery_penalty_per_kwh) / 1000.0
         )
+        options = []
+        for job in pending:
+            opts = []
+            gain = job.value + self.perf_weight * job.n_epochs * peak
+            for offset in job.offsets:
+                split = state.price(job.power_w, offset, job.n_epochs)
+                if split is None:
+                    continue
+                penalty = (
+                    grid_price * (sum(s[2] for s in split) - job.n_epochs * _EPS)
+                    + battery_price * sum(s[1] for s in split)
+                )
+                # Float headroom for the terms' own rounding.
+                slack = _PRUNE_REL * (gain + abs(penalty))
+                opts.append((offset, gain - penalty + slack))
+            options.append(opts)
+        return options
 
     def _plan_no_shift(
         self,
-        pending: list[ShiftJob],
+        pending: list[_PlanJob],
         inputs: PlanInputs,
         state: _SupplyState,
     ) -> tuple[list[Placement], list[str]]:
@@ -735,10 +875,10 @@ class ShiftPlanner:
         unplaced: list[str] = []
         for job in pending:
             placed = False
-            for offset in self._feasible_offsets(job, inputs):
+            for offset in job.offsets:
                 cand = self._evaluate(job, offset, inputs, state)
                 if cand is not None:
-                    self._commit(cand, inputs, state)
+                    self._commit(cand, state)
                     placements.append(self._to_placement(cand, inputs))
                     placed = True
                     break
@@ -746,11 +886,10 @@ class ShiftPlanner:
                 unplaced.append(job.job_id)
         return placements, unplaced
 
+    @staticmethod
     def _attach_grid_avoided(
-        self,
         placements: list[Placement],
-        pending: list[ShiftJob],
-        inputs: PlanInputs,
+        pending: list[_PlanJob],
         pristine: _SupplyState,
     ) -> list[Placement]:
         """Annotate each placement with grid energy saved versus running
@@ -761,11 +900,8 @@ class ShiftPlanner:
         for placement in placements:
             job = jobs[placement.job_id]
             avoided = 0.0
-            offsets = self._feasible_offsets(job, inputs)
-            if offsets:
-                baseline = pristine.price(
-                    job.power_w, offsets[0], job.n_epochs(inputs.epoch_s)
-                )
+            if job.offsets:
+                baseline = pristine.price(job.power_w, job.offsets[0], job.n_epochs)
                 if baseline is not None:
                     baseline_grid = sum(s[2] for s in baseline)
                     avoided = max(0.0, baseline_grid - placement.grid_wh)

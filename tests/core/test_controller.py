@@ -5,12 +5,14 @@ import pytest
 from repro.core.controller import GreenHeteroController, N_SUBSTEPS
 from repro.core.monitor import Monitor
 from repro.core.policies import make_policy
+from repro.core.solver import PARSolver
 from repro.core.sources import PowerCase
 from repro.errors import ConfigurationError
 from repro.power.battery import BatteryBank
 from repro.power.grid import GridSource
 from repro.power.pdu import PDU
 from repro.power.solar import SolarFarm
+from repro.servers.power_model import ResponseCurve
 from repro.servers.rack import Rack
 from repro.traces.nrel import Weather, synthesize_irradiance
 
@@ -146,6 +148,66 @@ class TestLoadBalancing:
         full = ctl._measure_rack((5 * 150.0, 5 * 80.0), 1.0)
         half = ctl._measure_rack((5 * 150.0, 5 * 80.0), 0.4)
         assert 0.0 < half < full
+
+
+class TestRackPhysicsOncePerOperatingPoint:
+    """States, load and counts hold for a whole epoch, so the physics
+    runs once per operating point; the meters still read every substep."""
+
+    @staticmethod
+    def count_serves(monkeypatch):
+        calls = []
+        original = ResponseCurve.serve
+
+        def spy(curve, state, offered_ops):
+            calls.append(curve.spec.name)
+            return original(curve, state, offered_ops)
+
+        monkeypatch.setattr(ResponseCurve, "serve", spy)
+        return calls
+
+    def test_one_serve_per_group_per_epoch(self, monkeypatch):
+        ctl = make_controller("GreenHetero")
+        ctl.run_epoch(NOON)  # the training run samples curves too
+        observed = []
+        original = ctl.monitor.observe_server
+
+        def observe(sample, group, time_s):
+            observed.append(group)
+            return original(sample, group, time_s)
+
+        ctl.monitor.observe_server = observe
+        calls = self.count_serves(monkeypatch)
+        execute = ctl._execute_substeps
+        during = []
+
+        def execute_substeps(*args, **kwargs):
+            start = len(calls)
+            record = execute(*args, **kwargs)
+            during.extend(calls[start:])
+            return record
+
+        ctl._execute_substeps = execute_substeps
+        ctl.run_epoch(NOON + 900.0)
+        assert sorted(during) == ["E5-2620", "i5-4460"]
+        assert observed == [0, 1] * N_SUBSTEPS
+
+    def test_manual_oracle_meters_every_trial(self, monkeypatch):
+        ctl = make_controller("Manual")
+        budget_w = 900.0
+        compositions = PARSolver.compositions(2)
+        expected = [
+            ctl._measure_rack(tuple(r * budget_w for r in ratios), 1.0)
+            for ratios in compositions
+        ]
+        metered = []
+        ctl.monitor.observe_throughput = lambda perf: metered.append(perf) or perf
+        calls = self.count_serves(monkeypatch)
+        measure = ctl._make_oracle(budget_w, 1.0)
+        assert [measure(ratios) for ratios in compositions] == expected
+        assert metered == expected
+        # Distinct power-state pairs are fewer than the 11 compositions.
+        assert len(calls) < 2 * len(compositions)
 
 
 class ConstantSource:

@@ -12,6 +12,7 @@ from repro.core.predictor import HoltPredictor
 from repro.core.solver import GroupModel, PARSolver
 from repro.obs.metrics import REGISTRY, obs_enabled, set_enabled
 from repro.servers.rack import Rack
+from repro.shift import planner as planner_module
 from repro.shift.planner import PlanInputs, ShiftPlanner
 from repro.shift.queue import JobQueue, ShiftJob
 from repro.sim.clock import SimClock
@@ -134,3 +135,34 @@ class TestShiftInstrumentation:
         assert counter_value("repro_shift_candidates_total") > cand0
         assert counter_value("repro_shift_placements_total") == placed0 + len(plan.placements)
         assert hist_count("repro_shift_plan_seconds") == secs0 + 1
+
+    def test_one_span_and_one_counter_increment_per_plan(self, enabled, monkeypatch):
+        queue = JobQueue()
+        for i in range(3):
+            queue.submit(ShiftJob(
+                job_id=f"j{i}", energy_wh=75.0, power_w=300.0,
+                earliest_start_s=0.0, deadline_s=8 * 900.0, value=1.0,
+            ))
+        inputs = PlanInputs(
+            time_s=0.0, epoch_s=900.0,
+            renewable_w=(0.0, 0.0) + (400.0,) * 6, interactive_w=(0.0,) * 8,
+            committed_w=(), batch_capacity_w=1000.0, battery_usable_wh=0.0,
+            battery_max_discharge_w=0.0, grid_budget_w=1000.0,
+        )
+        increments = []
+        family = planner_module._CANDIDATES_TOTAL
+
+        class Recorder:
+            def inc(self, amount=1.0):
+                increments.append(amount)
+                family.inc(amount)
+
+        monkeypatch.setattr(planner_module, "_CANDIDATES_TOTAL", Recorder())
+        cand0 = counter_value("repro_shift_candidates_total")
+        spans0 = hist_count("repro_span_seconds", "shift.plan")
+        plan = ShiftPlanner(horizon=8).plan(queue, inputs)
+        assert plan.method == "exhaustive" and len(plan.placements) == 3
+        assert hist_count("repro_span_seconds", "shift.plan") == spans0 + 1
+        # Once per plan, by the number of candidates the search priced.
+        assert len(increments) == 1 and increments[0] >= 3
+        assert counter_value("repro_shift_candidates_total") == cand0 + increments[0]

@@ -244,6 +244,23 @@ class TestNoShiftPolicy:
             ShiftPlanner(policy="asap")
 
 
+class TestPriceValidation:
+    @pytest.mark.parametrize(
+        "name", ["grid_penalty_per_kwh", "battery_penalty_per_kwh", "perf_weight"]
+    )
+    @pytest.mark.parametrize("value", [-1e-9, -1.0, float("nan")])
+    def test_negative_or_nan_price_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            ShiftPlanner(**{name: value})
+
+    def test_zero_prices_accepted(self):
+        planner = ShiftPlanner(
+            grid_penalty_per_kwh=0.0, battery_penalty_per_kwh=0.0, perf_weight=0.0
+        )
+        plan = planner.plan(queue_of(job()), make_inputs())
+        assert [p.start_offset for p in plan.placements] == [0]
+
+
 class TestPerfPricing:
     def make_model(self):
         # Concave quadratic peaking at max_power_w.
