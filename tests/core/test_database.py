@@ -159,6 +159,15 @@ class TestOnlineUpdate:
         fit = db.refit(KEY)
         assert fit.min_power_w == pytest.approx(100.0)
 
+    def test_zero_perf_samples_do_not_enter_the_fit(self):
+        with_zeros, without = ProfilingDatabase(), ProfilingDatabase()
+        for db in (with_zeros, without):
+            db.ingest_training_run(KEY, 88.0, quad_samples())
+        with_zeros.add_sample(KEY, 50.0, 0.0)
+        with_zeros.add_sample(KEY, 70.0, 0.0)
+        assert with_zeros.refit(KEY) == without.refit(KEY)
+        assert with_zeros.refit(KEY).n_samples == 5
+
     def test_ring_buffer_caps_history(self):
         db = ProfilingDatabase(max_samples=10)
         db.ingest_training_run(KEY, 88.0, quad_samples())
@@ -176,6 +185,19 @@ class TestOnlineUpdate:
         db.ingest_training_run(KEY, 88.0, quad_samples())
         with pytest.raises(ConfigurationError):
             db.add_sample(KEY, -1.0, 10.0)
+
+    @pytest.mark.parametrize("power_w,perf", [
+        (float("nan"), 1200.0), (125.0, float("nan")),
+        (float("inf"), 1200.0), (125.0, float("inf")), (125.0, float("-inf")),
+    ])
+    def test_non_finite_sample_rejected(self, power_w, perf):
+        db = ProfilingDatabase()
+        db.ingest_training_run(KEY, 88.0, quad_samples())
+        before = db.entry(KEY)
+        with pytest.raises(ConfigurationError):
+            db.add_sample(KEY, power_w, perf)
+        assert db.entry(KEY) == before
+        assert np.all(np.isfinite(db.refit(KEY).coefficients))
 
 
 class TestQueries:
@@ -264,6 +286,29 @@ class TestSnapshotApi:
         bad = dataclasses.replace(db.entry(KEY), perfs=(1.0,))
         with pytest.raises(ConfigurationError):
             ProfilingDatabase().restore_entry(bad)
+
+    @pytest.mark.parametrize("column", ["powers", "perfs"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_restore_rejects_bad_sample(self, db, column, bad):
+        import dataclasses
+
+        entry = db.entry(KEY)
+        values = list(getattr(entry, column))
+        values[2] = bad
+        bad = dataclasses.replace(entry, **{column: tuple(values)})
+        with pytest.raises(ConfigurationError):
+            ProfilingDatabase().restore_entry(bad)
+
+    def test_restore_rejects_non_finite_envelope(self, db):
+        import dataclasses
+
+        bad = dataclasses.replace(db.entry(KEY), max_power_w=float("inf"))
+        with pytest.raises(ConfigurationError):
+            ProfilingDatabase().restore_entry(bad)
+
+    def test_restore_rejects_more_samples_than_the_window(self, db):
+        with pytest.raises(ConfigurationError):
+            ProfilingDatabase(max_samples=4).restore_entry(db.entry(KEY))
 
     def test_restored_entry_keeps_learning(self, db):
         fresh = ProfilingDatabase()

@@ -104,6 +104,18 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             load_database(path)
 
+    @pytest.mark.parametrize("column", ["powers", "perfs"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_sample_in_document_rejected(self, db, tmp_path, column, literal):
+        # Python's json writes and reads these non-standard literals.
+        doc = database_to_dict(db)
+        doc["entries"][0][column][1] = float(literal.replace("Infinity", "inf"))
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert literal in path.read_text()
+        with pytest.raises(ConfigurationError):
+            load_database(path)
+
 
 class TestPredictorPersistence:
     def _primed(self):

@@ -6,7 +6,7 @@ stay correct regardless of what other tests already recorded.
 
 import pytest
 
-from repro.core.database import PerfPowerFit
+from repro.core.database import PerfPowerFit, ProfilingDatabase
 from repro.core.policies import make_policy
 from repro.core.predictor import HoltPredictor
 from repro.core.solver import GroupModel, PARSolver
@@ -166,3 +166,48 @@ class TestShiftInstrumentation:
         # Once per plan, by the number of candidates the search priced.
         assert len(increments) == 1 and increments[0] >= 3
         assert counter_value("repro_shift_candidates_total") == cand0 + increments[0]
+
+
+class TestDatabaseInstrumentation:
+    KEY = ("E5-2620", "SPECjbb")
+
+    def _db(self, l=-2.0):
+        db = ProfilingDatabase()
+        powers = (100.0, 110.0, 120.0, 135.0, 150.0)
+        samples = [(p, l * p * p + 600.0 * p - 20000.0) for p in powers]
+        db.ingest_training_run(self.KEY, 88.0, samples)
+        return db
+
+    def test_refit_counted_and_curvature_exported(self, enabled):
+        refits0 = counter_value("repro_database_refits_total")
+        db = self._db()  # the training run refits once
+        fit = db.refit(self.KEY)
+        assert counter_value("repro_database_refits_total") == refits0 + 2
+        gauge = REGISTRY.get("repro_database_fit_curvature").labels(*self.KEY)
+        assert gauge.value == fit.l
+        assert gauge.value == pytest.approx(-2.0)  # negative: concave
+
+    def test_curvature_follows_the_latest_fit(self, enabled):
+        db = self._db(l=-2.0)
+        for p in (100.0, 120.0, 140.0, 150.0):
+            db.add_sample(self.KEY, p, 2.0 * p * p - 200.0 * p + 10000.0)
+        fit = db.refit(self.KEY)
+        assert REGISTRY.get("repro_database_fit_curvature").labels(*self.KEY).value == fit.l
+
+    def test_exposed_with_labels(self, enabled):
+        self._db()
+        text = REGISTRY.expose()
+        assert "# TYPE repro_database_refits_total counter" in text
+        assert 'repro_database_fit_curvature{platform="E5-2620",workload="SPECjbb"}' in text
+
+    def test_disabled_does_not_count(self, enabled):
+        db = self._db()
+        set_enabled(False)
+        refits0 = counter_value("repro_database_refits_total")
+        db.refit(self.KEY)
+        assert counter_value("repro_database_refits_total") == refits0
+
+    def test_no_curvature_before_the_first_fit(self, enabled):
+        key = ("Xeon-Phi", "Unfitted-workload")
+        ProfilingDatabase().ensure_entry(key, 100.0, 200.0)
+        assert 'workload="Unfitted-workload"' not in REGISTRY.expose()

@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Count the work one lap of each reference scenario does (run by CI).
+
+Replays, through the public ``repro`` API, one lap of each seed-2021
+scenario of the two simulated benchmark workloads:
+
+* ``sim-day``: the Fig. 8 reference rack under GreenHetero
+  (``ExperimentConfig.fig8_default``), 3 simulated days;
+* ``shift-day``: the bundled temporal-shifting scenario
+  (``run_shift_bench``, both arms), 1 day, horizon 8, 6 jobs;
+
+each at scenario seeds 8084-8087, the four seeds ``perfbench`` rotates
+through for ``--seed 2021``.  Per scenario it writes the work the
+process-wide metrics registry counted: database refits, solver solves,
+shift plans and predictor fits.
+
+Unlike wall time, which moves by tens of percent between runs on a
+shared host, these counts are host-independent, so CI compares them
+exactly with the committed file; a change that alters a count must
+commit the regenerated file and say why.
+
+    python tools/work_counts.py [--out WORK_COUNTS.json]
+    git show HEAD:WORK_COUNTS.json | python tools/json_close.py - WORK_COUNTS.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+from typing import Callable
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from repro import ExperimentConfig, run_experiment  # noqa: E402
+from repro.obs import REGISTRY  # noqa: E402
+from repro.shift.bench import run_shift_bench  # noqa: E402
+
+SEED = 2021
+#: perfbench's lap rotation: scenario seeds ``4 * seed + k``, k = 0..3.
+SCENARIOS = tuple(4 * SEED + k for k in range(4))
+SIM_DAY_DAYS = 3.0
+SHIFT_DAY_DAYS = 1.0
+SHIFT_HORIZON = 8
+SHIFT_JOBS = 6
+
+#: Output key -> metric family; a labelled family counts all its children.
+COUNTERS = {
+    "refits": "repro_database_refits_total",
+    "solver_solves": "repro_solver_solves_total",
+    "shift_plans": "repro_shift_plans_total",
+    "predictor_fits": "repro_predictor_fits_total",
+}
+
+
+def _totals() -> dict[str, int]:
+    totals = {}
+    for key, name in COUNTERS.items():
+        family = REGISTRY.get(name)
+        totals[key] = 0 if family is None else int(sum(c.value for _, c in family.children()))
+    return totals
+
+
+def count(run: Callable[[int], object], seed: int) -> dict[str, int]:
+    """The work counters ``run(seed)`` adds to the registry."""
+    before = _totals()
+    run(seed)
+    after = _totals()
+    return {key: after[key] - before[key] for key in COUNTERS}
+
+
+def sim_day(seed: int) -> None:
+    config = ExperimentConfig.fig8_default(
+        days=SIM_DAY_DAYS, policies=("GreenHetero",), seed=seed
+    )
+    run_experiment(config, jobs=1)
+
+
+def shift_day(seed: int) -> None:
+    run_shift_bench(days=SHIFT_DAY_DAYS, seed=seed, horizon=SHIFT_HORIZON, n_jobs=SHIFT_JOBS)
+
+
+def work_counts() -> dict[str, object]:
+    workloads = {"sim-day": sim_day, "shift-day": shift_day}
+    return {
+        "seed": SEED,
+        "counters": COUNTERS,
+        "workloads": {
+            name: {str(seed): count(run, seed) for seed in SCENARIOS}
+            for name, run in workloads.items()
+        },
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default="WORK_COUNTS.json", help="output path")
+    args = parser.parse_args(argv)
+    document = work_counts()
+    Path(args.out).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
