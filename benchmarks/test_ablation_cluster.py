@@ -17,15 +17,17 @@ from repro.power.grid import GridSource
 from repro.power.pdu import PDU
 from repro.power.solar import SolarFarm
 from repro.servers.rack import Rack
+from repro.sim.clock import SimClock
+from repro.sim.engine import Simulation
 from repro.traces.nrel import Weather, synthesize_irradiance
-from repro.units import EPOCH_SECONDS, SECONDS_PER_DAY
+from repro.workloads.generator import LoadGenerator
 
 SHARED_GRID_W = 1600.0
 
 
 def build_cluster(split):
     """Two Comb1 racks: one sunny (High trace), one clouded (Low trace)."""
-    controllers = []
+    sims = []
     for weather, seed in ((Weather.HIGH, 21), (Weather.LOW, 22)):
         rack = Rack([("E5-2620", 5), ("i5-4460", 5)], "Streamcluster")
         trace = synthesize_irradiance(days=2, weather=weather, seed=seed)
@@ -34,20 +36,22 @@ def build_cluster(split):
             BatteryBank(count=2),  # small batteries keep the grid relevant
             GridSource(budget_w=SHARED_GRID_W / 2),
         )
-        controllers.append(
-            GreenHeteroController(
-                rack=rack, pdu=pdu, policy=make_policy("GreenHetero"),
-                monitor=Monitor(seed=seed),
-            )
+        controller = GreenHeteroController(
+            rack=rack, pdu=pdu, policy=make_policy("GreenHetero"),
+            monitor=Monitor(seed=seed),
         )
-    return ClusterCoordinator(controllers, SHARED_GRID_W, split=split)
+        # Day 2 of the traces; Streamcluster saturates (full load).
+        sims.append(
+            Simulation(controller, SimClock(), LoadGenerator(rack.groups[0].workload))
+        )
+    return ClusterCoordinator(sims, SHARED_GRID_W, split=split)
 
 
 def run_day(split):
     cluster = build_cluster(split)
     total = 0.0
     for i in range(96):
-        records = cluster.run_epoch(SECONDS_PER_DAY + i * EPOCH_SECONDS)
+        records = cluster.run_epoch()
         total += cluster.aggregate_throughput(records)
     return total / 96.0
 

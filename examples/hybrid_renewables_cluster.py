@@ -24,13 +24,15 @@ from repro.power.pdu import PDU
 from repro.power.solar import SolarFarm
 from repro.power.wind import HybridRenewable, WindFarm, WindSpeedTrace
 from repro.servers.rack import Rack
+from repro.sim.clock import SimClock
+from repro.sim.engine import Simulation
 from repro.traces.nrel import Weather, synthesize_irradiance
-from repro.units import EPOCH_SECONDS, SECONDS_PER_DAY
+from repro.workloads.generator import LoadGenerator
 
 SHARED_GRID_W = 1500.0
 
 
-def build_rack_controller(weather: Weather, seed: int) -> GreenHeteroController:
+def build_rack(weather: Weather, seed: int) -> Simulation:
     rack = Rack([("E5-2620", 5), ("i5-4460", 5)], "Streamcluster")
     solar = SolarFarm.sized_for(
         synthesize_irradiance(days=2, weather=weather, seed=seed),
@@ -45,23 +47,25 @@ def build_rack_controller(weather: Weather, seed: int) -> GreenHeteroController:
         BatteryBank(count=4),
         GridSource(budget_w=SHARED_GRID_W / 2),
     )
-    return GreenHeteroController(
+    controller = GreenHeteroController(
         rack=rack, pdu=pdu, policy=make_policy("GreenHetero"), monitor=Monitor(seed=seed)
     )
+    # Day 2 of the traces; Streamcluster saturates (full load).
+    return Simulation(controller, SimClock(), LoadGenerator(rack.groups[0].workload))
 
 
 def run_day(split: GridSplit) -> float:
     cluster = ClusterCoordinator(
         [
-            build_rack_controller(Weather.HIGH, seed=31),
-            build_rack_controller(Weather.LOW, seed=32),
+            build_rack(Weather.HIGH, seed=31),
+            build_rack(Weather.LOW, seed=32),
         ],
         shared_grid_budget_w=SHARED_GRID_W,
         split=split,
     )
     total = 0.0
     for i in range(96):
-        records = cluster.run_epoch(SECONDS_PER_DAY + i * EPOCH_SECONDS)
+        records = cluster.run_epoch()
         total += cluster.aggregate_throughput(records)
     return total / 96.0
 

@@ -5,7 +5,9 @@ cost: "the renewable power and energy storage systems for each rack ...
 are independent and cannot share their capacities" (Section IV-A), with
 cross-rack coordination left as future work.  This module implements the
 natural next step: a :class:`ClusterCoordinator` that owns a *shared*
-grid budget and re-divides it across rack controllers every epoch.
+grid budget and re-divides it across racks every epoch, stepping each
+rack's :class:`~repro.sim.engine.Simulation` with its share as the
+``grid_budget_w`` directive.
 
 Two division strategies are provided:
 
@@ -26,9 +28,13 @@ paper's rack-level result at cluster scale.
 from __future__ import annotations
 
 import enum
+from typing import TYPE_CHECKING
 
-from repro.core.controller import EpochRecord, GreenHeteroController
+from repro.core.controller import EpochDirectives, EpochRecord, GreenHeteroController
 from repro.errors import ConfigurationError, PowerError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim.engine import Simulation
 
 
 class GridSplit(enum.Enum):
@@ -39,14 +45,14 @@ class GridSplit(enum.Enum):
 
 
 class ClusterCoordinator:
-    """Drives several rack controllers against one shared grid budget.
+    """Steps several racks against one shared grid budget.
 
     Parameters
     ----------
-    controllers:
-        One :class:`GreenHeteroController` per rack.  Each keeps its own
-        solar feed and battery (the distributed design of Fig. 2); only
-        the grid is shared.
+    sims:
+        One :class:`~repro.sim.engine.Simulation` per rack, on a shared
+        epoch timeline.  Each rack keeps its own solar feed and battery
+        (the distributed design of Fig. 2); only the grid is shared.
     shared_grid_budget_w:
         Total grid power available to the cluster at any instant.
     split:
@@ -55,15 +61,15 @@ class ClusterCoordinator:
 
     def __init__(
         self,
-        controllers: list[GreenHeteroController],
+        sims: list[Simulation],
         shared_grid_budget_w: float,
         split: GridSplit = GridSplit.SHORTFALL,
     ) -> None:
-        if not controllers:
-            raise ConfigurationError("a cluster needs at least one rack controller")
+        if not sims:
+            raise ConfigurationError("a cluster needs at least one rack")
         if shared_grid_budget_w < 0:
             raise PowerError("shared grid budget must be non-negative")
-        self.controllers = list(controllers)
+        self.sims = list(sims)
         self.shared_grid_budget_w = shared_grid_budget_w
         self.split = split
 
@@ -85,11 +91,11 @@ class ClusterCoordinator:
 
     def grid_shares_w(self, time_s: float) -> list[float]:
         """This epoch's per-rack grid budgets under the active strategy."""
-        n = len(self.controllers)
+        n = len(self.sims)
         if self.split is GridSplit.EQUAL:
             return [self.shared_grid_budget_w / n] * n
         shortfalls = [
-            self._predicted_shortfall_w(c, time_s) for c in self.controllers
+            self._predicted_shortfall_w(sim.controller, time_s) for sim in self.sims
         ]
         total = sum(shortfalls)
         if total <= 0.0:
@@ -98,45 +104,26 @@ class ClusterCoordinator:
 
     # ------------------------------------------------------------------
     def run_epoch(
-        self, time_s: float, load_fractions: list[float] | None = None
+        self, load_fractions: list[float | None] | None = None
     ) -> list[EpochRecord]:
-        """Divide the grid, then run every rack's epoch.
+        """Divide the grid from the forecasts, then step every rack.
 
-        Parameters
-        ----------
-        time_s:
-            Epoch start time (shared across racks).
-        load_fractions:
-            Per-rack offered load; defaults to full load everywhere.
+        ``load_fractions`` gives per-rack offered load; ``None`` lets a
+        rack draw its own.
         """
         if load_fractions is None:
-            load_fractions = [1.0] * len(self.controllers)
-        if len(load_fractions) != len(self.controllers):
-            raise ConfigurationError(
-                "need one load fraction per rack controller"
-            )
-        shares = self.grid_shares_w(time_s)
-        records: list[EpochRecord] = []
-        # The per-epoch share is a temporary overlay on each rack's
-        # provisioned grid budget; restore the provisioned value after
-        # the epoch so the racks are unchanged outside coordination.
-        provisioned = [c.pdu.grid.budget_w for c in self.controllers]
-        try:
-            for controller, share, load in zip(
-                self.controllers, shares, load_fractions, strict=True
-            ):
-                controller.pdu.grid.budget_w = share
-                records.append(controller.run_epoch(time_s, load_fraction=load))
-        finally:
-            for controller, budget in zip(
-                self.controllers, provisioned, strict=True
-            ):
-                controller.pdu.grid.budget_w = budget
-        return records
+            load_fractions = [None] * len(self.sims)
+        if len(load_fractions) != len(self.sims):
+            raise ConfigurationError("need one load fraction per rack")
+        shares = self.grid_shares_w(self.sims[0].clock_s)
+        return [
+            sim.step(load, EpochDirectives(grid_budget_w=share))
+            for sim, share, load in zip(self.sims, shares, load_fractions, strict=True)
+        ]
 
     # ------------------------------------------------------------------
     def aggregate_throughput(self, records: list[EpochRecord]) -> float:
         """Cluster throughput for one epoch's records."""
-        if len(records) != len(self.controllers):
-            raise ConfigurationError("records must match the controller list")
+        if len(records) != len(self.sims):
+            raise ConfigurationError("records must match the rack list")
         return sum(r.throughput for r in records)

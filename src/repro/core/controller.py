@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -57,6 +56,30 @@ TRAINING_SAMPLES = 5
 #: which is exactly the inaccuracy the online update (GreenHetero vs
 #: GreenHetero-a) exists to repair.
 TRAINING_LADDER_FLOOR = 0.5
+
+
+@dataclass(frozen=True)
+class EpochDirectives:
+    """One epoch's caller-imposed inputs to :meth:`GreenHeteroController.run_epoch`.
+
+    ``None`` means no directive.  Nothing is written to a component, so
+    nothing is restored after the epoch.
+    """
+
+    #: Per-group caps (W; ``math.inf`` = uncapped) on the metered demand
+    #: and the enforced group budgets (shift gating).
+    group_caps_w: tuple[float, ...] | None = None
+    #: Demand source selection plans for, not the Holt forecast (shift).
+    demand_w: float | None = None
+    #: Fixed rack budget, applied as ``min(rack_budget_w, metered demand)``
+    #: with source dynamics bypassed (constrained supply).
+    rack_budget_w: float | None = None
+    #: Grid budget in place of the provisioned one (a cluster share).
+    grid_budget_w: float | None = None
+
+
+#: The default: no per-epoch directive at all.
+NO_DIRECTIVES = EpochDirectives()
 
 
 @dataclass(frozen=True)
@@ -142,17 +165,6 @@ class GreenHeteroController:
         self.groups = tuple(
             GroupInfo(name=g.spec.name, count=g.count, key=g.key) for g in rack.groups
         )
-        #: Optional constrained-supply hook ``(time_s, demand_w) -> budget_w``.
-        #: When set, the epoch's rack budget is forced to its return value
-        #: (the Section III-B fixed-budget methodology, used by the
-        #: Fig. 9/10/13/14 sweeps); source dynamics are bypassed.
-        self.budget_override: Callable[[float, float], float] | None = None
-        #: Optional per-group power caps (W), one entry per group;
-        #: ``math.inf`` leaves a group uncapped.  Caps shape both the
-        #: metered demand and the enforced group budgets — the shift
-        #: runtime sets them each epoch to gate deferrable groups to
-        #: their planned draw while interactive groups run untouched.
-        self.group_caps_w: tuple[float, ...] | None = None
 
     # ------------------------------------------------------------------
     # Workload switching (Algorithm 1's arrival path over time)
@@ -241,25 +253,30 @@ class GreenHeteroController:
     # ------------------------------------------------------------------
     # Epoch execution
     # ------------------------------------------------------------------
-    def _capped_demand(self, load_fraction: float) -> float:
+    def _capped_demand(
+        self, load_fraction: float, caps: tuple[float, ...] | None
+    ) -> float:
         """Rack demand with the per-group caps applied."""
         demands = self.rack.group_demands_at_load(load_fraction)
-        if self.group_caps_w is None:
+        if caps is None:
             return sum(demands)
-        if len(self.group_caps_w) != len(demands):
+        if len(caps) != len(demands):
             raise ConfigurationError(
-                f"group_caps_w has {len(self.group_caps_w)} entries for "
-                f"{len(demands)} groups"
+                f"group_caps_w has {len(caps)} entries for {len(demands)} groups"
             )
-        return sum(min(d, cap) for d, cap in zip(demands, self.group_caps_w))
+        return sum(min(d, cap) for d, cap in zip(demands, caps))
 
     @trace("controller.epoch")
-    def run_epoch(self, time_s: float, load_fraction: float = 1.0) -> EpochRecord:
+    def run_epoch(
+        self, time_s: float, load_fraction: float = 1.0,
+        directives: EpochDirectives = NO_DIRECTIVES,
+    ) -> EpochRecord:
         """Execute one scheduling epoch starting at ``time_s``."""
         if not 0.0 <= load_fraction <= 1.0:
             raise ConfigurationError("load fraction must be in [0, 1]")
+        caps = directives.group_caps_w
 
-        demand_now = self.monitor.observe_demand(self._capped_demand(load_fraction))
+        demand_now = self.monitor.observe_demand(self._capped_demand(load_fraction, caps))
         renewable_now = self.monitor.observe_renewable(self.pdu.renewable.power_at(time_s))
         if not self.scheduler.renewable_predictor.ready:
             # First epoch with no history: seed the predictors with the
@@ -270,13 +287,14 @@ class GreenHeteroController:
         trained = self.ensure_profiled(time_s)
 
         decision = self.scheduler.plan_sources(
-            self.pdu.battery, self.pdu.grid, self.epoch_s
+            self.pdu.battery, self.pdu.grid, self.epoch_s,
+            demand_w=directives.demand_w, grid_budget_w=directives.grid_budget_w,
         )
-        if self.budget_override is not None:
+        if directives.rack_budget_w is not None:
             decision = replace(
                 decision,
                 case=PowerCase.B,
-                rack_budget_w=self.budget_override(time_s, demand_now),
+                rack_budget_w=min(directives.rack_budget_w, demand_now),
                 use_battery=True,
                 grid_charges_battery=False,
             )
@@ -286,9 +304,9 @@ class GreenHeteroController:
         plan = self.scheduler.allocate_plan(budget_w, self.groups, oracle)
         ratios = plan.ratios
         group_budgets = tuple(r * budget_w for r in ratios)
-        if self.group_caps_w is not None:
+        if caps is not None:
             group_budgets = tuple(
-                min(b, cap) for b, cap in zip(group_budgets, self.group_caps_w)
+                min(b, cap) for b, cap in zip(group_budgets, caps)
             )
             ratios = tuple(
                 b / budget_w if budget_w > 0 else 0.0 for b in group_budgets
@@ -300,7 +318,7 @@ class GreenHeteroController:
         record = self._execute_substeps(
             time_s, load_fraction, decision, budget_w, ratios, group_budgets,
             enforced.state_indices, trained, plan.powered_counts,
-            plan.projected_perf,
+            plan.projected_perf, directives.grid_budget_w,
         )
 
         # End-of-epoch observation feeds the next forecast.  Each substep
@@ -411,6 +429,7 @@ class GreenHeteroController:
         trained: tuple[tuple[str, str], ...],
         powered_counts: tuple[int, ...] | None = None,
         projected_perf: float | None = None,
+        grid_budget_w: float | None = None,
     ) -> EpochRecord:
         sub_s = self.epoch_s / N_SUBSTEPS
         observations: list[ServerObservation] = []
@@ -445,7 +464,9 @@ class GreenHeteroController:
                 )
             perf = perf_total
             useful = useful_total
-            flows = self.enforcer.psc.apply(decision, draw_total, t_sub, sub_s)
+            flows = self.enforcer.psc.apply(
+                decision, draw_total, t_sub, sub_s, grid_budget_w
+            )
             if flows.delivered_w < draw_total - 1e-6:
                 # Sources under-delivered against the plan (forecast
                 # error): the rack browns out proportionally.

@@ -100,6 +100,7 @@ class PowerSourceController:
         actual_load_w: float,
         time_s: float,
         duration_s: float,
+        grid_budget_w: float | None = None,
     ) -> EpochFlows:
         """Supply ``actual_load_w`` under the decided source plan."""
         return self.pdu.supply(
@@ -109,6 +110,7 @@ class PowerSourceController:
             use_battery=decision.use_battery,
             grid_charges_battery=decision.grid_charges_battery,
             battery_cap_w=decision.battery_cap_w,
+            grid_budget_w=grid_budget_w,
         )
 
 

@@ -65,13 +65,6 @@ class AdaptiveScheduler:
         self.renewable_predictor = renewable_predictor or HoltPredictor(alpha=0.7, beta=0.2)
         self.demand_predictor = demand_predictor or HoltPredictor(alpha=0.6, beta=0.1)
         self.selector = selector or SourceSelector()
-        #: When set, :meth:`forecast` reports this demand instead of the
-        #: Holt forecast.  A Holt predictor extrapolates trends, so the
-        #: step changes a temporal-shifting plan imposes (batch groups
-        #: starting and stopping at full power) would swing its forecast
-        #: wildly; the shift runtime knows the planned draw exactly and
-        #: injects it here for the epochs it gates.
-        self.demand_override_w: float | None = None
 
     # ------------------------------------------------------------------
     # Prediction
@@ -90,8 +83,12 @@ class AdaptiveScheduler:
         self.renewable_predictor.observe(renewable_w)
         self.demand_predictor.observe(demand_w)
 
-    def forecast(self) -> tuple[float, float]:
+    def forecast(self, demand_w: float | None = None) -> tuple[float, float]:
         """(renewable, demand) forecasts for the next epoch.
+
+        A given ``demand_w`` replaces the Holt demand forecast (the shift
+        runtime's exact draw for the epochs it gates: the trend-following
+        predictor would extrapolate its start/stop steps wildly).
 
         Raises
         ------
@@ -106,9 +103,7 @@ class AdaptiveScheduler:
                     "pretrain_predictors() first"
                 )
             demand_hat = (
-                self.demand_override_w
-                if self.demand_override_w is not None
-                else self.demand_predictor.predict()
+                demand_w if demand_w is not None else self.demand_predictor.predict()
             )
             return self.renewable_predictor.predict(), demand_hat
 
@@ -116,17 +111,19 @@ class AdaptiveScheduler:
     # Source selection
     # ------------------------------------------------------------------
     def plan_sources(
-        self, battery: BatteryBank, grid: GridSource, duration_s: float
+        self, battery: BatteryBank, grid: GridSource, duration_s: float,
+        demand_w: float | None = None, grid_budget_w: float | None = None,
     ) -> SourceDecision:
-        """Case A/B/C selection from the current forecasts."""
+        """Case A/B/C selection from the forecasts (see :meth:`forecast`)."""
         with trace("scheduler.select"):
-            renewable_hat, demand_hat = self.forecast()
+            renewable_hat, demand_hat = self.forecast(demand_w)
             return self.selector.decide(
                 predicted_renewable_w=renewable_hat,
                 predicted_demand_w=demand_hat,
                 battery=battery,
                 grid=grid,
                 duration_s=duration_s,
+                grid_budget_w=grid_budget_w,
             )
 
     # ------------------------------------------------------------------

@@ -126,6 +126,7 @@ class SourceSelector:
         battery: BatteryBank,
         grid: GridSource,
         duration_s: float,
+        grid_budget_w: float | None = None,
     ) -> SourceDecision:
         """Choose sources and the rack power budget for the next epoch.
 
@@ -139,12 +140,15 @@ class SourceSelector:
             The rack's grid feed (queried, not mutated).
         duration_s:
             Epoch length, which bounds battery energy per epoch.
+        grid_budget_w:
+            This epoch's grid budget, if not the provisioned one.
         """
         if predicted_demand_w < 0 or predicted_renewable_w < 0:
             raise PowerError("forecasts must be non-negative")
 
         renewable = predicted_renewable_w
         demand = predicted_demand_w
+        grid_w = grid.epoch_budget_w(grid_budget_w)
         battery_power = battery.max_discharge_power_w(duration_s)
         resume_wh = (
             self.resume_usable_fraction
@@ -180,7 +184,7 @@ class SourceSelector:
                     predicted_demand_w=demand,
                 )
             self._grid_mode = True
-            budget = min(demand, renewable + grid.budget_w)
+            budget = min(demand, renewable + grid_w)
             return SourceDecision(
                 case=PowerCase.B,
                 rack_budget_w=budget,
@@ -203,7 +207,7 @@ class SourceSelector:
                 predicted_demand_w=demand,
             )
         self._grid_mode = True
-        budget = min(demand, grid.budget_w)
+        budget = min(demand, grid_w)
         return SourceDecision(
             case=PowerCase.C,
             rack_budget_w=budget,
@@ -255,10 +259,13 @@ class RationedSourceSelector(SourceSelector):
         battery: BatteryBank,
         grid: GridSource,
         duration_s: float,
+        grid_budget_w: float | None = None,
     ) -> SourceDecision:
         decision = super().decide(
-            predicted_renewable_w, predicted_demand_w, battery, grid, duration_s
+            predicted_renewable_w, predicted_demand_w, battery, grid, duration_s,
+            grid_budget_w,
         )
+        grid_w = grid.epoch_budget_w(grid_budget_w)
         if predicted_renewable_w > self.renewable_floor_w:
             self._dark_elapsed_s = 0.0
             return decision
@@ -272,7 +279,7 @@ class RationedSourceSelector(SourceSelector):
             # tops it up at the ration rate.  Total energy through the
             # dark hours is thereby maximised *and* delivered at a
             # steady power level, which concavity rewards.
-            budget = min(predicted_demand_w, ration_w + grid.budget_w)
+            budget = min(predicted_demand_w, ration_w + grid_w)
             return SourceDecision(
                 case=PowerCase.C,
                 rack_budget_w=budget,
@@ -326,15 +333,18 @@ class CarbonAwareSelector(SourceSelector):
         battery: BatteryBank,
         grid: GridSource,
         duration_s: float,
+        grid_budget_w: float | None = None,
     ) -> SourceDecision:
         decision = super().decide(
-            predicted_renewable_w, predicted_demand_w, battery, grid, duration_s
+            predicted_renewable_w, predicted_demand_w, battery, grid, duration_s,
+            grid_budget_w,
         )
+        grid_w = grid.epoch_budget_w(grid_budget_w)
         if not decision.grid_charges_battery and decision.use_battery:
             return decision
         # The base class reached for the grid: cap its share and refuse
         # grid charging.
-        grid_share = self.grid_cap_fraction * grid.budget_w
+        grid_share = self.grid_cap_fraction * grid_w
         budget = min(
             predicted_demand_w, predicted_renewable_w + grid_share
         )

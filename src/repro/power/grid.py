@@ -52,17 +52,21 @@ class GridSource:
         self._energy_wh = 0.0
         self._peak_draw_w = 0.0
 
-    def draw(self, power_w: float, duration_s: float) -> float:
+    def epoch_budget_w(self, budget_w: float | None = None) -> float:
+        """An epoch's budget: ``budget_w`` (a cluster share) or the provisioned one."""
+        return self.budget_w if budget_w is None else budget_w
+
+    def draw(self, power_w: float, duration_s: float, budget_w: float | None = None) -> float:
         """Draw up to ``power_w`` for ``duration_s``; returns actual power.
 
-        The return value is capped at the budget; the caller decides how
-        to split it between load and battery charging.
+        The return value is capped at :meth:`epoch_budget_w`; the caller
+        decides how to split it between load and battery charging.
         """
         if power_w < 0:
             raise PowerError(f"grid draw must be non-negative, got {power_w}")
         if duration_s <= 0:
             raise PowerError("duration must be positive")
-        delivered = min(power_w, self.budget_w)
+        delivered = min(power_w, self.epoch_budget_w(budget_w))
         self._energy_wh += delivered * duration_s / 3600.0
         self._peak_draw_w = max(self._peak_draw_w, delivered)
         return delivered

@@ -98,6 +98,7 @@ class PDU:
         use_battery: bool = True,
         grid_charges_battery: bool = False,
         battery_cap_w: float | None = None,
+        grid_budget_w: float | None = None,
     ) -> EpochFlows:
         """Serve ``load_w`` watts for ``duration_s`` seconds.
 
@@ -117,6 +118,8 @@ class PDU:
         battery_cap_w:
             Optional limit on battery discharge this interval (the
             rationing extension); the grid covers the remainder.
+        grid_budget_w:
+            This interval's grid budget, if not the provisioned one.
 
         Returns
         -------
@@ -154,12 +157,15 @@ class PDU:
             if charge_w > 0:
                 charge_source = ChargeSource.RENEWABLE
         elif grid_charges_battery and not self.battery.is_full:
-            head = max(0.0, self.grid.budget_w - min(desired_grid_load, self.grid.budget_w))
+            grid_w = self.grid.epoch_budget_w(grid_budget_w)
+            head = max(0.0, grid_w - min(desired_grid_load, grid_w))
             desired_grid_charge = min(head, self.battery.max_charge_power_w(duration_s))
 
         g_total = 0.0
         if desired_grid_load > 0 or desired_grid_charge > 0:
-            g_total = self.grid.draw(desired_grid_load + desired_grid_charge, duration_s)
+            g_total = self.grid.draw(
+                desired_grid_load + desired_grid_charge, duration_s, grid_budget_w
+            )
         g_to_load = min(desired_grid_load, g_total)
         g_to_charge = g_total - g_to_load
         if g_to_charge > 0:

@@ -413,9 +413,7 @@ class AllocationDaemon:
 
     async def _step_cluster(self, load: float | None) -> dict[str, Any]:
         assert self._loop is not None
-        loads = None
-        if load is not None:
-            loads = [load] * len(self.state.racks)
+        loads = [load] * len(self.state.racks)  # None: each rack draws its own
         async with contextlib.AsyncExitStack() as stack:
             for name in sorted(self._locks):
                 await stack.enter_async_context(self._locks[name])

@@ -1,11 +1,10 @@
 """Serving state: hosted rack controllers and their checkpoints.
 
-A :class:`RackHost` wraps one :class:`GreenHeteroController` for
-long-lived operation: it owns the rack's epoch clock (unbounded — the
-irradiance trace wraps), its telemetry log, and its offered-load
-generator, and it answers the daemon's queries (allocate / forecast /
-status).  :class:`ServeState` assembles and owns a fleet of hosts —
-optionally coordinated through the existing
+A :class:`RackHost` wraps one rack's :class:`~repro.sim.engine.Simulation`
+for long-lived operation — its epochs (unbounded: the irradiance trace
+wraps) run through :meth:`Simulation.step` — and answers the daemon's
+queries (allocate / forecast / status).  :class:`ServeState` assembles
+and owns a fleet of hosts — optionally coordinated through the existing
 :class:`~repro.core.cluster.ClusterCoordinator` when a shared grid
 budget is configured — and implements checkpoint/restore of every
 rack's learned state (profiling database, Holt predictors, battery
@@ -22,12 +21,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
 from repro.core.cluster import ClusterCoordinator, GridSplit
-from repro.core.controller import EpochRecord, GreenHeteroController
+from repro.core.controller import EpochRecord
 from repro.core.persistence import (
     FORMAT_VERSION,
     database_from_dict,
@@ -43,10 +42,9 @@ from repro.sim.engine import Simulation
 from repro.shift.planner import ShiftPlanner
 from repro.shift.queue import ShiftJob
 from repro.shift.runtime import ShiftRuntime
-from repro.sim.telemetry import TelemetryLog, record_to_dict
+from repro.sim.telemetry import record_to_dict
 from repro.traces.nrel import Weather
 from repro.units import EPOCH_SECONDS
-from repro.workloads.generator import LoadGenerator
 
 #: Checkpoint manifest file name inside the checkpoint directory.
 MANIFEST_NAME = "manifest.json"
@@ -147,49 +145,28 @@ class ServeConfig:
 
 
 class RackHost:
-    """One long-lived rack controller behind the serving API.
+    """One long-lived rack behind the serving API.
 
     Parameters
     ----------
     name:
         Rack identifier used in requests and checkpoints.
-    controller:
-        The hosted controller (predictors already primed).
-    load_generator:
-        Offered-load source used when a ``step`` gives no explicit
-        load fraction.
-    start_s:
-        Timestamp of the rack's first epoch.
-    epoch_s:
-        Epoch length; the host's clock is ``start_s + n_epochs * epoch_s``.
-    shift:
-        The rack's temporal-shifting runtime (``submit``/``plan`` verbs
-        and epoch gating); a fresh default runtime when omitted.
+    sim:
+        The rack's simulation (predictors primed), with the shift runtime
+        that serves the ``submit``/``plan`` verbs and gates its epochs.
     """
 
-    def __init__(
-        self,
-        name: str,
-        controller: GreenHeteroController,
-        load_generator: LoadGenerator,
-        start_s: float,
-        epoch_s: float,
-        shift: ShiftRuntime | None = None,
-    ) -> None:
+    def __init__(self, name: str, sim: Simulation) -> None:
         self.name = name
-        self.controller = controller
-        self.load_generator = load_generator
-        self.start_s = float(start_s)
-        self.epoch_s = float(epoch_s)
-        self.n_epochs = 0
-        self.log = TelemetryLog()
-        self.shift = shift if shift is not None else ShiftRuntime()
+        self.sim = sim
+        self.controller = sim.controller
+        self.shift = sim.shift
 
     # ------------------------------------------------------------------
     @property
     def clock_s(self) -> float:
         """Timestamp of the rack's next epoch."""
-        return self.start_s + self.n_epochs * self.epoch_s
+        return self.sim.clock_s
 
     @property
     def solver(self):
@@ -225,19 +202,20 @@ class RackHost:
             "projected_perf": plan.projected_perf,
         }
 
+    def _source_decision(self):
+        pdu = self.controller.pdu
+        return self.controller.scheduler.plan_sources(
+            pdu.battery, pdu.grid, self.controller.epoch_s
+        )
+
     def plan_budget_w(self) -> float:
         """The budget the source selector would grant right now."""
-        decision = self.controller.scheduler.plan_sources(
-            self.controller.pdu.battery, self.controller.pdu.grid, self.epoch_s
-        )
-        return decision.rack_budget_w
+        return self._source_decision().rack_budget_w
 
     def forecast(self) -> dict[str, Any]:
         """Next-epoch supply/demand forecast and the source decision."""
         renewable_w, demand_w = self.controller.scheduler.forecast()
-        decision = self.controller.scheduler.plan_sources(
-            self.controller.pdu.battery, self.controller.pdu.grid, self.epoch_s
-        )
+        decision = self._source_decision()
         return {
             "rack": self.name,
             "renewable_w": renewable_w,
@@ -254,26 +232,13 @@ class RackHost:
         return self.forecast()
 
     def step(self, load_fraction: float | None = None) -> EpochRecord:
-        """Execute one full scheduling epoch and advance the clock.
+        """Execute one full scheduling epoch through :meth:`Simulation.step`.
 
         Epochs route through the shift runtime, so submitted deferrable
         jobs gate the rack's batch groups per the current plan; with no
         submissions ever made the runtime is pass-through.
         """
-        t = self.clock_s
-        if load_fraction is None:
-            load_fraction = self.load_generator.at(t).fraction
-        record = self.shift.execute_epoch(
-            self.controller, t, load_fraction=load_fraction
-        )
-        self.log.append(record)
-        self.n_epochs += 1
-        return record
-
-    def record_epoch(self, record: EpochRecord) -> None:
-        """Account an epoch executed externally (cluster coordination)."""
-        self.log.append(record)
-        self.n_epochs += 1
+        return self.sim.step(load_fraction)
 
     # ------------------------------------------------------------------
     # Temporal shifting (the submit / plan / queue-status verbs)
@@ -287,7 +252,7 @@ class RackHost:
             When the rack has no deferrable groups to run the job on, or
             the job document is malformed / a duplicate.
         """
-        if not ShiftRuntime.has_deferrable_groups(self.controller):
+        if not ShiftRuntime.deferrable_indices(self.controller):
             raise ConfigurationError(
                 f"rack {self.name!r} has no deferrable groups; its "
                 "workloads are all interactive"
@@ -335,7 +300,7 @@ class RackHost:
                 for g in controller.groups
             ],
             "workload": controller.rack.groups[0].workload.name,
-            "epochs": self.n_epochs,
+            "epochs": self.sim.epoch_index,
             "clock_s": self.clock_s,
             "battery_soc_wh": controller.pdu.battery.soc_wh,
             "battery_soc_fraction": controller.pdu.battery.soc_fraction,
@@ -343,6 +308,7 @@ class RackHost:
             "database_pairs": len(database),
             "predictors_ready": controller.scheduler.renewable_predictor.ready,
             "shift": self.shift.summary(),
+            "audit": self.sim.auditor.summary(),
             **self.cache_info(),
         }
 
@@ -355,9 +321,9 @@ class RackHost:
         return {
             "format_version": FORMAT_VERSION,
             "name": self.name,
-            "n_epochs": self.n_epochs,
-            "start_s": self.start_s,
-            "epoch_s": self.epoch_s,
+            "n_epochs": self.sim.epoch_index,
+            "start_s": float(self.sim.clock.start_s),
+            "epoch_s": float(self.sim.clock.epoch_s),
             "battery_soc_wh": self.controller.pdu.battery.soc_wh,
             "renewable_predictor": predictor_to_dict(scheduler.renewable_predictor),
             "demand_predictor": predictor_to_dict(scheduler.demand_predictor),
@@ -381,8 +347,10 @@ class RackHost:
                 document["demand_predictor"]
             )
             self.controller.pdu.battery.soc_wh = float(document["battery_soc_wh"])
-            self.n_epochs = int(document["n_epochs"])
-            self.start_s = float(document["start_s"])
+            self.sim.epoch_index = int(document["n_epochs"])
+            self.sim.clock = replace(
+                self.sim.clock, start_s=float(document["start_s"])
+            )
             # `.get`: state documents written before the shift subsystem
             # carry no queue; the fresh runtime stands in for an empty one.
             shift_state = document.get("shift")
@@ -450,26 +418,17 @@ class ServeState:
         racks: dict[str, RackHost] = {}
         for i in range(config.n_racks):
             name = f"rack{i}"
-            clock = SimClock(epoch_s=config.epoch_s)
             # One policy instance per rack: each rack owns its solver and
             # its memoization cache (the daemon solves racks in parallel).
             sim = Simulation.assemble(
                 policy=make_policy(config.policy),
                 rack=Rack(list(config.platforms), config.workload),
                 weather=config.weather,
-                clock=clock,
+                clock=SimClock(epoch_s=config.epoch_s),
                 seed=config.seed + i,
             )
-            host = RackHost(
-                name=name,
-                controller=sim.controller,
-                load_generator=sim.load_generator,
-                start_s=clock.start_s,
-                epoch_s=clock.epoch_s,
-                shift=ShiftRuntime(
-                    planner=ShiftPlanner(horizon=config.shift_horizon)
-                ),
-            )
+            sim.shift = ShiftRuntime(ShiftPlanner(horizon=config.shift_horizon))
+            host = RackHost(name, sim)
             # Pay the training-run cost up front so the first allocation
             # query is served from a warm database.
             host.controller.ensure_profiled(host.clock_s)
@@ -478,7 +437,7 @@ class ServeState:
         coordinator = None
         if config.shared_grid_w is not None:
             coordinator = ClusterCoordinator(
-                [host.controller for host in racks.values()],
+                [host.sim for host in racks.values()],
                 config.shared_grid_w,
                 split=GridSplit.SHORTFALL,
             )
@@ -516,22 +475,15 @@ class ServeState:
         """One coordinated epoch across every rack.
 
         Requires a shared grid budget (``config.shared_grid_w``); the
-        coordinator re-divides it, every rack executes, and each host's
-        log and epoch counter advance together.
+        coordinator re-divides it and steps every rack's simulation with
+        its share.  ``load_fractions`` defaults to each rack's own
+        offered-load draw.
         """
         if self.coordinator is None:
             raise ConfigurationError(
                 "no shared grid budget configured; step racks individually"
             )
-        hosts = list(self.racks.values())
-        time_s = hosts[0].clock_s
-        if load_fractions is None:
-            load_fractions = [
-                host.load_generator.at(time_s).fraction for host in hosts
-            ]
-        records = self.coordinator.run_epoch(time_s, load_fractions=load_fractions)
-        for host, record in zip(hosts, records, strict=True):
-            host.record_epoch(record)
+        records = self.coordinator.run_epoch(load_fractions)
         self.cluster_epochs += 1
         return records
 
@@ -640,7 +592,7 @@ class ServeState:
         return {
             "event": "epoch",
             "rack": host.name,
-            "epoch_index": host.n_epochs - 1,
+            "epoch_index": host.sim.epoch_index - 1,
             **record_to_dict(record),
             **host.cache_info(),
         }

@@ -90,7 +90,7 @@ _PLAN_SECONDS = _REGISTRY.histogram(
 )
 _PLANS_TOTAL = _REGISTRY.counter(
     "repro_shift_plans_total",
-    "Plans by search strategy (greedy = fallback past the exhaustive limit)",
+    "Plans by search strategy (greedy: past the exhaustive limit; empty: none pending)",
     labelnames=("method",),
 )
 _CANDIDATES_TOTAL = _REGISTRY.counter(
@@ -286,6 +286,14 @@ class ShiftPlan:
             raise ConfigurationError(f"malformed shift plan: {exc}") from exc
 
 
+def _pad(series: Sequence[float], span: int) -> list[float]:
+    """``series`` floored at zero, cut or extended (last value) to ``span``."""
+    padded = [max(0.0, float(v)) for v in series[:span]]
+    while len(padded) < span:
+        padded.append(padded[-1])
+    return padded
+
+
 class _SupplyState:
     """Mutable per-epoch supply ledger a plan commits placements against.
 
@@ -296,16 +304,9 @@ class _SupplyState:
 
     def __init__(self, inputs: PlanInputs, span: int) -> None:
         self.epoch_h = inputs.epoch_s / 3600.0
-
-        def pad(series: Sequence[float]) -> list[float]:
-            padded = [max(0.0, float(v)) for v in series[:span]]
-            while len(padded) < span:
-                padded.append(padded[-1])
-            return padded
-
-        renewable = pad(inputs.renewable_w)
-        interactive = pad(inputs.interactive_w)
-        committed = pad(inputs.committed_w) if inputs.committed_w else [0.0] * span
+        renewable = _pad(inputs.renewable_w, span)
+        interactive = _pad(inputs.interactive_w, span)
+        committed = _pad(inputs.committed_w or (0.0,), span)
 
         self.renewable_free_w = [
             max(0.0, r - i) for r, i in zip(renewable, interactive)
@@ -554,7 +555,10 @@ class ShiftPlanner:
     def _plan_impl(self, queue: JobQueue, inputs: PlanInputs) -> ShiftPlan:
         self._perf_cache.clear()
         self._priced = 0
-        pending = [_PlanJob.of(j, inputs, self.horizon) for j in queue.pending()]
+        jobs = queue.pending()
+        if not jobs:
+            return self._empty_plan(inputs)
+        pending = [_PlanJob.of(j, inputs, self.horizon) for j in jobs]
         span = self.horizon + max((j.n_epochs for j in pending), default=1)
         state = _SupplyState(inputs, span)
         pristine = state.clone()
@@ -602,6 +606,18 @@ class ShiftPlanner:
             batch_power_w=batch_power,
             unplaced=tuple(unplaced),
             start_now_grid_wh=tuple(start_now_grid),
+        )
+
+    def _empty_plan(self, inputs: PlanInputs) -> ShiftPlan:
+        """Nothing pending: the running jobs' draw, capped as the ledger caps it."""
+        cap = inputs.batch_capacity_w
+        batch_power = tuple(
+            cap - max(0.0, cap - power) if power > _EPS else 0.0
+            for power in _pad(inputs.committed_w or (0.0,), self.horizon)
+        )
+        return ShiftPlan(
+            inputs.time_s, inputs.epoch_s, self.horizon, self.policy, "empty",
+            placements=(), batch_power_w=batch_power, unplaced=(),
         )
 
     # ------------------------------------------------------------------

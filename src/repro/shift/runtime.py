@@ -4,7 +4,7 @@
 controller's epoch loop: each epoch it meters interactive demand into
 its own Holt predictor, expires unreachable jobs, replans, starts the
 placements due now, and gates the rack's deferrable groups to exactly
-the planned batch draw via the controller's per-group caps —
+the planned batch draw via the epoch's per-group cap directive —
 interactive groups run uncapped, so foreground traffic never notices.
 
 Gating only engages once a job has been submitted (``activated``): a
@@ -22,17 +22,17 @@ daemon's checkpoints; telemetry, like the host's epoch log, does not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, TYPE_CHECKING
+from dataclasses import dataclass, replace
+from typing import Any
 
+from repro.core.controller import (
+    NO_DIRECTIVES, EpochDirectives, EpochRecord, GreenHeteroController,
+)
 from repro.core.predictor import HoltPredictor
 from repro.core.solver import GroupModel
 from repro.errors import ConfigurationError
 from repro.shift.planner import PlanInputs, ShiftPlan, ShiftPlanner, chain_forecast
 from repro.shift.queue import JobQueue, JobStatus, ShiftJob
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.controller import EpochRecord, GreenHeteroController
 
 
 @dataclass(frozen=True)
@@ -77,12 +77,6 @@ class ShiftLog:
     @property
     def deadline_misses(self) -> int:
         return self.records[-1].deadline_misses if self.records else 0
-
-    @property
-    def mean_deferred_wh(self) -> float:
-        if not self.records:
-            return 0.0
-        return sum(r.deferred_wh for r in self.records) / len(self.records)
 
 
 class ShiftRuntime:
@@ -129,19 +123,15 @@ class ShiftRuntime:
     # Rack introspection
     # ------------------------------------------------------------------
     @staticmethod
-    def deferrable_indices(controller: "GreenHeteroController") -> list[int]:
+    def deferrable_indices(controller: GreenHeteroController) -> list[int]:
         return [
             i
             for i, g in enumerate(controller.rack.groups)
             if g.workload.is_deferrable
         ]
 
-    @staticmethod
-    def has_deferrable_groups(controller: "GreenHeteroController") -> bool:
-        return bool(ShiftRuntime.deferrable_indices(controller))
-
     def _interactive_demand(
-        self, controller: "GreenHeteroController", load_fraction: float
+        self, controller: GreenHeteroController, load_fraction: float
     ) -> float:
         demands = controller.rack.group_demands_at_load(load_fraction)
         return sum(
@@ -150,14 +140,14 @@ class ShiftRuntime:
             if not g.workload.is_deferrable
         )
 
-    def batch_capacity_w(self, controller: "GreenHeteroController") -> float:
+    def batch_capacity_w(self, controller: GreenHeteroController) -> float:
         return sum(
             controller.rack.curve(i).max_draw_w * controller.rack.groups[i].count
             for i in self.deferrable_indices(controller)
         )
 
     def _batch_models(
-        self, controller: "GreenHeteroController"
+        self, controller: GreenHeteroController
     ) -> tuple[GroupModel, ...]:
         """Solver models for deferrable groups the database has profiled."""
         database = controller.scheduler.database
@@ -178,7 +168,7 @@ class ShiftRuntime:
     # Planning
     # ------------------------------------------------------------------
     def _forecast_interactive(
-        self, controller: "GreenHeteroController", fallback_w: float
+        self, controller: GreenHeteroController, fallback_w: float
     ) -> tuple[float, ...]:
         horizon = self.planner.horizon
         if self._interactive_predictor.ready:
@@ -186,7 +176,7 @@ class ShiftRuntime:
         return (fallback_w,) * horizon
 
     def _forecast_renewable(
-        self, controller: "GreenHeteroController", time_s: float
+        self, controller: GreenHeteroController, time_s: float
     ) -> tuple[float, ...]:
         predictor = controller.scheduler.renewable_predictor
         if getattr(predictor, "ready", False):
@@ -204,9 +194,10 @@ class ShiftRuntime:
 
     def plan_inputs(
         self,
-        controller: "GreenHeteroController",
+        controller: GreenHeteroController,
         time_s: float,
         interactive_now_w: float,
+        grid_budget_w: float | None = None,
     ) -> PlanInputs:
         epoch_s = controller.epoch_s
         return PlanInputs(
@@ -218,12 +209,12 @@ class ShiftRuntime:
             batch_capacity_w=self.batch_capacity_w(controller),
             battery_usable_wh=controller.pdu.battery.usable_wh,
             battery_max_discharge_w=controller.pdu.battery.max_discharge_w,
-            grid_budget_w=controller.pdu.grid.budget_w,
+            grid_budget_w=controller.pdu.grid.epoch_budget_w(grid_budget_w),
             batch_models=self._batch_models(controller),
         )
 
     def plan_now(
-        self, controller: "GreenHeteroController", time_s: float
+        self, controller: GreenHeteroController, time_s: float
     ) -> ShiftPlan:
         """Replan without executing (the serve daemon's ``plan`` verb).
 
@@ -240,22 +231,24 @@ class ShiftRuntime:
     # Epoch execution
     # ------------------------------------------------------------------
     def execute_epoch(
-        self,
-        controller: "GreenHeteroController",
-        time_s: float,
-        load_fraction: float = 1.0,
-    ) -> "EpochRecord":
+        self, controller: GreenHeteroController, time_s: float,
+        load_fraction: float = 1.0, directives: EpochDirectives = NO_DIRECTIVES,
+    ) -> tuple[EpochRecord, EpochDirectives]:
         """Run one epoch: expire, replan, gate, execute, account.
 
-        Returns the controller's :class:`EpochRecord`; the shift-side
-        telemetry lands in :attr:`log`.
+        Once a job was submitted, the gating caps and exact demand join
+        the caller's ``directives`` (whose grid share the plan uses).
+        Returns the record and the directives the controller ran under;
+        shift telemetry lands in :attr:`log`.
         """
         epoch_s = controller.epoch_s
         interactive_now = self._interactive_demand(controller, load_fraction)
         self._interactive_predictor.observe(interactive_now)
 
         self.queue.expire(time_s, epoch_s)
-        inputs = self.plan_inputs(controller, time_s, interactive_now)
+        inputs = self.plan_inputs(
+            controller, time_s, interactive_now, directives.grid_budget_w
+        )
         plan = self.planner.plan(self.queue, inputs)
         self.last_plan = plan
 
@@ -276,20 +269,17 @@ class ShiftRuntime:
         batch_power = sum(j.power_w for j in running)
 
         if self.activated:
-            controller.group_caps_w = self._group_caps(controller, batch_power)
             # The source selector budgets the rack from the demand
             # forecast, but the Holt predictor extrapolates the step
             # changes our gating imposes into nonsense (a job stopping
             # reads as a plunging trend).  We know this epoch's demand
             # exactly: the interactive estimate plus the planned draw.
-            controller.scheduler.demand_override_w = interactive_now + batch_power
-            try:
-                record = controller.run_epoch(time_s, load_fraction=load_fraction)
-            finally:
-                controller.group_caps_w = None
-                controller.scheduler.demand_override_w = None
-        else:
-            record = controller.run_epoch(time_s, load_fraction=load_fraction)
+            directives = replace(
+                directives,
+                group_caps_w=self._group_caps(controller, batch_power),
+                demand_w=interactive_now + batch_power,
+            )
+        record = controller.run_epoch(time_s, load_fraction, directives)
 
         completed: list[str] = []
         for job in running:
@@ -310,10 +300,10 @@ class ShiftRuntime:
                 plan_method=plan.method,
             )
         )
-        return record
+        return record, directives
 
     def _group_caps(
-        self, controller: "GreenHeteroController", batch_power_w: float
+        self, controller: GreenHeteroController, batch_power_w: float
     ) -> tuple[float, ...]:
         """Per-group caps: interactive uncapped, deferrable share the
         planned batch draw proportionally to their full-load capacity."""

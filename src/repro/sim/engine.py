@@ -19,9 +19,11 @@ The engine is where the paper's experimental methodology is encoded:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.core.controller import EpochRecord, GreenHeteroController
+from repro.core.controller import (
+    NO_DIRECTIVES, EpochDirectives, EpochRecord, GreenHeteroController,
+)
 from repro.core.database import FitKind, ProfilingDatabase
 from repro.core.monitor import Monitor
 from repro.core.policies import Policy
@@ -54,7 +56,8 @@ class Simulation:
     """A fully assembled single-policy run.
 
     Build directly for full control, or through :meth:`assemble` for the
-    paper's standard methodology.
+    paper's standard methodology.  :meth:`step` is the one code path
+    that executes an epoch, simulated, served or coordinated.
     """
 
     controller: GreenHeteroController
@@ -81,9 +84,17 @@ class Simulation:
     #: otherwise violations only accumulate on :attr:`auditor` and in the
     #: ``repro_verify_violations_total`` metric.
     strict: bool = False
-    #: The per-epoch invariant auditor; built on first step when omitted
-    #: (pass one to customize the check suite).
+    #: The per-epoch invariant auditor; built at construction when
+    #: omitted (pass one to customize the check suite).
     auditor: "InvariantAuditor | None" = None
+    #: Constrained-supply mode (:meth:`assemble`): rack budgets, cycled.
+    rack_budgets_w: "tuple[float, ...] | None" = None
+    #: Epochs executed so far (a restored served rack has an empty log).
+    epoch_index: int = 0
+
+    def __post_init__(self) -> None:
+        if self.auditor is None:
+            self.auditor = InvariantAuditor(strict=self.strict)
 
     @classmethod
     def assemble(
@@ -187,19 +198,12 @@ class Simulation:
         generator = cls._build_generator(rack, diurnal_load, seed)
         pattern = generator.pattern
 
+        rack_budgets_w = None
         if supply_fractions is not None:
-            fractions = tuple(supply_fractions)
-            epoch_s = clock.epoch_s
-            start_s = clock.start_s
             reference_w = (
                 budget_reference_w if budget_reference_w is not None else rack.envelope_w
             )
-
-            def override(time_s: float, demand_w: float) -> float:
-                index = int(round((time_s - start_s) / epoch_s))
-                return min(fractions[index % len(fractions)] * reference_w, demand_w)
-
-            controller.budget_override = override
+            rack_budgets_w = tuple(f * reference_w for f in supply_fractions)
 
         sim = cls(
             controller=controller,
@@ -208,6 +212,7 @@ class Simulation:
             diurnal_load=diurnal_load,
             seed=seed,
             strict=strict,
+            rack_budgets_w=rack_budgets_w,
         )
         sim._pretrain(pattern)
         return sim
@@ -286,6 +291,11 @@ class Simulation:
         self.controller.prime_predictors(renewable_history, demand_history)
 
     # ------------------------------------------------------------------
+    @property
+    def clock_s(self) -> float:
+        """Timestamp of the next epoch."""
+        return self.clock.start_s + self.epoch_index * self.clock.epoch_s
+
     def run(self) -> TelemetryLog:
         """Execute every remaining epoch on the clock; returns the log.
 
@@ -293,37 +303,42 @@ class Simulation:
         exactly ``n_epochs`` calls to :meth:`step`, so a partially
         stepped simulation can be completed with :meth:`run`.
         """
-        while len(self.log) < self.clock.n_epochs:
+        while self.epoch_index < self.clock.n_epochs:
             self.step()
         return self.log
 
-    def step(self) -> "EpochRecord":
-        """Run a single epoch (for incremental/driving use).
+    def step(
+        self, load_fraction: float | None = None,
+        directives: EpochDirectives = NO_DIRECTIVES,
+    ) -> EpochRecord:
+        """Execute the next epoch; returns its record (also logged).
 
-        Returns the epoch's :class:`~repro.core.controller.EpochRecord`
-        (also appended to :attr:`log`).
+        Faults, schedule, SoC capture, offered load (drawn only when
+        ``load_fraction`` is None), shift or controller, log, audit.
+        Constrained-supply mode adds its rack budget to ``directives``.
+        Served racks step past the clock's end; the traces wrap.
         """
-        if len(self.log) >= self.clock.n_epochs:
-            raise ConfigurationError("simulation already complete")
-        if self.auditor is None:
-            self.auditor = InvariantAuditor(strict=self.strict)
         with _EPOCH_SECONDS_HIST.time():
-            t = self.clock.start_s + len(self.log) * self.clock.epoch_s
+            t = self.clock_s
             if self.faults is not None:
                 self.faults.apply(self.controller, t)
             self._apply_schedule(t)
             # Captured after fault injection so the audit's SoC delta
             # reflects only the epoch's own flows.
             soc_before = self.controller.pdu.battery.soc_wh
-            load = self.load_generator.at(t)
+            if load_fraction is None:
+                load_fraction = self.load_generator.at(t).fraction
+            budgets = self.rack_budgets_w
+            if budgets is not None and directives.rack_budget_w is None:
+                budget = budgets[self.epoch_index % len(budgets)]
+                directives = replace(directives, rack_budget_w=budget)
             if self.shift is not None:
-                record = self.shift.execute_epoch(
-                    self.controller, t, load_fraction=load.fraction
+                record, directives = self.shift.execute_epoch(
+                    self.controller, t, load_fraction, directives
                 )
-                gating_active = self.shift.activated
             else:
-                record = self.controller.run_epoch(t, load_fraction=load.fraction)
-                gating_active = False
+                record = self.controller.run_epoch(t, load_fraction, directives)
+            self.epoch_index += 1
             self.log.append(record)
             self.auditor.audit(
                 AuditContext(
@@ -331,7 +346,7 @@ class Simulation:
                     controller=self.controller,
                     epoch_s=self.clock.epoch_s,
                     soc_before_wh=soc_before,
-                    gating_active=gating_active,
+                    directives=directives,
                 )
             )
         return record

@@ -14,8 +14,8 @@ live component state, and asserts — with explicit tolerances — that:
   charge flows under the bank's round-trip efficiency (exact for the
   ideal Peukert-1.0 battery, one-sided for rate-dependent banks);
 * **soc-floor** — the SoC never leaves ``[DoD floor, capacity]``;
-* **grid-budget** — grid draw to the load never exceeds the feed's
-  budget;
+* **grid-budget** — grid draw to the load never exceeds the epoch's
+  grid budget (its directed share, else the feed's provisioned budget);
 * **ratios** — the PAR vector satisfies ``sum(eta) <= 1`` with no
   negative entries;
 * **epu-range** — EPU, useful power, and throughput are in range;
@@ -32,13 +32,13 @@ custom sequence to audit a subset or an extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
+from repro.core.controller import (
+    NO_DIRECTIVES, EpochDirectives, EpochRecord, GreenHeteroController,
+)
 from repro.errors import DatabaseMissError, InvariantViolation
 from repro.obs.metrics import REGISTRY as _REGISTRY
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.controller import EpochRecord, GreenHeteroController
 
 _VIOLATIONS_TOTAL = _REGISTRY.counter(
     "repro_verify_violations_total",
@@ -88,17 +88,17 @@ class AuditContext:
     soc_before_wh:
         Battery SoC captured immediately before the epoch executed
         (after fault injection), so the SoC delta can be checked.
-    gating_active:
-        True when per-group caps (the shift runtime) shaped this epoch's
-        group budgets; the fit-bounds lower check is waived because caps
+    directives:
+        The per-epoch directives the controller ran under; group caps
+        (shift gating) waive the fit-bounds lower check, because caps
         legitimately push a group below its power-on point.
     """
 
-    record: "EpochRecord"
-    controller: "GreenHeteroController"
+    record: EpochRecord
+    controller: GreenHeteroController
     epoch_s: float
     soc_before_wh: float
-    gating_active: bool = False
+    directives: EpochDirectives = NO_DIRECTIVES
 
 
 Check = Callable[[AuditContext], "list[Violation]"]
@@ -230,14 +230,14 @@ def check_soc_floor(ctx: AuditContext) -> list[Violation]:
 
 
 def check_grid_budget(ctx: AuditContext) -> list[Violation]:
-    grid = ctx.controller.pdu.grid
+    budget = ctx.controller.pdu.grid.epoch_budget_w(ctx.directives.grid_budget_w)
     r = ctx.record
-    if r.grid_to_load_w > grid.budget_w + _tol(grid.budget_w):
+    if r.grid_to_load_w > budget + _tol(budget):
         return [
             Violation(
                 "grid-budget",
                 f"grid-to-load {r.grid_to_load_w:.6f} W exceeds the grid "
-                f"budget {grid.budget_w:.6f} W",
+                f"budget {budget:.6f} W",
                 r.time_s,
             )
         ]
@@ -307,6 +307,7 @@ def check_fit_bounds(ctx: AuditContext) -> list[Violation]:
         if r.powered_counts is not None
         else tuple(g.count for g in groups)
     )
+    caps = ctx.directives.group_caps_w
     out: list[Violation] = []
     for i, group in enumerate(groups):
         budget = r.group_budgets_w[i]
@@ -330,7 +331,7 @@ def check_fit_bounds(ctx: AuditContext) -> list[Violation]:
                 )
             )
         lo = fit.min_power_w * (1.0 - FIT_BOUND_REL_TOL) - BASE_TOL
-        if not ctx.gating_active and per_server < lo:
+        if caps is None and per_server < lo:
             out.append(
                 Violation(
                     "fit-bounds",

@@ -12,7 +12,10 @@ from repro.power.grid import GridSource
 from repro.power.pdu import PDU
 from repro.power.solar import SolarFarm
 from repro.servers.rack import Rack
+from repro.sim.clock import SimClock
+from repro.sim.engine import Simulation
 from repro.traces.nrel import Weather, synthesize_irradiance
+from repro.workloads.generator import LoadGenerator
 
 MIDNIGHT = 0.0
 NOON = 12 * 3600.0
@@ -31,6 +34,16 @@ def make_controller(weather=Weather.HIGH, seed=1, solar_peak=1900.0, soc=1.0):
     )
 
 
+def make_sim(start_s=NOON, **kwargs):
+    """One rack whose first epoch starts at ``start_s``, at full load."""
+    controller = make_controller(**kwargs)
+    return Simulation(
+        controller,
+        SimClock(start_s=start_s),
+        LoadGenerator(controller.rack.groups[0].workload),
+    )
+
+
 class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -38,13 +51,13 @@ class TestConstruction:
 
     def test_negative_budget_rejected(self):
         with pytest.raises(PowerError):
-            ClusterCoordinator([make_controller()], -1.0)
+            ClusterCoordinator([make_sim()], -1.0)
 
 
 class TestEqualSplit:
     def test_divides_evenly(self):
         cluster = ClusterCoordinator(
-            [make_controller(seed=1), make_controller(seed=2)],
+            [make_sim(seed=1), make_sim(seed=2)],
             1000.0,
             split=GridSplit.EQUAL,
         )
@@ -54,52 +67,52 @@ class TestEqualSplit:
 class TestShortfallSplit:
     def test_sunny_rack_cedes_grid(self):
         # Rack A has huge solar at noon; rack B has none (tiny farm).
-        sunny = make_controller(seed=1, solar_peak=5000.0)
-        dark = make_controller(seed=2, solar_peak=1.0)
+        sunny = make_sim(seed=1, solar_peak=5000.0)
+        dark = make_sim(seed=2, solar_peak=1.0)
         cluster = ClusterCoordinator([sunny, dark], 1000.0, split=GridSplit.SHORTFALL)
         # Drain both batteries so shortfall is driven by renewables.
-        for c in (sunny, dark):
-            c.pdu.battery.soc_wh = c.pdu.battery.floor_wh
+        for sim in (sunny, dark):
+            battery = sim.controller.pdu.battery
+            battery.soc_wh = battery.floor_wh
         shares = cluster.grid_shares_w(NOON)
         assert shares[1] > shares[0]
         assert sum(shares) == pytest.approx(1000.0)
 
     def test_no_shortfall_falls_back_to_equal(self):
-        a = make_controller(seed=1, solar_peak=50000.0)
-        b = make_controller(seed=2, solar_peak=50000.0)
+        a = make_sim(seed=1, solar_peak=50000.0)
+        b = make_sim(seed=2, solar_peak=50000.0)
         cluster = ClusterCoordinator([a, b], 1000.0, split=GridSplit.SHORTFALL)
         assert cluster.grid_shares_w(NOON) == [500.0, 500.0]
 
 
 class TestEpochExecution:
     def test_runs_all_racks(self):
-        cluster = ClusterCoordinator(
-            [make_controller(seed=1), make_controller(seed=2)], 1500.0
-        )
-        records = cluster.run_epoch(NOON)
+        cluster = ClusterCoordinator([make_sim(seed=1), make_sim(seed=2)], 1500.0)
+        records = cluster.run_epoch()
         assert len(records) == 2
         assert cluster.aggregate_throughput(records) > 0.0
 
     def test_provisioned_grid_budget_restored_after_epoch(self):
         # The per-epoch share must not clobber each rack's provisioned
         # budget: after the epoch the racks read exactly as provisioned.
-        a, b = make_controller(seed=1), make_controller(seed=2)
-        a.pdu.grid.budget_w = 120.0
-        b.pdu.grid.budget_w = 340.0
+        a, b = make_sim(MIDNIGHT, seed=1), make_sim(MIDNIGHT, seed=2)
+        a.controller.pdu.grid.budget_w = 120.0
+        b.controller.pdu.grid.budget_w = 340.0
         cluster = ClusterCoordinator([a, b], 1500.0, split=GridSplit.EQUAL)
-        records = cluster.run_epoch(MIDNIGHT)
+        records = cluster.run_epoch()
         assert len(records) == 2
-        assert a.pdu.grid.budget_w == pytest.approx(120.0)
-        assert b.pdu.grid.budget_w == pytest.approx(340.0)
+        assert a.controller.pdu.grid.budget_w == pytest.approx(120.0)
+        assert b.controller.pdu.grid.budget_w == pytest.approx(340.0)
 
     def test_epoch_share_drives_the_epoch(self):
         # At midnight with drained batteries, a grid-only epoch's budget
         # comes from the coordinator's share, not the provisioned cap.
-        a, b = make_controller(seed=1), make_controller(seed=2)
-        for c in (a, b):
-            c.pdu.battery.soc_wh = c.pdu.battery.floor_wh
+        a, b = make_sim(MIDNIGHT, seed=1), make_sim(MIDNIGHT, seed=2)
+        for sim in (a, b):
+            battery = sim.controller.pdu.battery
+            battery.soc_wh = battery.floor_wh
         cluster = ClusterCoordinator([a, b], 1500.0, split=GridSplit.EQUAL)
-        records = cluster.run_epoch(MIDNIGHT)
+        records = cluster.run_epoch()
         for record in records:
             assert record.budget_w <= 750.0 + 1e-6
             assert record.grid_to_load_w <= 750.0 + 1e-6
@@ -107,19 +120,19 @@ class TestEpochExecution:
     def test_shortfall_fallback_with_primed_predictors(self):
         # Primed predictors forecasting abundant renewables: zero total
         # predicted shortfall must fall back to the EQUAL division.
-        a = make_controller(seed=1, solar_peak=50000.0)
-        b = make_controller(seed=2, solar_peak=50000.0)
-        for c in (a, b):
-            c.prime_predictors([9000.0] * 8, [700.0] * 8)
+        a = make_sim(seed=1, solar_peak=50000.0)
+        b = make_sim(seed=2, solar_peak=50000.0)
+        for sim in (a, b):
+            sim.controller.prime_predictors([9000.0] * 8, [700.0] * 8)
         cluster = ClusterCoordinator([a, b], 1000.0, split=GridSplit.SHORTFALL)
         assert cluster.grid_shares_w(NOON) == [500.0, 500.0]
 
     def test_load_fraction_mismatch_rejected(self):
-        cluster = ClusterCoordinator([make_controller()], 1000.0)
+        cluster = ClusterCoordinator([make_sim()], 1000.0)
         with pytest.raises(ConfigurationError):
-            cluster.run_epoch(NOON, load_fractions=[1.0, 0.5])
+            cluster.run_epoch(load_fractions=[1.0, 0.5])
 
     def test_aggregate_requires_matching_records(self):
-        cluster = ClusterCoordinator([make_controller()], 1000.0)
+        cluster = ClusterCoordinator([make_sim()], 1000.0)
         with pytest.raises(ConfigurationError):
             cluster.aggregate_throughput([])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.controller import GreenHeteroController, N_SUBSTEPS
+from repro.core.controller import EpochDirectives, GreenHeteroController, N_SUBSTEPS
 from repro.core.monitor import Monitor
 from repro.core.policies import make_policy
 from repro.core.solver import PARSolver
@@ -128,8 +128,7 @@ class TestEnergyAccounting:
 
     def test_budget_override_forces_budget(self):
         ctl = make_controller()
-        ctl.budget_override = lambda t, d: 700.0
-        record = ctl.run_epoch(NOON)
+        record = ctl.run_epoch(NOON, 1.0, EpochDirectives(rack_budget_w=700.0))
         assert record.budget_w == 700.0
         assert record.case is PowerCase.B
 
@@ -139,8 +138,8 @@ class TestLoadBalancing:
         # At a budget where uniform sleeps the Xeons, interactive load
         # must still be served by the i5s (low offered load).
         ctl = make_controller("Uniform")
-        ctl.budget_override = lambda t, d: 700.0  # 70 W/server: E5s sleep
-        record = ctl.run_epoch(NOON, load_fraction=0.2)
+        # 70 W/server (below the 0.2-load demand): E5s sleep.
+        record = ctl.run_epoch(NOON, 0.2, EpochDirectives(rack_budget_w=700.0))
         assert record.throughput > 0.0
 
     def test_measure_rack_matches_manual_oracle_shape(self):

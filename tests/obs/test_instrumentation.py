@@ -136,6 +136,22 @@ class TestShiftInstrumentation:
         assert counter_value("repro_shift_placements_total") == placed0 + len(plan.placements)
         assert hist_count("repro_shift_plan_seconds") == secs0 + 1
 
+    def test_empty_queue_plans_are_counted_as_empty(self, enabled):
+        inputs = PlanInputs(
+            time_s=0.0, epoch_s=900.0, renewable_w=(400.0,) * 8,
+            interactive_w=(0.0,) * 8, committed_w=(), batch_capacity_w=1000.0,
+            battery_usable_wh=0.0, battery_max_discharge_w=0.0,
+            grid_budget_w=1000.0, batch_models=(),
+        )
+        plans0 = counter_value("repro_shift_plans_total", "empty")
+        greedy0 = counter_value("repro_shift_plans_total", "greedy")
+        secs0 = hist_count("repro_shift_plan_seconds")
+        plan = ShiftPlanner(horizon=8).plan(JobQueue(), inputs)
+        assert plan.method == "empty"
+        assert counter_value("repro_shift_plans_total", "empty") == plans0 + 1
+        assert counter_value("repro_shift_plans_total", "greedy") == greedy0
+        assert hist_count("repro_shift_plan_seconds") == secs0 + 1
+
     def test_one_span_and_one_counter_increment_per_plan(self, enabled, monkeypatch):
         queue = JobQueue()
         for i in range(3):

@@ -81,7 +81,7 @@ class TestDispatch:
         event = client.step("rack0")
         assert event["event"] == "epoch"
         assert event["epoch_index"] == 0
-        assert state.rack("rack0").n_epochs == 1
+        assert state.rack("rack0").sim.epoch_index == 1
 
     def test_step_without_coordinator_needs_rack(self, client):
         with pytest.raises(ServeError, match="needs a 'rack'"):
@@ -243,4 +243,4 @@ class TestClusterServing:
         finally:
             daemon.stop_from_thread()
             thread.join(timeout=30)
-        assert all(host.n_epochs == 1 for host in state.racks.values())
+        assert all(host.sim.epoch_index == 1 for host in state.racks.values())

@@ -164,6 +164,6 @@ class TestCheckpointedPlans:
         restored = ServeState.build(BATCH, checkpoint_dir=ckpt)
         host = restored.rack("rack0")
         assert restored.restored
-        assert host.n_epochs == 1
+        assert host.sim.epoch_index == 1
         assert not host.shift.activated
         assert len(host.shift.queue) == 0

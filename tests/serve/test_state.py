@@ -81,9 +81,9 @@ class TestRackHost:
         t0 = host.clock_s
         record = host.step()
         assert record.time_s == t0
-        assert host.n_epochs == 1
-        assert host.clock_s == t0 + host.epoch_s
-        assert len(host.log) == 1
+        assert host.sim.epoch_index == 1
+        assert host.clock_s == t0 + host.sim.clock.epoch_s
+        assert len(host.sim.log) == 1
 
     def test_status_document(self, host):
         host.step()
@@ -119,7 +119,7 @@ class TestFleet:
         records = fleet.step_cluster()
         assert len(records) == 2
         assert fleet.cluster_epochs == 1
-        assert all(host.n_epochs == 1 for host in fleet.racks.values())
+        assert all(host.sim.epoch_index == 1 for host in fleet.racks.values())
 
     def test_cluster_restores_provisioned_budgets(self):
         fleet = ServeState.build(
@@ -167,7 +167,7 @@ class TestCheckpoint:
             == want_db
         )
         assert json.dumps(again.state_document(), sort_keys=True) == want_state
-        assert again.n_epochs == 3
+        assert again.sim.epoch_index == 3
 
     def test_manifest_config_replaces_callers(self, tmp_path):
         ckpt = tmp_path / "ckpt"

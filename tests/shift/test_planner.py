@@ -11,6 +11,7 @@ from repro.shift.planner import (
     Placement,
     ShiftPlan,
     ShiftPlanner,
+    _SupplyState,
     chain_forecast,
 )
 from repro.shift.queue import JobQueue, ShiftJob
@@ -224,6 +225,32 @@ class TestShiftPolicy:
         )
         quoted = dict(plan.start_now_grid_wh)
         assert quoted == {"now": pytest.approx(75.0)}
+
+
+class TestEmptyQueue:
+    @pytest.mark.parametrize("policy", ["shift", "no_shift"])
+    def test_nothing_pending_is_an_empty_plan(self, policy):
+        queue = queue_of(job("run", power_w=300.0))
+        queue.mark_running("run", 0.0)
+        # Committed draw above the 1000 W batch capacity at offset 3.
+        inputs = make_inputs(committed=(300.0, 300.0, 0.0, 1500.0))
+        planner = ShiftPlanner(horizon=6, policy=policy)
+        plan = planner.plan(queue, inputs)
+        assert plan.method == "empty"
+        assert plan.placements == () and plan.unplaced == ()
+        assert plan.start_now_grid_wh == ()
+        # The same batch draw the supply ledger commits.
+        ledger = _SupplyState(inputs, planner.horizon + 1)
+        assert plan.batch_power_w == tuple(
+            ledger.batch_power_at(1000.0, h) for h in range(planner.horizon)
+        )
+        assert plan.batch_power_w[3] == 1000.0
+        assert plan.batch_power_w[4:] == (1000.0, 1000.0)
+
+    def test_no_running_jobs_draw_nothing(self):
+        plan = ShiftPlanner(horizon=4).plan(JobQueue(), make_inputs())
+        assert plan.method == "empty"
+        assert plan.batch_power_w == (0.0,) * 4
 
 
 class TestNoShiftPolicy:

@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.core.controller import EpochDirectives
 from repro.core.policies import make_policy
 from repro.errors import ConfigurationError
 from repro.servers.rack import Rack
 from repro.sim.clock import SimClock
 from repro.sim.engine import Simulation
 from repro.traces.nrel import Weather
+from repro.shift.queue import ShiftJob
+from repro.shift.runtime import ShiftRuntime
 from repro.units import SECONDS_PER_DAY
+from repro.verify import InvariantAuditor
 
 
 def assemble(policy="GreenHetero", hours=2.0, **kwargs):
@@ -53,7 +57,8 @@ class TestAssembly:
     def test_constrained_mode_disables_grid(self):
         sim = assemble(supply_fractions=(0.6, 0.8))
         assert sim.controller.pdu.grid.budget_w == 0.0
-        assert sim.controller.budget_override is not None
+        envelope = sim.controller.rack.envelope_w
+        assert sim.rack_budgets_w == (0.6 * envelope, 0.8 * envelope)
 
     def test_bad_supply_fractions_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -74,8 +79,13 @@ class TestExecution:
         assert len(sim.log) == 1
         sim.step()
         assert len(sim.log) == 2
-        with pytest.raises(ConfigurationError):
-            sim.step()
+        # run() stops at the clock's end; step() goes on past it (served
+        # racks step indefinitely on wrapping traces).
+        sim.run()
+        assert len(sim.log) == 2
+        record = sim.step()
+        assert len(sim.log) == 3 and sim.epoch_index == 3
+        assert record.time_s == sim.clock.start_s + 2 * sim.clock.epoch_s
 
     def test_deterministic_per_seed(self):
         a = assemble().run()
@@ -152,6 +162,46 @@ class TestStepReturnValue:
         sim = assemble(hours=0.5)
         log = sim.run()
         assert list(sim.run()) == list(log)
+
+
+def audited_directives(sim):
+    """Swap in an auditor that records each epoch's directives."""
+    seen = []
+    sim.auditor = InvariantAuditor(checks=(lambda ctx: seen.append(ctx.directives) or [],))
+    return seen
+
+
+class TestEpochDirectives:
+    def test_audit_sees_the_shift_gating_and_the_callers_share(self):
+        sim = assemble(workload="Streamcluster")
+        sim.shift = ShiftRuntime()
+        sim.shift.submit(ShiftJob(
+            job_id="j0", energy_wh=100.0, power_w=400.0,
+            earliest_start_s=sim.clock_s, deadline_s=sim.clock_s + 8 * 900.0,
+            value=1.0,
+        ))
+        seen = audited_directives(sim)
+        sim.step(directives=EpochDirectives(grid_budget_w=321.0))
+        (directives,) = seen
+        assert directives.grid_budget_w == 321.0
+        assert directives.group_caps_w is not None
+        assert directives.demand_w is not None
+
+    def test_constrained_mode_adds_the_cycled_rack_budget(self):
+        sim = assemble(supply_fractions=(0.5, 0.9), hours=1.0)
+        seen = audited_directives(sim)
+        sim.run()
+        envelope = sim.controller.rack.envelope_w
+        assert [d.rack_budget_w for d in seen] == [0.5 * envelope, 0.9 * envelope] * 2
+
+    def test_callers_rack_budget_wins(self):
+        sim = assemble(supply_fractions=(0.5,), hours=0.5)
+        record = sim.step(directives=EpochDirectives(rack_budget_w=300.0))
+        assert record.budget_w == 300.0
+
+    def test_given_load_fraction_is_used(self):
+        sim = assemble(hours=0.5)
+        assert sim.step(load_fraction=0.3).load_fraction == 0.3
 
 
 class TestMixedRackLeadWorkload:

@@ -1,9 +1,12 @@
 """The invariant auditor: clean passes and per-invariant negative paths."""
 
 import dataclasses
+import math
 
 import pytest
 
+from repro.core.cluster import ClusterCoordinator, GridSplit
+from repro.core.controller import NO_DIRECTIVES, EpochDirectives
 from repro.core.policies import make_policy
 from repro.errors import InvariantViolation
 from repro.servers.rack import Rack
@@ -37,7 +40,7 @@ def record(sim):
     pytest.fail("no solver epoch in the reference run")
 
 
-def make_ctx(sim, record, soc_before=None, gating_active=False):
+def make_ctx(sim, record, soc_before=None, directives=NO_DIRECTIVES):
     """An AuditContext whose soc_before is consistent with the record."""
     if soc_before is None:
         battery = sim.controller.pdu.battery
@@ -52,7 +55,7 @@ def make_ctx(sim, record, soc_before=None, gating_active=False):
         controller=sim.controller,
         epoch_s=sim.clock.epoch_s,
         soc_before_wh=soc_before,
-        gating_active=gating_active,
+        directives=directives,
     )
 
 
@@ -129,6 +132,20 @@ class TestNegativePaths:
         fired = checks_fired(sim, record, grid_to_load_w=budget + 10.0)
         assert "grid-budget" in fired
 
+    def test_grid_draw_over_the_directed_share(self, sim, record):
+        # A draw inside the provisioned budget but over the epoch's
+        # directed share is an overdraw.
+        provisioned = sim.controller.pdu.grid.budget_w
+        share = provisioned / 2.0
+        bad = dataclasses.replace(record, grid_to_load_w=0.75 * provisioned)
+        ctx = make_ctx(sim, bad, directives=EpochDirectives(grid_budget_w=share))
+        assert "grid-budget" in {
+            v.check for v in InvariantAuditor().audit(ctx)
+        }
+        assert "grid-budget" not in checks_fired(
+            sim, record, grid_to_load_w=0.75 * provisioned
+        )
+
     def test_ratio_sum_above_one(self, sim, record):
         fired = checks_fired(sim, record, ratios=(0.9, 0.9))
         assert "ratios" in fired
@@ -175,9 +192,8 @@ class TestNegativePaths:
                 for g in groups
             ),
         )
-        found = InvariantAuditor().audit(
-            make_ctx(sim, starved, gating_active=True)
-        )
+        caps = EpochDirectives(group_caps_w=(math.inf,) * len(groups))
+        found = InvariantAuditor().audit(make_ctx(sim, starved, directives=caps))
         assert "fit-bounds" not in {v.check for v in found}
 
     def test_fallback_epochs_skip_fit_bounds(self, sim, record):
@@ -189,6 +205,31 @@ class TestNegativePaths:
         )
         found = InvariantAuditor().audit(make_ctx(sim, starved))
         assert "fit-bounds" not in {v.check for v in found}
+
+
+class TestCoordinatedEpochs:
+    def test_share_above_the_provisioned_budget_passes(self):
+        # Drained batteries at midnight: each rack runs on its 750 W
+        # share, far above its provisioned 100 W feed.
+        sims = []
+        for seed in (7, 8):
+            sim = Simulation.assemble(
+                policy=make_policy("GreenHetero"),
+                rack=Rack([("E5-2620", 5), ("i5-4460", 5)], "SPECjbb"),
+                grid_budget_w=100.0,
+                seed=seed,
+                strict=True,
+            )
+            battery = sim.controller.pdu.battery
+            battery.soc_wh = battery.floor_wh
+            sims.append(sim)
+        cluster = ClusterCoordinator(sims, 1500.0, split=GridSplit.EQUAL)
+        records = cluster.run_epoch()
+        assert all(r.grid_to_load_w > 100.0 for r in records)
+        for sim in sims:
+            assert sim.auditor.epochs_audited == 1
+            assert sim.auditor.violation_count == 0
+            assert sim.controller.pdu.grid.budget_w == 100.0
 
 
 class TestModes:

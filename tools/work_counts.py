@@ -10,9 +10,14 @@ scenario of the two simulated benchmark workloads:
   (``run_shift_bench``, both arms), 1 day, horizon 8, 6 jobs;
 
 each at scenario seeds 8084-8087, the four seeds ``perfbench`` rotates
-through for ``--seed 2021``.  Per scenario it writes the work the
-process-wide metrics registry counted: database refits, solver solves,
-shift plans and predictor fits.
+through for ``--seed 2021``, plus the served cluster path:
+
+* ``serve-cluster``: an in-process ``ServeState`` with 4 racks, seed
+  2021 and a 2000 W shared grid, stepped through 96 coordinated epochs.
+
+Per scenario it writes the work the process-wide metrics registry
+counted: database refits, solver solves, shift plans and predictor
+fits; ``serve-cluster`` adds the epochs its racks' auditors checked.
 
 Unlike wall time, which moves by tens of percent between runs on a
 shared host, these counts are host-independent, so CI compares them
@@ -36,6 +41,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro import ExperimentConfig, run_experiment  # noqa: E402
 from repro.obs import REGISTRY  # noqa: E402
+from repro.serve import ServeConfig, ServeState  # noqa: E402
 from repro.shift.bench import run_shift_bench  # noqa: E402
 
 SEED = 2021
@@ -45,6 +51,9 @@ SIM_DAY_DAYS = 3.0
 SHIFT_DAY_DAYS = 1.0
 SHIFT_HORIZON = 8
 SHIFT_JOBS = 6
+SERVE_RACKS = 4
+SERVE_SHARED_GRID_W = 2000.0
+SERVE_CLUSTER_STEPS = 96
 
 #: Output key -> metric family; a labelled family counts all its children.
 COUNTERS = {
@@ -63,12 +72,13 @@ def _totals() -> dict[str, int]:
     return totals
 
 
-def count(run: Callable[[int], object], seed: int) -> dict[str, int]:
-    """The work counters ``run(seed)`` adds to the registry."""
+def count(run: Callable[[int], dict[str, int] | None], seed: int) -> dict[str, int]:
+    """The work counters ``run(seed)`` adds to the registry, plus the
+    counts ``run`` returns itself."""
     before = _totals()
-    run(seed)
+    extra = run(seed) or {}
     after = _totals()
-    return {key: after[key] - before[key] for key in COUNTERS}
+    return {**{key: after[key] - before[key] for key in COUNTERS}, **extra}
 
 
 def sim_day(seed: int) -> None:
@@ -82,14 +92,29 @@ def shift_day(seed: int) -> None:
     run_shift_bench(days=SHIFT_DAY_DAYS, seed=seed, horizon=SHIFT_HORIZON, n_jobs=SHIFT_JOBS)
 
 
+def serve_cluster(seed: int) -> dict[str, int]:
+    config = ServeConfig(
+        n_racks=SERVE_RACKS, seed=seed, shared_grid_w=SERVE_SHARED_GRID_W
+    )
+    state = ServeState.build(config)
+    for _ in range(SERVE_CLUSTER_STEPS):
+        state.step_cluster()
+    racks = state.status()["racks"].values()
+    return {"epochs_audited": sum(r["audit"]["epochs_audited"] for r in racks)}
+
+
 def work_counts() -> dict[str, object]:
-    workloads = {"sim-day": sim_day, "shift-day": shift_day}
+    workloads = {
+        "sim-day": (sim_day, SCENARIOS),
+        "shift-day": (shift_day, SCENARIOS),
+        "serve-cluster": (serve_cluster, (SEED,)),
+    }
     return {
         "seed": SEED,
         "counters": COUNTERS,
         "workloads": {
-            name: {str(seed): count(run, seed) for seed in SCENARIOS}
-            for name, run in workloads.items()
+            name: {str(seed): count(run, seed) for seed in seeds}
+            for name, (run, seeds) in workloads.items()
         },
     }
 
