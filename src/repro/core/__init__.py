@@ -18,12 +18,7 @@ The five allocation policies of Table III live in
 from repro.core.cluster import ClusterCoordinator, GridSplit
 from repro.core.database import DatabaseEntry, FitKind, PerfPowerFit, ProfilingDatabase
 from repro.core.enforcer import Enforcer, PowerSourceController, ServerPowerController
-from repro.core.persistence import (
-    load_database,
-    predictor_from_dict,
-    predictor_to_dict,
-    save_database,
-)
+from repro.core.persistence import load_database, save_database
 from repro.core.epu import effective_power_utilization, useful_power
 from repro.core.monitor import Monitor, ServerObservation
 from repro.core.policies import (
@@ -69,8 +64,6 @@ __all__ = [
     "effective_power_utilization",
     "load_database",
     "make_policy",
-    "predictor_from_dict",
-    "predictor_to_dict",
     "save_database",
     "useful_power",
 ]

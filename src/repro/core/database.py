@@ -66,6 +66,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -375,6 +376,82 @@ class ProfilingDatabase:
         entry.load(snapshot.powers, snapshot.perfs)
         entry.fit = snapshot.fit
         self._entries[key] = entry
+
+    def state_dict(self) -> dict[str, Any]:
+        """Every record (:meth:`snapshot`) as JSON-ready values."""
+        entries = []
+        for entry in self.snapshot():
+            record: dict[str, Any] = {
+                "platform": entry.key[0],
+                "workload": entry.key[1],
+                "idle_power_w": entry.idle_power_w,
+                "max_power_w": entry.max_power_w,
+                "min_active_power_w": (
+                    None if math.isinf(entry.min_active_power_w)
+                    else entry.min_active_power_w
+                ),
+                "powers": list(entry.powers),
+                "perfs": list(entry.perfs),
+            }
+            if entry.fit is not None:
+                record["fit"] = {
+                    "coefficients": list(entry.fit.coefficients),
+                    "min_power_w": entry.fit.min_power_w,
+                    "max_power_w": entry.fit.max_power_w,
+                    "kind": entry.fit.kind.name,
+                    "n_samples": entry.fit.n_samples,
+                }
+            entries.append(record)
+        return {
+            "fit_kind": self.fit_kind.name,
+            "max_samples": self.max_samples,
+            "entries": entries,
+        }
+
+    def load_state_dict(self, state: dict[str, Any]) -> None:
+        """Replace every record with a :meth:`state_dict` capture.
+
+        Each record goes through :meth:`restore_entry`; nothing is
+        installed unless the whole state is valid.
+
+        Raises
+        ------
+        ConfigurationError
+            On a malformed state or an invalid record.
+        """
+        try:
+            staged = ProfilingDatabase(
+                fit_kind=FitKind[state["fit_kind"]],
+                max_samples=int(state["max_samples"]),
+            )
+            for record in state["entries"]:
+                fit_doc = record.get("fit")
+                fit = None
+                if fit_doc is not None:
+                    fit = PerfPowerFit(
+                        coefficients=tuple(fit_doc["coefficients"]),
+                        min_power_w=fit_doc["min_power_w"],
+                        max_power_w=fit_doc["max_power_w"],
+                        kind=FitKind[fit_doc["kind"]],
+                        n_samples=int(fit_doc["n_samples"]),
+                    )
+                min_active = record["min_active_power_w"]
+                staged.restore_entry(
+                    DatabaseEntry(
+                        key=(record["platform"], record["workload"]),
+                        idle_power_w=record["idle_power_w"],
+                        max_power_w=record["max_power_w"],
+                        min_active_power_w=(
+                            math.inf if min_active is None else float(min_active)
+                        ),
+                        powers=tuple(float(p) for p in record["powers"]),
+                        perfs=tuple(float(p) for p in record["perfs"]),
+                        fit=fit,
+                    )
+                )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed database state: {exc}") from exc
+        vars(self).update(vars(staged))
 
     # ------------------------------------------------------------------
     # Population and updating

@@ -14,10 +14,12 @@ from a seeded RNG so runs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.rng import load_rng_state
 from repro.servers.power_model import ServerSample
 
 
@@ -80,6 +82,14 @@ class Monitor:
         self.perf_noise = perf_noise
         self.renewable_noise = renewable_noise
         self._rng = np.random.default_rng(seed)
+
+    def state_dict(self) -> dict[str, Any]:
+        """The noise RNG's bit-generator state (the sigmas are config)."""
+        return self._rng.bit_generator.state
+
+    def load_state_dict(self, state: dict[str, Any]) -> None:
+        """Install a :meth:`state_dict` capture."""
+        load_rng_state(self._rng, state)
 
     def _jitter(self, value: float, sigma: float) -> float:
         if sigma == 0.0 or value == 0.0:

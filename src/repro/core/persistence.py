@@ -1,174 +1,87 @@
-"""Profiling-database and predictor persistence.
+"""The checkpoint file format: versioned JSON documents.
+
+Every stateful component owns its state through one protocol: an
+in-place ``state_dict()`` that returns JSON-ready values and a
+``load_state_dict(state)`` that installs them (see DESIGN.md §9).  This
+module is the file side of that protocol: it stamps a state with
+:data:`FORMAT_VERSION` on write and checks the stamp on read, in one
+place, so each file carries exactly one version.
 
 The paper's database "provides the power consumption and throughput
 projection for all workloads and server configurations *it has ever
 executed*" — knowledge that must survive controller restarts, or every
-reboot pays the training-run cost again for every pair.  This module
-serialises a :class:`~repro.core.database.ProfilingDatabase` to a
-versioned JSON document and restores it bit-for-bit (samples, envelopes,
-and the current fits), and does the same for the Holt predictors so a
-long-lived deployment (the :mod:`repro.serve` daemon) can checkpoint its
-entire learned state.
+reboot pays the training-run cost again for every pair.
+:func:`save_database` / :func:`load_database` write and read the same
+document a serve checkpoint's ``rackN.database.json`` holds.
 
 The format is deliberately plain JSON: operators can inspect and diff
-the learned projections, and foreign tools can consume them.  All
-serialisation goes through the database's public snapshot API
-(:meth:`~repro.core.database.ProfilingDatabase.snapshot` /
-:meth:`~repro.core.database.ProfilingDatabase.restore_entry`); nothing
-here touches private state.
+the learned projections, and foreign tools can consume them.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any
 
-from repro.core.database import (
-    DatabaseEntry,
-    FitKind,
-    PerfPowerFit,
-    ProfilingDatabase,
-)
-from repro.core.predictor import HoltPredictor
+from repro.core.database import ProfilingDatabase
 from repro.errors import ConfigurationError
 
 #: Format version written into every document; bump on breaking changes.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
-def database_to_dict(db: ProfilingDatabase) -> dict[str, Any]:
-    """Serialise ``db`` into a JSON-ready dictionary."""
-    entries = []
-    for entry in db.snapshot():
-        record: dict[str, Any] = {
-            "platform": entry.key[0],
-            "workload": entry.key[1],
-            "idle_power_w": entry.idle_power_w,
-            "max_power_w": entry.max_power_w,
-            "min_active_power_w": (
-                None
-                if entry.min_active_power_w == float("inf")
-                else entry.min_active_power_w
-            ),
-            "powers": list(entry.powers),
-            "perfs": list(entry.perfs),
-        }
-        if entry.fit is not None:
-            record["fit"] = {
-                "coefficients": list(entry.fit.coefficients),
-                "min_power_w": entry.fit.min_power_w,
-                "max_power_w": entry.fit.max_power_w,
-                "kind": entry.fit.kind.name,
-                "n_samples": entry.fit.n_samples,
-            }
-        entries.append(record)
-    return {
-        "format_version": FORMAT_VERSION,
-        "fit_kind": db.fit_kind.name,
-        "max_samples": db.max_samples,
-        "entries": entries,
-    }
+def write_document(path: str | Path, state: dict[str, Any]) -> None:
+    """Write ``state`` stamped with the format version, atomically.
+
+    The document goes to a temp file that is renamed over ``path``, so
+    an interrupted write never corrupts a previous document.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    document = {"format_version": FORMAT_VERSION, **state}
+    tmp.write_text(json.dumps(document, indent=2, sort_keys=True))
+    os.replace(tmp, path)
 
 
-def database_from_dict(data: dict[str, Any]) -> ProfilingDatabase:
-    """Rebuild a database from :func:`database_to_dict` output.
+def read_document(path: str | Path, what: str) -> dict[str, Any]:
+    """Read a :func:`write_document` file and return its state.
 
     Raises
     ------
     ConfigurationError
-        On version mismatch or malformed documents.
+        If the file is unreadable, not a JSON object, or stamped with
+        another format version.
     """
     try:
-        version = data["format_version"]
-        if version != FORMAT_VERSION:
-            raise ConfigurationError(
-                f"unsupported database format version {version} "
-                f"(this build reads {FORMAT_VERSION})"
-            )
-        db = ProfilingDatabase(
-            fit_kind=FitKind[data["fit_kind"]],
-            max_samples=int(data["max_samples"]),
+        document = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {what} from {path}: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ConfigurationError(f"{path} does not contain a {what} document")
+    version = document.pop("format_version", None)
+    if version != FORMAT_VERSION:
+        raise ConfigurationError(
+            f"unsupported {what} format version {version} "
+            f"(this build reads {FORMAT_VERSION})"
         )
-        for record in data["entries"]:
-            fit_doc = record.get("fit")
-            fit = None
-            if fit_doc is not None:
-                fit = PerfPowerFit(
-                    coefficients=tuple(fit_doc["coefficients"]),
-                    min_power_w=fit_doc["min_power_w"],
-                    max_power_w=fit_doc["max_power_w"],
-                    kind=FitKind[fit_doc["kind"]],
-                    n_samples=int(fit_doc["n_samples"]),
-                )
-            min_active = record["min_active_power_w"]
-            db.restore_entry(
-                DatabaseEntry(
-                    key=(record["platform"], record["workload"]),
-                    idle_power_w=record["idle_power_w"],
-                    max_power_w=record["max_power_w"],
-                    min_active_power_w=(
-                        float("inf") if min_active is None else float(min_active)
-                    ),
-                    powers=tuple(float(p) for p in record["powers"]),
-                    perfs=tuple(float(p) for p in record["perfs"]),
-                    fit=fit,
-                )
-            )
-        return db
-    except ConfigurationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed database document: {exc}") from exc
+    return document
 
 
 def save_database(db: ProfilingDatabase, path: str | Path) -> None:
     """Write ``db`` as pretty-printed JSON at ``path``."""
-    document = database_to_dict(db)
-    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True))
+    write_document(path, db.state_dict())
 
 
 def load_database(path: str | Path) -> ProfilingDatabase:
-    """Read a database JSON document from ``path``.
+    """Read a database document from ``path``.
 
     Raises
     ------
     ConfigurationError
         If the file is not valid JSON or not a database document.
     """
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot read database from {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{path} does not contain a database document")
-    return database_from_dict(data)
-
-
-# ----------------------------------------------------------------------
-# Predictor state
-# ----------------------------------------------------------------------
-
-
-def predictor_to_dict(predictor: HoltPredictor) -> dict[str, Any]:
-    """Serialise a Holt predictor (constants + streaming state)."""
-    return {"format_version": FORMAT_VERSION, **predictor.state_dict()}
-
-
-def predictor_from_dict(data: dict[str, Any]) -> HoltPredictor:
-    """Rebuild a predictor from :func:`predictor_to_dict` output.
-
-    Raises
-    ------
-    ConfigurationError
-        On version mismatch or malformed documents.
-    """
-    if not isinstance(data, dict):
-        raise ConfigurationError("predictor document must be a JSON object")
-    version = data.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ConfigurationError(
-            f"unsupported predictor format version {version} "
-            f"(this build reads {FORMAT_VERSION})"
-        )
-    return HoltPredictor.from_state_dict(data)
+    db = ProfilingDatabase()
+    db.load_state_dict(read_document(path, "database"))
+    return db

@@ -22,6 +22,7 @@ quasi-Newton refinement.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -146,28 +147,36 @@ class HoltPredictor:
             "n_observed": self._n_observed,
         }
 
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "HoltPredictor":
-        """Rebuild a predictor captured by :meth:`state_dict`.
+    def load_state_dict(self, state: dict) -> None:
+        """Install a :meth:`state_dict` capture (constants and state).
 
         Raises
         ------
         ConfigurationError
-            On missing keys or out-of-range constants.
+            On missing keys, out-of-range constants, or a non-finite
+            level or trend.
         """
         try:
-            predictor = cls(
-                alpha=float(state["alpha"]),
-                beta=float(state["beta"]),
-                nonnegative=bool(state["nonnegative"]),
-            )
-            level = state["level"]
-            predictor._level = None if level is None else float(level)
-            predictor._trend = float(state["trend"])
-            predictor._n_observed = int(state["n_observed"])
+            alpha = float(state["alpha"])
+            beta = float(state["beta"])
+            nonnegative = bool(state["nonnegative"])
+            level = None if state["level"] is None else float(state["level"])
+            trend = float(state["trend"])
+            n_observed = int(state["n_observed"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed predictor state: {exc}") from exc
-        return predictor
+        if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
+            raise ConfigurationError(
+                f"alpha and beta must be in [0, 1], got {alpha} and {beta}"
+            )
+        if not math.isfinite(trend) or (level is not None and not math.isfinite(level)):
+            raise ConfigurationError("predictor level and trend must be finite")
+        self.alpha = alpha
+        self.beta = beta
+        self.nonnegative = nonnegative
+        self._level = level
+        self._trend = trend
+        self._n_observed = n_observed
 
     # ------------------------------------------------------------------
     # Training (Eq. 5)

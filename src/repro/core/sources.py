@@ -25,9 +25,11 @@ brownouts.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import Any
 
-from repro.errors import PowerError
+from repro.errors import ConfigurationError, PowerError
 from repro.power.battery import BatteryBank
 from repro.power.grid import GridSource
 
@@ -118,6 +120,20 @@ class SourceSelector:
     def grid_mode(self) -> bool:
         """True while the grid has taken over from a drained battery."""
         return self._grid_mode
+
+    def state_dict(self) -> dict[str, Any]:
+        """The grid-mode hysteresis flag (the thresholds are config)."""
+        return {"grid_mode": self._grid_mode}
+
+    def load_state_dict(self, state: dict[str, Any]) -> None:
+        """Install a :meth:`state_dict` capture."""
+        try:
+            grid_mode = state["grid_mode"]
+        except (KeyError, TypeError) as exc:
+            raise ConfigurationError(f"malformed selector state: {exc}") from exc
+        if not isinstance(grid_mode, bool):
+            raise ConfigurationError("selector grid_mode must be a boolean")
+        self._grid_mode = grid_mode
 
     def decide(
         self,
@@ -251,6 +267,21 @@ class RationedSourceSelector(SourceSelector):
             raise PowerError("night length must be positive")
         self.night_length_s = night_length_s
         self._dark_elapsed_s = 0.0
+
+    def state_dict(self) -> dict[str, Any]:
+        """The hysteresis flag plus how long the dark period has lasted."""
+        return {**super().state_dict(), "dark_elapsed_s": self._dark_elapsed_s}
+
+    def load_state_dict(self, state: dict[str, Any]) -> None:
+        """Install a :meth:`state_dict` capture."""
+        try:
+            dark_elapsed_s = float(state["dark_elapsed_s"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed selector state: {exc}") from exc
+        if not 0.0 <= dark_elapsed_s < math.inf:
+            raise ConfigurationError("selector dark_elapsed_s must be finite and >= 0")
+        super().load_state_dict(state)
+        self._dark_elapsed_s = dark_elapsed_s
 
     def decide(
         self,

@@ -16,7 +16,9 @@ recharge cycles of lifetime — and an 80% energy efficiency
 
 from __future__ import annotations
 
-from repro.errors import BatteryError
+import math
+
+from repro.errors import BatteryError, ConfigurationError
 
 #: Lead-acid discharge C-rate: capacity / 5 hours.
 DEFAULT_DISCHARGE_HOURS = 5.0
@@ -158,6 +160,42 @@ class BatteryBank:
     def lifetime_consumed_fraction(self) -> float:
         """Fraction of the rated 1300-cycle lifetime consumed so far."""
         return self.equivalent_cycles / RATED_CYCLES_AT_DOD
+
+    # ------------------------------------------------------------------
+    # Checkpointing
+    # ------------------------------------------------------------------
+    def state_dict(self) -> dict[str, float]:
+        """SoC and the lifetime throughput counters (the ratings are config)."""
+        return {
+            "soc_wh": self.soc_wh,
+            "discharged_wh_total": self._discharged_wh_total,
+            "charged_wh_total": self._charged_wh_total,
+        }
+
+    def load_state_dict(self, state: dict[str, float]) -> None:
+        """Install a :meth:`state_dict` capture.
+
+        Raises
+        ------
+        ConfigurationError
+            On missing keys, a SoC outside ``[0, capacity_wh]``, or a
+            negative or non-finite counter.
+        """
+        try:
+            soc_wh = float(state["soc_wh"])
+            discharged = float(state["discharged_wh_total"])
+            charged = float(state["charged_wh_total"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed battery state: {exc}") from exc
+        if not 0.0 <= soc_wh <= self.capacity_wh:
+            raise ConfigurationError(
+                f"battery SoC {soc_wh} Wh is outside [0, {self.capacity_wh}]"
+            )
+        if not (0.0 <= discharged < math.inf and 0.0 <= charged < math.inf):
+            raise ConfigurationError("battery counters must be finite and >= 0")
+        self.soc_wh = soc_wh
+        self._discharged_wh_total = discharged
+        self._charged_wh_total = charged
 
     # ------------------------------------------------------------------
     # Flow limits (planning queries used by the scheduler)

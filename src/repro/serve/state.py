@@ -6,34 +6,27 @@ wraps) run through :meth:`Simulation.step` — and answers the daemon's
 queries (allocate / forecast / status).  :class:`ServeState` assembles
 and owns a fleet of hosts — optionally coordinated through the existing
 :class:`~repro.core.cluster.ClusterCoordinator` when a shared grid
-budget is configured — and implements checkpoint/restore of every
-rack's learned state (profiling database, Holt predictors, battery
-charge, epoch counter) via :mod:`repro.core.persistence`.
+budget is configured — and implements checkpoint/restore.  A rack's
+checkpoint is its simulation's :meth:`~repro.sim.engine.Simulation.state_dict`,
+so a restored rack continues the trajectory it would have followed
+without the restart, epoch for epoch.
 
 Checkpoints are a directory of plain JSON files written atomically
-(temp file + rename), one database and one state document per rack plus
-a manifest, so a ``kill -TERM`` mid-write can never corrupt a previous
-checkpoint.  Restore is bit-identical for the learned state: the fits a
-restored daemon serves are exactly the fits the old daemon saved.
+(temp file + rename) through :mod:`repro.core.persistence`: per rack,
+its profiling database and the rest of its state, plus a manifest
+written last, so a ``kill -TERM`` mid-write can never corrupt a
+previous checkpoint.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from repro.core.cluster import ClusterCoordinator, GridSplit
 from repro.core.controller import EpochRecord
-from repro.core.persistence import (
-    FORMAT_VERSION,
-    database_from_dict,
-    database_to_dict,
-    predictor_from_dict,
-    predictor_to_dict,
-)
+from repro.core.persistence import read_document, write_document
 from repro.core.policies import make_policy
 from repro.errors import ConfigurationError
 from repro.servers.rack import Rack
@@ -50,19 +43,12 @@ from repro.units import EPOCH_SECONDS
 MANIFEST_NAME = "manifest.json"
 
 
-def _atomic_write_json(path: Path, document: dict[str, Any]) -> None:
-    """Write ``document`` as JSON at ``path`` via temp-file + rename."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(document, indent=2, sort_keys=True))
-    os.replace(tmp, path)
-
-
 @dataclass(frozen=True)
 class ServeConfig:
     """Everything needed to (re)assemble the served fleet.
 
     The config is persisted into the checkpoint manifest so a restart
-    can rebuild identical stacks before restoring learned state.
+    can rebuild identical stacks before restoring their state.
 
     Attributes
     ----------
@@ -136,9 +122,7 @@ class ServeConfig:
                 seed=int(data["seed"]),
                 shared_grid_w=data["shared_grid_w"],
                 epoch_s=float(data["epoch_s"]),
-                # `.get`: checkpoints written before the shift subsystem
-                # have no horizon entry; the default keeps them readable.
-                shift_horizon=int(data.get("shift_horizon", 8)),
+                shift_horizon=int(data["shift_horizon"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed serve config: {exc}") from exc
@@ -312,61 +296,14 @@ class RackHost:
             **self.cache_info(),
         }
 
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    def state_document(self) -> dict[str, Any]:
-        """JSON-ready mutable state (everything but the database)."""
-        scheduler = self.controller.scheduler
-        return {
-            "format_version": FORMAT_VERSION,
-            "name": self.name,
-            "n_epochs": self.sim.epoch_index,
-            "start_s": float(self.sim.clock.start_s),
-            "epoch_s": float(self.sim.clock.epoch_s),
-            "battery_soc_wh": self.controller.pdu.battery.soc_wh,
-            "renewable_predictor": predictor_to_dict(scheduler.renewable_predictor),
-            "demand_predictor": predictor_to_dict(scheduler.demand_predictor),
-            "shift": self.shift.state_dict(),
-        }
-
-    def restore_state_document(self, document: dict[str, Any]) -> None:
-        """Install a :meth:`state_document` snapshot into this host."""
-        try:
-            version = document["format_version"]
-            if version != FORMAT_VERSION:
-                raise ConfigurationError(
-                    f"unsupported rack state version {version} "
-                    f"(this build reads {FORMAT_VERSION})"
-                )
-            scheduler = self.controller.scheduler
-            scheduler.renewable_predictor = predictor_from_dict(
-                document["renewable_predictor"]
-            )
-            scheduler.demand_predictor = predictor_from_dict(
-                document["demand_predictor"]
-            )
-            self.controller.pdu.battery.soc_wh = float(document["battery_soc_wh"])
-            self.sim.epoch_index = int(document["n_epochs"])
-            self.sim.clock = replace(
-                self.sim.clock, start_s=float(document["start_s"])
-            )
-            # `.get`: state documents written before the shift subsystem
-            # carry no queue; the fresh runtime stands in for an empty one.
-            shift_state = document.get("shift")
-            if shift_state is not None:
-                self.shift.load_state_dict(shift_state)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed rack state document: {exc}") from exc
-
 
 class ServeState:
     """The daemon's full fleet: named rack hosts plus optional coordination.
 
     Build with :meth:`ServeState.build`, which assembles each rack with
     the paper's standard methodology (:meth:`Simulation.assemble`) and —
-    when the checkpoint directory holds a manifest — restores the
-    previous deployment's learned state bit-for-bit.
+    when the checkpoint directory holds a manifest — restores every
+    rack's simulation state, so each continues where it stopped.
     """
 
     def __init__(
@@ -398,19 +335,16 @@ class ServeState:
 
         When ``checkpoint_dir`` contains a manifest, its persisted
         config *replaces* the given one (a checkpoint names the exact
-        deployment it belongs to) and every rack's database, predictors,
-        battery charge, and epoch counter are restored.
+        deployment it belongs to) and every rack's simulation state is
+        restored.
         """
         manifest: dict[str, Any] | None = None
         if checkpoint_dir is not None:
             manifest_path = Path(checkpoint_dir) / MANIFEST_NAME
             if manifest_path.exists():
-                try:
-                    manifest = json.loads(manifest_path.read_text())
-                except (OSError, json.JSONDecodeError) as exc:
-                    raise ConfigurationError(
-                        f"cannot read checkpoint manifest {manifest_path}: {exc}"
-                    ) from exc
+                manifest = read_document(manifest_path, "checkpoint manifest")
+                if "config" not in manifest:
+                    raise ConfigurationError(f"{manifest_path} names no config")
                 config = ServeConfig.from_dict(manifest["config"])
         if config is None:
             config = ServeConfig()
@@ -503,19 +437,14 @@ class ServeState:
         directory = self.checkpoint_dir
         directory.mkdir(parents=True, exist_ok=True)
         for name, host in self.racks.items():
-            _atomic_write_json(
-                directory / f"{name}.database.json",
-                database_to_dict(host.controller.scheduler.database),
-            )
-            _atomic_write_json(
-                directory / f"{name}.state.json", host.state_document()
-            )
+            state = host.sim.state_dict()
+            write_document(directory / f"{name}.database.json", state.pop("database"))
+            write_document(directory / f"{name}.state.json", state)
         # The manifest is written last: a directory with a manifest is a
         # complete checkpoint by construction.
-        _atomic_write_json(
+        write_document(
             directory / MANIFEST_NAME,
             {
-                "format_version": FORMAT_VERSION,
                 "config": self.config.to_dict(),
                 "racks": sorted(self.racks),
                 "cluster_epochs": self.cluster_epochs,
@@ -524,37 +453,26 @@ class ServeState:
         return directory
 
     def _restore(self, manifest: dict[str, Any]) -> None:
-        """Install a checkpoint's learned state into the assembled fleet."""
+        """Install every rack's checkpointed state into the assembled fleet."""
         assert self.checkpoint_dir is not None
         try:
-            version = manifest["format_version"]
-            if version != FORMAT_VERSION:
-                raise ConfigurationError(
-                    f"unsupported checkpoint version {version} "
-                    f"(this build reads {FORMAT_VERSION})"
-                )
-            names = list(manifest["racks"])
-            self.cluster_epochs = int(manifest.get("cluster_epochs", 0))
+            names = sorted(manifest["racks"])
+            cluster_epochs = int(manifest["cluster_epochs"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed checkpoint manifest: {exc}") from exc
-        if sorted(names) != sorted(self.racks):
+        if names != sorted(self.racks):
             raise ConfigurationError(
-                f"checkpoint racks {sorted(names)} do not match the "
+                f"checkpoint racks {names} do not match the "
                 f"assembled fleet {sorted(self.racks)}"
             )
+        directory = self.checkpoint_dir
         for name in names:
-            host = self.racks[name]
-            db_path = self.checkpoint_dir / f"{name}.database.json"
-            state_path = self.checkpoint_dir / f"{name}.state.json"
-            try:
-                database_doc = json.loads(db_path.read_text())
-                state_doc = json.loads(state_path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ConfigurationError(
-                    f"cannot read checkpoint files for {name}: {exc}"
-                ) from exc
-            host.controller.scheduler.database = database_from_dict(database_doc)
-            host.restore_state_document(state_doc)
+            state = read_document(directory / f"{name}.state.json", f"{name} state")
+            state["database"] = read_document(
+                directory / f"{name}.database.json", f"{name} database"
+            )
+            self.racks[name].sim.load_state_dict(state)
+        self.cluster_epochs = cluster_epochs
         self.restored = True
 
     # ------------------------------------------------------------------

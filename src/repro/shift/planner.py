@@ -66,6 +66,7 @@ the next replan.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -118,7 +119,7 @@ def chain_forecast(predictor: Any, horizon: int) -> tuple[float, ...]:
     if horizon < 1:
         raise ConfigurationError("horizon must be >= 1")
     if isinstance(predictor, HoltPredictor):
-        clone = HoltPredictor.from_state_dict(predictor.state_dict())
+        clone = copy.copy(predictor)
         out = []
         for _ in range(horizon):
             forecast = clone.predict(1)

@@ -236,25 +236,28 @@ class JobQueue:
             )
         return {"jobs": entries}
 
-    @classmethod
-    def from_state_dict(cls, state: dict[str, Any]) -> "JobQueue":
-        queue = cls()
+    def load_state_dict(self, state: dict[str, Any]) -> None:
+        """Replace the queue with a :meth:`state_dict` capture.
+
+        Nothing is installed unless the whole state is valid.
+        """
+        staged = JobQueue()
         try:
             for entry in state["jobs"]:
                 job = ShiftJob.from_dict(entry)
                 status = str(entry["status"])
                 if status not in JobStatus.ALL:
                     raise ConfigurationError(f"unknown job status {status!r}")
-                queue._jobs[job.job_id] = job
-                queue._status[job.job_id] = status
+                staged._jobs[job.job_id] = job
+                staged._status[job.job_id] = status
                 if entry.get("started_s") is not None:
-                    queue._started_s[job.job_id] = float(entry["started_s"])
+                    staged._started_s[job.job_id] = float(entry["started_s"])
                 if entry.get("epochs_run"):
-                    queue._epochs_run[job.job_id] = int(entry["epochs_run"])
+                    staged._epochs_run[job.job_id] = int(entry["epochs_run"])
                 elif status in (JobStatus.RUNNING, JobStatus.DONE):
-                    queue._epochs_run[job.job_id] = 0
+                    staged._epochs_run[job.job_id] = 0
                 if entry.get("completed_s") is not None:
-                    queue._completed_s[job.job_id] = float(entry["completed_s"])
+                    staged._completed_s[job.job_id] = float(entry["completed_s"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed queue state: {exc}") from exc
-        return queue
+        vars(self).update(vars(staged))

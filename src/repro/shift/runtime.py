@@ -337,10 +337,8 @@ class ShiftRuntime:
 
     def load_state_dict(self, state: dict[str, Any]) -> None:
         try:
-            self.queue = JobQueue.from_state_dict(state["queue"])
-            self._interactive_predictor = HoltPredictor.from_state_dict(
-                state["interactive_predictor"]
-            )
+            self.queue.load_state_dict(state["queue"])
+            self._interactive_predictor.load_state_dict(state["interactive_predictor"])
             last_plan = state["last_plan"]
             self.last_plan = (
                 None if last_plan is None else ShiftPlan.from_dict(last_plan)
@@ -348,7 +346,7 @@ class ShiftRuntime:
             self.activated = bool(state["activated"])
             self._start_baseline_wh = {
                 str(job_id): float(wh)
-                for job_id, wh in state.get("start_baseline_wh", {}).items()
+                for job_id, wh in state["start_baseline_wh"].items()
             }
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed shift state: {exc}") from exc

@@ -19,7 +19,9 @@ The engine is where the paper's experimental methodology is encoded:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from typing import Any
 
 from repro.core.controller import (
     NO_DIRECTIVES, EpochDirectives, EpochRecord, GreenHeteroController,
@@ -289,6 +291,77 @@ class Simulation:
         else:
             demand_history = [rack.demand_at_load(1.0) for _ in history_times]
         self.controller.prime_predictors(renewable_history, demand_history)
+
+    # ------------------------------------------------------------------
+    # Checkpointing
+    # ------------------------------------------------------------------
+    def _stateful_components(self) -> dict[str, Any]:
+        """Every component whose state changes the trajectory, by name."""
+        scheduler = self.controller.scheduler
+        components = {
+            "database": scheduler.database,
+            "renewable_predictor": scheduler.renewable_predictor,
+            "demand_predictor": scheduler.demand_predictor,
+            "selector": scheduler.selector,
+            "monitor": self.controller.monitor,
+            "battery": self.controller.pdu.battery,
+            "load_generator": self.load_generator,
+        }
+        if self.shift is not None:
+            components["shift"] = self.shift
+        return components
+
+    def state_dict(self) -> dict[str, Any]:
+        """JSON-ready state from which a freshly assembled twin continues
+        this run bit for bit (see DESIGN.md §9).
+
+        Captured only when called; the epoch path never touches it.  The
+        telemetry log, the auditor's counters and the solver memo cache
+        are not part of it.
+        """
+        state = {
+            name: component.state_dict()
+            for name, component in self._stateful_components().items()
+        }
+        state["epoch_index"] = self.epoch_index
+        state["start_s"] = float(self.clock.start_s)
+        return state
+
+    def load_state_dict(self, state: dict[str, Any]) -> None:
+        """Install a :meth:`state_dict` capture into this simulation.
+
+        The simulation must be assembled like the one that was captured
+        (same rack, policy, seeds, schedule, shift runtime or none).  The
+        workload schedule is replayed to the last executed epoch first,
+        so the rack and its load generator run the captured workload.
+
+        Raises
+        ------
+        ConfigurationError
+            When the components do not match this simulation's, the
+            epoch index is negative, or any component rejects its state.
+        """
+        try:
+            epoch_index = int(state["epoch_index"])
+            start_s = float(state["start_s"])
+            names = sorted(set(state) - {"epoch_index", "start_s"})
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed simulation state: {exc}") from exc
+        expected = sorted(self._stateful_components())
+        if names != expected:
+            raise ConfigurationError(
+                f"state components {names} do not match this simulation's {expected}"
+            )
+        if epoch_index < 0:
+            raise ConfigurationError(f"epoch index must be >= 0, got {epoch_index}")
+        if not math.isfinite(start_s):
+            raise ConfigurationError("clock start must be finite")
+        if epoch_index > 0:
+            self._apply_schedule(start_s + (epoch_index - 1) * self.clock.epoch_s)
+        for name, component in self._stateful_components().items():
+            component.load_state_dict(state[name])
+        self.epoch_index = epoch_index
+        self.clock = replace(self.clock, start_s=start_s)
 
     # ------------------------------------------------------------------
     @property

@@ -1,11 +1,12 @@
 """Checkpoint round-trip fuzzing for serve/shift state.
 
 The serve daemon's restore promise is bit-identical learned state; this
-module stress-tests it with seeded randomized instances of every
-serialized component — Holt predictors, job queues, shift runtimes,
-profiling databases, and serve configs — asserting that
-``serialize -> restore -> serialize`` is a fixed point (canonical-JSON
-equality, the same representation the checkpoint files use).
+module stress-tests it with seeded randomized instances of the
+checkpointed components — Holt predictors, job queues, shift runtimes,
+profiling databases, batteries, source selectors, monitors, and serve
+configs — asserting that ``state_dict -> load_state_dict -> state_dict``
+is a fixed point (canonical-JSON equality, the same representation the
+checkpoint files use).
 
 The serve/shift imports are function-local: the verify package is
 imported by the simulation engine, and pulling :mod:`repro.serve.state`
@@ -45,10 +46,20 @@ def _canon(document: object) -> str:
     return json.dumps(document, sort_keys=True)
 
 
+def _fixed_point(original, fresh) -> str | None:
+    """``state_dict`` -> JSON text -> ``load_state_dict`` into ``fresh`` ->
+    ``state_dict``; returns an error string unless both states agree."""
+    before = _canon(original.state_dict())
+    fresh.load_state_dict(json.loads(before))
+    if _canon(fresh.state_dict()) != before:
+        return f"{type(original).__name__}: state diverged after restore"
+    return None
+
+
 # ----------------------------------------------------------------------
-# Per-component round trips.  Each returns an error string or None.
+# Per-kind random instances.  Each returns (populated, fresh) components.
 # ----------------------------------------------------------------------
-def _round_trip_predictor(rng: random.Random) -> str | None:
+def _predictor(rng: random.Random):
     from repro.core.predictor import HoltPredictor
 
     predictor = HoltPredictor(
@@ -56,14 +67,7 @@ def _round_trip_predictor(rng: random.Random) -> str | None:
     )
     for _ in range(rng.randint(0, 12)):
         predictor.observe(rng.uniform(0.0, 2000.0))
-    before = predictor.state_dict()
-    restored = HoltPredictor.from_state_dict(before)
-    after = restored.state_dict()
-    if _canon(before) != _canon(after):
-        return f"HoltPredictor: {before!r} != {after!r}"
-    if predictor.ready and predictor.predict() != restored.predict():
-        return "HoltPredictor: restored forecast differs"
-    return None
+    return predictor, HoltPredictor()
 
 
 def _random_job(rng: random.Random, job_id: str):
@@ -80,7 +84,7 @@ def _random_job(rng: random.Random, job_id: str):
     )
 
 
-def _round_trip_queue(rng: random.Random) -> str | None:
+def _queue(rng: random.Random):
     from repro.shift.queue import JobQueue, JobStatus
 
     epoch_s = 900.0
@@ -98,15 +102,10 @@ def _round_trip_queue(rng: random.Random) -> str | None:
                     )
         elif roll < 0.5:
             queue.expire(job.deadline_s + epoch_s, epoch_s)
-    before = queue.state_dict()
-    restored = JobQueue.from_state_dict(before)
-    after = restored.state_dict()
-    if _canon(before) != _canon(after):
-        return f"JobQueue: state diverged after restore ({len(queue)} jobs)"
-    return None
+    return queue, JobQueue()
 
 
-def _round_trip_shift_runtime(rng: random.Random) -> str | None:
+def _shift_runtime(rng: random.Random):
     from repro.shift.runtime import ShiftRuntime
 
     runtime = ShiftRuntime()
@@ -117,18 +116,11 @@ def _round_trip_shift_runtime(rng: random.Random) -> str | None:
     runtime._start_baseline_wh = {
         f"job-{i}": rng.uniform(0.0, 100.0) for i in range(rng.randint(0, 3))
     }
-    before = runtime.state_dict()
-    restored = ShiftRuntime()
-    restored.load_state_dict(before)
-    after = restored.state_dict()
-    if _canon(before) != _canon(after):
-        return "ShiftRuntime: state diverged after restore"
-    return None
+    return runtime, ShiftRuntime()
 
 
-def _round_trip_database(rng: random.Random) -> str | None:
+def _database(rng: random.Random):
     from repro.core.database import ProfilingDatabase
-    from repro.core.persistence import database_from_dict, database_to_dict
 
     database = ProfilingDatabase()
     for i in range(rng.randint(1, 3)):
@@ -139,15 +131,53 @@ def _round_trip_database(rng: random.Random) -> str | None:
             power = idle + rng.uniform(5.0, 150.0)
             samples.append((power, rng.uniform(1.0, 500.0)))
         database.ingest_training_run(key, idle, samples)
-    before = database_to_dict(database)
-    restored = database_from_dict(before)
-    after = database_to_dict(restored)
-    if _canon(before) != _canon(after):
-        return "ProfilingDatabase: document diverged after restore"
-    return None
+    return database, ProfilingDatabase()
 
 
-def _round_trip_serve_config(rng: random.Random) -> str | None:
+def _battery(rng: random.Random):
+    from repro.power.battery import BatteryBank
+
+    battery = BatteryBank(initial_soc_fraction=rng.uniform(0.6, 1.0))
+    for _ in range(rng.randint(0, 6)):
+        battery.discharge(rng.uniform(0.0, 3000.0), 900.0)
+        battery.charge(rng.uniform(0.0, 1500.0), 900.0)
+    return battery, BatteryBank()
+
+
+def _selector(rng: random.Random):
+    from repro.core.sources import RationedSourceSelector
+
+    selector = RationedSourceSelector()
+    selector._grid_mode = rng.random() < 0.5
+    selector._dark_elapsed_s = rng.uniform(0.0, 43200.0)
+    return selector, RationedSourceSelector()
+
+
+def _monitor(rng: random.Random):
+    from repro.core.monitor import Monitor
+
+    monitor = Monitor(seed=rng.randint(0, 10_000))
+    for _ in range(rng.randint(0, 8)):
+        monitor.observe_renewable(rng.uniform(1.0, 1500.0))
+    return monitor, Monitor()
+
+
+class _ConfigHolder:
+    """A :class:`~repro.serve.state.ServeConfig` behind the state protocol."""
+
+    def __init__(self, config=None) -> None:
+        self.config = config
+
+    def state_dict(self):
+        return self.config.to_dict()
+
+    def load_state_dict(self, state) -> None:
+        from repro.serve.state import ServeConfig
+
+        self.config = ServeConfig.from_dict(state)
+
+
+def _serve_config(rng: random.Random):
     from repro.serve.state import ServeConfig
     from repro.traces.nrel import Weather
 
@@ -162,20 +192,18 @@ def _round_trip_serve_config(rng: random.Random) -> str | None:
         epoch_s=rng.choice([300.0, 900.0]),
         shift_horizon=rng.randint(1, 16),
     )
-    before = config.to_dict()
-    restored = ServeConfig.from_dict(before)
-    after = restored.to_dict()
-    if _canon(before) != _canon(after):
-        return f"ServeConfig: {before!r} != {after!r}"
-    return None
+    return _ConfigHolder(config), _ConfigHolder()
 
 
-_ROUND_TRIPS = (
-    _round_trip_predictor,
-    _round_trip_queue,
-    _round_trip_shift_runtime,
-    _round_trip_database,
-    _round_trip_serve_config,
+_KINDS = (
+    _predictor,
+    _queue,
+    _shift_runtime,
+    _database,
+    _battery,
+    _selector,
+    _monitor,
+    _serve_config,
 )
 
 
@@ -189,12 +217,12 @@ def fuzz_round_trips(n_cases: int = 50, seed: int = 0) -> FuzzReport:
     total = 0
     for i in range(n_cases):
         rng = random.Random(seed * 7919 + i)
-        for round_trip in _ROUND_TRIPS:
+        for build in _KINDS:
             total += 1
             try:
-                error = round_trip(rng)
+                error = _fixed_point(*build(rng))
             except Exception as exc:  # pragma: no cover - defect path
-                error = f"{round_trip.__name__}: raised {exc!r}"
+                error = f"{build.__name__}: raised {exc!r}"
             if error is not None:
                 failures.append(f"case {i}: {error}")
     return FuzzReport(n_cases=total, failures=tuple(failures))

@@ -15,11 +15,12 @@ jitter so that consecutive epochs are not perfectly smooth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.rng import load_rng_state
 from repro.workloads.catalog import Workload
 
 
@@ -75,6 +76,14 @@ class LoadGenerator:
     def pattern(self) -> Callable[[float], float] | None:
         """The normalised intensity pattern driving interactive load."""
         return self._pattern
+
+    def state_dict(self) -> dict[str, Any]:
+        """The jitter RNG's bit-generator state (pattern and jitter are config)."""
+        return self._rng.bit_generator.state
+
+    def load_state_dict(self, state: dict[str, Any]) -> None:
+        """Install a :meth:`state_dict` capture."""
+        load_rng_state(self._rng, state)
 
     def at(self, time_s: float) -> OfferedLoad:
         """Offered load at ``time_s``."""

@@ -1,4 +1,4 @@
-"""Profiling-database JSON persistence."""
+"""The state protocol's file side: versioned documents and database files."""
 
 import json
 
@@ -7,11 +7,12 @@ import pytest
 from repro.core.database import FitKind, ProfilingDatabase
 from repro.core.persistence import (
     FORMAT_VERSION,
-    database_from_dict,
-    database_to_dict,
     load_database,
+    read_document,
     save_database,
+    write_document,
 )
+from repro.core.predictor import HoltPredictor
 from repro.errors import ConfigurationError
 
 KEY = ("E5-2620", "SPECjbb")
@@ -29,15 +30,22 @@ def db():
     return out
 
 
+def reloaded(db):
+    """A fresh database with ``db``'s state installed."""
+    out = ProfilingDatabase()
+    out.load_state_dict(db.state_dict())
+    return out
+
+
 class TestRoundTrip:
     def test_dict_round_trip(self, db):
-        restored = database_from_dict(database_to_dict(db))
+        restored = reloaded(db)
         assert restored.keys() == db.keys()
         assert restored.fit_kind is db.fit_kind
         assert restored.max_samples == db.max_samples
 
     def test_fits_survive(self, db):
-        restored = database_from_dict(database_to_dict(db))
+        restored = reloaded(db)
         for key in db.keys():
             original = db.projection(key)
             loaded = restored.projection(key)
@@ -47,7 +55,7 @@ class TestRoundTrip:
             assert loaded.kind is original.kind
 
     def test_samples_survive_and_refit_matches(self, db):
-        restored = database_from_dict(database_to_dict(db))
+        restored = reloaded(db)
         assert restored.sample_count(KEY) == db.sample_count(KEY)
         a = restored.refit(KEY)
         b = db.refit(KEY)
@@ -63,7 +71,7 @@ class TestRoundTrip:
         assert doc["format_version"] == FORMAT_VERSION
 
     def test_restored_db_keeps_learning(self, db):
-        restored = database_from_dict(database_to_dict(db))
+        restored = reloaded(db)
         restored.add_sample(KEY, 140.0, 22000.0)
         fit = restored.refit(KEY)
         assert fit.n_samples >= 5
@@ -71,21 +79,45 @@ class TestRoundTrip:
     def test_entry_without_fit_survives(self):
         db = ProfilingDatabase()
         db.ensure_entry(KEY, 88.0, 150.0)
-        restored = database_from_dict(database_to_dict(db))
+        restored = reloaded(db)
         assert not restored.has(*KEY)
         assert KEY in restored.keys()
 
+    def test_load_replaces_existing_records(self, db):
+        target = ProfilingDatabase(fit_kind=FitKind.LINEAR)
+        target.ensure_entry(("other", "Mcf"), 10.0, 50.0)
+        target.load_state_dict(db.state_dict())
+        assert target.keys() == db.keys()
+        assert target.fit_kind is FitKind.QUADRATIC
+
 
 class TestValidation:
-    def test_version_mismatch_rejected(self, db):
-        doc = database_to_dict(db)
+    def test_version_mismatch_rejected(self, db, tmp_path):
+        path = tmp_path / "profiles.json"
+        save_database(db, path)
+        doc = json.loads(path.read_text())
         doc["format_version"] = 999
+        path.write_text(json.dumps(doc))
         with pytest.raises(ConfigurationError):
-            database_from_dict(doc)
+            load_database(path)
+
+    def test_version_one_rejected(self, db, tmp_path):
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps({**db.state_dict(), "format_version": 1}))
+        with pytest.raises(ConfigurationError, match="version 1"):
+            load_database(path)
 
     def test_malformed_document_rejected(self):
         with pytest.raises(ConfigurationError):
-            database_from_dict({"format_version": FORMAT_VERSION})
+            ProfilingDatabase().load_state_dict({})
+
+    def test_malformed_state_installs_nothing(self, db):
+        state = db.state_dict()
+        state["entries"][1]["powers"] = "oops"
+        target = ProfilingDatabase()
+        with pytest.raises(ConfigurationError):
+            target.load_state_dict(state)
+        assert len(target) == 0
 
     def test_unreadable_file_rejected(self, tmp_path):
         path = tmp_path / "nope.json"
@@ -108,7 +140,7 @@ class TestValidation:
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_sample_in_document_rejected(self, db, tmp_path, column, literal):
         # Python's json writes and reads these non-standard literals.
-        doc = database_to_dict(db)
+        doc = {"format_version": FORMAT_VERSION, **db.state_dict()}
         doc["entries"][0][column][1] = float(literal.replace("Infinity", "inf"))
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(doc))
@@ -119,45 +151,48 @@ class TestValidation:
 
 class TestPredictorPersistence:
     def _primed(self):
-        from repro.core.predictor import HoltPredictor
-
         p = HoltPredictor(alpha=0.6, beta=0.3)
         for v in (120.0, 150.0, 170.0, 160.0):
             p.observe(v)
         return p
 
     def test_round_trip_bit_identical(self):
-        from repro.core.persistence import predictor_from_dict, predictor_to_dict
-
         p = self._primed()
-        restored = predictor_from_dict(predictor_to_dict(p))
+        restored = HoltPredictor()
+        restored.load_state_dict(p.state_dict())
         assert restored.state_dict() == p.state_dict()
         assert restored.predict(4) == p.predict(4)
 
-    def test_json_round_trip(self):
-        from repro.core.persistence import predictor_from_dict, predictor_to_dict
-
+    def test_json_round_trip(self, tmp_path):
         p = self._primed()
-        document = json.loads(json.dumps(predictor_to_dict(p)))
-        assert predictor_from_dict(document).state_dict() == p.state_dict()
+        path = tmp_path / "state.json"
+        write_document(path, {"predictor": p.state_dict()})
+        restored = HoltPredictor()
+        restored.load_state_dict(read_document(path, "state")["predictor"])
+        assert restored.state_dict() == p.state_dict()
 
-    def test_version_mismatch_rejected(self):
-        from repro.core.persistence import predictor_from_dict, predictor_to_dict
-
-        document = predictor_to_dict(self._primed())
+    def test_version_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "state.json"
+        write_document(path, {"predictor": self._primed().state_dict()})
+        document = json.loads(path.read_text())
         document["format_version"] = 99
+        path.write_text(json.dumps(document))
         with pytest.raises(ConfigurationError):
-            predictor_from_dict(document)
+            read_document(path, "state")
 
     def test_malformed_rejected(self):
-        from repro.core.persistence import predictor_from_dict
-
         with pytest.raises(ConfigurationError):
-            predictor_from_dict({"format_version": FORMAT_VERSION})
+            HoltPredictor().load_state_dict({})
+
+    def test_non_finite_level_rejected(self):
+        state = self._primed().state_dict()
+        state["level"] = float("nan")
+        with pytest.raises(ConfigurationError):
+            HoltPredictor().load_state_dict(state)
 
 
 class TestPublicSurfaceOnly:
-    def test_database_to_dict_uses_snapshot_api(self, db):
+    def test_database_state_dict_uses_snapshot_api(self, db):
         """Serialisation must survive a database exposing only its public API."""
 
         class Facade:
@@ -167,4 +202,4 @@ class TestPublicSurfaceOnly:
             def snapshot(self):
                 return db.snapshot()
 
-        assert database_to_dict(Facade()) == database_to_dict(db)
+        assert ProfilingDatabase.state_dict(Facade()) == db.state_dict()

@@ -144,29 +144,32 @@ class TestStateDict:
 
     def test_round_trip_bit_identical(self):
         p = self._primed()
-        q = HoltPredictor.from_state_dict(p.state_dict())
+        q = HoltPredictor()
+        q.load_state_dict(p.state_dict())
         assert q.state_dict() == p.state_dict()
         assert q.predict(3) == p.predict(3)
 
     def test_restored_predictor_keeps_learning(self):
         p = self._primed()
-        q = HoltPredictor.from_state_dict(p.state_dict())
+        q = HoltPredictor()
+        q.load_state_dict(p.state_dict())
         p.observe(16.0)
         q.observe(16.0)
         assert q.predict() == p.predict()
 
     def test_unprimed_round_trip(self):
         p = HoltPredictor(alpha=0.5, beta=0.5)
-        q = HoltPredictor.from_state_dict(p.state_dict())
+        q = HoltPredictor()
+        q.load_state_dict(p.state_dict())
         assert not q.ready
         assert q.state_dict() == p.state_dict()
 
     def test_malformed_state_rejected(self):
         with pytest.raises(ConfigurationError):
-            HoltPredictor.from_state_dict({"alpha": 0.5})
+            HoltPredictor().load_state_dict({"alpha": 0.5})
 
     def test_invalid_smoothing_rejected(self):
         state = HoltPredictor(alpha=0.5, beta=0.5).state_dict()
         state["alpha"] = 7.0
         with pytest.raises(ConfigurationError):
-            HoltPredictor.from_state_dict(state)
+            HoltPredictor().load_state_dict(state)

@@ -149,21 +149,17 @@ class TestCheckpointedPlans:
         for name, blob in want.items():
             assert (ckpt / name).read_bytes() == blob, name
 
-    def test_old_checkpoints_without_shift_state_restore(self, tmp_path):
+    def test_checkpoints_without_shift_state_are_rejected(self, tmp_path):
         ckpt = tmp_path / "ckpt"
         state = ServeState.build(BATCH, checkpoint_dir=ckpt)
         state.rack("rack0").step()
         state.checkpoint()
         # Strip the shift section, as a pre-shift daemon would have
-        # written it.
+        # written it; such (version-1) documents are no longer read.
         doc_path = ckpt / "rack0.state.json"
         document = json.loads(doc_path.read_text())
         document.pop("shift")
         doc_path.write_text(json.dumps(document, indent=2, sort_keys=True))
 
-        restored = ServeState.build(BATCH, checkpoint_dir=ckpt)
-        host = restored.rack("rack0")
-        assert restored.restored
-        assert host.sim.epoch_index == 1
-        assert not host.shift.activated
-        assert len(host.shift.queue) == 0
+        with pytest.raises(ConfigurationError, match="components"):
+            ServeState.build(BATCH, checkpoint_dir=ckpt)

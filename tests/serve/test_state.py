@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.core.persistence import database_to_dict
 from repro.errors import ConfigurationError
 from repro.serve.state import MANIFEST_NAME, ServeConfig, ServeState
 
@@ -153,20 +152,20 @@ class TestCheckpoint:
         state.checkpoint()
         host = state.rack("rack0")
         want_db = json.dumps(
-            database_to_dict(host.controller.scheduler.database), sort_keys=True
+            host.controller.scheduler.database.state_dict(), sort_keys=True
         )
-        want_state = json.dumps(host.state_document(), sort_keys=True)
+        want_state = json.dumps(host.sim.state_dict(), sort_keys=True)
 
         restored = ServeState.build(SMALL, checkpoint_dir=ckpt)
         assert restored.restored
         again = restored.rack("rack0")
         assert (
             json.dumps(
-                database_to_dict(again.controller.scheduler.database), sort_keys=True
+                again.controller.scheduler.database.state_dict(), sort_keys=True
             )
             == want_db
         )
-        assert json.dumps(again.state_document(), sort_keys=True) == want_state
+        assert json.dumps(again.sim.state_dict(), sort_keys=True) == want_state
         assert again.sim.epoch_index == 3
 
     def test_manifest_config_replaces_callers(self, tmp_path):
@@ -204,3 +203,87 @@ class TestCheckpoint:
         ServeState.build(SMALL, checkpoint_dir=ckpt).checkpoint()
         restored = ServeState.build(SMALL, checkpoint_dir=ckpt)
         assert restored.status()["restored"] is True
+
+
+def edit_json(path, edit):
+    document = json.loads(path.read_text())
+    document = edit(document)
+    path.write_text(json.dumps(document))
+
+
+@pytest.fixture
+def checkpointed(tmp_path):
+    """A checkpoint directory of SMALL after two epochs."""
+    ckpt = tmp_path / "ckpt"
+    state = ServeState.build(SMALL, checkpoint_dir=ckpt)
+    state.rack("rack0").step()
+    state.rack("rack0").step()
+    state.checkpoint()
+    return ckpt
+
+
+class TestCheckpointBoundary:
+    """Bad checkpoint input raises ConfigurationError, never a bare error."""
+
+    def rejects(self, ckpt, match=None):
+        with pytest.raises(ConfigurationError, match=match):
+            ServeState.build(SMALL, checkpoint_dir=ckpt)
+
+    def test_manifest_without_config(self, checkpointed):
+        def drop_config(manifest):
+            del manifest["config"]
+            return manifest
+
+        edit_json(checkpointed / MANIFEST_NAME, drop_config)
+        self.rejects(checkpointed, match="config")
+
+    def test_manifest_that_is_a_list(self, checkpointed):
+        edit_json(checkpointed / MANIFEST_NAME, lambda manifest: [manifest])
+        self.rejects(checkpointed)
+
+    def test_version_one_checkpoint(self, checkpointed):
+        def version_one(manifest):
+            manifest["format_version"] = 1
+            return manifest
+
+        edit_json(checkpointed / MANIFEST_NAME, version_one)
+        self.rejects(checkpointed, match="version 1")
+
+    def edit_rack_state(self, ckpt, edit):
+        def apply(state):
+            edit(state)
+            return state
+
+        edit_json(ckpt / "rack0.state.json", apply)
+
+    def test_nan_battery_soc(self, checkpointed):
+        self.edit_rack_state(
+            checkpointed,
+            lambda state: state["battery"].update(soc_wh=float("nan")),
+        )
+        self.rejects(checkpointed, match="SoC")
+
+    @pytest.mark.parametrize("soc_wh", [-1.0, 12001.0])
+    def test_battery_soc_outside_capacity(self, checkpointed, soc_wh):
+        self.edit_rack_state(
+            checkpointed, lambda state: state["battery"].update(soc_wh=soc_wh)
+        )
+        self.rejects(checkpointed, match="SoC")
+
+    def test_negative_epoch_index(self, checkpointed):
+        self.edit_rack_state(
+            checkpointed, lambda state: state.update(epoch_index=-1)
+        )
+        self.rejects(checkpointed, match="epoch index")
+
+    @pytest.mark.parametrize("component", ["monitor", "load_generator"])
+    def test_rng_state_for_another_bit_generator(self, checkpointed, component):
+        self.edit_rack_state(
+            checkpointed,
+            lambda state: state[component].update(bit_generator="MT19937"),
+        )
+        self.rejects(checkpointed, match="PCG64")
+
+    def test_missing_component(self, checkpointed):
+        self.edit_rack_state(checkpointed, lambda state: state.pop("selector"))
+        self.rejects(checkpointed, match="components")

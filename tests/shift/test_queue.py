@@ -116,7 +116,8 @@ class TestSerialization:
         q.advance("a", EPOCH, EPOCH)
         q.expire(EPOCH, EPOCH)  # misses "b"
 
-        restored = JobQueue.from_state_dict(q.state_dict())
+        restored = JobQueue()
+        restored.load_state_dict(q.state_dict())
         assert restored.state_dict() == q.state_dict()
         assert restored.status("a") == JobStatus.RUNNING
         assert restored.epochs_run("a") == 1
@@ -126,8 +127,8 @@ class TestSerialization:
 
     def test_malformed_state_rejected(self):
         with pytest.raises(ConfigurationError, match="malformed"):
-            JobQueue.from_state_dict({"jobs": [{"job_id": "x"}]})
+            JobQueue().load_state_dict({"jobs": [{"job_id": "x"}]})
         with pytest.raises(ConfigurationError, match="unknown job status"):
-            JobQueue.from_state_dict(
+            JobQueue().load_state_dict(
                 {"jobs": [{**job().to_dict(), "status": "paused"}]}
             )

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.core.database import FitKind, ProfilingDatabase
-from repro.core.persistence import database_from_dict, database_to_dict
 
 
 @st.composite
@@ -38,10 +37,17 @@ def databases(draw):
     return db
 
 
+def reloaded(state):
+    """A fresh database with ``state`` installed."""
+    db = ProfilingDatabase()
+    db.load_state_dict(state)
+    return db
+
+
 @given(db=databases())
 @settings(max_examples=40, deadline=None)
 def test_round_trip_preserves_everything(db):
-    restored = database_from_dict(database_to_dict(db))
+    restored = reloaded(db.state_dict())
     assert restored.keys() == db.keys()
     assert restored.fit_kind is db.fit_kind
     assert restored.max_samples == db.max_samples
@@ -58,6 +64,6 @@ def test_round_trip_preserves_everything(db):
 @given(db=databases())
 @settings(max_examples=25, deadline=None)
 def test_double_round_trip_is_stable(db):
-    once = database_to_dict(database_from_dict(database_to_dict(db)))
-    twice = database_to_dict(database_from_dict(once))
+    once = reloaded(db.state_dict()).state_dict()
+    twice = reloaded(once).state_dict()
     assert once == twice

@@ -5,10 +5,15 @@ Exercises the full operational story as a real deployment would see it:
 
 1. boot ``repro serve`` as a subprocess with a checkpoint directory,
 2. fire a bounded ``loadgen`` burst at it (writes ``BENCH_serve.json``),
+   then checkpoint, keep a copy of the checkpoint, and step ``rack0``
+   a few more epochs,
 3. stop it with SIGTERM and check the shutdown checkpoint exists,
 4. boot a second daemon from the same checkpoint directory and verify
    it restores — and that re-checkpointing the restored state writes
-   byte-identical learned state (database + predictors).
+   byte-identical state,
+5. boot a third daemon from the copy and verify that stepping ``rack0``
+   reproduces the first daemon's epochs after the copy, record for
+   record.
 
 Exit status is non-zero on any failure.  Usage:
 
@@ -20,6 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -44,6 +50,20 @@ from repro.serve.loadgen import format_summary, run_loadgen  # noqa: E402
 READY_RE = re.compile(r"serving \d+ rack\(s\) on ([\d.]+):(\d+)(.*)")
 BOOT_TIMEOUT_S = 120.0
 STOP_TIMEOUT_S = 60.0
+#: Epochs stepped on ``rack0`` after the mid-life checkpoint, by both
+#: the first daemon and the one restored from that checkpoint.
+RESUME_STEPS = 3
+
+
+def step_records(client, rack: str) -> list[dict]:
+    """Step ``rack`` :data:`RESUME_STEPS` times; the epoch events without
+    the solver cache counters (the memo cache is not checkpointed)."""
+    records = []
+    for _ in range(RESUME_STEPS):
+        event = client.step(rack)
+        event.pop("solver_cache", None)
+        records.append(event)
+    return records
 
 
 def start_daemon(checkpoint: Path, audit: Path) -> tuple[subprocess.Popen, int, str]:
@@ -103,6 +123,7 @@ def main() -> int:
 
     tmp = Path(tempfile.mkdtemp(prefix="serve-smoke-"))
     checkpoint = tmp / "checkpoint"
+    resume = tmp / "resume"
     audit = tmp / "audit.jsonl"
 
     # --- first life: cold boot, burst, SIGTERM ------------------------
@@ -127,6 +148,10 @@ def main() -> int:
         cache = result["cache_after"]["racks"]["rack0"]["solver_cache"]
         if cache["hits"] == 0:
             raise SystemExit("duplicate queries never hit the solver cache")
+        with ServeClient(port=port) as client:
+            client.checkpoint()
+            shutil.copytree(checkpoint, resume)
+            first_life = step_records(client, "rack0")
     finally:
         stop_daemon(proc)
 
@@ -161,8 +186,24 @@ def main() -> int:
         if now != blob:
             raise SystemExit(f"restored state re-checkpointed differently: {name}")
 
+    # --- third life: resume from the mid-life copy, step, compare ------
+    proc, port, suffix = start_daemon(resume, audit)
+    try:
+        if "restored" not in suffix:
+            raise SystemExit("third boot did not restore the copied checkpoint")
+        with ServeClient(port=port) as client:
+            resumed = step_records(client, "rack0")
+    finally:
+        stop_daemon(proc)
+    if resumed != first_life:
+        raise SystemExit(
+            f"restored daemon diverged from the first life's {RESUME_STEPS} "
+            f"epochs after the checkpoint:\n{first_life}\n{resumed}"
+        )
+    print(f"resume: {RESUME_STEPS} epochs after the checkpoint identical")
+
     audit_lines = audit.read_text().splitlines()
-    print(f"audit stream: {len(audit_lines)} events across both lives")
+    print(f"audit stream: {len(audit_lines)} events across the three lives")
     print("serve smoke: OK")
     return 0
 
