@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 from repro.sim.experiment import ExperimentConfig, run_experiment
@@ -62,20 +61,25 @@ def gain_statistics(samples: Sequence[float], confidence: float = 0.95) -> GainS
     Raises
     ------
     ConfigurationError
-        With fewer than two samples (no interval exists) or a
-        nonsensical confidence level.
+        With fewer than two samples (no interval exists), a non-finite
+        sample, or a nonsensical confidence level.
     """
     if len(samples) < 2:
         raise ConfigurationError("need at least 2 samples for an interval")
     if not 0.0 < confidence < 1.0:
         raise ConfigurationError("confidence must be in (0, 1)")
     data = np.asarray(samples, dtype=float)
+    if not np.isfinite(data).all():
+        raise ConfigurationError("samples must be finite")
     mean = float(data.mean())
     std = float(data.std(ddof=1))
     sem = std / np.sqrt(len(data))
     if sem == 0.0:
         lo = hi = mean
     else:
+        # Imported here: scipy.stats costs ~0.4 s, and only an interval needs it.
+        from scipy import stats
+
         lo, hi = stats.t.interval(confidence, len(data) - 1, loc=mean, scale=sem)
     return GainStatistics(
         samples=tuple(float(x) for x in data),

@@ -17,7 +17,11 @@ generation and rack demand with Holt's linear method:
 The smoothing constants are trained on historical records by minimising
 the sum of squared one-step prediction errors (Eq. 5) over the unit box
 ``0 <= alpha, beta <= 1``, using a coarse grid to seed a bounded
-quasi-Newton refinement.
+quasi-Newton refinement.  The refinement changes the answer: on the
+reference racks' pretrain renewable histories it moves every fit off the
+11x11 grid to a strictly lower SSE (``tests/core/test_predictor.py`` pins
+this), so it stays even though it is the one reason a served rack loads
+``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import REGISTRY as _REGISTRY
@@ -241,10 +244,18 @@ class HoltPredictor:
 
         A coarse grid over the unit box seeds an L-BFGS-B refinement,
         which is robust against the SSE surface's flat regions.
+
+        Raises
+        ------
+        ConfigurationError
+            With fewer than 3 observations, or any non-finite one (every
+            SSE would be NaN and the fit would fall to alpha = beta = 0).
         """
         data = np.asarray(history, dtype=float)
         if len(data) < 3:
             raise ConfigurationError("need at least 3 observations to fit")
+        if not np.isfinite(data).all():
+            raise ConfigurationError("history must be finite to fit")
         _FITS_TOTAL.inc()
         with _FIT_SECONDS.time():
             return cls._fit_impl(data, nonnegative, grid_steps)
@@ -263,6 +274,10 @@ class HoltPredictor:
         winner = int(np.argmin(scores))
         best = (float(alphas[winner]), float(betas[winner]))
         best_sse = float(scores[winner])
+
+        # Imported here, off the package's import path: fits run when a
+        # rack is pretrained, never per epoch.
+        from scipy import optimize
 
         result = optimize.minimize(
             lambda x: cls.sse(data, x[0], x[1]),

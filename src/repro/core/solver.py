@@ -57,7 +57,6 @@ from time import perf_counter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.database import PerfPowerFit
 from repro.errors import SolverError
@@ -646,6 +645,10 @@ class PARSolver:
                 groups[i].count * groups[i].fit.predict(float(xi))
                 for i, xi in zip(on, x)
             )
+
+        # Imported here, off the package's import path: only cubic fits and
+        # solve_via("slsqp") reach this polish.
+        from scipy import optimize
 
         result = optimize.minimize(
             negative_perf,

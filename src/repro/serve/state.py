@@ -20,6 +20,7 @@ previous checkpoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -210,8 +211,10 @@ class RackHost:
 
     def observe(self, renewable_w: float, demand_w: float) -> dict[str, Any]:
         """Ingest one pushed telemetry observation; returns the new forecast."""
-        if renewable_w < 0 or demand_w < 0:
-            raise ConfigurationError("observations must be non-negative")
+        # A NaN would stick in the predictors' level and trend for good and
+        # make the rack's next checkpoint unrestorable.
+        if not all(math.isfinite(v) and v >= 0 for v in (renewable_w, demand_w)):
+            raise ConfigurationError("observations must be finite and non-negative")
         self.controller.scheduler.observe(renewable_w, demand_w)
         return self.forecast()
 

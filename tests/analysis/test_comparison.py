@@ -37,6 +37,11 @@ class TestGainStatistics:
         with pytest.raises(ConfigurationError):
             gain_statistics([1.6])
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_sample_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            gain_statistics([1.5, bad, 1.6])
+
     def test_bad_confidence_rejected(self):
         with pytest.raises(ConfigurationError):
             gain_statistics([1.5, 1.6], confidence=1.0)

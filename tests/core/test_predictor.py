@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import ExperimentConfig
+from repro.core.policies import make_policy
 from repro.core.predictor import HoltPredictor
 from repro.errors import ConfigurationError
+from repro.sim.engine import Simulation
 
 
 class TestEquations:
@@ -124,6 +127,13 @@ class TestTraining:
         with pytest.raises(ConfigurationError):
             HoltPredictor.fit([1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_fit_rejects_non_finite_history(self, bad):
+        history = self._solar_like()
+        history[40] = bad
+        with pytest.raises(ConfigurationError, match="finite"):
+            HoltPredictor.fit(history)
+
     def test_fitted_predictor_tracks_solar_ramp(self):
         # One-step forecasts of a smooth solar ramp should be close.
         history = self._solar_like()
@@ -133,6 +143,38 @@ class TestTraining:
             errors.append(abs(p.predict() - obs))
             p.observe(float(obs))
         assert np.mean(errors) < 100.0  # within 10% of the 1 kW peak
+
+
+class TestRefinement:
+    """The L-BFGS-B step after the 11x11 grid changes the trained constants."""
+
+    def test_leaves_the_grid_on_reference_rack(self, monkeypatch):
+        histories = []
+        fit = HoltPredictor.fit.__func__
+
+        def capturing(cls, history, *args, **kwargs):
+            histories.append(np.asarray(history, dtype=float))
+            return fit(cls, history, *args, **kwargs)
+
+        monkeypatch.setattr(HoltPredictor, "fit", classmethod(capturing))
+        config = ExperimentConfig.fig8_default(seed=8084)
+        Simulation.assemble(
+            policy=make_policy("GreenHetero"),
+            rack=config.build_rack(),
+            weather=config.weather,
+            clock=config.build_clock(),
+            solar_scale=config.solar_scale,
+            seed=config.seed,
+        )
+        renewable = histories[0]  # pretraining fits renewable, then demand
+
+        grid = np.linspace(0.0, 1.0, 11)
+        alphas, betas = np.repeat(grid, 11), np.tile(grid, 11)
+        grid_best = HoltPredictor.sse_batch(renewable, alphas, betas).min()
+        fitted = fit(HoltPredictor, renewable)
+        on_grid = np.isclose(fitted.alpha, grid).any() and np.isclose(fitted.beta, grid).any()
+        assert not on_grid, (fitted.alpha, fitted.beta)
+        assert HoltPredictor.sse(renewable, fitted.alpha, fitted.beta) < grid_best
 
 
 class TestStateDict:

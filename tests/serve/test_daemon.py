@@ -122,6 +122,26 @@ class TestProtocolSurface:
             f.flush()
             assert json.loads(f.readline())["ok"] is True
 
+    @pytest.mark.parametrize("renewable", [b"NaN", b'"nan"', b"Infinity"])
+    def test_non_finite_observation_rejected(self, served, tmp_path, renewable):
+        daemon, state = served
+        before = state.rack("rack0").controller.scheduler.renewable_predictor.state_dict()
+        line = b'{"op": "observe", "rack": "rack0", "renewable_w": %s, "demand_w": 500}\n'
+        with socket.create_connection(("127.0.0.1", daemon.port), timeout=10) as sock:
+            f = sock.makefile("rwb")
+            f.write(line % renewable)
+            f.flush()
+            response = json.loads(f.readline())
+        assert response["ok"] is False
+        assert response["error_type"] == "ConfigurationError"
+        after = state.rack("rack0").controller.scheduler.renewable_predictor.state_dict()
+        assert after == before
+        # The rack's checkpoint still restores.
+        with ServeClient(port=daemon.port) as client:
+            client.checkpoint()
+        restored = ServeState.build(SMALL, checkpoint_dir=tmp_path / "ckpt")
+        assert restored.restored
+
     def test_request_id_echoed(self, served):
         daemon, _ = served
         with socket.create_connection(("127.0.0.1", daemon.port), timeout=10) as sock:

@@ -15,7 +15,9 @@ Exercises the full operational story as a real deployment would see it:
    reproduces the first daemon's epochs after the copy, record for
    record.
 
-Exit status is non-zero on any failure.  Usage:
+``BENCH_serve.json`` also gets ``boot_s``: each boot's seconds from
+launch to the readiness line, in boot order (a report of the cold start,
+not a gate).  Exit status is non-zero on any failure.  Usage:
 
     python tools/serve_smoke.py [--out BENCH_serve.json]
 """
@@ -23,6 +25,7 @@ Exit status is non-zero on any failure.  Usage:
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import shutil
@@ -66,8 +69,10 @@ def step_records(client, rack: str) -> list[dict]:
     return records
 
 
-def start_daemon(checkpoint: Path, audit: Path) -> tuple[subprocess.Popen, int, str]:
-    """Boot ``repro serve`` and wait for its readiness line."""
+def start_daemon(checkpoint: Path, audit: Path) -> tuple[subprocess.Popen, int, str, float]:
+    """Boot ``repro serve`` and wait for its readiness line; also returns
+    the seconds from launch to that line."""
+    start = time.perf_counter()
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve",
@@ -95,7 +100,7 @@ def start_daemon(checkpoint: Path, audit: Path) -> tuple[subprocess.Popen, int, 
         print(f"[daemon] {line.rstrip()}")
         match = READY_RE.match(line.strip())
         if match:
-            return proc, int(match.group(2)), match.group(3)
+            return proc, int(match.group(2)), match.group(3), time.perf_counter() - start
 
 
 def stop_daemon(proc: subprocess.Popen) -> None:
@@ -126,8 +131,11 @@ def main() -> int:
     resume = tmp / "resume"
     audit = tmp / "audit.jsonl"
 
+    boot_s = []
+
     # --- first life: cold boot, burst, SIGTERM ------------------------
-    proc, port, suffix = start_daemon(checkpoint, audit)
+    proc, port, suffix, seconds = start_daemon(checkpoint, audit)
+    boot_s.append(seconds)
     if "restored" in suffix:
         raise SystemExit("first boot claims a restore from an empty directory")
     try:
@@ -167,7 +175,8 @@ def main() -> int:
         raise SystemExit("checkpoint holds no rack databases")
 
     # --- second life: restore, re-checkpoint, compare -----------------
-    proc, port, suffix = start_daemon(checkpoint, audit)
+    proc, port, suffix, seconds = start_daemon(checkpoint, audit)
+    boot_s.append(seconds)
     try:
         if "restored" not in suffix:
             raise SystemExit("second boot did not restore the checkpoint")
@@ -187,7 +196,8 @@ def main() -> int:
             raise SystemExit(f"restored state re-checkpointed differently: {name}")
 
     # --- third life: resume from the mid-life copy, step, compare ------
-    proc, port, suffix = start_daemon(resume, audit)
+    proc, port, suffix, seconds = start_daemon(resume, audit)
+    boot_s.append(seconds)
     try:
         if "restored" not in suffix:
             raise SystemExit("third boot did not restore the copied checkpoint")
@@ -201,6 +211,11 @@ def main() -> int:
             f"epochs after the checkpoint:\n{first_life}\n{resumed}"
         )
     print(f"resume: {RESUME_STEPS} epochs after the checkpoint identical")
+
+    bench = json.loads(Path(args.out).read_text())
+    bench["boot_s"] = boot_s
+    Path(args.out).write_text(json.dumps(bench, indent=2, sort_keys=True))
+    print("boot: " + ", ".join(f"{s:.2f} s" for s in boot_s))
 
     audit_lines = audit.read_text().splitlines()
     print(f"audit stream: {len(audit_lines)} events across the three lives")
