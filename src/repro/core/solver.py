@@ -52,6 +52,7 @@ exactly the paper's Manual baseline (:meth:`PARSolver.compositions`).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Iterable, Sequence
@@ -59,7 +60,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.core.database import PerfPowerFit
-from repro.errors import SolverError
+from repro.errors import ConfigurationError, SolverError
 from repro.obs.metrics import REGISTRY as _REGISTRY
 
 # Process-wide solver telemetry (per-instance counters stay authoritative
@@ -224,7 +225,9 @@ class PARSolver:
         Raises
         ------
         SolverError
-            On empty input, too many groups, or a negative budget.
+            On empty input or too many groups.
+        ConfigurationError
+            On a negative or non-finite budget.
         """
         self._validate_inputs(groups, total_power_w)
         start = perf_counter()
@@ -284,7 +287,9 @@ class PARSolver:
         Raises
         ------
         SolverError
-            On invalid inputs or an unknown ``method``.
+            On empty input, too many groups, or an unknown ``method``.
+        ConfigurationError
+            On a negative or non-finite budget.
         """
         self._validate_inputs(groups, total_power_w)
         if method not in self.METHODS:
@@ -344,8 +349,12 @@ class PARSolver:
             raise SolverError(
                 f"{len(groups)} groups exceeds max_groups={self.max_groups}"
             )
-        if total_power_w < 0:
-            raise SolverError(f"budget must be non-negative, got {total_power_w}")
+        # A NaN passes a plain ``< 0`` test, and round() in the cache key
+        # raises on both NaN and inf.
+        if not (math.isfinite(total_power_w) and total_power_w >= 0):
+            raise ConfigurationError(
+                f"budget must be finite and non-negative, got {total_power_w}"
+            )
 
     def _cache_key(
         self, groups: Sequence[GroupModel], total_power_w: float

@@ -8,8 +8,8 @@ answers allocation queries.
 
 * :mod:`repro.serve.protocol` — the newline-delimited-JSON wire format.
 * :mod:`repro.serve.state` — rack hosting, checkpoint/restore.
-* :mod:`repro.serve.daemon` — the asyncio TCP daemon with request
-  coalescing and graceful shutdown-with-checkpoint.
+* :mod:`repro.serve.daemon` — the asyncio TCP daemon: one thread
+  serves every rack, with graceful shutdown-with-checkpoint.
 * :mod:`repro.serve.client` — a blocking client for tools and tests.
 * :mod:`repro.serve.loadgen` — the bundled load generator
   (``repro loadgen``) that records qps and latency percentiles.

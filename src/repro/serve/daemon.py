@@ -2,23 +2,21 @@
 
 :class:`AllocationDaemon` listens on TCP, speaks the NDJSON protocol of
 :mod:`repro.serve.protocol`, and drives a :class:`ServeState` fleet.
-Three serving behaviours matter beyond plain dispatch:
+Two serving behaviours matter beyond plain dispatch:
 
-* **Request coalescing.**  Solver calls are the expensive path, so
-  concurrent ``allocate`` queries against the same rack and (quantized)
-  budget share one in-flight solve: the first query computes in a
-  worker thread, the rest await its future.  Together with the
-  :class:`~repro.core.solver.PARSolver` memo cache this means a burst
-  of duplicate queries costs one solve.
-* **Single-writer racks.**  All controller-mutating work (solves,
-  epochs, checkpoints) runs through a per-rack ``asyncio.Lock`` and the
-  default thread-pool executor, so the event loop keeps accepting
-  connections while a rack computes, and no rack sees two mutations at
-  once.
+* **One thread owns the fleet.**  Every request handler runs to
+  completion on the event-loop thread and never awaits, so no two
+  handlers interleave and no rack sees two mutations at once — without
+  locks.  A handoff to worker threads would buy nothing: the GIL runs
+  the racks' numpy work one request at a time anyway, and the handoff
+  cost more than an ``allocate`` computes (DESIGN.md §11).  Duplicate
+  ``allocate`` queries are answered from the
+  :class:`~repro.core.solver.PARSolver` memo cache, so a burst of them
+  costs one solve.
 * **Shutdown-with-checkpoint.**  ``SIGTERM``/``SIGINT`` (or the
-  ``shutdown`` op) stop the listener, take every rack lock, write a
-  final checkpoint, and close the audit stream — the restartable
-  shutdown the paper's always-on deployment needs.
+  ``shutdown`` op) stop the listener, write a final checkpoint, and
+  close the audit stream — the restartable shutdown the paper's
+  always-on deployment needs.
 
 The JSONL audit stream records every executed epoch (in
 :func:`repro.sim.telemetry.record_to_dict` form, with solver-cache
@@ -37,7 +35,6 @@ from typing import Any, TextIO
 
 from time import perf_counter
 
-from repro.core.solver import PARSolver
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.metrics import REGISTRY as _REGISTRY
 from repro.serve.protocol import (
@@ -61,11 +58,6 @@ _REQUESTS_TOTAL = _REGISTRY.counter(
     "repro_serve_requests_total",
     "Requests by protocol verb and outcome",
     labelnames=("op", "status"),
-)
-_COALESCED_TOTAL = _REGISTRY.counter(
-    "repro_serve_coalesced_total",
-    "Queries answered by awaiting an in-flight duplicate",
-    labelnames=("op",),
 )
 _CHECKPOINT_SECONDS = _REGISTRY.histogram(
     "repro_serve_checkpoint_seconds", "Fleet checkpoint wall time"
@@ -121,7 +113,6 @@ class AllocationDaemon:
         self.counters: dict[str, int] = {
             "requests": 0,
             "errors": 0,
-            "coalesced": 0,
             "epochs": 0,
             "checkpoints": 0,
         }
@@ -129,8 +120,6 @@ class AllocationDaemon:
         self._server: asyncio.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._shutdown: asyncio.Event | None = None
-        self._locks: dict[str, asyncio.Lock] = {}
-        self._inflight: dict[tuple[str, int], asyncio.Future] = {}
         self._audit_file: TextIO | None = None
         self._started = threading.Event()
 
@@ -146,7 +135,6 @@ class AllocationDaemon:
         """Bind the listener and open the audit stream."""
         self._loop = asyncio.get_running_loop()
         self._shutdown = asyncio.Event()
-        self._locks = {name: asyncio.Lock() for name in self.state.rack_names()}
         if self.audit_path is not None:
             self.audit_path.parent.mkdir(parents=True, exist_ok=True)
             self._audit_file = open(self.audit_path, "a")
@@ -184,7 +172,7 @@ class AllocationDaemon:
             await self._graceful_stop()
 
     async def _graceful_stop(self) -> None:
-        """Stop accepting, quiesce the racks, checkpoint, close the audit."""
+        """Stop accepting, checkpoint, close the audit."""
         assert self._server is not None
         self._server.close()
         await self._server.wait_closed()
@@ -193,21 +181,9 @@ class AllocationDaemon:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._metrics_task
             self._metrics_task = None
-        # Taking every rack lock guarantees no epoch or solve is mid-air
-        # when the final checkpoint is cut.
-        for lock in self._locks.values():
-            await lock.acquire()
-        try:
-            if self.state.checkpoint_dir is not None:
-                with _CHECKPOINT_SECONDS.time():
-                    path = await asyncio.get_running_loop().run_in_executor(
-                        None, self.state.checkpoint
-                    )
-                self.counters["checkpoints"] += 1
-                self._audit({"event": "checkpoint", "path": str(path), "final": True})
-        finally:
-            for lock in self._locks.values():
-                lock.release()
+        # Handlers never await, so no epoch or solve is mid-air here.
+        if self.state.checkpoint_dir is not None:
+            self._checkpoint(final=True)
         if self.metrics_interval_s is not None:
             self._audit({"event": "metrics", "snapshot": _REGISTRY.snapshot()})
         self._audit({"event": "serve-stop", "counters": dict(self.counters)})
@@ -260,7 +236,7 @@ class AllocationDaemon:
                     break
                 if line.strip() == b"":
                     continue
-                response = await self._respond(line)
+                response = self._respond(line)
                 writer.write(encode_message(response))
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
@@ -270,7 +246,7 @@ class AllocationDaemon:
                 writer.close()
                 await writer.wait_closed()
 
-    async def _respond(self, line: bytes) -> dict[str, Any]:
+    def _respond(self, line: bytes) -> dict[str, Any]:
         request_id: Any = None
         self.counters["requests"] += 1
         op = "invalid"  # until the line parses into a known verb
@@ -281,7 +257,7 @@ class AllocationDaemon:
             request = parse_request(message)
             op = request.op
             self.op_counts[op] = self.op_counts.get(op, 0) + 1
-            result = await self._dispatch(request)
+            result = self._dispatch(request)
             _REQUESTS_TOTAL.labels(op, "ok").inc()
             return ok_response(request_id, result)
         except ReproError as exc:
@@ -296,9 +272,9 @@ class AllocationDaemon:
             _REQUEST_SECONDS.labels(op).observe(perf_counter() - start)
 
     # ------------------------------------------------------------------
-    # Dispatch
+    # Dispatch: every handler runs to completion on the loop thread
     # ------------------------------------------------------------------
-    async def _dispatch(self, request: Request) -> dict[str, Any]:
+    def _dispatch(self, request: Request) -> dict[str, Any]:
         op = request.op
         if op == "ping":
             return {"pong": True}
@@ -314,21 +290,24 @@ class AllocationDaemon:
                 "families": list(_REGISTRY.families()),
             }
         if op == "allocate":
-            return await self._allocate(request)
+            return self._rack(request).allocate(_number(request, "budget_w"))
         if op == "forecast":
             return self._rack(request).forecast()
         if op == "observe":
-            return self._observe(request)
+            return self._rack(request).observe(
+                _number(request, "renewable_w", required=True),
+                _number(request, "demand_w", required=True),
+            )
         if op == "step":
-            return await self._step(request)
+            return self._step(request)
         if op == "submit":
-            return await self._submit(request)
+            return self._submit(request)
         if op == "plan":
-            return await self._plan(request)
+            return self._rack(request).plan()
         if op == "queue-status":
-            return await self._queue_status(request)
+            return self._rack(request).queue_status()
         if op == "checkpoint":
-            return await self._checkpoint()
+            return {"checkpoint_dir": str(self._checkpoint(final=False))}
         if op == "shutdown":
             # Respond first; the event fires after this handler returns.
             assert self._loop is not None
@@ -347,79 +326,20 @@ class AllocationDaemon:
     # ------------------------------------------------------------------
     # Ops
     # ------------------------------------------------------------------
-    async def _allocate(self, request: Request) -> dict[str, Any]:
-        host = self._rack(request)
-        budget = request.params.get("budget_w")
-        if budget is not None:
-            budget = float(budget)
-            if budget < 0:
-                raise ConfigurationError("budget_w must be non-negative")
-        else:
-            # Resolve the planned budget up front so identical implicit
-            # queries coalesce with explicit ones.
-            budget = host.plan_budget_w()
-
-        key = (host.name, round(budget / PARSolver.CACHE_BUDGET_QUANTUM_W))
-        inflight = self._inflight.get(key)
-        if inflight is not None:
-            self.counters["coalesced"] += 1
-            _COALESCED_TOTAL.labels("allocate").inc()
-            return await asyncio.shield(inflight)
-
-        assert self._loop is not None
-        future: asyncio.Future = self._loop.create_future()
-        self._inflight[key] = future
-        try:
-            async with self._locks[host.name]:
-                result = await self._loop.run_in_executor(
-                    None, host.allocate, budget
-                )
-            future.set_result(result)
-            return result
-        except BaseException as exc:
-            future.set_exception(exc)
-            # Mark retrieved: waiters re-raise their shielded copy, and a
-            # future nobody awaited must not warn at GC time.
-            future.exception()
-            raise
-        finally:
-            del self._inflight[key]
-
-    def _observe(self, request: Request) -> dict[str, Any]:
-        host = self._rack(request)
-        params = request.params
-        try:
-            renewable_w = float(params["renewable_w"])
-            demand_w = float(params["demand_w"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(
-                "observe needs numeric 'renewable_w' and 'demand_w'"
-            ) from exc
-        return host.observe(renewable_w, demand_w)
-
-    async def _step(self, request: Request) -> dict[str, Any]:
-        assert self._loop is not None
-        load = request.params.get("load_fraction")
-        load = None if load is None else float(load)
+    def _step(self, request: Request) -> dict[str, Any]:
+        load = _number(request, "load_fraction")
         if request.rack is None and self.state.coordinator is not None:
-            return await self._step_cluster(load)
+            return self._step_cluster(load)
         host = self._rack(request)
-        async with self._locks[host.name]:
-            record = await self._loop.run_in_executor(None, host.step, load)
+        record = host.step(load)
         self.counters["epochs"] += 1
         event = self.state.epoch_event(host, record)
         self._audit(event)
         return event
 
-    async def _step_cluster(self, load: float | None) -> dict[str, Any]:
-        assert self._loop is not None
+    def _step_cluster(self, load: float | None) -> dict[str, Any]:
         loads = [load] * len(self.state.racks)  # None: each rack draws its own
-        async with contextlib.AsyncExitStack() as stack:
-            for name in sorted(self._locks):
-                await stack.enter_async_context(self._locks[name])
-            records = await self._loop.run_in_executor(
-                None, self.state.step_cluster, loads
-            )
+        records = self.state.step_cluster(loads)
         events = []
         for host, record in zip(self.state.racks.values(), records, strict=True):
             self.counters["epochs"] += 1
@@ -428,65 +348,19 @@ class AllocationDaemon:
             events.append(event)
         return {"cluster_epoch": self.state.cluster_epochs, "racks": events}
 
-    async def _submit(self, request: Request) -> dict[str, Any]:
-        assert self._loop is not None
+    def _submit(self, request: Request) -> dict[str, Any]:
         host = self._rack(request)
         job = request.params.get("job")
         if not isinstance(job, dict):
             raise ProtocolError("submit needs a 'job' object")
-        async with self._locks[host.name]:
-            return await self._loop.run_in_executor(None, host.submit, job)
+        return host.submit(job)
 
-    async def _plan(self, request: Request) -> dict[str, Any]:
-        """Replan a rack's shift queue; concurrent duplicates coalesce.
-
-        Planning is pure with respect to the rack clock and queue, so
-        concurrent ``plan`` queries against the same rack share one
-        in-flight computation, exactly like duplicate ``allocate``
-        queries.  The sentinel quantum ``-1`` cannot collide with an
-        allocate key: budgets are non-negative, so their quanta are too.
-        """
-        host = self._rack(request)
-        key = (host.name, -1)
-        inflight = self._inflight.get(key)
-        if inflight is not None:
-            self.counters["coalesced"] += 1
-            _COALESCED_TOTAL.labels("plan").inc()
-            return await asyncio.shield(inflight)
-
-        assert self._loop is not None
-        future: asyncio.Future = self._loop.create_future()
-        self._inflight[key] = future
-        try:
-            async with self._locks[host.name]:
-                result = await self._loop.run_in_executor(None, host.plan)
-            future.set_result(result)
-            return result
-        except BaseException as exc:
-            future.set_exception(exc)
-            # Mark retrieved: waiters re-raise their shielded copy, and a
-            # future nobody awaited must not warn at GC time.
-            future.exception()
-            raise
-        finally:
-            del self._inflight[key]
-
-    async def _queue_status(self, request: Request) -> dict[str, Any]:
-        assert self._loop is not None
-        host = self._rack(request)
-        async with self._locks[host.name]:
-            return await self._loop.run_in_executor(None, host.queue_status)
-
-    async def _checkpoint(self) -> dict[str, Any]:
-        assert self._loop is not None
-        async with contextlib.AsyncExitStack() as stack:
-            for name in sorted(self._locks):
-                await stack.enter_async_context(self._locks[name])
-            with _CHECKPOINT_SECONDS.time():
-                path = await self._loop.run_in_executor(None, self.state.checkpoint)
+    def _checkpoint(self, final: bool) -> Path:
+        with _CHECKPOINT_SECONDS.time():
+            path = self.state.checkpoint()
         self.counters["checkpoints"] += 1
-        self._audit({"event": "checkpoint", "path": str(path), "final": False})
-        return {"checkpoint_dir": str(path)}
+        self._audit({"event": "checkpoint", "path": str(path), "final": final})
+        return path
 
     def _status(self) -> dict[str, Any]:
         return {
@@ -497,13 +371,19 @@ class AllocationDaemon:
         }
 
     def _cache_stats(self) -> dict[str, Any]:
+        """Solver-cache counters per rack and process-wide.
+
+        ``coalesced`` is always 0: handlers run one at a time, so no two
+        queries are ever in flight together, and a duplicate
+        ``allocate`` is a memo-cache hit instead.  The key stays because
+        ``repro loadgen`` and the perfbench ``serve-fleet`` trace read it.
+        """
         return {
             **self.state.cache_stats(),
-            "coalesced": self.counters["coalesced"],
+            "coalesced": 0,
             "requests": self.counters["requests"],
-            # Process-wide obs counters: one atomic view across every
-            # rack's solver, so delta-based hit ratios can't be skewed
-            # by racing the per-rack reads (see loadgen).
+            # Process-wide obs counters: one view across every rack's
+            # solver (see loadgen).
             "obs": {
                 "solver_cache_hits": _SOLVER_CACHE_LOOKUPS.labels("hit").value,
                 "solver_cache_misses": _SOLVER_CACHE_LOOKUPS.labels("miss").value,
@@ -525,3 +405,16 @@ class AllocationDaemon:
             return
         self._audit_file.write(json.dumps(event) + "\n")
         self._audit_file.flush()
+
+
+def _number(request: Request, key: str, required: bool = False) -> float | None:
+    """Parameter ``key`` as a float; ``None`` when absent and optional."""
+    value = request.params.get(key)
+    if value is None and not required:
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(
+            f"{request.op} needs a numeric {key!r}, got {value!r}"
+        ) from exc

@@ -3,10 +3,9 @@
 Opens N concurrent connections (one worker thread each, mirroring N
 independent clients) and hammers the daemon with a deterministic mix of
 ``allocate`` / ``forecast`` / ``status`` / ``cache-stats`` queries.
-Allocation budgets cycle through a small set of levels, so concurrent
-duplicates exercise both the daemon's request coalescing and the PAR
-solver's memo cache — exactly the serving-path behaviour the benchmark
-exists to measure.
+Allocation budgets cycle through a small set of levels, so duplicates
+exercise the PAR solver's memo cache — exactly the serving-path
+behaviour the benchmark exists to measure.
 
 Results (qps, p50/p99 latency, per-op counts, cache counters) are
 returned as a dictionary and optionally written to ``BENCH_serve.json``
@@ -51,8 +50,7 @@ def solver_cache_hit_ratio(
 
     The preferred source is the daemon's process-wide obs counter
     snapshot (``stats["obs"]``): one atomic read covering every rack's
-    solver, immune to per-rack read races while coalesced requests are
-    in flight.  Snapshots from older daemons without the obs block fall
+    solver.  Snapshots from older daemons without the obs block fall
     back to summing the per-rack ``solver_cache`` counters.
     """
 
@@ -143,7 +141,7 @@ def run_loadgen(
     -------
     dict
         qps, latency percentiles (ms), per-op counts, error count, and
-        the daemon's cache/coalescing counters after the burst.
+        the daemon's cache counters after the burst.
     """
     if connections < 1:
         raise ConfigurationError("need at least one connection")
@@ -232,7 +230,6 @@ def format_summary(result: dict[str, Any]) -> str:
         f"mean {latency['mean']:.2f}   max {latency['max']:.2f}",
         f"  ops         {result['ops']}",
         f"  errors      {result['errors']}",
-        f"  coalesced   {result['cache_after'].get('coalesced', 0)}",
     ]
     hit_ratio = result.get("cache_hit_ratio")
     lines.append(

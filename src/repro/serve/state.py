@@ -159,7 +159,7 @@ class RackHost:
         return getattr(self.controller.policy, "solver", None)
 
     # ------------------------------------------------------------------
-    # Queries (called from the daemon's executor, one at a time per rack)
+    # Queries (called on the daemon's event-loop thread, one at a time)
     # ------------------------------------------------------------------
     def allocate(self, budget_w: float | None = None) -> dict[str, Any]:
         """Solve the PAR program for ``budget_w`` (or the planned budget).
@@ -170,8 +170,10 @@ class RackHost:
         self.controller.ensure_profiled(self.clock_s)
         if budget_w is None:
             budget_w = self.plan_budget_w()
-        if budget_w < 0:
-            raise ConfigurationError("budget_w must be non-negative")
+        if not (math.isfinite(budget_w) and budget_w >= 0):
+            raise ConfigurationError(
+                f"budget_w must be finite and non-negative, got {budget_w}"
+            )
         plan = self.controller.scheduler.allocate_plan(
             budget_w, self.controller.groups
         )

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.database import FitKind, PerfPowerFit
 from repro.core.solver import GroupModel, PARSolver
-from repro.errors import SolverError
+from repro.errors import ConfigurationError, SolverError
 
 
 def make_fit(l, m, n, lo, hi):
@@ -96,8 +96,17 @@ class TestBasics:
             solver.solve([], 100.0)
 
     def test_negative_budget_rejected(self, solver):
-        with pytest.raises(SolverError):
+        with pytest.raises(ConfigurationError):
             solver.solve([concave_group()], -1.0)
+
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("cache_size", [0, 8])
+    def test_non_finite_budget_rejected(self, budget, cache_size):
+        solver = PARSolver(cache_size=cache_size)
+        with pytest.raises(ConfigurationError, match="finite"):
+            solver.solve(three_groups(), budget)
+        with pytest.raises(ConfigurationError, match="finite"):
+            solver.solve_via(three_groups(), budget, "kkt")
 
     def test_too_many_groups_rejected(self):
         solver = PARSolver(max_groups=2)
@@ -412,7 +421,7 @@ class TestMemoization:
     def test_validation_still_runs_on_would_be_hits(self):
         solver = PARSolver(safety_margin=0.0, max_groups=2)
         solver.solve(self.groups(), 900.0)
-        with pytest.raises(SolverError):
+        with pytest.raises(ConfigurationError):
             solver.solve(self.groups(), -1.0)
 
     def test_partial_group_solver_shares_the_cache_machinery(self):

@@ -1,9 +1,8 @@
-"""The asyncio daemon: dispatch, coalescing, shutdown-with-checkpoint."""
+"""The asyncio daemon: dispatch on the loop thread, shutdown-with-checkpoint."""
 
 import json
 import socket
 import threading
-import time
 
 import pytest
 
@@ -151,19 +150,13 @@ class TestProtocolSurface:
             assert json.loads(f.readline())["id"] == "abc-123"
 
 
-class TestCoalescing:
-    def test_concurrent_duplicates_share_one_solve(self, served):
+class TestLoopThreadDispatch:
+    def test_concurrent_duplicates_cost_one_solve(self, served):
         daemon, state = served
-        host = state.rack("rack0")
-        calls = []
-        original = host.allocate
-
-        def slow_allocate(budget_w=None):
-            calls.append(budget_w)
-            time.sleep(0.3)
-            return original(budget_w)
-
-        host.allocate = slow_allocate
+        solver = state.rack("rack0").solver
+        with ServeClient(port=daemon.port) as c:
+            c.allocate("rack0", budget_w=400.0)  # profile the rack first
+        before = solver.cache_info()
         results = []
 
         def query():
@@ -177,8 +170,65 @@ class TestCoalescing:
             t.join(timeout=30)
         assert len(results) == 3
         assert results[0] == results[1] == results[2]
-        assert len(calls) == 1  # one executor solve served all three
-        assert daemon.counters["coalesced"] == 2
+        after = solver.cache_info()
+        assert after["misses"] - before["misses"] == 1
+        assert after["hits"] - before["hits"] == 2
+
+    def test_no_executor_threads(self, tmp_path):
+        config = ServeConfig(
+            platforms=SMALL.platforms, n_racks=2, shared_grid_w=1500.0
+        )
+        state = ServeState.build(config, checkpoint_dir=tmp_path / "ckpt")
+        daemon = AllocationDaemon(state, port=0)
+        thread = daemon.run_in_thread()
+        try:
+            with ServeClient(port=daemon.port) as c:
+                c.allocate("rack0", budget_w=600.0)
+                c.step("rack0")
+                c.step()
+                c.plan("rack1")
+                c.checkpoint()
+            names = [t.name for t in threading.enumerate()]
+        finally:
+            daemon.stop_from_thread()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert not [name for name in names if name.startswith("asyncio_")]
+
+
+class TestParameterErrors:
+    @staticmethod
+    def send(daemon, line):
+        with socket.create_connection(("127.0.0.1", daemon.port), timeout=10) as sock:
+            f = sock.makefile("rwb")
+            f.write(line + b"\n")
+            f.flush()
+            return json.loads(f.readline())
+
+    @pytest.mark.parametrize("budget", [b"NaN", b"1e400", b'"inf"', b"-1"])
+    def test_bad_budget_rejected(self, served, budget):
+        daemon, _ = served
+        response = self.send(
+            daemon, b'{"op": "allocate", "rack": "rack0", "budget_w": %s}' % budget
+        )
+        assert response["ok"] is False
+        assert response["error_type"] == "ConfigurationError"
+
+    @pytest.mark.parametrize(
+        "op, param",
+        [("allocate", "budget_w"), ("step", "load_fraction")],
+    )
+    @pytest.mark.parametrize("value", [b'"lots"', b"[1]"])
+    def test_non_numeric_parameter_is_protocol_error(self, served, op, param, value):
+        daemon, state = served
+        line = b'{"op": "%s", "rack": "rack0", "%s": %s}' % (
+            op.encode(), param.encode(), value
+        )
+        response = self.send(daemon, line)
+        assert response["ok"] is False
+        assert response["error_type"] == "ProtocolError"
+        assert param in response["error"]
+        assert state.rack("rack0").sim.epoch_index == 0
 
 
 class TestShutdown:

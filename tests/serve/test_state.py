@@ -61,6 +61,11 @@ class TestRackHost:
         with pytest.raises(ConfigurationError):
             host.allocate(-1.0)
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+    def test_non_finite_budget_rejected(self, host, budget):
+        with pytest.raises(ConfigurationError, match="finite"):
+            host.allocate(budget)
+
     def test_forecast_names_a_case(self, host):
         forecast = host.forecast()
         assert forecast["case"] in {"A", "B", "C"}

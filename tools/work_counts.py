@@ -13,11 +13,19 @@ each at scenario seeds 8084-8087, the four seeds ``perfbench`` rotates
 through for ``--seed 2021``, plus the served cluster path:
 
 * ``serve-cluster``: an in-process ``ServeState`` with 4 racks, seed
-  2021 and a 2000 W shared grid, stepped through 96 coordinated epochs.
+  2021 and a 2000 W shared grid, stepped through 96 coordinated epochs;
+* ``serve-daemon``: the same fleet behind an in-process
+  ``AllocationDaemon``, driven over one ``ServeClient`` by perfbench's
+  ``serve-fleet`` request round, 96 times: per rack ``allocate`` at the
+  planned budget and at 400/700/1000 W, then ``forecast``; then one
+  coordinated ``step``.
 
 Per scenario it writes the work the process-wide metrics registry
 counted: database refits, solver solves, shift plans and predictor
-fits; ``serve-cluster`` adds the epochs its racks' auditors checked.
+fits; both serve scenarios add the epochs their racks' auditors
+checked, and ``serve-daemon`` adds the solver-cache hits and misses of
+its requests, which pins how many solves the served allocations cost
+per cluster step.
 
 Unlike wall time, which moves by tens of percent between runs on a
 shared host, these counts are host-independent, so CI compares them
@@ -41,7 +49,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro import ExperimentConfig, run_experiment  # noqa: E402
 from repro.obs import REGISTRY  # noqa: E402
-from repro.serve import ServeConfig, ServeState  # noqa: E402
+from repro.serve import AllocationDaemon, ServeClient, ServeConfig, ServeState  # noqa: E402
 from repro.shift.bench import run_shift_bench  # noqa: E402
 
 SEED = 2021
@@ -54,6 +62,10 @@ SHIFT_JOBS = 6
 SERVE_RACKS = 4
 SERVE_SHARED_GRID_W = 2000.0
 SERVE_CLUSTER_STEPS = 96
+SERVE_DAEMON_ROUNDS = 96
+#: Explicit ``allocate`` budgets of a ``serve-daemon`` round, after the
+#: planned one (perfbench's ``serve-fleet`` levels).
+SERVE_DAEMON_BUDGETS_W = (400.0, 700.0, 1000.0)
 
 #: Output key -> metric family; a labelled family counts all its children.
 COUNTERS = {
@@ -92,15 +104,53 @@ def shift_day(seed: int) -> None:
     run_shift_bench(days=SHIFT_DAY_DAYS, seed=seed, horizon=SHIFT_HORIZON, n_jobs=SHIFT_JOBS)
 
 
-def serve_cluster(seed: int) -> dict[str, int]:
+def _serve_fleet(seed: int) -> ServeState:
     config = ServeConfig(
         n_racks=SERVE_RACKS, seed=seed, shared_grid_w=SERVE_SHARED_GRID_W
     )
-    state = ServeState.build(config)
+    return ServeState.build(config)
+
+
+def _epochs_audited(state: ServeState) -> int:
+    racks = state.status()["racks"].values()
+    return sum(r["audit"]["epochs_audited"] for r in racks)
+
+
+def serve_cluster(seed: int) -> dict[str, int]:
+    state = _serve_fleet(seed)
     for _ in range(SERVE_CLUSTER_STEPS):
         state.step_cluster()
-    racks = state.status()["racks"].values()
-    return {"epochs_audited": sum(r["audit"]["epochs_audited"] for r in racks)}
+    return {"epochs_audited": _epochs_audited(state)}
+
+
+def _cache_lookups() -> tuple[int, int]:
+    family = REGISTRY.get("repro_solver_cache_lookups_total")
+    return int(family.labels("hit").value), int(family.labels("miss").value)
+
+
+def serve_daemon(seed: int) -> dict[str, int]:
+    state = _serve_fleet(seed)
+    daemon = AllocationDaemon(state, port=0)
+    thread = daemon.run_in_thread()
+    try:
+        hits, misses = _cache_lookups()
+        with ServeClient(port=daemon.port) as client:
+            for _ in range(SERVE_DAEMON_ROUNDS):
+                for rack in state.rack_names():
+                    client.allocate(rack)
+                    for budget_w in SERVE_DAEMON_BUDGETS_W:
+                        client.allocate(rack, budget_w=budget_w)
+                    client.forecast(rack)
+                client.step()
+        hits_after, misses_after = _cache_lookups()
+    finally:
+        daemon.stop_from_thread()
+        thread.join(timeout=30)
+    return {
+        "epochs_audited": _epochs_audited(state),
+        "solver_cache_hits": hits_after - hits,
+        "solver_cache_misses": misses_after - misses,
+    }
 
 
 def work_counts() -> dict[str, object]:
@@ -108,6 +158,7 @@ def work_counts() -> dict[str, object]:
         "sim-day": (sim_day, SCENARIOS),
         "shift-day": (shift_day, SCENARIOS),
         "serve-cluster": (serve_cluster, (SEED,)),
+        "serve-daemon": (serve_daemon, (SEED,)),
     }
     return {
         "seed": SEED,
