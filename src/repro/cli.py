@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Five subcommands cover the workflows a user of the paper's system needs:
+These subcommands cover the workflows a user of the paper's system needs:
 
 ``repro run``
     Replay a full trace-driven experiment (the Fig. 8/11 methodology)
@@ -17,26 +17,28 @@ Five subcommands cover the workflows a user of the paper's system needs:
 ``repro combos``
     The Table IV server-combination comparison (Fig. 13).
 
-``repro trace``
-    Synthesize a High/Low NREL-style irradiance trace to CSV.
+``repro figures``
+    Regenerate every figure's data series as CSV.
 
-``repro verify``
-    Run the correctness harness (:mod:`repro.verify`): strict-audit
-    reference simulations, the differential solver corpus, and the
-    checkpoint round-trip fuzzer.
+``repro validate``
+    Self-check the substrate against the paper's anchors.
 
 ``repro serve``
     Run the control-plane daemon: rack controllers behind a streaming
     NDJSON-over-TCP allocation API, with checkpoint/restore.
 
-``repro loadgen``
-    Benchmark a running daemon (qps, p50/p99 latency, solver cache hit
-    ratio) and write ``BENCH_serve.json``.
-
 ``repro shift``
     Run the renewable-aware temporal-shifting benchmark (deferrable
     jobs under the receding-horizon planner vs. a run-immediately
     baseline) and write ``BENCH_shift.json``.
+
+``repro verify``
+    Run the correctness harness (:mod:`repro.verify`): strict-audit
+    reference simulations, the differential solver corpus, and the
+    checkpoint round-trip fuzzer.  Exits 1 when any gate fails.
+
+``repro trace``
+    Synthesize a High/Low NREL-style irradiance trace to CSV.
 
 Every command is deterministic for a given ``--seed``.
 """
@@ -351,8 +353,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     async def serve() -> None:
         await daemon.start()
         restored = " (restored from checkpoint)" if state.restored else ""
-        # Flushed readiness line: supervisors (and the CI smoke test)
-        # wait for it before pointing the load generator here.
+        # Flushed readiness line: supervisors (and the CI smoke tests)
+        # wait for it before sending requests.
         print(
             f"serving {len(state.racks)} rack(s) on "
             f"{daemon.host}:{daemon.port}{restored}",
@@ -362,24 +364,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     asyncio.run(serve())
     print("daemon stopped", flush=True)
-    return 0
-
-
-def cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.serve.loadgen import format_summary, run_loadgen
-
-    result = run_loadgen(
-        host=args.host,
-        port=args.port,
-        connections=args.connections,
-        requests=args.requests,
-        rack=args.rack,
-        seed=args.seed,
-        out=args.out,
-    )
-    print(format_summary(result))
-    if args.out:
-        print(f"\nwrote benchmark record to {args.out}")
     return 0
 
 
@@ -582,20 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="lookahead window (epochs) of each rack's shifting planner",
     )
     serve_p.set_defaults(func=cmd_serve)
-
-    loadgen_p = sub.add_parser(
-        "loadgen", help="benchmark a running daemon (writes BENCH_serve.json)"
-    )
-    loadgen_p.add_argument("--host", default="127.0.0.1")
-    loadgen_p.add_argument("--port", type=int, default=7313)
-    loadgen_p.add_argument("--connections", type=int, default=4)
-    loadgen_p.add_argument("--requests", type=int, default=200)
-    loadgen_p.add_argument("--rack", default=None,
-                           help="target rack (default: the daemon's first)")
-    loadgen_p.add_argument("--seed", type=int, default=0)
-    loadgen_p.add_argument("--out", metavar="FILE",
-                           help="write the benchmark record as JSON")
-    loadgen_p.set_defaults(func=cmd_loadgen)
 
     shift_p = sub.add_parser(
         "shift",

@@ -1,4 +1,4 @@
-"""Shared sample statistics for benches, loadgen, and histograms."""
+"""Sample statistics shared by the metric histograms."""
 
 from __future__ import annotations
 
@@ -8,9 +8,8 @@ from typing import Sequence
 def percentile(sorted_values: Sequence[float], fraction: float) -> float:
     """Nearest-rank percentile of an already-sorted sample.
 
-    The single definition shared by the serving load generator (p50/p99
-    latency in ``BENCH_serve.json``) and :class:`repro.obs.Histogram`'s
-    exact small-sample percentiles.  Empty input yields ``0.0``; the
+    The single definition behind :class:`repro.obs.Histogram`'s exact
+    small-sample percentiles.  Empty input yields ``0.0``; the
     rank is clamped into the sample, so ``fraction`` outside [0, 1] is
     tolerated rather than raising.
     """

@@ -11,13 +11,14 @@ answers allocation queries.
 * :mod:`repro.serve.daemon` — the asyncio TCP daemon: one thread
   serves every rack, with graceful shutdown-with-checkpoint.
 * :mod:`repro.serve.client` — a blocking client for tools and tests.
-* :mod:`repro.serve.loadgen` — the bundled load generator
-  (``repro loadgen``) that records qps and latency percentiles.
+
+perfbench's ``serve-fleet`` workload measures this serving path end to
+end (boot time, request rate, latency); ``tools/serve_smoke.py`` checks
+its solver cache and its checkpoint/restore across daemon processes.
 """
 
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import AllocationDaemon
-from repro.serve.loadgen import run_loadgen
 from repro.serve.protocol import ProtocolError, Request
 from repro.serve.state import RackHost, ServeConfig, ServeState
 
@@ -30,5 +31,4 @@ __all__ = [
     "ServeConfig",
     "ServeError",
     "ServeState",
-    "run_loadgen",
 ]

@@ -2,8 +2,8 @@
 
 A thin socket wrapper over the NDJSON protocol: one in-flight request
 per client, correlation ids checked, server-reported failures surfaced
-as :class:`ServeError`.  The load generator gives each worker thread its
-own client; the CLI and tests use it directly.
+as :class:`ServeError`.  A concurrent caller gives each thread its own
+client; the CLI, tools and tests use it directly.
 """
 
 from __future__ import annotations

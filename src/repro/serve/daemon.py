@@ -118,6 +118,8 @@ class AllocationDaemon:
         }
         self.op_counts: dict[str, int] = {}
         self._server: asyncio.Server | None = None
+        #: Open connections: each handler task and its stream writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
         self._shutdown: asyncio.Event | None = None
         self._audit_file: TextIO | None = None
@@ -172,9 +174,16 @@ class AllocationDaemon:
             await self._graceful_stop()
 
     async def _graceful_stop(self) -> None:
-        """Stop accepting, checkpoint, close the audit."""
+        """Stop accepting, end open connections, checkpoint, close the audit."""
         assert self._server is not None
         self._server.close()
+        # Closing a connection's transport hands its handler an EOF, so
+        # every handler returns normally instead of being cancelled
+        # mid-read when the loop shuts down.
+        handlers = list(self._connections)
+        for writer in self._connections.values():
+            writer.close()
+        await asyncio.gather(*handlers, return_exceptions=True)
         await self._server.wait_closed()
         if self._metrics_task is not None:
             self._metrics_task.cancel()
@@ -220,6 +229,9 @@ class AllocationDaemon:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -242,6 +254,7 @@ class AllocationDaemon:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            del self._connections[task]
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
@@ -375,15 +388,15 @@ class AllocationDaemon:
 
         ``coalesced`` is always 0: handlers run one at a time, so no two
         queries are ever in flight together, and a duplicate
-        ``allocate`` is a memo-cache hit instead.  The key stays because
-        ``repro loadgen`` and the perfbench ``serve-fleet`` trace read it.
+        ``allocate`` is a memo-cache hit instead.  The key stays only
+        because the perfbench ``serve-fleet`` trace reads it.
         """
         return {
             **self.state.cache_stats(),
             "coalesced": 0,
             "requests": self.counters["requests"],
             # Process-wide obs counters: one view across every rack's
-            # solver (see loadgen).
+            # solver.
             "obs": {
                 "solver_cache_hits": _SOLVER_CACHE_LOOKUPS.labels("hit").value,
                 "solver_cache_misses": _SOLVER_CACHE_LOOKUPS.labels("miss").value,

@@ -1,4 +1,4 @@
-"""Nearest-rank percentile (the loadgen's estimator, now shared)."""
+"""Nearest-rank percentile (the estimator behind Histogram's exact percentiles)."""
 
 import pytest
 
@@ -27,6 +27,20 @@ class TestPercentile:
         assert percentile([1.0, 2.0, 3.0, 4.0], 0.99) == 4.0
         # 0.5 * 3 = 1.5 -> banker's rounding to index 2.
         assert percentile([1.0, 2.0, 3.0, 4.0], 0.5) == 3.0
+
+    def test_max_fraction_never_overruns_small_samples(self):
+        # Nearest-rank with fraction 1.0 must index the last element, not
+        # one past it, at every sample size.
+        for n in range(1, 6):
+            values = [float(i) for i in range(n)]
+            assert percentile(values, 1.0) == values[-1]
+            assert percentile(values, 0.99) <= values[-1]
+
+    def test_two_samples_split_at_the_median(self):
+        assert percentile([1.0, 9.0], 0.0) == 1.0
+        assert percentile([1.0, 9.0], 0.49) == 1.0
+        assert percentile([1.0, 9.0], 0.51) == 9.0
+        assert percentile([1.0, 9.0], 1.0) == 9.0
 
     @pytest.mark.parametrize("fraction", [0.0, 0.25, 0.5, 0.9, 0.99, 1.0])
     def test_result_is_a_member(self, fraction):

@@ -1,6 +1,7 @@
 """The asyncio daemon: dispatch on the loop thread, shutdown-with-checkpoint."""
 
 import json
+import logging
 import socket
 import threading
 
@@ -251,6 +252,20 @@ class TestShutdown:
         assert "epoch" in kinds
         assert "checkpoint" in kinds
         assert kinds[-1] == "serve-stop"
+
+    def test_stop_with_a_client_connected_logs_no_error(self, caplog):
+        daemon = AllocationDaemon(ServeState.build(SMALL), port=0)
+        thread = daemon.run_in_thread()
+        with ServeClient(port=daemon.port) as c:
+            c.ping()
+            daemon.stop_from_thread()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        errors = [
+            r for r in caplog.records
+            if r.name == "asyncio" and r.levelno >= logging.ERROR
+        ]
+        assert errors == []
 
     def test_epoch_events_carry_cache_counters(self, tmp_path):
         state = ServeState.build(SMALL, checkpoint_dir=None)

@@ -156,20 +156,6 @@ class TestServeCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--policy", "RoundRobin"])
 
-    def test_loadgen_args_parse(self):
-        args = build_parser().parse_args(
-            ["loadgen", "--port", "7000", "--requests", "50", "--out", "b.json"]
-        )
-        assert args.port == 7000
-        assert args.requests == 50
-        assert args.func.__name__ == "cmd_loadgen"
-
-    def test_loadgen_against_no_daemon_is_clean_error(self, capsys):
-        # Port 1 is never listening; the failure must be a clean exit code,
-        # not a traceback.
-        code = main(["loadgen", "--port", "1", "--requests", "1"])
-        assert code == 2
-
 
 class TestVerify:
     def test_verify_passes(self, capsys):
@@ -183,6 +169,29 @@ class TestVerify:
         assert "reference[supply_fractions]" in out
         assert "differential" in out
         assert "fuzz" in out
+
+    def test_verify_fails_on_a_failed_gate(self, capsys, monkeypatch):
+        import repro.verify
+        from repro.verify import CaseOutcome, DifferentialReport
+
+        failed = CaseOutcome(
+            case_seed=7, n_groups=2, budget_w=300.0, perf=(),
+            failures=("kkt infeasible",),
+        )
+        monkeypatch.setattr(
+            repro.verify,
+            "run_differential",
+            lambda n_cases, seed: DifferentialReport(
+                n_cases=n_cases, seed=seed, failures=(failed,)
+            ),
+        )
+        code = main(
+            ["verify", "--cases", "5", "--fuzz-cases", "2", "--epochs", "3"]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "differential: 1/5 cases FAILED" in out
+        assert "verify: FAIL" in out
 
     def test_verify_args_parse(self):
         args = build_parser().parse_args(

@@ -24,32 +24,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
-import signal
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+from smoke_daemon import start_daemon, stop_daemon
 
-#: Child processes must resolve ``repro`` the same way this script does,
-#: installed or not.
-ENV = {
-    **os.environ,
-    "PYTHONPATH": os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
-    ),
-}
-
-from repro.obs.metrics import parse_exposition  # noqa: E402
-
-READY_RE = re.compile(r"serving \d+ rack\(s\) on ([\d.]+):(\d+)(.*)")
-BOOT_TIMEOUT_S = 120.0
-STOP_TIMEOUT_S = 60.0
+from repro.obs.metrics import parse_exposition
+from repro.serve.client import ServeClient
 
 #: Families the scrape must cover: solver, scheduler (span phases),
 #: serve verbs, shift planner, predictor fits.
@@ -72,54 +56,6 @@ REQUIRED_SPANS = (
     "scheduler.select",
     "scheduler.solve",
 )
-
-
-def start_daemon(audit: Path, trace_log: Path) -> tuple[subprocess.Popen, int]:
-    """Boot an all-batch ``repro serve`` and wait for readiness."""
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve",
-            "--port", "0",
-            "--racks", "1",
-            "--workload", "Streamcluster",  # deferrable: submit/plan work
-            "--audit-log", str(audit),
-            "--metrics-interval", "0.2",
-            "--trace-log", str(trace_log),
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        cwd=ROOT,
-        env=ENV,
-    )
-    assert proc.stdout is not None
-    deadline = time.monotonic() + BOOT_TIMEOUT_S
-    while True:
-        if time.monotonic() > deadline:
-            proc.kill()
-            raise SystemExit("daemon did not become ready in time")
-        line = proc.stdout.readline()
-        if not line:
-            proc.wait()
-            raise SystemExit(f"daemon exited during boot (rc={proc.returncode})")
-        print(f"[daemon] {line.rstrip()}")
-        match = READY_RE.match(line.strip())
-        if match:
-            return proc, int(match.group(2))
-
-
-def stop_daemon(proc: subprocess.Popen) -> None:
-    proc.send_signal(signal.SIGTERM)
-    try:
-        proc.wait(timeout=STOP_TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        raise SystemExit("daemon ignored SIGTERM")
-    if proc.returncode != 0:
-        raise SystemExit(f"daemon exited rc={proc.returncode}")
-    assert proc.stdout is not None
-    for line in proc.stdout:
-        print(f"[daemon] {line.rstrip()}")
 
 
 def check_exposition(text: str) -> None:
@@ -192,10 +128,14 @@ def main() -> int:
     audit = tmp / "audit.jsonl"
     trace_log = tmp / "trace.jsonl"
 
-    proc, port = start_daemon(audit, trace_log)
+    proc, port, _ = start_daemon(
+        "--racks", "1",
+        "--workload", "Streamcluster",  # deferrable: submit/plan work
+        "--audit-log", str(audit),
+        "--metrics-interval", "0.2",
+        "--trace-log", str(trace_log),
+    )
     try:
-        from repro.serve.client import ServeClient
-
         with ServeClient(port=port) as client:
             client.ping()
             client.step("rack0")  # epoch: scheduler phases + solver

@@ -4,9 +4,11 @@
 Exercises the full operational story as a real deployment would see it:
 
 1. boot ``repro serve`` as a subprocess with a checkpoint directory,
-2. fire a bounded ``loadgen`` burst at it (writes ``BENCH_serve.json``),
-   then checkpoint, keep a copy of the checkpoint, and step ``rack0``
-   a few more epochs,
+2. send ``rack0`` a fixed script of allocations (4 new budgets, each 3
+   times) and check from the ``cache-stats`` deltas that each budget
+   costs one solve and its repeats hit the solver cache; then
+   checkpoint, keep a copy of the checkpoint, and step ``rack0`` a few
+   more epochs,
 3. stop it with SIGTERM and check the shutdown checkpoint exists,
 4. boot a second daemon from the same checkpoint directory and verify
    it restores — and that re-checkpointing the restored state writes
@@ -15,47 +17,33 @@ Exercises the full operational story as a real deployment would see it:
    reproduces the first daemon's epochs after the copy, record for
    record.
 
-``BENCH_serve.json`` also gets ``boot_s``: each boot's seconds from
-launch to the readiness line, in boot order (a report of the cold start,
-not a gate).  Exit status is non-zero on any failure.  Usage:
+Any error response fails the smoke.  Request rates, latency and boot
+time are perfbench ``serve-fleet``'s job, not this tool's.  Exit status
+is non-zero on any failure.  Usage:
 
-    python tools/serve_smoke.py [--out BENCH_serve.json]
+    python tools/serve_smoke.py
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import re
 import shutil
-import signal
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+from smoke_daemon import start_daemon, stop_daemon
 
-#: Child processes must resolve ``repro`` the same way this script does,
-#: installed or not.
-ENV = {
-    **os.environ,
-    "PYTHONPATH": os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
-    ),
-}
+from repro.serve.client import ServeClient
 
-from repro.serve.loadgen import format_summary, run_loadgen  # noqa: E402
-
-READY_RE = re.compile(r"serving \d+ rack\(s\) on ([\d.]+):(\d+)(.*)")
-BOOT_TIMEOUT_S = 120.0
-STOP_TIMEOUT_S = 60.0
 #: Epochs stepped on ``rack0`` after the mid-life checkpoint, by both
 #: the first daemon and the one restored from that checkpoint.
 RESUME_STEPS = 3
+#: Allocation budgets of the cache check, as fractions of ``rack0``'s
+#: planned budget; the run solves none of them earlier.
+CACHE_FRACTIONS = (0.55, 0.65, 0.75, 0.85)
+#: Times each cache-check budget is sent: one miss, then hits.
+CACHE_REPEATS = 3
 
 
 def step_records(client, rack: str) -> list[dict]:
@@ -69,94 +57,49 @@ def step_records(client, rack: str) -> list[dict]:
     return records
 
 
-def start_daemon(checkpoint: Path, audit: Path) -> tuple[subprocess.Popen, int, str, float]:
-    """Boot ``repro serve`` and wait for its readiness line; also returns
-    the seconds from launch to that line."""
-    start = time.perf_counter()
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve",
-            "--port", "0",
-            "--racks", "2",
-            "--checkpoint", str(checkpoint),
-            "--audit-log", str(audit),
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        cwd=ROOT,
-        env=ENV,
+def check_solver_cache(client: ServeClient) -> None:
+    """Each new budget costs one solve; its repeats hit the solver cache."""
+    planned = client.forecast("rack0")["budget_w"]
+    before = client.cache_stats()["racks"]["rack0"]["solver_cache"]
+    for fraction in CACHE_FRACTIONS:
+        for _ in range(CACHE_REPEATS):
+            client.allocate("rack0", budget_w=fraction * planned)
+    after = client.cache_stats()["racks"]["rack0"]["solver_cache"]
+    misses = after["misses"] - before["misses"]
+    hits = after["hits"] - before["hits"]
+    want = (len(CACHE_FRACTIONS), len(CACHE_FRACTIONS) * (CACHE_REPEATS - 1))
+    if (misses, hits) != want:
+        raise SystemExit(
+            f"solver cache: {misses} misses, {hits} hits; "
+            f"expected {want[0]} misses, {want[1]} hits"
+        )
+    print(f"solver cache: {misses} misses, {hits} hits — OK")
+
+
+def boot(checkpoint: Path, audit: Path) -> tuple[subprocess.Popen, int, str]:
+    """A two-rack daemon checkpointing to ``checkpoint``."""
+    return start_daemon(
+        "--racks", "2",
+        "--checkpoint", str(checkpoint),
+        "--audit-log", str(audit),
     )
-    assert proc.stdout is not None
-    deadline = time.monotonic() + BOOT_TIMEOUT_S
-    while True:
-        if time.monotonic() > deadline:
-            proc.kill()
-            raise SystemExit("daemon did not become ready in time")
-        line = proc.stdout.readline()
-        if not line:
-            proc.wait()
-            raise SystemExit(f"daemon exited during boot (rc={proc.returncode})")
-        print(f"[daemon] {line.rstrip()}")
-        match = READY_RE.match(line.strip())
-        if match:
-            return proc, int(match.group(2)), match.group(3), time.perf_counter() - start
-
-
-def stop_daemon(proc: subprocess.Popen) -> None:
-    """SIGTERM and wait for the graceful checkpoint-and-exit."""
-    proc.send_signal(signal.SIGTERM)
-    try:
-        proc.wait(timeout=STOP_TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        raise SystemExit("daemon ignored SIGTERM")
-    if proc.returncode != 0:
-        raise SystemExit(f"daemon exited rc={proc.returncode}")
-    assert proc.stdout is not None
-    for line in proc.stdout:
-        print(f"[daemon] {line.rstrip()}")
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="BENCH_serve.json",
-                        help="benchmark record path")
-    parser.add_argument("--requests", type=int, default=120)
-    parser.add_argument("--connections", type=int, default=4)
-    args = parser.parse_args()
-
     tmp = Path(tempfile.mkdtemp(prefix="serve-smoke-"))
     checkpoint = tmp / "checkpoint"
     resume = tmp / "resume"
     audit = tmp / "audit.jsonl"
 
-    boot_s = []
-
-    # --- first life: cold boot, burst, SIGTERM ------------------------
-    proc, port, suffix, seconds = start_daemon(checkpoint, audit)
-    boot_s.append(seconds)
-    if "restored" in suffix:
-        raise SystemExit("first boot claims a restore from an empty directory")
+    # --- first life: cold boot, cache check, SIGTERM ------------------
+    proc, port, suffix = boot(checkpoint, audit)
     try:
-        from repro.serve.client import ServeClient
-
+        if "restored" in suffix:
+            raise SystemExit("first boot claims a restore from an empty directory")
         with ServeClient(port=port) as client:
             client.step("rack0")  # learn something worth checkpointing
             client.step("rack1")
-        result = run_loadgen(
-            port=port,
-            connections=args.connections,
-            requests=args.requests,
-            out=args.out,
-        )
-        print(format_summary(result))
-        if result["errors"]:
-            raise SystemExit(f"loadgen saw {result['errors']} errors")
-        cache = result["cache_after"]["racks"]["rack0"]["solver_cache"]
-        if cache["hits"] == 0:
-            raise SystemExit("duplicate queries never hit the solver cache")
-        with ServeClient(port=port) as client:
+            check_solver_cache(client)
             client.checkpoint()
             shutil.copytree(checkpoint, resume)
             first_life = step_records(client, "rack0")
@@ -175,8 +118,7 @@ def main() -> int:
         raise SystemExit("checkpoint holds no rack databases")
 
     # --- second life: restore, re-checkpoint, compare -----------------
-    proc, port, suffix, seconds = start_daemon(checkpoint, audit)
-    boot_s.append(seconds)
+    proc, port, suffix = boot(checkpoint, audit)
     try:
         if "restored" not in suffix:
             raise SystemExit("second boot did not restore the checkpoint")
@@ -196,8 +138,7 @@ def main() -> int:
             raise SystemExit(f"restored state re-checkpointed differently: {name}")
 
     # --- third life: resume from the mid-life copy, step, compare ------
-    proc, port, suffix, seconds = start_daemon(resume, audit)
-    boot_s.append(seconds)
+    proc, port, suffix = boot(resume, audit)
     try:
         if "restored" not in suffix:
             raise SystemExit("third boot did not restore the copied checkpoint")
@@ -211,11 +152,6 @@ def main() -> int:
             f"epochs after the checkpoint:\n{first_life}\n{resumed}"
         )
     print(f"resume: {RESUME_STEPS} epochs after the checkpoint identical")
-
-    bench = json.loads(Path(args.out).read_text())
-    bench["boot_s"] = boot_s
-    Path(args.out).write_text(json.dumps(bench, indent=2, sort_keys=True))
-    print("boot: " + ", ".join(f"{s:.2f} s" for s in boot_s))
 
     audit_lines = audit.read_text().splitlines()
     print(f"audit stream: {len(audit_lines)} events across the three lives")

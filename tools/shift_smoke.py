@@ -23,30 +23,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import re
-import signal
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
-#: Child processes must resolve ``repro`` the same way this script does,
-#: installed or not.
-ENV = {
-    **os.environ,
-    "PYTHONPATH": os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
-    ),
-}
-
-READY_RE = re.compile(r"serving \d+ rack\(s\) on ([\d.]+):(\d+)(.*)")
-BOOT_TIMEOUT_S = 120.0
-STOP_TIMEOUT_S = 60.0
+from smoke_daemon import ENV, ROOT, start_daemon, stop_daemon
 
 
 def run_bench(out: str, days: float, seed: int) -> None:
@@ -79,50 +61,11 @@ def run_bench(out: str, days: float, seed: int) -> None:
     )
 
 
-def start_daemon(checkpoint: Path) -> tuple[subprocess.Popen, int, str]:
-    """Boot ``repro serve`` with a batch workload, wait for readiness."""
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve",
-            "--port", "0",
-            "--workload", "Streamcluster",
-            "--checkpoint", str(checkpoint),
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        cwd=ROOT,
-        env=ENV,
+def boot(checkpoint: Path) -> tuple[subprocess.Popen, int, str]:
+    """A daemon whose racks run a batch (deferrable) workload."""
+    return start_daemon(
+        "--workload", "Streamcluster", "--checkpoint", str(checkpoint)
     )
-    assert proc.stdout is not None
-    deadline = time.monotonic() + BOOT_TIMEOUT_S
-    while True:
-        if time.monotonic() > deadline:
-            proc.kill()
-            raise SystemExit("daemon did not become ready in time")
-        line = proc.stdout.readline()
-        if not line:
-            proc.wait()
-            raise SystemExit(f"daemon exited during boot (rc={proc.returncode})")
-        print(f"[daemon] {line.rstrip()}")
-        match = READY_RE.match(line.strip())
-        if match:
-            return proc, int(match.group(2)), match.group(3)
-
-
-def stop_daemon(proc: subprocess.Popen) -> None:
-    """SIGTERM and wait for the graceful checkpoint-and-exit."""
-    proc.send_signal(signal.SIGTERM)
-    try:
-        proc.wait(timeout=STOP_TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        raise SystemExit("daemon ignored SIGTERM")
-    if proc.returncode != 0:
-        raise SystemExit(f"daemon exited rc={proc.returncode}")
-    assert proc.stdout is not None
-    for line in proc.stdout:
-        print(f"[daemon] {line.rstrip()}")
 
 
 def run_serve_cycle() -> None:
@@ -133,7 +76,7 @@ def run_serve_cycle() -> None:
     checkpoint = tmp / "checkpoint"
 
     # --- first life: submit jobs, plan, execute, SIGTERM --------------
-    proc, port, suffix = start_daemon(checkpoint)
+    proc, port, suffix = boot(checkpoint)
     try:
         with ServeClient(port=port) as client:
             rack = client.racks()[0]
@@ -171,7 +114,7 @@ def run_serve_cycle() -> None:
     }
 
     # --- second life: restore, re-plan, re-checkpoint, compare --------
-    proc, port, suffix = start_daemon(checkpoint)
+    proc, port, suffix = boot(checkpoint)
     try:
         if "restored" not in suffix:
             raise SystemExit("second boot did not restore the checkpoint")
