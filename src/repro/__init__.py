@@ -61,8 +61,8 @@ from repro.core.policies import (
 from repro.core.predictor import HoltPredictor
 from repro.core.solver import PARSolver
 from repro.sim.engine import Simulation
-from repro.sim.experiment import ExperimentConfig, ExperimentResult, run_experiment
-from repro.sim.runner import run_experiments
+from repro.sim.experiment import ExperimentConfig, ExperimentResult
+from repro.sim.runner import run_experiment, run_experiments
 
 __all__ = [
     "__version__",

@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.sim.experiment import ExperimentConfig, run_experiment
+from repro.sim.experiment import ExperimentConfig
+from repro.sim.runner import run_experiment
 
 
 @dataclass(frozen=True)

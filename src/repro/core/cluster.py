@@ -28,6 +28,7 @@ paper's rack-level result at cluster scale.
 from __future__ import annotations
 
 import enum
+import math
 from typing import TYPE_CHECKING
 
 from repro.core.controller import EpochDirectives, EpochRecord, GreenHeteroController
@@ -67,8 +68,11 @@ class ClusterCoordinator:
     ) -> None:
         if not sims:
             raise ConfigurationError("a cluster needs at least one rack")
-        if shared_grid_budget_w < 0:
-            raise PowerError("shared grid budget must be non-negative")
+        if not (math.isfinite(shared_grid_budget_w) and shared_grid_budget_w >= 0):
+            raise PowerError(
+                "shared grid budget must be finite and non-negative, "
+                f"got {shared_grid_budget_w}"
+            )
         self.sims = list(sims)
         self.shared_grid_budget_w = shared_grid_budget_w
         self.split = split

@@ -33,12 +33,10 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import REGISTRY as _REGISTRY
+from repro.obs.tracing import trace
 
 _FITS_TOTAL = _REGISTRY.counter(
     "repro_predictor_fits_total", "HoltPredictor.fit invocations"
-)
-_FIT_SECONDS = _REGISTRY.histogram(
-    "repro_predictor_fit_seconds", "HoltPredictor.fit wall time"
 )
 
 
@@ -257,7 +255,7 @@ class HoltPredictor:
         if not np.isfinite(data).all():
             raise ConfigurationError("history must be finite to fit")
         _FITS_TOTAL.inc()
-        with _FIT_SECONDS.time():
+        with trace("predictor.fit"):
             return cls._fit_impl(data, nonnegative, grid_steps)
 
     @classmethod

@@ -54,7 +54,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -62,12 +61,10 @@ import numpy as np
 from repro.core.database import PerfPowerFit
 from repro.errors import ConfigurationError, SolverError
 from repro.obs.metrics import REGISTRY as _REGISTRY
+from repro.obs.tracing import trace
 
 # Process-wide solver telemetry (per-instance counters stay authoritative
 # for cache_info(); these aggregate across every solver in the process).
-_SOLVE_SECONDS = _REGISTRY.histogram(
-    "repro_solver_solve_seconds", "PARSolver.solve wall time (cache hits included)"
-)
 _SOLVES_TOTAL = _REGISTRY.counter(
     "repro_solver_solves_total", "Solves by winning mechanism", labelnames=("method",)
 )
@@ -230,8 +227,7 @@ class PARSolver:
             On a negative or non-finite budget.
         """
         self._validate_inputs(groups, total_power_w)
-        start = perf_counter()
-        try:
+        with trace("solver.solve"):
             if self.cache_size == 0:
                 solution = self._solve_impl(groups, total_power_w)
                 _SOLVES_TOTAL.labels(solution.method).inc()
@@ -265,8 +261,6 @@ class PARSolver:
                 self._cache.pop(next(iter(self._cache)))
             self._cache[key] = solution
             return solution
-        finally:
-            _SOLVE_SECONDS.observe(perf_counter() - start)
 
     #: Mechanisms :meth:`solve_via` can force.
     METHODS = ("kkt", "grid", "slsqp")

@@ -27,7 +27,8 @@ from pathlib import Path
 
 from repro.servers.platform import get_platform
 from repro.servers.power_model import ResponseCurve
-from repro.sim.experiment import COMBINATIONS, ExperimentConfig, run_experiment
+from repro.sim.experiment import COMBINATIONS, ExperimentConfig
+from repro.sim.runner import run_experiment
 from repro.workloads.catalog import FIG9_WORKLOADS
 
 POLICIES = ("Uniform", "Manual", "GreenHetero-p", "GreenHetero-a", "GreenHetero")

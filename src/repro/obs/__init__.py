@@ -29,13 +29,12 @@ from repro.obs.metrics import (
     MetricsRegistry,
     POWER_OF_TWO_BUCKETS,
     REGISTRY,
-    get_registry,
     obs_enabled,
     parse_exposition,
     set_enabled,
 )
 from repro.obs.stats import percentile
-from repro.obs.tracing import Span, Tracer, current_span, get_tracer, set_trace_sink, trace
+from repro.obs.tracing import Span, current_span, set_trace_sink, trace
 
 __all__ = [
     "Counter",
@@ -45,10 +44,7 @@ __all__ = [
     "POWER_OF_TWO_BUCKETS",
     "REGISTRY",
     "Span",
-    "Tracer",
     "current_span",
-    "get_registry",
-    "get_tracer",
     "obs_enabled",
     "parse_exposition",
     "percentile",

@@ -7,25 +7,29 @@ Three metric kinds, mirroring the Prometheus data model:
 ``Gauge``
     A value that can go both ways (queue depth, battery SoC).
 ``Histogram``
-    Observation distribution over fixed power-of-two buckets spanning
-    ~1 µs to ~64 s — the full range from a counter increment to a
-    multi-day simulation epoch.  Raw samples are additionally retained
-    up to :data:`Histogram.SAMPLE_CAP` observations, so small samples
-    (the common case for per-run telemetry) get *exact* percentiles;
-    past the cap, percentiles degrade gracefully to bucket upper
-    bounds.
+    Observation distribution over the fixed power-of-two buckets of
+    :data:`POWER_OF_TWO_BUCKETS`, spanning ~1 µs to ~64 s.  Raw samples
+    are additionally retained up to :data:`Histogram.SAMPLE_CAP`
+    observations, so small samples (the common case for per-run
+    telemetry) get *exact* percentiles; past the cap, percentiles
+    degrade gracefully to bucket upper bounds.  Code is timed with
+    :func:`repro.obs.tracing.trace`, which observes into the
+    ``repro_span_seconds`` histogram; no other family times code except
+    ``repro_serve_request_seconds`` (DESIGN.md §12).
 
 Metrics are registered as *families*: a name plus a tuple of label
 names, with one child per distinct label-value tuple
-(``family.labels("hit")``).  A family with no labels acts as its own
-single child.  Registration is idempotent — re-declaring the same
-family returns the existing one, so modules can declare their metrics
-at import time without coordination.
+(``family.labels("hit")``).  A family with no labels builds its single
+child at declaration and forwards to it.  Registration is idempotent —
+re-declaring the same family returns the existing one, so modules can
+declare their metrics at import time without coordination.
 
-All mutation is guarded by per-child locks (the serving daemon mixes an
-asyncio loop with executor threads) and short-circuits on the global
-enabled flag, which is how :mod:`repro.obs.bench` measures the
-disabled/enabled overhead delta.
+Every mutation short-circuits on the global enabled flag, which is how
+:mod:`repro.obs.bench` measures the disabled/enabled overhead delta,
+and is guarded by a per-child lock.  The daemon runs every handler on
+its event-loop thread (DESIGN.md §11), so most processes record from
+one thread, but nothing enforces that yet; the locks stay until
+something does.
 """
 
 from __future__ import annotations
@@ -34,8 +38,7 @@ import math
 import re
 import threading
 from bisect import bisect_left
-from time import perf_counter
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.errors import ConfigurationError
 from repro.obs.stats import percentile
@@ -44,6 +47,9 @@ from repro.obs.stats import percentile
 #: (64 s), plus the implicit +Inf bucket.  Fixed — rather than
 #: per-metric — so any two histograms can be aggregated bucket-wise.
 POWER_OF_TWO_BUCKETS: tuple[float, ...] = tuple(2.0**e for e in range(-20, 7))
+
+#: Every bucket's upper bound, the +Inf catch-all last.
+_UPPER_BOUNDS = (*POWER_OF_TWO_BUCKETS, math.inf)
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -85,22 +91,6 @@ def _label_suffix(labelnames: Sequence[str], labelvalues: Sequence[str]) -> str:
         for name, value in zip(labelnames, labelvalues)
     )
     return "{" + pairs + "}"
-
-
-class _Timer:
-    """Context manager observing elapsed wall time into a histogram."""
-
-    __slots__ = ("_sink", "_start")
-
-    def __init__(self, sink: "Histogram | HistogramFamily") -> None:
-        self._sink = sink
-
-    def __enter__(self) -> "_Timer":
-        self._start = perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._sink.observe(perf_counter() - self._start)
 
 
 class Counter:
@@ -151,15 +141,6 @@ class Gauge:
         with self._lock:
             self._value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        if not _ENABLED:
-            return
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     @property
     def value(self) -> float:
         return self._value
@@ -175,40 +156,21 @@ class Gauge:
 class Histogram:
     """Power-of-two-bucket histogram with exact small-sample quantiles.
 
-    Parameters
-    ----------
-    buckets:
-        Strictly increasing finite upper bounds; defaults to
-        :data:`POWER_OF_TWO_BUCKETS`.  An implicit +Inf bucket is always
-        appended.
-    sample_cap:
-        Raw observations retained for exact percentiles.  Beyond the
-        cap the raw sample is dropped and :meth:`percentile` answers
-        from bucket upper bounds instead — bounded memory for long-
-        running daemons.
+    The upper bounds are :data:`POWER_OF_TWO_BUCKETS` plus an implicit
+    +Inf bucket.  The first :data:`SAMPLE_CAP` raw observations are
+    kept for exact percentiles; past the cap the raw sample is dropped
+    and :meth:`percentile` answers from bucket upper bounds instead —
+    bounded memory for long-running daemons.
     """
 
     kind = "histogram"
 
     SAMPLE_CAP = 2048
 
-    __slots__ = ("_count", "_counts", "_lock", "_samples", "_sum", "bounds", "sample_cap")
+    __slots__ = ("_count", "_counts", "_lock", "_samples", "_sum")
 
-    def __init__(
-        self,
-        buckets: Sequence[float] | None = None,
-        sample_cap: int | None = None,
-    ) -> None:
-        bounds = tuple(float(b) for b in (buckets if buckets is not None else POWER_OF_TWO_BUCKETS))
-        if not bounds:
-            raise ConfigurationError("histogram needs at least one bucket bound")
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ConfigurationError("bucket bounds must be strictly increasing")
-        if any(not math.isfinite(b) for b in bounds):
-            raise ConfigurationError("bucket bounds must be finite (+Inf is implicit)")
-        self.bounds = bounds
-        self.sample_cap = Histogram.SAMPLE_CAP if sample_cap is None else int(sample_cap)
-        self._counts = [0] * (len(bounds) + 1)  # +1: the +Inf bucket
+    def __init__(self) -> None:
+        self._counts = [0] * len(_UPPER_BOUNDS)
         self._sum = 0.0
         self._count = 0
         self._samples: list[float] | None = []
@@ -219,20 +181,16 @@ class Histogram:
             return
         value = float(value)
         # First bucket whose bound >= value (+Inf catch-all past the end).
-        lo = bisect_left(self.bounds, value)
+        lo = bisect_left(POWER_OF_TWO_BUCKETS, value)
         with self._lock:
             self._counts[lo] += 1
             self._sum += value
             self._count += 1
             if self._samples is not None:
-                if self._count <= self.sample_cap:
+                if self._count <= Histogram.SAMPLE_CAP:
                     self._samples.append(value)
                 else:
                     self._samples = None  # past the cap: buckets only
-
-    def time(self) -> _Timer:
-        """``with hist.time(): ...`` records the block's wall time."""
-        return _Timer(self)
 
     @property
     def count(self) -> int:
@@ -260,10 +218,10 @@ class Histogram:
                 return percentile(sorted(self._samples), fraction)
             rank = max(1, math.ceil(fraction * self._count))
             seen = 0
-            for i, n in enumerate(self._counts):
+            for bound, n in zip(_UPPER_BOUNDS, self._counts):
                 seen += n
                 if seen >= rank:
-                    return self.bounds[i] if i < len(self.bounds) else math.inf
+                    return bound
             return math.inf  # pragma: no cover - ranks never exceed count
 
     def bucket_counts(self) -> tuple[tuple[float, int], ...]:
@@ -271,14 +229,14 @@ class Histogram:
         with self._lock:
             out: list[tuple[float, int]] = []
             seen = 0
-            for bound, n in zip((*self.bounds, math.inf), self._counts):
+            for bound, n in zip(_UPPER_BOUNDS, self._counts):
                 seen += n
                 out.append((bound, seen))
             return tuple(out)
 
     def reset(self) -> None:
         with self._lock:
-            self._counts = [0] * (len(self.bounds) + 1)
+            self._counts = [0] * len(_UPPER_BOUNDS)
             self._sum = 0.0
             self._count = 0
             self._samples = []
@@ -294,7 +252,11 @@ class Histogram:
 
 
 class _Family:
-    """A named metric with a label schema and one child per label tuple."""
+    """A named metric with a label schema and one child per label tuple.
+
+    An unlabelled family builds its one child here, and its
+    ``inc``/``set``/``observe``/``value`` go straight to it.
+    """
 
     def __init__(self, name: str, help: str, labelnames: tuple[str, ...]) -> None:
         self.name = name
@@ -302,27 +264,15 @@ class _Family:
         self.labelnames = labelnames
         self._children: dict[tuple[str, ...], Any] = {}
         self._lock = threading.Lock()
+        if not labelnames:
+            self._child = self._children[()] = self._new_child()
 
     # Subclasses build the right child type.
     def _new_child(self) -> Any:
         raise NotImplementedError
 
-    def labels(self, *values: object, **kwargs: object) -> Any:
+    def labels(self, *values: object) -> Any:
         """The child for one label-value tuple, created on first use."""
-        if kwargs:
-            if values:
-                raise ConfigurationError("pass labels positionally or by name, not both")
-            try:
-                values = tuple(kwargs[name] for name in self.labelnames)
-            except KeyError as missing:
-                raise ConfigurationError(
-                    f"metric {self.name}: missing label {missing}"
-                ) from None
-            if len(kwargs) != len(self.labelnames):
-                raise ConfigurationError(
-                    f"metric {self.name}: unexpected labels "
-                    f"{sorted(set(kwargs) - set(self.labelnames))}"
-                )
         if len(values) != len(self.labelnames):
             raise ConfigurationError(
                 f"metric {self.name} takes labels {self.labelnames}, got {values!r}"
@@ -333,9 +283,6 @@ class _Family:
             with self._lock:
                 child = self._children.setdefault(key, self._new_child())
         return child
-
-    def _default(self) -> Any:
-        return self.labels()
 
     def children(self) -> Iterator[tuple[tuple[str, ...], Any]]:
         with self._lock:
@@ -354,11 +301,11 @@ class CounterFamily(_Family):
         return Counter()
 
     def inc(self, amount: float = 1.0) -> None:
-        self._default().inc(amount)
+        self._child.inc(amount)
 
     @property
     def value(self) -> float:
-        return self._default().value
+        return self._child.value
 
 
 class GaugeFamily(_Family):
@@ -368,42 +315,21 @@ class GaugeFamily(_Family):
         return Gauge()
 
     def set(self, value: float) -> None:
-        self._default().set(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._default().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._default().dec(amount)
+        self._child.set(value)
 
     @property
     def value(self) -> float:
-        return self._default().value
+        return self._child.value
 
 
 class HistogramFamily(_Family):
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        labelnames: tuple[str, ...],
-        buckets: Sequence[float] | None = None,
-        sample_cap: int | None = None,
-    ) -> None:
-        super().__init__(name, help, labelnames)
-        self.buckets = tuple(buckets) if buckets is not None else None
-        self.sample_cap = sample_cap
-
     def _new_child(self) -> Histogram:
-        return Histogram(buckets=self.buckets, sample_cap=self.sample_cap)
+        return Histogram()
 
     def observe(self, value: float) -> None:
-        self._default().observe(value)
-
-    def time(self) -> _Timer:
-        return _Timer(self)
+        self._child.observe(value)
 
 
 class MetricsRegistry:
@@ -420,7 +346,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
 
     def _declare(self, family_cls: type, name: str, help: str,
-                 labelnames: Sequence[str], **kwargs: Any) -> Any:
+                 labelnames: Sequence[str]) -> Any:
         if not _NAME_RE.match(name):
             raise ConfigurationError(f"invalid metric name {name!r}")
         names = tuple(labelnames)
@@ -436,7 +362,7 @@ class MetricsRegistry:
                         f"{existing.kind}{existing.labelnames}"
                     )
                 return existing
-            family = family_cls(name, help, names, **kwargs)
+            family = family_cls(name, help, names)
             self._families[name] = family
             return family
 
@@ -449,13 +375,8 @@ class MetricsRegistry:
         return self._declare(GaugeFamily, name, help, labelnames)
 
     def histogram(self, name: str, help: str = "",
-                  labelnames: Sequence[str] = (),
-                  buckets: Sequence[float] | None = None,
-                  sample_cap: int | None = None) -> HistogramFamily:
-        return self._declare(
-            HistogramFamily, name, help, labelnames,
-            buckets=buckets, sample_cap=sample_cap,
-        )
+                  labelnames: Sequence[str] = ()) -> HistogramFamily:
+        return self._declare(HistogramFamily, name, help, labelnames)
 
     def families(self) -> tuple[str, ...]:
         with self._lock:
@@ -518,11 +439,6 @@ class MetricsRegistry:
 
 #: The process-wide default registry all built-in instrumentation uses.
 REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide default :class:`MetricsRegistry`."""
-    return REGISTRY
 
 
 def parse_exposition(text: str) -> dict[str, dict[str, Any]]:

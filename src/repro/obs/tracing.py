@@ -1,20 +1,22 @@
-"""Span tracing: parent/child timing records for the control loop.
+"""Span tracing: the one instrument that times code.
 
-``trace(name)`` is both a context manager and a decorator.  Each span
-measures a monotonic-clock duration, knows its parent (propagated
-through a :class:`contextvars.ContextVar`, so nesting works across
-threads and asyncio tasks alike), and on close:
+``trace(name)`` returns a :class:`Span`, which is both a context manager
+and a decorator.  Each span measures a monotonic-clock duration, knows
+its parent (propagated through a :class:`contextvars.ContextVar`, so
+nesting works across threads and asyncio tasks alike), and on close:
 
 1. records its duration into the shared ``repro_span_seconds{span=…}``
    histogram family of the default registry — so per-phase latency
-   distributions (scheduler forecast/select/profile/solve, shift
-   planning) are always available from a plain metrics scrape, and
-2. optionally appends a JSON line to the configured sink
-   (``set_trace_sink``), preserving the full parent/child structure for
-   offline flame-graph style analysis.
+   distributions (epoch, scheduler phases, solver, shift planning) are
+   always available from a plain metrics scrape, and
+2. when a sink is set (``set_trace_sink``), appends a JSON line
+   preserving the full parent/child structure for offline flame-graph
+   style analysis.
 
-Span and trace ids are small per-process integers, not random UUIDs —
-deterministic runs stay deterministic and the JSONL stays greppable.
+Every timed region of the program is a span; DESIGN.md §12 lists the
+names.  Span and trace ids are small per-process integers, not random
+UUIDs — deterministic runs stay deterministic and the JSONL stays
+greppable.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ import functools
 import itertools
 import json
 import threading
-from contextvars import ContextVar
-from dataclasses import dataclass, field
+from contextvars import ContextVar, Token
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, TypeVar
@@ -39,19 +40,78 @@ _SPAN_SECONDS = _metrics.REGISTRY.histogram(
     labelnames=("span",),
 )
 
+#: Per-name histogram children, cached so closing a span is a dict hit
+#: instead of a ``labels()`` call.
+_HISTOGRAMS: dict[str, _metrics.Histogram] = {}
 
-@dataclass(slots=True)
+_CURRENT: ContextVar["Span | None"] = ContextVar("repro_obs_current_span", default=None)
+
+# ``itertools.count.__next__`` is atomic under the GIL; no lock.
+_next_id = itertools.count(1).__next__
+
+_sink_path: Path | None = None
+_sink_lock = threading.Lock()
+
+
 class Span:
-    """One timed region, linked to its parent."""
+    """One timed region, linked to its parent.
 
-    name: str
-    span_id: int
-    trace_id: int
-    parent_id: int | None
-    attrs: dict[str, Any] = field(default_factory=dict)
-    start_monotonic_s: float = 0.0
-    duration_s: float | None = None
-    error: bool = False
+    ``with trace("x") as span:`` opens the span for the block (``span``
+    is None while instrumentation is disabled).  ``@trace("x")`` opens a
+    fresh span with the same name and attributes on every call.
+    """
+
+    __slots__ = (
+        "_token", "attrs", "duration_s", "error", "name", "parent_id",
+        "span_id", "start_monotonic_s", "trace_id",
+    )
+
+    def __init__(self, name: str, attrs: dict[str, Any]) -> None:
+        self.name = name
+        self.attrs = attrs
+        self._token: Token | None = None
+
+    def __enter__(self) -> "Span | None":
+        if not _metrics.obs_enabled():
+            return None
+        parent = _CURRENT.get()
+        self.span_id = span_id = _next_id()
+        if parent is None:
+            self.trace_id = span_id
+            self.parent_id = None
+        else:
+            self.trace_id = parent.trace_id
+            self.parent_id = parent.span_id
+        self.duration_s = None
+        self.error = False
+        self._token = _CURRENT.set(self)
+        self.start_monotonic_s = perf_counter()
+        return self
+
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
+        token = self._token
+        if token is None:
+            return
+        self.duration_s = duration = perf_counter() - self.start_monotonic_s
+        _CURRENT.reset(token)
+        self._token = None
+        self.error = exc_type is not None
+        hist = _HISTOGRAMS.get(self.name)
+        if hist is None:
+            hist = _HISTOGRAMS[self.name] = _SPAN_SECONDS.labels(self.name)
+        hist.observe(duration)
+        if _sink_path is not None:
+            _write(self.to_record())
+
+    def __call__(self, func: F) -> F:
+        name, attrs = self.name, self.attrs
+
+        @functools.wraps(func)
+        def wrapped(*args: Any, **kwargs: Any) -> Any:
+            with Span(name, dict(attrs)):
+                return func(*args, **kwargs)
+
+        return wrapped  # type: ignore[return-value]
 
     def to_record(self) -> dict[str, Any]:
         """The JSONL sink's line format."""
@@ -70,140 +130,26 @@ class Span:
         return record
 
 
-class Tracer:
-    """Creates spans, maintains the current-span context, sinks records."""
-
-    def __init__(self, registry: _metrics.MetricsRegistry | None = None) -> None:
-        self._registry = registry or _metrics.REGISTRY
-        self._hist = (
-            _SPAN_SECONDS
-            if self._registry is _metrics.REGISTRY
-            else self._registry.histogram(
-                "repro_span_seconds",
-                "Duration of traced spans, labelled by span name",
-                labelnames=("span",),
-            )
-        )
-        self._current: ContextVar[Span | None] = ContextVar(
-            "repro_obs_current_span", default=None
-        )
-        # ``itertools.count.__next__`` is atomic under the GIL; no lock.
-        self._next_id = itertools.count(1).__next__
-        #: Per-name histogram children, cached so closing a span is a
-        #: dict hit instead of a ``labels()`` call.
-        self._hist_children: dict[str, _metrics.Histogram] = {}
-        self._sink_path: Path | None = None
-        self._sink_lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    # Sink management
-    # ------------------------------------------------------------------
-    def configure_sink(self, path: str | Path | None) -> None:
-        """Append finished spans as JSON lines to ``path`` (None: off)."""
-        with self._sink_lock:
-            self._sink_path = Path(path) if path is not None else None
-
-    @property
-    def sink_path(self) -> Path | None:
-        return self._sink_path
-
-    # ------------------------------------------------------------------
-    # Span lifecycle
-    # ------------------------------------------------------------------
-    def current_span(self) -> Span | None:
-        """The innermost open span in this context, if any."""
-        return self._current.get()
-
-    def trace(self, name: str, **attrs: Any) -> "_SpanHandle":
-        """A context-manager/decorator timing the named region."""
-        return _SpanHandle(self, name, attrs)
-
-    def _open(self, name: str, attrs: dict[str, Any]) -> Span:
-        parent = self._current.get()
-        span_id = self._next_id()
-        span = Span(
-            name=name,
-            span_id=span_id,
-            trace_id=parent.trace_id if parent is not None else span_id,
-            parent_id=parent.span_id if parent is not None else None,
-            attrs=attrs,
-            start_monotonic_s=perf_counter(),
-        )
-        return span
-
-    def _close(self, span: Span) -> None:
-        span.duration_s = perf_counter() - span.start_monotonic_s
-        child = self._hist_children.get(span.name)
-        if child is None:
-            child = self._hist_children[span.name] = self._hist.labels(span.name)
-        child.observe(span.duration_s)
-        path = self._sink_path
-        if path is not None:
-            line = json.dumps(span.to_record(), sort_keys=True)
-            with self._sink_lock:
-                if self._sink_path is not None:
-                    with open(self._sink_path, "a", encoding="utf-8") as fh:
-                        fh.write(line + "\n")
+def _write(record: dict[str, Any]) -> None:
+    line = json.dumps(record, sort_keys=True) + "\n"
+    with _sink_lock:
+        if _sink_path is not None:
+            with open(_sink_path, "a", encoding="utf-8") as fh:
+                fh.write(line)
 
 
-class _SpanHandle:
-    """The object ``trace()`` returns; usable with ``with`` or ``@``."""
-
-    __slots__ = ("_attrs", "_name", "_span", "_token", "_tracer")
-
-    def __init__(self, tracer: Tracer, name: str, attrs: dict[str, Any]) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._attrs = attrs
-        self._span: Span | None = None
-        self._token = None
-
-    def __enter__(self) -> Span | None:
-        if not _metrics.obs_enabled():
-            return None
-        span = self._tracer._open(self._name, self._attrs)
-        self._span = span
-        self._token = self._tracer._current.set(span)
-        return span
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        span = self._span
-        if span is None:
-            return
-        self._tracer._current.reset(self._token)
-        self._span = None
-        self._token = None
-        span.error = exc_type is not None
-        self._tracer._close(span)
-
-    def __call__(self, func: F) -> F:
-        @functools.wraps(func)
-        def wrapped(*args: Any, **kwargs: Any) -> Any:
-            with _SpanHandle(self._tracer, self._name, dict(self._attrs)):
-                return func(*args, **kwargs)
-
-        return wrapped  # type: ignore[return-value]
-
-
-#: The process-wide tracer backing :func:`trace` / :func:`set_trace_sink`.
-TRACER = Tracer()
-
-
-def get_tracer() -> Tracer:
-    """The process-wide default :class:`Tracer`."""
-    return TRACER
-
-
-def trace(name: str, **attrs: Any) -> _SpanHandle:
-    """Time a region on the default tracer: ``with trace("x"): ...``."""
-    return TRACER.trace(name, **attrs)
+def trace(name: str, **attrs: Any) -> Span:
+    """Time a region: ``with trace("x"): ...`` or ``@trace("x")``."""
+    return Span(name, attrs)
 
 
 def current_span() -> Span | None:
-    """The default tracer's innermost open span, if any."""
-    return TRACER.current_span()
+    """The innermost open span in this context, if any."""
+    return _CURRENT.get()
 
 
 def set_trace_sink(path: str | Path | None) -> None:
-    """Route the default tracer's finished spans to a JSONL file."""
-    TRACER.configure_sink(path)
+    """Append finished spans as JSON lines to ``path`` (None: off)."""
+    global _sink_path
+    with _sink_lock:
+        _sink_path = Path(path) if path is not None else None

@@ -13,6 +13,8 @@ prices the usage with a simple peak-demand tariff for the cost analyses.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import PowerError
 
 #: Peak-demand charge the paper quotes from Parasol/GreenSwitch [21].
@@ -42,8 +44,8 @@ class GridSource:
         peak_price_per_kw: float = DEFAULT_PEAK_PRICE_PER_KW,
         energy_price_per_kwh: float = DEFAULT_ENERGY_PRICE_PER_KWH,
     ) -> None:
-        if budget_w < 0:
-            raise PowerError("grid budget must be non-negative")
+        if not (math.isfinite(budget_w) and budget_w >= 0):
+            raise PowerError(f"grid budget must be finite and non-negative, got {budget_w}")
         if peak_price_per_kw < 0 or energy_price_per_kwh < 0:
             raise PowerError("prices must be non-negative")
         self.budget_w = budget_w

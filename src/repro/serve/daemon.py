@@ -28,6 +28,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 import signal
 import threading
 from pathlib import Path
@@ -37,6 +38,7 @@ from time import perf_counter
 
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.metrics import REGISTRY as _REGISTRY
+from repro.obs.tracing import trace
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
@@ -58,9 +60,6 @@ _REQUESTS_TOTAL = _REGISTRY.counter(
     "repro_serve_requests_total",
     "Requests by protocol verb and outcome",
     labelnames=("op", "status"),
-)
-_CHECKPOINT_SECONDS = _REGISTRY.histogram(
-    "repro_serve_checkpoint_seconds", "Fleet checkpoint wall time"
 )
 # Registered by repro.core.solver (imported above); re-declared here to
 # hold a direct reference for the cache-stats obs view.
@@ -97,8 +96,10 @@ class AllocationDaemon:
         metrics_interval_s: float | None = None,
     ) -> None:
         if metrics_interval_s is not None:
-            if metrics_interval_s <= 0:
-                raise ConfigurationError("metrics interval must be positive")
+            if not (math.isfinite(metrics_interval_s) and metrics_interval_s > 0):
+                raise ConfigurationError(
+                    f"metrics interval must be finite and positive, got {metrics_interval_s}"
+                )
             if audit_log is None:
                 raise ConfigurationError(
                     "metrics_interval_s dumps to the audit stream; "
@@ -369,7 +370,7 @@ class AllocationDaemon:
         return host.submit(job)
 
     def _checkpoint(self, final: bool) -> Path:
-        with _CHECKPOINT_SECONDS.time():
+        with trace("serve.checkpoint"):
             path = self.state.checkpoint()
         self.counters["checkpoints"] += 1
         self._audit({"event": "checkpoint", "path": str(path), "final": final})

@@ -92,6 +92,13 @@ class ServeConfig:
             raise ConfigurationError("epoch length must be positive")
         if self.shift_horizon < 1:
             raise ConfigurationError("shift horizon must be >= 1")
+        if self.shared_grid_w is not None and not (
+            math.isfinite(self.shared_grid_w) and self.shared_grid_w >= 0
+        ):
+            raise ConfigurationError(
+                "shared grid budget must be finite and non-negative, "
+                f"got {self.shared_grid_w}"
+            )
         # Normalized to float so a persisted-and-reloaded config
         # serializes byte-identically to the original.
         object.__setattr__(self, "epoch_s", float(self.epoch_s))

@@ -86,9 +86,6 @@ _EPS = 1e-9
 #: magnitude of the terms summed into a bound.
 _PRUNE_REL = 1e-12
 
-_PLAN_SECONDS = _REGISTRY.histogram(
-    "repro_shift_plan_seconds", "ShiftPlanner.plan wall time"
-)
 _PLANS_TOTAL = _REGISTRY.counter(
     "repro_shift_plans_total",
     "Plans by search strategy (greedy: past the exhaustive limit; empty: none pending)",
@@ -543,8 +540,7 @@ class ShiftPlanner:
     @trace("shift.plan")
     def plan(self, queue: JobQueue, inputs: PlanInputs) -> ShiftPlan:
         """Produce the plan for this epoch.  The queue is not mutated."""
-        with _PLAN_SECONDS.time():
-            result = self._plan_impl(queue, inputs)
+        result = self._plan_impl(queue, inputs)
         _PLANS_TOTAL.labels(result.method).inc()
         _CANDIDATES_TOTAL.inc(self._priced)
         if result.placements:

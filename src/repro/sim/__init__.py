@@ -9,9 +9,8 @@ from repro.sim.experiment import (
     ExperimentConfig,
     ExperimentResult,
     PolicySummary,
-    run_experiment,
 )
-from repro.sim.runner import run_experiments
+from repro.sim.runner import run_experiment, run_experiments
 from repro.sim.telemetry import TelemetryLog
 
 __all__ = [

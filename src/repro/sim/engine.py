@@ -31,7 +31,7 @@ from repro.core.monitor import Monitor
 from repro.core.policies import Policy
 from repro.core.scheduler import AdaptiveScheduler
 from repro.errors import ConfigurationError
-from repro.obs.metrics import REGISTRY as _REGISTRY
+from repro.obs.tracing import trace
 from repro.power.battery import BatteryBank, UnlimitedSupply
 from repro.power.grid import GridSource
 from repro.power.pdu import PDU
@@ -47,10 +47,6 @@ from repro.traces.nrel import IrradianceTrace, Weather, synthesize_irradiance
 from repro.verify.auditor import AuditContext, InvariantAuditor
 from repro.workloads.generator import LoadGenerator
 from repro.workloads.models import response_for
-
-_EPOCH_SECONDS_HIST = _REGISTRY.histogram(
-    "repro_sim_epoch_seconds", "Wall time of one Simulation.step epoch"
-)
 
 
 @dataclass
@@ -380,6 +376,7 @@ class Simulation:
             self.step()
         return self.log
 
+    @trace("sim.step")
     def step(
         self, load_fraction: float | None = None,
         directives: EpochDirectives = NO_DIRECTIVES,
@@ -391,35 +388,34 @@ class Simulation:
         Constrained-supply mode adds its rack budget to ``directives``.
         Served racks step past the clock's end; the traces wrap.
         """
-        with _EPOCH_SECONDS_HIST.time():
-            t = self.clock_s
-            if self.faults is not None:
-                self.faults.apply(self.controller, t)
-            self._apply_schedule(t)
-            # Captured after fault injection so the audit's SoC delta
-            # reflects only the epoch's own flows.
-            soc_before = self.controller.pdu.battery.soc_wh
-            if load_fraction is None:
-                load_fraction = self.load_generator.at(t).fraction
-            budgets = self.rack_budgets_w
-            if budgets is not None and directives.rack_budget_w is None:
-                budget = budgets[self.epoch_index % len(budgets)]
-                directives = replace(directives, rack_budget_w=budget)
-            if self.shift is not None:
-                record, directives = self.shift.execute_epoch(
-                    self.controller, t, load_fraction, directives
-                )
-            else:
-                record = self.controller.run_epoch(t, load_fraction, directives)
-            self.epoch_index += 1
-            self.log.append(record)
-            self.auditor.audit(
-                AuditContext(
-                    record=record,
-                    controller=self.controller,
-                    epoch_s=self.clock.epoch_s,
-                    soc_before_wh=soc_before,
-                    directives=directives,
-                )
+        t = self.clock_s
+        if self.faults is not None:
+            self.faults.apply(self.controller, t)
+        self._apply_schedule(t)
+        # Captured after fault injection so the audit's SoC delta
+        # reflects only the epoch's own flows.
+        soc_before = self.controller.pdu.battery.soc_wh
+        if load_fraction is None:
+            load_fraction = self.load_generator.at(t).fraction
+        budgets = self.rack_budgets_w
+        if budgets is not None and directives.rack_budget_w is None:
+            budget = budgets[self.epoch_index % len(budgets)]
+            directives = replace(directives, rack_budget_w=budget)
+        if self.shift is not None:
+            record, directives = self.shift.execute_epoch(
+                self.controller, t, load_fraction, directives
             )
+        else:
+            record = self.controller.run_epoch(t, load_fraction, directives)
+        self.epoch_index += 1
+        self.log.append(record)
+        self.auditor.audit(
+            AuditContext(
+                record=record,
+                controller=self.controller,
+                epoch_s=self.clock.epoch_s,
+                soc_before_wh=soc_before,
+                directives=directives,
+            )
+        )
         return record

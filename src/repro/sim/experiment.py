@@ -2,8 +2,9 @@
 
 :class:`ExperimentConfig` captures one evaluation scenario (rack
 combination, workload, solar regime, grid budget, duration) and
-:func:`run_experiment` replays it once per policy with identical traces
-and noise seeds, so differences are attributable to the policy alone.
+:func:`repro.sim.runner.run_experiment` replays it once per policy
+with identical traces and noise seeds, so differences are attributable
+to the policy alone.
 :class:`ExperimentResult` then computes the paper's headline quantities:
 performance and EPU gains over the Uniform baseline, sliced to the
 insufficient-supply epochs the paper focuses on.
@@ -280,18 +281,3 @@ class ExperimentResult:
     def gains_table(self, metric: str = "throughput") -> dict[str, float]:
         """Gain of every policy vs Uniform (the Fig. 9/10 bars)."""
         return {name: self.gain(name, metric) for name in self.logs}
-
-
-def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    """Run every configured policy over identical traces and noise.
-
-    Each policy gets a freshly built stack seeded identically, so the
-    solar trace, the offered load, and the measurement-noise stream are
-    bit-identical across policies.  ``jobs > 1`` fans the policy runs
-    out over a process pool (see :mod:`repro.sim.runner`); the merged
-    result is bit-identical to the serial path because every policy's
-    stack is independently assembled and seeded either way.
-    """
-    from repro.sim.runner import run_experiment as _run  # avoids an import cycle
-
-    return _run(config, jobs=jobs)

@@ -121,5 +121,11 @@ def run_experiments(
 
 
 def run_experiment(config: ExperimentConfig, jobs: int | None = 1) -> ExperimentResult:
-    """Run every policy of one config; see :func:`run_experiments`."""
+    """Run every configured policy over identical traces and noise.
+
+    Each policy gets a freshly built stack seeded identically, so the
+    solar trace, the offered load, and the measurement-noise stream are
+    bit-identical across policies; see :func:`run_experiments` for
+    ``jobs``.
+    """
     return run_experiments([config], jobs=jobs)[0]

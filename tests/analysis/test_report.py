@@ -4,7 +4,8 @@ import pytest
 
 from repro.analysis.report import experiment_report, save_experiment_report
 from repro.errors import ConfigurationError
-from repro.sim.experiment import ExperimentConfig, ExperimentResult, run_experiment
+from repro.sim.experiment import ExperimentConfig, ExperimentResult
+from repro.sim.runner import run_experiment
 
 
 @pytest.fixture(scope="module")

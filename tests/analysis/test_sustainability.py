@@ -7,7 +7,8 @@ from repro.analysis.sustainability import (
     sustainability_report,
 )
 from repro.errors import ConfigurationError
-from repro.sim.experiment import ExperimentConfig, run_experiment
+from repro.sim.experiment import ExperimentConfig
+from repro.sim.runner import run_experiment
 
 
 @pytest.fixture(scope="module")

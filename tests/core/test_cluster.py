@@ -53,6 +53,11 @@ class TestConstruction:
         with pytest.raises(PowerError):
             ClusterCoordinator([make_sim()], -1.0)
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+    def test_non_finite_budget_rejected(self, budget):
+        with pytest.raises(PowerError, match="finite"):
+            ClusterCoordinator([make_sim()], budget)
+
 
 class TestEqualSplit:
     def test_divides_evenly(self):

@@ -122,7 +122,8 @@ class TestPolicy:
         assert plan.powered_counts is None
 
     def test_end_to_end_never_worse(self):
-        from repro.sim.experiment import ExperimentConfig, run_experiment
+        from repro.sim.experiment import ExperimentConfig
+        from repro.sim.runner import run_experiment
 
         cfg = ExperimentConfig.insufficient_supply(
             "SPECjbb", days=0.25, policies=("Uniform", "GreenHetero", "GreenHetero+")

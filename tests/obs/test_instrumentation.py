@@ -4,13 +4,17 @@ These tests read *deltas* of the process-wide default registry, so they
 stay correct regardless of what other tests already recorded.
 """
 
+import json
+
 import pytest
 
 from repro.core.database import PerfPowerFit, ProfilingDatabase
 from repro.core.policies import make_policy
 from repro.core.predictor import HoltPredictor
 from repro.core.solver import GroupModel, PARSolver
+from repro.errors import ConfigurationError
 from repro.obs.metrics import REGISTRY, obs_enabled, set_enabled
+from repro.obs.tracing import set_trace_sink
 from repro.servers.rack import Rack
 from repro.shift import planner as planner_module
 from repro.shift.planner import PlanInputs, ShiftPlanner
@@ -33,8 +37,8 @@ def counter_value(name, *labels):
     return REGISTRY.get(name).labels(*labels).value
 
 
-def hist_count(name, *labels):
-    return REGISTRY.get(name).labels(*labels).count
+def span_count(span):
+    return REGISTRY.get("repro_span_seconds").labels(span).count
 
 
 def concave_group(name="A"):
@@ -45,9 +49,18 @@ def concave_group(name="A"):
 
 class TestSolverInstrumentation:
     def test_solve_times_and_counts(self, enabled):
-        before = hist_count("repro_solver_solve_seconds")
-        PARSolver(safety_margin=0.0).solve([concave_group()], 600.0)
-        assert hist_count("repro_solver_solve_seconds") == before + 1
+        solver = PARSolver(safety_margin=0.0)
+        before = span_count("solver.solve")
+        solver.solve([concave_group()], 600.0)
+        assert span_count("solver.solve") == before + 1
+        solver.solve([concave_group()], 600.0)  # cache hit: still timed
+        assert span_count("solver.solve") == before + 2
+
+    def test_invalid_input_is_not_timed(self, enabled):
+        before = span_count("solver.solve")
+        with pytest.raises(ConfigurationError):
+            PARSolver().solve([concave_group()], float("nan"))
+        assert span_count("solver.solve") == before
 
     def test_cache_hit_and_miss_counters(self, enabled):
         solver = PARSolver(safety_margin=0.0)
@@ -70,40 +83,76 @@ class TestSolverInstrumentation:
 
     def test_disabled_does_not_count(self, enabled):
         set_enabled(False)
-        before = hist_count("repro_solver_solve_seconds")
+        before = span_count("solver.solve")
         PARSolver(safety_margin=0.0).solve([concave_group()], 600.0)
-        assert hist_count("repro_solver_solve_seconds") == before
+        assert span_count("solver.solve") == before
 
 
 class TestPredictorInstrumentation:
     def test_fit_counted_and_timed(self, enabled):
         fits0 = counter_value("repro_predictor_fits_total")
-        secs0 = hist_count("repro_predictor_fit_seconds")
+        secs0 = span_count("predictor.fit")
         HoltPredictor.fit([10.0, 12.0, 14.0, 17.0, 19.0])
         assert counter_value("repro_predictor_fits_total") == fits0 + 1
-        assert hist_count("repro_predictor_fit_seconds") == secs0 + 1
+        assert span_count("predictor.fit") == secs0 + 1
+
+
+def three_epoch_sim():
+    return Simulation.assemble(
+        policy=make_policy("GreenHetero"),
+        rack=Rack([("E5-2620", 2), ("i5-4460", 2)], "SPECjbb"),
+        weather=Weather.HIGH,
+        clock=SimClock(start_s=SECONDS_PER_DAY, duration_s=3 * 900.0),
+        seed=7,
+    )
 
 
 class TestSimulationInstrumentation:
     def test_epochs_spans_and_histograms(self, enabled):
-        sim = Simulation.assemble(
-            policy=make_policy("GreenHetero"),
-            rack=Rack([("E5-2620", 2), ("i5-4460", 2)], "SPECjbb"),
-            weather=Weather.HIGH,
-            clock=SimClock(start_s=SECONDS_PER_DAY, duration_s=3 * 900.0),
-            seed=7,
-        )
-        epoch0 = hist_count("repro_sim_epoch_seconds")
+        sim = three_epoch_sim()
         phase0 = {
-            phase: hist_count("repro_span_seconds", phase)
-            for phase in ("controller.epoch", "scheduler.forecast",
+            phase: span_count(phase)
+            for phase in ("sim.step", "controller.epoch", "scheduler.forecast",
                           "scheduler.select", "scheduler.solve")
         }
         log = sim.run()
         assert len(log) == 3
-        assert hist_count("repro_sim_epoch_seconds") == epoch0 + 3
         for phase, before in phase0.items():
-            assert hist_count("repro_span_seconds", phase) == before + 3, phase
+            assert span_count(phase) == before + 3, phase
+
+    def test_span_tree_roots_every_epoch_at_sim_step(self, enabled, tmp_path):
+        sim = three_epoch_sim()
+        path = tmp_path / "trace.jsonl"
+        set_trace_sink(path)
+        try:
+            sim.run()
+        finally:
+            set_trace_sink(None)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        by_id = {r["span_id"]: r for r in records}
+        steps = [r for r in records if r["name"] == "sim.step"]
+        assert len(steps) == 3
+        assert all(r["parent_id"] is None for r in steps)
+        epochs = [r for r in records if r["name"] == "controller.epoch"]
+        assert len(epochs) == 3
+        for record in epochs:
+            assert by_id[record["parent_id"]]["name"] == "sim.step"
+        # Source selection runs the forecast, so that phase nests one
+        # level deeper; every other phase hangs off the epoch.
+        expected_parent = {
+            "scheduler.profile": "controller.epoch",
+            "scheduler.select": "controller.epoch",
+            "scheduler.forecast": "scheduler.select",
+            "scheduler.solve": "controller.epoch",
+            "solver.solve": "scheduler.solve",
+        }
+        for name, parent_name in expected_parent.items():
+            records_of = [r for r in records if r["name"] == name]
+            assert len(records_of) == 3, name
+            for record in records_of:
+                parent = by_id[record["parent_id"]]
+                assert parent["name"] == parent_name, name
+                assert record["trace_id"] == parent["trace_id"]
 
 
 class TestShiftInstrumentation:
@@ -128,13 +177,13 @@ class TestShiftInstrumentation:
         plans0 = counter_value("repro_shift_plans_total", "exhaustive")
         cand0 = counter_value("repro_shift_candidates_total")
         placed0 = counter_value("repro_shift_placements_total")
-        secs0 = hist_count("repro_shift_plan_seconds")
+        secs0 = span_count("shift.plan")
         plan = ShiftPlanner(horizon=8).plan(queue, inputs)
         assert plan.method == "exhaustive"
         assert counter_value("repro_shift_plans_total", "exhaustive") == plans0 + 1
         assert counter_value("repro_shift_candidates_total") > cand0
         assert counter_value("repro_shift_placements_total") == placed0 + len(plan.placements)
-        assert hist_count("repro_shift_plan_seconds") == secs0 + 1
+        assert span_count("shift.plan") == secs0 + 1
 
     def test_empty_queue_plans_are_counted_as_empty(self, enabled):
         inputs = PlanInputs(
@@ -145,12 +194,12 @@ class TestShiftInstrumentation:
         )
         plans0 = counter_value("repro_shift_plans_total", "empty")
         greedy0 = counter_value("repro_shift_plans_total", "greedy")
-        secs0 = hist_count("repro_shift_plan_seconds")
+        secs0 = span_count("shift.plan")
         plan = ShiftPlanner(horizon=8).plan(JobQueue(), inputs)
         assert plan.method == "empty"
         assert counter_value("repro_shift_plans_total", "empty") == plans0 + 1
         assert counter_value("repro_shift_plans_total", "greedy") == greedy0
-        assert hist_count("repro_shift_plan_seconds") == secs0 + 1
+        assert span_count("shift.plan") == secs0 + 1
 
     def test_one_span_and_one_counter_increment_per_plan(self, enabled, monkeypatch):
         queue = JobQueue()
@@ -175,10 +224,10 @@ class TestShiftInstrumentation:
 
         monkeypatch.setattr(planner_module, "_CANDIDATES_TOTAL", Recorder())
         cand0 = counter_value("repro_shift_candidates_total")
-        spans0 = hist_count("repro_span_seconds", "shift.plan")
+        spans0 = span_count("shift.plan")
         plan = ShiftPlanner(horizon=8).plan(queue, inputs)
         assert plan.method == "exhaustive" and len(plan.placements) == 3
-        assert hist_count("repro_span_seconds", "shift.plan") == spans0 + 1
+        assert span_count("shift.plan") == spans0 + 1
         # Once per plan, by the number of candidates the search priced.
         assert len(increments) == 1 and increments[0] >= 3
         assert counter_value("repro_shift_candidates_total") == cand0 + increments[0]

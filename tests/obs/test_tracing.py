@@ -5,13 +5,7 @@ import json
 import pytest
 
 from repro.obs.metrics import REGISTRY, obs_enabled, set_enabled
-from repro.obs.tracing import (
-    TRACER,
-    current_span,
-    get_tracer,
-    set_trace_sink,
-    trace,
-)
+from repro.obs.tracing import Span, current_span, set_trace_sink, trace
 
 
 @pytest.fixture
@@ -79,8 +73,28 @@ class TestSpans:
         assert work(2) == 3  # the handle is reusable across calls
         assert fam.labels("unit.decorated").count == before + 2
 
-    def test_default_tracer_is_shared(self):
-        assert get_tracer() is TRACER
+    def test_span_is_its_own_context_manager(self, enabled):
+        # One object per span: trace() returns the Span that ``with`` yields.
+        handle = trace("unit.one")
+        assert isinstance(handle, Span)
+        with handle as span:
+            assert span is handle
+        assert span.duration_s >= 0.0
+
+    def test_decorator_opens_a_fresh_span_per_call(self, enabled):
+        seen = []
+
+        @trace("unit.fresh", rack="rack0")
+        def work():
+            seen.append(current_span())
+
+        work()
+        work()
+        first, second = seen
+        assert first is not second
+        assert first.span_id != second.span_id
+        assert first.attrs == second.attrs == {"rack": "rack0"}
+        assert first.attrs is not second.attrs
 
 
 class TestSink:

@@ -23,6 +23,12 @@ class TestBudget:
         with pytest.raises(PowerError):
             GridSource(budget_w=-1.0)
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+    def test_non_finite_budget_rejected(self, budget):
+        # NaN once slipped past the sign check and uncapped every draw.
+        with pytest.raises(PowerError, match="finite"):
+            GridSource(budget_w=budget)
+
     def test_negative_draw_rejected(self):
         with pytest.raises(PowerError):
             GridSource().draw(-1.0, 60.0)

@@ -2,6 +2,7 @@
 periodic metrics snapshots."""
 
 import json
+import re
 import time
 
 import pytest
@@ -44,7 +45,7 @@ class TestMetricsVerb:
         families = parse_exposition(scrape["text"])
         assert "repro_serve_request_seconds" in families
         assert "repro_serve_requests_total" in families
-        assert "repro_solver_solve_seconds" in families
+        assert "solver.solve" in span_counts(families)
         assert set(families) <= set(scrape["families"])
 
     def test_request_counters_grow(self, client):
@@ -75,6 +76,53 @@ class TestMetricsVerb:
             client.allocate("rack9")
         families_after = parse_exposition(client.metrics()["text"])
         assert errors(families_after) == errors(families_before) + 1
+
+
+def span_counts(families):
+    """``repro_span_seconds`` observation counts by span name."""
+    return {
+        re.search(r'span="([^"]+)"', labels).group(1): value
+        for name, labels, value in families["repro_span_seconds"]["samples"]
+        if name == "repro_span_seconds_count"
+    }
+
+
+def cache_hits(families):
+    return sum(
+        value
+        for _, labels, value in families["repro_solver_cache_lookups_total"]["samples"]
+        if 'result="hit"' in labels
+    )
+
+
+class TestOneTimingInstrument:
+    """Every timed region is a span; the request histogram is the one
+    other duration family."""
+
+    def test_served_work_is_timed_by_spans(self, tmp_path):
+        state = ServeState.build(SMALL, checkpoint_dir=tmp_path / "ckpt")
+        daemon = AllocationDaemon(state, port=0)
+        thread = daemon.run_in_thread()
+        try:
+            with ServeClient(port=daemon.port) as client:
+                client.step("rack0")
+                budget = client.allocate("rack0")["budget_w"]
+                before = parse_exposition(client.metrics()["text"])
+                client.allocate("rack0", budget_w=budget)  # same program: hit
+                after = parse_exposition(client.metrics()["text"])
+                client.plan("rack0")
+                client.checkpoint()
+                families = parse_exposition(client.metrics()["text"])
+        finally:
+            daemon.stop_from_thread()
+            thread.join(timeout=30)
+        assert cache_hits(after) == cache_hits(before) + 1
+        assert span_counts(after)["solver.solve"] == span_counts(before)["solver.solve"] + 1
+        durations = {name for name, info in families.items() if info["kind"] == "histogram"}
+        assert durations == {"repro_span_seconds", "repro_serve_request_seconds"}
+        assert {
+            "sim.step", "solver.solve", "shift.plan", "predictor.fit", "serve.checkpoint",
+        } <= set(span_counts(families))
 
 
 class TestCacheStatsObsBlock:
@@ -123,4 +171,15 @@ class TestMetricsInterval:
                 state, port=0,
                 audit_log=tmp_path / "a.jsonl",
                 metrics_interval_s=0.0,
+            )
+
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_interval_must_be_finite(self, tmp_path, interval):
+        # asyncio.sleep(nan) never returns: the dumps would silently stop.
+        state = ServeState.build(SMALL)
+        with pytest.raises(ConfigurationError, match="finite"):
+            AllocationDaemon(
+                state, port=0,
+                audit_log=tmp_path / "a.jsonl",
+                metrics_interval_s=interval,
             )

@@ -39,6 +39,11 @@ class TestServeConfig:
         with pytest.raises(ConfigurationError):
             ServeConfig(epoch_s=0.0)
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
+    def test_bad_shared_grid_rejected(self, budget):
+        with pytest.raises(ConfigurationError, match="shared grid"):
+            ServeConfig(n_racks=2, shared_grid_w=budget)
+
     def test_malformed_document_rejected(self):
         with pytest.raises(ConfigurationError):
             ServeConfig.from_dict({"workload": "SPECjbb"})
@@ -245,6 +250,14 @@ class TestCheckpointBoundary:
     def test_manifest_that_is_a_list(self, checkpointed):
         edit_json(checkpointed / MANIFEST_NAME, lambda manifest: [manifest])
         self.rejects(checkpointed)
+
+    def test_nan_shared_grid_in_manifest(self, checkpointed):
+        def nan_grid(manifest):
+            manifest["config"]["shared_grid_w"] = float("nan")
+            return manifest
+
+        edit_json(checkpointed / MANIFEST_NAME, nan_grid)
+        self.rejects(checkpointed, match="shared grid")
 
     def test_version_one_checkpoint(self, checkpointed):
         def version_one(manifest):

@@ -8,8 +8,8 @@ from repro.sim.experiment import (
     COMBINATIONS,
     STANDARD_TESTBED_ENVELOPE_W,
     ExperimentConfig,
-    run_experiment,
 )
+from repro.sim.runner import run_experiment
 from repro.traces.nrel import Weather
 
 

@@ -23,14 +23,6 @@ class TestParallelBitIdentity:
         result = run_experiment(CONFIG, jobs=4)
         assert tuple(result.logs) == CONFIG.policies
 
-    def test_matches_experiment_module_entry_point(self):
-        from repro.sim.experiment import run_experiment as experiment_run
-
-        a = experiment_run(CONFIG, jobs=2)
-        b = run_experiment(CONFIG, jobs=1)
-        for name in CONFIG.policies:
-            assert list(a.log(name)) == list(b.log(name))
-
 
 class TestBatch:
     def test_batch_results_in_input_order(self):

@@ -13,7 +13,8 @@ from repro.power.grid import GridSource
 from repro.power.pdu import PDU
 from repro.power.solar import SolarFarm
 from repro.servers.rack import Rack
-from repro.sim.experiment import ExperimentConfig, ExperimentResult, run_experiment
+from repro.sim.experiment import ExperimentConfig, ExperimentResult
+from repro.sim.runner import run_experiment
 from repro.traces.nrel import synthesize_irradiance
 
 

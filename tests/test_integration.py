@@ -12,7 +12,8 @@ import pytest
 from repro.core.sources import PowerCase
 from repro.servers.platform import get_platform
 from repro.servers.power_model import ResponseCurve
-from repro.sim.experiment import ExperimentConfig, run_experiment
+from repro.sim.experiment import ExperimentConfig
+from repro.sim.runner import run_experiment
 
 
 @pytest.fixture(scope="module")

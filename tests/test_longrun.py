@@ -15,7 +15,8 @@ from repro.core.sources import PowerCase
 from repro.servers.rack import Rack
 from repro.sim.clock import SimClock
 from repro.sim.engine import Simulation
-from repro.sim.experiment import ExperimentConfig, run_experiment
+from repro.sim.experiment import ExperimentConfig
+from repro.sim.runner import run_experiment
 from repro.traces.nrel import Weather
 from repro.units import SECONDS_PER_DAY
 

@@ -35,27 +35,32 @@ from smoke_daemon import start_daemon, stop_daemon
 from repro.obs.metrics import parse_exposition
 from repro.serve.client import ServeClient
 
-#: Families the scrape must cover: solver, scheduler (span phases),
-#: serve verbs, shift planner, predictor fits.
+#: Families the scrape must cover: solver, spans, serve verbs, shift
+#: planner, predictor fits.
 REQUIRED_FAMILIES = (
-    "repro_solver_solve_seconds",
     "repro_solver_cache_lookups_total",
     "repro_span_seconds",
     "repro_serve_request_seconds",
     "repro_serve_requests_total",
-    "repro_shift_plan_seconds",
     "repro_shift_plans_total",
     "repro_shift_candidates_total",
     "repro_predictor_fits_total",
 )
 
-#: Scheduler phases that must appear as span labels after one epoch.
+#: Span labels that must appear after one epoch, the allocates and a plan.
 REQUIRED_SPANS = (
+    "sim.step",
     "controller.epoch",
     "scheduler.forecast",
     "scheduler.select",
     "scheduler.solve",
+    "solver.solve",
+    "shift.plan",
 )
+
+#: The duration histograms: every timed region is a span, and a request
+#: latency is the one duration recorded outside one.
+DURATION_FAMILIES = ("repro_span_seconds", "repro_serve_request_seconds")
 
 
 def check_exposition(text: str) -> None:
@@ -75,10 +80,14 @@ def check_exposition(text: str) -> None:
     if missing_spans:
         raise SystemExit(f"span histogram is missing phases: {missing_spans}")
 
-    # Histogram series must be structurally valid: cumulative buckets,
-    # +Inf bucket equal to _count, non-zero activity on the hot paths.
-    for family in ("repro_solver_solve_seconds", "repro_serve_request_seconds",
-                   "repro_shift_plan_seconds"):
+    durations = sorted(f for f, info in families.items() if info["kind"] == "histogram")
+    if durations != sorted(DURATION_FAMILIES):
+        raise SystemExit(f"duration histograms are {durations}, "
+                         f"expected {sorted(DURATION_FAMILIES)}")
+
+    # Every histogram series must be structurally valid: cumulative
+    # buckets, +Inf bucket equal to _count, non-zero activity.
+    for family in DURATION_FAMILIES:
         info = families[family]
         if info["kind"] != "histogram":
             raise SystemExit(f"{family} is {info['kind']}, expected histogram")
@@ -103,9 +112,8 @@ def check_exposition(text: str) -> None:
                 raise SystemExit(f"{family}{series}: buckets are not cumulative")
             if cumulative[-1] != counts.get(series):
                 raise SystemExit(f"{family}{series}: +Inf bucket != _count")
-        total = sum(counts.values())
-        if total <= 0:
-            raise SystemExit(f"{family} recorded no observations")
+            if cumulative[-1] <= 0:
+                raise SystemExit(f"{family}{series} recorded no observations")
 
     hits = sum(
         value
