@@ -34,8 +34,9 @@ These subcommands cover the workflows a user of the paper's system needs:
 
 ``repro verify``
     Run the correctness harness (:mod:`repro.verify`): strict-audit
-    reference simulations, the differential solver corpus, and the
-    checkpoint round-trip fuzzer.  Exits 1 when any gate fails.
+    reference simulations, the differential solver corpus, the programs
+    of a live Fig. 8 lap, and the checkpoint round-trip fuzzer.  Exits 1
+    when any gate fails.
 
 ``repro trace``
     Synthesize a High/Low NREL-style irradiance trace to CSV.
@@ -387,7 +388,9 @@ def cmd_shift(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # Lazy: reference reaches into the engine, which imports repro.verify.
-    from repro.verify import fuzz_round_trips, run_differential, run_strict_reference
+    from repro.verify import (
+        fuzz_round_trips, run_differential, run_live, run_strict_reference,
+    )
 
     ok = True
 
@@ -399,6 +402,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     diff = run_differential(n_cases=args.cases, seed=args.seed)
     print(diff.summary())
     ok = ok and diff.passed
+
+    live = run_live()
+    print(live.summary())
+    ok = ok and live.passed
 
     fuzz = fuzz_round_trips(n_cases=args.fuzz_cases, seed=args.seed)
     print(fuzz.summary())
@@ -595,7 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p = sub.add_parser(
         "verify",
         help="run the correctness harness: strict-audit reference sims, "
-        "the differential solver corpus, and checkpoint round-trip fuzzing",
+        "the differential solver corpus, the live Fig. 8 programs, and "
+        "checkpoint round-trip fuzzing",
     )
     verify_p.add_argument(
         "--cases", type=int, default=200,

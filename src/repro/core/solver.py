@@ -35,6 +35,18 @@ Two paths solve it:
    ``max(0, .)`` clamp zeroes might as well be off, which is another
    subset, and the clamp can only raise a candidate's score.  Scoring
    all candidates is therefore exact.
+
+   The enumeration is one kernel, :func:`_kkt_scan`, driven by a pattern
+   table built once per group count (:func:`_patterns`): per powered
+   subset, every lo/hi/free assignment as bounded slots plus free
+   groups.  Each solve hoists its groups' constants (bounds, ``l``,
+   ``m``, vertices and ``count * f`` at the bounds and at 0), so only a
+   free group's power is computed and scored per candidate.
+   :class:`PartialGroupSolver` runs the same kernel on each
+   powered-count combination.  Candidate order, tie rule and float
+   operations are those of building each candidate's power vector and
+   scoring it with :meth:`PARSolver._score`, so answers are
+   bit-identical to doing exactly that (DESIGN.md §13).
 2. **Cubic fallback** — the enumeration reads only a fit's quadratic and
    linear terms, so for cubic fits it is a heuristic.  A simplex grid
    sweep and an SLSQP polish of the best point back it up.  Either
@@ -51,10 +63,11 @@ exactly the paper's Manual baseline (:meth:`PARSolver.compositions`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,6 +81,21 @@ from repro.obs.tracing import trace
 _SOLVES_TOTAL = _REGISTRY.counter(
     "repro_solver_solves_total", "Solves by winning mechanism", labelnames=("method",)
 )
+
+
+class _MethodChildren(dict):
+    """``method`` -> counter child, resolving each child on first use."""
+
+    def __missing__(self, method: str):
+        child = self[method] = _SOLVES_TOTAL.labels(method)
+        return child
+
+
+#: The children every solve path increments, resolved at import so a cache
+#: hit or miss calls no ``labels()``; the cubic and partial-group methods
+#: join on their first solve, so a scrape lists only methods that ran.
+_SOLVES = _MethodChildren((m, _SOLVES_TOTAL.labels(m)) for m in ("kkt", "cached"))
+
 _CACHE_LOOKUPS = _REGISTRY.counter(
     "repro_solver_cache_lookups_total", "Solve-cache lookups", labelnames=("result",)
 )
@@ -143,6 +171,178 @@ class PARSolution:
     def allocated_fraction(self) -> float:
         """Share of the budget actually handed to servers."""
         return sum(self.ratios)
+
+
+class _KKTFit(NamedTuple):
+    """One group's count-independent constants for :func:`_kkt_scan`."""
+
+    lo: float  # lowest powered level, :meth:`PARSolver._lo`
+    hi: float  # ``max_power_w``
+    lo_m: float  # ``lo`` less the 1e-9 W box tolerance
+    hi_p: float  # ``hi`` plus the 1e-9 W box tolerance
+    min_w: float  # ``min_power_w``: below it the fit scores 0
+    coeffs: tuple[float, ...]  # Horner order, as ``PerfPowerFit.predict``
+    m: float
+    two_l: float  # ``2 * l``
+    linear: bool  # ``|l| < 1e-15``
+    vertex: float | None  # ``-m / 2l``; None for a linear fit
+    pred0: float  # ``predict(0.0)``
+    pred_lo: float  # ``predict(lo)``
+    pred_hi: float  # ``predict(hi)``
+
+
+@functools.lru_cache(maxsize=None)
+def _patterns(k: int) -> tuple:
+    """The KKT pattern table for ``k`` groups, in enumeration order.
+
+    One ``(on, patterns)`` entry per non-empty powered subset ``on``, in
+    ``itertools.product((False, True), repeat=k)`` order.  Each pattern
+    puts every powered group at its lower bound, its upper bound or
+    free, in ``itertools.product((lo, hi, free), repeat=len(on))`` order,
+    as ``(fixed, free)``: ``fixed`` holds the slot ``2 * i + bound`` of
+    each bounded group ``i`` (bound 0 for the lower, 1 for the upper) in
+    a flat list of every group's two bounds, and ``free`` the free
+    groups.  Every tuple keeps the groups in index order.
+    """
+    table = []
+    for powered in itertools.product((False, True), repeat=k):
+        on = tuple(i for i in range(k) if powered[i])
+        if not on:
+            continue
+        patterns = []
+        for assignment in itertools.product((0, 1, 2), repeat=len(on)):
+            fixed = tuple(2 * i + a for i, a in zip(on, assignment) if a < 2)
+            free = tuple(i for i, a in zip(on, assignment) if a == 2)
+            patterns.append((fixed, free))
+        table.append((on, tuple(patterns)))
+    return tuple(table)
+
+
+def _kkt_scan(
+    fits: Sequence[_KKTFit],
+    counts: Sequence[int],
+    budget_w: float,
+    table: tuple,
+    best_p: tuple[float, ...] | None,
+    best_score: float,
+    margin: float,
+) -> tuple[tuple[float, ...] | None, float]:
+    """Score every KKT candidate of a :func:`_patterns` table; keep the best.
+
+    ``fits`` holds each group's :class:`_KKTFit` constants and
+    ``counts`` its server count.  A candidate replaces the incumbent
+    ``(best_p, best_score)`` only when it scores more than ``best_score
+    + margin``, so the first of tied candidates wins.  Every float
+    operation is the one, in the same order, that assembling the
+    candidate as a per-server power vector and scoring it with
+    :meth:`PARSolver._score` performs, so the answer is the same to the
+    bit: a group at a bound scores the precomputed ``count *
+    predict(bound)``, and a free group :meth:`PerfPowerFit.predict`'s
+    clamp and Horner loop, inlined.
+    """
+    # One column per constant, bound to a local by name.
+    cols = _KKTFit._make(zip(*fits))
+    lo, hi, lo_m, hi_p = cols.lo, cols.hi, cols.lo_m, cols.hi_p
+    min_w, coeffs, m, two_l = cols.min_w, cols.coeffs, cols.m, cols.two_l
+    linear, vertex = cols.linear, cols.vertex
+    pred0, pred_lo, pred_hi = cols.pred0, cols.pred_lo, cols.pred_hi
+    k = len(counts)
+    cap = budget_w + FEASIBILITY_SLACK_W
+    # Per-server power, watts drawn and score at slot 2i (group i's lower
+    # bound) and 2i + 1 (its upper bound).
+    bound_p: list[float] = []
+    bound_w: list[float] = []
+    bound_s: list[float] = []
+    for i, n in enumerate(counts):
+        bound_p += (lo[i], hi[i])
+        bound_w += (n * lo[i], n * hi[i])
+        bound_s += (n * pred_lo[i], n * pred_hi[i])
+    off_s = [n * s for n, s in zip(counts, pred0)]
+    for on, patterns in table:
+        if sum([bound_w[2 * i] for i in on]) > budget_w:
+            continue
+        # Per-server power, watts drawn and score of every group; groups
+        # outside ``on`` stay off.
+        p = [0.0] * k
+        w = [0.0] * k
+        s = off_s[:]
+        for fixed, free in patterns:
+            for j in fixed:
+                i = j >> 1
+                p[i] = bound_p[j]
+                w[i] = bound_w[j]
+                s[i] = bound_s[j]
+            if not free:
+                points = ((),)  # one candidate: the bounds alone
+            elif len(free) == 1:
+                # A lone free group stands at its vertex (budget slack) or
+                # takes what the bounded groups leave (budget tight: a
+                # vertex of the box-plus-budget polytope).
+                i = free[0]
+                tight = ((budget_w - sum(map(bound_w.__getitem__, fixed))) / counts[i],)
+                points = (tight,) if linear[i] else ((vertex[i],), tight)
+            else:
+                lin = [i for i in free if linear[i]]
+                if len(lin) > 1:
+                    # Equal slopes make a flat edge whose ends are
+                    # enumerated elsewhere; unequal ones admit no lambda.
+                    continue
+                # Budget slack: every free group at its vertex.
+                points = [] if lin else [[vertex[i] for i in free]]
+                # Budget tight: f_i'(p_i) = lambda for every free i.  A
+                # linear one fixes lambda at its slope and takes what the
+                # others leave.
+                rest = budget_w - sum(map(bound_w.__getitem__, fixed))
+                if lin:
+                    absorber = lin[0]
+                    lam = m[absorber]
+                else:
+                    absorber = None
+                    denom = sum([counts[i] / two_l[i] for i in free])
+                    if abs(denom) < 1e-15:
+                        lam = None  # a flat family whose ends are enumerated
+                    else:
+                        offset = sum([counts[i] * m[i] / two_l[i] for i in free])
+                        lam = (rest + offset) / denom
+                if lam is not None:
+                    tight = [0.0] * len(free)
+                    for f, i in enumerate(free):
+                        if i != absorber:
+                            tight[f] = v = (lam - m[i]) / two_l[i]
+                            rest -= counts[i] * v
+                    if absorber is not None:
+                        tight[free.index(absorber)] = rest / counts[absorber]
+                    points.append(tight)
+            for values in points:
+                for i, v in zip(free, values):
+                    if v < lo_m[i] or v > hi_p[i]:
+                        break
+                    if v < lo[i]:
+                        v = lo[i]
+                    if hi[i] < v:
+                        v = hi[i]
+                    p[i] = v
+                    n = counts[i]
+                    w[i] = n * v
+                    if v < min_w[i]:
+                        s[i] = n * 0.0
+                    else:
+                        x = hi[i] if hi[i] < v else v
+                        r = 0.0
+                        for c in coeffs[i]:
+                            r = r * x + c
+                        r = float(r)
+                        s[i] = n * (r if r > 0.0 else 0.0)
+                else:
+                    total = 0.0
+                    for i in on:
+                        total += w[i]
+                    if total > cap:
+                        continue
+                    score = sum(s)
+                    if score > best_score + margin:
+                        best_p, best_score = tuple(p), score
+    return best_p, best_score
 
 
 class PARSolver:
@@ -230,7 +430,7 @@ class PARSolver:
         with trace("solver.solve"):
             if self.cache_size == 0:
                 solution = self._solve_impl(groups, total_power_w)
-                _SOLVES_TOTAL.labels(solution.method).inc()
+                _SOLVES[solution.method].inc()
                 return solution
             key = self._cache_key(groups, total_power_w)
             cached = self._cache.get(key)
@@ -238,7 +438,7 @@ class PARSolver:
                 if self._feasible_for(cached, groups, total_power_w):
                     self.cache_hits += 1
                     _CACHE_HIT.inc()
-                    _SOLVES_TOTAL.labels("cached").inc()
+                    _SOLVES["cached"].inc()
                     return cached
                 # Stale hit: the quantized key collided with a solve done
                 # under a (slightly) larger budget, so replaying the cached
@@ -248,13 +448,13 @@ class PARSolver:
                 self.cache_stale_hits += 1
                 _CACHE_STALE.inc()
                 solution = self._solve_impl(groups, total_power_w)
-                _SOLVES_TOTAL.labels(solution.method).inc()
+                _SOLVES[solution.method].inc()
                 self._cache[key] = solution
                 return solution
             self.cache_misses += 1
             _CACHE_MISS.inc()
             solution = self._solve_impl(groups, total_power_w)
-            _SOLVES_TOTAL.labels(solution.method).inc()
+            _SOLVES[solution.method].inc()
             if len(self._cache) >= self.cache_size:
                 # FIFO eviction: dict preserves insertion order and the
                 # adaptive policies retire old fits monotonically.
@@ -511,115 +711,39 @@ class PARSolver:
         self, groups: Sequence[GroupModel], budget_w: float
     ) -> tuple[tuple[float, ...], float]:
         """Best-scoring KKT candidate (the first one on ties)."""
-        best_p: tuple[float, ...] = (0.0,) * len(groups)
-        best_score = 0.0
-        for candidate in self._kkt_candidates(groups, budget_w):
-            score = self._score(groups, candidate)
-            if score > best_score:
-                best_p, best_score = candidate, score
-        return best_p, best_score
-
-    def _kkt_candidates(
-        self, groups: Sequence[GroupModel], budget_w: float
-    ) -> Iterable[tuple[float, ...]]:
         k = len(groups)
-        indices = range(k)
-        for powered in itertools.product((False, True), repeat=k):
-            if not any(powered):
-                continue
-            on = [i for i in indices if powered[i]]
-            min_total = sum(groups[i].count * self._lo(groups[i].fit) for i in on)
-            if min_total > budget_w:
-                continue
-            yield from self._subset_candidates(groups, on, budget_w)
+        return _kkt_scan(
+            [self._kkt_fit(g.fit) for g in groups],
+            [g.count for g in groups],
+            budget_w,
+            _patterns(k),
+            (0.0,) * k,
+            0.0,
+            0.0,
+        )
 
-    def _subset_candidates(
-        self, groups: Sequence[GroupModel], on: list[int], budget_w: float
-    ) -> Iterable[tuple[float, ...]]:
-        """KKT points for a fixed powered subset."""
-        k = len(groups)
-
-        def assemble(values: dict[int, float]) -> tuple[float, ...] | None:
-            p = [0.0] * k
-            total = 0.0
-            for i in on:
-                v = values[i]
-                fit = groups[i].fit
-                lo = self._lo(fit)
-                if v < lo - 1e-9 or v > fit.max_power_w + 1e-9:
-                    return None
-                v = min(max(v, lo), fit.max_power_w)
-                p[i] = v
-                total += groups[i].count * v
-            if total > budget_w + FEASIBILITY_SLACK_W:
-                return None
-            return tuple(p)
-
-        # Each powered group is at LO, HI, or FREE.
-        for assignment in itertools.product(("lo", "hi", "free"), repeat=len(on)):
-            fixed: dict[int, float] = {}
-            free: list[int] = []
-            for i, tag in zip(on, assignment):
-                fit = groups[i].fit
-                if tag == "lo":
-                    fixed[i] = self._lo(fit)
-                elif tag == "hi":
-                    fixed[i] = fit.max_power_w
-                else:
-                    free.append(i)
-
-            if not free:
-                candidate = assemble(fixed)
-                if candidate is not None:
-                    yield candidate
-                continue
-
-            # Budget-slack stationary point: f_i'(p_i) = 0 for free i.  A
-            # linear free group has none (or is flat, tying its bounds).
-            linear = [i for i in free if abs(groups[i].fit.l) < 1e-15]
-            if not linear:
-                interior: dict[int, float] = dict(fixed)
-                for i in free:
-                    fit = groups[i].fit
-                    interior[i] = -fit.m / (2.0 * fit.l)
-                candidate = assemble(interior)
-                if candidate is not None:
-                    yield candidate
-
-            # Budget-tight stationary point: f_i'(p_i) = lambda for free i,
-            # sum count_i p_i = budget, so p_i = (lambda - m_i) / (2 l_i).
-            if len(linear) > 1:
-                # Equal slopes make a flat edge whose ends are enumerated
-                # elsewhere; unequal slopes admit no common lambda.
-                continue
-            rest = budget_w - sum(groups[i].count * fixed[i] for i in fixed)
-            absorber: int | None = None
-            if linear or len(free) == 1:
-                # One free group takes what the others leave: a linear one
-                # (lambda is its slope) or a lone one of any curvature (a
-                # vertex of the box-plus-budget polytope).
-                absorber = linear[0] if linear else free[0]
-                lam = groups[absorber].fit.m
-            else:
-                denom = sum(groups[i].count / (2.0 * groups[i].fit.l) for i in free)
-                if abs(denom) < 1e-15:
-                    continue  # a flat family whose ends are enumerated
-                offset = sum(
-                    groups[i].count * groups[i].fit.m / (2.0 * groups[i].fit.l)
-                    for i in free
-                )
-                lam = (rest + offset) / denom
-            tight: dict[int, float] = dict(fixed)
-            for i in free:
-                if i != absorber:
-                    fit = groups[i].fit
-                    tight[i] = (lam - fit.m) / (2.0 * fit.l)
-                    rest -= groups[i].count * tight[i]
-            if absorber is not None:
-                tight[absorber] = rest / groups[absorber].count
-            candidate = assemble(tight)
-            if candidate is not None:
-                yield candidate
+    def _kkt_fit(self, fit: PerfPowerFit) -> _KKTFit:
+        """One group's count-independent constants for :func:`_kkt_scan`."""
+        lo = self._lo(fit)
+        hi = fit.max_power_w
+        l, m = fit.l, fit.m
+        linear = abs(l) < 1e-15
+        two_l = 2.0 * l
+        return _KKTFit(
+            lo=lo,
+            hi=hi,
+            lo_m=lo - 1e-9,
+            hi_p=hi + 1e-9,
+            min_w=fit.min_power_w,
+            coeffs=fit.coefficients,
+            m=m,
+            two_l=two_l,
+            linear=linear,
+            vertex=None if linear else -m / two_l,
+            pred0=fit.predict(0.0),
+            pred_lo=fit.predict(lo),
+            pred_hi=fit.predict(hi),
+        )
 
     # ------------------------------------------------------------------
     # SLSQP polish (cubic fallback): refine the best point within its
@@ -755,33 +879,30 @@ class PartialGroupSolver(PARSolver):
         if total_power_w == 0:
             return self._to_solution(groups, best_p, 0.0, "kkt", 0.0, best_k)
 
+        fits = [self._kkt_fit(g.fit) for g in groups]
         for k in itertools.product(*(range(g.count + 1) for g in groups)):
-            if not any(k):
+            on = [i for i in range(n) if k[i] > 0]
+            if not on:
                 continue
-            min_total = sum(
-                ki * self._lo(g.fit) for ki, g in zip(k, groups) if ki > 0
+            # The base class's kernel on the powered groups alone, all on,
+            # with the powered counts standing in for the group counts.
+            p, score = _kkt_scan(
+                [fits[i] for i in on],
+                [k[i] for i in on],
+                total_power_w,
+                _patterns(len(on))[-1:],
+                None,
+                best_score,
+                1e-12,
             )
-            if min_total > total_power_w:
-                continue
-            scaled = [
-                GroupModel(g.name, ki, g.fit)
-                for g, ki in zip(groups, k)
-                if ki > 0
-            ]
-            on = list(range(len(scaled)))
-            for candidate in self._subset_candidates(scaled, on, total_power_w):
-                score = self._score(scaled, candidate)
-                if score > best_score + 1e-12:
-                    # Re-expand the candidate onto the original group axes.
-                    expanded = [0.0] * n
-                    j = 0
-                    for i, ki in enumerate(k):
-                        if ki > 0:
-                            expanded[i] = candidate[j]
-                            j += 1
-                    best_p = tuple(expanded)
-                    best_k = tuple(k)
-                    best_score = score
+            if p is not None:
+                # Re-expand the winner onto the original group axes.
+                expanded = [0.0] * n
+                for j, i in enumerate(on):
+                    expanded[i] = p[j]
+                best_p = tuple(expanded)
+                best_k = tuple(k)
+                best_score = score
 
         method = "kkt-partial" if best_score > 0.0 else "kkt"
         return self._to_solution(

@@ -7,7 +7,7 @@ Two complementary harnesses:
   :class:`~repro.sim.engine.Simulation` behind ``strict=``/``--strict``);
 * :mod:`repro.verify.differential` — cross-checking the PAR solver's
   exact path against its grid and SLSQP references on a seeded
-  randomized corpus;
+  randomized corpus and on the programs of a live Fig. 8 lap;
 * :mod:`repro.verify.fuzz` — checkpoint round-trip fuzzing for
   serve/shift state;
 * :mod:`repro.verify.reference` — strict-mode end-to-end reference
@@ -29,6 +29,7 @@ from repro.verify.differential import (
     CaseOutcome,
     DifferentialReport,
     run_differential,
+    run_live,
 )
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "InvariantAuditor",
     "Violation",
     "run_differential",
+    "run_live",
     "FuzzReport",
     "fuzz_round_trips",
     "ReferenceResult",

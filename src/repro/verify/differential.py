@@ -30,6 +30,12 @@ bit-identically from its case seed.  Budgets are floored well above the
 subset's power-on cliff — right at the cliff the coarse grid
 legitimately loses whole groups, which would drown real failures in
 step-size noise.
+
+A second corpus, :func:`run_live`, takes its programs from the live
+system: every program one seed-2021 Fig. 8 lap under GreenHetero poses
+(its fits are the ones the online database actually produces, cliffs
+included).  They get the feasibility and exact-path checks; the
+SLSQP-agreement and grid-lag quality checks stay with the random corpus.
 """
 
 from __future__ import annotations
@@ -53,6 +59,9 @@ GRID_REL_SLACK = 0.25
 #: (pure float slack).
 EXACT_REL_TOL = 1e-9
 
+#: Seed of the Fig. 8 lap whose programs :func:`run_live` checks.
+LIVE_SEED = 2021
+
 #: Fit shapes :func:`random_case` draws from, one per group.
 SHAPES = ("concave", "convex", "dipping", "linear")
 
@@ -75,11 +84,14 @@ class CaseOutcome:
 
 @dataclass(frozen=True)
 class DifferentialReport:
-    """Corpus-level result of :func:`run_differential`."""
+    """Corpus-level result of :func:`run_differential` or :func:`run_live`."""
 
     n_cases: int
     seed: int
     failures: tuple[CaseOutcome, ...]
+    #: Summary label: ``differential`` for the random corpus,
+    #: ``differential[live]`` for :func:`run_live`.
+    name: str = "differential"
 
     @property
     def passed(self) -> bool:
@@ -87,9 +99,9 @@ class DifferentialReport:
 
     def summary(self) -> str:
         if self.passed:
-            return f"differential: {self.n_cases} cases, all mechanisms agree"
+            return f"{self.name}: {self.n_cases} cases, all mechanisms agree"
         lines = [
-            f"differential: {len(self.failures)}/{self.n_cases} cases FAILED"
+            f"{self.name}: {len(self.failures)}/{self.n_cases} cases FAILED"
         ]
         for outcome in self.failures[:10]:
             lines.append(
@@ -197,8 +209,13 @@ def check_case(
     groups: tuple[GroupModel, ...],
     budget_w: float,
     case_seed: int,
+    quality: bool = True,
 ) -> CaseOutcome:
-    """Solve one program via ``solve()`` and each forced mechanism; cross-check."""
+    """Solve one program via ``solve()`` and each forced mechanism; cross-check.
+
+    ``quality=False`` skips the SLSQP-agreement and grid-lag checks of
+    concave positive programs and keeps the feasibility and exact-path ones.
+    """
     solutions = {"solve": solver.solve(groups, budget_w)}
     solutions.update(
         (method, solver.solve_via(groups, budget_w, method))
@@ -236,7 +253,7 @@ def check_case(
             failures.append(
                 f"{method} ({score:.9f}) beats the exact solve ({exact:.9f})"
             )
-    if all(_concave_positive(g.fit) for g in groups):
+    if quality and all(_concave_positive(g.fit) for g in groups):
         if abs(slsqp - kkt) > SLSQP_REL_TOL * max(abs(kkt), 1.0):
             failures.append(
                 f"slsqp ({slsqp:.9f}) disagrees with KKT ({kkt:.9f}) "
@@ -270,4 +287,52 @@ def run_differential(n_cases: int = 200, seed: int = 0) -> DifferentialReport:
             failures.append(outcome)
     return DifferentialReport(
         n_cases=n_cases, seed=seed, failures=tuple(failures)
+    )
+
+
+def live_programs() -> list[tuple[tuple[GroupModel, ...], float]]:
+    """Every ``(groups, budget)`` program one Fig. 8 lap poses its solver.
+
+    The lap is :meth:`ExperimentConfig.fig8_default` at :data:`LIVE_SEED` under
+    GreenHetero, whose solver records each program before solving it.
+    """
+    # Imported here: the engine imports this package.
+    from repro.core.policies import GreenHeteroPolicy
+    from repro.sim.engine import Simulation
+    from repro.sim.experiment import ExperimentConfig
+
+    programs: list[tuple[tuple[GroupModel, ...], float]] = []
+
+    class RecordingSolver(PARSolver):
+        def solve(self, groups, total_power_w):
+            programs.append((tuple(groups), total_power_w))
+            return super().solve(groups, total_power_w)
+
+    config = ExperimentConfig.fig8_default(seed=LIVE_SEED)
+    Simulation.assemble(
+        policy=GreenHeteroPolicy(solver=RecordingSolver()),
+        rack=config.build_rack(),
+        weather=config.weather,
+        clock=config.build_clock(),
+        solar_scale=config.solar_scale,
+        grid_budget_w=config.grid_budget_w,
+        seed=LIVE_SEED,
+    ).run()
+    return programs
+
+
+def run_live() -> DifferentialReport:
+    """Check every program of :func:`live_programs` (no quality checks)."""
+    solver = PARSolver(cache_size=0)
+    programs = live_programs()
+    failures = []
+    for i, (groups, budget_w) in enumerate(programs):
+        outcome = check_case(solver, groups, budget_w, i, quality=False)
+        if not outcome.ok:
+            failures.append(outcome)
+    return DifferentialReport(
+        n_cases=len(programs),
+        seed=LIVE_SEED,
+        failures=tuple(failures),
+        name="differential[live]",
     )

@@ -488,6 +488,33 @@ class TestStaleCacheHits:
         assert PARSolver._feasible_for(stale, groups, 740.0)
 
 
+class TestSolveCounters:
+    def test_solve_calls_no_labels(self, monkeypatch):
+        # Every repro_solver_solves_total and cache-lookup child the solve
+        # path increments is resolved at import.
+        from repro.obs.metrics import REGISTRY, _Family
+
+        groups = [concave_group("A", 5, lo=95.0, hi=150.0)]
+        # The solver.solve span resolves its histogram child on first use.
+        PARSolver(cache_size=0).solve(groups, 740.0)
+        solves = REGISTRY.get("repro_solver_solves_total")
+        kkt0, cached0 = solves.labels("kkt").value, solves.labels("cached").value
+
+        def refuse(self, *values):
+            raise AssertionError(f"{self.name}.labels{values} on the solve path")
+
+        monkeypatch.setattr(_Family, "labels", refuse)
+        solver = TestStaleCacheHits.CoarseSolver(safety_margin=0.0)
+        solver.solve(groups, 740.0)  # miss
+        solver.solve(groups, 740.0)  # hit
+        solver.solve(groups, 660.0)  # stale hit: same key, smaller budget
+        monkeypatch.undo()
+        info = solver.cache_info()
+        assert (info["misses"], info["hits"], info["stale_hits"]) == (1, 1, 1)
+        assert solves.labels("kkt").value == kkt0 + 2
+        assert solves.labels("cached").value == cached0 + 1
+
+
 class TestSolveVia:
     def groups(self):
         return [

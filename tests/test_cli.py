@@ -168,6 +168,7 @@ class TestVerify:
         assert "reference[default]" in out
         assert "reference[supply_fractions]" in out
         assert "differential" in out
+        assert "differential[live]" in out
         assert "fuzz" in out
 
     def test_verify_fails_on_a_failed_gate(self, capsys, monkeypatch):

@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 
 from repro.core.database import FitKind
-from repro.core.solver import FEASIBILITY_SLACK_W, PARSolver
+from repro.core.solver import FEASIBILITY_SLACK_W, GroupModel, PARSolver
 from repro.errors import ConfigurationError
-from repro.verify import run_differential
-from repro.verify.differential import check_case, random_case, random_fit
+from repro.verify import run_differential, run_live
+from repro.verify.differential import (
+    check_case,
+    live_programs,
+    random_case,
+    random_fit,
+)
 
 
 class TestCorpus:
@@ -127,3 +132,35 @@ class TestCheckCase:
                     g.count * p for g, p in zip(groups, sol.per_server_w)
                 )
                 assert total <= budget + FEASIBILITY_SLACK_W
+
+
+class TestLiveCorpus:
+    def test_live_lap_passes(self):
+        report = run_live()
+        assert report.passed, report.summary()
+        # One program per 15-minute epoch of the Fig. 8 day.
+        assert report.n_cases == 96
+        assert report.summary().startswith("differential[live]: 96 cases")
+
+    def test_live_programs_come_from_the_lap(self):
+        programs = live_programs()
+        assert all(len(groups) == 2 for groups, _ in programs)
+        assert len({budget for _, budget in programs}) > 1
+        assert live_programs() == programs  # deterministic
+
+    def test_quality_checks_are_optional(self):
+        rng = random.Random(41)
+        groups = tuple(
+            GroupModel(f"g{i}", 3, random_fit(rng, "concave")) for i in range(2)
+        )
+        budget = 3.0 * sum(g.count * g.fit.max_power_w for g in groups)
+
+        class IdleGridSolver(PARSolver):
+            # A grid that powers nothing lags the exact optimum by 100%.
+            def _grid_best(self, groups, budget_w):
+                return (0.0,) * len(groups), 0.0
+
+        solver = IdleGridSolver(cache_size=0)
+        outcome = check_case(solver, groups, budget, 41)
+        assert any("lags" in f for f in outcome.failures)
+        assert check_case(solver, groups, budget, 41, quality=False).ok

@@ -10,7 +10,15 @@ scenario of the two simulated benchmark workloads:
   (``run_shift_bench``, both arms), 1 day, horizon 8, 6 jobs;
 
 each at scenario seeds 8084-8087, the four seeds ``perfbench`` rotates
-through for ``--seed 2021``, plus the served cluster path:
+through for ``--seed 2021``; then
+
+* ``policy-sweep``: perfbench's sweep configs, the constrained-supply
+  SPECjbb rack (``ExperimentConfig.insufficient_supply``) and Comb5
+  (``ExperimentConfig.combination_sweep``) under all five Table III
+  policies, run in this process (``jobs=1``) at scenario seeds 4042 and
+  4043, the two ``perfbench`` sweeps for ``--seed 2021``;
+
+plus the served cluster path:
 
 * ``serve-cluster``: an in-process ``ServeState`` with 4 racks, seed
   2021 and a 2000 W shared grid, stepped through 96 coordinated epochs;
@@ -25,7 +33,9 @@ counted: database refits, solver solves, shift plans and predictor
 fits; both serve scenarios add the epochs their racks' auditors
 checked, and ``serve-daemon`` adds the solver-cache hits and misses of
 its requests, which pins how many solves the served allocations cost
-per cluster step.
+per cluster step.  ``policy-sweep`` adds the solver-cache hits and
+misses and the solves by winning method (``solver_methods``), which pin
+how often the memo cache spares the sweep a solve.
 
 Unlike wall time, which moves by tens of percent between runs on a
 shared host, these counts are host-independent, so CI compares them
@@ -47,7 +57,7 @@ from typing import Callable
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro import ExperimentConfig, run_experiment  # noqa: E402
+from repro import ExperimentConfig, run_experiment, run_experiments  # noqa: E402
 from repro.obs import REGISTRY  # noqa: E402
 from repro.serve import AllocationDaemon, ServeClient, ServeConfig, ServeState  # noqa: E402
 from repro.shift.bench import run_shift_bench  # noqa: E402
@@ -55,6 +65,8 @@ from repro.shift.bench import run_shift_bench  # noqa: E402
 SEED = 2021
 #: perfbench's lap rotation: scenario seeds ``4 * seed + k``, k = 0..3.
 SCENARIOS = tuple(4 * SEED + k for k in range(4))
+#: perfbench's sweep rotation: scenario seeds ``2 * seed + k``, k = 0..1.
+SWEEP_SCENARIOS = tuple(2 * SEED + k for k in range(2))
 SIM_DAY_DAYS = 3.0
 SHIFT_DAY_DAYS = 1.0
 SHIFT_HORIZON = 8
@@ -84,7 +96,9 @@ def _totals() -> dict[str, int]:
     return totals
 
 
-def count(run: Callable[[int], dict[str, int] | None], seed: int) -> dict[str, int]:
+def count(
+    run: Callable[[int], dict[str, object] | None], seed: int
+) -> dict[str, object]:
     """The work counters ``run(seed)`` adds to the registry, plus the
     counts ``run`` returns itself."""
     before = _totals()
@@ -102,6 +116,32 @@ def sim_day(seed: int) -> None:
 
 def shift_day(seed: int) -> None:
     run_shift_bench(days=SHIFT_DAY_DAYS, seed=seed, horizon=SHIFT_HORIZON, n_jobs=SHIFT_JOBS)
+
+
+def _solves_by_method() -> dict[str, int]:
+    family = REGISTRY.get("repro_solver_solves_total")
+    return {labels[0]: int(child.value) for labels, child in family.children()}
+
+
+def policy_sweep(seed: int) -> dict[str, object]:
+    methods = _solves_by_method()
+    hits, misses = _cache_lookups()
+    run_experiments(
+        [
+            ExperimentConfig.insufficient_supply("SPECjbb", seed=seed),
+            ExperimentConfig.combination_sweep("Comb5", seed=seed),
+        ],
+        jobs=1,
+    )
+    hits_after, misses_after = _cache_lookups()
+    return {
+        "solver_cache_hits": hits_after - hits,
+        "solver_cache_misses": misses_after - misses,
+        "solver_methods": {
+            method: count - methods.get(method, 0)
+            for method, count in _solves_by_method().items()
+        },
+    }
 
 
 def _serve_fleet(seed: int) -> ServeState:
@@ -157,6 +197,7 @@ def work_counts() -> dict[str, object]:
     workloads = {
         "sim-day": (sim_day, SCENARIOS),
         "shift-day": (shift_day, SCENARIOS),
+        "policy-sweep": (policy_sweep, SWEEP_SCENARIOS),
         "serve-cluster": (serve_cluster, (SEED,)),
         "serve-daemon": (serve_daemon, (SEED,)),
     }
