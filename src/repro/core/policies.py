@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.database import ProfilingDatabase
-from repro.core.solver import GroupModel, PARSolver
+from repro.core.solver import GroupModel, PARSolver, PartialGroupSolver
 from repro.errors import ConfigurationError, SolverError
 
 
@@ -163,27 +163,19 @@ class UniformPolicy(Policy):
 
 
 class ManualPolicy(Policy):
-    """Exhaustive measured trials at 10% granularity (Table III).
-
-    Parameters
-    ----------
-    granularity:
-        Trial step; the paper fixes 10%.
-    """
+    """Exhaustive measured trials at 10% granularity (Table III)."""
 
     name = "Manual"
     requires_oracle = True
 
-    def __init__(self, granularity: float = 0.1) -> None:
-        if not 0.0 < granularity <= 0.5:
-            raise ConfigurationError("granularity must be in (0, 0.5]")
-        self.granularity = granularity
+    #: Trial step; the paper fixes 10%.
+    GRANULARITY = 0.1
 
     def allocate(self, ctx: AllocationContext) -> tuple[float, ...]:
         self._validate(ctx)
         assert ctx.oracle is not None  # _validate guarantees it
         ratios, _ = PARSolver.exhaustive(
-            len(ctx.groups), ctx.oracle, granularity=self.granularity
+            len(ctx.groups), ctx.oracle, granularity=self.GRANULARITY
         )
         return ratios
 
@@ -262,12 +254,14 @@ class OnOffPolicy(Policy):
 
 
 class _SolverPolicy(Policy):
-    """Shared machinery for the two solver-driven GreenHetero variants."""
+    """Shared machinery for the solver-driven GreenHetero variants."""
 
     uses_database = True
+    #: The solver built when none is passed in.
+    solver_class: type[PARSolver] = PARSolver
 
     def __init__(self, solver: PARSolver | None = None) -> None:
-        self.solver = solver or PARSolver()
+        self.solver = solver or self.solver_class()
 
     def allocate(self, ctx: AllocationContext) -> tuple[float, ...]:
         return self.allocate_plan(ctx).ratios
@@ -281,7 +275,9 @@ class _SolverPolicy(Policy):
             # the baseline, never crash the rack controller.
             return AllocationPlan(ratios=UniformPolicy().allocate(ctx))
         return AllocationPlan(
-            ratios=solution.ratios, projected_perf=solution.expected_perf
+            ratios=solution.ratios,
+            powered_counts=solution.powered_counts,
+            projected_perf=solution.expected_perf,
         )
 
 
@@ -299,7 +295,7 @@ class GreenHeteroPolicy(_SolverPolicy):
     updates_database = True
 
 
-class GreenHeteroPartialPolicy(Policy):
+class GreenHeteroPartialPolicy(_SolverPolicy):
     """GreenHetero with per-group partial power-on (beyond the paper).
 
     Uses :class:`~repro.core.solver.PartialGroupSolver` to also choose
@@ -309,28 +305,8 @@ class GreenHeteroPartialPolicy(Policy):
     """
 
     name = "GreenHetero+"
-    uses_database = True
     updates_database = True
-
-    def __init__(self, solver=None) -> None:
-        from repro.core.solver import PartialGroupSolver
-
-        self.solver = solver or PartialGroupSolver()
-
-    def allocate(self, ctx: AllocationContext) -> tuple[float, ...]:
-        return self.allocate_plan(ctx).ratios
-
-    def allocate_plan(self, ctx: AllocationContext) -> AllocationPlan:
-        self._validate(ctx)
-        try:
-            solution = self.solver.solve(ctx.group_models(), ctx.budget_w)
-        except SolverError:
-            return AllocationPlan(ratios=UniformPolicy().allocate(ctx))
-        return AllocationPlan(
-            ratios=solution.ratios,
-            powered_counts=solution.powered_counts,
-            projected_perf=solution.expected_perf,
-        )
+    solver_class = PartialGroupSolver
 
 
 #: Alias kept for discoverability: the adaptive variant *is* GreenHetero.

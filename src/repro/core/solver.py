@@ -101,7 +101,6 @@ _CACHE_LOOKUPS = _REGISTRY.counter(
 )
 _CACHE_HIT = _CACHE_LOOKUPS.labels("hit")
 _CACHE_MISS = _CACHE_LOOKUPS.labels("miss")
-_CACHE_STALE = _CACHE_LOOKUPS.labels("stale")
 
 #: Feasibility slack shared by every mechanism: a solution may exceed the
 #: budget by at most this many watts (floating-point headroom, far below
@@ -113,6 +112,18 @@ FEASIBILITY_SLACK_W = 1e-6
 #: fraction: smaller "wins" are float noise, and the earlier mechanism
 #: keeps both the answer and the ``repro_solver_solves_total`` credit.
 TIE_REL_TOL = 1e-9
+
+#: Sanity bound on groups per program; the paper's racks have at most 3
+#: server types.
+MAX_GROUPS = 4
+
+#: Capacity of each solver's memo; the oldest entry goes first.
+CACHE_SIZE = 1024
+
+#: Simplex step of the cubic-fallback grid sweep for 1-2 groups, and the
+#: coarser step for 3 or more groups that keeps the sweep cheap.
+GRID_STEP = 0.01
+COARSE_GRID_STEP = 0.04
 
 
 @dataclass(frozen=True)
@@ -350,50 +361,24 @@ class PARSolver:
 
     Parameters
     ----------
-    granularity:
-        Step of the cubic-fallback grid sweep for <= 2 groups (finer) —
-        3-group racks use ``coarse_granularity`` to keep the sweep cheap.
-    coarse_granularity:
-        Simplex step used when there are 3 or more groups.
-    max_groups:
-        Sanity bound; the paper's rack-level deployment caps at 3 types.
-    cache_size:
-        Capacity of the per-instance solve memoization cache (``0``
-        disables it).  Solutions are keyed on the group fits'
-        coefficients and bounds, the group counts, and the budget
-        quantized to :data:`CACHE_BUDGET_QUANTUM_W` — so the cyclic
-        budgets of a constrained-supply sweep, which re-pose the exact
-        same program dozens of times per run, solve once.
+    safety_margin:
+        Relative lift of each group's lower power bound above the
+        database's power-on boundary (see :meth:`_lo`).
+
+    A program has at most :data:`MAX_GROUPS` groups.  Solutions are
+    memoized per instance, keyed on the exact program: every group's
+    count, fit coefficients and power bounds, and the float budget.  The
+    cyclic budgets of a constrained-supply sweep and a daemon's repeated
+    allocates re-pose the same program many times, and each distinct
+    program solves once.
     """
 
-    #: Budget quantization step (W) for the memoization key.  Far below
-    #: meter noise, so only numerically identical programs ever collide.
-    CACHE_BUDGET_QUANTUM_W = 1e-6
-
-    def __init__(
-        self,
-        granularity: float = 0.01,
-        coarse_granularity: float = 0.04,
-        max_groups: int = 4,
-        safety_margin: float = 0.05,
-        cache_size: int = 1024,
-    ) -> None:
-        if not 0.0 < granularity <= 0.5:
-            raise SolverError("granularity must be in (0, 0.5]")
-        if not 0.0 < coarse_granularity <= 0.5:
-            raise SolverError("coarse granularity must be in (0, 0.5]")
+    def __init__(self, safety_margin: float = 0.05) -> None:
         if safety_margin < 0:
             raise SolverError("safety margin must be non-negative")
-        if cache_size < 0:
-            raise SolverError("cache size must be non-negative")
-        self.granularity = granularity
-        self.coarse_granularity = coarse_granularity
-        self.max_groups = max_groups
         self.safety_margin = safety_margin
-        self.cache_size = cache_size
         self.cache_hits = 0
         self.cache_misses = 0
-        self.cache_stale_hits = 0
         self._cache: dict[tuple, PARSolution] = {}
 
     def _lo(self, fit: PerfPowerFit) -> float:
@@ -413,11 +398,11 @@ class PARSolver:
     def solve(self, groups: Sequence[GroupModel], total_power_w: float) -> PARSolution:
         """Maximise projected rack performance under ``total_power_w``.
 
-        Solutions are memoized per instance (see ``cache_size``): a call
-        whose groups carry the same fitted coefficients/bounds and counts
-        under the same quantized budget returns the cached
-        :class:`PARSolution` (frozen, so sharing is safe) without
-        re-running the enumeration.
+        A call that poses a program this instance has solved before —
+        same group counts, fit coefficients, power bounds and budget —
+        returns the memoized :class:`PARSolution` (frozen, so sharing is
+        safe) without re-running the enumeration.  The key is the exact
+        program, so a hit is the answer a solve would return.
 
         Raises
         ------
@@ -428,34 +413,24 @@ class PARSolver:
         """
         self._validate_inputs(groups, total_power_w)
         with trace("solver.solve"):
-            if self.cache_size == 0:
-                solution = self._solve_impl(groups, total_power_w)
-                _SOLVES[solution.method].inc()
-                return solution
-            key = self._cache_key(groups, total_power_w)
+            key = (
+                tuple(
+                    (g.count, g.fit.coefficients, g.fit.min_power_w, g.fit.max_power_w)
+                    for g in groups
+                ),
+                total_power_w,
+            )
             cached = self._cache.get(key)
             if cached is not None:
-                if self._feasible_for(cached, groups, total_power_w):
-                    self.cache_hits += 1
-                    _CACHE_HIT.inc()
-                    _SOLVES["cached"].inc()
-                    return cached
-                # Stale hit: the quantized key collided with a solve done
-                # under a (slightly) larger budget, so replaying the cached
-                # allocation would overdraw this one.  Re-solve at the
-                # exact budget and overwrite the entry — the replacement is
-                # feasible for this and any larger budget in the quantum.
-                self.cache_stale_hits += 1
-                _CACHE_STALE.inc()
-                solution = self._solve_impl(groups, total_power_w)
-                _SOLVES[solution.method].inc()
-                self._cache[key] = solution
-                return solution
+                self.cache_hits += 1
+                _CACHE_HIT.inc()
+                _SOLVES["cached"].inc()
+                return cached
             self.cache_misses += 1
             _CACHE_MISS.inc()
             solution = self._solve_impl(groups, total_power_w)
             _SOLVES[solution.method].inc()
-            if len(self._cache) >= self.cache_size:
+            if len(self._cache) >= CACHE_SIZE:
                 # FIFO eviction: dict preserves insertion order and the
                 # adaptive policies retire old fits monotonically.
                 self._cache.pop(next(iter(self._cache)))
@@ -532,73 +507,35 @@ class PARSolver:
         return best_p, best_score
 
     # ------------------------------------------------------------------
-    # Memoization
+    # Validation and memo statistics
     # ------------------------------------------------------------------
     def _validate_inputs(
         self, groups: Sequence[GroupModel], total_power_w: float
     ) -> None:
         if not groups:
             raise SolverError("need at least one group")
-        if len(groups) > self.max_groups:
+        if len(groups) > MAX_GROUPS:
             raise SolverError(
-                f"{len(groups)} groups exceeds max_groups={self.max_groups}"
+                f"{len(groups)} groups exceed the solver's bound of {MAX_GROUPS}"
             )
-        # A NaN passes a plain ``< 0`` test, and round() in the cache key
-        # raises on both NaN and inf.
+        # A NaN passes a plain ``< 0`` test.
         if not (math.isfinite(total_power_w) and total_power_w >= 0):
             raise ConfigurationError(
                 f"budget must be finite and non-negative, got {total_power_w}"
             )
 
-    def _cache_key(
-        self, groups: Sequence[GroupModel], total_power_w: float
-    ) -> tuple:
-        return (
-            tuple(
-                (g.count, g.fit.coefficients, g.fit.min_power_w, g.fit.max_power_w)
-                for g in groups
-            ),
-            round(total_power_w / self.CACHE_BUDGET_QUANTUM_W),
-        )
-
-    @staticmethod
-    def _feasible_for(
-        solution: PARSolution, groups: Sequence[GroupModel], total_power_w: float
-    ) -> bool:
-        """Whether ``solution``'s allocation fits under ``total_power_w``.
-
-        The budget quantization of :meth:`_cache_key` means a cached
-        solution may have been produced under a budget up to half a
-        quantum larger than the one now posed; replaying it would then
-        allocate more than the rack is actually granted.  Validated with
-        the solver's own :data:`FEASIBILITY_SLACK_W`, so a fresh solve
-        (which is allowed that same slack) always validates.
-        """
-        counts = (
-            solution.powered_counts
-            if solution.powered_counts is not None
-            else tuple(g.count for g in groups)
-        )
-        total = sum(k * p for k, p in zip(counts, solution.per_server_w))
-        return total <= total_power_w + FEASIBILITY_SLACK_W
-
     def cache_info(self) -> dict[str, float]:
-        """Hit/miss/stale counters and the current hit rate of the solve cache."""
-        total = self.cache_hits + self.cache_misses + self.cache_stale_hits
+        """Hit/miss counters, size and hit rate of the solve memo."""
+        total = self.cache_hits + self.cache_misses
         return {
             "hits": self.cache_hits,
             "misses": self.cache_misses,
-            "stale_hits": self.cache_stale_hits,
+            # An exact key never goes stale; the field stays at 0 because
+            # perfbench's traced cache counts still read it.
+            "stale_hits": 0,
             "size": len(self._cache),
             "hit_rate": self.cache_hits / total if total else 0.0,
         }
-
-    def clear_cache(self) -> None:
-        """Drop all memoized solutions and reset the counters."""
-        self._cache.clear()
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_stale_hits = 0
 
     def _solve_impl(
         self, groups: Sequence[GroupModel], total_power_w: float
@@ -809,7 +746,7 @@ class PARSolver:
         self, groups: Sequence[GroupModel], budget_w: float
     ) -> tuple[tuple[float, ...], float]:
         k = len(groups)
-        step = self.granularity if k <= 2 else self.coarse_granularity
+        step = GRID_STEP if k <= 2 else COARSE_GRID_STEP
         n_steps = int(round(1.0 / step))
         fractions = np.linspace(0.0, 1.0, n_steps + 1)
 

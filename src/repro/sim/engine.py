@@ -161,13 +161,24 @@ class Simulation:
         """
         if solar_scale <= 0:
             raise ConfigurationError("solar scale must be positive")
+        if budget_reference_w is not None and not (
+            math.isfinite(budget_reference_w) and budget_reference_w > 0
+        ):
+            raise ConfigurationError(
+                f"budget reference must be finite and positive, got {budget_reference_w}"
+            )
         clock = clock or SimClock()
         if trace is None:
             trace = cls.default_trace(clock, weather, seed)
         solar = SolarFarm.sized_for(trace, peak_power_w=solar_scale * rack.max_draw_w)
         if supply_fractions is not None:
-            if not supply_fractions or any(f <= 0 for f in supply_fractions):
-                raise ConfigurationError("supply fractions must be positive")
+            # NaN fails every comparison and inf would read as uncapped.
+            if not supply_fractions or not all(
+                math.isfinite(f) and f > 0 for f in supply_fractions
+            ):
+                raise ConfigurationError(
+                    f"supply fractions must be finite and positive, got {supply_fractions}"
+                )
             if battery is not None or grid_budget_w is not None:
                 raise ConfigurationError(
                     "supply_fractions fixes the battery (unlimited) and the "

@@ -14,6 +14,7 @@ Table IV's server combinations ship as :data:`COMBINATIONS`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -122,6 +123,19 @@ class ExperimentConfig:
                 "supply_fractions and grid_budget_w conflict: the "
                 "constrained-supply sweep disables the grid, so a grid "
                 "budget would be silently ignored — set grid_budget_w=None"
+            )
+        # NaN fails every comparison and inf would read as uncapped.
+        fractions = self.supply_fractions
+        if fractions is not None and not (
+            fractions and all(math.isfinite(f) and f > 0 for f in fractions)
+        ):
+            raise ConfigurationError(
+                f"supply fractions must be finite and positive, got {fractions}"
+            )
+        reference = self.budget_reference_w
+        if reference is not None and not (math.isfinite(reference) and reference > 0):
+            raise ConfigurationError(
+                f"budget reference must be finite and positive, got {reference}"
             )
         for spec in self.faults:
             parse_fault_spec(spec)  # fail fast on malformed schedules

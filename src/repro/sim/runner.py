@@ -16,8 +16,9 @@ Two engine-level optimisations ride along:
   policies instead of being re-synthesized inside every
   :meth:`Simulation.assemble`;
 * each policy's :class:`~repro.core.solver.PARSolver` memoizes repeated
-  programs (see the solver's ``cache_size``), which the cyclic budgets
-  of a constrained-supply sweep hit dozens of times per run.
+  programs (keyed on the exact program, up to the solver's
+  ``CACHE_SIZE`` entries), which the cyclic budgets of a
+  constrained-supply sweep hit dozens of times per run.
 
 ``jobs=1`` is a zero-dependency serial fallback that never touches
 ``concurrent.futures``; ``jobs=None`` uses every available core.

@@ -276,7 +276,7 @@ def check_case(
 
 def run_differential(n_cases: int = 200, seed: int = 0) -> DifferentialReport:
     """Run the seeded corpus; deterministic for a given (n_cases, seed)."""
-    solver = PARSolver(cache_size=0)
+    solver = PARSolver()
     failures: list[CaseOutcome] = []
     for i in range(n_cases):
         case_seed = seed * 1_000_003 + i
@@ -323,7 +323,7 @@ def live_programs() -> list[tuple[tuple[GroupModel, ...], float]]:
 
 def run_live() -> DifferentialReport:
     """Check every program of :func:`live_programs` (no quality checks)."""
-    solver = PARSolver(cache_size=0)
+    solver = PARSolver()
     programs = live_programs()
     failures = []
     for i, (groups, budget_w) in enumerate(programs):

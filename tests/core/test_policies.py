@@ -129,10 +129,6 @@ class TestManual:
         ManualPolicy().allocate(make_ctx(oracle=oracle))
         assert len(seen) == 11  # compositions of 10 steps into 2 groups
 
-    def test_bad_granularity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ManualPolicy(granularity=0.0)
-
 
 class TestPriority:
     def test_feeds_most_efficient_first(self):
@@ -182,11 +178,19 @@ class TestSolverPolicies:
     def test_solver_failure_falls_back_to_uniform(self):
         # A context whose group count exceeds the solver's bound should
         # degrade to Uniform rather than crash the controller.
-        from repro.core.solver import PARSolver
+        from repro.core.solver import MAX_GROUPS
 
-        policy = GreenHeteroPolicy(solver=PARSolver(max_groups=1))
-        ratios = policy.allocate(make_ctx())
-        assert ratios == pytest.approx((0.5, 0.5))
+        keys = (E5_KEY, I5_KEY) * MAX_GROUPS
+        ctx = AllocationContext(
+            budget_w=1000.0,
+            groups=tuple(
+                GroupInfo(f"g{i}", 2 + i, keys[i]) for i in range(MAX_GROUPS + 1)
+            ),
+            database=make_db(),
+        )
+        ratios = GreenHeteroPolicy().allocate(ctx)
+        assert ratios == pytest.approx(UniformPolicy().allocate(ctx))
+        assert ratios[0] < ratios[-1]
 
 
 class TestOnOff:

@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core import solver as solver_module
 from repro.core.database import FitKind, PerfPowerFit
-from repro.core.solver import GroupModel, PARSolver
+from repro.core.solver import MAX_GROUPS, GroupModel, PARSolver
 from repro.errors import ConfigurationError, SolverError
 
 
@@ -100,23 +101,23 @@ class TestBasics:
             solver.solve([concave_group()], -1.0)
 
     @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf")])
-    @pytest.mark.parametrize("cache_size", [0, 8])
-    def test_non_finite_budget_rejected(self, budget, cache_size):
-        solver = PARSolver(cache_size=cache_size)
+    @pytest.mark.parametrize("warm_solves", [0, 8])
+    def test_non_finite_budget_rejected(self, budget, warm_solves):
+        # Validation runs before the memo lookup, on an empty memo or not.
+        solver = PARSolver()
+        for i in range(warm_solves):
+            solver.solve(three_groups(), 500.0 + 100.0 * i)
         with pytest.raises(ConfigurationError, match="finite"):
             solver.solve(three_groups(), budget)
         with pytest.raises(ConfigurationError, match="finite"):
             solver.solve_via(three_groups(), budget, "kkt")
 
-    def test_too_many_groups_rejected(self):
-        solver = PARSolver(max_groups=2)
-        groups = [concave_group(str(i)) for i in range(3)]
+    def test_too_many_groups_rejected(self, solver):
+        groups = [concave_group(str(i)) for i in range(MAX_GROUPS + 1)]
         with pytest.raises(SolverError):
             solver.solve(groups, 1000.0)
 
-    def test_bad_granularity_rejected(self):
-        with pytest.raises(SolverError):
-            PARSolver(granularity=0.0)
+    def test_negative_safety_margin_rejected(self):
         with pytest.raises(SolverError):
             PARSolver(safety_margin=-0.1)
 
@@ -353,18 +354,17 @@ class TestMemoization:
     def test_cached_solutions_match_cold_solves_over_budget_cycle(self):
         # The constrained-supply sweep re-poses the same programs every
         # time the budget cycle wraps; a warm solver must answer exactly
-        # as a cache-disabled one.
+        # as a fresh one.
         from repro.sim.experiment import ExperimentConfig
 
         warm = PARSolver(safety_margin=0.0)
-        cold = PARSolver(safety_margin=0.0, cache_size=0)
         budgets = [f * 1370.0 for f in ExperimentConfig.INSUFFICIENT_SWEEP] * 3
         for budget in budgets:
-            assert warm.solve(self.groups(), budget) == cold.solve(self.groups(), budget)
+            cold = PARSolver(safety_margin=0.0).solve(self.groups(), budget)
+            assert warm.solve(self.groups(), budget) == cold
         sweep = len(ExperimentConfig.INSUFFICIENT_SWEEP)
         assert warm.cache_misses == sweep
         assert warm.cache_hits == len(budgets) - sweep
-        assert cold.cache_hits == cold.cache_misses == 0
 
     def test_hit_returns_the_memoized_object(self):
         solver = PARSolver(safety_margin=0.0)
@@ -385,21 +385,32 @@ class TestMemoization:
         solver.solve([concave_group("A", 5, t_max=101.0)], 900.0)
         assert solver.cache_misses == 2
 
-    def test_cache_info_and_clear(self):
+    def test_cache_info(self):
         solver = PARSolver(safety_margin=0.0)
-        solver.solve(self.groups(), 900.0)
-        solver.solve(self.groups(), 900.0)
-        info = solver.cache_info()
-        assert info["hits"] == 1 and info["misses"] == 1
-        assert info["hit_rate"] == pytest.approx(0.5)
-        assert info["size"] == 1
-        solver.clear_cache()
         assert solver.cache_info() == {
             "hits": 0, "misses": 0, "stale_hits": 0, "size": 0, "hit_rate": 0.0,
         }
+        solver.solve(self.groups(), 900.0)
+        solver.solve(self.groups(), 900.0)
+        assert solver.cache_info() == {
+            "hits": 1, "misses": 1, "stale_hits": 0, "size": 1, "hit_rate": 0.5,
+        }
 
-    def test_fifo_eviction_bounds_the_cache(self):
-        solver = PARSolver(safety_margin=0.0, cache_size=4)
+    def test_budgets_a_quantum_apart_are_two_programs(self):
+        # Budgets closer than any meter can tell apart are still two
+        # programs: neither answer may replay the other's allocation.
+        groups = self.groups()
+        solver = PARSolver()
+        above = solver.solve(groups, 600.0000004)
+        exact = solver.solve(groups, 600.0)
+        assert solver.cache_misses == 2 and solver.cache_hits == 0
+        assert above == PARSolver().solve(groups, 600.0000004)
+        assert exact == PARSolver().solve(groups, 600.0)
+        assert above != exact
+
+    def test_fifo_eviction_bounds_the_cache(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "CACHE_SIZE", 4)
+        solver = PARSolver(safety_margin=0.0)
         for budget in (600.0, 700.0, 800.0, 900.0, 1000.0):
             solver.solve(self.groups(), budget)
         assert solver.cache_info()["size"] == 4
@@ -407,19 +418,8 @@ class TestMemoization:
         solver.solve(self.groups(), 600.0)
         assert solver.cache_misses == 6
 
-    def test_disabled_cache_stores_nothing(self):
-        solver = PARSolver(safety_margin=0.0, cache_size=0)
-        a = solver.solve(self.groups(), 900.0)
-        b = solver.solve(self.groups(), 900.0)
-        assert a == b and a is not b
-        assert solver.cache_info()["size"] == 0
-
-    def test_negative_cache_size_rejected(self):
-        with pytest.raises(SolverError):
-            PARSolver(cache_size=-1)
-
     def test_validation_still_runs_on_would_be_hits(self):
-        solver = PARSolver(safety_margin=0.0, max_groups=2)
+        solver = PARSolver(safety_margin=0.0)
         solver.solve(self.groups(), 900.0)
         with pytest.raises(ConfigurationError):
             solver.solve(self.groups(), -1.0)
@@ -435,59 +435,6 @@ class TestMemoization:
         assert first.powered_counts is not None
 
 
-class TestStaleCacheHits:
-    """Quantized budget keys may collide across distinct budgets; a hit
-    must be revalidated against the *exact* budget before being replayed
-    (the cache-infeasibility fix)."""
-
-    class CoarseSolver(PARSolver):
-        # Widen the quantum so budgets 740 W and 660 W share a key
-        # (round(b / 100) == 7 for both) and the collision is testable.
-        CACHE_BUDGET_QUANTUM_W = 100.0
-
-    def groups(self):
-        return [concave_group("A", 5, lo=95.0, hi=150.0)]
-
-    def test_stale_hit_is_revalidated_and_resolved(self):
-        solver = self.CoarseSolver(safety_margin=0.0)
-        big = solver.solve(self.groups(), 740.0)
-        assert sum(5 * p for p in big.per_server_w) > 660.0
-
-        second = solver.solve(self.groups(), 660.0)
-        total = sum(5 * p for p in second.per_server_w)
-        assert total <= 660.0 + 1e-6  # feasible for the *new* budget
-        assert solver.cache_stale_hits == 1
-        assert solver.cache_hits == 0
-        assert solver.cache_info()["stale_hits"] == 1
-
-    def test_stale_entry_is_overwritten(self):
-        solver = self.CoarseSolver(safety_margin=0.0)
-        solver.solve(self.groups(), 740.0)
-        second = solver.solve(self.groups(), 660.0)
-        third = solver.solve(self.groups(), 660.0)
-        assert third is second  # the re-solve replaced the entry
-        assert solver.cache_hits == 1
-        assert solver.cache_stale_hits == 1
-
-    def test_reintroduced_bug_yields_an_overdraw_the_check_catches(self):
-        # Re-introduce the pre-fix behavior (trust any key collision)
-        # and show (a) it replays an over-budget allocation and (b) the
-        # real feasibility check flags exactly that allocation.
-        class BuggySolver(self.CoarseSolver):
-            @staticmethod
-            def _feasible_for(solution, groups, total_power_w):
-                return True
-
-        solver = BuggySolver(safety_margin=0.0)
-        groups = self.groups()
-        solver.solve(groups, 740.0)
-        stale = solver.solve(groups, 660.0)
-        total = sum(5 * p for p in stale.per_server_w)
-        assert total > 660.0 + 1.0  # the bug: budget silently violated
-        assert not PARSolver._feasible_for(stale, groups, 660.0)
-        assert PARSolver._feasible_for(stale, groups, 740.0)
-
-
 class TestSolveCounters:
     def test_solve_calls_no_labels(self, monkeypatch):
         # Every repro_solver_solves_total and cache-lookup child the solve
@@ -496,7 +443,7 @@ class TestSolveCounters:
 
         groups = [concave_group("A", 5, lo=95.0, hi=150.0)]
         # The solver.solve span resolves its histogram child on first use.
-        PARSolver(cache_size=0).solve(groups, 740.0)
+        PARSolver().solve(groups, 740.0)
         solves = REGISTRY.get("repro_solver_solves_total")
         kkt0, cached0 = solves.labels("kkt").value, solves.labels("cached").value
 
@@ -504,14 +451,13 @@ class TestSolveCounters:
             raise AssertionError(f"{self.name}.labels{values} on the solve path")
 
         monkeypatch.setattr(_Family, "labels", refuse)
-        solver = TestStaleCacheHits.CoarseSolver(safety_margin=0.0)
+        solver = PARSolver(safety_margin=0.0)
         solver.solve(groups, 740.0)  # miss
         solver.solve(groups, 740.0)  # hit
-        solver.solve(groups, 660.0)  # stale hit: same key, smaller budget
         monkeypatch.undo()
         info = solver.cache_info()
-        assert (info["misses"], info["hits"], info["stale_hits"]) == (1, 1, 1)
-        assert solves.labels("kkt").value == kkt0 + 2
+        assert (info["misses"], info["hits"]) == (1, 1)
+        assert solves.labels("kkt").value == kkt0 + 1
         assert solves.labels("cached").value == cached0 + 1
 
 

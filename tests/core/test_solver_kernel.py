@@ -246,8 +246,8 @@ def test_partial_solver_is_bit_identical():
     rng = random.Random(20211020)
     for case in range(1_000):
         margin, groups, budget = _program(rng, max_groups=3, max_count=3)
-        got = PartialGroupSolver(safety_margin=margin, cache_size=0)
-        want = ReferencePartialSolver(safety_margin=margin, cache_size=0)
+        got = PartialGroupSolver(safety_margin=margin)
+        want = ReferencePartialSolver(safety_margin=margin)
         got, want = got.solve(groups, budget), want.solve(groups, budget)
         assert repr(got) == repr(want), (case, margin, groups, budget)
 

@@ -66,6 +66,17 @@ class TestAssembly:
         with pytest.raises(ConfigurationError):
             assemble(supply_fractions=())
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_supply_fraction_rejected(self, bad):
+        # NaN slips past a ``<= 0`` test and inf would read as uncapped.
+        with pytest.raises(ConfigurationError, match="finite"):
+            assemble(supply_fractions=(0.5, bad))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -800.0])
+    def test_bad_budget_reference_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            assemble(supply_fractions=(0.5,), budget_reference_w=bad)
+
 
 class TestExecution:
     def test_run_fills_log(self):

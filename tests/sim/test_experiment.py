@@ -44,6 +44,24 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(supply_fractions=(0.5,), grid_budget_w=800.0)
 
+    @pytest.mark.parametrize(
+        "fractions",
+        [(float("nan"),), (0.5, float("inf")), (0.5, 0.0), ()],
+        ids=["nan", "inf", "zero", "empty"],
+    )
+    def test_bad_supply_fractions_rejected(self, fractions):
+        # A NaN fraction would run a whole lap on NaN budgets; inf would
+        # read as uncapped.
+        with pytest.raises(ConfigurationError, match="finite"):
+            ExperimentConfig(supply_fractions=fractions, grid_budget_w=None)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_bad_budget_reference_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ExperimentConfig(
+                supply_fractions=(0.5,), grid_budget_w=None, budget_reference_w=bad
+            )
+
     def test_supply_fractions_without_grid_budget_accepted(self):
         cfg = ExperimentConfig(supply_fractions=(0.5, 0.8), grid_budget_w=None)
         assert cfg.supply_fractions == (0.5, 0.8)

@@ -67,7 +67,7 @@ class TestCaseGeneration:
         )
 
     def test_solve_equals_forced_kkt_bit_for_bit(self):
-        solver = PARSolver(cache_size=0)
+        solver = PARSolver()
         rng = random.Random(15)
         kinds = set()
         for _ in range(60):
@@ -100,7 +100,7 @@ class TestCheckCase:
                 )
 
         outcome = check_case(
-            OverdrawingSolver(cache_size=0), groups, budget, case_seed=21
+            OverdrawingSolver(), groups, budget, case_seed=21
         )
         assert not outcome.ok
         assert any(
@@ -116,11 +116,11 @@ class TestCheckCase:
             def solve(self, groups, total_power_w):
                 return self.solve_via(groups, total_power_w, "grid")
 
-        outcome = check_case(GridSolver(cache_size=0), groups, budget, 22)
+        outcome = check_case(GridSolver(), groups, budget, 22)
         assert any("forced KKT" in f for f in outcome.failures)
 
     def test_solutions_stay_within_budget(self):
-        solver = PARSolver(cache_size=0)
+        solver = PARSolver()
         rng = random.Random(31)
         for i in range(10):
             groups, budget = random_case(
@@ -160,7 +160,7 @@ class TestLiveCorpus:
             def _grid_best(self, groups, budget_w):
                 return (0.0,) * len(groups), 0.0
 
-        solver = IdleGridSolver(cache_size=0)
+        solver = IdleGridSolver()
         outcome = check_case(solver, groups, budget, 41)
         assert any("lags" in f for f in outcome.failures)
         assert check_case(solver, groups, budget, 41, quality=False).ok
