@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core.enforcer import Enforcer
-from repro.core.monitor import Monitor, ServerObservation
+from repro.core.monitor import Monitor
 from repro.core.policies import GroupInfo, Policy
 from repro.core.scheduler import AdaptiveScheduler
 from repro.core.sources import PowerCase, SourceDecision
@@ -277,7 +277,8 @@ class GreenHeteroController:
         caps = directives.group_caps_w
 
         demand_now = self.monitor.observe_demand(self._capped_demand(load_fraction, caps))
-        renewable_now = self.monitor.observe_renewable(self.pdu.renewable.power_at(time_s))
+        renewable_w = self.pdu.renewable.power_at(time_s)
+        renewable_now = self.monitor.observe_renewable(renewable_w)
         if not self.scheduler.renewable_predictor.ready:
             # First epoch with no history: seed the predictors with the
             # current metered values so a forecast exists.
@@ -318,7 +319,7 @@ class GreenHeteroController:
         record = self._execute_substeps(
             time_s, load_fraction, decision, budget_w, ratios, group_budgets,
             enforced.state_indices, trained, plan.powered_counts,
-            plan.projected_perf, directives.grid_budget_w,
+            plan.projected_perf, directives.grid_budget_w, renewable_w,
         )
 
         # End-of-epoch observation feeds the next forecast.  Each substep
@@ -430,21 +431,15 @@ class GreenHeteroController:
         powered_counts: tuple[int, ...] | None = None,
         projected_perf: float | None = None,
         grid_budget_w: float | None = None,
+        renewable_now_w: float | None = None,
     ) -> EpochRecord:
-        sub_s = self.epoch_s / N_SUBSTEPS
-        observations: list[ServerObservation] = []
-        perf_sum = 0.0
-        useful_sum = 0.0
-        renewable_sum = 0.0
-        metered_renewable_sum = 0.0
-        r2l = b2l = g2l = charge = curtailed = 0.0
-        charge_source = ChargeSource.NONE
-        brownout = False
-        soc_wh = self.pdu.battery.soc_wh
+        """Run the epoch's substeps in one pass (DESIGN.md §14).
 
-        # States, load and counts hold for the whole epoch, so the rack
-        # physics is computed once; only the meters and the sources vary
-        # between substeps.
+        States, load and counts hold for the whole epoch, so the rack
+        physics is computed once; the PDU serves every substep in one
+        call, the meters read every substep from one noise draw, and
+        each pair gets its readings as one feedback block.
+        """
         states = [group_servers[0].state for group_servers in self.servers]
         effective = self._effective_counts(powered_counts)
         samples = self._samples_for_states(states, load_fraction, effective)
@@ -456,52 +451,49 @@ class GreenHeteroController:
             perf_total += count * sample.throughput
             if sample.throughput > 0.0:
                 useful_total += count * sample.power_w * sample.utilization
-        for i in range(N_SUBSTEPS):
-            t_sub = time_s + i * sub_s
-            for g, sample in enumerate(samples):
-                observations.append(
-                    self.monitor.observe_server(sample, g, t_sub)
-                )
+
+        flows = self.enforcer.psc.apply(
+            decision, draw_total, time_s, self.epoch_s / N_SUBSTEPS,
+            grid_budget_w, N_SUBSTEPS, renewable_now_w,
+        )
+        # The PV sensor is read once per substep, like every other meter;
+        # the epoch aggregate is the mean of those readings.
+        powers, perfs, renewables = self.monitor.observe_epoch(
+            samples, flows.interval_renewable_w
+        )
+        self.scheduler.feed_back(self.groups, powers, perfs)
+
+        # One substep at a time from 0.0, not sum(): Python 3.12's sum()
+        # compensates float rounding, and the means must not depend on
+        # the Python version.
+        perf_sum = 0.0
+        useful_sum = 0.0
+        metered_renewable_sum = 0.0
+        brownout = False
+        for delivered_w, metered_w in zip(flows.interval_delivered_w, renewables):
             perf = perf_total
             useful = useful_total
-            flows = self.enforcer.psc.apply(
-                decision, draw_total, t_sub, sub_s, grid_budget_w
-            )
-            if flows.delivered_w < draw_total - 1e-6:
+            if delivered_w < draw_total - 1e-6:
                 # Sources under-delivered against the plan (forecast
                 # error): the rack browns out proportionally.
-                scale = flows.delivered_w / draw_total if draw_total > 0 else 0.0
+                scale = delivered_w / draw_total if draw_total > 0 else 0.0
                 perf *= scale
                 useful *= scale
                 brownout = True
             perf_sum += perf
             useful_sum += useful
-            renewable_sum += flows.renewable_available_w
-            # The PV sensor is read once per substep, like every other
-            # meter; the epoch aggregate is the mean of those readings.
-            metered_renewable_sum += self.monitor.observe_renewable(
-                flows.renewable_available_w
-            )
-            r2l += flows.breakdown.renewable_to_load_w
-            b2l += flows.breakdown.battery_to_load_w
-            g2l += flows.breakdown.grid_to_load_w
-            charge += flows.breakdown.charge_w
-            curtailed += flows.curtailed_w
-            if flows.breakdown.charge_source is not ChargeSource.NONE:
-                charge_source = flows.breakdown.charge_source
-            soc_wh = flows.battery_soc_wh
-
-        self.scheduler.feed_back(observations, self.groups)
+            metered_renewable_sum += metered_w
 
         n = float(N_SUBSTEPS)
         useful_mean = useful_sum / n
         epu = 0.0 if budget_w <= 0 else min(useful_mean / budget_w, 1.0)
+        breakdown = flows.breakdown
         return EpochRecord(
             time_s=time_s,
             case=decision.case,
             budget_w=budget_w,
             demand_w=decision.predicted_demand_w,
-            renewable_w=renewable_sum / n,
+            renewable_w=flows.renewable_available_w,
             load_fraction=load_fraction,
             ratios=ratios,
             group_budgets_w=group_budgets,
@@ -509,13 +501,13 @@ class GreenHeteroController:
             throughput=perf_sum / n,
             epu=epu,
             useful_power_w=useful_mean,
-            renewable_to_load_w=r2l / n,
-            battery_to_load_w=b2l / n,
-            grid_to_load_w=g2l / n,
-            charge_w=charge / n,
-            charge_source=charge_source,
-            battery_soc_wh=soc_wh,
-            curtailed_w=curtailed / n,
+            renewable_to_load_w=breakdown.renewable_to_load_w,
+            battery_to_load_w=breakdown.battery_to_load_w,
+            grid_to_load_w=breakdown.grid_to_load_w,
+            charge_w=breakdown.charge_w,
+            charge_source=breakdown.charge_source,
+            battery_soc_wh=flows.battery_soc_wh,
+            curtailed_w=flows.curtailed_w,
             trained_pairs=trained,
             brownout=brownout,
             renewable_metered_w=metered_renewable_sum / n,

@@ -66,7 +66,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -210,15 +210,17 @@ class _Entry:
         self._next = 0
         self.count = 0
 
-    def append(self, power_w: float, perf: float) -> None:
+    def extend(self, powers: list[float], perfs: list[float]) -> None:
+        """Append samples, oldest first."""
         i = self._next
         cap = self._capacity
         flat = self._flat
-        flat[i] = flat[i + cap] = power_w
-        flat[i + 2 * cap] = flat[i + 3 * cap] = perf
-        self._next = i + 1 if i + 1 < cap else 0
-        if self.count < self._capacity:
-            self.count += 1
+        for power_w, perf in zip(powers, perfs):
+            flat[i] = flat[i + cap] = power_w
+            flat[i + 2 * cap] = flat[i + 3 * cap] = perf
+            i = i + 1 if i + 1 < cap else 0
+        self._next = i
+        self.count = min(cap, self.count + len(powers))
 
     def load(self, powers: tuple[float, ...], perfs: tuple[float, ...]) -> None:
         """Replace the window with ``powers``/``perfs`` (oldest first)."""
@@ -466,32 +468,45 @@ class ProfilingDatabase:
             self._entries[key] = _Entry(idle_power_w, max_power_w, self.max_samples)
 
     def add_sample(self, key: PairKey, power_w: float, perf: float) -> None:
-        """Append one observed (power, performance) point.
+        """Append one observed (power, performance) point (see :meth:`add_samples`)."""
+        self.add_samples(key, (power_w,), (perf,))
+
+    def add_samples(
+        self, key: PairKey, powers: Sequence[float], perfs: Sequence[float]
+    ) -> None:
+        """Append observed (power, performance) points, oldest first.
 
         The entry must have been created with :meth:`ensure_entry` first
-        (the Monitor knows the envelope before any sample arrives).
+        (the Monitor knows the envelope before any sample arrives).  The
+        block is validated whole: nothing is appended unless every sample
+        is valid.
 
         Raises
         ------
         ConfigurationError
-            When ``power_w`` or ``perf`` is negative, NaN or infinite: one
-            such sample would poison every refit until it aged out.
+            When the columns differ in length, or a power or performance
+            is negative, NaN or infinite: one such sample would poison
+            every refit until it aged out.
         """
         entry = self._entries.get(key)
         if entry is None:
             raise DatabaseMissError(*key)
-        _check_sample(power_w, perf)
-        power_w = float(power_w)
-        perf = float(perf)
-        entry.append(power_w, perf)
+        if len(powers) != len(perfs):
+            raise ConfigurationError(f"{key}: powers and perfs must have equal length")
+        for power_w, perf in zip(powers, perfs):
+            _check_sample(power_w, perf)
+        powers = [float(p) for p in powers]
+        perfs = [float(q) for q in perfs]
+        entry.extend(powers, perfs)
         # Feedback can reveal a wider active power range than the initial
         # envelope guess; track both boundaries so the projection's
         # power-on cliff and plateau follow reality.
-        if perf > 0:
-            if power_w > entry.max_power_w:
-                entry.max_power_w = power_w
-            if power_w < entry.min_active_power_w:
-                entry.min_active_power_w = power_w
+        for power_w, perf in zip(powers, perfs):
+            if perf > 0:
+                if power_w > entry.max_power_w:
+                    entry.max_power_w = power_w
+                if power_w < entry.min_active_power_w:
+                    entry.min_active_power_w = power_w
 
     def refit(self, key: PairKey) -> PerfPowerFit:
         """Reconstruct the relational equation from all retained samples
@@ -558,8 +573,8 @@ class ProfilingDatabase:
             raise ConfigurationError("a training run needs at least 2 samples")
         max_power = max(p for p, _ in samples)
         self.ensure_entry(key, idle_power_w, max_power)
-        for power_w, perf in samples:
-            self.add_sample(key, power_w, perf)
+        powers, perfs = zip(*samples)
+        self.add_samples(key, powers, perfs)
         return self.refit(key)
 
     # ------------------------------------------------------------------

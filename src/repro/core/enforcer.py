@@ -17,8 +17,13 @@ from dataclasses import dataclass
 
 from repro.core.sources import SourceDecision
 from repro.errors import PowerError
+from repro.obs.metrics import REGISTRY as _REGISTRY
 from repro.power.pdu import PDU, EpochFlows
 from repro.servers.power_model import ServerPowerModel
+
+_PSC_CALLS_TOTAL = _REGISTRY.counter(
+    "repro_psc_calls_total", "PowerSourceController.apply invocations"
+).labels()
 
 
 @dataclass(frozen=True)
@@ -78,13 +83,15 @@ class ServerPowerController:
                     f"powered count {k} outside [0, {len(servers)}]"
                 )
             share = 0.0 if k == 0 else budget / k
-            state_index = 0
+            # Every server of a group runs the same platform and workload,
+            # so one lookup per budget serves the whole group.
+            curve = servers[0].curve
+            on = curve.state_for_budget(share)
+            off = on if k in (0, len(servers)) else curve.state_for_budget(0.0)
             for i, server in enumerate(servers):
-                state = server.enforce_budget(share if i < k else 0.0)
-                if i < k or k == 0:
-                    state_index = state.index if i < k else 0
+                server.enforce_state(on if i < k else off)
             per_server.append(share)
-            states.append(state_index)
+            states.append(on.index if k else 0)
         return EnforcedAllocation(tuple(per_server), tuple(states))
 
 
@@ -101,8 +108,13 @@ class PowerSourceController:
         time_s: float,
         duration_s: float,
         grid_budget_w: float | None = None,
+        intervals: int = 1,
+        renewable_now_w: float | None = None,
     ) -> EpochFlows:
-        """Supply ``actual_load_w`` under the decided source plan."""
+        """Supply ``actual_load_w`` under the decided source plan for
+        ``intervals`` successive intervals of ``duration_s`` (see
+        :meth:`PDU.supply <repro.power.pdu.PDU.supply>`)."""
+        _PSC_CALLS_TOTAL.inc()
         return self.pdu.supply(
             load_w=actual_load_w,
             time_s=time_s,
@@ -111,6 +123,8 @@ class PowerSourceController:
             grid_charges_battery=decision.grid_charges_battery,
             battery_cap_w=decision.battery_cap_w,
             grid_budget_w=grid_budget_w,
+            intervals=intervals,
+            renewable_now_w=renewable_now_w,
         )
 
 

@@ -14,7 +14,7 @@ from a seeded RNG so runs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -95,6 +95,57 @@ class Monitor:
         if sigma == 0.0 or value == 0.0:
             return value
         return max(0.0, value * (1.0 + sigma * float(self._rng.standard_normal())))
+
+    def _jitter_all(self, channels: list[tuple[float, float]]) -> list[float]:
+        """:meth:`_jitter` on each ``(value, sigma)`` in order, from one draw.
+
+        One ``standard_normal(k)`` call returns the stream of ``k`` scalar
+        calls, so the readings and the RNG state afterwards are those of
+        calling :meth:`_jitter` on each channel in turn.
+        """
+        k = sum(1 for value, sigma in channels if value != 0.0 and sigma != 0.0)
+        if not k:
+            return [value for value, _ in channels]
+        noise = iter(self._rng.standard_normal(k).tolist())
+        return [
+            value if sigma == 0.0 or value == 0.0
+            else max(0.0, value * (1.0 + sigma * next(noise)))
+            for value, sigma in channels
+        ]
+
+    def observe_epoch(
+        self, samples: Sequence[ServerSample], renewable_w: Sequence[float]
+    ) -> tuple[list[list[float]], list[list[float]], list[float]]:
+        """Meter one epoch's substeps: each group's operating point, then the PV.
+
+        ``samples`` holds each group's operating point, which holds for
+        the whole epoch; ``renewable_w`` holds the PV output at each
+        substep.  The readings equal those of the scalar meters called in
+        substep order (for each substep, every group's power then
+        throughput as :meth:`observe_server` reads them, then
+        :meth:`observe_renewable`), and so does the RNG state afterwards:
+        the noise comes from one draw, and a zero value or a zero sigma
+        consumes none.
+
+        Returns ``(powers, throughputs, renewables)``: ``powers[g]`` and
+        ``throughputs[g]`` are group ``g``'s readings, one per substep,
+        and ``renewables`` the PV readings.
+        """
+        point: list[tuple[float, float]] = []
+        for sample in samples:
+            point.append((sample.power_w, self.power_noise))
+            point.append((sample.throughput, self.perf_noise))
+        channels: list[tuple[float, float]] = []
+        for power_w in renewable_w:
+            channels += point
+            channels.append((power_w, self.renewable_noise))
+        readings = self._jitter_all(channels)
+        stride = len(point) + 1
+        return (
+            [readings[2 * g::stride] for g in range(len(samples))],
+            [readings[2 * g + 1::stride] for g in range(len(samples))],
+            readings[stride - 1::stride],
+        )
 
     def observe_server(
         self, sample: ServerSample, group_index: int, time_s: float

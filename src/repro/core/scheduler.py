@@ -9,9 +9,9 @@ The scheduler is the decision core of GreenHetero.  Each epoch it:
    (configuration, workload) pair it has never seen (Algorithm 1,
    lines 3-5);
 4. asks the active policy for the PAR vector; and
-5. after execution, feeds the observed samples back into the database
-   and re-fits (Algorithm 1, lines 8-10) — when the policy enables the
-   optimisation.
+5. after execution, feeds the epoch's observed samples back into the
+   database and re-fits (Algorithm 1, lines 8-10) — when the policy
+   enables the optimisation.
 
 The scheduler is deliberately free of simulation concerns: it consumes
 observations and emits decisions, so it could drive real hardware.
@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.core.database import PairKey, ProfilingDatabase
-from repro.core.monitor import ServerObservation
 from repro.core.policies import (
     AllocationContext,
     AllocationPlan,
@@ -139,24 +138,41 @@ class AdaptiveScheduler:
         """Algorithm 1 lines 4-5: add a new relational projection."""
         self.database.ingest_training_run(key, idle_power_w, samples)
 
-    def feed_back(self, observations: Sequence[ServerObservation], groups: Sequence[GroupInfo]) -> None:
-        """Algorithm 1 lines 8-10: absorb execution feedback and re-fit.
+    def feed_back(
+        self,
+        groups: Sequence[GroupInfo],
+        powers: Sequence[Sequence[float]],
+        perfs: Sequence[Sequence[float]],
+    ) -> None:
+        """Algorithm 1 lines 8-10: absorb one epoch's execution feedback and re-fit.
+
+        ``powers[g]`` and ``perfs[g]`` are group ``g``'s metered readings,
+        one per substep, every group read at the same substeps.  Each pair
+        gets its readings as one block in the order they were read
+        (substep by substep, groups in rack order, so groups sharing a
+        pair interleave), then one refit.
 
         No-op when the active policy disables the optimisation
-        (GreenHetero-a) or an observation carries no useful signal
-        (sleeping server).
+        (GreenHetero-a); a reading with no throughput (sleeping server)
+        carries no useful signal and is skipped.
         """
         if not self.policy.updates_database:
             return
-        touched: set[PairKey] = set()
-        for obs in observations:
-            if obs.throughput <= 0.0:
-                continue
-            key = groups[obs.group_index].key
-            self.database.add_sample(key, obs.power_w, obs.throughput)
-            touched.add(key)
-        for key in touched:
-            self.database.refit(key)
+        members: dict[PairKey, list[int]] = {}
+        for g, group in enumerate(groups):
+            members.setdefault(group.key, []).append(g)
+        for key, indices in members.items():
+            block_powers: list[float] = []
+            block_perfs: list[float] = []
+            for substep in zip(*(zip(powers[g], perfs[g]) for g in indices)):
+                for power_w, perf in substep:
+                    if perf <= 0.0:
+                        continue
+                    block_powers.append(power_w)
+                    block_perfs.append(perf)
+            if block_perfs:
+                self.database.add_samples(key, block_powers, block_perfs)
+                self.database.refit(key)
 
     # ------------------------------------------------------------------
     # Allocation

@@ -3,7 +3,7 @@
 In the paper's architecture (Fig. 2) each rack has its own PDU fed by the
 on-site PV array, a distributed battery bank, and the utility grid behind
 an automatic transfer switch.  The PDU here *mechanically executes* power
-flows for one interval under the priority order the paper fixes:
+flows for each interval under the priority order the paper fixes:
 
 1. renewable power serves the load first;
 2. the battery supplements any shortfall (down to its DoD floor);
@@ -24,26 +24,32 @@ from dataclasses import dataclass
 from repro.errors import PowerError
 from repro.power.battery import BatteryBank
 from repro.power.grid import GridSource
-from repro.power.sources import ChargeSource, SupplyBreakdown
+from repro.power.sources import ChargeSource, SupplyBreakdown, check_flows
 
 
 @dataclass(frozen=True)
 class EpochFlows:
-    """What actually flowed through the PDU during one interval.
+    """What actually flowed through the PDU during one or more intervals.
 
     Attributes
     ----------
     breakdown:
-        Per-source watts to the load plus battery-charging flows.
+        Per-source watts to the load plus battery-charging flows, each
+        summed over the intervals and divided by their count (the mean
+        over equal intervals).
     renewable_available_w:
-        Solar power that was available during the interval.
+        Mean renewable power available over the intervals.
     curtailed_w:
-        Renewable power neither delivered to the load nor stored
+        Mean renewable power neither delivered to the load nor stored
         (battery full or charge-rate limited).
     delivered_w:
         Convenience copy of ``breakdown.total_to_load_w``.
     battery_soc_wh:
-        Battery state of charge after the interval.
+        Battery state of charge after the last interval.
+    interval_delivered_w:
+        Power delivered to the load in each interval.
+    interval_renewable_w:
+        Renewable power available in each interval.
     """
 
     breakdown: SupplyBreakdown
@@ -51,6 +57,8 @@ class EpochFlows:
     curtailed_w: float
     delivered_w: float
     battery_soc_wh: float
+    interval_delivered_w: tuple[float, ...]
+    interval_renewable_w: tuple[float, ...]
 
 
 class PDU:
@@ -99,27 +107,39 @@ class PDU:
         grid_charges_battery: bool = False,
         battery_cap_w: float | None = None,
         grid_budget_w: float | None = None,
+        intervals: int = 1,
+        renewable_now_w: float | None = None,
     ) -> EpochFlows:
-        """Serve ``load_w`` watts for ``duration_s`` seconds.
+        """Serve ``load_w`` watts for ``intervals`` intervals of ``duration_s``.
+
+        Each interval is the physics of one call with ``intervals=1`` at
+        its own start time; only the battery's state of charge carries
+        from one interval to the next.
 
         Parameters
         ----------
         load_w:
-            Rack power demand this interval.
+            Rack power demand in every interval.
         time_s:
-            Interval start (drives the solar trace).
+            Start of the first interval (drives the renewable trace).
         duration_s:
-            Interval length.
+            Length of each interval.
         use_battery:
             Whether the controller permits battery discharge.
         grid_charges_battery:
             Whether leftover grid budget should recharge a non-full
             battery when there is no renewable surplus.
         battery_cap_w:
-            Optional limit on battery discharge this interval (the
+            Optional limit on battery discharge per interval (the
             rationing extension); the grid covers the remainder.
         grid_budget_w:
-            This interval's grid budget, if not the provisioned one.
+            The intervals' grid budget, if not the provisioned one.
+        intervals:
+            How many successive intervals to serve.
+        renewable_now_w:
+            The renewable output at ``time_s``, when the caller has
+            already read it; the first interval then does not read it
+            again.
 
         Returns
         -------
@@ -132,8 +152,64 @@ class PDU:
             raise PowerError(f"load must be non-negative, got {load_w}")
         if duration_s <= 0:
             raise PowerError("duration must be positive")
+        if intervals < 1:
+            raise PowerError(f"intervals must be at least 1, got {intervals}")
 
-        renewable = self.renewable.power_at(time_s)
+        r2l = b2l = g2l = charged = curtailed = available = 0.0
+        source = ChargeSource.NONE
+        delivered: list[float] = []
+        renewables: list[float] = []
+        for i in range(intervals):
+            if i == 0 and renewable_now_w is not None:
+                renewable = renewable_now_w
+            else:
+                renewable = self.renewable.power_at(time_s + i * duration_s)
+            r_to_load, b_to_load, g_to_load, charge_w, charge_source, spilled = (
+                self._interval(
+                    renewable, load_w, duration_s, use_battery,
+                    grid_charges_battery, battery_cap_w, grid_budget_w,
+                )
+            )
+            r2l += r_to_load
+            b2l += b_to_load
+            g2l += g_to_load
+            charged += charge_w
+            curtailed += spilled
+            available += renewable
+            if charge_source is not ChargeSource.NONE:
+                source = charge_source
+            delivered.append(r_to_load + b_to_load + g_to_load)
+            renewables.append(renewable)
+
+        breakdown = SupplyBreakdown(
+            renewable_to_load_w=r2l / intervals,
+            battery_to_load_w=b2l / intervals,
+            grid_to_load_w=g2l / intervals,
+            charge_w=charged / intervals,
+            charge_source=source,
+        )
+        return EpochFlows(
+            breakdown=breakdown,
+            renewable_available_w=available / intervals,
+            curtailed_w=curtailed / intervals,
+            delivered_w=breakdown.total_to_load_w,
+            battery_soc_wh=self.battery.soc_wh,
+            interval_delivered_w=tuple(delivered),
+            interval_renewable_w=tuple(renewables),
+        )
+
+    def _interval(
+        self,
+        renewable: float,
+        load_w: float,
+        duration_s: float,
+        use_battery: bool,
+        grid_charges_battery: bool,
+        battery_cap_w: float | None,
+        grid_budget_w: float | None,
+    ) -> tuple[float, float, float, float, ChargeSource, float]:
+        """One interval's flows: (renewable, battery, grid) to the load,
+        the charge with its source, and the curtailed renewable power."""
         r_to_load = min(renewable, load_w)
         shortfall = load_w - r_to_load
 
@@ -175,17 +251,5 @@ class PDU:
 
         curtailed = max(0.0, surplus - charge_w) if charge_source is not ChargeSource.GRID else max(0.0, surplus)
 
-        breakdown = SupplyBreakdown(
-            renewable_to_load_w=r_to_load,
-            battery_to_load_w=b_to_load,
-            grid_to_load_w=g_to_load,
-            charge_w=charge_w,
-            charge_source=charge_source,
-        )
-        return EpochFlows(
-            breakdown=breakdown,
-            renewable_available_w=renewable,
-            curtailed_w=curtailed,
-            delivered_w=breakdown.total_to_load_w,
-            battery_soc_wh=self.battery.soc_wh,
-        )
+        check_flows(r_to_load, b_to_load, g_to_load, charge_w, charge_source)
+        return r_to_load, b_to_load, g_to_load, charge_w, charge_source, curtailed

@@ -49,17 +49,13 @@ class SupplyBreakdown:
     charge_source: ChargeSource = ChargeSource.NONE
 
     def __post_init__(self) -> None:
-        for field_name in (
-            "renewable_to_load_w",
-            "battery_to_load_w",
-            "grid_to_load_w",
-            "charge_w",
-        ):
-            value = getattr(self, field_name)
-            if value < -1e-9:
-                raise PowerError(f"{field_name} must be non-negative, got {value}")
-        if self.charge_w > 1e-9 and self.charge_source is ChargeSource.NONE:
-            raise PowerError("charge_w > 0 requires a charge source")
+        check_flows(
+            self.renewable_to_load_w,
+            self.battery_to_load_w,
+            self.grid_to_load_w,
+            self.charge_w,
+            self.charge_source,
+        )
 
     @property
     def total_to_load_w(self) -> float:
@@ -76,3 +72,26 @@ class SupplyBreakdown:
         """All grid draw: load plus any grid-sourced charging (W)."""
         charging = self.charge_w if self.charge_source is ChargeSource.GRID else 0.0
         return self.grid_to_load_w + charging
+
+
+def check_flows(
+    renewable_to_load_w: float,
+    battery_to_load_w: float,
+    grid_to_load_w: float,
+    charge_w: float,
+    charge_source: ChargeSource,
+) -> None:
+    """Reject a negative flow, or a charge with no source (1e-9 W slack).
+
+    The checks of :class:`SupplyBreakdown`, callable on bare floats.
+    """
+    for name, value in (
+        ("renewable_to_load_w", renewable_to_load_w),
+        ("battery_to_load_w", battery_to_load_w),
+        ("grid_to_load_w", grid_to_load_w),
+        ("charge_w", charge_w),
+    ):
+        if value < -1e-9:
+            raise PowerError(f"{name} must be non-negative, got {value}")
+    if charge_w > 1e-9 and charge_source is ChargeSource.NONE:
+        raise PowerError("charge_w > 0 requires a charge source")

@@ -281,6 +281,10 @@ class ServerPowerModel:
         self._state = self.curve.state_for_budget(budget_w)
         return self._state
 
+    def enforce_state(self, state: PowerState) -> None:
+        """Switch to ``state``, one of this server's power states."""
+        self._state = state
+
     def run(self, load_fraction: float = 1.0) -> ServerSample:
         """Execute one interval at the enforced state."""
         return self.curve.sample_at_state(self._state, load_fraction)

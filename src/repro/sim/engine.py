@@ -161,6 +161,12 @@ class Simulation:
         """
         if solar_scale <= 0:
             raise ConfigurationError("solar scale must be positive")
+        if budget_reference_w is not None and supply_fractions is None:
+            raise ConfigurationError(
+                "budget_reference_w scales supply_fractions, so without "
+                "them it would be silently ignored — set supply_fractions "
+                "or budget_reference_w=None"
+            )
         if budget_reference_w is not None and not (
             math.isfinite(budget_reference_w) and budget_reference_w > 0
         ):

@@ -133,6 +133,12 @@ class ExperimentConfig:
                 f"supply fractions must be finite and positive, got {fractions}"
             )
         reference = self.budget_reference_w
+        if reference is not None and self.supply_fractions is None:
+            raise ConfigurationError(
+                "budget_reference_w scales supply_fractions, so without "
+                "them it would be silently ignored — set supply_fractions "
+                "or budget_reference_w=None"
+            )
         if reference is not None and not (math.isfinite(reference) and reference > 0):
             raise ConfigurationError(
                 f"budget reference must be finite and positive, got {reference}"

@@ -169,13 +169,13 @@ class TestRackPhysicsOncePerOperatingPoint:
         ctl = make_controller("GreenHetero")
         ctl.run_epoch(NOON)  # the training run samples curves too
         observed = []
-        original = ctl.monitor.observe_server
+        original = ctl.monitor.observe_epoch
 
-        def observe(sample, group, time_s):
-            observed.append(group)
-            return original(sample, group, time_s)
+        def observe(samples, renewable_w):
+            observed.append((len(samples), len(renewable_w)))
+            return original(samples, renewable_w)
 
-        ctl.monitor.observe_server = observe
+        ctl.monitor.observe_epoch = observe
         calls = self.count_serves(monkeypatch)
         execute = ctl._execute_substeps
         during = []
@@ -189,7 +189,8 @@ class TestRackPhysicsOncePerOperatingPoint:
         ctl._execute_substeps = execute_substeps
         ctl.run_epoch(NOON + 900.0)
         assert sorted(during) == ["E5-2620", "i5-4460"]
-        assert observed == [0, 1] * N_SUBSTEPS
+        # One meter call reads both groups and the PV at every substep.
+        assert observed == [(2, N_SUBSTEPS)]
 
     def test_manual_oracle_meters_every_trial(self, monkeypatch):
         ctl = make_controller("Manual")

@@ -175,6 +175,31 @@ class TestOnlineUpdate:
             db.add_sample(KEY, 120.0 + i * 0.1, 15000.0)
         assert db.sample_count(KEY) == 10
 
+    def test_block_append_equals_single_appends(self):
+        one, block = ProfilingDatabase(max_samples=8), ProfilingDatabase(max_samples=8)
+        for db in (one, block):
+            db.ingest_training_run(KEY, 88.0, quad_samples())
+        powers = [96.0, 160.0, 50.0, 120.5, 131.0, 99.0, 141.0]
+        perfs = [2000.0, 25000.0, 0.0, 15000.0, 18000.0, 0.0, 21000.0]
+        for power_w, perf in zip(powers, perfs):
+            one.add_sample(KEY, power_w, perf)
+        block.add_samples(KEY, powers, perfs)
+        # The window wrapped; both envelope edges moved, zero perf did not.
+        assert block.entry(KEY) == one.entry(KEY)
+        assert block.entry(KEY).min_active_power_w == 96.0
+        assert block.entry(KEY).max_power_w == 160.0
+        assert block.refit(KEY) == one.refit(KEY)
+
+    def test_block_validated_whole(self):
+        db = ProfilingDatabase()
+        db.ingest_training_run(KEY, 88.0, quad_samples())
+        before = db.entry(KEY)
+        with pytest.raises(ConfigurationError):
+            db.add_samples(KEY, [120.0, 125.0, -1.0], [15000.0, 16000.0, 10.0])
+        with pytest.raises(ConfigurationError):
+            db.add_samples(KEY, [120.0, 125.0], [15000.0])
+        assert db.entry(KEY) == before
+
     def test_sample_to_unknown_key_rejected(self):
         db = ProfilingDatabase()
         with pytest.raises(DatabaseMissError):

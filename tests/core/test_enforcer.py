@@ -5,10 +5,12 @@ import pytest
 from repro.core.enforcer import Enforcer, ServerPowerController
 from repro.core.sources import PowerCase, SourceDecision
 from repro.errors import PowerError
+from repro.obs.metrics import REGISTRY
 from repro.power.battery import BatteryBank
 from repro.power.grid import GridSource
 from repro.power.pdu import PDU
 from repro.power.solar import SolarFarm
+from repro.servers.power_model import ResponseCurve
 from repro.servers.rack import Rack
 from repro.traces.nrel import Weather, synthesize_irradiance
 
@@ -47,6 +49,35 @@ class TestSPC:
     def test_length_mismatch_rejected(self, servers):
         with pytest.raises(PowerError):
             ServerPowerController.apply(servers, (100.0,))
+
+    @pytest.mark.parametrize("powered", [None, (2, 3), (1, 2), (0, 3), (0, 0)])
+    def test_group_state_equals_per_server_lookup(self, servers, monkeypatch, powered):
+        budgets = (260.0, 150.0)
+        want = []
+        for g, (group, budget) in enumerate(zip(servers, budgets)):
+            k = len(group) if powered is None else powered[g]
+            share = 0.0 if k == 0 else budget / k
+            want.append([
+                s.curve.state_for_budget(share if i < k else 0.0)
+                for i, s in enumerate(group)
+            ])
+        lookups = []
+        lookup = ResponseCurve.state_for_budget
+        monkeypatch.setattr(
+            ResponseCurve, "state_for_budget",
+            lambda curve, budget: (lookups.append(budget), lookup(curve, budget))[1],
+        )
+        enforced = ServerPowerController.apply(servers, budgets, powered)
+        assert [[s.state for s in group] for group in servers] == want
+        # One lookup per group, plus one for the switched-off servers of
+        # a partly powered group.
+        sizes = [len(group) for group in servers]
+        counts = sizes if powered is None else powered
+        partial = sum(0 < k < n for k, n in zip(counts, sizes))
+        assert len(lookups) == len(servers) + partial
+        assert enforced.state_indices == tuple(
+            states[0].index if k else 0 for states, k in zip(want, counts)
+        )
 
     def test_enforced_draw_fits_budget(self, servers):
         budgets = (260.0, 210.0)
@@ -96,3 +127,32 @@ class TestPSC:
         flows = enforcer.psc.apply(decision, 750.0, 0.0, 900.0)
         assert flows.breakdown.battery_to_load_w == 0.0
         assert flows.breakdown.grid_to_load_w == pytest.approx(750.0)
+
+    def test_one_call_serves_every_interval(self):
+        trace = synthesize_irradiance(days=1, seed=8)
+
+        def pdu():
+            return PDU(
+                SolarFarm.sized_for(trace, 1500.0), BatteryBank(), GridSource(budget_w=1000.0)
+            )
+
+        decision = SourceDecision(
+            case=PowerCase.B,
+            rack_budget_w=900.0,
+            use_battery=True,
+            grid_charges_battery=False,
+            predicted_renewable_w=600.0,
+            predicted_demand_w=900.0,
+        )
+        calls = REGISTRY.get("repro_psc_calls_total").labels()
+        before = calls.value
+        epoch_pdu, single_pdu = pdu(), pdu()
+        flows = Enforcer(epoch_pdu).psc.apply(
+            decision, 900.0, 9 * 3600.0, 150.0, intervals=6
+        )
+        assert calls.value == before + 1
+        singles = [
+            single_pdu.supply(900.0, 9 * 3600.0 + i * 150.0, 150.0) for i in range(6)
+        ]
+        assert flows.interval_delivered_w == tuple(s.delivered_w for s in singles)
+        assert flows.battery_soc_wh == singles[-1].battery_soc_wh

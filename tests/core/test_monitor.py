@@ -65,3 +65,60 @@ class TestNoise:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ConfigurationError):
             Monitor(power_noise=-0.1)
+
+
+class TestEpochMeter:
+    """One noise draw per epoch reads exactly what the scalar meters read."""
+
+    SIGMAS = [
+        dict(),
+        dict(power_noise=0.0),
+        dict(perf_noise=0.0),
+        dict(renewable_noise=0.0),
+        dict(power_noise=0.0, perf_noise=0.0, renewable_noise=0.0),
+    ]
+    SAMPLES = [
+        sample(120.0, 17000.0),
+        ServerSample(0.0, 0.0, 0, 0.0),  # an off group
+        sample(3.0, 0.0),  # asleep: power but no throughput
+        sample(65.0, 9000.0),
+    ]
+    RENEWABLE_W = [0.0, 412.5, 980.0, 0.0, 1310.25, 0.0]  # PV zero at night
+
+    @staticmethod
+    def scalar_epoch(m, samples, renewable_w):
+        powers = [[] for _ in samples]
+        perfs = [[] for _ in samples]
+        renewables = []
+        for power_w in renewable_w:
+            for g, s in enumerate(samples):
+                powers[g].append(m._jitter(s.power_w, m.power_noise))
+                perfs[g].append(m._jitter(s.throughput, m.perf_noise))
+            renewables.append(m._jitter(power_w, m.renewable_noise))
+        return powers, perfs, renewables
+
+    @pytest.mark.parametrize("sigmas", SIGMAS)
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2021, 8084])
+    def test_equals_scalar_jitter_sequence(self, seed, sigmas):
+        batched, scalar = Monitor(seed=seed, **sigmas), Monitor(seed=seed, **sigmas)
+        for _ in range(3):  # later epochs continue the same stream
+            got = batched.observe_epoch(self.SAMPLES, self.RENEWABLE_W)
+            want = self.scalar_epoch(scalar, self.SAMPLES, self.RENEWABLE_W)
+            assert got == want
+            assert batched.state_dict() == scalar.state_dict()
+
+    def test_all_zero_draws_nothing(self):
+        m = Monitor(seed=3)
+        before = m.state_dict()
+        off = ServerSample(0.0, 0.0, 0, 0.0)
+        powers, perfs, renewables = m.observe_epoch([off, off], [0.0] * 6)
+        assert powers == perfs == [[0.0] * 6, [0.0] * 6]
+        assert renewables == [0.0] * 6
+        assert m.state_dict() == before
+
+    def test_readings_per_group_and_substep(self):
+        m = Monitor(seed=4)
+        powers, perfs, renewables = m.observe_epoch(self.SAMPLES, self.RENEWABLE_W)
+        assert [len(p) for p in powers] == [len(self.RENEWABLE_W)] * len(self.SAMPLES)
+        assert [len(p) for p in perfs] == [len(self.RENEWABLE_W)] * len(self.SAMPLES)
+        assert len(renewables) == len(self.RENEWABLE_W)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.database import ProfilingDatabase
-from repro.core.monitor import ServerObservation
 from repro.core.policies import GroupInfo, UniformPolicy, make_policy
 from repro.core.scheduler import AdaptiveScheduler
 from repro.core.sources import PowerCase
@@ -66,23 +65,59 @@ class TestDatabaseFlow:
         s = make_scheduler("GreenHetero")
         s.ingest_training_run(E5_KEY, 88.0, TRAIN_E5)
         before = s.database.sample_count(E5_KEY)
-        obs = [ServerObservation(0, 120.0, 17000.0, 8, 0.0)]
-        s.feed_back(obs, GROUPS)
+        s.feed_back(GROUPS[:1], [[120.0]], [[17000.0]])
         assert s.database.sample_count(E5_KEY) == before + 1
 
     def test_feedback_noop_for_static_policy(self):
         s = make_scheduler("GreenHetero-a")
         s.ingest_training_run(E5_KEY, 88.0, TRAIN_E5)
         before = s.database.sample_count(E5_KEY)
-        s.feed_back([ServerObservation(0, 120.0, 17000.0, 8, 0.0)], GROUPS)
+        s.feed_back(GROUPS[:1], [[120.0]], [[17000.0]])
         assert s.database.sample_count(E5_KEY) == before
 
     def test_zero_throughput_feedback_skipped(self):
         s = make_scheduler("GreenHetero")
         s.ingest_training_run(E5_KEY, 88.0, TRAIN_E5)
         before = s.database.sample_count(E5_KEY)
-        s.feed_back([ServerObservation(0, 3.0, 0.0, 1, 0.0)], GROUPS)
+        s.feed_back(GROUPS[:1], [[3.0]], [[0.0]])
         assert s.database.sample_count(E5_KEY) == before
+
+    def test_one_block_and_one_refit_per_pair(self, monkeypatch):
+        s = make_scheduler("GreenHetero")
+        s.ingest_training_run(E5_KEY, 88.0, TRAIN_E5)
+        s.ingest_training_run(I5_KEY, 50.0, TRAIN_I5)
+        calls = []
+        add_samples = s.database.add_samples
+        refit = s.database.refit
+        monkeypatch.setattr(
+            s.database, "add_samples",
+            lambda key, powers, perfs: (calls.append(("add", key, list(powers))),
+                                        add_samples(key, powers, perfs)),
+        )
+        monkeypatch.setattr(
+            s.database, "refit", lambda key: (calls.append(("refit", key)), refit(key))[1]
+        )
+        s.feed_back(
+            GROUPS,
+            [[120.0, 121.0, 122.0], [60.0, 61.0, 62.0]],
+            [[17000.0, 0.0, 17200.0], [0.0, 0.0, 0.0]],
+        )
+        # The i5 group never ran, so its pair is neither fed nor refit.
+        assert calls == [("add", E5_KEY, [120.0, 122.0]), ("refit", E5_KEY)]
+
+    def test_groups_sharing_a_pair_interleave_by_substep(self):
+        s = make_scheduler("GreenHetero")
+        s.ingest_training_run(E5_KEY, 88.0, TRAIN_E5)
+        before = s.database.entry(E5_KEY)
+        groups = (GroupInfo("E5-2620", 2, E5_KEY), GroupInfo("E5-2620", 3, E5_KEY))
+        s.feed_back(
+            groups,
+            [[120.0, 121.0, 122.0], [130.0, 131.0, 132.0]],
+            [[17000.0, 17100.0, 17200.0], [18000.0, 0.0, 18200.0]],
+        )
+        after = s.database.entry(E5_KEY)
+        assert after.powers == before.powers + (120.0, 130.0, 121.0, 122.0, 132.0)
+        assert after.perfs == before.perfs + (17000.0, 18000.0, 17100.0, 17200.0, 18200.0)
 
 
 class TestAllocation:

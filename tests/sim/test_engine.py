@@ -72,6 +72,10 @@ class TestAssembly:
         with pytest.raises(ConfigurationError, match="finite"):
             assemble(supply_fractions=(0.5, bad))
 
+    def test_budget_reference_without_supply_fractions_rejected(self):
+        with pytest.raises(ConfigurationError, match="budget_reference_w"):
+            assemble(budget_reference_w=800.0)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -800.0])
     def test_bad_budget_reference_rejected(self, bad):
         with pytest.raises(ConfigurationError, match="finite"):

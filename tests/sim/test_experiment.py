@@ -62,6 +62,12 @@ class TestConfig:
                 supply_fractions=(0.5,), grid_budget_w=None, budget_reference_w=bad
             )
 
+    def test_budget_reference_without_supply_fractions_rejected(self):
+        # The reference only scales the fractions; alone it would be
+        # silently ignored for a whole lap.
+        with pytest.raises(ConfigurationError, match="budget_reference_w"):
+            ExperimentConfig(budget_reference_w=500.0)
+
     def test_supply_fractions_without_grid_budget_accepted(self):
         cfg = ExperimentConfig(supply_fractions=(0.5, 0.8), grid_budget_w=None)
         assert cfg.supply_fractions == (0.5, 0.8)

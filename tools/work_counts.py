@@ -29,8 +29,8 @@ plus the served cluster path:
   coordinated ``step``.
 
 Per scenario it writes the work the process-wide metrics registry
-counted: database refits, solver solves, shift plans and predictor
-fits; both serve scenarios add the epochs their racks' auditors
+counted: database refits, solver solves, shift plans, predictor fits
+and power-source-controller calls (one per executed epoch); both serve scenarios add the epochs their racks' auditors
 checked, and ``serve-daemon`` adds the solver-cache hits and misses of
 its requests, which pins how many solves the served allocations cost
 per cluster step.  ``policy-sweep`` adds the solver-cache hits and
@@ -85,6 +85,7 @@ COUNTERS = {
     "solver_solves": "repro_solver_solves_total",
     "shift_plans": "repro_shift_plans_total",
     "predictor_fits": "repro_predictor_fits_total",
+    "psc_calls": "repro_psc_calls_total",
 }
 
 
