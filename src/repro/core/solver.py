@@ -73,7 +73,7 @@ import numpy as np
 
 from repro.core.database import PerfPowerFit
 from repro.errors import ConfigurationError, SolverError
-from repro.obs.metrics import REGISTRY as _REGISTRY
+from repro.obs.metrics import REGISTRY as _REGISTRY, ChildCache as _ChildCache
 from repro.obs.tracing import trace
 
 # Process-wide solver telemetry (per-instance counters stay authoritative
@@ -82,19 +82,10 @@ _SOLVES_TOTAL = _REGISTRY.counter(
     "repro_solver_solves_total", "Solves by winning mechanism", labelnames=("method",)
 )
 
-
-class _MethodChildren(dict):
-    """``method`` -> counter child, resolving each child on first use."""
-
-    def __missing__(self, method: str):
-        child = self[method] = _SOLVES_TOTAL.labels(method)
-        return child
-
-
 #: The children every solve path increments, resolved at import so a cache
 #: hit or miss calls no ``labels()``; the cubic and partial-group methods
 #: join on their first solve, so a scrape lists only methods that ran.
-_SOLVES = _MethodChildren((m, _SOLVES_TOTAL.labels(m)) for m in ("kkt", "cached"))
+_SOLVES = _ChildCache(_SOLVES_TOTAL, ("kkt", "cached"))
 
 _CACHE_LOOKUPS = _REGISTRY.counter(
     "repro_solver_cache_lookups_total", "Solve-cache lookups", labelnames=("result",)

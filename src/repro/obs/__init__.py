@@ -10,14 +10,21 @@ format; tests and benches read it via :meth:`MetricsRegistry.snapshot`.
 Design constraints, in order:
 
 1. **Cheap.** Instrumentation sits on per-epoch and per-request hot
-   paths; a counter increment is a lock + float add, a histogram
-   observation a lock + bisect.  ``set_enabled(False)`` turns every
-   mutation into a single global check, which is how
-   :mod:`repro.obs.bench` measures the overhead (< 5% required).
-2. **Deterministic outputs stay deterministic.** Nothing here feeds
+   paths; a counter increment is a float add, a histogram observation
+   a list append, folded into buckets, sum and sample when read.
+   ``set_enabled(False)`` turns every mutation into a single global
+   check, which is how :mod:`repro.obs.bench` measures the overhead
+   (< 5% required).
+2. **One writer per process.** Each process writes its metrics from
+   one thread: the daemon's event loop, or the main thread of a sim or
+   runner worker.  That rule is why no write takes a lock; a thread
+   that only reads (a scrape, a snapshot) is always safe.  A second
+   writer must get its own metric, sharded per thread, not a lock
+   (``tests/obs/test_single_writer.py`` checks the rule).
+3. **Deterministic outputs stay deterministic.** Nothing here feeds
    back into allocation decisions, checkpoints, or benchmark payloads —
    observability is strictly write-only from the control loop's view.
-3. **Stdlib only.** No prometheus_client dependency; the exposition
+4. **Stdlib only.** No prometheus_client dependency; the exposition
    format is small enough to emit (and parse, for the smoke test) by
    hand.
 """

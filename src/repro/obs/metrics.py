@@ -22,14 +22,23 @@ names, with one child per distinct label-value tuple
 (``family.labels("hit")``).  A family with no labels builds its single
 child at declaration and forwards to it.  Registration is idempotent —
 re-declaring the same family returns the existing one, so modules can
-declare their metrics at import time without coordination.
+declare their metrics at import time without coordination.  A hot path
+that picks its labels at run time indexes a :class:`ChildCache` instead
+of calling ``labels()``.
 
 Every mutation short-circuits on the global enabled flag, which is how
-:mod:`repro.obs.bench` measures the disabled/enabled overhead delta,
-and is guarded by a per-child lock.  The daemon runs every handler on
-its event-loop thread (DESIGN.md §11), so most processes record from
-one thread, but nothing enforces that yet; the locks stay until
-something does.
+:mod:`repro.obs.bench` measures the disabled/enabled overhead delta.
+
+**One writer per process.**  Each process writes its metrics from one
+thread: the daemon's event loop (DESIGN.md §11), or the main thread of
+a sim or runner worker.  So ``Counter.inc`` and ``Gauge.set`` take no
+lock, and ``Histogram.observe`` is one list append: buckets, sum, count
+and the exact sample are folded in, in observation order, when a value
+is read or when :data:`FOLD_BOUND` observations are pending.  A fold
+holds the histogram's lock and consumes only the prefix it saw, so an
+append from another thread is never lost; reads (scrapes, snapshots)
+may come from any thread.  ``tests/obs/test_single_writer.py`` checks
+the rule on a served fleet and a sim lap (DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ import math
 import re
 import threading
 from bisect import bisect_left
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import ConfigurationError
 from repro.obs.stats import percentile
@@ -50,6 +59,10 @@ POWER_OF_TWO_BUCKETS: tuple[float, ...] = tuple(2.0**e for e in range(-20, 7))
 
 #: Every bucket's upper bound, the +Inf catch-all last.
 _UPPER_BOUNDS = (*POWER_OF_TWO_BUCKETS, math.inf)
+
+#: Pending observations at which ``Histogram.observe`` folds on its own,
+#: so a histogram nobody reads holds a bounded list.
+FOLD_BOUND = 256
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -98,27 +111,24 @@ class Counter:
 
     kind = "counter"
 
-    __slots__ = ("_lock", "_value")
+    __slots__ = ("_value",)
 
     def __init__(self) -> None:
         self._value = 0.0
-        self._lock = threading.Lock()
 
     def inc(self, amount: float = 1.0) -> None:
         if not _ENABLED:
             return
         if amount < 0:
             raise ConfigurationError("counters only go up; use a Gauge")
-        with self._lock:
-            self._value += amount
+        self._value += amount
 
     @property
     def value(self) -> float:
         return self._value
 
     def reset(self) -> None:
-        with self._lock:
-            self._value = 0.0
+        self._value = 0.0
 
     def state(self) -> float:
         return self._value
@@ -129,25 +139,22 @@ class Gauge:
 
     kind = "gauge"
 
-    __slots__ = ("_lock", "_value")
+    __slots__ = ("_value",)
 
     def __init__(self) -> None:
         self._value = 0.0
-        self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
         if not _ENABLED:
             return
-        with self._lock:
-            self._value = float(value)
+        self._value = float(value)
 
     @property
     def value(self) -> float:
         return self._value
 
     def reset(self) -> None:
-        with self._lock:
-            self._value = 0.0
+        self._value = 0.0
 
     def state(self) -> float:
         return self._value
@@ -161,48 +168,82 @@ class Histogram:
     kept for exact percentiles; past the cap the raw sample is dropped
     and :meth:`percentile` answers from bucket upper bounds instead —
     bounded memory for long-running daemons.
+
+    ``observe`` only appends to a pending list; every read folds the
+    pending values in first, in observation order, so each view equals
+    what an eager update per observation would give, ``sum`` bit for bit.
     """
 
     kind = "histogram"
 
     SAMPLE_CAP = 2048
 
-    __slots__ = ("_count", "_counts", "_lock", "_samples", "_sum")
+    __slots__ = ("_count", "_counts", "_lock", "_pending", "_samples", "_sum")
 
     def __init__(self) -> None:
         self._counts = [0] * len(_UPPER_BOUNDS)
         self._sum = 0.0
         self._count = 0
         self._samples: list[float] | None = []
+        self._pending: list[float] = []
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
         if not _ENABLED:
             return
-        value = float(value)
-        # First bucket whose bound >= value (+Inf catch-all past the end).
-        lo = bisect_left(POWER_OF_TWO_BUCKETS, value)
+        pending = self._pending
+        pending.append(float(value))
+        if len(pending) >= FOLD_BOUND:
+            self.fold()
+
+    def fold(self) -> None:
+        """Fold the pending observations in now (every read does)."""
         with self._lock:
-            self._counts[lo] += 1
-            self._sum += value
-            self._count += 1
-            if self._samples is not None:
-                if self._count <= Histogram.SAMPLE_CAP:
-                    self._samples.append(value)
-                else:
-                    self._samples = None  # past the cap: buckets only
+            self._fold()
+
+    def _fold(self) -> None:
+        """Fold the pending prefix into the state; hold ``self._lock``.
+
+        Only the ``n`` values seen here are consumed, so a value another
+        thread appends meanwhile stays pending for the next fold.
+        """
+        pending = self._pending
+        n = len(pending)
+        if not n:
+            return
+        batch = pending[:n]
+        del pending[:n]
+        counts = self._counts
+        total = self._sum
+        for value in batch:
+            # First bucket whose bound >= value (+Inf catch-all past the end).
+            counts[bisect_left(POWER_OF_TWO_BUCKETS, value)] += 1
+            total += value
+        self._sum = total
+        self._count += n
+        if self._samples is not None:
+            if self._count <= Histogram.SAMPLE_CAP:
+                self._samples.extend(batch)
+            else:
+                self._samples = None  # past the cap: buckets only
 
     @property
     def count(self) -> int:
-        return self._count
+        with self._lock:
+            self._fold()
+            return self._count
 
     @property
     def sum(self) -> float:
-        return self._sum
+        with self._lock:
+            self._fold()
+            return self._sum
 
     @property
     def mean(self) -> float:
-        return self._sum / self._count if self._count else 0.0
+        with self._lock:
+            self._fold()
+            return self._sum / self._count if self._count else 0.0
 
     def percentile(self, fraction: float) -> float:
         """Quantile estimate: exact below the sample cap, else bucketed.
@@ -212,6 +253,7 @@ class Histogram:
         conservative (never optimistic) latency figure.
         """
         with self._lock:
+            self._fold()
             if self._count == 0:
                 return 0.0
             if self._samples is not None:
@@ -227,6 +269,7 @@ class Histogram:
     def bucket_counts(self) -> tuple[tuple[float, int], ...]:
         """Cumulative ``(upper_bound, count)`` pairs, +Inf last."""
         with self._lock:
+            self._fold()
             out: list[tuple[float, int]] = []
             seen = 0
             for bound, n in zip(_UPPER_BOUNDS, self._counts):
@@ -236,6 +279,7 @@ class Histogram:
 
     def reset(self) -> None:
         with self._lock:
+            del self._pending[:len(self._pending)]
             self._counts = [0] * len(_UPPER_BOUNDS)
             self._sum = 0.0
             self._count = 0
@@ -243,8 +287,8 @@ class Histogram:
 
     def state(self) -> dict[str, Any]:
         return {
-            "count": self._count,
-            "sum": self._sum,
+            "count": self.count,
+            "sum": self.sum,
             "mean": self.mean,
             "p50": self.percentile(0.50),
             "p99": self.percentile(0.99),
@@ -292,6 +336,28 @@ class _Family:
         with self._lock:
             for child in self._children.values():
                 child.reset()
+
+
+class ChildCache(dict):
+    """Label values -> one family's child, each resolved on first use.
+
+    Hot paths index this instead of calling ``labels()``, so a repeat
+    costs one dict lookup.  A one-label family is keyed by the value, a
+    wider one by the value tuple; there is one entry per key a caller
+    uses, so the cache is as bounded as the label set.  ``keys`` are
+    resolved up front, which puts their children in every scrape.
+    """
+
+    def __init__(self, family: _Family, keys: Iterable[Any] = ()) -> None:
+        super().__init__()
+        self.family = family
+        for key in keys:
+            self[key]
+
+    def __missing__(self, key: Any) -> Any:
+        values = key if isinstance(key, tuple) else (key,)
+        child = self[key] = self.family.labels(*values)
+        return child
 
 
 class CounterFamily(_Family):

@@ -40,9 +40,10 @@ _SPAN_SECONDS = _metrics.REGISTRY.histogram(
     labelnames=("span",),
 )
 
-#: Per-name histogram children, cached so closing a span is a dict hit
-#: instead of a ``labels()`` call.
-_HISTOGRAMS: dict[str, _metrics.Histogram] = {}
+#: Span name -> its ``repro_span_seconds`` child, so closing a span is
+#: one dict hit instead of a ``labels()`` call.  A name's child is made
+#: when its first span closes, so a scrape lists only spans that ran.
+_HISTOGRAMS = _metrics.ChildCache(_SPAN_SECONDS)
 
 _CURRENT: ContextVar["Span | None"] = ContextVar("repro_obs_current_span", default=None)
 
@@ -72,7 +73,7 @@ class Span:
         self._token: Token | None = None
 
     def __enter__(self) -> "Span | None":
-        if not _metrics.obs_enabled():
+        if not _metrics._ENABLED:
             return None
         parent = _CURRENT.get()
         self.span_id = span_id = _next_id()
@@ -96,10 +97,13 @@ class Span:
         _CURRENT.reset(token)
         self._token = None
         self.error = exc_type is not None
-        hist = _HISTOGRAMS.get(self.name)
-        if hist is None:
-            hist = _HISTOGRAMS[self.name] = _SPAN_SECONDS.labels(self.name)
-        hist.observe(duration)
+        # ``Histogram.observe`` inlined: the span checked the enabled flag
+        # when it opened, and its duration is already a float.
+        hist = _HISTOGRAMS[self.name]
+        pending = hist._pending
+        pending.append(duration)
+        if len(pending) >= _metrics.FOLD_BOUND:
+            hist.fold()
         if _sink_path is not None:
             _write(self.to_record())
 
@@ -108,7 +112,7 @@ class Span:
 
         @functools.wraps(func)
         def wrapped(*args: Any, **kwargs: Any) -> Any:
-            with Span(name, dict(attrs)):
+            with Span(name, dict(attrs) if attrs else {}):
                 return func(*args, **kwargs)
 
         return wrapped  # type: ignore[return-value]

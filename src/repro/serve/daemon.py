@@ -37,7 +37,7 @@ from typing import Any, TextIO
 from time import perf_counter
 
 from repro.errors import ConfigurationError, ReproError
-from repro.obs.metrics import REGISTRY as _REGISTRY
+from repro.obs.metrics import REGISTRY as _REGISTRY, ChildCache as _ChildCache
 from repro.obs.tracing import trace
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
@@ -61,6 +61,10 @@ _REQUESTS_TOTAL = _REGISTRY.counter(
     "Requests by protocol verb and outcome",
     labelnames=("op", "status"),
 )
+#: The request children, one per (op, status) and per op served in this
+#: process, so a repeated request calls no ``labels()``.
+_REQUESTS = _ChildCache(_REQUESTS_TOTAL)
+_REQUEST_LATENCY = _ChildCache(_REQUEST_SECONDS)
 # Registered by repro.core.solver (imported above); re-declared here to
 # hold a direct reference for the cache-stats obs view.
 _SOLVER_CACHE_LOOKUPS = _REGISTRY.counter(
@@ -272,18 +276,18 @@ class AllocationDaemon:
             op = request.op
             self.op_counts[op] = self.op_counts.get(op, 0) + 1
             result = self._dispatch(request)
-            _REQUESTS_TOTAL.labels(op, "ok").inc()
+            _REQUESTS[op, "ok"].inc()
             return ok_response(request_id, result)
         except ReproError as exc:
             self.counters["errors"] += 1
-            _REQUESTS_TOTAL.labels(op, "error").inc()
+            _REQUESTS[op, "error"].inc()
             return error_response(request_id, str(exc), type(exc).__name__)
         except Exception as exc:  # noqa: BLE001 - daemon must not die on a bad request
             self.counters["errors"] += 1
-            _REQUESTS_TOTAL.labels(op, "error").inc()
+            _REQUESTS[op, "error"].inc()
             return error_response(request_id, str(exc), type(exc).__name__)
         finally:
-            _REQUEST_SECONDS.labels(op).observe(perf_counter() - start)
+            _REQUEST_LATENCY[op].observe(perf_counter() - start)
 
     # ------------------------------------------------------------------
     # Dispatch: every handler runs to completion on the loop thread

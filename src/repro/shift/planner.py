@@ -76,7 +76,7 @@ import numpy as np
 from repro.core.predictor import HoltPredictor
 from repro.core.solver import GroupModel, PARSolver
 from repro.errors import ConfigurationError, SolverError
-from repro.obs.metrics import REGISTRY as _REGISTRY
+from repro.obs.metrics import REGISTRY as _REGISTRY, ChildCache as _ChildCache
 from repro.obs.tracing import trace
 from repro.shift.queue import JobQueue, ShiftJob
 
@@ -91,6 +91,7 @@ _PLANS_TOTAL = _REGISTRY.counter(
     "Plans by search strategy (greedy: past the exhaustive limit; empty: none pending)",
     labelnames=("method",),
 )
+_PLANS = _ChildCache(_PLANS_TOTAL)
 _CANDIDATES_TOTAL = _REGISTRY.counter(
     "repro_shift_candidates_total",
     "Candidates priced: (job, offset) placements evaluated against supply",
@@ -541,7 +542,7 @@ class ShiftPlanner:
     def plan(self, queue: JobQueue, inputs: PlanInputs) -> ShiftPlan:
         """Produce the plan for this epoch.  The queue is not mutated."""
         result = self._plan_impl(queue, inputs)
-        _PLANS_TOTAL.labels(result.method).inc()
+        _PLANS[result.method].inc()
         _CANDIDATES_TOTAL.inc(self._priced)
         if result.placements:
             _PLACEMENTS_TOTAL.inc(len(result.placements))

@@ -20,6 +20,9 @@ from repro.core.controller import EpochRecord
 from repro.core.sources import PowerCase
 from repro.errors import SimulationError
 
+#: ``EpochRecord``'s field names in declaration order, resolved once.
+_RECORD_FIELDS = tuple(field.name for field in dataclasses.fields(EpochRecord))
+
 
 def record_to_dict(record: EpochRecord) -> dict[str, Any]:
     """One :class:`EpochRecord` as a JSON-ready dictionary.
@@ -28,7 +31,7 @@ def record_to_dict(record: EpochRecord) -> dict[str, Any]:
     the per-line schema of :meth:`TelemetryLog.to_jsonl` and the event
     format of the :mod:`repro.serve` daemon's audit stream.
     """
-    data = dataclasses.asdict(record)
+    data = {name: getattr(record, name) for name in _RECORD_FIELDS}
     data["case"] = record.case.value
     data["charge_source"] = record.charge_source.value
     data["ratios"] = list(record.ratios)

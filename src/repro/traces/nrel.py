@@ -97,8 +97,8 @@ class IrradianceTrace:
     """
 
     def __init__(self, times_s: np.ndarray, values_w_m2: np.ndarray, name: str = "trace") -> None:
-        times = np.asarray(times_s, dtype=float)
-        values = np.asarray(values_w_m2, dtype=float)
+        times = np.array(times_s, dtype=float)
+        values = np.array(values_w_m2, dtype=float)
         if times.ndim != 1 or times.shape != values.shape:
             raise TraceError("times and values must be 1-D arrays of equal length")
         if len(times) < 2:
@@ -110,9 +110,16 @@ class IrradianceTrace:
             raise TraceError("trace must be regularly sampled")
         if np.any(values < 0):
             raise TraceError("irradiance must be non-negative")
+        # Read-only, so the Python copies :meth:`at` reads cannot go stale.
+        times.setflags(write=False)
+        values.setflags(write=False)
         self.times_s = times
         self.values_w_m2 = values
         self.name = name
+        self._start_s = float(times[0])
+        self._interval_s = self.interval_s
+        self._duration_s = self.duration_s
+        self._values = values.tolist()
 
     @property
     def interval_s(self) -> float:
@@ -134,10 +141,11 @@ class IrradianceTrace:
         Wrapping lets a one-week trace drive an arbitrarily long run, the
         same way the paper replays its traces.
         """
-        wrapped = (time_s - self.times_s[0]) % self.duration_s + self.times_s[0]
-        idx = int((wrapped - self.times_s[0]) // self.interval_s)
-        idx = min(idx, len(self.values_w_m2) - 1)
-        return float(self.values_w_m2[idx])
+        start = self._start_s
+        wrapped = (time_s - start) % self._duration_s + start
+        idx = int((wrapped - start) // self._interval_s)
+        values = self._values
+        return values[min(idx, len(values) - 1)]
 
     def mean_w_m2(self) -> float:
         return float(self.values_w_m2.mean())

@@ -38,13 +38,14 @@ from repro.core.controller import (
     NO_DIRECTIVES, EpochDirectives, EpochRecord, GreenHeteroController,
 )
 from repro.errors import DatabaseMissError, InvariantViolation
-from repro.obs.metrics import REGISTRY as _REGISTRY
+from repro.obs.metrics import REGISTRY as _REGISTRY, ChildCache as _ChildCache
 
 _VIOLATIONS_TOTAL = _REGISTRY.counter(
     "repro_verify_violations_total",
     "Invariant-audit violations by check name",
     labelnames=("check",),
 )
+_VIOLATIONS = _ChildCache(_VIOLATIONS_TOTAL)
 
 #: Base absolute tolerance (W / Wh) for the audit comparisons; scaled up
 #: with the magnitude of the quantities involved (see :func:`_tol`).
@@ -393,7 +394,7 @@ class InvariantAuditor:
             found.extend(check(ctx))
         self.epochs_audited += 1
         for violation in found:
-            _VIOLATIONS_TOTAL.labels(violation.check).inc()
+            _VIOLATIONS[violation.check].inc()
         self.violations.extend(found)
         if found and self.strict:
             raise InvariantViolation(found)

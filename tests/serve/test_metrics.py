@@ -183,3 +183,55 @@ class TestMetricsInterval:
                 audit_log=tmp_path / "a.jsonl",
                 metrics_interval_s=interval,
             )
+
+
+class TestRequestLabelChildren:
+    """Each (op, status) resolves its children once and reuses them."""
+
+    def test_every_op_keeps_one_cached_child_per_label_set(self, client):
+        from repro.serve import daemon as daemon_module
+        from repro.serve.client import ServeError
+        from repro.serve.protocol import OPS
+
+        requests_cache = daemon_module._REQUESTS
+        latency_cache = daemon_module._REQUEST_LATENCY
+        params = {
+            "observe": {"renewable_w": 300.0, "demand_w": 500.0},
+            "submit": {"job": {
+                "job_id": "j0", "energy_wh": 10.0, "power_w": 100.0,
+                "earliest_start_s": 0.0, "deadline_s": 1e9, "value": 1.0,
+            }},
+        }
+
+        def serve_every_op():
+            served = set()
+            for op in sorted(OPS - {"shutdown"}) + ["no-such-op"]:
+                for rack in ("rack0", "rack9"):
+                    try:
+                        client.request(op, rack=rack, **params.get(op, {}))
+                        status = "ok"
+                    except ServeError:
+                        status = "error"
+                    served.add((op if op in OPS else "invalid", status))
+            return served
+
+        served = serve_every_op()
+        assert {status for _, status in served} == {"ok", "error"}
+        assert served <= set(requests_cache)
+        assert {op for op, _ in served} <= set(latency_cache)
+        cached = dict(requests_cache), dict(latency_cache)
+        n_children = (
+            len(list(daemon_module._REQUESTS_TOTAL.children())),
+            len(list(daemon_module._REQUEST_SECONDS.children())),
+        )
+        serve_every_op()
+        # A second round resolves nothing new: same keys, same children.
+        assert (dict(requests_cache), dict(latency_cache)) == cached
+        for (op, status), child in requests_cache.items():
+            assert child is daemon_module._REQUESTS_TOTAL.labels(op, status)
+        for op, child in latency_cache.items():
+            assert child is daemon_module._REQUEST_SECONDS.labels(op)
+        assert n_children == (
+            len(list(daemon_module._REQUESTS_TOTAL.children())),
+            len(list(daemon_module._REQUEST_SECONDS.children())),
+        )

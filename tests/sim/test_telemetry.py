@@ -183,3 +183,50 @@ class TestRecordToDict:
 
         data = record_to_dict(replace(record(), powered_counts=(3, 5)))
         assert data["powered_counts"] == [3, 5]
+
+    def test_matches_an_asdict_reference(self):
+        import dataclasses
+        import json
+        from dataclasses import replace
+
+        from repro.core.policies import make_policy
+        from repro.servers.rack import Rack
+        from repro.sim.clock import SimClock
+        from repro.sim.engine import Simulation
+        from repro.sim.telemetry import record_to_dict
+        from repro.traces.nrel import Weather
+        from repro.units import SECONDS_PER_DAY
+
+        def reference(rec):
+            data = dataclasses.asdict(rec)
+            data["case"] = rec.case.value
+            data["charge_source"] = rec.charge_source.value
+            data["ratios"] = list(rec.ratios)
+            data["group_budgets_w"] = list(rec.group_budgets_w)
+            data["state_indices"] = list(rec.state_indices)
+            data["trained_pairs"] = [list(pair) for pair in rec.trained_pairs]
+            if rec.powered_counts is not None:
+                data["powered_counts"] = list(rec.powered_counts)
+            return data
+
+        sim = Simulation.assemble(
+            policy=make_policy("GreenHetero"),
+            rack=Rack([("E5-2620", 5), ("i5-4460", 5)], "SPECjbb"),
+            weather=Weather.HIGH,
+            clock=SimClock(start_s=SECONDS_PER_DAY, duration_s=0.25 * SECONDS_PER_DAY),
+            seed=2021,
+        )
+        lap = list(sim.run())
+        assert any(rec.trained_pairs for rec in lap)
+        records = [
+            *lap,
+            record(),  # powered_counts None
+            replace(record(), powered_counts=(3, 5)),
+            replace(record(), trained_pairs=(("E5-2620", "SPECjbb"),)),
+            replace(record(), brownout=True, projected_perf=88.0),
+        ]
+        for rec in records:
+            data, expected = record_to_dict(rec), reference(rec)
+            assert data == expected
+            assert list(data) == list(expected)
+            assert json.dumps(data) == json.dumps(expected)

@@ -99,6 +99,43 @@ class TestTraceContainer:
         trace = synthesize_irradiance(days=1, seed=9)
         assert trace.at(-900.0) == trace.at(SECONDS_PER_DAY - 900.0)
 
+    def test_at_matches_the_numpy_scalar_formula(self):
+        # ``at`` reads cached Python floats; it must answer exactly what
+        # the formula on the trace's numpy arrays answers, wrap included.
+        def reference(trace, time_s):
+            times, values = trace.times_s, trace.values_w_m2
+            wrapped = (time_s - times[0]) % trace.duration_s + times[0]
+            idx = int((wrapped - times[0]) // trace.interval_s)
+            return float(values[min(idx, len(values) - 1)])
+
+        week = synthesize_irradiance(days=7, seed=3)
+        day2 = synthesize_irradiance(days=3, seed=4).window(
+            SECONDS_PER_DAY, 2 * SECONDS_PER_DAY)  # starts at 86,400 s
+        odd = IrradianceTrace(37.5 + 60.0 * np.arange(500), np.linspace(0.0, 900.0, 500))
+        rng = np.random.default_rng(2021)
+        for trace in (week, day2, odd):
+            span = trace.duration_s
+            # Sample edges and their float neighbours, where the wrap's
+            # rounding decides the index.
+            grid = trace.times_s[0] + trace.interval_s * np.arange(-2000, 2000)
+            times = [
+                *rng.uniform(-3 * span, 4 * span, 60_000).tolist(),
+                *grid.tolist(),
+                *np.nextafter(grid, -np.inf).tolist(),
+                *np.nextafter(grid, np.inf).tolist(),
+                *(k * 150.0 for k in range(-1000, 4000)),  # substep reads
+                -0.0, 1e-300, -1e-300, 1e12, -1e12,
+            ]
+            for t in times:
+                assert trace.at(t) == reference(trace, t), t
+
+    def test_arrays_are_read_only(self):
+        trace = synthesize_irradiance(days=1, seed=9)
+        with pytest.raises(ValueError):
+            trace.values_w_m2[0] = 1.0
+        with pytest.raises(ValueError):
+            trace.times_s[0] = 1.0
+
     def test_window(self):
         trace = synthesize_irradiance(days=2, seed=9)
         day2 = trace.window(SECONDS_PER_DAY, 2 * SECONDS_PER_DAY)
