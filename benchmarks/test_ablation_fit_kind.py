@@ -3,9 +3,10 @@
 The paper picks a *quadratic* relational equation: "the linear curve
 projection is not suitable" (no saturation) and higher orders add solver
 complexity "while minimizing the error compared with linear function".
-This bench runs the full GreenHetero stack with linear, quadratic and
-cubic database fits and checks the paper's reasoning holds end-to-end:
-quadratic meaningfully beats linear, while cubic buys little more.
+This bench runs the full GreenHetero stack with linear and quadratic
+database fits and checks the paper's reasoning holds end-to-end:
+quadratic at least matches linear.  The database fits no higher order,
+because the solver is exact only up to quadratics.
 """
 
 from benchmarks.conftest import once, run_cached
@@ -37,15 +38,9 @@ def test_ablation_fit_kind(benchmark, reporter):
         "quadratic chosen: linear unsuitable near saturation",
         f"{gains[FitKind.QUADRATIC]:.2f}x vs {gains[FitKind.LINEAR]:.2f}x",
     )
-    reporter.paper_vs_measured(
-        "cubic vs quadratic",
-        "higher order adds complexity for little error reduction",
-        f"{gains[FitKind.CUBIC]:.2f}x vs {gains[FitKind.QUADRATIC]:.2f}x",
-    )
 
-    # Quadratic at least matches linear; cubic adds (almost) nothing.
+    # Quadratic at least matches linear.
     assert gains[FitKind.QUADRATIC] >= gains[FitKind.LINEAR] - 0.02
-    assert abs(gains[FitKind.CUBIC] - gains[FitKind.QUADRATIC]) <= 0.15
-    # All variants still beat Uniform.
+    # Both variants still beat Uniform.
     for gain in gains.values():
         assert gain > 1.15

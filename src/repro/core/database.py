@@ -12,7 +12,9 @@ equation ``Perf = f(Power)``.
 * **Curve fitting** — the paper fits a *quadratic* within the power
   demand range: cheap for the solver, and accurate enough because the
   true response is concave with a plateau at the workload's maximum
-  draw.  Linear and cubic fits are kept for the ablation benches.
+  draw.  A linear fit is kept for the ablation bench.  A higher order
+  adds complexity for little gain, and the solver is exact only up to
+  quadratics.
 * **Online update (Algorithm 1)** — at every subsequent epoch the
   feedback samples from actual execution are appended and the equation
   is re-fit from both new and old profiling data, so the projection
@@ -93,7 +95,6 @@ class FitKind(enum.Enum):
 
     LINEAR = 1
     QUADRATIC = 2
-    CUBIC = 3
 
 
 @dataclass(frozen=True)
@@ -168,9 +169,8 @@ class PerfPowerFit:
         return max(0.0, self.raw(clamped))
 
     def derivative(self, power_w: float) -> float:
-        """d(perf)/d(power) of the unclamped polynomial."""
-        deriv = np.polyder(np.asarray(self.coefficients))
-        return float(np.polyval(deriv, power_w))
+        """d(perf)/d(power) of the unclamped (at most quadratic) polynomial."""
+        return 2.0 * self.l * power_w + self.m
 
     def efficiency(self) -> float:
         """Throughput per watt at the maximum draw (GreenHetero-p's sort key)."""
@@ -354,8 +354,9 @@ class ProfilingDatabase:
         ------
         ConfigurationError
             When the envelope is inverted or not finite, the sample
-            columns differ in length or exceed ``max_samples``, or a
-            sample is negative, NaN or infinite.
+            columns differ in length or exceed ``max_samples``, a sample
+            is negative, NaN or infinite, or the fit has a non-finite
+            coefficient or power bound or more than three coefficients.
         """
         key = snapshot.key
         if not (math.isfinite(snapshot.idle_power_w) and math.isfinite(snapshot.max_power_w)):
@@ -373,10 +374,21 @@ class ProfilingDatabase:
             )
         for power_w, perf in zip(snapshot.powers, snapshot.perfs):
             _check_sample(power_w, perf)
+        fit = snapshot.fit
+        if fit is not None:
+            # Checked here rather than in PerfPowerFit, so the per-epoch
+            # refit pays nothing: a NaN coefficient would zero every
+            # allocation, and an infinite bound allocate past the envelope.
+            if not all(map(math.isfinite, (*fit.coefficients, fit.min_power_w, fit.max_power_w))):
+                raise ConfigurationError(f"{key}: fit coefficients and power bounds must be finite")
+            if not 1 <= len(fit.coefficients) <= 3:
+                raise ConfigurationError(
+                    f"{key}: a fit has one to three coefficients, got {len(fit.coefficients)}"
+                )
         entry = _Entry(float(snapshot.idle_power_w), float(snapshot.max_power_w), self.max_samples)
         entry.min_active_power_w = float(snapshot.min_active_power_w)
         entry.load(snapshot.powers, snapshot.perfs)
-        entry.fit = snapshot.fit
+        entry.fit = fit
         self._entries[key] = entry
 
     def state_dict(self) -> dict[str, Any]:

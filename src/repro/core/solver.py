@@ -19,43 +19,33 @@ power to same-type servers — so the decision variable is the *per-server*
 power ``p_i`` in the box ``[min_i, max_i]``, with group totals
 ``count_i * p_i`` bounded by the budget.
 
-Two paths solve it:
+The solver is exact for the linear and quadratic fits the database
+produces (:class:`~repro.core.database.FitKind`).  Powering a server
+below idle wastes the whole allocation, so the solver considers every
+non-empty subset of powered groups (2^k - 1 of them; the paper bounds k
+at 3).  Inside a subset each group sits at its lower bound, at its upper
+bound, or is free.  Free groups either stand at their own vertex (budget
+slack, ``f_i'(p_i) = 0``) or share one marginal throughput-per-watt with
+the budget tight (the water-filling condition ``f_i'(p_i) = lambda``),
+so every candidate is the solution of a tiny linear system.  The
+objective is separable and the constraints are linear, so every local
+maximum — concave fit or not — is one of these KKT points (or ties one
+on a flat edge).  A group the ``max(0, .)`` clamp zeroes might as well
+be off, which is another subset, and the clamp can only raise a
+candidate's score.  Scoring all candidates is therefore exact;
+:mod:`repro.verify.differential` checks every answer against a grid
+sweep and a weak-duality bound.
 
-1. **Exact path (linear and quadratic fits)** — powering a server below
-   idle wastes the whole allocation, so the solver considers every
-   non-empty subset of powered groups (2^k - 1 of them; the paper bounds
-   k at 3).  Inside a subset each group sits at its lower bound, at its
-   upper bound, or is free.  Free groups either stand at their own
-   vertex (budget slack, ``f_i'(p_i) = 0``) or share one marginal
-   throughput-per-watt with the budget tight (the water-filling
-   condition ``f_i'(p_i) = lambda``), so every candidate is the solution
-   of a tiny linear system.  The objective is separable and the
-   constraints are linear, so every local maximum — concave fit or not —
-   is one of these KKT points (or ties one on a flat edge).  A group the
-   ``max(0, .)`` clamp zeroes might as well be off, which is another
-   subset, and the clamp can only raise a candidate's score.  Scoring
-   all candidates is therefore exact.
-
-   The enumeration is one kernel, :func:`_kkt_scan`, driven by a pattern
-   table built once per group count (:func:`_patterns`): per powered
-   subset, every lo/hi/free assignment as bounded slots plus free
-   groups.  Each solve hoists its groups' constants (bounds, ``l``,
-   ``m``, vertices and ``count * f`` at the bounds and at 0), so only a
-   free group's power is computed and scored per candidate.
-   :class:`PartialGroupSolver` runs the same kernel on each
-   powered-count combination.  Candidate order, tie rule and float
-   operations are those of building each candidate's power vector and
-   scoring it with :meth:`PARSolver._score`, so answers are
-   bit-identical to doing exactly that (DESIGN.md §13).
-2. **Cubic fallback** — the enumeration reads only a fit's quadratic and
-   linear terms, so for cubic fits it is a heuristic.  A simplex grid
-   sweep and an SLSQP polish of the best point back it up.  Either
-   replaces the answer only when it wins by more than
-   :data:`TIE_REL_TOL`, so the mechanism credited in the metrics is the
-   one that actually decided.
-
-:meth:`PARSolver.solve_via` forces one mechanism (KKT, grid or SLSQP) so
-:mod:`repro.verify.differential` can cross-check them.
+The enumeration is one kernel, :func:`_kkt_scan`, driven by a pattern
+table built once per group count (:func:`_patterns`): per powered
+subset, every lo/hi/free assignment as bounded slots plus free groups.
+Each solve hoists its groups' constants (bounds, ``l``, ``m``, vertices
+and ``count * f`` at the bounds and at 0), so only a free group's power
+is computed and scored per candidate.  :class:`PartialGroupSolver` runs
+the same kernel on each powered-count combination.  Candidate order,
+tie rule and float operations are those of building each candidate's
+power vector and scoring it with :meth:`PARSolver._score`, so answers
+are bit-identical to doing exactly that (DESIGN.md §13).
 
 The same machinery at 10% granularity with the *measured* objective is
 exactly the paper's Manual baseline (:meth:`PARSolver.compositions`).
@@ -69,8 +59,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from repro.core.database import PerfPowerFit
 from repro.errors import ConfigurationError, SolverError
 from repro.obs.metrics import REGISTRY as _REGISTRY, ChildCache as _ChildCache
@@ -83,8 +71,8 @@ _SOLVES_TOTAL = _REGISTRY.counter(
 )
 
 #: The children every solve path increments, resolved at import so a cache
-#: hit or miss calls no ``labels()``; the cubic and partial-group methods
-#: join on their first solve, so a scrape lists only methods that ran.
+#: hit or miss calls no ``labels()``; the partial-group method joins on
+#: its first solve, so a scrape lists only methods that ran.
 _SOLVES = _ChildCache(_SOLVES_TOTAL, ("kkt", "cached"))
 
 _CACHE_LOOKUPS = _REGISTRY.counter(
@@ -93,16 +81,9 @@ _CACHE_LOOKUPS = _REGISTRY.counter(
 _CACHE_HIT = _CACHE_LOOKUPS.labels("hit")
 _CACHE_MISS = _CACHE_LOOKUPS.labels("miss")
 
-#: Feasibility slack shared by every mechanism: a solution may exceed the
-#: budget by at most this many watts (floating-point headroom, far below
-#: meter noise).
+#: Feasibility slack: a solution may exceed the budget by at most this
+#: many watts (floating-point headroom, far below meter noise).
 FEASIBILITY_SLACK_W = 1e-6
-
-#: On the cubic fallback, a later mechanism replaces the earlier answer
-#: only when its projected performance is higher by more than this
-#: fraction: smaller "wins" are float noise, and the earlier mechanism
-#: keeps both the answer and the ``repro_solver_solves_total`` credit.
-TIE_REL_TOL = 1e-9
 
 #: Sanity bound on groups per program; the paper's racks have at most 3
 #: server types.
@@ -110,12 +91,6 @@ MAX_GROUPS = 4
 
 #: Capacity of each solver's memo; the oldest entry goes first.
 CACHE_SIZE = 1024
-
-#: Simplex step of the cubic-fallback grid sweep for 1-2 groups, and the
-#: coarser step for 3 or more groups that keeps the sweep cheap.
-GRID_STEP = 0.01
-COARSE_GRID_STEP = 0.04
-
 
 @dataclass(frozen=True)
 class GroupModel:
@@ -154,10 +129,8 @@ class PARSolution:
     expected_perf:
         Projected aggregate performance under the database fits.
     method:
-        Which mechanism produced the winner: ``"kkt"`` (always, for
-        linear and quadratic fits), ``"grid"`` or ``"slsqp"`` (cubic
-        fallback or :meth:`PARSolver.solve_via`), or ``"kkt-partial"``
-        (:class:`PartialGroupSolver`).
+        Which mechanism produced the winner: ``"kkt"``, or
+        ``"kkt-partial"`` (:class:`PartialGroupSolver`).
     """
 
     ratios: tuple[float, ...]
@@ -428,75 +401,6 @@ class PARSolver:
             self._cache[key] = solution
             return solution
 
-    #: Mechanisms :meth:`solve_via` can force.
-    METHODS = ("kkt", "grid", "slsqp")
-
-    def solve_via(
-        self, groups: Sequence[GroupModel], total_power_w: float, method: str
-    ) -> PARSolution:
-        """Solve with exactly one mechanism — the differential-check API.
-
-        ``method`` is one of :data:`METHODS`: ``"kkt"`` runs only the
-        analytic KKT candidate enumeration, ``"grid"`` only the dense
-        simplex sweep, and ``"slsqp"`` forces the scipy path (one SLSQP
-        run per powered subset from a feasible interior start).  No
-        memoization, no cross-mechanism arbitration — so
-        :mod:`repro.verify.differential` can compare the mechanisms
-        against each other.
-
-        Raises
-        ------
-        SolverError
-            On empty input, too many groups, or an unknown ``method``.
-        ConfigurationError
-            On a negative or non-finite budget.
-        """
-        self._validate_inputs(groups, total_power_w)
-        if method not in self.METHODS:
-            raise SolverError(
-                f"unknown solve method {method!r}; expected one of {self.METHODS}"
-            )
-        if total_power_w == 0:
-            best_p, best_score = (0.0,) * len(groups), 0.0
-        elif method == "kkt":
-            best_p, best_score = self._kkt_best(groups, total_power_w)
-        elif method == "grid":
-            best_p, best_score = self._grid_best(groups, total_power_w)
-        else:
-            best_p, best_score = self._slsqp_best(groups, total_power_w)
-        return self._to_solution(groups, best_p, best_score, method, total_power_w)
-
-    def _slsqp_best(
-        self, groups: Sequence[GroupModel], budget_w: float
-    ) -> tuple[tuple[float, ...], float]:
-        """Best SLSQP result over all feasible powered subsets."""
-        k = len(groups)
-        best_p: tuple[float, ...] = (0.0,) * k
-        best_score = 0.0
-        for powered in itertools.product((False, True), repeat=k):
-            if not any(powered):
-                continue
-            on = [i for i in range(k) if powered[i]]
-            lo = {i: self._lo(groups[i].fit) for i in on}
-            min_total = sum(groups[i].count * lo[i] for i in on)
-            if min_total > budget_w + FEASIBILITY_SLACK_W:
-                continue
-            # Feasible interior start: walk each group halfway from its
-            # lower bound toward its plateau, scaled so the subset stays
-            # inside the budget.
-            span = {i: max(0.0, groups[i].fit.max_power_w - lo[i]) for i in on}
-            denom = sum(groups[i].count * span[i] for i in on)
-            t = 1.0 if denom <= 0 else min(1.0, (budget_w - min_total) / denom)
-            start = [0.0] * k
-            for i in on:
-                start[i] = lo[i] + 0.5 * t * span[i]
-            polished = self._polish(groups, budget_w, tuple(start))
-            if polished is not None:
-                p, score = polished
-                if score > best_score:
-                    best_p, best_score = p, score
-        return best_p, best_score
-
     # ------------------------------------------------------------------
     # Validation and memo statistics
     # ------------------------------------------------------------------
@@ -534,21 +438,7 @@ class PARSolver:
         if total_power_w == 0:
             return self._to_solution(groups, (0.0,) * len(groups), 0.0, "kkt", 0.0)
         best_p, best_score = self._kkt_best(groups, total_power_w)
-        method = "kkt"
-        if any(len(g.fit.coefficients) > 3 for g in groups):
-            # Cubic fallback: KKT saw only the quadratic part of the fit.
-            grid_p, grid_score = self._grid_best(groups, total_power_w)
-            if self._beats(grid_score, best_score):
-                best_p, best_score, method = grid_p, grid_score, "grid"
-            polished = self._polish(groups, total_power_w, best_p)
-            if polished is not None and self._beats(polished[1], best_score):
-                (best_p, best_score), method = polished, "slsqp"
-        return self._to_solution(groups, best_p, best_score, method, total_power_w)
-
-    @staticmethod
-    def _beats(score: float, incumbent: float) -> bool:
-        """Whether ``score`` wins by more than :data:`TIE_REL_TOL`."""
-        return score > incumbent + TIE_REL_TOL * abs(incumbent)
+        return self._to_solution(groups, best_p, best_score, "kkt", total_power_w)
 
     @staticmethod
     def compositions(k: int, granularity: float = 0.1) -> list[tuple[float, ...]]:
@@ -583,7 +473,7 @@ class PARSolver:
         performance; in the paper this is a physical trial run.
         """
         best_ratios: tuple[float, ...] | None = None
-        best_value = -np.inf
+        best_value = -math.inf
         for ratios in cls.compositions(k, granularity):
             value = objective(ratios)
             if value > best_value:
@@ -672,90 +562,6 @@ class PARSolver:
             pred_lo=fit.predict(lo),
             pred_hi=fit.predict(hi),
         )
-
-    # ------------------------------------------------------------------
-    # SLSQP polish (cubic fallback): refine the best point within its
-    # powered subset's box.
-    # ------------------------------------------------------------------
-    def _polish(
-        self,
-        groups: Sequence[GroupModel],
-        budget_w: float,
-        start: tuple[float, ...],
-    ) -> tuple[tuple[float, ...], float] | None:
-        on = [i for i, p in enumerate(start) if p > 0.0]
-        if not on:
-            return None
-        bounds = [
-            (self._lo(groups[i].fit), max(self._lo(groups[i].fit), groups[i].fit.max_power_w))
-            for i in on
-        ]
-        counts = np.array([groups[i].count for i in on], dtype=float)
-        x0 = np.array([min(max(start[i], b[0]), b[1]) for i, b in zip(on, bounds)])
-        if counts @ x0 > budget_w + FEASIBILITY_SLACK_W:
-            return None
-
-        def negative_perf(x: np.ndarray) -> float:
-            return -sum(
-                groups[i].count * groups[i].fit.predict(float(xi))
-                for i, xi in zip(on, x)
-            )
-
-        # Imported here, off the package's import path: only cubic fits and
-        # solve_via("slsqp") reach this polish.
-        from scipy import optimize
-
-        result = optimize.minimize(
-            negative_perf,
-            x0=x0,
-            bounds=bounds,
-            constraints=[
-                {"type": "ineq", "fun": lambda x: budget_w - float(counts @ x)}
-            ],
-            method="SLSQP",
-        )
-        if not result.success:
-            return None
-        if float(counts @ result.x) > budget_w + FEASIBILITY_SLACK_W:
-            return None
-        p = [0.0] * len(groups)
-        for i, xi in zip(on, result.x):
-            p[i] = float(xi)
-        return tuple(p), self._score(groups, p)
-
-    # ------------------------------------------------------------------
-    # Grid sweep (cubic fallback; vectorised: the 3-group simplex has
-    # ~10^4 points)
-    # ------------------------------------------------------------------
-    def _predict_array(self, fit: PerfPowerFit, p: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`PerfPowerFit.predict` with the safety margin."""
-        clamped = np.minimum(p, fit.max_power_w)
-        values = np.maximum(np.polyval(fit.coefficients, clamped), 0.0)
-        return np.where(p < self._lo(fit), 0.0, values)
-
-    def _grid_best(
-        self, groups: Sequence[GroupModel], budget_w: float
-    ) -> tuple[tuple[float, ...], float]:
-        k = len(groups)
-        step = GRID_STEP if k <= 2 else COARSE_GRID_STEP
-        n_steps = int(round(1.0 / step))
-        fractions = np.linspace(0.0, 1.0, n_steps + 1)
-
-        grids = np.meshgrid(*([fractions] * k), indexing="ij")
-        etas = np.stack([g.ravel() for g in grids], axis=0)  # (k, n_points)
-        feasible = etas.sum(axis=0) <= 1.0 + 1e-12
-        etas = etas[:, feasible]
-
-        scores = np.zeros(etas.shape[1])
-        for i, group in enumerate(groups):
-            per_server = etas[i] * budget_w / group.count
-            scores += group.count * self._predict_array(group.fit, per_server)
-
-        best_idx = int(np.argmax(scores))
-        best_p = tuple(
-            float(etas[i, best_idx] * budget_w / groups[i].count) for i in range(k)
-        )
-        return best_p, float(scores[best_idx])
 
 
 class PartialGroupSolver(PARSolver):

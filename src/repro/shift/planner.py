@@ -71,8 +71,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-import numpy as np
-
 from repro.core.predictor import HoltPredictor
 from repro.core.solver import GroupModel, PARSolver
 from repro.errors import ConfigurationError, SolverError
@@ -460,18 +458,17 @@ def _peak_perf(models: tuple[GroupModel, ...]) -> float:
 
     No solve of ``models`` can project more: a solve scores each group
     with ``fit.predict``, which is zero below the box and the clamped,
-    non-negative polynomial inside it.  The maximum of the polynomial
-    over the box is taken at an endpoint or at a real root of its
-    derivative inside the box.
+    non-negative polynomial inside it.  The maximum of the (at most
+    quadratic) polynomial over the box is taken at an endpoint or at its
+    vertex ``-m / 2l``, clamped into the box.
     """
     total = 0.0
     for model in models:
         fit = model.fit
         lo, hi = fit.min_power_w, fit.max_power_w
         points = [lo, hi]
-        # Real parts of complex roots are harmless extra points in the box.
-        for root in np.roots(np.polyder(np.asarray(fit.coefficients, float))):
-            points.append(min(hi, max(lo, float(root.real))))
+        if fit.l != 0:
+            points.append(min(hi, max(lo, -fit.m / (2 * fit.l))))
         total += model.count * max(0.0, max(fit.raw(p) for p in points))
     return total
 

@@ -1,13 +1,14 @@
 """repro.verify: the correctness layer.
 
-Two complementary harnesses:
+Four complementary harnesses:
 
 * :mod:`repro.verify.auditor` — per-epoch invariant auditing of the
   simulation's power accounting (wired into
   :class:`~repro.sim.engine.Simulation` behind ``strict=``/``--strict``);
-* :mod:`repro.verify.differential` — cross-checking the PAR solver's
-  exact path against its grid and SLSQP references on a seeded
-  randomized corpus and on the programs of a live Fig. 8 lap;
+* :mod:`repro.verify.differential` — checking every PAR solve against
+  a reference grid sweep and a weak-duality bound, which proves the
+  answer globally optimal on concave programs, on a seeded randomized
+  corpus and on the programs of a live Fig. 8 lap;
 * :mod:`repro.verify.fuzz` — checkpoint round-trip fuzzing for
   serve/shift state;
 * :mod:`repro.verify.reference` — strict-mode end-to-end reference

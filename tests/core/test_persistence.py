@@ -149,6 +149,33 @@ class TestValidation:
             load_database(path)
 
 
+    @pytest.mark.parametrize("field,index,value", [
+        ("coefficients", 1, float("nan")),
+        ("min_power_w", None, float("nan")),
+        ("max_power_w", None, float("inf")),
+        ("coefficients", None, [-1.0, 2.0, 3.0, 4.0]),
+    ], ids=["nan-coefficient", "nan-min-power", "inf-max-power", "four-coefficients"])
+    def test_malformed_fit_rejected(self, db, field, index, value):
+        # Each one would drive allocations: a NaN coefficient zeroes them,
+        # an infinite plateau allocates past the envelope.
+        state = db.state_dict()
+        fit = state["entries"][0]["fit"]
+        if index is None:
+            fit[field] = value
+        else:
+            fit[field][index] = value
+        target = ProfilingDatabase()
+        with pytest.raises(ConfigurationError, match="fit"):
+            target.load_state_dict(state)
+        assert len(target) == 0
+
+    def test_cubic_fit_kind_rejected(self, db):
+        state = db.state_dict()
+        state["entries"][0]["fit"]["kind"] = "CUBIC"
+        with pytest.raises(ConfigurationError, match="CUBIC"):
+            ProfilingDatabase().load_state_dict(state)
+
+
 class TestPredictorPersistence:
     def _primed(self):
         p = HoltPredictor(alpha=0.6, beta=0.3)

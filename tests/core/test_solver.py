@@ -41,16 +41,6 @@ def linear_group(name, count, slope, intercept, lo, hi):
     return GroupModel(name=name, count=count, fit=fit)
 
 
-def cubic_group(name="X", count=2):
-    """f(p) = -p^3/3 + 10^4 p on [50, 150]: interior maximum at 100 W,
-    invisible to KKT, which reads only the quadratic and linear terms."""
-    fit = PerfPowerFit(
-        coefficients=(-1.0 / 3.0, 0.0, 10_000.0, 0.0), min_power_w=50.0,
-        max_power_w=150.0, kind=FitKind.CUBIC,
-    )
-    return GroupModel(name=name, count=count, fit=fit)
-
-
 @pytest.fixture
 def solver():
     return PARSolver(safety_margin=0.0)
@@ -109,8 +99,6 @@ class TestBasics:
             solver.solve(three_groups(), 500.0 + 100.0 * i)
         with pytest.raises(ConfigurationError, match="finite"):
             solver.solve(three_groups(), budget)
-        with pytest.raises(ConfigurationError, match="finite"):
-            solver.solve_via(three_groups(), budget, "kkt")
 
     def test_too_many_groups_rejected(self, solver):
         groups = [concave_group(str(i)) for i in range(MAX_GROUPS + 1)]
@@ -123,7 +111,7 @@ class TestBasics:
 
 
 class TestOptimality:
-    """KKT + grid must match brute force on quadratic instances."""
+    """KKT must match brute force on quadratic instances."""
 
     def _brute_force(self, groups, budget, steps=400):
         best = 0.0
@@ -190,7 +178,7 @@ class TestOptimality:
     def test_non_concave_fit_handled_by_grid(self, solver):
         # A convex (bowl) fit from degenerate samples: optimum at a box
         # corner, which KKT's lo/hi assignments visit exactly (the name
-        # predates the exact path; no grid runs for quadratic fits).
+        # predates the exact path).
         convex = GroupModel("X", 2, make_fit(0.5, -50.0, 2000.0, 60.0, 100.0))
         sol = solver.solve([convex], 200.0)
         assert sol.expected_perf == 2 * convex.fit.predict(100.0)
@@ -210,14 +198,9 @@ class TestExactPath:
         # B saturates at 80 W; A takes the remaining 700 W / 5 = 140 W.
         # KKT used to skip this vertex (a lone free linear group) and
         # return 7500 with A at its lower bound.
-        groups = self.linear_pair()
-        kkt = solver.solve_via(groups, 1100.0, "kkt")
-        assert kkt.per_server_w == (140.0, 80.0)
-        assert kkt.expected_perf == 9500.0
-        for method in ("grid", "slsqp"):
-            other = solver.solve_via(groups, 1100.0, method).expected_perf
-            assert other <= kkt.expected_perf * (1 + 1e-9) + 1e-4
-        assert solver.solve(groups, 1100.0) == kkt
+        sol = solver.solve(self.linear_pair(), 1100.0)
+        assert sol.per_server_w == (140.0, 80.0)
+        assert sol.expected_perf == 9500.0
 
     def test_linear_and_quadratic_free_together(self, solver):
         # One linear and one quadratic group both free: lambda is the
@@ -225,77 +208,10 @@ class TestExactPath:
         # linear group absorbs the rest of the budget.
         quad = GroupModel("Q", 2, make_fit(-0.1, 22.0, -500.0, 50.0, 150.0))
         lin = linear_group("L", 3, 2.0, 0.0, 40.0, 200.0)
-        sol = solver.solve_via([quad, lin], 600.0, "kkt")
+        sol = solver.solve([quad, lin], 600.0)
         assert sol.per_server_w[0] == pytest.approx(100.0)  # -0.2 p + 22 = 2
         assert sol.per_server_w[1] == pytest.approx((600.0 - 200.0) / 3)
         assert sol.expected_perf == pytest.approx(2 * 700.0 + 3 * 2.0 * 400.0 / 3)
-
-    def test_exact_path_skips_grid_and_polish(self):
-        class Spy(PARSolver):
-            def _grid_best(self, groups, budget_w):
-                raise AssertionError("grid sweep ran on an exact program")
-
-            def _polish(self, groups, budget_w, start):
-                raise AssertionError("SLSQP ran on an exact program")
-
-        solver = Spy(safety_margin=0.0)
-        solver.solve(three_groups(), 1000.0)
-        solver.solve(self.linear_pair(), 1100.0)
-
-
-class TestCubicFallback:
-    def test_cubic_reaches_the_grid_fallback(self, solver):
-        group = cubic_group()
-        kkt = solver.solve_via([group], 400.0, "kkt")
-        sol = solver.solve([group], 400.0)
-        assert sol.method in ("grid", "slsqp")
-        assert sol.expected_perf > kkt.expected_perf * 1.1
-        assert sol.per_server_w[0] == pytest.approx(100.0, rel=1e-3)
-
-    class Rigged(PARSolver):
-        """The fallback mechanisms return KKT's point, scored ``win``x."""
-
-        win = 1.0
-
-        def _grid_best(self, groups, budget_w):
-            p, score = self._kkt_best(groups, budget_w)
-            return p, score * self.win
-
-        def _polish(self, groups, budget_w, start):
-            return None
-
-    def tie_program(self):
-        # A cubic whose cubic term is zero: KKT is exact, so any "win"
-        # by the fallback is float noise.
-        fit = PerfPowerFit(
-            coefficients=(0.0,) + concave_group().fit.coefficients,
-            min_power_w=95.0, max_power_w=150.0, kind=FitKind.CUBIC,
-        )
-        return [GroupModel("A", 5, fit)]
-
-    @staticmethod
-    def solves(method):
-        from repro.obs.metrics import REGISTRY
-
-        return REGISTRY.get("repro_solver_solves_total").labels(method).value
-
-    def test_tie_keeps_the_kkt_credit(self):
-        solver = self.Rigged(safety_margin=0.0)
-        solver.win = 1.0 + 1e-15
-        kkt0, grid0 = self.solves("kkt"), self.solves("grid")
-        sol = solver.solve(self.tie_program(), 700.0)
-        assert sol.method == "kkt"
-        assert sol == solver.solve_via(self.tie_program(), 700.0, "kkt")
-        assert self.solves("kkt") == kkt0 + 1
-        assert self.solves("grid") == grid0
-
-    def test_real_win_is_credited(self):
-        solver = self.Rigged(safety_margin=0.0)
-        solver.win = 1.0 + 1e-6
-        grid0 = self.solves("grid")
-        sol = solver.solve(self.tie_program(), 700.0)
-        assert sol.method == "grid"
-        assert self.solves("grid") == grid0 + 1
 
 
 class TestSafetyMargin:
@@ -459,48 +375,3 @@ class TestSolveCounters:
         assert (info["misses"], info["hits"]) == (1, 1)
         assert solves.labels("kkt").value == kkt0 + 1
         assert solves.labels("cached").value == cached0 + 1
-
-
-class TestSolveVia:
-    def groups(self):
-        return [
-            concave_group("A", 5),
-            concave_group("B", 5, t_max=50.0, lo=50.0, hi=80.0),
-        ]
-
-    def test_unknown_method_rejected(self, solver):
-        with pytest.raises(SolverError):
-            solver.solve_via(self.groups(), 900.0, "annealing")
-
-    def test_methods_agree_on_a_simple_program(self, solver):
-        sols = {
-            m: solver.solve_via(self.groups(), 900.0, m)
-            for m in PARSolver.METHODS
-        }
-        kkt = sols["kkt"].expected_perf
-        assert sols["slsqp"].expected_perf == pytest.approx(kkt, rel=1e-3)
-        assert sols["grid"].expected_perf <= kkt + 1e-6
-        assert sols["grid"].expected_perf >= 0.75 * kkt
-
-    def test_zero_budget_is_the_zero_solution(self, solver):
-        for method in PARSolver.METHODS:
-            sol = solver.solve_via(self.groups(), 0.0, method)
-            assert sol.expected_perf == 0.0
-            assert set(sol.per_server_w) == {0.0}
-
-    def test_method_is_recorded(self, solver):
-        for method in PARSolver.METHODS:
-            sol = solver.solve_via(self.groups(), 900.0, method)
-            assert sol.method == method
-
-    def test_forced_methods_never_overdraw(self, solver):
-        from repro.core.solver import FEASIBILITY_SLACK_W
-
-        groups = self.groups()
-        for budget in (500.0, 800.0, 1100.0, 2000.0):
-            for method in PARSolver.METHODS:
-                sol = solver.solve_via(groups, budget, method)
-                total = sum(
-                    g.count * p for g, p in zip(groups, sol.per_server_w)
-                )
-                assert total <= budget + FEASIBILITY_SLACK_W

@@ -13,7 +13,6 @@ import random
 
 import pytest
 
-from repro.core.database import PerfPowerFit
 from repro.core.solver import GroupModel
 from repro.obs.metrics import REGISTRY, obs_enabled, set_enabled
 from repro.shift.planner import PlanInputs, ShiftPlanner, _peak_perf
@@ -235,15 +234,6 @@ class TestPeakPerf:
             peak = _peak_perf((GroupModel("g", 3, fit),))
             assert peak >= 3 * dense * (1 - 1e-12)
             assert peak <= 3 * dense * 1.01 + 1e-9
-
-    def test_cubic_interior_maximum(self):
-        # -(p - 100)^3 + 300 (p - 100): local max at p = 110 inside [90, 150].
-        coefficients = (-1.0, 300.0, -29700.0, 970000.0)
-        fit = PerfPowerFit(coefficients, min_power_w=90.0, max_power_w=150.0)
-        assert _peak_perf((GroupModel("g", 2, fit),)) == pytest.approx(
-            2 * fit.raw(110.0), rel=1e-12
-        )
-        assert fit.raw(110.0) > max(fit.raw(90.0), fit.raw(150.0))
 
     def test_no_models(self):
         assert _peak_perf(()) == 0.0

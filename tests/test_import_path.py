@@ -1,9 +1,8 @@
 """Importing the package, the CLI and the daemon loads no scipy module.
 
 scipy costs ~0.8 s to import, which is most of a cold ``repro serve``
-boot.  Only a Holt fit (``scipy.optimize``), the cubic-fit SLSQP polish
-and a confidence interval (``scipy.stats``) need it, and each imports it
-where it is used.  Each check runs in a fresh interpreter, because this
+boot.  Only a Holt fit (``scipy.optimize``) and a confidence interval
+(``scipy.stats``) need it, and each imports it where it is used.  Each check runs in a fresh interpreter, because this
 one has long since loaded scipy.
 """
 
@@ -52,3 +51,13 @@ def test_serve_build_loads_no_scipy_stats():
     # Pretraining the Holt predictors needs scipy.optimize, nothing more.
     assert "scipy.optimize" in loaded
     assert "scipy.stats" not in loaded
+
+
+def test_differential_corpus_loads_no_scipy():
+    # The solver and both of the corpus's references are numpy alone.
+    loaded = run_fresh(
+        "from repro.verify import run_differential\n"
+        "assert run_differential(20).passed\n"
+        "print(json.dumps(scipy_modules()))\n"
+    )
+    assert loaded == []
