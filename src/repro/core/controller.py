@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,6 +41,9 @@ from repro.power.pdu import PDU
 from repro.power.sources import ChargeSource
 from repro.servers.rack import Rack
 from repro.units import EPOCH_SECONDS
+
+if TYPE_CHECKING:
+    from repro.servers.dvfs import PowerState
 
 #: Sub-steps per epoch; 15 min / 6 = 2.5 min, matching the paper's
 #: ~2-minute profiling cadence.
@@ -402,14 +406,28 @@ class GreenHeteroController:
         """The Manual policy's physical trial run: enforce, run, meter.
 
         Like the paper's physical trials, the measurement carries the
-        Monitor's throughput noise.  Many compositions map onto the same
-        power states, so the noise-free throughput is computed once per
-        state tuple; each trial is still metered on its own.
+        Monitor's throughput noise.  Trials differ only in each group's
+        share, and at Manual's 10% steps a group sees at most 11 shares,
+        so each share is mapped to its power state once per epoch (the
+        same ``share * budget_w / count`` the SPC would be handed); many
+        compositions then land on the same power states, so the
+        noise-free throughput is computed once per state tuple.  Each
+        trial is still metered on its own, in trial order.
         """
+        groups = self.rack.groups
+        curves = [self.rack.curve(i) for i in range(len(groups))]
+        tables: list[dict[float, PowerState]] = [{} for _ in groups]
         rack_perf: dict[tuple[int, ...], float] = {}
 
         def measure(ratios: tuple[float, ...]) -> float:
-            states = self._states_for_budgets(tuple(r * budget_w for r in ratios))
+            states = []
+            for table, share, curve, group in zip(tables, ratios, curves, groups):
+                state = table.get(share)
+                if state is None:
+                    state = table[share] = curve.state_for_budget(
+                        share * budget_w / group.count
+                    )
+                states.append(state)
             key = tuple(state.index for state in states)
             perf = rack_perf.get(key)
             if perf is None:

@@ -22,12 +22,18 @@ reference racks' pretrain renewable histories it moves every fit off the
 11x11 grid to a strictly lower SSE (``tests/core/test_predictor.py`` pins
 this), so it stays even though it is the one reason a served rack loads
 ``scipy.optimize``.
+
+The search is a pure function of the history and the grid, so its answer
+is memoized process-wide (:data:`FIT_MEMO_SIZE` entries) on the history's
+exact float64 bytes: the policies of one experiment config pretrain on
+identical histories, and the experiment runner fits each config's
+histories once and seeds its workers' memos (DESIGN.md §15).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,6 +44,22 @@ from repro.obs.tracing import trace
 _FITS_TOTAL = _REGISTRY.counter(
     "repro_predictor_fits_total", "HoltPredictor.fit invocations"
 )
+
+#: Points per axis of the (alpha, beta) grid that seeds the search.
+GRID_STEPS = 11
+
+#: Searched (alpha, beta) pairs the process keeps; the oldest goes first.
+FIT_MEMO_SIZE = 128
+
+#: ``(class, grid_steps, history bytes) -> (alpha, beta)``.  The key is
+#: the exact input of the search, so a hit is the search's own answer.
+_FIT_MEMO: dict[tuple, tuple[float, float]] = {}
+
+
+def _remember(key: tuple, constants: tuple[float, float]) -> None:
+    if key not in _FIT_MEMO and len(_FIT_MEMO) >= FIT_MEMO_SIZE:
+        del _FIT_MEMO[next(iter(_FIT_MEMO))]
+    _FIT_MEMO[key] = constants
 
 
 class HoltPredictor:
@@ -235,13 +257,15 @@ class HoltPredictor:
         cls,
         history: Sequence[float],
         nonnegative: bool = True,
-        grid_steps: int = 11,
+        grid_steps: int = GRID_STEPS,
     ) -> "HoltPredictor":
         """Train alpha and beta on past records (Eq. 5) and return a
         predictor primed with the history.
 
         A coarse grid over the unit box seeds an L-BFGS-B refinement,
-        which is robust against the SSE surface's flat regions.
+        which is robust against the SSE surface's flat regions.  The
+        trained constants come from the process-wide memo when this
+        exact history was searched before.
 
         Raises
         ------
@@ -249,19 +273,46 @@ class HoltPredictor:
             With fewer than 3 observations, or any non-finite one (every
             SSE would be NaN and the fit would fall to alpha = beta = 0).
         """
+        data = cls._training_data(history)
+        _FITS_TOTAL.inc()
+        alpha, beta = cls._constants(data, grid_steps)
+        return cls._primed(data, alpha, beta, nonnegative)
+
+    @staticmethod
+    def _training_data(history: Sequence[float]) -> np.ndarray:
         data = np.asarray(history, dtype=float)
         if len(data) < 3:
             raise ConfigurationError("need at least 3 observations to fit")
         if not np.isfinite(data).all():
             raise ConfigurationError("history must be finite to fit")
-        _FITS_TOTAL.inc()
-        with trace("predictor.fit"):
-            return cls._fit_impl(data, nonnegative, grid_steps)
+        return data
 
     @classmethod
-    def _fit_impl(
-        cls, data: np.ndarray, nonnegative: bool, grid_steps: int
+    def _memo_key(cls, data: np.ndarray, grid_steps: int) -> tuple:
+        return (cls, grid_steps, data.tobytes())
+
+    @classmethod
+    def _constants(cls, data: np.ndarray, grid_steps: int) -> tuple[float, float]:
+        """The trained (alpha, beta): a memo hit, or a search stored FIFO."""
+        key = cls._memo_key(data, grid_steps)
+        constants = _FIT_MEMO.get(key)
+        if constants is None:
+            with trace("predictor.fit"):
+                constants = cls._fit_impl(data, grid_steps)
+            _remember(key, constants)
+        return constants
+
+    @classmethod
+    def _primed(
+        cls, data: np.ndarray, alpha: float, beta: float, nonnegative: bool
     ) -> "HoltPredictor":
+        predictor = cls(alpha=alpha, beta=beta, nonnegative=nonnegative)
+        for obs in data:
+            predictor.observe(float(obs))
+        return predictor
+
+    @classmethod
+    def _fit_impl(cls, data: np.ndarray, grid_steps: int) -> tuple[float, float]:
         # One vectorised scoring pass over the whole (alpha, beta) grid;
         # argmin keeps the first minimum, matching the scalar scan's
         # strict-improvement rule in the same (alpha-major) order.
@@ -284,10 +335,31 @@ class HoltPredictor:
             method="L-BFGS-B",
         )
         alpha, beta = (result.x if result.fun <= best_sse else best)
-        predictor = cls(alpha=float(alpha), beta=float(beta), nonnegative=nonnegative)
-        for obs in data:
-            predictor.observe(float(obs))
-        return predictor
+        return float(alpha), float(beta)
+
+
+def fit_memo_entries(
+    histories: Iterable[Sequence[float]],
+) -> dict[tuple, tuple[float, float]]:
+    """Fit-memo entries for ``histories``, searching any not yet memoized.
+
+    These are the entries :meth:`HoltPredictor.fit` reads at its default
+    :data:`GRID_STEPS`; building them is not counted as a fit.  The
+    experiment runner hands them to :func:`seed_fit_memo` in each
+    worker, so no worker searches.
+    """
+    entries = {}
+    for history in histories:
+        data = HoltPredictor._training_data(history)
+        key = HoltPredictor._memo_key(data, GRID_STEPS)
+        entries[key] = HoltPredictor._constants(data, GRID_STEPS)
+    return entries
+
+
+def seed_fit_memo(entries: dict[tuple, tuple[float, float]]) -> None:
+    """Install :func:`fit_memo_entries` output into this process's memo."""
+    for key, constants in entries.items():
+        _remember(key, constants)
 
 
 class PersistencePredictor:

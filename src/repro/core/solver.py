@@ -113,6 +113,12 @@ class GroupModel:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise SolverError(f"group {self.name}: count must be >= 1")
+        # The KKT scan reads only the quadratic and linear terms.
+        if len(self.fit.coefficients) > 3:
+            raise SolverError(
+                f"group {self.name}: fits are at most quadratic, got "
+                f"{len(self.fit.coefficients)} coefficients"
+            )
 
 
 @dataclass(frozen=True)
@@ -191,6 +197,23 @@ def _patterns(k: int) -> tuple:
             patterns.append((fixed, free))
         table.append((on, tuple(patterns)))
     return tuple(table)
+
+
+@functools.lru_cache(maxsize=16)
+def _compositions(k: int, granularity: float) -> tuple[tuple[float, ...], ...]:
+    """:meth:`PARSolver.compositions`, built once per ``(k, granularity)``."""
+    if k < 1:
+        raise SolverError("k must be >= 1")
+    steps = round(1.0 / granularity)
+    if abs(steps * granularity - 1.0) > 1e-9:
+        raise SolverError("granularity must divide 1 evenly")
+    out = []
+    for combo in itertools.combinations_with_replacement(range(k), steps):
+        counts = [0] * k
+        for idx in combo:
+            counts[idx] += 1
+        out.append(tuple(c * granularity for c in counts))
+    return tuple(out)
 
 
 def _kkt_scan(
@@ -447,18 +470,7 @@ class PARSolver:
         This is the search space of the paper's Manual baseline (10%
         granularity, Table III).
         """
-        if k < 1:
-            raise SolverError("k must be >= 1")
-        steps = round(1.0 / granularity)
-        if abs(steps * granularity - 1.0) > 1e-9:
-            raise SolverError("granularity must divide 1 evenly")
-        out: list[tuple[float, ...]] = []
-        for combo in itertools.combinations_with_replacement(range(k), steps):
-            counts = [0] * k
-            for idx in combo:
-                counts[idx] += 1
-            out.append(tuple(c * granularity for c in counts))
-        return out
+        return list(_compositions(k, granularity))
 
     @classmethod
     def exhaustive(
@@ -474,7 +486,7 @@ class PARSolver:
         """
         best_ratios: tuple[float, ...] | None = None
         best_value = -math.inf
-        for ratios in cls.compositions(k, granularity):
+        for ratios in _compositions(k, granularity):
             value = objective(ratios)
             if value > best_value:
                 best_value = value

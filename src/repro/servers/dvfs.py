@@ -98,7 +98,7 @@ class PowerStateSet:
         n_levels = spec.dvfs_levels if levels is None else levels
         if n_levels < 2:
             raise ConfigurationError("a DVFS ladder needs at least 2 levels")
-        self._states: list[PowerState] = [
+        states = [
             PowerState(0, "off", 0.0, 0.0, active=False),
             PowerState(1, "sleep", 0.0, SLEEP_POWER_W, active=False),
         ]
@@ -107,7 +107,7 @@ class PowerStateSet:
             frac = k / (n_levels - 1)
             freq = f_lo + frac * (f_hi - f_lo)
             power = self._power_at_frequency(freq)
-            self._states.append(
+            states.append(
                 PowerState(
                     index=2 + k,
                     label=f"p{k}",
@@ -116,7 +116,10 @@ class PowerStateSet:
                     active=True,
                 )
             )
-        self._caps = [s.power_cap_w for s in self._states]
+        # The ladder never changes after construction: build both views once.
+        self._states: tuple[PowerState, ...] = tuple(states)
+        self._active = tuple(s for s in states if s.active)
+        self._caps = [s.power_cap_w for s in states]
 
     def _power_at_frequency(self, freq_hz: float) -> float:
         """Full-load wall power at ``freq_hz``, anchored to the spec envelope.
@@ -146,12 +149,12 @@ class PowerStateSet:
     @property
     def states(self) -> tuple[PowerState, ...]:
         """All states, ordered from lowest to highest power."""
-        return tuple(self._states)
+        return self._states
 
     @property
     def active_states(self) -> tuple[PowerState, ...]:
         """Only the DVFS (work-executing) states, low to high."""
-        return tuple(s for s in self._states if s.active)
+        return self._active
 
     @property
     def min_active_power_w(self) -> float:

@@ -48,6 +48,9 @@ from repro.verify.auditor import AuditContext, InvariantAuditor
 from repro.workloads.generator import LoadGenerator
 from repro.workloads.models import response_for
 
+#: The shared diurnal shape; frozen, so its cached peak is computed once.
+_DIURNAL = DiurnalLoadPattern()
+
 
 @dataclass
 class Simulation:
@@ -176,7 +179,7 @@ class Simulation:
         clock = clock or SimClock()
         if trace is None:
             trace = cls.default_trace(clock, weather, seed)
-        solar = SolarFarm.sized_for(trace, peak_power_w=solar_scale * rack.max_draw_w)
+        solar = cls._solar_farm(trace, rack, solar_scale)
         if supply_fractions is not None:
             # NaN fails every comparison and inf would read as uncapped.
             if not supply_fractions or not all(
@@ -211,7 +214,6 @@ class Simulation:
         )
 
         generator = cls._build_generator(rack, diurnal_load, seed)
-        pattern = generator.pattern
 
         rack_budgets_w = None
         if supply_fractions is not None:
@@ -229,7 +231,9 @@ class Simulation:
             strict=strict,
             rack_budgets_w=rack_budgets_w,
         )
-        sim._pretrain(pattern)
+        controller.prime_predictors(
+            *cls.pretraining_histories(rack, clock, trace, solar_scale, diurnal_load)
+        )
         return sim
 
     # ------------------------------------------------------------------
@@ -244,6 +248,39 @@ class Simulation:
         """
         n_days = max(7.0, (clock.start_s + clock.duration_s) / 86400.0)
         return synthesize_irradiance(days=n_days, weather=weather, seed=seed)
+
+    @staticmethod
+    def _solar_farm(trace: IrradianceTrace, rack: Rack, solar_scale: float) -> SolarFarm:
+        """The PV array, sized to ``solar_scale`` times the rack's maximum draw."""
+        return SolarFarm.sized_for(trace, peak_power_w=solar_scale * rack.max_draw_w)
+
+    @classmethod
+    def pretraining_histories(
+        cls,
+        rack: Rack,
+        clock: SimClock,
+        trace: IrradianceTrace,
+        solar_scale: float,
+        diurnal_load: bool,
+    ) -> tuple[list[float], list[float]]:
+        """The renewable and demand records the Holt predictors train on
+        ("the past renewable power generation records", Section IV-B.1).
+
+        One day of epochs (at least 8) preceding the clock's window.
+        Shared by :meth:`assemble` and the experiment runner, which fits
+        each config's histories once before fanning its policies out.
+        """
+        history_times = clock.history_times(
+            n_epochs=max(8, int(86400.0 // clock.epoch_s))
+        )
+        solar = cls._solar_farm(trace, rack, solar_scale)
+        renewable_history = [solar.power_at(t) for t in history_times]
+        pattern = cls._load_pattern(rack, diurnal_load)
+        if pattern is not None and cls._lead_workload(rack).is_interactive:
+            demand_history = [rack.demand_at_load(pattern(t)) for t in history_times]
+        else:
+            demand_history = [rack.demand_at_load(1.0) for _ in history_times]
+        return renewable_history, demand_history
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -264,19 +301,25 @@ class Simulation:
         return rack.groups[0].workload
 
     @classmethod
-    def _build_generator(cls, rack: Rack, diurnal_load: bool, seed: int) -> LoadGenerator:
-        """Offered-load generator for the rack's (current) lead workload.
+    def _load_pattern(cls, rack: Rack, diurnal_load: bool):
+        """The lead workload's diurnal offered load, or None when flat.
 
         Interactive workloads follow the diurnal pattern scaled by their
         typical datacenter utilisation; batch workloads ignore it.
         """
-        workload = cls._lead_workload(rack)
-        util = response_for(workload).utilization_scale
-        pattern = None
-        if diurnal_load:
-            base_pattern = DiurnalLoadPattern()
-            pattern = lambda t: util * base_pattern.at(t)  # noqa: E731
-        return LoadGenerator(workload, pattern=pattern, seed=seed + 2)
+        if not diurnal_load:
+            return None
+        util = response_for(cls._lead_workload(rack)).utilization_scale
+        return lambda t: util * _DIURNAL.at(t)
+
+    @classmethod
+    def _build_generator(cls, rack: Rack, diurnal_load: bool, seed: int) -> LoadGenerator:
+        """Offered-load generator for the rack's (current) lead workload."""
+        return LoadGenerator(
+            cls._lead_workload(rack),
+            pattern=cls._load_pattern(rack, diurnal_load),
+            seed=seed + 2,
+        )
 
     def _apply_schedule(self, time_s: float) -> None:
         """Switch the rack's workload if the schedule's phase changed."""
@@ -290,20 +333,6 @@ class Simulation:
             self.load_generator = self._build_generator(
                 self.controller.rack, self.diurnal_load, self.seed
             )
-
-    def _pretrain(self, pattern) -> None:
-        """Prime the Holt predictors on the preceding day of history."""
-        history_times = self.clock.history_times(
-            n_epochs=max(8, int(86400.0 // self.clock.epoch_s))
-        )
-        solar = self.controller.pdu.renewable
-        rack = self.controller.rack
-        renewable_history = [solar.power_at(t) for t in history_times]
-        if pattern is not None and self._lead_workload(rack).is_interactive:
-            demand_history = [rack.demand_at_load(pattern(t)) for t in history_times]
-        else:
-            demand_history = [rack.demand_at_load(1.0) for _ in history_times]
-        self.controller.prime_predictors(renewable_history, demand_history)
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -9,12 +9,19 @@ so fanning the runs out over a :class:`~concurrent.futures.ProcessPoolExecutor`
 merges **bit-identically** to the serial path — parallelism changes wall
 time, never telemetry.
 
-Two engine-level optimisations ride along:
+Three engine-level optimisations ride along (DESIGN.md §15):
 
 * the synthesized irradiance trace is built **once per config** (via
   :meth:`Simulation.default_trace`) and shared across that config's
   policies instead of being re-synthesized inside every
   :meth:`Simulation.assemble`;
+* the Holt constants are searched **once per config**: every policy
+  pretrains on the same histories, and :meth:`HoltPredictor.fit
+  <repro.core.predictor.HoltPredictor.fit>` memoizes its search on the
+  exact history.  On the pool path the parent fits each config's
+  :meth:`Simulation.pretraining_histories` before fan-out and seeds
+  every worker's memo through the pool initializer, so no worker runs
+  a search (or loads scipy for one);
 * each policy's :class:`~repro.core.solver.PARSolver` memoizes repeated
   programs (keyed on the exact program, up to the solver's
   ``CACHE_SIZE`` entries), which the cyclic budgets of a
@@ -30,6 +37,7 @@ import os
 from typing import Sequence
 
 from repro.core.policies import make_policy
+from repro.core.predictor import fit_memo_entries, seed_fit_memo
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulation
 from repro.sim.experiment import ExperimentConfig, ExperimentResult
@@ -108,9 +116,22 @@ def run_experiments(
             results[i].logs[name] = _run_policy(configs[i], name, traces[i])
         return results
 
+    # Fit every config's pretraining histories here, once, and hand the
+    # constants to each worker as it starts: the workers' fits all hit.
+    fits = fit_memo_entries(
+        history
+        for config, trace in zip(configs, traces)
+        for history in Simulation.pretraining_histories(
+            config.build_rack(), config.build_clock(), trace,
+            config.solar_scale, config.diurnal_load,
+        )
+    )
+
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(
+        max_workers=jobs, initializer=seed_fit_memo, initargs=(fits,)
+    ) as pool:
         futures = [
             pool.submit(_run_policy, configs[i], name, traces[i]) for i, name in tasks
         ]

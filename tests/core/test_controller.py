@@ -1,5 +1,6 @@
 """The GreenHetero rack controller: one epoch end to end."""
 
+import numpy as np
 import pytest
 
 from repro.core.controller import EpochDirectives, GreenHeteroController, N_SUBSTEPS
@@ -208,6 +209,73 @@ class TestRackPhysicsOncePerOperatingPoint:
         assert metered == expected
         # Distinct power-state pairs are fewer than the 11 compositions.
         assert len(calls) < 2 * len(compositions)
+
+
+class TestManualTrialTable:
+    """Manual's oracle maps each share to a power state once per epoch;
+    every trial must still read and meter exactly as a per-composition
+    mapping through ``_states_for_budgets`` does."""
+
+    RACKS = {
+        "2-group": [("E5-2620", 5), ("i5-4460", 5)],
+        "3-group": [("E5-2620", 5), ("E5-2603", 5), ("i5-4460", 5)],
+    }
+
+    @staticmethod
+    def controller(groups):
+        rack = Rack(groups, "SPECjbb")
+        trace = synthesize_irradiance(days=2, weather=Weather.HIGH, seed=5)
+        pdu = PDU(SolarFarm.sized_for(trace, 1900.0), BatteryBank(), GridSource(budget_w=1000.0))
+        return GreenHeteroController(
+            rack=rack, pdu=pdu, policy=make_policy("Manual"), monitor=Monitor(seed=5)
+        )
+
+    @staticmethod
+    def reference_oracle(ctl, budget_w, load_fraction):
+        def measure(ratios):
+            states = ctl._states_for_budgets(tuple(r * budget_w for r in ratios))
+            return ctl.monitor.observe_throughput(ctl._rack_throughput(states, load_fraction))
+
+        return measure
+
+    @staticmethod
+    def budgets(ctl):
+        """0 W; every budget at which some share puts a group's servers
+        exactly on a state's draw, with both float neighbours; and
+        seeded random budgets up to the envelope."""
+        out = [0.0]
+        for g, group in enumerate(ctl.rack.groups):
+            for draw in ctl.rack.curve(g)._state_draws[1:]:
+                for steps in range(1, 11):
+                    exact = draw * group.count / (steps * 0.1)
+                    out += [np.nextafter(exact, 0.0), exact, np.nextafter(exact, np.inf)]
+        rng = np.random.default_rng(2021)
+        out += list(rng.uniform(0.0, ctl.rack.envelope_w, 40))
+        return [float(b) for b in out]
+
+    @pytest.mark.parametrize("rack", sorted(RACKS))
+    @pytest.mark.parametrize("load_fraction", [1.0, 0.4])
+    def test_table_oracle_matches_per_composition_mapping(self, rack, load_fraction):
+        table_ctl = self.controller(self.RACKS[rack])
+        reference_ctl = self.controller(self.RACKS[rack])
+        k = len(self.RACKS[rack])
+        compositions = PARSolver.compositions(k)
+        for budget_w in self.budgets(table_ctl):
+            table = table_ctl._make_oracle(budget_w, load_fraction)
+            reference = self.reference_oracle(reference_ctl, budget_w, load_fraction)
+            got = [table(ratios) for ratios in compositions]
+            want = [reference(ratios) for ratios in compositions]
+            assert got == want, budget_w
+        # The same number of meter draws, in the same order.
+        assert table_ctl.monitor.state_dict() == reference_ctl.monitor.state_dict()
+
+    def test_manual_picks_match(self):
+        table_ctl = self.controller(self.RACKS["3-group"])
+        reference_ctl = self.controller(self.RACKS["3-group"])
+        for budget_w in self.budgets(table_ctl)[::7]:
+            assert PARSolver.exhaustive(
+                3, table_ctl._make_oracle(budget_w, 1.0)
+            ) == PARSolver.exhaustive(3, self.reference_oracle(reference_ctl, budget_w, 1.0))
 
 
 class ConstantSource:

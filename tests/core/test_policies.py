@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.database import ProfilingDatabase
+from repro.core.database import PerfPowerFit, ProfilingDatabase
 from repro.core.policies import (
     POLICY_NAMES,
     AllocationContext,
@@ -191,6 +191,14 @@ class TestSolverPolicies:
         ratios = GreenHeteroPolicy().allocate(ctx)
         assert ratios == pytest.approx(UniformPolicy().allocate(ctx))
         assert ratios[0] < ratios[-1]
+
+    def test_fit_above_quadratic_falls_back_to_uniform(self):
+        # The solver boundary rejects it; the policy degrades to Uniform.
+        db = make_db()
+        cubic = PerfPowerFit((-1 / 3, 0.0, 1e4, 0.0), 50.0, 150.0)
+        db.projection = lambda key: cubic
+        ctx = make_ctx(db=db)
+        assert GreenHeteroPolicy().allocate(ctx) == UniformPolicy().allocate(ctx)
 
 
 class TestOnOff:

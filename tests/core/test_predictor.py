@@ -5,8 +5,10 @@ import pytest
 
 from repro import ExperimentConfig
 from repro.core.policies import make_policy
-from repro.core.predictor import HoltPredictor
+from repro.core import predictor
+from repro.core.predictor import HoltPredictor, fit_memo_entries, seed_fit_memo
 from repro.errors import ConfigurationError
+from repro.obs.metrics import REGISTRY, obs_enabled, set_enabled
 from repro.sim.engine import Simulation
 
 
@@ -215,3 +217,129 @@ class TestStateDict:
         state["alpha"] = 7.0
         with pytest.raises(ConfigurationError):
             HoltPredictor().load_state_dict(state)
+
+
+def _pretraining_histories(config):
+    clock = config.build_clock()
+    return Simulation.pretraining_histories(
+        config.build_rack(), clock,
+        Simulation.default_trace(clock, config.weather, config.seed),
+        config.solar_scale, config.diurnal_load,
+    )
+
+
+#: The Fig. 8 reference rack at seed 2021 and the four constrained-supply
+#: sweep configs (two racks at two scenario seeds).
+MEMO_CONFIGS = [ExperimentConfig.fig8_default(seed=2021)] + [
+    config
+    for seed in (4042, 4043)
+    for config in (
+        ExperimentConfig.insufficient_supply("SPECjbb", seed=seed),
+        ExperimentConfig.combination_sweep("Comb5", seed=seed),
+    )
+]
+
+
+class TestFitMemo:
+    """``fit`` memoizes its search on the exact history (DESIGN.md §15)."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """An empty memo, and a log of the histories actually searched."""
+        monkeypatch.setattr(predictor, "_FIT_MEMO", {})
+        searched = []
+        search = HoltPredictor._fit_impl.__func__
+
+        def counting(cls, data, grid_steps):
+            searched.append(data.copy())
+            return search(cls, data, grid_steps)
+
+        monkeypatch.setattr(HoltPredictor, "_fit_impl", classmethod(counting))
+        return searched
+
+    @pytest.mark.parametrize(
+        "config", MEMO_CONFIGS,
+        ids=["fig8-2021", "spec-4042", "comb5-4042", "spec-4043", "comb5-4043"],
+    )
+    def test_hit_equals_cold_search(self, config, searches):
+        for history in _pretraining_histories(config):
+            data = np.asarray(history, dtype=float)
+            cold = HoltPredictor.fit(history)
+            hit = HoltPredictor.fit(history)
+            assert hit is not cold
+            assert hit.state_dict() == cold.state_dict()
+            assert (cold.alpha, cold.beta) == HoltPredictor._fit_impl(data, 11)
+        # Two histories per config, one search each (plus the two above).
+        assert len(searches) == 4
+
+    def test_one_ulp_is_a_miss(self, searches):
+        history = np.asarray(_pretraining_histories(MEMO_CONFIGS[0])[0], dtype=float)
+        HoltPredictor.fit(history)
+        nudged = history.copy()
+        i = int(np.argmax(nudged))
+        nudged[i] = np.nextafter(nudged[i], np.inf)
+        HoltPredictor.fit(nudged)
+        HoltPredictor.fit(list(nudged))
+        assert len(searches) == 2
+        assert searches[1].tobytes() == nudged.tobytes()
+
+    def test_key_includes_grid_and_class(self, searches):
+        class Subclass(HoltPredictor):
+            pass
+
+        history = TestTraining()._solar_like()
+        HoltPredictor.fit(history)
+        HoltPredictor.fit(history, grid_steps=5)
+        fitted = Subclass.fit(history)
+        assert type(fitted) is Subclass
+        assert len(searches) == 3
+
+    def test_every_call_counted_only_searches_timed(self, searches):
+        fits = REGISTRY.get("repro_predictor_fits_total")
+        spans = REGISTRY.get("repro_span_seconds").labels("predictor.fit")
+        before = obs_enabled()
+        set_enabled(True)
+        try:
+            fits0, spans0 = fits.value, spans.count
+            history = TestTraining()._solar_like()
+            for _ in range(3):
+                HoltPredictor.fit(history)
+            assert fits.value == fits0 + 3
+            assert spans.count == spans0 + 1
+        finally:
+            set_enabled(before)
+
+    def test_nonnegative_is_not_part_of_the_key(self, searches):
+        history = TestTraining()._solar_like()
+        clamped = HoltPredictor.fit(history)
+        free = HoltPredictor.fit(history, nonnegative=False)
+        assert len(searches) == 1
+        assert (free.alpha, free.beta) == (clamped.alpha, clamped.beta)
+        assert free.nonnegative is False
+
+    def test_memo_stays_at_its_bound(self, searches, monkeypatch):
+        monkeypatch.setattr(predictor, "FIT_MEMO_SIZE", 4)
+        base = TestTraining()._solar_like()
+        histories = [base + k for k in range(6)]
+        for history in histories:
+            HoltPredictor.fit(history)
+        assert len(predictor._FIT_MEMO) == 4
+        # First in, first out: the two oldest are searched again.
+        HoltPredictor.fit(histories[5])
+        HoltPredictor.fit(histories[0])
+        assert len(searches) == 7
+        assert len(predictor._FIT_MEMO) == 4
+
+    def test_seeded_entries_are_hits(self, searches, monkeypatch):
+        histories = _pretraining_histories(MEMO_CONFIGS[1])
+        fits = REGISTRY.get("repro_predictor_fits_total")
+        fits0 = fits.value
+        entries = fit_memo_entries(histories)
+        assert len(entries) == 2 and len(searches) == 2
+        assert fits.value == fits0  # priming is not a fit
+        cold = [HoltPredictor.fit(h).state_dict() for h in histories]
+        # A fresh process: an empty memo that only the seed fills.
+        monkeypatch.setattr(predictor, "_FIT_MEMO", {})
+        seed_fit_memo(entries)
+        assert [HoltPredictor.fit(h).state_dict() for h in histories] == cold
+        assert len(searches) == 2

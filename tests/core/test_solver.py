@@ -109,6 +109,16 @@ class TestBasics:
         with pytest.raises(SolverError):
             PARSolver(safety_margin=-0.1)
 
+    def test_more_than_three_coefficients_rejected(self, solver):
+        # The KKT scan reads only the quadratic and linear terms, so a
+        # cubic would be solved as its quadratic part: 50 W per server
+        # (916,667) where the cubic peaks at 100 W (1,333,333).
+        fit = PerfPowerFit((-1 / 3, 0.0, 1e4, 0.0), 50.0, 150.0)
+        with pytest.raises(SolverError, match="at most quadratic"):
+            solver.solve([GroupModel("cubic", 2, fit)], 400.0)
+        for coefficients in ((-1.0, 300.0, -5000.0), (300.0, -5000.0)):
+            GroupModel("ok", 2, PerfPowerFit(coefficients, 50.0, 150.0))
+
 
 class TestOptimality:
     """KKT must match brute force on quadratic instances."""
@@ -249,6 +259,18 @@ class TestCompositions:
     def test_bad_k_rejected(self):
         with pytest.raises(SolverError):
             PARSolver.compositions(0, 0.1)
+
+    def test_built_once_returned_fresh(self):
+        first = PARSolver.compositions(3, 0.1)
+        first.append((0.0, 0.0, 0.0))
+        again = PARSolver.compositions(3, 0.1)
+        assert type(again) is list and len(again) == 66
+        assert again is not first
+        # Same vectors, same order as the stars-and-bars enumeration.
+        expected = []
+        for combo in itertools.combinations_with_replacement(range(3), 10):
+            expected.append(tuple(combo.count(i) * 0.1 for i in range(3)))
+        assert again == expected
 
     def test_exhaustive_finds_best(self):
         # Objective peaked at (0.6, 0.4).

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.database import PerfPowerFit, ProfilingDatabase
 from repro.core.policies import make_policy
+from repro.core import predictor
 from repro.core.predictor import HoltPredictor
 from repro.core.solver import GroupModel, PARSolver
 from repro.errors import ConfigurationError
@@ -89,11 +90,16 @@ class TestSolverInstrumentation:
 
 
 class TestPredictorInstrumentation:
-    def test_fit_counted_and_timed(self, enabled):
+    def test_fit_counted_and_timed(self, enabled, monkeypatch):
+        monkeypatch.setattr(predictor, "_FIT_MEMO", {})
         fits0 = counter_value("repro_predictor_fits_total")
         secs0 = span_count("predictor.fit")
         HoltPredictor.fit([10.0, 12.0, 14.0, 17.0, 19.0])
         assert counter_value("repro_predictor_fits_total") == fits0 + 1
+        assert span_count("predictor.fit") == secs0 + 1
+        # A memo hit is a fit but not a search: counted, not timed.
+        HoltPredictor.fit([10.0, 12.0, 14.0, 17.0, 19.0])
+        assert counter_value("repro_predictor_fits_total") == fits0 + 2
         assert span_count("predictor.fit") == secs0 + 1
 
 

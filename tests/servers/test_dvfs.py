@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError, PowerError
 from repro.servers.dvfs import (
     MIN_STATE_DYNAMIC_FRACTION,
     SLEEP_POWER_W,
+    PowerState,
     PowerStateSet,
 )
 from repro.servers.platform import get_platform
@@ -66,6 +67,35 @@ class TestLadderStructure:
     def test_too_few_levels_rejected(self):
         with pytest.raises(ConfigurationError):
             PowerStateSet(get_platform("i5-4460"), levels=1)
+
+
+class TestLadderViews:
+    """``states`` and ``active_states`` are built once, at construction."""
+
+    @pytest.mark.parametrize("name", ["E5-2620", "E5-2603", "i5-4460"])
+    def test_values_unchanged(self, name):
+        spec = get_platform(name)
+        ladder = PowerStateSet(spec)
+        n = spec.dvfs_levels
+        f_lo, f_hi = spec.min_frequency_hz, spec.base_frequency_hz
+        expected = [
+            PowerState(0, "off", 0.0, 0.0, False),
+            PowerState(1, "sleep", 0.0, SLEEP_POWER_W, False),
+        ]
+        for k in range(n):
+            freq = f_lo + k / (n - 1) * (f_hi - f_lo)
+            cap = ladder._power_at_frequency(freq)
+            expected.append(PowerState(2 + k, f"p{k}", freq, cap, True))
+        assert ladder.states == tuple(expected)
+        assert ladder.active_states == tuple(expected[2:])
+        assert list(ladder) == expected
+        assert [ladder[i] for i in range(len(ladder))] == expected
+
+    def test_same_tuple_every_call(self, ladder):
+        assert ladder.states is ladder.states
+        assert ladder.active_states is ladder.active_states
+        assert isinstance(ladder.states, tuple)
+        assert isinstance(ladder.active_states, tuple)
 
 
 class TestBudgetMapping:

@@ -1,8 +1,13 @@
 """Parallel experiment runner: fan-out semantics and bit-identity."""
 
+import multiprocessing
+
 import pytest
 
+from repro.core import predictor
+from repro.core.predictor import HoltPredictor
 from repro.errors import ConfigurationError
+from repro.sim import runner
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.runner import run_experiment, run_experiments
 
@@ -62,3 +67,45 @@ class TestBatch:
             ExperimentConfig(days=0.1, policies=("Uniform",), seed=3), jobs=None
         )
         assert len(result.log("Uniform")) > 0
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="patches reach the workers only through fork",
+)
+class TestFitsOncePerConfig:
+    """The pool path fits in the parent; its workers never search."""
+
+    CONFIGS = [
+        ExperimentConfig(days=0.1, policies=("Uniform", "GreenHetero"), seed=11),
+        ExperimentConfig.insufficient_supply(
+            "SPECjbb", days=0.1, policies=("Manual", "GreenHetero-a"), seed=12
+        ),
+    ]
+
+    def test_workers_run_no_holt_search(self, monkeypatch):
+        serial = run_experiments(self.CONFIGS, jobs=1)
+        prime = runner.fit_memo_entries
+        primed = []
+
+        def prime_then_forbid(histories):
+            entries = prime(histories)
+            primed.append(len(entries))
+            # What the workers fork from: an empty memo and no search,
+            # so every worker fit must come from the seeded entries.
+            monkeypatch.setattr(predictor, "_FIT_MEMO", {})
+
+            def forbidden(cls, data, grid_steps):
+                raise AssertionError("a worker ran a Holt search")
+
+            monkeypatch.setattr(HoltPredictor, "_fit_impl", classmethod(forbidden))
+            return entries
+
+        monkeypatch.setattr(runner, "fit_memo_entries", prime_then_forbid)
+        parallel = run_experiments(self.CONFIGS, jobs=2)
+        # A renewable history per config; the two racks are the same
+        # servers running SPECjbb, so they share one demand history.
+        assert primed == [3]
+        for config, a, b in zip(self.CONFIGS, serial, parallel):
+            for name in config.policies:
+                assert list(a.log(name)) == list(b.log(name))
