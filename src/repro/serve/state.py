@@ -208,12 +208,12 @@ class RackHost:
 
     def forecast(self) -> dict[str, Any]:
         """Next-epoch supply/demand forecast and the source decision."""
-        renewable_w, demand_w = self.controller.scheduler.forecast()
+        # The decision carries the forecasts it was made from verbatim.
         decision = self._source_decision()
         return {
             "rack": self.name,
-            "renewable_w": renewable_w,
-            "demand_w": demand_w,
+            "renewable_w": decision.predicted_renewable_w,
+            "demand_w": decision.predicted_demand_w,
             "case": decision.case.value,
             "budget_w": decision.rack_budget_w,
         }
@@ -248,7 +248,7 @@ class RackHost:
             When the rack has no deferrable groups to run the job on, or
             the job document is malformed / a duplicate.
         """
-        if not ShiftRuntime.deferrable_indices(self.controller):
+        if not self.shift.deferrable_indices(self.controller):
             raise ConfigurationError(
                 f"rack {self.name!r} has no deferrable groups; its "
                 "workloads are all interactive"

@@ -50,13 +50,20 @@ a leaf only when it beats the incumbent by more than ``_EPS``, and the
 incumbent only rises, so a dropped subtree never held an accepted leaf:
 the sequence of accepted leaves, and hence the plan, is unchanged.
 
-One caveat: two memos make a price depend on search history.  The
-marginal-performance cache keys on powers rounded to 6 decimals, and
-the solver's memo cache on budgets quantized to 1e-6 W, so the first
-unrounded power to reach a key fixes its value for the rest of the
-plan (or, for the solver, until evicted).  Pruning only removes visits,
-so a price can move by what 1e-6 W buys; the differential test compares
-placements exactly and floats within 1e-9 relative.
+One caveat: a memo makes a price depend on search history.  The
+plan-scoped marginal-performance cache keys on powers rounded to 6
+decimals, so the first unrounded power to reach a key fixes its value
+for the rest of the plan.  (The solver's own memo keys on the exact
+budget, so it returns what a fresh solve would.)  Pruning only removes
+visits, so a price can move by what 1e-6 W buys; the differential test
+compares placements exactly and floats within 1e-9 relative.
+
+An epoch with nothing pending has no decision to make.  Its plan is the
+running jobs' committed draw, capped at the batch capacity, so
+:meth:`ShiftPlanner.plan` accepts an :class:`IdleInputs` (those two and
+the epoch) in place of :class:`PlanInputs` for an empty queue, and the
+runtime skips the lookahead (no forecasts, no solver models, no supply
+ledger) on such an epoch.
 
 Only offset-0 placements are executed; the rest of the plan is
 re-derived next epoch from fresh forecasts (standard receding-horizon
@@ -161,6 +168,28 @@ class PlanInputs:
                      "battery_max_discharge_w", "grid_budget_w"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be non-negative")
+
+
+@dataclass(frozen=True)
+class IdleInputs:
+    """What a replan with nothing pending reads.
+
+    That is the epoch, the running jobs' committed draw and the batch
+    capacity.  The fields mean what the :class:`PlanInputs` fields of
+    the same names mean, and :meth:`ShiftPlanner.plan` turns either into
+    the same plan for a queue with no pending job.
+    """
+
+    time_s: float
+    epoch_s: float
+    committed_w: tuple[float, ...]
+    batch_capacity_w: float
+
+    def __post_init__(self) -> None:
+        if self.epoch_s <= 0:
+            raise ConfigurationError("epoch length must be positive")
+        if self.batch_capacity_w < 0:
+            raise ConfigurationError("batch_capacity_w must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -536,8 +565,12 @@ class ShiftPlanner:
 
     # ------------------------------------------------------------------
     @trace("shift.plan")
-    def plan(self, queue: JobQueue, inputs: PlanInputs) -> ShiftPlan:
-        """Produce the plan for this epoch.  The queue is not mutated."""
+    def plan(self, queue: JobQueue, inputs: PlanInputs | IdleInputs) -> ShiftPlan:
+        """Produce the plan for this epoch.  The queue is not mutated.
+
+        :class:`IdleInputs` suffice when nothing is pending; a queue with
+        a pending job needs the full :class:`PlanInputs` lookahead.
+        """
         result = self._plan_impl(queue, inputs)
         _PLANS[result.method].inc()
         _CANDIDATES_TOTAL.inc(self._priced)
@@ -547,12 +580,18 @@ class ShiftPlanner:
             _UNPLACED_TOTAL.inc(len(result.unplaced))
         return result
 
-    def _plan_impl(self, queue: JobQueue, inputs: PlanInputs) -> ShiftPlan:
+    def _plan_impl(
+        self, queue: JobQueue, inputs: PlanInputs | IdleInputs
+    ) -> ShiftPlan:
         self._perf_cache.clear()
         self._priced = 0
         jobs = queue.pending()
         if not jobs:
             return self._empty_plan(inputs)
+        if not isinstance(inputs, PlanInputs):
+            raise ConfigurationError(
+                "a queue with pending jobs needs the full PlanInputs lookahead"
+            )
         pending = [_PlanJob.of(j, inputs, self.horizon) for j in jobs]
         span = self.horizon + max((j.n_epochs for j in pending), default=1)
         state = _SupplyState(inputs, span)
@@ -603,7 +642,7 @@ class ShiftPlanner:
             start_now_grid_wh=tuple(start_now_grid),
         )
 
-    def _empty_plan(self, inputs: PlanInputs) -> ShiftPlan:
+    def _empty_plan(self, inputs: PlanInputs | IdleInputs) -> ShiftPlan:
         """Nothing pending: the running jobs' draw, capped as the ledger caps it."""
         cap = inputs.batch_capacity_w
         batch_power = tuple(
@@ -765,14 +804,12 @@ class ShiftPlanner:
             if cand is None:
                 skipped.append(job)
             else:
-                # Re-price against the real state in commit order so the
-                # returned source splits reflect the joint plan.
-                final = self._evaluate(job, cand.offset, inputs, state)
-                if final is None:  # pragma: no cover - clones agree
-                    skipped.append(job)
-                    continue
-                self._commit(final, state)
-                placements.append(self._to_placement(final, inputs))
+                # The search priced each winner against a scratch ledger
+                # that saw exactly these commits in this order, and the
+                # plan's marginal-perf cache still holds its prices, so
+                # committing the priced candidate equals re-pricing it.
+                self._commit(cand, state)
+                placements.append(self._to_placement(cand, inputs))
         # The enumeration may rationally "skip" a job whose last chance
         # is now (cost > value); the forced pass overrides that, exactly
         # as in the greedy path — a deadline start is not optional.

@@ -248,6 +248,8 @@ class JobQueue:
                 status = str(entry["status"])
                 if status not in JobStatus.ALL:
                     raise ConfigurationError(f"unknown job status {status!r}")
+                if job.job_id in staged:
+                    raise ConfigurationError(f"duplicate job id {job.job_id!r}")
                 staged._jobs[job.job_id] = job
                 staged._status[job.job_id] = status
                 if entry.get("started_s") is not None:

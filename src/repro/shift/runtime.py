@@ -11,6 +11,13 @@ Gating only engages once a job has been submitted (``activated``): a
 rack that never sees a deferrable job behaves exactly as it did before
 this subsystem existed, batch groups saturating freely.
 
+Shifting costs nothing until a job is pending: an epoch with an empty
+pending queue is *pass-through*.  It builds no lookahead (no forecast
+chains, no solver models, no :class:`~repro.shift.planner.PlanInputs`);
+the planner turns an :class:`~repro.shift.planner.IdleInputs` of the
+running jobs' committed draw and the batch capacity into the same plan
+the full inputs would produce.
+
 The runtime's telemetry (:class:`ShiftLog`) is the shift-specific
 companion to the controller's :class:`~repro.core.controller.EpochRecord`
 stream: per-epoch deferred energy, cumulative deadline misses, and the
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.controller import (
     NO_DIRECTIVES, EpochDirectives, EpochRecord, GreenHeteroController,
@@ -31,8 +38,46 @@ from repro.core.controller import (
 from repro.core.predictor import HoltPredictor
 from repro.core.solver import GroupModel
 from repro.errors import ConfigurationError
-from repro.shift.planner import PlanInputs, ShiftPlan, ShiftPlanner, chain_forecast
+from repro.shift.planner import (
+    IdleInputs, PlanInputs, ShiftPlan, ShiftPlanner, chain_forecast,
+)
 from repro.shift.queue import JobQueue, JobStatus, ShiftJob
+
+if TYPE_CHECKING:
+    from repro.servers.rack import Rack
+
+
+@dataclass(frozen=True)
+class _RackConstants:
+    """What the runtime reads of a rack's shape, computed once per rack.
+
+    Faults act on the PDU, never on the rack's curves; a workload switch
+    replaces the controller's :class:`Rack`, which is what the cache
+    keys on.
+    """
+
+    rack: Rack
+    interactive: tuple[int, ...]
+    #: Full-load draw (W) of each deferrable group by index, in rack
+    #: order: the group-cap weights.
+    weights: dict[int, float]
+    batch_capacity_w: float
+
+    @classmethod
+    def of(cls, rack: Rack) -> "_RackConstants":
+        weights = {
+            i: rack.curve(i).max_draw_w * g.count
+            for i, g in enumerate(rack.groups)
+            if g.workload.is_deferrable
+        }
+        return cls(
+            rack=rack,
+            interactive=tuple(
+                i for i in range(len(rack.groups)) if i not in weights
+            ),
+            weights=weights,
+            batch_capacity_w=sum(weights.values()),
+        )
 
 
 @dataclass(frozen=True)
@@ -82,6 +127,12 @@ class ShiftLog:
 class ShiftRuntime:
     """Binds a :class:`ShiftPlanner` and :class:`JobQueue` to a controller.
 
+    An epoch with no pending job is pass-through: it expires, accounts
+    and gates running jobs as usual, but plans from
+    :class:`~repro.shift.planner.IdleInputs` without building a
+    lookahead, so its cost does not depend on the horizon.  The plan,
+    the telemetry and the checkpoint equal the full path's.
+
     Parameters
     ----------
     planner:
@@ -111,6 +162,7 @@ class ShiftRuntime:
         # counterfactual each job's grid-avoided telemetry compares
         # its eventual placement against.
         self._start_baseline_wh: dict[str, float] = {}
+        self._constants: _RackConstants | None = None
 
     # ------------------------------------------------------------------
     # Queue front door
@@ -122,29 +174,23 @@ class ShiftRuntime:
     # ------------------------------------------------------------------
     # Rack introspection
     # ------------------------------------------------------------------
-    @staticmethod
-    def deferrable_indices(controller: GreenHeteroController) -> list[int]:
-        return [
-            i
-            for i, g in enumerate(controller.rack.groups)
-            if g.workload.is_deferrable
-        ]
+    def deferrable_indices(self, controller: GreenHeteroController) -> list[int]:
+        return list(self._rack_constants(controller).weights)
+
+    def _rack_constants(self, controller: GreenHeteroController) -> _RackConstants:
+        constants = self._constants
+        if constants is None or constants.rack is not controller.rack:
+            constants = self._constants = _RackConstants.of(controller.rack)
+        return constants
 
     def _interactive_demand(
         self, controller: GreenHeteroController, load_fraction: float
     ) -> float:
         demands = controller.rack.group_demands_at_load(load_fraction)
-        return sum(
-            d
-            for d, g in zip(demands, controller.rack.groups)
-            if not g.workload.is_deferrable
-        )
+        return sum(demands[i] for i in self._rack_constants(controller).interactive)
 
     def batch_capacity_w(self, controller: GreenHeteroController) -> float:
-        return sum(
-            controller.rack.curve(i).max_draw_w * controller.rack.groups[i].count
-            for i in self.deferrable_indices(controller)
-        )
+        return self._rack_constants(controller).batch_capacity_w
 
     def _batch_models(
         self, controller: GreenHeteroController
@@ -152,7 +198,7 @@ class ShiftRuntime:
         """Solver models for deferrable groups the database has profiled."""
         database = controller.scheduler.database
         models = []
-        for i in self.deferrable_indices(controller):
+        for i in self._rack_constants(controller).weights:
             group = controller.rack.groups[i]
             if group.key in database:
                 models.append(
@@ -213,6 +259,29 @@ class ShiftRuntime:
             batch_models=self._batch_models(controller),
         )
 
+    def _plan(
+        self,
+        controller: GreenHeteroController,
+        time_s: float,
+        interactive_now_w: float,
+        grid_budget_w: float | None = None,
+    ) -> ShiftPlan:
+        """This epoch's plan; pass-through when nothing is pending."""
+        inputs: PlanInputs | IdleInputs
+        if not self.queue.pending():
+            epoch_s = controller.epoch_s
+            inputs = IdleInputs(
+                time_s, epoch_s, self._committed_w(epoch_s),
+                self.batch_capacity_w(controller),
+            )
+        else:
+            inputs = self.plan_inputs(
+                controller, time_s, interactive_now_w, grid_budget_w
+            )
+        plan = self.planner.plan(self.queue, inputs)
+        self.last_plan = plan
+        return plan
+
     def plan_now(
         self, controller: GreenHeteroController, time_s: float
     ) -> ShiftPlan:
@@ -222,10 +291,7 @@ class ShiftRuntime:
         advanced, so repeated calls at the same instant are identical.
         """
         interactive_now = self._interactive_demand(controller, 1.0)
-        inputs = self.plan_inputs(controller, time_s, interactive_now)
-        plan = self.planner.plan(self.queue, inputs)
-        self.last_plan = plan
-        return plan
+        return self._plan(controller, time_s, interactive_now)
 
     # ------------------------------------------------------------------
     # Epoch execution
@@ -246,11 +312,9 @@ class ShiftRuntime:
         self._interactive_predictor.observe(interactive_now)
 
         self.queue.expire(time_s, epoch_s)
-        inputs = self.plan_inputs(
+        plan = self._plan(
             controller, time_s, interactive_now, directives.grid_budget_w
         )
-        plan = self.planner.plan(self.queue, inputs)
-        self.last_plan = plan
 
         for job_id, quote_wh in plan.start_now_grid_wh:
             self._start_baseline_wh.setdefault(job_id, quote_wh)
@@ -307,15 +371,12 @@ class ShiftRuntime:
     ) -> tuple[float, ...]:
         """Per-group caps: interactive uncapped, deferrable share the
         planned batch draw proportionally to their full-load capacity."""
-        deferrable = set(self.deferrable_indices(controller))
-        weights = {
-            i: controller.rack.curve(i).max_draw_w * controller.rack.groups[i].count
-            for i in deferrable
-        }
-        total = sum(weights.values())
+        constants = self._rack_constants(controller)
+        weights = constants.weights
+        total = constants.batch_capacity_w
         caps = []
         for i in range(len(controller.rack.groups)):
-            if i not in deferrable:
+            if i not in weights:
                 caps.append(math.inf)
             elif total <= 0:
                 caps.append(0.0)

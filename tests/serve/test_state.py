@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs.metrics import REGISTRY, obs_enabled, set_enabled
 from repro.serve.state import MANIFEST_NAME, ServeConfig, ServeState
 
 #: Small rack so fleet assembly (with training runs) stays fast.
@@ -75,6 +76,30 @@ class TestRackHost:
         forecast = host.forecast()
         assert forecast["case"] in {"A", "B", "C"}
         assert forecast["demand_w"] >= 0.0
+
+    def test_forecast_is_one_source_decision(self, host):
+        """The reply equals the scheduler's forecast plus a source decision,
+        and opens one ``scheduler.forecast`` span."""
+        twin = ServeState.build(SMALL).rack("rack0")
+        renewable_w, demand_w = twin.controller.scheduler.forecast()
+        decision = twin._source_decision()
+        spans = REGISTRY.get("repro_span_seconds")
+        enabled = obs_enabled()
+        set_enabled(True)
+        try:
+            before = spans.labels("scheduler.forecast").count
+            forecast = host.forecast()
+            opened = spans.labels("scheduler.forecast").count - before
+        finally:
+            set_enabled(enabled)
+        assert forecast == {
+            "rack": "rack0",
+            "renewable_w": renewable_w,
+            "demand_w": demand_w,
+            "case": decision.case.value,
+            "budget_w": decision.rack_budget_w,
+        }
+        assert opened == 1
 
     def test_observe_feeds_predictors(self, host):
         before = host.forecast()

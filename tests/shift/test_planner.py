@@ -7,6 +7,7 @@ from repro.core.predictor import HoltPredictor
 from repro.core.solver import GroupModel
 from repro.errors import ConfigurationError
 from repro.shift.planner import (
+    IdleInputs,
     PlanInputs,
     Placement,
     ShiftPlan,
@@ -251,6 +252,25 @@ class TestEmptyQueue:
         plan = ShiftPlanner(horizon=4).plan(JobQueue(), make_inputs())
         assert plan.method == "empty"
         assert plan.batch_power_w == (0.0,) * 4
+
+    @pytest.mark.parametrize("committed", [(), (300.0, 300.0, 0.0, 1500.0)])
+    def test_idle_inputs_plan_as_full_inputs_do(self, committed):
+        queue = queue_of(job("run", power_w=300.0))
+        queue.mark_running("run", 0.0)
+        full = make_inputs(committed=committed, time_s=EPOCH)
+        idle = IdleInputs(EPOCH, EPOCH, tuple(committed), full.batch_capacity_w)
+        planner = ShiftPlanner(horizon=6)
+        assert planner.plan(queue, idle) == planner.plan(queue, full)
+
+    def test_idle_inputs_cannot_place_a_pending_job(self):
+        idle = IdleInputs(0.0, EPOCH, (), 1000.0)
+        with pytest.raises(ConfigurationError, match="PlanInputs"):
+            ShiftPlanner().plan(queue_of(job("wait")), idle)
+
+    @pytest.mark.parametrize("epoch_s, capacity", [(0.0, 1000.0), (EPOCH, -1.0)])
+    def test_idle_inputs_validated(self, epoch_s, capacity):
+        with pytest.raises(ConfigurationError):
+            IdleInputs(0.0, epoch_s, (), capacity)
 
 
 class TestNoShiftPolicy:

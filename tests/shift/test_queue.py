@@ -132,3 +132,7 @@ class TestSerialization:
             JobQueue().load_state_dict(
                 {"jobs": [{**job().to_dict(), "status": "paused"}]}
             )
+        with pytest.raises(ConfigurationError, match="duplicate"):
+            JobQueue().load_state_dict(
+                {"jobs": [{**job().to_dict(), "status": "pending"}] * 2}
+            )

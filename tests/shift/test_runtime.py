@@ -1,6 +1,8 @@
 """ShiftRuntime against a real simulated rack, plus the benchmark's
 acceptance criteria (grid savings with zero deadline misses)."""
 
+import json
+
 import pytest
 
 from repro.core.policies import make_policy
@@ -12,6 +14,7 @@ from repro.shift.bench import (
     run_shift_bench,
 )
 from repro.shift.planner import ShiftPlanner
+from repro.shift import runtime as runtime_module
 from repro.shift.queue import JobStatus, ShiftJob
 from repro.shift.runtime import ShiftRuntime
 from repro.sim.clock import SimClock
@@ -162,3 +165,152 @@ class TestBenchAcceptance:
 
     def test_planner_reports_grid_avoided(self, payload):
         assert payload["comparison"]["planner"]["grid_avoided_wh"] > 0.0
+
+
+# ----------------------------------------------------------------------
+# Pass-through epochs: with nothing pending the runtime builds no
+# lookahead, yet plans, telemetry and checkpoints equal the full path's.
+# ----------------------------------------------------------------------
+EPOCHS = 12
+
+
+class FullInputRuntime(ShiftRuntime):
+    """The reference: every epoch builds the full lookahead and plans it."""
+
+    def _plan(self, controller, time_s, interactive_now_w, grid_budget_w=None):
+        inputs = self.plan_inputs(controller, time_s, interactive_now_w, grid_budget_w)
+        plan = self.planner.plan(self.queue, inputs)
+        self.last_plan = plan
+        return plan
+
+
+def forced_job(sim, epochs, power_w=620.0):
+    """A job whose deadline leaves no slack: it starts this epoch and runs
+    ``epochs`` epochs with nothing left pending."""
+    epoch_s = sim.clock.epoch_s
+    return ShiftJob(
+        job_id=f"forced@{sim.epoch_index}",
+        energy_wh=power_w * epochs * epoch_s / 3600.0,
+        power_w=power_w,
+        earliest_start_s=sim.clock_s,
+        deadline_s=sim.clock_s + epochs * epoch_s,
+    )
+
+
+def no_jobs(sim):
+    pass
+
+
+def running_job(sim):
+    sim.shift.submit(forced_job(sim, epochs=2 * EPOCHS))
+
+
+def finished_job(sim):
+    sim.shift.submit(forced_job(sim, epochs=2))
+
+
+def snapshot(sim):
+    runtime = sim.shift
+    return (
+        runtime.last_plan,
+        runtime.log.records[-1],
+        repr(sim.log.records[-1]),
+        json.dumps(runtime.state_dict(), sort_keys=True),
+        json.dumps(sim.state_dict(), sort_keys=True, default=str),
+    )
+
+
+class TestEquivalence:
+    @pytest.mark.parametrize(
+        "setup, expect",
+        [
+            (no_jobs, "fresh"),
+            (running_job, JobStatus.RUNNING),
+            (finished_job, JobStatus.DONE),
+        ],
+    )
+    def test_matches_full_input_path(self, setup, expect):
+        fast = make_sim(shift=ShiftRuntime(), days=0.25)
+        full = make_sim(shift=FullInputRuntime(), days=0.25)
+        setup(fast)
+        setup(full)
+        pass_through = 0
+        for _ in range(EPOCHS):
+            idle = not fast.shift.queue.pending()
+            fast.step()
+            full.step()
+            assert snapshot(fast) == snapshot(full)
+            if idle:
+                pass_through += 1
+        # Every job leaves pending at the first epoch, so all later
+        # epochs (every epoch of a fresh runtime) are pass-through.
+        assert pass_through >= EPOCHS - 1
+        counts = fast.shift.queue.counts()
+        if expect == "fresh":
+            assert not fast.shift.activated
+            assert sum(counts.values()) == 0
+        else:
+            assert counts[expect] == 1
+            assert fast.shift.last_plan.method == "empty"
+
+    def test_plan_now_matches_full_input_path(self):
+        fast = make_sim(shift=ShiftRuntime(), days=0.25)
+        full = make_sim(shift=FullInputRuntime(), days=0.25)
+        for sim in (fast, full):
+            running_job(sim)
+            sim.step()
+        assert not fast.shift.queue.pending()
+        assert fast.shift.plan_now(fast.controller, fast.clock_s) == (
+            full.shift.plan_now(full.controller, full.clock_s)
+        )
+
+
+class TestNoLookahead:
+    def test_pass_through_epoch_builds_no_lookahead(self, monkeypatch):
+        calls = {"chain_forecast": 0, "PlanInputs": 0}
+        real_chain = runtime_module.chain_forecast
+        real_inputs = runtime_module.PlanInputs
+
+        def chain_spy(*args, **kwargs):
+            calls["chain_forecast"] += 1
+            return real_chain(*args, **kwargs)
+
+        def inputs_spy(*args, **kwargs):
+            calls["PlanInputs"] += 1
+            return real_inputs(*args, **kwargs)
+
+        monkeypatch.setattr(runtime_module, "chain_forecast", chain_spy)
+        monkeypatch.setattr(runtime_module, "PlanInputs", inputs_spy)
+        sim = make_sim(shift=ShiftRuntime(), days=0.25)
+        for _ in range(3):
+            sim.step()
+        assert calls == {"chain_forecast": 0, "PlanInputs": 0}
+        running_job(sim)
+        sim.step()  # the job is pending here: a full plan
+        assert calls["chain_forecast"] > 0 and calls["PlanInputs"] == 1
+        full_path = dict(calls)
+        for _ in range(3):
+            sim.step()  # running, nothing pending
+        sim.shift.plan_now(sim.controller, sim.clock_s)
+        assert sim.shift.queue.counts()[JobStatus.RUNNING] == 1
+        assert calls == full_path
+
+
+class TestRackConstants:
+    def test_follow_a_workload_switch(self):
+        """The cached rack shape is rebuilt when the controller's rack is
+        replaced, so the batch capacity and caps track the new workloads."""
+        runtime = ShiftRuntime()
+        sim = make_sim(shift=runtime)
+        controller = sim.controller
+        capacity = runtime.batch_capacity_w(controller)
+        assert capacity == controller.rack.curve(0).max_draw_w * 5
+        controller.switch_workload(["SPECjbb", "Streamcluster"])
+        assert runtime.deferrable_indices(controller) == [1]
+        assert runtime.batch_capacity_w(controller) == (
+            controller.rack.curve(1).max_draw_w * 5
+        )
+        assert runtime._group_caps(controller, 100.0) == (float("inf"), 100.0)
+        controller.switch_workload("SPECjbb")
+        assert runtime.deferrable_indices(controller) == []
+        assert runtime.batch_capacity_w(controller) == 0

@@ -29,8 +29,10 @@ plus the served cluster path:
   coordinated ``step``.
 
 Per scenario it writes the work the process-wide metrics registry
-counted: database refits, solver solves, shift plans, predictor fits
-and power-source-controller calls (one per executed epoch); both serve scenarios add the epochs their racks' auditors
+counted: database refits, solver solves, shift plans (in total and by
+search method, ``shift_plans_by_method``), shift candidates priced,
+predictor fits and power-source-controller calls (one per executed
+epoch); both serve scenarios add the epochs their racks' auditors
 checked, and ``serve-daemon`` adds the solver-cache hits and misses of
 its requests, which pins how many solves the served allocations cost
 per cluster step.  ``policy-sweep`` adds the solver-cache hits and
@@ -84,6 +86,7 @@ COUNTERS = {
     "refits": "repro_database_refits_total",
     "solver_solves": "repro_solver_solves_total",
     "shift_plans": "repro_shift_plans_total",
+    "shift_candidates": "repro_shift_candidates_total",
     "predictor_fits": "repro_predictor_fits_total",
     "psc_calls": "repro_psc_calls_total",
 }
@@ -97,15 +100,37 @@ def _totals() -> dict[str, int]:
     return totals
 
 
+def _by_label(name: str) -> dict[str, int]:
+    """Each child's count of a family labelled by one label."""
+    family = REGISTRY.get(name)
+    if family is None:
+        return {}
+    return {labels[0]: int(child.value) for labels, child in family.children()}
+
+
+def _delta(before: dict[str, int], after: dict[str, int]) -> dict[str, int]:
+    """The labels whose count moved, and by how much."""
+    return {
+        label: n - before.get(label, 0)
+        for label, n in after.items()
+        if n != before.get(label, 0)
+    }
+
+
 def count(
     run: Callable[[int], dict[str, object] | None], seed: int
 ) -> dict[str, object]:
     """The work counters ``run(seed)`` adds to the registry, plus the
     counts ``run`` returns itself."""
     before = _totals()
+    plans = _by_label("repro_shift_plans_total")
     extra = run(seed) or {}
     after = _totals()
-    return {**{key: after[key] - before[key] for key in COUNTERS}, **extra}
+    return {
+        **{key: after[key] - before[key] for key in COUNTERS},
+        "shift_plans_by_method": _delta(plans, _by_label("repro_shift_plans_total")),
+        **extra,
+    }
 
 
 def sim_day(seed: int) -> None:
@@ -119,13 +144,8 @@ def shift_day(seed: int) -> None:
     run_shift_bench(days=SHIFT_DAY_DAYS, seed=seed, horizon=SHIFT_HORIZON, n_jobs=SHIFT_JOBS)
 
 
-def _solves_by_method() -> dict[str, int]:
-    family = REGISTRY.get("repro_solver_solves_total")
-    return {labels[0]: int(child.value) for labels, child in family.children()}
-
-
 def policy_sweep(seed: int) -> dict[str, object]:
-    methods = _solves_by_method()
+    methods = _by_label("repro_solver_solves_total")
     hits, misses = _cache_lookups()
     run_experiments(
         [
@@ -140,7 +160,7 @@ def policy_sweep(seed: int) -> dict[str, object]:
         "solver_cache_misses": misses_after - misses,
         "solver_methods": {
             method: count - methods.get(method, 0)
-            for method, count in _solves_by_method().items()
+            for method, count in _by_label("repro_solver_solves_total").items()
         },
     }
 
