@@ -549,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument(
         "--checkpoint", metavar="DIR",
         help="checkpoint directory; restored on boot when it holds a "
-        "manifest, written on SIGTERM/shutdown",
+        "checkpoint.json, written on SIGTERM/shutdown",
     )
     serve_p.add_argument(
         "--audit-log", metavar="FILE",

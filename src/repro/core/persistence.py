@@ -12,7 +12,7 @@ projection for all workloads and server configurations *it has ever
 executed*" — knowledge that must survive controller restarts, or every
 reboot pays the training-run cost again for every pair.
 :func:`save_database` / :func:`load_database` write and read the same
-document a serve checkpoint's ``rackN.database.json`` holds.
+document a serve checkpoint holds under each rack's ``database`` key.
 
 The format is deliberately plain JSON: operators can inspect and diff
 the learned projections, and foreign tools can consume them.
@@ -35,14 +35,24 @@ FORMAT_VERSION = 2
 def write_document(path: str | Path, state: dict[str, Any]) -> None:
     """Write ``state`` stamped with the format version, atomically.
 
-    The document goes to a temp file that is renamed over ``path``, so
-    an interrupted write never corrupts a previous document.
+    The document goes to a temp file that is fsynced and renamed over
+    ``path``; the directory is fsynced last.  The rename is the commit
+    point: a crash before it leaves the previous document, and the data
+    reaches the disk before the name does.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     document = {"format_version": FORMAT_VERSION, **state}
-    tmp.write_text(json.dumps(document, indent=2, sort_keys=True))
+    with open(tmp, "w") as f:
+        f.write(json.dumps(document, indent=2, sort_keys=True))
+        f.flush()
+        os.fsync(f.fileno())
     os.replace(tmp, path)
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def read_document(path: str | Path, what: str) -> dict[str, Any]:
@@ -56,7 +66,7 @@ def read_document(path: str | Path, what: str) -> dict[str, Any]:
     """
     try:
         document = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSON and UTF-8 decode errors
         raise ConfigurationError(f"cannot read {what} from {path}: {exc}") from exc
     if not isinstance(document, dict):
         raise ConfigurationError(f"{path} does not contain a {what} document")

@@ -11,11 +11,11 @@ checkpoint is its simulation's :meth:`~repro.sim.engine.Simulation.state_dict`,
 so a restored rack continues the trajectory it would have followed
 without the restart, epoch for epoch.
 
-Checkpoints are a directory of plain JSON files written atomically
-(temp file + rename) through :mod:`repro.core.persistence`: per rack,
-its profiling database and the rest of its state, plus a manifest
-written last, so a ``kill -TERM`` mid-write can never corrupt a
-previous checkpoint.
+A fleet checkpoint is one plain JSON document, ``checkpoint.json``:
+the config, the cluster epoch counter and every rack's state, written
+by one :func:`~repro.core.persistence.write_document` call.  Its rename
+is the only commit point, so a crash mid-checkpoint restores exactly the
+previous generation or the new one, never a mix of racks from both.
 """
 
 from __future__ import annotations
@@ -40,16 +40,16 @@ from repro.sim.telemetry import record_to_dict
 from repro.traces.nrel import Weather
 from repro.units import EPOCH_SECONDS
 
-#: Checkpoint manifest file name inside the checkpoint directory.
-MANIFEST_NAME = "manifest.json"
+#: The fleet checkpoint document inside the checkpoint directory.
+CHECKPOINT_NAME = "checkpoint.json"
 
 
 @dataclass(frozen=True)
 class ServeConfig:
     """Everything needed to (re)assemble the served fleet.
 
-    The config is persisted into the checkpoint manifest so a restart
-    can rebuild identical stacks before restoring their state.
+    The config is persisted into the checkpoint so a restart can
+    rebuild identical stacks before restoring their state.
 
     Attributes
     ----------
@@ -314,7 +314,7 @@ class ServeState:
 
     Build with :meth:`ServeState.build`, which assembles each rack with
     the paper's standard methodology (:meth:`Simulation.assemble`) and —
-    when the checkpoint directory holds a manifest — restores every
+    when the checkpoint directory holds a checkpoint — restores every
     rack's simulation state, so each continues where it stopped.
     """
 
@@ -345,19 +345,23 @@ class ServeState:
     ) -> "ServeState":
         """Assemble the fleet; restore from ``checkpoint_dir`` if present.
 
-        When ``checkpoint_dir`` contains a manifest, its persisted
+        When ``checkpoint_dir`` contains a checkpoint, its persisted
         config *replaces* the given one (a checkpoint names the exact
         deployment it belongs to) and every rack's simulation state is
-        restored.
+        restored.  A directory in the retired per-rack layout (a
+        ``manifest.json``) is rejected rather than booted cold.
         """
-        manifest: dict[str, Any] | None = None
+        document: dict[str, Any] | None = None
         if checkpoint_dir is not None:
-            manifest_path = Path(checkpoint_dir) / MANIFEST_NAME
-            if manifest_path.exists():
-                manifest = read_document(manifest_path, "checkpoint manifest")
-                if "config" not in manifest:
-                    raise ConfigurationError(f"{manifest_path} names no config")
-                config = ServeConfig.from_dict(manifest["config"])
+            path = Path(checkpoint_dir) / CHECKPOINT_NAME
+            if path.exists():
+                document = read_document(path, "fleet checkpoint")
+                config = ServeConfig.from_dict(document.get("config"))
+            elif (path.parent / "manifest.json").exists():
+                raise ConfigurationError(
+                    f"{path.parent} holds the retired per-rack checkpoint "
+                    f"layout; this build reads only {CHECKPOINT_NAME}"
+                )
         if config is None:
             config = ServeConfig()
 
@@ -394,8 +398,8 @@ class ServeState:
             coordinator=coordinator,
             checkpoint_dir=checkpoint_dir,
         )
-        if manifest is not None:
-            state._restore(manifest)
+        if document is not None:
+            state._restore(document)
         return state
 
     # ------------------------------------------------------------------
@@ -446,43 +450,29 @@ class ServeState:
         """
         if self.checkpoint_dir is None:
             raise ConfigurationError("no checkpoint directory configured")
-        directory = self.checkpoint_dir
-        directory.mkdir(parents=True, exist_ok=True)
-        for name, host in self.racks.items():
-            state = host.sim.state_dict()
-            write_document(directory / f"{name}.database.json", state.pop("database"))
-            write_document(directory / f"{name}.state.json", state)
-        # The manifest is written last: a directory with a manifest is a
-        # complete checkpoint by construction.
-        write_document(
-            directory / MANIFEST_NAME,
-            {
-                "config": self.config.to_dict(),
-                "racks": sorted(self.racks),
-                "cluster_epochs": self.cluster_epochs,
-            },
-        )
-        return directory
+        document = {
+            "config": self.config.to_dict(),
+            "cluster_epochs": self.cluster_epochs,
+            "racks": {n: h.sim.state_dict() for n, h in self.racks.items()},
+        }
+        self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
+        write_document(self.checkpoint_dir / CHECKPOINT_NAME, document)
+        return self.checkpoint_dir
 
-    def _restore(self, manifest: dict[str, Any]) -> None:
+    def _restore(self, document: dict[str, Any]) -> None:
         """Install every rack's checkpointed state into the assembled fleet."""
-        assert self.checkpoint_dir is not None
         try:
-            names = sorted(manifest["racks"])
-            cluster_epochs = int(manifest["cluster_epochs"])
+            racks = document["racks"]
+            cluster_epochs = int(document["cluster_epochs"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed checkpoint manifest: {exc}") from exc
+            raise ConfigurationError(f"malformed fleet checkpoint: {exc}") from exc
+        names = sorted(racks) if isinstance(racks, dict) else None
         if names != sorted(self.racks):
             raise ConfigurationError(
                 f"checkpoint racks {names} do not match the "
                 f"assembled fleet {sorted(self.racks)}"
             )
-        directory = self.checkpoint_dir
-        for name in names:
-            state = read_document(directory / f"{name}.state.json", f"{name} state")
-            state["database"] = read_document(
-                directory / f"{name}.database.json", f"{name} database"
-            )
+        for name, state in racks.items():
             self.racks[name].sim.load_state_dict(state)
         self.cluster_epochs = cluster_epochs
         self.restored = True

@@ -305,7 +305,7 @@ class ShiftPlan:
                 unplaced=tuple(str(j) for j in data["unplaced"]),
                 start_now_grid_wh=tuple(
                     (str(job_id), float(grid_wh))
-                    for job_id, grid_wh in data.get("start_now_grid_wh", [])
+                    for job_id, grid_wh in data["start_now_grid_wh"]
                 ),
             )
         except (KeyError, TypeError, ValueError) as exc:

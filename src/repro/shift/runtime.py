@@ -23,7 +23,8 @@ companion to the controller's :class:`~repro.core.controller.EpochRecord`
 stream: per-epoch deferred energy, cumulative deadline misses, and the
 grid energy the plan avoided.  All decision state (queue, interactive
 predictor, last plan, activation) serializes to JSON for the serve
-daemon's checkpoints; telemetry, like the host's epoch log, does not.
+daemon's checkpoints, and so do the running totals :meth:`summary`
+reports; the per-epoch telemetry, like the host's epoch log, does not.
 """
 
 from __future__ import annotations
@@ -116,10 +117,6 @@ class ShiftLog:
         return iter(self.records)
 
     @property
-    def total_grid_avoided_wh(self) -> float:
-        return sum(r.grid_avoided_wh for r in self.records)
-
-    @property
     def deadline_misses(self) -> int:
         return self.records[-1].deadline_misses if self.records else 0
 
@@ -158,10 +155,16 @@ class ShiftRuntime:
         # predictor tracks the *whole* rack (including gated batch
         # groups), which would make the reserve circular.
         self._interactive_predictor = HoltPredictor(alpha=0.6, beta=0.1)
-        # First run-immediately grid quote seen per job (Wh): the
-        # counterfactual each job's grid-avoided telemetry compares
-        # its eventual placement against.
+        # First run-immediately grid quote seen per pending job (Wh):
+        # the counterfactual each job's grid-avoided telemetry compares
+        # its eventual placement against.  Dropped once the job starts
+        # or misses its deadline; jobs are never preempted, so a started
+        # job is never quoted again.
         self._start_baseline_wh: dict[str, float] = {}
+        #: Running totals of :meth:`execute_epoch` calls and of the grid
+        #: energy their placements avoided (Wh), kept across restores.
+        self.epochs = 0
+        self.grid_avoided_wh = 0.0
         self._constants: _RackConstants | None = None
 
     # ------------------------------------------------------------------
@@ -311,7 +314,8 @@ class ShiftRuntime:
         interactive_now = self._interactive_demand(controller, load_fraction)
         self._interactive_predictor.observe(interactive_now)
 
-        self.queue.expire(time_s, epoch_s)
+        for job_id in self.queue.expire(time_s, epoch_s):
+            self._start_baseline_wh.pop(job_id, None)
         plan = self._plan(
             controller, time_s, interactive_now, directives.grid_budget_w
         )
@@ -324,7 +328,7 @@ class ShiftRuntime:
         for placement in plan.starting_now():
             self.queue.mark_running(placement.job_id, time_s)
             started.append(placement.job_id)
-            baseline = self._start_baseline_wh.get(
+            baseline = self._start_baseline_wh.pop(
                 placement.job_id, placement.grid_wh
             )
             grid_avoided += max(0.0, baseline - placement.grid_wh)
@@ -364,6 +368,8 @@ class ShiftRuntime:
                 plan_method=plan.method,
             )
         )
+        self.epochs += 1
+        self.grid_avoided_wh += grid_avoided
         return record, directives
 
     def _group_caps(
@@ -394,6 +400,8 @@ class ShiftRuntime:
             "last_plan": None if self.last_plan is None else self.last_plan.to_dict(),
             "activated": self.activated,
             "start_baseline_wh": dict(self._start_baseline_wh),
+            "epochs": self.epochs,
+            "grid_avoided_wh": self.grid_avoided_wh,
         }
 
     def load_state_dict(self, state: dict[str, Any]) -> None:
@@ -409,8 +417,17 @@ class ShiftRuntime:
                 str(job_id): float(wh)
                 for job_id, wh in state["start_baseline_wh"].items()
             }
+            epochs = int(state["epochs"])
+            grid_avoided_wh = float(state["grid_avoided_wh"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed shift state: {exc}") from exc
+        if epochs < 0 or not 0.0 <= grid_avoided_wh < math.inf:
+            raise ConfigurationError(
+                "shift totals must be non-negative and finite, got "
+                f"{epochs} epochs and {grid_avoided_wh} Wh avoided"
+            )
+        self.epochs = epochs
+        self.grid_avoided_wh = grid_avoided_wh
 
     # ------------------------------------------------------------------
     def summary(self) -> dict[str, Any]:
@@ -421,8 +438,8 @@ class ShiftRuntime:
             "jobs": counts,
             "backlog_wh": self.queue.backlog_wh(),
             "deadline_misses": counts[JobStatus.MISSED],
-            "grid_avoided_wh": self.log.total_grid_avoided_wh,
-            "epochs": len(self.log),
+            "grid_avoided_wh": self.grid_avoided_wh,
+            "epochs": self.epochs,
             "last_plan_method": (
                 self.last_plan.method if self.last_plan is not None else None
             ),

@@ -6,7 +6,10 @@ checkpointed components — Holt predictors, job queues, shift runtimes,
 profiling databases, batteries, source selectors, monitors, and serve
 configs — asserting that ``state_dict -> load_state_dict -> state_dict``
 is a fixed point (canonical-JSON equality, the same representation the
-checkpoint files use).
+checkpoint files use).  It also checks the whole fleet checkpoint: a
+restored fleet re-checkpoints byte for byte, and the same document cut
+at random byte offsets (a torn write) is rejected with
+:class:`~repro.errors.ConfigurationError`, never a bare exception.
 
 The serve/shift imports are function-local: the verify package is
 imported by the simulation engine, and pulling :mod:`repro.serve.state`
@@ -33,8 +36,11 @@ class FuzzReport:
 
     def summary(self) -> str:
         if self.passed:
-            return f"fuzz: {self.n_cases} round-trips, all fixed points"
-        lines = [f"fuzz: {len(self.failures)}/{self.n_cases} round-trips FAILED"]
+            return (
+                f"fuzz: {self.n_cases} checkpoint cases, every round trip "
+                "a fixed point, every torn checkpoint rejected"
+            )
+        lines = [f"fuzz: {len(self.failures)}/{self.n_cases} checkpoint cases FAILED"]
         lines.extend(f"  {failure}" for failure in self.failures[:10])
         if len(self.failures) > 10:
             lines.append(f"  ... and {len(self.failures) - 10} more")
@@ -207,11 +213,54 @@ _KINDS = (
 )
 
 
+def _fleet_checkpoint(rng: random.Random, n_cuts: int) -> list[str]:
+    """Round-trip one small coordinated fleet's checkpoint, then restore
+    ``n_cuts`` copies of it cut short at random byte offsets."""
+    import tempfile
+    from pathlib import Path
+
+    from repro.errors import ConfigurationError
+    from repro.serve.state import CHECKPOINT_NAME, ServeConfig, ServeState
+
+    config = ServeConfig(
+        platforms=(("E5-2620", 1), ("i5-4460", 1)),
+        n_racks=2,
+        shared_grid_w=rng.uniform(300.0, 1500.0),
+    )
+    failures = []
+    with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as tmp:
+        state = ServeState.build(config, checkpoint_dir=Path(tmp) / "whole")
+        for _ in range(rng.randint(1, 4)):
+            state.step_cluster()
+        blob = (state.checkpoint() / CHECKPOINT_NAME).read_bytes()
+        restored = ServeState.build(checkpoint_dir=state.checkpoint_dir)
+        if (restored.checkpoint() / CHECKPOINT_NAME).read_bytes() != blob:
+            failures.append("fleet checkpoint: re-checkpointed differently")
+        for i in range(n_cuts):
+            cut = rng.randrange(len(blob))
+            # A fresh file per cut: truncating one in place can cost a
+            # flush per write on some filesystems.
+            torn = Path(tmp) / f"torn-{i}"
+            torn.mkdir()
+            (torn / CHECKPOINT_NAME).write_bytes(blob[:cut])
+            try:
+                ServeState.build(checkpoint_dir=torn)
+                failures.append(f"fleet checkpoint cut at byte {cut}: restored")
+            except ConfigurationError:
+                pass
+            except Exception as exc:  # pragma: no cover - defect path
+                failures.append(f"fleet checkpoint cut at byte {cut}: raised {exc!r}")
+    return failures
+
+
 def fuzz_round_trips(n_cases: int = 50, seed: int = 0) -> FuzzReport:
     """Run ``n_cases`` seeded round trips across every component kind.
 
+    Then one small fleet's checkpoint must re-checkpoint byte for byte
+    after a restore, and ``n_cases`` torn copies of it must be rejected.
     Deterministic for a given (n_cases, seed): failure ``i`` reproduces
-    from ``random.Random(seed * 7919 + i)``.
+    from ``random.Random(seed * 7919 + i)``, and the fleet cases from
+    ``random.Random(seed * 7919 + n_cases)``.
     """
     failures: list[str] = []
     total = 0
@@ -225,4 +274,9 @@ def fuzz_round_trips(n_cases: int = 50, seed: int = 0) -> FuzzReport:
                 error = f"{build.__name__}: raised {exc!r}"
             if error is not None:
                 failures.append(f"case {i}: {error}")
-    return FuzzReport(n_cases=total, failures=tuple(failures))
+    try:
+        rng = random.Random(seed * 7919 + n_cases)
+        failures.extend(_fleet_checkpoint(rng, n_cases))
+    except Exception as exc:  # pragma: no cover - defect path
+        failures.append(f"fleet checkpoint: raised {exc!r}")
+    return FuzzReport(n_cases=total + 1 + n_cases, failures=tuple(failures))

@@ -1,6 +1,8 @@
 """The state protocol's file side: versioned documents and database files."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -130,6 +132,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             load_database(path)
 
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "garbage.json"
+        path.write_bytes(b'{"format_version": 2, "x": "\xff\xfe"}')
+        with pytest.raises(ConfigurationError):
+            read_document(path, "state")
+
     def test_non_dict_rejected(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]")
@@ -174,6 +182,32 @@ class TestValidation:
         state["entries"][0]["fit"]["kind"] = "CUBIC"
         with pytest.raises(ConfigurationError, match="CUBIC"):
             ProfilingDatabase().load_state_dict(state)
+
+
+class TestDurableWrite:
+    def test_data_is_synced_before_the_rename_commits_it(
+        self, db, tmp_path, monkeypatch
+    ):
+        """fsync(file) -> rename -> fsync(directory), and nothing left over."""
+        path = tmp_path / "db.json"
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            mode = os.fstat(fd).st_mode
+            events.append("fsync dir" if stat.S_ISDIR(mode) else "fsync file")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append("rename")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        save_database(db, path)
+        assert events == ["fsync file", "rename", "fsync dir"]
+        assert [p.name for p in tmp_path.iterdir()] == ["db.json"]
+        assert load_database(path).state_dict() == db.state_dict()
 
 
 class TestPredictorPersistence:

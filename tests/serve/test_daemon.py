@@ -9,7 +9,7 @@ import pytest
 
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import AllocationDaemon
-from repro.serve.state import ServeConfig, ServeState
+from repro.serve.state import CHECKPOINT_NAME, ServeConfig, ServeState
 
 SMALL = ServeConfig(platforms=(("E5-2620", 2), ("i5-4460", 2)), n_racks=1)
 
@@ -102,8 +102,8 @@ class TestDispatch:
 
     def test_checkpoint_op_writes_files(self, served, client, tmp_path):
         result = client.checkpoint()
-        names = {p.name for p in (tmp_path / "ckpt").iterdir()}
-        assert "manifest.json" in names
+        names = [p.name for p in (tmp_path / "ckpt").iterdir()]
+        assert names == [CHECKPOINT_NAME]
         assert result["checkpoint_dir"].endswith("ckpt")
 
 
@@ -242,7 +242,7 @@ class TestShutdown:
             assert c.shutdown() == {"stopping": True}
         thread.join(timeout=30)
         assert not thread.is_alive()
-        assert (tmp_path / "ckpt" / "manifest.json").exists()
+        assert (tmp_path / "ckpt" / CHECKPOINT_NAME).exists()
         events = [
             json.loads(line)
             for line in (tmp_path / "audit.jsonl").read_text().splitlines()

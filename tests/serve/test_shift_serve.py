@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import AllocationDaemon
-from repro.serve.state import ServeConfig, ServeState
+from repro.serve.state import CHECKPOINT_NAME, ServeConfig, ServeState
 
 #: All-batch rack: every group runs a deferrable workload.
 BATCH = ServeConfig(
@@ -130,11 +130,7 @@ class TestCheckpointedPlans:
         host.step()
         host.plan()
         state.checkpoint()
-        want = {
-            p.name: p.read_bytes()
-            for p in ckpt.iterdir()
-            if p.name != "manifest.json"
-        }
+        want = (ckpt / CHECKPOINT_NAME).read_bytes()
         counts = host.shift.queue.counts()
         assert counts["pending"] >= 1  # the backlog must survive
 
@@ -142,12 +138,14 @@ class TestCheckpointedPlans:
         assert restored.restored
         again = restored.rack("rack0")
         assert again.shift.queue.counts() == counts
+        # The whole roll-up survives, its running totals included.
+        assert again.queue_status() == host.queue_status()
+        assert again.queue_status()["epochs"] == 2
         assert again.shift.state_dict() == host.shift.state_dict()
         # Replanning from restored state reproduces the old decision.
         assert again.plan() == host.plan()
         restored.checkpoint()
-        for name, blob in want.items():
-            assert (ckpt / name).read_bytes() == blob, name
+        assert (ckpt / CHECKPOINT_NAME).read_bytes() == want
 
     def test_checkpoints_without_shift_state_are_rejected(self, tmp_path):
         ckpt = tmp_path / "ckpt"
@@ -156,9 +154,9 @@ class TestCheckpointedPlans:
         state.checkpoint()
         # Strip the shift section, as a pre-shift daemon would have
         # written it; such (version-1) documents are no longer read.
-        doc_path = ckpt / "rack0.state.json"
+        doc_path = ckpt / CHECKPOINT_NAME
         document = json.loads(doc_path.read_text())
-        document.pop("shift")
+        document["racks"]["rack0"].pop("shift")
         doc_path.write_text(json.dumps(document, indent=2, sort_keys=True))
 
         with pytest.raises(ConfigurationError, match="components"):

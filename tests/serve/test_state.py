@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import REGISTRY, obs_enabled, set_enabled
-from repro.serve.state import MANIFEST_NAME, ServeConfig, ServeState
+from repro.serve.state import CHECKPOINT_NAME, ServeConfig, ServeState
 
 #: Small rack so fleet assembly (with training runs) stays fast.
 SMALL = ServeConfig(platforms=(("E5-2620", 2), ("i5-4460", 2)), n_racks=1)
@@ -174,10 +174,21 @@ class TestCheckpoint:
             state.checkpoint()
 
     def test_manifest_written_last_means_complete(self, tmp_path):
+        """The fleet checkpoint is one document; its rename commits it."""
         state = ServeState.build(SMALL, checkpoint_dir=tmp_path / "ckpt")
+        state.rack("rack0").step()
         directory = state.checkpoint()
-        names = {p.name for p in directory.iterdir()}
-        assert names == {MANIFEST_NAME, "rack0.database.json", "rack0.state.json"}
+        assert [p.name for p in directory.iterdir()] == [CHECKPOINT_NAME]
+        document = json.loads((directory / CHECKPOINT_NAME).read_text())
+        assert sorted(document) == [
+            "cluster_epochs", "config", "format_version", "racks",
+        ]
+        assert document["config"] == SMALL.to_dict()
+        assert document["racks"]["rack0"] == json.loads(
+            json.dumps(state.rack("rack0").sim.state_dict())
+        )
+        # The database entry is the document save_database writes.
+        assert document["racks"]["rack0"]["database"]["entries"]
 
     def test_restore_round_trip_is_bit_identical(self, tmp_path):
         ckpt = tmp_path / "ckpt"
@@ -219,7 +230,7 @@ class TestCheckpoint:
     def test_corrupt_manifest_rejected(self, tmp_path):
         ckpt = tmp_path / "ckpt"
         ckpt.mkdir()
-        (ckpt / MANIFEST_NAME).write_text("{nope")
+        (ckpt / CHECKPOINT_NAME).write_text("{nope")
         with pytest.raises(ConfigurationError):
             ServeState.build(SMALL, checkpoint_dir=ckpt)
 
@@ -227,9 +238,9 @@ class TestCheckpoint:
         ckpt = tmp_path / "ckpt"
         state = ServeState.build(SMALL, checkpoint_dir=ckpt)
         state.checkpoint()
-        manifest = json.loads((ckpt / MANIFEST_NAME).read_text())
-        manifest["format_version"] = 99
-        (ckpt / MANIFEST_NAME).write_text(json.dumps(manifest))
+        document = json.loads((ckpt / CHECKPOINT_NAME).read_text())
+        document["format_version"] = 99
+        (ckpt / CHECKPOINT_NAME).write_text(json.dumps(document))
         with pytest.raises(ConfigurationError, match="version"):
             ServeState.build(SMALL, checkpoint_dir=ckpt)
 
@@ -238,6 +249,26 @@ class TestCheckpoint:
         ServeState.build(SMALL, checkpoint_dir=ckpt).checkpoint()
         restored = ServeState.build(SMALL, checkpoint_dir=ckpt)
         assert restored.status()["restored"] is True
+
+    def test_old_layout_is_rejected_not_booted_cold(self, tmp_path):
+        """A directory of the retired per-rack layout must not boot cold:
+        that would silently discard the racks' learned state."""
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        (ckpt / "manifest.json").write_text(
+            json.dumps(
+                {
+                    "format_version": 2,
+                    "config": SMALL.to_dict(),
+                    "racks": ["rack0"],
+                    "cluster_epochs": 0,
+                }
+            )
+        )
+        (ckpt / "rack0.database.json").write_text("{}")
+        (ckpt / "rack0.state.json").write_text("{}")
+        with pytest.raises(ConfigurationError, match="per-rack checkpoint layout"):
+            ServeState.build(SMALL, checkpoint_dir=ckpt)
 
 
 def edit_json(path, edit):
@@ -269,11 +300,11 @@ class TestCheckpointBoundary:
             del manifest["config"]
             return manifest
 
-        edit_json(checkpointed / MANIFEST_NAME, drop_config)
+        edit_json(checkpointed / CHECKPOINT_NAME, drop_config)
         self.rejects(checkpointed, match="config")
 
     def test_manifest_that_is_a_list(self, checkpointed):
-        edit_json(checkpointed / MANIFEST_NAME, lambda manifest: [manifest])
+        edit_json(checkpointed / CHECKPOINT_NAME, lambda manifest: [manifest])
         self.rejects(checkpointed)
 
     def test_nan_shared_grid_in_manifest(self, checkpointed):
@@ -281,7 +312,7 @@ class TestCheckpointBoundary:
             manifest["config"]["shared_grid_w"] = float("nan")
             return manifest
 
-        edit_json(checkpointed / MANIFEST_NAME, nan_grid)
+        edit_json(checkpointed / CHECKPOINT_NAME, nan_grid)
         self.rejects(checkpointed, match="shared grid")
 
     def test_version_one_checkpoint(self, checkpointed):
@@ -289,15 +320,43 @@ class TestCheckpointBoundary:
             manifest["format_version"] = 1
             return manifest
 
-        edit_json(checkpointed / MANIFEST_NAME, version_one)
+        edit_json(checkpointed / CHECKPOINT_NAME, version_one)
         self.rejects(checkpointed, match="version 1")
 
-    def edit_rack_state(self, ckpt, edit):
-        def apply(state):
-            edit(state)
-            return state
+    @pytest.mark.parametrize(
+        "racks", [["rack0"], {}, {"rack0": {}, "rack1": {}}, "rack0", 3]
+    )
+    def test_racks_that_do_not_match_the_fleet(self, checkpointed, racks):
+        def set_racks(document):
+            document["racks"] = racks
+            return document
 
-        edit_json(ckpt / "rack0.state.json", apply)
+        edit_json(checkpointed / CHECKPOINT_NAME, set_racks)
+        self.rejects(checkpointed, match="racks")
+
+    @pytest.mark.parametrize("key", ["racks", "cluster_epochs"])
+    def test_document_without_key(self, checkpointed, key):
+        def drop(document):
+            del document[key]
+            return document
+
+        edit_json(checkpointed / CHECKPOINT_NAME, drop)
+        self.rejects(checkpointed, match="malformed fleet checkpoint")
+
+    def test_rack_state_that_is_not_an_object(self, checkpointed):
+        def replace_rack(document):
+            document["racks"]["rack0"] = [1, 2]
+            return document
+
+        edit_json(checkpointed / CHECKPOINT_NAME, replace_rack)
+        self.rejects(checkpointed, match="malformed simulation state")
+
+    def edit_rack_state(self, ckpt, edit):
+        def apply(document):
+            edit(document["racks"]["rack0"])
+            return document
+
+        edit_json(ckpt / CHECKPOINT_NAME, apply)
 
     def test_nan_battery_soc(self, checkpointed):
         self.edit_rack_state(
@@ -326,6 +385,14 @@ class TestCheckpointBoundary:
             lambda state: state[component].update(bit_generator="MT19937"),
         )
         self.rejects(checkpointed, match="PCG64")
+
+    @pytest.mark.parametrize(
+        "totals",
+        [{"epochs": -1}, {"grid_avoided_wh": float("nan")}, {"grid_avoided_wh": -1.0}],
+    )
+    def test_shift_totals_out_of_range(self, checkpointed, totals):
+        self.edit_rack_state(checkpointed, lambda state: state["shift"].update(totals))
+        self.rejects(checkpointed, match="shift totals")
 
     def test_missing_component(self, checkpointed):
         self.edit_rack_state(checkpointed, lambda state: state.pop("selector"))

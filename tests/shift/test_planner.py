@@ -351,6 +351,16 @@ class TestSerialization:
         with pytest.raises(ConfigurationError, match="malformed"):
             Placement.from_dict({"job_id": "x"})
 
+    def test_plan_without_start_now_quotes_rejected(self):
+        # Every writer emits the quotes the grid-avoided telemetry reads,
+        # so a plan document without them is malformed, not empty.
+        plan = ShiftPlanner(horizon=8).plan(queue_of(job()), make_inputs())
+        document = plan.to_dict()
+        assert document["start_now_grid_wh"]
+        del document["start_now_grid_wh"]
+        with pytest.raises(ConfigurationError, match="start_now_grid_wh"):
+            ShiftPlan.from_dict(document)
+
     def test_bad_inputs_rejected(self):
         with pytest.raises(ConfigurationError):
             make_inputs(renewable=())

@@ -9,6 +9,8 @@ from repro.core.policies import make_policy
 from repro.power.battery import BatteryBank
 from repro.shift.bench import (
     BENCH_BATTERY_COUNT,
+    BENCH_BATTERY_PENALTY_PER_KWH,
+    BENCH_GRID_PENALTY_PER_KWH,
     build_bench_rack,
     bench_jobs,
     run_shift_bench,
@@ -105,6 +107,84 @@ class TestExecution:
         assert clone.state_dict() == state
         assert clone.activated
         assert [j.job_id for j in clone.queue.jobs()] == ["a", "b"]
+        # The status totals survive the restore; the epoch log does not.
+        assert len(clone.log) == 0
+        assert clone.summary() == runtime.summary()
+        assert clone.summary()["epochs"] == 4
+
+
+class TestRunningTotals:
+    def test_summary_totals_equal_the_log(self):
+        runtime = ShiftRuntime(
+            planner=ShiftPlanner(horizon=8, grid_penalty_per_kwh=8.0)
+        )
+        sim = make_sim(shift=runtime)
+        runtime.submit(small_job(sim.clock, epochs=2))
+        sim.run()
+        summary = runtime.summary()
+        assert summary["epochs"] == len(runtime.log) == sim.clock.n_epochs
+        assert summary["grid_avoided_wh"] == sum(
+            r.grid_avoided_wh for r in runtime.log
+        )
+        assert summary["grid_avoided_wh"] > 0.0
+
+    def test_fresh_runtime_reports_float_zero(self):
+        summary = ShiftRuntime().summary()
+        assert summary["epochs"] == 0
+        assert summary["grid_avoided_wh"] == 0.0
+        assert isinstance(summary["grid_avoided_wh"], float)
+
+
+class TestBaselineQuotes:
+    """A job's run-immediately quote lives only while the job is pending."""
+
+    def quoted_ids_by_epoch(self, sim):
+        runtime = sim.shift
+        seen = []
+        while sim.epoch_index < sim.clock.n_epochs:
+            sim.step()
+            pending = {job.job_id for job in runtime.queue.pending()}
+            quoted = set(runtime._start_baseline_wh)
+            assert quoted <= pending, (sim.epoch_index, quoted, pending)
+            seen.append(quoted)
+        return seen
+
+    def test_shifted_day_keeps_only_pending_quotes(self):
+        runtime = ShiftRuntime(
+            planner=ShiftPlanner(
+                horizon=8,
+                grid_penalty_per_kwh=BENCH_GRID_PENALTY_PER_KWH,
+                battery_penalty_per_kwh=BENCH_BATTERY_PENALTY_PER_KWH,
+            )
+        )
+        sim = make_sim(shift=runtime, days=1.0)
+        for job in bench_jobs(sim.clock, runtime.batch_capacity_w(sim.controller), 4):
+            runtime.submit(job)
+        seen = self.quoted_ids_by_epoch(sim)
+        assert any(seen)  # some job waited for the sun with a quote held
+        assert runtime.queue.counts()[JobStatus.DONE] == 4
+        assert runtime._start_baseline_wh == {}
+
+    def test_missed_job_drops_its_quote(self):
+        runtime = ShiftRuntime()
+        sim = make_sim(shift=runtime, days=0.25)
+        # Only one of the two fits the batch groups, and neither can wait:
+        # one starts, the other is quoted, then misses its deadline.
+        power_w = 0.7 * runtime.batch_capacity_w(sim.controller)
+        for job_id in ("a", "b"):
+            runtime.submit(
+                ShiftJob(
+                    job_id=job_id,
+                    energy_wh=power_w * 2 * sim.clock.epoch_s / 3600.0,
+                    power_w=power_w,
+                    earliest_start_s=sim.clock.start_s,
+                    deadline_s=sim.clock.start_s + 2 * sim.clock.epoch_s,
+                )
+            )
+        seen = self.quoted_ids_by_epoch(sim)
+        assert seen[0]  # the waiting job was quoted
+        assert runtime.queue.counts()[JobStatus.MISSED] == 1
+        assert runtime._start_baseline_wh == {}
 
 
 class TestFaultReplanning:
@@ -138,8 +218,8 @@ class TestFaultReplanning:
         assert dark.log.deadline_misses == 0
         # The sunny run found renewable-covered epochs worth waiting for;
         # the dark run had nothing to chase and saved no grid energy.
-        assert sunny.log.total_grid_avoided_wh > 0.0
-        assert dark.log.total_grid_avoided_wh == pytest.approx(0.0)
+        assert sunny.grid_avoided_wh > 0.0
+        assert dark.grid_avoided_wh == pytest.approx(0.0)
 
 
 class TestBenchAcceptance:

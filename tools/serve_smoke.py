@@ -9,10 +9,11 @@ Exercises the full operational story as a real deployment would see it:
    costs one solve and its repeats hit the solver cache; then
    checkpoint, keep a copy of the checkpoint, and step ``rack0`` a few
    more epochs,
-3. stop it with SIGTERM and check the shutdown checkpoint exists,
+3. stop it with SIGTERM and check the shutdown checkpoint: one
+   document, with at least one learned database pair per rack,
 4. boot a second daemon from the same checkpoint directory and verify
    it restores — and that re-checkpointing the restored state writes
-   byte-identical state,
+   a byte-identical document,
 5. boot a third daemon from the copy and verify that stepping ``rack0``
    reproduces the first daemon's epochs after the copy, record for
    record.
@@ -32,7 +33,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from smoke_daemon import start_daemon, stop_daemon
+from smoke_daemon import saved_checkpoint, start_daemon, stop_daemon
 
 from repro.serve.client import ServeClient
 
@@ -106,16 +107,7 @@ def main() -> int:
     finally:
         stop_daemon(proc)
 
-    manifest = checkpoint / "manifest.json"
-    if not manifest.exists():
-        raise SystemExit("SIGTERM did not leave a checkpoint manifest")
-    saved = {
-        p.name: p.read_bytes()
-        for p in checkpoint.iterdir()
-        if p.name != "manifest.json"
-    }
-    if not any(name.endswith(".database.json") for name in saved):
-        raise SystemExit("checkpoint holds no rack databases")
+    saved = saved_checkpoint(checkpoint)
 
     # --- second life: restore, re-checkpoint, compare -----------------
     proc, port, suffix = boot(checkpoint, audit)
@@ -132,10 +124,8 @@ def main() -> int:
     finally:
         stop_daemon(proc)
 
-    for name, blob in saved.items():
-        now = (checkpoint / name).read_bytes()
-        if now != blob:
-            raise SystemExit(f"restored state re-checkpointed differently: {name}")
+    if saved_checkpoint(checkpoint) != saved:
+        raise SystemExit("restored state re-checkpointed differently")
 
     # --- third life: resume from the mid-life copy, step, compare ------
     proc, port, suffix = boot(resume, audit)

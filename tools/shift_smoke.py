@@ -10,9 +10,10 @@ Two halves, mirroring how the subsystem ships:
 2. **Serving**: boot ``repro serve`` with a deferrable (batch) workload
    and a checkpoint directory, submit jobs over the wire, plan, execute
    epochs, SIGTERM; then boot a second daemon from the checkpoint and
-   verify (a) the restored planner reproduces the pre-restart plan
+   verify (a) the restored rack reports the same queue status (running
+   totals included) and reproduces the pre-restart plan
    decision-for-decision, and (b) re-checkpointing the restored state —
-   queue still non-empty — writes byte-identical state documents.
+   queue still non-empty — writes a byte-identical checkpoint document.
 
 Exit status is non-zero on any failure.  Usage:
 
@@ -28,7 +29,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from smoke_daemon import ENV, ROOT, start_daemon, stop_daemon
+from smoke_daemon import ENV, ROOT, saved_checkpoint, start_daemon, stop_daemon
 
 
 def run_bench(out: str, days: float, seed: int) -> None:
@@ -104,14 +105,7 @@ def run_serve_cycle() -> None:
     finally:
         stop_daemon(proc)
 
-    manifest = checkpoint / "manifest.json"
-    if not manifest.exists():
-        raise SystemExit("SIGTERM did not leave a checkpoint manifest")
-    saved = {
-        p.name: p.read_bytes()
-        for p in checkpoint.iterdir()
-        if p.name != "manifest.json"
-    }
+    saved = saved_checkpoint(checkpoint)
 
     # --- second life: restore, re-plan, re-checkpoint, compare --------
     proc, port, suffix = boot(checkpoint)
@@ -120,10 +114,10 @@ def run_serve_cycle() -> None:
             raise SystemExit("second boot did not restore the checkpoint")
         with ServeClient(port=port) as client:
             queue_after = client.queue_status(rack)
-            if queue_after["jobs"] != queue_before["jobs"]:
+            if queue_after != queue_before:
                 raise SystemExit(
-                    f"restore changed the queue: {queue_before['jobs']} "
-                    f"-> {queue_after['jobs']}"
+                    f"restore changed the queue status: {queue_before} "
+                    f"-> {queue_after}"
                 )
             plan_after = client.plan(rack)
             if plan_after != plan_before:
@@ -132,11 +126,12 @@ def run_serve_cycle() -> None:
     finally:
         stop_daemon(proc)
 
-    for name, blob in saved.items():
-        now = (checkpoint / name).read_bytes()
-        if now != blob:
-            raise SystemExit(f"restored state re-checkpointed differently: {name}")
-    print("serve: plan deterministic across restore, checkpoint byte-identical")
+    if saved_checkpoint(checkpoint) != saved:
+        raise SystemExit("restored state re-checkpointed differently")
+    print(
+        "serve: queue status and plan unchanged across restore, "
+        "checkpoint byte-identical"
+    )
 
 
 def main() -> int:

@@ -3,13 +3,16 @@
 ``serve_smoke.py``, ``shift_smoke.py`` and ``obs_smoke.py`` each boot
 the daemon as a subprocess, talk to it over the wire, and stop it with
 SIGTERM.  They import :func:`start_daemon` and :func:`stop_daemon` from
-here and pass only their own ``repro serve`` flags.  Importing this
-module also puts the repository's ``src/`` on ``sys.path``, so the
-tools resolve ``repro`` whether or not it is installed.
+here and pass only their own ``repro serve`` flags; the two that restore
+read the checkpoint the SIGTERM left through :func:`saved_checkpoint`.
+Importing this module also puts the repository's ``src/`` on
+``sys.path``, so the tools resolve ``repro`` whether or not it is
+installed.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import select
@@ -92,3 +95,24 @@ def stop_daemon(proc: subprocess.Popen) -> None:
     assert proc.stdout is not None
     for line in proc.stdout:
         print(f"[daemon] {line.rstrip()}")
+
+
+def saved_checkpoint(directory: Path) -> bytes:
+    """The fleet checkpoint document in ``directory``, as written.
+
+    Fails unless the directory holds exactly that one document and every
+    rack in it has learned at least one database pair.
+    """
+    from repro.serve.state import CHECKPOINT_NAME
+
+    names = sorted(p.name for p in directory.iterdir())
+    if names != [CHECKPOINT_NAME]:
+        raise SystemExit(f"checkpoint directory holds {names}")
+    blob = (directory / CHECKPOINT_NAME).read_bytes()
+    racks = json.loads(blob)["racks"]
+    unlearned = [
+        name for name, rack in racks.items() if not rack["database"]["entries"]
+    ]
+    if not racks or unlearned:
+        raise SystemExit(f"checkpoint racks without a database pair: {unlearned}")
+    return blob
