@@ -198,15 +198,6 @@ class GreenHeteroController:
         )
 
     # ------------------------------------------------------------------
-    # Priming
-    # ------------------------------------------------------------------
-    def prime_predictors(
-        self, renewable_history: list[float], demand_history: list[float]
-    ) -> None:
-        """Train the Holt constants on past records (Eq. 5)."""
-        self.scheduler.pretrain_predictors(renewable_history, demand_history)
-
-    # ------------------------------------------------------------------
     # Training run (Algorithm 1, lines 4-5)
     # ------------------------------------------------------------------
     def _training_run(self, group_index: int, time_s: float) -> None:

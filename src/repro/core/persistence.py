@@ -14,8 +14,9 @@ reboot pays the training-run cost again for every pair.
 :func:`save_database` / :func:`load_database` write and read the same
 document a serve checkpoint holds under each rack's ``database`` key.
 
-The format is deliberately plain JSON: operators can inspect and diff
-the learned projections, and foreign tools can consume them.
+The format is deliberately plain JSON, written compact with sorted
+keys: operators can inspect and diff the learned projections (``python
+-m json.tool`` re-indents a file), and foreign tools can consume them.
 """
 
 from __future__ import annotations
@@ -38,13 +39,15 @@ def write_document(path: str | Path, state: dict[str, Any]) -> None:
     The document goes to a temp file that is fsynced and renamed over
     ``path``; the directory is fsynced last.  The rename is the commit
     point: a crash before it leaves the previous document, and the data
-    reaches the disk before the name does.
+    reaches the disk before the name does.  The JSON is compact (no
+    indentation, no spaces after separators): in a fleet checkpoint
+    indentation would be over 40% of the bytes written and fsynced.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     document = {"format_version": FORMAT_VERSION, **state}
     with open(tmp, "w") as f:
-        f.write(json.dumps(document, indent=2, sort_keys=True))
+        f.write(json.dumps(document, sort_keys=True, separators=(",", ":")))
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
@@ -80,7 +83,7 @@ def read_document(path: str | Path, what: str) -> dict[str, Any]:
 
 
 def save_database(db: ProfilingDatabase, path: str | Path) -> None:
-    """Write ``db`` as pretty-printed JSON at ``path``."""
+    """Write ``db`` as a JSON document at ``path``."""
     write_document(path, db.state_dict())
 
 

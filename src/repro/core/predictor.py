@@ -25,15 +25,16 @@ this), so it stays even though it is the one reason a served rack loads
 
 The search is a pure function of the history and the grid, so its answer
 is memoized process-wide (:data:`FIT_MEMO_SIZE` entries) on the history's
-exact float64 bytes: the policies of one experiment config pretrain on
-identical histories, and the experiment runner fits each config's
-histories once and seeds its workers' memos (DESIGN.md §15).
+exact float64 bytes.  The experiment runner already fits each config's
+pair once and hands it to every policy (DESIGN.md §15); the memo serves
+the same history fitted again in one process: repeated sweeps, benchmark
+laps, and the racks of a served fleet, which share one demand history.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -336,30 +337,6 @@ class HoltPredictor:
         )
         alpha, beta = (result.x if result.fun <= best_sse else best)
         return float(alpha), float(beta)
-
-
-def fit_memo_entries(
-    histories: Iterable[Sequence[float]],
-) -> dict[tuple, tuple[float, float]]:
-    """Fit-memo entries for ``histories``, searching any not yet memoized.
-
-    These are the entries :meth:`HoltPredictor.fit` reads at its default
-    :data:`GRID_STEPS`; building them is not counted as a fit.  The
-    experiment runner hands them to :func:`seed_fit_memo` in each
-    worker, so no worker searches.
-    """
-    entries = {}
-    for history in histories:
-        data = HoltPredictor._training_data(history)
-        key = HoltPredictor._memo_key(data, GRID_STEPS)
-        entries[key] = HoltPredictor._constants(data, GRID_STEPS)
-    return entries
-
-
-def seed_fit_memo(entries: dict[tuple, tuple[float, float]]) -> None:
-    """Install :func:`fit_memo_entries` output into this process's memo."""
-    for key, constants in entries.items():
-        _remember(key, constants)
 
 
 class PersistencePredictor:

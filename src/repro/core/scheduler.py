@@ -68,15 +68,6 @@ class AdaptiveScheduler:
     # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------
-    def pretrain_predictors(
-        self,
-        renewable_history: Sequence[float],
-        demand_history: Sequence[float],
-    ) -> None:
-        """Train alpha/beta on past records (Eq. 5) and prime the state."""
-        self.renewable_predictor = HoltPredictor.fit(renewable_history)
-        self.demand_predictor = HoltPredictor.fit(demand_history)
-
     def observe(self, renewable_w: float, demand_w: float) -> None:
         """Absorb this epoch's metered renewable output and rack demand."""
         self.renewable_predictor.observe(renewable_w)
@@ -92,14 +83,15 @@ class AdaptiveScheduler:
         Raises
         ------
         ConfigurationError
-            Before the first observation; prime with
-            :meth:`pretrain_predictors` or :meth:`observe` first.
+            Before the first observation: pass predictors fitted with
+            :meth:`HoltPredictor.fit <repro.core.predictor.HoltPredictor.fit>`,
+            or call :meth:`observe` first.
         """
         with trace("scheduler.forecast"):
             if not self.renewable_predictor.ready or not self.demand_predictor.ready:
                 raise ConfigurationError(
-                    "predictors have no history; call observe() or "
-                    "pretrain_predictors() first"
+                    "predictors have no history; pass fitted predictors "
+                    "(HoltPredictor.fit) or call observe() first"
                 )
             demand_hat = (
                 demand_w if demand_w is not None else self.demand_predictor.predict()

@@ -85,11 +85,6 @@ class PDU:
         self.battery = battery
         self.grid = grid
 
-    @property
-    def solar(self):
-        """Backwards-compatible alias for the renewable feed."""
-        return self.renewable
-
     def available_w(self, time_s: float, duration_s: float) -> float:
         """Upper bound on rack power deliverable now (planning aid)."""
         return (

@@ -19,6 +19,7 @@ The engine is where the paper's experimental methodology is encoded:
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -29,6 +30,7 @@ from repro.core.controller import (
 from repro.core.database import FitKind, ProfilingDatabase
 from repro.core.monitor import Monitor
 from repro.core.policies import Policy
+from repro.core.predictor import HoltPredictor
 from repro.core.scheduler import AdaptiveScheduler
 from repro.errors import ConfigurationError
 from repro.obs.tracing import trace
@@ -114,6 +116,7 @@ class Simulation:
         supply_fractions: tuple[float, ...] | None = None,
         budget_reference_w: float | None = None,
         strict: bool = False,
+        predictors: tuple[HoltPredictor, HoltPredictor] | None = None,
     ) -> "Simulation":
         """Assemble the paper's standard experimental stack.
 
@@ -161,6 +164,10 @@ class Simulation:
             Raise :class:`~repro.errors.InvariantViolation` at the first
             epoch whose physics accounting fails an invariant audit
             (otherwise violations only count; see :mod:`repro.verify`).
+        predictors:
+            The (renewable, demand) pair :meth:`pretrained_predictors`
+            returns for this rack, clock and trace; the stack runs on
+            copies of it.  Built here when omitted.
         """
         if solar_scale <= 0:
             raise ConfigurationError("solar scale must be positive")
@@ -207,7 +214,16 @@ class Simulation:
             grid = GridSource(budget_w=budget)
         pdu = PDU(solar, battery, grid)
         monitor = Monitor(seed=seed + 1)
-        scheduler = AdaptiveScheduler(policy, database=ProfilingDatabase(fit_kind=fit_kind))
+        if predictors is None:
+            predictors = cls.pretrained_predictors(
+                rack, clock, trace, solar_scale, diurnal_load
+            )
+        renewable_predictor, demand_predictor = map(copy.copy, predictors)
+        scheduler = AdaptiveScheduler(
+            policy, database=ProfilingDatabase(fit_kind=fit_kind),
+            renewable_predictor=renewable_predictor,
+            demand_predictor=demand_predictor,
+        )
         controller = GreenHeteroController(
             rack=rack, pdu=pdu, policy=policy, monitor=monitor,
             scheduler=scheduler, epoch_s=clock.epoch_s,
@@ -222,7 +238,7 @@ class Simulation:
             )
             rack_budgets_w = tuple(f * reference_w for f in supply_fractions)
 
-        sim = cls(
+        return cls(
             controller=controller,
             clock=clock,
             load_generator=generator,
@@ -231,10 +247,6 @@ class Simulation:
             strict=strict,
             rack_budgets_w=rack_budgets_w,
         )
-        controller.prime_predictors(
-            *cls.pretraining_histories(rack, clock, trace, solar_scale, diurnal_load)
-        )
-        return sim
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -255,20 +267,22 @@ class Simulation:
         return SolarFarm.sized_for(trace, peak_power_w=solar_scale * rack.max_draw_w)
 
     @classmethod
-    def pretraining_histories(
+    def pretrained_predictors(
         cls,
         rack: Rack,
         clock: SimClock,
         trace: IrradianceTrace,
         solar_scale: float,
         diurnal_load: bool,
-    ) -> tuple[list[float], list[float]]:
-        """The renewable and demand records the Holt predictors train on
-        ("the past renewable power generation records", Section IV-B.1).
+    ) -> tuple[HoltPredictor, HoltPredictor]:
+        """The (renewable, demand) Holt predictors, fitted (Eq. 5) on the
+        records before the clock's window ("the past renewable power
+        generation records", Section IV-B.1).
 
-        One day of epochs (at least 8) preceding the clock's window.
-        Shared by :meth:`assemble` and the experiment runner, which fits
-        each config's histories once before fanning its policies out.
+        The records are one day of epochs (at least 8).  They depend on
+        the config and not on the policy, so the experiment runner calls
+        this once per config and hands the pair to every policy's
+        :meth:`assemble`.
         """
         history_times = clock.history_times(
             n_epochs=max(8, int(86400.0 // clock.epoch_s))
@@ -280,7 +294,7 @@ class Simulation:
             demand_history = [rack.demand_at_load(pattern(t)) for t in history_times]
         else:
             demand_history = [rack.demand_at_load(1.0) for _ in history_times]
-        return renewable_history, demand_history
+        return HoltPredictor.fit(renewable_history), HoltPredictor.fit(demand_history)
 
     # ------------------------------------------------------------------
     @staticmethod

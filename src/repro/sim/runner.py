@@ -15,13 +15,11 @@ Three engine-level optimisations ride along (DESIGN.md §15):
   :meth:`Simulation.default_trace`) and shared across that config's
   policies instead of being re-synthesized inside every
   :meth:`Simulation.assemble`;
-* the Holt constants are searched **once per config**: every policy
-  pretrains on the same histories, and :meth:`HoltPredictor.fit
-  <repro.core.predictor.HoltPredictor.fit>` memoizes its search on the
-  exact history.  On the pool path the parent fits each config's
-  :meth:`Simulation.pretraining_histories` before fan-out and seeds
-  every worker's memo through the pool initializer, so no worker runs
-  a search (or loads scipy for one);
+* the Holt predictors are pretrained **once per config**, in the
+  parent: :meth:`Simulation.pretrained_predictors` fits each config's
+  pair next to its trace, and the pair travels with every task, so no
+  worker builds a pretraining history or runs a fit (or loads scipy
+  for one);
 * each policy's :class:`~repro.core.solver.PARSolver` memoizes repeated
   programs (keyed on the exact program, up to the solver's
   ``CACHE_SIZE`` entries), which the cyclic budgets of a
@@ -37,7 +35,7 @@ import os
 from typing import Sequence
 
 from repro.core.policies import make_policy
-from repro.core.predictor import fit_memo_entries, seed_fit_memo
+from repro.core.predictor import HoltPredictor
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulation
 from repro.sim.experiment import ExperimentConfig, ExperimentResult
@@ -47,7 +45,10 @@ from repro.traces.nrel import IrradianceTrace
 
 
 def _run_policy(
-    config: ExperimentConfig, policy_name: str, trace: IrradianceTrace
+    config: ExperimentConfig,
+    policy_name: str,
+    trace: IrradianceTrace,
+    predictors: tuple[HoltPredictor, HoltPredictor],
 ) -> TelemetryLog:
     """One unit of work: assemble and run a single policy's stack.
 
@@ -68,6 +69,7 @@ def _run_policy(
         supply_fractions=config.supply_fractions,
         budget_reference_w=config.budget_reference_w,
         strict=config.strict,
+        predictors=predictors,
     )
     if config.faults:
         # Fresh injector per policy run: the injector captures each
@@ -104,36 +106,28 @@ def run_experiments(
         return []
     tasks = [(i, name) for i, config in enumerate(configs) for name in config.policies]
     jobs = _resolve_jobs(jobs, len(tasks))
-    # One trace per config, shared by all of its policies.
-    traces = [
-        Simulation.default_trace(config.build_clock(), config.weather, config.seed)
-        for config in configs
-    ]
+    # One trace and one pretrained predictor pair per config, shared by
+    # all of its policies on either path.
+    primed = []
+    for config in configs:
+        clock = config.build_clock()
+        trace = Simulation.default_trace(clock, config.weather, config.seed)
+        predictors = Simulation.pretrained_predictors(
+            config.build_rack(), clock, trace, config.solar_scale, config.diurnal_load
+        )
+        primed.append((trace, predictors))
 
     results = [ExperimentResult(config=config) for config in configs]
     if jobs == 1:
         for i, name in tasks:
-            results[i].logs[name] = _run_policy(configs[i], name, traces[i])
+            results[i].logs[name] = _run_policy(configs[i], name, *primed[i])
         return results
-
-    # Fit every config's pretraining histories here, once, and hand the
-    # constants to each worker as it starts: the workers' fits all hit.
-    fits = fit_memo_entries(
-        history
-        for config, trace in zip(configs, traces)
-        for history in Simulation.pretraining_histories(
-            config.build_rack(), config.build_clock(), trace,
-            config.solar_scale, config.diurnal_load,
-        )
-    )
 
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=seed_fit_memo, initargs=(fits,)
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [
-            pool.submit(_run_policy, configs[i], name, traces[i]) for i, name in tasks
+            pool.submit(_run_policy, configs[i], name, *primed[i]) for i, name in tasks
         ]
         # Collect in submission order so each result's policy-log dict
         # is ordered exactly as the serial path builds it.

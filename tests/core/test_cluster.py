@@ -6,6 +6,7 @@ from repro.core.cluster import ClusterCoordinator, GridSplit
 from repro.core.controller import GreenHeteroController
 from repro.core.monitor import Monitor
 from repro.core.policies import make_policy
+from repro.core.predictor import HoltPredictor
 from repro.errors import ConfigurationError, PowerError
 from repro.power.battery import BatteryBank
 from repro.power.grid import GridSource
@@ -128,7 +129,9 @@ class TestEpochExecution:
         a = make_sim(seed=1, solar_peak=50000.0)
         b = make_sim(seed=2, solar_peak=50000.0)
         for sim in (a, b):
-            sim.controller.prime_predictors([9000.0] * 8, [700.0] * 8)
+            scheduler = sim.controller.scheduler
+            scheduler.renewable_predictor = HoltPredictor.fit([9000.0] * 8)
+            scheduler.demand_predictor = HoltPredictor.fit([700.0] * 8)
         cluster = ClusterCoordinator([a, b], 1000.0, split=GridSplit.SHORTFALL)
         assert cluster.grid_shares_w(NOON) == [500.0, 500.0]
 

@@ -6,6 +6,7 @@ import pytest
 from repro.core.controller import EpochDirectives, GreenHeteroController, N_SUBSTEPS
 from repro.core.monitor import Monitor
 from repro.core.policies import make_policy
+from repro.core.predictor import HoltPredictor
 from repro.core.solver import PARSolver
 from repro.core.sources import PowerCase
 from repro.errors import ConfigurationError
@@ -311,7 +312,8 @@ class TestPredictorFeedback:
         ctl = GreenHeteroController(
             rack=rack, pdu=pdu, policy=make_policy("Uniform"), monitor=monitor
         )
-        ctl.prime_predictors([self.PV_W] * 96, [1000.0] * 96)
+        ctl.scheduler.renewable_predictor = HoltPredictor.fit([self.PV_W] * 96)
+        ctl.scheduler.demand_predictor = HoltPredictor.fit([1000.0] * 96)
         return ctl, np.random.default_rng(seed)
 
     def expected_readings(self, rng, n):

@@ -68,9 +68,18 @@ class TestRoundTrip:
         save_database(db, path)
         restored = load_database(path)
         assert restored.keys() == db.keys()
-        # Document is human-readable JSON.
+        # Document is plain JSON.
         doc = json.loads(path.read_text())
         assert doc["format_version"] == FORMAT_VERSION
+
+    def test_file_is_compact(self, db, tmp_path):
+        path = tmp_path / "profiles.json"
+        save_database(db, path)
+        text = path.read_text()
+        # One line, no indentation, no space after a separator.
+        assert "\n" not in text
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+        assert load_database(path).state_dict() == db.state_dict()
 
     def test_restored_db_keeps_learning(self, db):
         restored = reloaded(db)

@@ -6,7 +6,7 @@ import pytest
 from repro import ExperimentConfig
 from repro.core.policies import make_policy
 from repro.core import predictor
-from repro.core.predictor import HoltPredictor, fit_memo_entries, seed_fit_memo
+from repro.core.predictor import HoltPredictor
 from repro.errors import ConfigurationError
 from repro.obs.metrics import REGISTRY, obs_enabled, set_enabled
 from repro.sim.engine import Simulation
@@ -220,12 +220,23 @@ class TestStateDict:
 
 
 def _pretraining_histories(config):
+    """The (renewable, demand) histories ``pretrained_predictors`` fits,
+    captured without fitting them."""
+    histories = []
+
+    def capture(cls, history, *args, **kwargs):
+        histories.append(list(history))
+        return cls()
+
     clock = config.build_clock()
-    return Simulation.pretraining_histories(
-        config.build_rack(), clock,
-        Simulation.default_trace(clock, config.weather, config.seed),
-        config.solar_scale, config.diurnal_load,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(HoltPredictor, "fit", classmethod(capture))
+        Simulation.pretrained_predictors(
+            config.build_rack(), clock,
+            Simulation.default_trace(clock, config.weather, config.seed),
+            config.solar_scale, config.diurnal_load,
+        )
+    return histories
 
 
 #: The Fig. 8 reference rack at seed 2021 and the four constrained-supply
@@ -329,17 +340,3 @@ class TestFitMemo:
         HoltPredictor.fit(histories[0])
         assert len(searches) == 7
         assert len(predictor._FIT_MEMO) == 4
-
-    def test_seeded_entries_are_hits(self, searches, monkeypatch):
-        histories = _pretraining_histories(MEMO_CONFIGS[1])
-        fits = REGISTRY.get("repro_predictor_fits_total")
-        fits0 = fits.value
-        entries = fit_memo_entries(histories)
-        assert len(entries) == 2 and len(searches) == 2
-        assert fits.value == fits0  # priming is not a fit
-        cold = [HoltPredictor.fit(h).state_dict() for h in histories]
-        # A fresh process: an empty memo that only the seed fills.
-        monkeypatch.setattr(predictor, "_FIT_MEMO", {})
-        seed_fit_memo(entries)
-        assert [HoltPredictor.fit(h).state_dict() for h in histories] == cold
-        assert len(searches) == 2

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.database import ProfilingDatabase
 from repro.core.policies import GroupInfo, UniformPolicy, make_policy
+from repro.core.predictor import HoltPredictor
 from repro.core.scheduler import AdaptiveScheduler
 from repro.core.sources import PowerCase
 from repro.errors import ConfigurationError
@@ -35,9 +36,12 @@ class TestPrediction:
         assert demand == pytest.approx(1000.0)
 
     def test_pretrain_fits_constants(self):
-        s = make_scheduler()
         ramp = [float(i * 10) for i in range(40)]
-        s.pretrain_predictors(ramp, [1000.0] * 40)
+        s = AdaptiveScheduler(
+            make_policy("GreenHetero"),
+            renewable_predictor=HoltPredictor.fit(ramp),
+            demand_predictor=HoltPredictor.fit([1000.0] * 40),
+        )
         renewable, demand = s.forecast()
         assert renewable == pytest.approx(400.0, abs=20.0)
         assert demand == pytest.approx(1000.0, abs=10.0)

@@ -25,7 +25,7 @@ def make_pdu(solar_peak_w=1500.0, grid_budget_w=1000.0, soc=1.0, seed=5):
 class TestPriorityChain:
     def test_renewable_first(self):
         pdu = make_pdu()
-        renewable = pdu.solar.power_at(NOON)
+        renewable = pdu.renewable.power_at(NOON)
         assert renewable > 500.0
         flows = pdu.supply(load_w=400.0, time_s=NOON, duration_s=900.0)
         assert flows.breakdown.renewable_to_load_w == pytest.approx(400.0)
@@ -129,7 +129,7 @@ class TestAccounting:
     def test_available_upper_bound(self):
         pdu = make_pdu()
         avail = pdu.available_w(NOON, 900.0)
-        assert avail >= pdu.solar.power_at(NOON) + 1000.0
+        assert avail >= pdu.renewable.power_at(NOON) + 1000.0
 
     def test_negative_load_rejected(self):
         with pytest.raises(PowerError):

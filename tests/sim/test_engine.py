@@ -9,6 +9,7 @@ from repro.errors import ConfigurationError
 from repro.servers.rack import Rack
 from repro.sim.clock import SimClock
 from repro.sim.engine import Simulation
+from repro.sim.experiment import ExperimentConfig
 from repro.traces.nrel import Weather
 from repro.shift.queue import ShiftJob
 from repro.shift.runtime import ShiftRuntime
@@ -33,7 +34,7 @@ class TestAssembly:
 
     def test_solar_sized_to_rack(self):
         sim = assemble(solar_scale=1.5)
-        assert sim.controller.pdu.solar.rated_peak_w == pytest.approx(
+        assert sim.controller.pdu.renewable.rated_peak_w == pytest.approx(
             1.5 * sim.controller.rack.max_draw_w
         )
 
@@ -80,6 +81,32 @@ class TestAssembly:
     def test_bad_budget_reference_rejected(self, bad):
         with pytest.raises(ConfigurationError, match="finite"):
             assemble(supply_fractions=(0.5,), budget_reference_w=bad)
+
+
+class TestPretrainedPredictors:
+    def test_given_pair_runs_like_assembled_pair(self):
+        # The experiment runner's path (one pair per config, handed to
+        # every policy) against assemble's own, on the Fig. 8 day.
+        config = ExperimentConfig.fig8_default(seed=2021)
+        clock = config.build_clock()
+        trace = Simulation.default_trace(clock, config.weather, config.seed)
+        pair = Simulation.pretrained_predictors(
+            config.build_rack(), clock, trace, config.solar_scale, config.diurnal_load
+        )
+        before = [p.state_dict() for p in pair]
+
+        def run(**kwargs):
+            return list(Simulation.assemble(
+                policy=make_policy("GreenHetero"), rack=config.build_rack(),
+                clock=config.build_clock(), solar_scale=config.solar_scale,
+                seed=config.seed, trace=trace, **kwargs,
+            ).run())
+
+        given = run(predictors=pair)
+        assert len(given) == clock.n_epochs
+        assert given == run()
+        # The stack observed copies; the shared pair is left as fitted.
+        assert [p.state_dict() for p in pair] == before
 
 
 class TestExecution:

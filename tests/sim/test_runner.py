@@ -1,13 +1,12 @@
 """Parallel experiment runner: fan-out semantics and bit-identity."""
 
 import multiprocessing
+import os
 
 import pytest
 
-from repro.core import predictor
 from repro.core.predictor import HoltPredictor
 from repro.errors import ConfigurationError
-from repro.sim import runner
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.runner import run_experiment, run_experiments
 
@@ -74,7 +73,7 @@ class TestBatch:
     reason="patches reach the workers only through fork",
 )
 class TestFitsOncePerConfig:
-    """The pool path fits in the parent; its workers never search."""
+    """Each config's predictors are fitted in the parent; workers never fit."""
 
     CONFIGS = [
         ExperimentConfig(days=0.1, policies=("Uniform", "GreenHetero"), seed=11),
@@ -84,28 +83,23 @@ class TestFitsOncePerConfig:
     ]
 
     def test_workers_run_no_holt_search(self, monkeypatch):
-        serial = run_experiments(self.CONFIGS, jobs=1)
-        prime = runner.fit_memo_entries
-        primed = []
+        fit = HoltPredictor.fit.__func__
+        primed = 2 * len(self.CONFIGS)  # a renewable and a demand fit each
+        logs = {}
+        for jobs in (1, 2):
+            fitted_in = []
 
-        def prime_then_forbid(histories):
-            entries = prime(histories)
-            primed.append(len(entries))
-            # What the workers fork from: an empty memo and no search,
-            # so every worker fit must come from the seeded entries.
-            monkeypatch.setattr(predictor, "_FIT_MEMO", {})
+            def fit_then_forbid(cls, history, *args, **kwargs):
+                # Every fit past the parent's priming raises, in the
+                # parent or in a worker forked after it.
+                if len(fitted_in) == primed:
+                    raise AssertionError("a fit ran after priming")
+                fitted_in.append(os.getpid())
+                return fit(cls, history, *args, **kwargs)
 
-            def forbidden(cls, data, grid_steps):
-                raise AssertionError("a worker ran a Holt search")
-
-            monkeypatch.setattr(HoltPredictor, "_fit_impl", classmethod(forbidden))
-            return entries
-
-        monkeypatch.setattr(runner, "fit_memo_entries", prime_then_forbid)
-        parallel = run_experiments(self.CONFIGS, jobs=2)
-        # A renewable history per config; the two racks are the same
-        # servers running SPECjbb, so they share one demand history.
-        assert primed == [3]
-        for config, a, b in zip(self.CONFIGS, serial, parallel):
+            monkeypatch.setattr(HoltPredictor, "fit", classmethod(fit_then_forbid))
+            logs[jobs] = run_experiments(self.CONFIGS, jobs=jobs)
+            assert fitted_in == [os.getpid()] * primed
+        for config, a, b in zip(self.CONFIGS, logs[1], logs[2]):
             for name in config.policies:
                 assert list(a.log(name)) == list(b.log(name))
