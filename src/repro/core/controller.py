@@ -10,9 +10,9 @@ executes one 15-minute scheduling epoch:
    database has never seen (Algorithm 1, lines 3-5);
 3. forecast next-epoch supply/demand and select power sources
    (Cases A/B/C);
-4. obtain the PAR vector from the active policy and enforce it — group
-   shares split evenly per server, each server's budget mapped to a DVFS
-   state (SPC);
+4. obtain the PAR vector from the active policy and enforce it — each
+   group's share split evenly over its powered servers and mapped to one
+   DVFS state for the group (SPC);
 5. execute the epoch in 2.5-minute sub-steps, metering (power, perf)
    samples, flowing energy through the PDU, and accounting EPU;
 6. feed execution samples back into the database and re-fit when the
@@ -165,7 +165,6 @@ class GreenHeteroController:
         self.scheduler = scheduler or AdaptiveScheduler(policy)
         self.enforcer = Enforcer(pdu)
         self.epoch_s = epoch_s
-        self.servers = rack.build_servers()
         self.groups = tuple(
             GroupInfo(name=g.spec.name, count=g.count, key=g.key) for g in rack.groups
         )
@@ -191,7 +190,6 @@ class GreenHeteroController:
         self.rack = Rack(
             [(g.spec.name, g.count) for g in self.rack.groups], workload
         )
-        self.servers = self.rack.build_servers()
         self.groups = tuple(
             GroupInfo(name=g.spec.name, count=g.count, key=g.key)
             for g in self.rack.groups
@@ -308,12 +306,12 @@ class GreenHeteroController:
                 b / budget_w if budget_w > 0 else 0.0 for b in group_budgets
             )
         enforced = self.enforcer.spc.apply(
-            self.servers, group_budgets, plan.powered_counts
+            self.rack, group_budgets, plan.powered_counts
         )
 
         record = self._execute_substeps(
             time_s, load_fraction, decision, budget_w, ratios, group_budgets,
-            enforced.state_indices, trained, plan.powered_counts,
+            enforced.states, trained, plan.powered_counts,
             plan.projected_perf, directives.grid_budget_w, renewable_w,
         )
 
@@ -370,27 +368,12 @@ class GreenHeteroController:
                 samples[g] = curves[g].serve(states[g], caps[g] * frac)
         return samples
 
-    def _states_for_budgets(self, group_budgets_w: tuple[float, ...]) -> list:
-        """The power state the SPC would enforce on each group's servers."""
-        return [
-            self.rack.curve(i).state_for_budget(budget / group.count)
-            for i, (group, budget) in enumerate(zip(self.rack.groups, group_budgets_w))
-        ]
-
     def _rack_throughput(self, states, load_fraction: float) -> float:
         """Noise-free aggregate rack throughput with every server at ``states``."""
         samples = self._samples_for_states(states, load_fraction)
         return sum(
             group.count * sample.throughput
             for group, sample in zip(self.rack.groups, samples)
-        )
-
-    def _measure_rack(
-        self, group_budgets_w: tuple[float, ...], load_fraction: float
-    ) -> float:
-        """Aggregate rack throughput if ``group_budgets_w`` were enforced."""
-        return self._rack_throughput(
-            self._states_for_budgets(group_budgets_w), load_fraction
         )
 
     def _make_oracle(self, budget_w: float, load_fraction: float):
@@ -435,21 +418,21 @@ class GreenHeteroController:
         budget_w: float,
         ratios: tuple[float, ...],
         group_budgets: tuple[float, ...],
-        state_indices: tuple[int, ...],
+        states: tuple[PowerState, ...],
         trained: tuple[tuple[str, str], ...],
-        powered_counts: tuple[int, ...] | None = None,
-        projected_perf: float | None = None,
-        grid_budget_w: float | None = None,
-        renewable_now_w: float | None = None,
+        powered_counts: tuple[int, ...] | None,
+        projected_perf: float | None,
+        grid_budget_w: float | None,
+        renewable_now_w: float,
     ) -> EpochRecord:
         """Run the epoch's substeps in one pass (DESIGN.md §14).
 
-        States, load and counts hold for the whole epoch, so the rack
-        physics is computed once; the PDU serves every substep in one
-        call, the meters read every substep from one noise draw, and
-        each pair gets its readings as one feedback block.
+        ``states`` holds the power state the SPC enforced on each group's
+        powered servers.  States, load and counts hold for the whole
+        epoch, so the rack physics is computed once; the PDU serves every
+        substep in one call, the meters read every substep from one noise
+        draw, and each pair gets its readings as one feedback block.
         """
-        states = [group_servers[0].state for group_servers in self.servers]
         effective = self._effective_counts(powered_counts)
         samples = self._samples_for_states(states, load_fraction, effective)
         draw_total = 0.0
@@ -506,7 +489,7 @@ class GreenHeteroController:
             load_fraction=load_fraction,
             ratios=ratios,
             group_budgets_w=group_budgets,
-            state_indices=state_indices,
+            state_indices=tuple(state.index for state in states),
             throughput=perf_sum / n,
             epu=epu,
             useful_power_w=useful_mean,

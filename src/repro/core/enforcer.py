@@ -8,7 +8,9 @@ Enforcer implements both decisions:
 * :class:`ServerPowerController` (SPC) converts each group's power share
   into a per-server budget and maps that budget onto the platform's
   ordered power-state set (DVFS level, sleep, or off) — the paper's
-  linear power-to-state mapping (Section IV-B.4).
+  linear power-to-state mapping (Section IV-B.4).  Same-type servers get
+  the same share, so the SPC picks one state per group and hands it to
+  the epoch physics as an argument.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from repro.core.sources import SourceDecision
 from repro.errors import PowerError
 from repro.obs.metrics import REGISTRY as _REGISTRY
 from repro.power.pdu import PDU, EpochFlows
-from repro.servers.power_model import ServerPowerModel
+from repro.servers.dvfs import PowerState
+from repro.servers.rack import Rack
 
 _PSC_CALLS_TOTAL = _REGISTRY.counter(
     "repro_psc_calls_total", "PowerSourceController.apply invocations"
@@ -28,71 +31,54 @@ _PSC_CALLS_TOTAL = _REGISTRY.counter(
 
 @dataclass(frozen=True)
 class EnforcedAllocation:
-    """What the SPC actually set, per group.
+    """What the SPC set: one power state per group.
 
-    Attributes
-    ----------
-    per_server_budget_w:
-        The power cap handed to each server of each group.
-    state_indices:
-        The power state each group's servers were switched to.
+    Every powered server of a group runs ``states[g]``; the rest are off.
     """
 
-    per_server_budget_w: tuple[float, ...]
-    state_indices: tuple[int, ...]
+    states: tuple[PowerState, ...]
 
 
 class ServerPowerController:
-    """Maps group power shares onto per-server DVFS states."""
+    """Maps group power shares onto one DVFS state per group."""
 
     @staticmethod
     def apply(
-        server_groups: list[list[ServerPowerModel]],
+        rack: Rack,
         group_budgets_w: tuple[float, ...] | list[float],
         powered_counts: tuple[int, ...] | None = None,
     ) -> EnforcedAllocation:
         """Enforce ``group_budgets_w`` (total watts per group).
 
         By default the budget is split evenly inside each group — the
-        paper distributes the same power to same-type servers — and each
-        server's SPC picks the highest power state whose full-load draw
-        fits the per-server share.  With ``powered_counts`` (the
-        partial-group extension) only the first ``k`` servers of each
-        group share the budget; the rest are switched off.
+        paper distributes the same power to same-type servers — and the
+        group runs the highest power state whose full-load draw fits the
+        per-server share.  With ``powered_counts`` (the partial-group
+        extension) only ``k`` servers of each group share the budget; the
+        rest are switched off, and a group with ``k = 0`` is off.
 
         Raises
         ------
         PowerError
             On a negative budget, a group-count mismatch, or a powered
-            count outside ``[0, len(group)]``.
+            count outside ``[0, count]``.
         """
-        if len(server_groups) != len(group_budgets_w):
+        groups = rack.groups
+        if len(groups) != len(group_budgets_w):
             raise PowerError(
-                f"{len(group_budgets_w)} budgets for {len(server_groups)} groups"
+                f"{len(group_budgets_w)} budgets for {len(groups)} groups"
             )
-        if powered_counts is not None and len(powered_counts) != len(server_groups):
+        if powered_counts is not None and len(powered_counts) != len(groups):
             raise PowerError("powered_counts must match the group count")
-        per_server: list[float] = []
-        states: list[int] = []
-        for g, (servers, budget) in enumerate(zip(server_groups, group_budgets_w)):
+        states: list[PowerState] = []
+        for g, (group, budget) in enumerate(zip(groups, group_budgets_w)):
             if budget < 0:
                 raise PowerError(f"group budget must be non-negative, got {budget}")
-            k = len(servers) if powered_counts is None else powered_counts[g]
-            if not 0 <= k <= len(servers):
-                raise PowerError(
-                    f"powered count {k} outside [0, {len(servers)}]"
-                )
-            share = 0.0 if k == 0 else budget / k
-            # Every server of a group runs the same platform and workload,
-            # so one lookup per budget serves the whole group.
-            curve = servers[0].curve
-            on = curve.state_for_budget(share)
-            off = on if k in (0, len(servers)) else curve.state_for_budget(0.0)
-            for i, server in enumerate(servers):
-                server.enforce_state(on if i < k else off)
-            per_server.append(share)
-            states.append(on.index if k else 0)
-        return EnforcedAllocation(tuple(per_server), tuple(states))
+            k = group.count if powered_counts is None else powered_counts[g]
+            if not 0 <= k <= group.count:
+                raise PowerError(f"powered count {k} outside [0, {group.count}]")
+            states.append(rack.curve(g).state_for_budget(budget / k if k else 0.0))
+        return EnforcedAllocation(tuple(states))
 
 
 class PowerSourceController:

@@ -184,12 +184,3 @@ class AdaptiveScheduler:
                 oracle=oracle,
             )
             return self.policy.allocate_plan(ctx)
-
-    def allocate(
-        self,
-        budget_w: float,
-        groups: Sequence[GroupInfo],
-        oracle: Callable[[tuple[float, ...]], float] | None = None,
-    ) -> tuple[float, ...]:
-        """Ask the policy for this epoch's PAR vector."""
-        return self.allocate_plan(budget_w, groups, oracle).ratios

@@ -426,13 +426,14 @@ class AllocationDaemon:
 
 
 def _number(request: Request, key: str, required: bool = False) -> float | None:
-    """Parameter ``key`` as a float; ``None`` when absent and optional."""
+    """Parameter ``key`` as a float; ``None`` when absent and optional.
+
+    Only a JSON number is accepted: ``true`` or ``"500"`` is a
+    :class:`ProtocolError`, not a coerced 1 W or 500 W.
+    """
     value = request.params.get(key)
     if value is None and not required:
         return None
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(
-            f"{request.op} needs a numeric {key!r}, got {value!r}"
-        ) from exc
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProtocolError(f"{request.op} needs a numeric {key!r}, got {value!r}")
+    return float(value)

@@ -118,22 +118,47 @@ class ServeConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ServeConfig":
+        """Rebuild a config from :meth:`to_dict` output.
+
+        Counts, ``seed`` and ``shift_horizon`` must be integral JSON
+        numbers and ``epoch_s`` and ``shared_grid_w`` JSON numbers (or
+        null, for the grid): a coerced ``2.7`` or ``true`` would restore
+        a differently sized fleet without error.
+        """
         try:
+            grid = data["shared_grid_w"]
             return cls(
                 platforms=tuple(
-                    (str(name), int(count)) for name, count in data["platforms"]
+                    (str(name), _integer(count, "platform count"))
+                    for name, count in data["platforms"]
                 ),
                 workload=str(data["workload"]),
                 policy=str(data["policy"]),
-                n_racks=int(data["n_racks"]),
+                n_racks=_integer(data["n_racks"], "n_racks"),
                 weather=Weather[data["weather"]],
-                seed=int(data["seed"]),
-                shared_grid_w=data["shared_grid_w"],
-                epoch_s=float(data["epoch_s"]),
-                shift_horizon=int(data["shift_horizon"]),
+                seed=_integer(data["seed"], "seed"),
+                shared_grid_w=None if grid is None else _real(grid, "shared_grid_w"),
+                epoch_s=_real(data["epoch_s"], "epoch_s"),
+                shift_horizon=_integer(data["shift_horizon"], "shift_horizon"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed serve config: {exc}") from exc
+
+
+def _real(value: Any, field: str) -> float:
+    """``value`` as a float; it must be a JSON number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value: Any, field: str) -> int:
+    """``value`` as an int; it must be an integral JSON number, not a bool."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 class RackHost:

@@ -20,7 +20,7 @@ from repro.servers.platform import (
     platform_names,
     register_platform,
 )
-from repro.servers.power_model import ResponseCurve, ServerPowerModel
+from repro.servers.power_model import ResponseCurve
 from repro.servers.rack import Rack, ServerGroup
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "Rack",
     "ResponseCurve",
     "ServerGroup",
-    "ServerPowerModel",
     "ServerSpec",
     "get_platform",
     "platform_names",

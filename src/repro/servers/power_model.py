@@ -249,42 +249,3 @@ class ResponseCurve:
             [self.perf_at_power(float(b), load_fraction).throughput for b in budgets]
         )
         return budgets, perfs
-
-
-class ServerPowerModel:
-    """A single physical server: a platform bound to one workload.
-
-    Thin stateful wrapper around :class:`ResponseCurve` that remembers the
-    currently enforced power state, mirroring one machine in the paper's
-    racks.
-    """
-
-    def __init__(self, spec: ServerSpec, workload: Workload | str) -> None:
-        self.curve = ResponseCurve(spec, workload)
-        self._state: PowerState = self.curve.states.active_states[-1]
-
-    @property
-    def spec(self) -> ServerSpec:
-        return self.curve.spec
-
-    @property
-    def workload(self) -> Workload:
-        return self.curve.workload
-
-    @property
-    def state(self) -> PowerState:
-        """Currently enforced power state."""
-        return self._state
-
-    def enforce_budget(self, budget_w: float) -> PowerState:
-        """Apply a power cap; returns the state the SPC selected."""
-        self._state = self.curve.state_for_budget(budget_w)
-        return self._state
-
-    def enforce_state(self, state: PowerState) -> None:
-        """Switch to ``state``, one of this server's power states."""
-        self._state = state
-
-    def run(self, load_fraction: float = 1.0) -> ServerSample:
-        """Execute one interval at the enforced state."""
-        return self.curve.sample_at_state(self._state, load_fraction)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.servers.platform import ServerSpec, get_platform
-from repro.servers.power_model import ResponseCurve, ServerPowerModel
+from repro.servers.power_model import ResponseCurve
 from repro.workloads.catalog import Workload, get_workload
 
 
@@ -114,13 +114,6 @@ class Rack:
     def curve(self, index: int) -> ResponseCurve:
         """Ground-truth response curve of group ``index``."""
         return self._curves[index]
-
-    def build_servers(self) -> list[list[ServerPowerModel]]:
-        """Instantiate one :class:`ServerPowerModel` per machine, per group."""
-        return [
-            [ServerPowerModel(g.spec, g.workload) for _ in range(g.count)]
-            for g in self.groups
-        ]
 
     # ------------------------------------------------------------------
     # Power envelope

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.controller import EpochDirectives, GreenHeteroController, N_SUBSTEPS
+from repro.core.enforcer import ServerPowerController
 from repro.core.monitor import Monitor
 from repro.core.policies import make_policy
 from repro.core.predictor import HoltPredictor
@@ -33,6 +34,12 @@ def make_controller(policy_name="GreenHetero", solar_peak=1900.0, grid_w=1000.0,
     return GreenHeteroController(
         rack=rack, pdu=pdu, policy=make_policy(policy_name), monitor=Monitor(seed=seed)
     )
+
+
+def spc_throughput(ctl, group_budgets_w, load_fraction):
+    """Noise-free rack throughput at the states the SPC enforces."""
+    states = ServerPowerController.apply(ctl.rack, group_budgets_w).states
+    return ctl._rack_throughput(states, load_fraction)
 
 
 class TestEpochExecution:
@@ -144,10 +151,10 @@ class TestLoadBalancing:
         record = ctl.run_epoch(NOON, 0.2, EpochDirectives(rack_budget_w=700.0))
         assert record.throughput > 0.0
 
-    def test_measure_rack_matches_manual_oracle_shape(self):
+    def test_spc_throughput_follows_offered_load(self):
         ctl = make_controller("GreenHetero")
-        full = ctl._measure_rack((5 * 150.0, 5 * 80.0), 1.0)
-        half = ctl._measure_rack((5 * 150.0, 5 * 80.0), 0.4)
+        full = spc_throughput(ctl, (5 * 150.0, 5 * 80.0), 1.0)
+        half = spc_throughput(ctl, (5 * 150.0, 5 * 80.0), 0.4)
         assert 0.0 < half < full
 
 
@@ -199,7 +206,7 @@ class TestRackPhysicsOncePerOperatingPoint:
         budget_w = 900.0
         compositions = PARSolver.compositions(2)
         expected = [
-            ctl._measure_rack(tuple(r * budget_w for r in ratios), 1.0)
+            spc_throughput(ctl, tuple(r * budget_w for r in ratios), 1.0)
             for ratios in compositions
         ]
         metered = []
@@ -214,8 +221,8 @@ class TestRackPhysicsOncePerOperatingPoint:
 
 class TestManualTrialTable:
     """Manual's oracle maps each share to a power state once per epoch;
-    every trial must still read and meter exactly as a per-composition
-    mapping through ``_states_for_budgets`` does."""
+    every trial must still read and meter exactly as enforcing each
+    composition through the SPC does."""
 
     RACKS = {
         "2-group": [("E5-2620", 5), ("i5-4460", 5)],
@@ -234,8 +241,8 @@ class TestManualTrialTable:
     @staticmethod
     def reference_oracle(ctl, budget_w, load_fraction):
         def measure(ratios):
-            states = ctl._states_for_budgets(tuple(r * budget_w for r in ratios))
-            return ctl.monitor.observe_throughput(ctl._rack_throughput(states, load_fraction))
+            perf = spc_throughput(ctl, tuple(r * budget_w for r in ratios), load_fraction)
+            return ctl.monitor.observe_throughput(perf)
 
         return measure
 

@@ -16,75 +16,62 @@ from repro.traces.nrel import Weather, synthesize_irradiance
 
 
 @pytest.fixture
-def servers():
-    rack = Rack([("E5-2620", 2), ("i5-4460", 3)], "SPECjbb")
-    return rack.build_servers()
+def rack():
+    return Rack([("E5-2620", 2), ("i5-4460", 3)], "SPECjbb")
 
 
 class TestSPC:
-    def test_splits_group_budget_evenly(self, servers):
-        enforced = ServerPowerController.apply(servers, (260.0, 210.0))
-        assert enforced.per_server_budget_w == pytest.approx((130.0, 70.0))
+    def test_splits_group_budget_evenly(self, rack):
+        enforced = ServerPowerController.apply(rack, (260.0, 210.0))
+        assert enforced.states == tuple(
+            rack.curve(g).state_for_budget(share)
+            for g, share in enumerate((130.0, 70.0))
+        )
 
-    def test_all_servers_in_group_share_state(self, servers):
-        ServerPowerController.apply(servers, (260.0, 210.0))
-        for group in servers:
-            states = {s.state.index for s in group}
-            assert len(states) == 1
+    def test_zero_budget_turns_group_off(self, rack):
+        enforced = ServerPowerController.apply(rack, (0.0, 210.0))
+        assert enforced.states[0].is_off
+        assert enforced.states[0].index == 0
 
-    def test_zero_budget_turns_group_off(self, servers):
-        enforced = ServerPowerController.apply(servers, (0.0, 210.0))
-        assert enforced.state_indices[0] == 0  # OFF
-        assert servers[0][0].state.is_off
-
-    def test_below_min_active_sleeps(self, servers):
+    def test_below_min_active_sleeps(self, rack):
         # 2 E5-2620 at 40 W each cannot run: SLEEP state.
-        enforced = ServerPowerController.apply(servers, (80.0, 210.0))
-        assert enforced.state_indices[0] == 1
+        enforced = ServerPowerController.apply(rack, (80.0, 210.0))
+        assert enforced.states[0].label == "sleep"
+        assert enforced.states[0].index == 1
 
-    def test_negative_budget_rejected(self, servers):
+    def test_negative_budget_rejected(self, rack):
         with pytest.raises(PowerError):
-            ServerPowerController.apply(servers, (-10.0, 210.0))
+            ServerPowerController.apply(rack, (-10.0, 210.0))
 
-    def test_length_mismatch_rejected(self, servers):
+    def test_length_mismatch_rejected(self, rack):
         with pytest.raises(PowerError):
-            ServerPowerController.apply(servers, (100.0,))
+            ServerPowerController.apply(rack, (100.0,))
 
     @pytest.mark.parametrize("powered", [None, (2, 3), (1, 2), (0, 3), (0, 0)])
-    def test_group_state_equals_per_server_lookup(self, servers, monkeypatch, powered):
+    def test_group_state_equals_per_server_lookup(self, rack, monkeypatch, powered):
         budgets = (260.0, 150.0)
-        want = []
-        for g, (group, budget) in enumerate(zip(servers, budgets)):
-            k = len(group) if powered is None else powered[g]
-            share = 0.0 if k == 0 else budget / k
-            want.append([
-                s.curve.state_for_budget(share if i < k else 0.0)
-                for i, s in enumerate(group)
-            ])
+        counts = [g.count for g in rack.groups] if powered is None else powered
+        want = tuple(
+            rack.curve(g).state_for_budget(budget / k if k else 0.0)
+            for g, (budget, k) in enumerate(zip(budgets, counts))
+        )
         lookups = []
         lookup = ResponseCurve.state_for_budget
         monkeypatch.setattr(
             ResponseCurve, "state_for_budget",
             lambda curve, budget: (lookups.append(budget), lookup(curve, budget))[1],
         )
-        enforced = ServerPowerController.apply(servers, budgets, powered)
-        assert [[s.state for s in group] for group in servers] == want
-        # One lookup per group, plus one for the switched-off servers of
-        # a partly powered group.
-        sizes = [len(group) for group in servers]
-        counts = sizes if powered is None else powered
-        partial = sum(0 < k < n for k, n in zip(counts, sizes))
-        assert len(lookups) == len(servers) + partial
-        assert enforced.state_indices == tuple(
-            states[0].index if k else 0 for states, k in zip(want, counts)
-        )
+        enforced = ServerPowerController.apply(rack, budgets, powered)
+        assert enforced.states == want
+        # Exactly one lookup per group, partly powered groups included.
+        assert len(lookups) == len(rack.groups)
 
-    def test_enforced_draw_fits_budget(self, servers):
+    def test_enforced_draw_fits_budget(self, rack):
         budgets = (260.0, 210.0)
-        ServerPowerController.apply(servers, budgets)
-        for group, budget in zip(servers, budgets):
-            total_draw = sum(s.run().power_w for s in group)
-            assert total_draw <= budget + 1e-6
+        enforced = ServerPowerController.apply(rack, budgets)
+        for g, (group, budget) in enumerate(zip(rack.groups, budgets)):
+            draw = rack.curve(g).sample_at_state(enforced.states[g]).power_w
+            assert group.count * draw <= budget + 1e-6
 
 
 class TestPSC:

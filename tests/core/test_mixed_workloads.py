@@ -10,6 +10,7 @@ each service's groups, and the solver optimises across the mixed fits.
 import pytest
 
 from repro.core.controller import GreenHeteroController
+from repro.core.enforcer import ServerPowerController
 from repro.core.policies import make_policy
 from repro.core.monitor import Monitor
 from repro.power.battery import BatteryBank
@@ -63,8 +64,9 @@ class TestMixedInteractiveBatch:
         ctl = make_controller(
             [("E5-2620", 3), ("i5-4460", 3)], ["Streamcluster", "Memcached"]
         )
-        high = ctl._measure_rack((3 * 170.0, 3 * 70.0), load_fraction=1.0)
-        low = ctl._measure_rack((3 * 170.0, 3 * 70.0), load_fraction=0.1)
+        states = ServerPowerController.apply(ctl.rack, (3 * 170.0, 3 * 70.0)).states
+        high = ctl._rack_throughput(states, load_fraction=1.0)
+        low = ctl._rack_throughput(states, load_fraction=0.1)
         # Batch share is identical; only the interactive share shrinks.
         assert low < high
         batch_only = ctl.rack.curve(0).max_throughput * 3

@@ -77,31 +77,34 @@ class TestPartialGroupSolver:
 class TestEnforcerPartial:
     def test_powers_first_k_servers(self):
         rack = Rack([("E5-2620", 4), ("i5-4460", 2)], "Streamcluster")
-        servers = rack.build_servers()
-        ServerPowerController.apply(servers, (300.0, 180.0), powered_counts=(2, 2))
-        e5 = servers[0]
-        assert e5[0].state.active and e5[1].state.active
-        assert e5[2].state.is_off and e5[3].state.is_off
-        # Powered servers split the group budget between them.
-        assert e5[0].run().power_w <= 150.0 + 1e-6
+        enforced = ServerPowerController.apply(rack, (300.0, 180.0), powered_counts=(2, 2))
+        e5 = enforced.states[0]
+        assert e5 == rack.curve(0).state_for_budget(150.0)
+        assert e5.active
+        # The two powered servers draw within the group budget.
+        assert 2 * rack.curve(0).sample_at_state(e5).power_w <= 300.0 + 1e-6
 
     def test_zero_count_turns_group_off(self):
         rack = Rack([("E5-2620", 2), ("i5-4460", 2)], "Streamcluster")
-        servers = rack.build_servers()
-        ServerPowerController.apply(servers, (0.0, 150.0), powered_counts=(0, 2))
-        assert all(s.state.is_off for s in servers[0])
+        enforced = ServerPowerController.apply(rack, (0.0, 150.0), powered_counts=(0, 2))
+        assert enforced.states[0].is_off
+
+    def test_zero_count_is_off_whatever_the_budget(self):
+        rack = Rack([("E5-2620", 2), ("i5-4460", 2)], "Streamcluster")
+        enforced = ServerPowerController.apply(rack, (500.0, 150.0), powered_counts=(0, 2))
+        assert enforced.states[0].is_off
 
     def test_bad_count_rejected(self):
         rack = Rack([("E5-2620", 2)], "Streamcluster")
-        servers = rack.build_servers()
         with pytest.raises(PowerError):
-            ServerPowerController.apply(servers, (100.0,), powered_counts=(3,))
+            ServerPowerController.apply(rack, (100.0,), powered_counts=(3,))
+        with pytest.raises(PowerError):
+            ServerPowerController.apply(rack, (100.0,), powered_counts=(-1,))
 
     def test_count_length_mismatch_rejected(self):
         rack = Rack([("E5-2620", 2)], "Streamcluster")
-        servers = rack.build_servers()
         with pytest.raises(PowerError):
-            ServerPowerController.apply(servers, (100.0,), powered_counts=(1, 1))
+            ServerPowerController.apply(rack, (100.0,), powered_counts=(1, 1))
 
 
 class TestPolicy:

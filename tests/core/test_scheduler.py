@@ -127,14 +127,14 @@ class TestDatabaseFlow:
 class TestAllocation:
     def test_allocate_delegates_to_policy(self):
         s = AdaptiveScheduler(UniformPolicy())
-        ratios = s.allocate(1000.0, GROUPS)
+        ratios = s.allocate_plan(1000.0, GROUPS).ratios
         assert ratios == pytest.approx((0.5, 0.5))
 
     def test_allocate_with_solver_policy(self):
         s = make_scheduler("GreenHetero")
         s.ingest_training_run(E5_KEY, 88.0, TRAIN_E5)
         s.ingest_training_run(I5_KEY, 47.0, TRAIN_I5)
-        ratios = s.allocate(1000.0, GROUPS)
+        ratios = s.allocate_plan(1000.0, GROUPS).ratios
         assert sum(ratios) <= 1.0 + 1e-9
         assert all(r >= 0 for r in ratios)
 

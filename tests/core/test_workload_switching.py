@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.controller import GreenHeteroController
+from repro.core.controller import EpochDirectives, GreenHeteroController
 from repro.core.monitor import Monitor
 from repro.core.policies import make_policy
 from repro.power.battery import BatteryBank
@@ -57,6 +57,23 @@ class TestSwitching:
         third = controller.run_epoch(NOON + 2 * EPOCH)
         # Already profiled: Algorithm 1 takes the solver branch directly.
         assert third.trained_pairs == ()
+
+    def test_epoch_after_switch_enforces_new_workload_states(self, controller):
+        controller.run_epoch(NOON)
+        old_rack = controller.rack
+        controller.switch_workload("Streamcluster")
+        record = controller.run_epoch(NOON + EPOCH, 1.0, EpochDirectives(rack_budget_w=500.0))
+
+        def lookup(rack):
+            return tuple(
+                rack.curve(g).state_for_budget(budget / group.count).index
+                for g, (group, budget) in enumerate(zip(rack.groups, record.group_budgets_w))
+            )
+
+        assert record.state_indices == lookup(controller.rack)
+        # The budget separates the workloads: SPECjbb's curves would
+        # have enforced other states.
+        assert record.state_indices != lookup(old_rack)
 
     def test_platforms_preserved_across_switch(self, controller):
         controller.switch_workload("Canneal")

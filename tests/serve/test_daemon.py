@@ -133,7 +133,9 @@ class TestProtocolSurface:
             f.flush()
             response = json.loads(f.readline())
         assert response["ok"] is False
-        assert response["error_type"] == "ConfigurationError"
+        # A quoted value is not a JSON number: rejected before it is parsed.
+        quoted = renewable.startswith(b'"')
+        assert response["error_type"] == ("ProtocolError" if quoted else "ConfigurationError")
         after = state.rack("rack0").controller.scheduler.renewable_predictor.state_dict()
         assert after == before
         # The rack's checkpoint still restores.
@@ -213,13 +215,15 @@ class TestParameterErrors:
             daemon, b'{"op": "allocate", "rack": "rack0", "budget_w": %s}' % budget
         )
         assert response["ok"] is False
-        assert response["error_type"] == "ConfigurationError"
+        # A quoted value is not a JSON number: rejected before it is parsed.
+        quoted = budget.startswith(b'"')
+        assert response["error_type"] == ("ProtocolError" if quoted else "ConfigurationError")
 
     @pytest.mark.parametrize(
         "op, param",
         [("allocate", "budget_w"), ("step", "load_fraction")],
     )
-    @pytest.mark.parametrize("value", [b'"lots"', b"[1]"])
+    @pytest.mark.parametrize("value", [b'"lots"', b"[1]", b"true", b'"500"'])
     def test_non_numeric_parameter_is_protocol_error(self, served, op, param, value):
         daemon, state = served
         line = b'{"op": "%s", "rack": "rack0", "%s": %s}' % (

@@ -49,6 +49,49 @@ class TestServeConfig:
         with pytest.raises(ConfigurationError):
             ServeConfig.from_dict({"workload": "SPECjbb"})
 
+    @staticmethod
+    def document(**changes):
+        document = json.loads(json.dumps(ServeConfig(n_racks=2).to_dict()))
+        document.update(changes)
+        return document
+
+    @pytest.mark.parametrize("value", [2.7, True, "2"])
+    def test_n_racks_must_be_an_integer(self, value):
+        with pytest.raises(ConfigurationError, match="n_racks"):
+            ServeConfig.from_dict(self.document(n_racks=value))
+
+    @pytest.mark.parametrize("value", [2.9, True, "5"])
+    def test_platform_count_must_be_an_integer(self, value):
+        document = self.document(platforms=[["E5-2620", value], ["i5-4460", 5]])
+        with pytest.raises(ConfigurationError, match="platform count"):
+            ServeConfig.from_dict(document)
+
+    @pytest.mark.parametrize("value", [2021.5, False, "2021"])
+    def test_seed_must_be_an_integer(self, value):
+        with pytest.raises(ConfigurationError, match="seed"):
+            ServeConfig.from_dict(self.document(seed=value))
+
+    @pytest.mark.parametrize("value", [8.5, True, "8"])
+    def test_shift_horizon_must_be_an_integer(self, value):
+        with pytest.raises(ConfigurationError, match="shift_horizon"):
+            ServeConfig.from_dict(self.document(shift_horizon=value))
+
+    @pytest.mark.parametrize("value", [True, "2500", [2500.0]])
+    def test_shared_grid_must_be_a_number_or_null(self, value):
+        with pytest.raises(ConfigurationError, match="shared_grid_w"):
+            ServeConfig.from_dict(self.document(shared_grid_w=value))
+
+    @pytest.mark.parametrize("value", [True, "900"])
+    def test_epoch_must_be_a_number(self, value):
+        with pytest.raises(ConfigurationError, match="epoch_s"):
+            ServeConfig.from_dict(self.document(epoch_s=value))
+
+    def test_integral_numbers_accepted(self):
+        document = self.document(n_racks=2.0, seed=7.0, shared_grid_w=2500)
+        config = ServeConfig.from_dict(document)
+        assert (config.n_racks, config.seed, config.shared_grid_w) == (2, 7, 2500.0)
+        assert ServeConfig.from_dict(self.document(shared_grid_w=None)).shared_grid_w is None
+
 
 class TestRackHost:
     def test_allocation_document(self, host):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import IncompatibleWorkloadError, PowerError
 from repro.servers.platform import get_platform
-from repro.servers.power_model import ResponseCurve, ServerPowerModel
+from repro.servers.power_model import ResponseCurve
 
 
 @pytest.fixture
@@ -173,25 +173,3 @@ class TestStateSelection:
     def test_negative_budget_rejected(self, e5_jbb):
         with pytest.raises(PowerError):
             e5_jbb.state_for_budget(-0.1)
-
-
-class TestServerPowerModel:
-    def test_starts_at_top_state(self):
-        server = ServerPowerModel(get_platform("i5-4460"), "SPECjbb")
-        assert server.state == server.curve.states.active_states[-1]
-
-    def test_enforce_budget_changes_state(self):
-        server = ServerPowerModel(get_platform("i5-4460"), "SPECjbb")
-        state = server.enforce_budget(0.0)
-        assert state.is_off
-        assert server.state.is_off
-
-    def test_run_uses_enforced_state(self):
-        server = ServerPowerModel(get_platform("i5-4460"), "SPECjbb")
-        server.enforce_budget(0.0)
-        assert server.run().throughput == 0.0
-
-    def test_accessors(self):
-        server = ServerPowerModel(get_platform("i5-4460"), "SPECjbb")
-        assert server.spec.name == "i5-4460"
-        assert server.workload.name == "SPECjbb"

@@ -75,10 +75,6 @@ class TestEnvelope:
 
 
 class TestServers:
-    def test_build_servers_counts(self, fig8_rack):
-        servers = fig8_rack.build_servers()
-        assert [len(g) for g in servers] == [5, 5]
-
     def test_describe_mentions_platforms(self, fig8_rack):
         text = fig8_rack.describe()
         assert "E5-2620" in text and "i5-4460" in text and "SPECjbb" in text
