@@ -21,28 +21,18 @@ import pytest
 
 from benchmarks.conftest import once
 from repro.servers.platform import get_platform
-from repro.servers.power_model import ResponseCurve
+from repro.servers.power_model import ResponseCurve, case_study_sweep
 
 BUDGET_W = 220.0
 
 
 def sweep():
-    a = ResponseCurve(get_platform("E5-2620"), "SPECjbb")
-    b = ResponseCurve(get_platform("i5-4460"), "SPECjbb")
-    rows = []
-    for par_pct in range(0, 101, 5):
-        par = par_pct / 100.0
-        sa = a.perf_at_power(par * BUDGET_W)
-        sb = b.perf_at_power((1.0 - par) * BUDGET_W)
-        useful = sum(s.power_w for s in (sa, sb) if s.throughput > 0)
-        rows.append(
-            {
-                "par": par_pct,
-                "epu": useful / BUDGET_W,
-                "perf": sa.throughput + sb.throughput,
-            }
-        )
-    return rows
+    rows = case_study_sweep(
+        ResponseCurve(get_platform("E5-2620"), "SPECjbb"),
+        ResponseCurve(get_platform("i5-4460"), "SPECjbb"),
+        BUDGET_W,
+    )
+    return [{"par": pct, "epu": epu, "perf": perf} for pct, epu, perf in rows]
 
 
 def test_fig03_case_study(benchmark, reporter):

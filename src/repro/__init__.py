@@ -49,7 +49,6 @@ from repro.core.controller import GreenHeteroController
 from repro.core.database import ProfilingDatabase
 from repro.core.epu import effective_power_utilization
 from repro.core.policies import (
-    GreenHeteroAdaptivePolicy,
     GreenHeteroPolicy,
     GreenHeteroPriorityPolicy,
     GreenHeteroStaticPolicy,
@@ -68,7 +67,6 @@ __all__ = [
     "__version__",
     "ExperimentConfig",
     "ExperimentResult",
-    "GreenHeteroAdaptivePolicy",
     "GreenHeteroController",
     "GreenHeteroPolicy",
     "GreenHeteroPriorityPolicy",

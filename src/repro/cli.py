@@ -55,7 +55,7 @@ from repro.analysis.sustainability import sustainability_report
 from repro.core.policies import POLICY_NAMES
 from repro.errors import ReproError
 from repro.servers.platform import get_platform
-from repro.servers.power_model import ResponseCurve
+from repro.servers.power_model import ResponseCurve, case_study_sweep
 from repro.sim.experiment import COMBINATIONS, ExperimentConfig
 from repro.sim.runner import run_experiment, run_experiments
 from repro.traces.nrel import Weather, synthesize_irradiance
@@ -169,29 +169,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_case_study(args: argparse.Namespace) -> int:
     a = ResponseCurve(get_platform(args.server_a), args.workload)
     b = ResponseCurve(get_platform(args.server_b), args.workload)
-    budget = args.budget
-    rows = []
-    best = (0, 0.0)
-    for pct in range(0, 101, args.step):
-        par = pct / 100.0
-        sa = a.perf_at_power(par * budget)
-        sb = b.perf_at_power((1 - par) * budget)
-        useful = sum(s.power_w for s in (sa, sb) if s.throughput > 0)
-        perf = sa.throughput + sb.throughput
-        if perf > best[1]:
-            best = (pct, perf)
-        rows.append([f"{pct}%", f"{useful / budget:.2f}", f"{perf:,.0f}"])
+    sweep = case_study_sweep(a, b, args.budget, args.step)
     print(
         format_table(
             ["PAR", "EPU", "perf"],
-            rows,
+            [[f"{pct}%", f"{epu:.2f}", f"{perf:,.0f}"] for pct, epu, perf in sweep],
             title=(
                 f"{args.budget:.0f} W split between {a.spec.name} (A) and "
                 f"{b.spec.name} (B), {args.workload}"
             ),
         )
     )
-    print(f"\noptimal PAR: {best[0]}% to {a.spec.name}")
+    best_pct = max(sweep, key=lambda row: row[2])[0]
+    print(f"\noptimal PAR: {best_pct}% to {a.spec.name}")
     return 0
 
 
@@ -232,18 +222,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
     checks: list[tuple[str, bool, str]] = []
 
     # Fig. 3 anchors: optimum PAR and the EPU corners.
-    a = ResponseCurve(get_platform("E5-2620"), "SPECjbb")
-    b = ResponseCurve(get_platform("i5-4460"), "SPECjbb")
-    best_par, best_perf = 0, 0.0
-    epus = {}
-    for pct in range(0, 101, 5):
-        par = pct / 100.0
-        sa = a.perf_at_power(par * 220.0)
-        sb = b.perf_at_power((1 - par) * 220.0)
-        perf = sa.throughput + sb.throughput
-        epus[pct] = sum(s.power_w for s in (sa, sb) if s.throughput > 0) / 220.0
-        if perf > best_perf:
-            best_par, best_perf = pct, perf
+    sweep = case_study_sweep(
+        ResponseCurve(get_platform("E5-2620"), "SPECjbb"),
+        ResponseCurve(get_platform("i5-4460"), "SPECjbb"),
+        220.0,
+    )
+    best_par = max(sweep, key=lambda row: row[2])[0]
+    epus = {pct: epu for pct, epu, _ in sweep}
     checks.append(
         ("case-study optimum PAR ~65%", 60 <= best_par <= 70, f"{best_par}%")
     )

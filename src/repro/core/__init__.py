@@ -16,13 +16,12 @@ The five allocation policies of Table III live in
 """
 
 from repro.core.cluster import ClusterCoordinator, GridSplit
-from repro.core.database import DatabaseEntry, FitKind, PerfPowerFit, ProfilingDatabase
-from repro.core.enforcer import Enforcer, PowerSourceController, ServerPowerController
+from repro.core.database import FitKind, PerfPowerFit, ProfilingDatabase
+from repro.core.enforcer import PowerSourceController, ServerPowerController
 from repro.core.persistence import load_database, save_database
 from repro.core.epu import effective_power_utilization, useful_power
-from repro.core.monitor import Monitor, ServerObservation
+from repro.core.monitor import Monitor
 from repro.core.policies import (
-    GreenHeteroAdaptivePolicy,
     GreenHeteroPolicy,
     GreenHeteroPriorityPolicy,
     GreenHeteroStaticPolicy,
@@ -37,11 +36,8 @@ from repro.core.sources import PowerCase, SourceDecision, SourceSelector
 
 __all__ = [
     "ClusterCoordinator",
-    "DatabaseEntry",
-    "Enforcer",
     "FitKind",
     "GridSplit",
-    "GreenHeteroAdaptivePolicy",
     "GreenHeteroPolicy",
     "GreenHeteroPriorityPolicy",
     "GreenHeteroStaticPolicy",
@@ -56,7 +52,6 @@ __all__ = [
     "PowerCase",
     "PowerSourceController",
     "ProfilingDatabase",
-    "ServerObservation",
     "ServerPowerController",
     "SourceDecision",
     "SourceSelector",

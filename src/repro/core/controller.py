@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.enforcer import Enforcer
+from repro.core.enforcer import PowerSourceController, ServerPowerController
 from repro.core.monitor import Monitor
 from repro.core.policies import GroupInfo, Policy
 from repro.core.scheduler import AdaptiveScheduler
@@ -156,14 +156,16 @@ class GreenHeteroController:
         scheduler: AdaptiveScheduler | None = None,
         epoch_s: float = EPOCH_SECONDS,
     ) -> None:
-        if epoch_s <= 0:
-            raise ConfigurationError("epoch length must be positive")
+        if not (math.isfinite(epoch_s) and epoch_s > 0):
+            raise ConfigurationError(
+                f"epoch length must be finite and positive, got {epoch_s}"
+            )
         self.rack = rack
         self.pdu = pdu
         self.policy = policy
         self.monitor = monitor or Monitor()
         self.scheduler = scheduler or AdaptiveScheduler(policy)
-        self.enforcer = Enforcer(pdu)
+        self.psc = PowerSourceController(pdu)
         self.epoch_s = epoch_s
         self.groups = tuple(
             GroupInfo(name=g.spec.name, count=g.count, key=g.key) for g in rack.groups
@@ -198,7 +200,7 @@ class GreenHeteroController:
     # ------------------------------------------------------------------
     # Training run (Algorithm 1, lines 4-5)
     # ------------------------------------------------------------------
-    def _training_run(self, group_index: int, time_s: float) -> None:
+    def _training_run(self, group_index: int) -> None:
         """Profile one group across its DVFS ladder and seed the database.
 
         The paper's training run executes the workload under the
@@ -215,16 +217,17 @@ class GreenHeteroController:
         picks = np.unique(
             np.linspace(lo, len(states) - 1, TRAINING_SAMPLES).round().astype(int)
         )
-        samples: list[tuple[float, float]] = []
-        for idx in picks:
-            raw = curve.sample_at_state(states[int(idx)], load_fraction=1.0)
-            obs = self.monitor.observe_server(raw, group_index, time_s)
-            samples.append((obs.power_w, obs.throughput))
-        self.scheduler.ingest_training_run(
+        samples = [
+            self.monitor.observe_server(
+                curve.sample_at_state(states[int(idx)], load_fraction=1.0)
+            )
+            for idx in picks
+        ]
+        self.scheduler.database.ingest_training_run(
             self.groups[group_index].key, curve.idle_power_w, samples
         )
 
-    def ensure_profiled(self, time_s: float = 0.0) -> tuple[tuple[str, str], ...]:
+    def ensure_profiled(self) -> tuple[tuple[str, str], ...]:
         """Run training runs for every pair the database has never seen.
 
         Algorithm 1, line 3, factored out of the epoch loop so a serving
@@ -235,13 +238,12 @@ class GreenHeteroController:
         if not self.policy.uses_database:
             return ()
         with trace("scheduler.profile"):
-            missing = self.scheduler.missing_pairs(self.groups)
-            for key in missing:
-                group_index = next(
-                    i for i, g in enumerate(self.groups) if g.key == key
-                )
-                self._training_run(group_index, time_s)
-            return tuple(missing)
+            database = self.scheduler.database
+            # A rack's platforms are distinct, so each missing pair is one group.
+            missing = [i for i, g in enumerate(self.groups) if g.key not in database]
+            for i in missing:
+                self._training_run(i)
+            return tuple(self.groups[i].key for i in missing)
 
     # ------------------------------------------------------------------
     # Epoch execution
@@ -278,7 +280,7 @@ class GreenHeteroController:
             self.scheduler.observe(renewable_now, demand_now)
 
         # Algorithm 1, line 3: unseen pairs trigger a training run.
-        trained = self.ensure_profiled(time_s)
+        trained = self.ensure_profiled()
 
         decision = self.scheduler.plan_sources(
             self.pdu.battery, self.pdu.grid, self.epoch_s,
@@ -305,13 +307,13 @@ class GreenHeteroController:
             ratios = tuple(
                 b / budget_w if budget_w > 0 else 0.0 for b in group_budgets
             )
-        enforced = self.enforcer.spc.apply(
+        states = ServerPowerController.apply(
             self.rack, group_budgets, plan.powered_counts
         )
 
         record = self._execute_substeps(
             time_s, load_fraction, decision, budget_w, ratios, group_budgets,
-            enforced.states, trained, plan.powered_counts,
+            states, trained, plan.powered_counts,
             plan.projected_perf, directives.grid_budget_w, renewable_w,
         )
 
@@ -444,7 +446,7 @@ class GreenHeteroController:
             if sample.throughput > 0.0:
                 useful_total += count * sample.power_w * sample.utilization
 
-        flows = self.enforcer.psc.apply(
+        flows = self.psc.apply(
             decision, draw_total, time_s, self.epoch_s / N_SUBSTEPS,
             grid_budget_w, N_SUBSTEPS, renewable_now_w,
         )

@@ -235,40 +235,6 @@ class _Entry:
         return self._buf[:, end - self.count:end]
 
 
-@dataclass(frozen=True)
-class DatabaseEntry:
-    """Immutable public view of one (platform, workload) record.
-
-    The snapshot carries everything a serialiser or checkpointer needs —
-    envelope, retained samples, and the current fit — without exposing
-    the database's mutable internals.  :meth:`ProfilingDatabase.entry`
-    produces these and :meth:`ProfilingDatabase.restore_entry` rebuilds a
-    record from one bit-for-bit.
-
-    Attributes
-    ----------
-    key:
-        (platform, workload).
-    idle_power_w / max_power_w:
-        The pair's power envelope.
-    min_active_power_w:
-        Empirical power-on boundary; ``inf`` when no active sample has
-        ever been observed.
-    powers / perfs:
-        The retained profiling samples, oldest first.
-    fit:
-        The current relational equation, or ``None`` before any refit.
-    """
-
-    key: PairKey
-    idle_power_w: float
-    max_power_w: float
-    min_active_power_w: float
-    powers: tuple[float, ...]
-    perfs: tuple[float, ...]
-    fit: PerfPowerFit | None
-
-
 class ProfilingDatabase:
     """Performance-power projections for every pair ever executed.
 
@@ -313,107 +279,35 @@ class ProfilingDatabase:
         return 0 if entry is None else entry.count
 
     # ------------------------------------------------------------------
-    # Snapshots (the public serialisation surface)
+    # Checkpointing (DESIGN.md §9)
     # ------------------------------------------------------------------
-    def entry(self, key: PairKey) -> DatabaseEntry:
-        """Immutable snapshot of one pair's record.
-
-        Raises
-        ------
-        DatabaseMissError
-            When the pair has never been seen (no :meth:`ensure_entry`).
-        """
-        entry = self._entries.get(key)
-        if entry is None:
-            raise DatabaseMissError(*key)
-        powers, perfs = entry.window().tolist()
-        return DatabaseEntry(
-            key=key,
-            idle_power_w=entry.idle_power_w,
-            max_power_w=entry.max_power_w,
-            min_active_power_w=entry.min_active_power_w,
-            powers=tuple(powers),
-            perfs=tuple(perfs),
-            fit=entry.fit,
-        )
-
-    def snapshot(self) -> tuple[DatabaseEntry, ...]:
-        """Snapshots of every record, in insertion order."""
-        return tuple(self.entry(key) for key in self._entries)
-
-    def restore_entry(self, snapshot: DatabaseEntry) -> None:
-        """Rebuild one record exactly as captured by :meth:`entry`.
-
-        The snapshot's samples, envelope, and fit are installed verbatim
-        (no refit), so a save → restore round trip is bit-identical, and
-        so is every later refit: a fit is a function of the window's
-        contents alone.  An existing record under the same key is
-        replaced.
-
-        Raises
-        ------
-        ConfigurationError
-            When the envelope is inverted or not finite, the sample
-            columns differ in length or exceed ``max_samples``, a sample
-            is negative, NaN or infinite, or the fit has a non-finite
-            coefficient or power bound or more than three coefficients.
-        """
-        key = snapshot.key
-        if not (math.isfinite(snapshot.idle_power_w) and math.isfinite(snapshot.max_power_w)):
-            raise ConfigurationError(f"{key}: power envelope must be finite")
-        if snapshot.max_power_w <= snapshot.idle_power_w:
-            raise ConfigurationError(
-                f"{key}: max power ({snapshot.max_power_w}) must "
-                f"exceed idle ({snapshot.idle_power_w})"
-            )
-        if len(snapshot.powers) != len(snapshot.perfs):
-            raise ConfigurationError(f"{key}: powers and perfs must have equal length")
-        if len(snapshot.powers) > self.max_samples:
-            raise ConfigurationError(
-                f"{key}: {len(snapshot.powers)} samples exceed max_samples ({self.max_samples})"
-            )
-        for power_w, perf in zip(snapshot.powers, snapshot.perfs):
-            _check_sample(power_w, perf)
-        fit = snapshot.fit
-        if fit is not None:
-            # Checked here rather than in PerfPowerFit, so the per-epoch
-            # refit pays nothing: a NaN coefficient would zero every
-            # allocation, and an infinite bound allocate past the envelope.
-            if not all(map(math.isfinite, (*fit.coefficients, fit.min_power_w, fit.max_power_w))):
-                raise ConfigurationError(f"{key}: fit coefficients and power bounds must be finite")
-            if not 1 <= len(fit.coefficients) <= 3:
-                raise ConfigurationError(
-                    f"{key}: a fit has one to three coefficients, got {len(fit.coefficients)}"
-                )
-        entry = _Entry(float(snapshot.idle_power_w), float(snapshot.max_power_w), self.max_samples)
-        entry.min_active_power_w = float(snapshot.min_active_power_w)
-        entry.load(snapshot.powers, snapshot.perfs)
-        entry.fit = fit
-        self._entries[key] = entry
-
     def state_dict(self) -> dict[str, Any]:
-        """Every record (:meth:`snapshot`) as JSON-ready values."""
+        """Fit family, window size and every record (in insertion order) as
+        JSON-ready values: per pair the envelope, the retained samples
+        (oldest first) and the current fit."""
         entries = []
-        for entry in self.snapshot():
+        for (platform, workload), entry in self._entries.items():
+            powers, perfs = entry.window().tolist()
             record: dict[str, Any] = {
-                "platform": entry.key[0],
-                "workload": entry.key[1],
+                "platform": platform,
+                "workload": workload,
                 "idle_power_w": entry.idle_power_w,
                 "max_power_w": entry.max_power_w,
                 "min_active_power_w": (
                     None if math.isinf(entry.min_active_power_w)
                     else entry.min_active_power_w
                 ),
-                "powers": list(entry.powers),
-                "perfs": list(entry.perfs),
+                "powers": powers,
+                "perfs": perfs,
             }
-            if entry.fit is not None:
+            fit = entry.fit
+            if fit is not None:
                 record["fit"] = {
-                    "coefficients": list(entry.fit.coefficients),
-                    "min_power_w": entry.fit.min_power_w,
-                    "max_power_w": entry.fit.max_power_w,
-                    "kind": entry.fit.kind.name,
-                    "n_samples": entry.fit.n_samples,
+                    "coefficients": list(fit.coefficients),
+                    "min_power_w": fit.min_power_w,
+                    "max_power_w": fit.max_power_w,
+                    "kind": fit.kind.name,
+                    "n_samples": fit.n_samples,
                 }
             entries.append(record)
         return {
@@ -425,13 +319,19 @@ class ProfilingDatabase:
     def load_state_dict(self, state: dict[str, Any]) -> None:
         """Replace every record with a :meth:`state_dict` capture.
 
-        Each record goes through :meth:`restore_entry`; nothing is
-        installed unless the whole state is valid.
+        Samples, envelopes and fits are installed verbatim (no refit), so
+        a save → restore round trip is bit-identical, and so is every
+        later refit: a fit is a function of the window's contents alone.
+        Nothing is installed unless the whole state is valid.
 
         Raises
         ------
         ConfigurationError
-            On a malformed state or an invalid record.
+            On a malformed state, or a record whose envelope is inverted
+            or not finite, whose sample columns differ in length or exceed
+            ``max_samples``, with a sample or a min active power that is
+            negative, NaN or infinite, or whose fit has a non-finite
+            coefficient or power bound or more than three coefficients.
         """
         try:
             staged = ProfilingDatabase(
@@ -439,33 +339,62 @@ class ProfilingDatabase:
                 max_samples=int(state["max_samples"]),
             )
             for record in state["entries"]:
-                fit_doc = record.get("fit")
-                fit = None
-                if fit_doc is not None:
-                    fit = PerfPowerFit(
-                        coefficients=tuple(fit_doc["coefficients"]),
-                        min_power_w=fit_doc["min_power_w"],
-                        max_power_w=fit_doc["max_power_w"],
-                        kind=FitKind[fit_doc["kind"]],
-                        n_samples=int(fit_doc["n_samples"]),
-                    )
-                min_active = record["min_active_power_w"]
-                staged.restore_entry(
-                    DatabaseEntry(
-                        key=(record["platform"], record["workload"]),
-                        idle_power_w=record["idle_power_w"],
-                        max_power_w=record["max_power_w"],
-                        min_active_power_w=(
-                            math.inf if min_active is None else float(min_active)
-                        ),
-                        powers=tuple(float(p) for p in record["powers"]),
-                        perfs=tuple(float(p) for p in record["perfs"]),
-                        fit=fit,
-                    )
-                )
+                staged._restore(record)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed database state: {exc}") from exc
         vars(self).update(vars(staged))
+
+    def _restore(self, record: dict[str, Any]) -> None:
+        """Check one :meth:`state_dict` record and install it verbatim."""
+        key = (record["platform"], record["workload"])
+        idle_power_w, max_power_w = record["idle_power_w"], record["max_power_w"]
+        if not (math.isfinite(idle_power_w) and math.isfinite(max_power_w)):
+            raise ConfigurationError(f"{key}: power envelope must be finite")
+        if max_power_w <= idle_power_w:
+            raise ConfigurationError(
+                f"{key}: max power ({max_power_w}) must exceed idle ({idle_power_w})"
+            )
+        powers = tuple(float(p) for p in record["powers"])
+        perfs = tuple(float(p) for p in record["perfs"])
+        if len(powers) != len(perfs):
+            raise ConfigurationError(f"{key}: powers and perfs must have equal length")
+        if len(powers) > self.max_samples:
+            raise ConfigurationError(
+                f"{key}: {len(powers)} samples exceed max_samples ({self.max_samples})"
+            )
+        for power_w, perf in zip(powers, perfs):
+            _check_sample(power_w, perf)
+        fit = None
+        fit_doc = record.get("fit")
+        if fit_doc is not None:
+            fit = PerfPowerFit(
+                coefficients=tuple(fit_doc["coefficients"]),
+                min_power_w=fit_doc["min_power_w"],
+                max_power_w=fit_doc["max_power_w"],
+                kind=FitKind[fit_doc["kind"]],
+                n_samples=int(fit_doc["n_samples"]),
+            )
+            # Checked here rather than in PerfPowerFit, so the per-epoch
+            # refit pays nothing: a NaN coefficient would zero every
+            # allocation, and an infinite bound allocate past the envelope.
+            if not all(map(math.isfinite, (*fit.coefficients, fit.min_power_w, fit.max_power_w))):
+                raise ConfigurationError(f"{key}: fit coefficients and power bounds must be finite")
+            if not 1 <= len(fit.coefficients) <= 3:
+                raise ConfigurationError(
+                    f"{key}: a fit has one to three coefficients, got {len(fit.coefficients)}"
+                )
+        min_active = record["min_active_power_w"]
+        # A negative boundary fails every later refit, and a NaN one
+        # never moves again; ``None`` stands for no active sample yet.
+        if min_active is not None and not 0.0 <= min_active < math.inf:
+            raise ConfigurationError(
+                f"{key}: min active power must be finite and non-negative, got {min_active}"
+            )
+        entry = _Entry(float(idle_power_w), float(max_power_w), self.max_samples)
+        entry.min_active_power_w = math.inf if min_active is None else float(min_active)
+        entry.load(powers, perfs)
+        entry.fit = fit
+        self._entries[key] = entry
 
     # ------------------------------------------------------------------
     # Population and updating

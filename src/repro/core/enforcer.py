@@ -1,7 +1,7 @@
-"""The Enforcer: Power Source Controller + Server Power Controller (Fig. 4).
+"""The Enforcer's two controllers (Fig. 4).
 
-Once the scheduler has decided the power sources and the PAR, the
-Enforcer implements both decisions:
+Once the scheduler has decided the power sources and the PAR, two
+controllers implement the decisions:
 
 * :class:`PowerSourceController` (PSC) drives the PDU/ATS: which sources
   feed the rack, whether the battery may discharge, and who charges it.
@@ -11,11 +11,12 @@ Enforcer implements both decisions:
   linear power-to-state mapping (Section IV-B.4).  Same-type servers get
   the same share, so the SPC picks one state per group and hands it to
   the epoch physics as an argument.
+
+The rack controller holds one PSC (it owns the PDU) and calls the SPC's
+static :meth:`ServerPowerController.apply` directly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.core.sources import SourceDecision
 from repro.errors import PowerError
@@ -29,16 +30,6 @@ _PSC_CALLS_TOTAL = _REGISTRY.counter(
 ).labels()
 
 
-@dataclass(frozen=True)
-class EnforcedAllocation:
-    """What the SPC set: one power state per group.
-
-    Every powered server of a group runs ``states[g]``; the rest are off.
-    """
-
-    states: tuple[PowerState, ...]
-
-
 class ServerPowerController:
     """Maps group power shares onto one DVFS state per group."""
 
@@ -47,8 +38,9 @@ class ServerPowerController:
         rack: Rack,
         group_budgets_w: tuple[float, ...] | list[float],
         powered_counts: tuple[int, ...] | None = None,
-    ) -> EnforcedAllocation:
-        """Enforce ``group_budgets_w`` (total watts per group).
+    ) -> tuple[PowerState, ...]:
+        """Enforce ``group_budgets_w`` (total watts per group); returns the
+        power state of each group's powered servers (the rest are off).
 
         By default the budget is split evenly inside each group — the
         paper distributes the same power to same-type servers — and the
@@ -78,7 +70,7 @@ class ServerPowerController:
             if not 0 <= k <= group.count:
                 raise PowerError(f"powered count {k} outside [0, {group.count}]")
             states.append(rack.curve(g).state_for_budget(budget / k if k else 0.0))
-        return EnforcedAllocation(tuple(states))
+        return tuple(states)
 
 
 class PowerSourceController:
@@ -112,11 +104,3 @@ class PowerSourceController:
             intervals=intervals,
             renewable_now_w=renewable_now_w,
         )
-
-
-class Enforcer:
-    """PSC + SPC bundle, one per rack controller."""
-
-    def __init__(self, pdu: PDU) -> None:
-        self.psc = PowerSourceController(pdu)
-        self.spc = ServerPowerController()

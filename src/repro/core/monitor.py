@@ -13,7 +13,6 @@ from a seeded RNG so runs are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -21,31 +20,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.rng import load_rng_state
 from repro.servers.power_model import ServerSample
-
-
-@dataclass(frozen=True)
-class ServerObservation:
-    """One noisy server reading reported to the scheduler.
-
-    Attributes
-    ----------
-    group_index:
-        Which rack group the server belongs to.
-    power_w:
-        Metered wall power (noisy).
-    throughput:
-        Measured performance (noisy).
-    state_index:
-        The enforced power state (exact — the SPC knows what it set).
-    time_s:
-        Timestamp of the reading.
-    """
-
-    group_index: int
-    power_w: float
-    throughput: float
-    state_index: int
-    time_s: float
 
 
 class Monitor:
@@ -147,16 +121,12 @@ class Monitor:
             readings[stride - 1::stride],
         )
 
-    def observe_server(
-        self, sample: ServerSample, group_index: int, time_s: float
-    ) -> ServerObservation:
-        """Meter one server's (power, performance) operating point."""
-        return ServerObservation(
-            group_index=group_index,
-            power_w=self._jitter(sample.power_w, self.power_noise),
-            throughput=self._jitter(sample.throughput, self.perf_noise),
-            state_index=sample.state_index,
-            time_s=time_s,
+    def observe_server(self, sample: ServerSample) -> tuple[float, float]:
+        """Meter one server's operating point: ``(power_w, throughput)``,
+        the power read first."""
+        return (
+            self._jitter(sample.power_w, self.power_noise),
+            self._jitter(sample.throughput, self.perf_noise),
         )
 
     def observe_renewable(self, power_w: float) -> float:

@@ -21,8 +21,9 @@ GreenHetero        The full system: solver + dynamically updated database.
 Policies are pure deciders: they see an :class:`AllocationContext` (the
 epoch budget, the group structure, the profiling database, and — for
 Manual — a measurement oracle standing in for a physical trial run) and
-return a PAR vector.  Enforcement and database updates happen in the
-controller.
+return an :class:`AllocationPlan` from their one method,
+:meth:`Policy.allocate_plan`.  Enforcement and database updates happen in
+the controller.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class Policy(abc.ABC):
         Whether the controller should feed execution samples back into
         the database and re-fit (Algorithm 1 lines 8-10).
     requires_oracle:
-        Whether :meth:`allocate` needs ``ctx.oracle``.
+        Whether :meth:`allocate_plan` needs ``ctx.oracle``.
     """
 
     name: str = "abstract"
@@ -132,12 +133,10 @@ class Policy(abc.ABC):
     uses_database: bool = False
 
     @abc.abstractmethod
-    def allocate(self, ctx: AllocationContext) -> tuple[float, ...]:
-        """Return the PAR vector (fractions of ``ctx.budget_w``, sum <= 1)."""
-
     def allocate_plan(self, ctx: AllocationContext) -> AllocationPlan:
-        """Full decision; the default wraps :meth:`allocate` (all-on)."""
-        return AllocationPlan(ratios=self.allocate(ctx))
+        """This epoch's decision: the PAR vector (fractions of
+        ``ctx.budget_w``, sum <= 1) and, for the partial-group extension,
+        the powered counts."""
 
     def _validate(self, ctx: AllocationContext) -> None:
         if ctx.budget_w < 0:
@@ -156,10 +155,10 @@ class UniformPolicy(Policy):
 
     name = "Uniform"
 
-    def allocate(self, ctx: AllocationContext) -> tuple[float, ...]:
+    def allocate_plan(self, ctx: AllocationContext) -> AllocationPlan:
         self._validate(ctx)
         total = ctx.n_servers
-        return tuple(g.count / total for g in ctx.groups)
+        return AllocationPlan(ratios=tuple(g.count / total for g in ctx.groups))
 
 
 class ManualPolicy(Policy):
@@ -171,13 +170,13 @@ class ManualPolicy(Policy):
     #: Trial step; the paper fixes 10%.
     GRANULARITY = 0.1
 
-    def allocate(self, ctx: AllocationContext) -> tuple[float, ...]:
+    def allocate_plan(self, ctx: AllocationContext) -> AllocationPlan:
         self._validate(ctx)
         assert ctx.oracle is not None  # _validate guarantees it
         ratios, _ = PARSolver.exhaustive(
             len(ctx.groups), ctx.oracle, granularity=self.GRANULARITY
         )
-        return ratios
+        return AllocationPlan(ratios=ratios)
 
 
 class GreenHeteroPriorityPolicy(Policy):
@@ -192,7 +191,7 @@ class GreenHeteroPriorityPolicy(Policy):
     name = "GreenHetero-p"
     uses_database = True
 
-    def allocate(self, ctx: AllocationContext) -> tuple[float, ...]:
+    def allocate_plan(self, ctx: AllocationContext) -> AllocationPlan:
         self._validate(ctx)
         order = sorted(
             range(len(ctx.groups)),
@@ -201,7 +200,7 @@ class GreenHeteroPriorityPolicy(Policy):
         )
         ratios = [0.0] * len(ctx.groups)
         if ctx.budget_w == 0:
-            return tuple(ratios)
+            return AllocationPlan(ratios=tuple(ratios))
         remaining = ctx.budget_w
         for i in order:
             if remaining <= 0:
@@ -211,7 +210,7 @@ class GreenHeteroPriorityPolicy(Policy):
             grant = min(remaining, want)
             ratios[i] = grant / ctx.budget_w
             remaining -= grant
-        return tuple(ratios)
+        return AllocationPlan(ratios=tuple(ratios))
 
 
 class OnOffPolicy(Policy):
@@ -229,11 +228,11 @@ class OnOffPolicy(Policy):
     name = "OnOff"
     uses_database = True
 
-    def allocate(self, ctx: AllocationContext) -> tuple[float, ...]:
+    def allocate_plan(self, ctx: AllocationContext) -> AllocationPlan:
         self._validate(ctx)
         ratios = [0.0] * len(ctx.groups)
         if ctx.budget_w == 0:
-            return tuple(ratios)
+            return AllocationPlan(ratios=tuple(ratios))
         order = sorted(
             range(len(ctx.groups)),
             key=lambda i: ctx.database.efficiency(ctx.groups[i].key),
@@ -250,7 +249,7 @@ class OnOffPolicy(Policy):
         fit = ctx.database.projection(ctx.groups[chosen].key)
         grant = min(ctx.budget_w, ctx.groups[chosen].count * fit.max_power_w)
         ratios[chosen] = grant / ctx.budget_w
-        return tuple(ratios)
+        return AllocationPlan(ratios=tuple(ratios))
 
 
 class _SolverPolicy(Policy):
@@ -263,9 +262,6 @@ class _SolverPolicy(Policy):
     def __init__(self, solver: PARSolver | None = None) -> None:
         self.solver = solver or self.solver_class()
 
-    def allocate(self, ctx: AllocationContext) -> tuple[float, ...]:
-        return self.allocate_plan(ctx).ratios
-
     def allocate_plan(self, ctx: AllocationContext) -> AllocationPlan:
         self._validate(ctx)
         try:
@@ -273,7 +269,7 @@ class _SolverPolicy(Policy):
         except SolverError:
             # Defensive fallback: a degenerate database should degrade to
             # the baseline, never crash the rack controller.
-            return AllocationPlan(ratios=UniformPolicy().allocate(ctx))
+            return UniformPolicy().allocate_plan(ctx)
         return AllocationPlan(
             ratios=solution.ratios,
             powered_counts=solution.powered_counts,
@@ -308,9 +304,6 @@ class GreenHeteroPartialPolicy(_SolverPolicy):
     updates_database = True
     solver_class = PartialGroupSolver
 
-
-#: Alias kept for discoverability: the adaptive variant *is* GreenHetero.
-GreenHeteroAdaptivePolicy = GreenHeteroPolicy
 
 #: Table III registry.
 POLICY_NAMES: tuple[str, ...] = (

@@ -5,13 +5,16 @@ The scheduler is the decision core of GreenHetero.  Each epoch it:
 1. forecasts next-epoch renewable supply and rack demand with two Holt
    predictors (Eq. 2-4), trained on history (Eq. 5);
 2. selects the power sources and the rack power budget (Cases A/B/C);
-3. checks the profiling database and requests a training run for any
-   (configuration, workload) pair it has never seen (Algorithm 1,
-   lines 3-5);
-4. asks the active policy for the PAR vector; and
-5. after execution, feeds the epoch's observed samples back into the
+3. asks the active policy for the allocation plan; and
+4. after execution, feeds the epoch's observed samples back into the
    database and re-fits (Algorithm 1, lines 8-10) — when the policy
    enables the optimisation.
+
+The profiling database is the scheduler's :attr:`database`.  The
+controller reads it directly for Algorithm 1's training branch (lines
+3-5): it trains every (configuration, workload) pair the database has
+never seen through :meth:`ProfilingDatabase.ingest_training_run
+<repro.core.database.ProfilingDatabase.ingest_training_run>`.
 
 The scheduler is deliberately free of simulation concerns: it consumes
 observations and emits decisions, so it could drive real hardware.
@@ -118,18 +121,8 @@ class AdaptiveScheduler:
             )
 
     # ------------------------------------------------------------------
-    # Database interaction (Algorithm 1)
+    # Database feedback (Algorithm 1)
     # ------------------------------------------------------------------
-    def missing_pairs(self, groups: Sequence[GroupInfo]) -> list[PairKey]:
-        """Pairs with no relational equation yet (Algorithm 1 line 3)."""
-        return [g.key for g in groups if g.key not in self.database]
-
-    def ingest_training_run(
-        self, key: PairKey, idle_power_w: float, samples: list[tuple[float, float]]
-    ) -> None:
-        """Algorithm 1 lines 4-5: add a new relational projection."""
-        self.database.ingest_training_run(key, idle_power_w, samples)
-
     def feed_back(
         self,
         groups: Sequence[GroupInfo],

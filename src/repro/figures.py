@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
+from typing import Sequence
 
 from repro.servers.platform import get_platform
-from repro.servers.power_model import ResponseCurve
+from repro.servers.power_model import ResponseCurve, case_study_sweep
 from repro.sim.experiment import COMBINATIONS, ExperimentConfig
 from repro.sim.runner import run_experiment
 from repro.workloads.catalog import FIG9_WORKLOADS
@@ -34,7 +35,7 @@ from repro.workloads.catalog import FIG9_WORKLOADS
 POLICIES = ("Uniform", "Manual", "GreenHetero-p", "GreenHetero-a", "GreenHetero")
 
 
-def _write(path: Path, header: list[str], rows: list[list]) -> None:
+def _write(path: Path, header: list[str], rows: Sequence[Sequence]) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
@@ -42,15 +43,11 @@ def _write(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def fig03(out: Path) -> Path:
-    a = ResponseCurve(get_platform("E5-2620"), "SPECjbb")
-    b = ResponseCurve(get_platform("i5-4460"), "SPECjbb")
-    rows = []
-    for pct in range(0, 101, 5):
-        par = pct / 100.0
-        sa = a.perf_at_power(par * 220.0)
-        sb = b.perf_at_power((1 - par) * 220.0)
-        useful = sum(s.power_w for s in (sa, sb) if s.throughput > 0)
-        rows.append([pct, useful / 220.0, sa.throughput + sb.throughput])
+    rows = case_study_sweep(
+        ResponseCurve(get_platform("E5-2620"), "SPECjbb"),
+        ResponseCurve(get_platform("i5-4460"), "SPECjbb"),
+        220.0,
+    )
     path = out / "fig03_case_study.csv"
     _write(path, ["par_pct", "epu", "perf_jops"], rows)
     return path

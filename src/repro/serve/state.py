@@ -88,8 +88,10 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.n_racks < 1:
             raise ConfigurationError("need at least one rack")
-        if self.epoch_s <= 0:
-            raise ConfigurationError("epoch length must be positive")
+        if not (math.isfinite(self.epoch_s) and self.epoch_s > 0):
+            raise ConfigurationError(
+                f"epoch length must be finite and positive, got {self.epoch_s}"
+            )
         if self.shift_horizon < 1:
             raise ConfigurationError("shift horizon must be >= 1")
         if self.shared_grid_w is not None and not (
@@ -199,7 +201,7 @@ class RackHost:
         Runs any pending training runs first, so the very first query
         against a cold database succeeds the way Algorithm 1 specifies.
         """
-        self.controller.ensure_profiled(self.clock_s)
+        self.controller.ensure_profiled()
         if budget_w is None:
             budget_w = self.plan_budget_w()
         if not (math.isfinite(budget_w) and budget_w >= 0):
@@ -406,7 +408,7 @@ class ServeState:
             host = RackHost(name, sim)
             # Pay the training-run cost up front so the first allocation
             # query is served from a warm database.
-            host.controller.ensure_profiled(host.clock_s)
+            host.controller.ensure_profiled()
             racks[name] = host
 
         coordinator = None

@@ -249,3 +249,24 @@ class ResponseCurve:
             [self.perf_at_power(float(b), load_fraction).throughput for b in budgets]
         )
         return budgets, perfs
+
+
+def case_study_sweep(
+    a: ResponseCurve, b: ResponseCurve, budget_w: float, step_pct: int = 5
+) -> list[tuple[int, float, float]]:
+    """Section III-B's case study (Fig. 3): ``budget_w`` split between two servers.
+
+    At each power allocation ratio (PAR) from 0% to 100% in ``step_pct``
+    steps, server ``a`` gets PAR × ``budget_w`` and ``b`` the rest.
+    Returns one ``(par_pct, epu, perf)`` row per step: the EPU is the
+    power drawn by the servers that deliver throughput over
+    ``budget_w``, and perf the two servers' summed throughput.
+    """
+    rows = []
+    for pct in range(0, 101, step_pct):
+        par = pct / 100.0
+        sa = a.perf_at_power(par * budget_w)
+        sb = b.perf_at_power((1 - par) * budget_w)
+        useful = sum(s.power_w for s in (sa, sb) if s.throughput > 0)
+        rows.append((pct, useful / budget_w, sa.throughput + sb.throughput))
+    return rows

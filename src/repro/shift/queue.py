@@ -59,6 +59,11 @@ class ShiftJob:
     def __post_init__(self) -> None:
         if not self.job_id:
             raise ConfigurationError("job_id must be non-empty")
+        # NaN passes every comparison below, and a non-finite field would
+        # reach the planner's epoch-count and pricing arithmetic.
+        for name in ("energy_wh", "power_w", "earliest_start_s", "deadline_s", "value"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"job {self.job_id}: {name} must be finite")
         if self.energy_wh <= 0:
             raise ConfigurationError(f"job {self.job_id}: energy must be positive")
         if self.power_w <= 0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -28,6 +29,13 @@ class SimClock:
     epoch_s: float = EPOCH_SECONDS
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison below, and an infinite span has no
+        # whole epoch count.
+        if not all(map(math.isfinite, (self.start_s, self.duration_s, self.epoch_s))):
+            raise ConfigurationError(
+                "start, duration and epoch length must be finite, got "
+                f"{self.start_s}, {self.duration_s}, {self.epoch_s}"
+            )
         if self.duration_s <= 0 or self.epoch_s <= 0:
             raise ConfigurationError("duration and epoch length must be positive")
         if self.start_s < 0:

@@ -114,8 +114,8 @@ class ExperimentConfig:
     )
 
     def __post_init__(self) -> None:
-        if self.days <= 0:
-            raise ConfigurationError("days must be positive")
+        if not (math.isfinite(self.days) and self.days > 0):
+            raise ConfigurationError(f"days must be finite and positive, got {self.days}")
         if not self.policies:
             raise ConfigurationError("at least one policy is required")
         if self.supply_fractions is not None and self.grid_budget_w is not None:

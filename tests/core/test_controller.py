@@ -38,7 +38,7 @@ def make_controller(policy_name="GreenHetero", solar_peak=1900.0, grid_w=1000.0,
 
 def spc_throughput(ctl, group_budgets_w, load_fraction):
     """Noise-free rack throughput at the states the SPC enforces."""
-    states = ServerPowerController.apply(ctl.rack, group_budgets_w).states
+    states = ServerPowerController.apply(ctl.rack, group_budgets_w)
     return ctl._rack_throughput(states, load_fraction)
 
 
@@ -116,8 +116,9 @@ class TestEpochExecution:
         rack = Rack([("i5-4460", 2)], "SPECjbb")
         trace = synthesize_irradiance(days=1, seed=1)
         pdu = PDU(SolarFarm.sized_for(trace, 300.0), BatteryBank(), GridSource())
-        with pytest.raises(ConfigurationError):
-            GreenHeteroController(rack, pdu, make_policy("Uniform"), epoch_s=0.0)
+        for epoch_s in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                GreenHeteroController(rack, pdu, make_policy("Uniform"), epoch_s=epoch_s)
 
 
 class TestEnergyAccounting:

@@ -9,6 +9,22 @@ from repro.errors import ConfigurationError, DatabaseMissError
 KEY = ("E5-2620", "SPECjbb")
 
 
+def record(db, key=KEY):
+    """The pair's record in ``db.state_dict()``."""
+    return next(
+        r for r in db.state_dict()["entries"] if (r["platform"], r["workload"]) == key
+    )
+
+
+def state_with(db, key=KEY, **changes):
+    """``db.state_dict()`` with ``changes`` written into the pair's record."""
+    state = db.state_dict()
+    for r in state["entries"]:
+        if (r["platform"], r["workload"]) == key:
+            r.update(changes)
+    return state
+
+
 def quad_samples(l=-2.0, m=600.0, n=-20000.0, powers=(100, 110, 120, 135, 150)):
     """Noise-free samples from a known quadratic."""
     return [(float(p), l * p * p + m * p + n) for p in powers]
@@ -185,20 +201,20 @@ class TestOnlineUpdate:
             one.add_sample(KEY, power_w, perf)
         block.add_samples(KEY, powers, perfs)
         # The window wrapped; both envelope edges moved, zero perf did not.
-        assert block.entry(KEY) == one.entry(KEY)
-        assert block.entry(KEY).min_active_power_w == 96.0
-        assert block.entry(KEY).max_power_w == 160.0
+        assert record(block) == record(one)
+        assert record(block)["min_active_power_w"] == 96.0
+        assert record(block)["max_power_w"] == 160.0
         assert block.refit(KEY) == one.refit(KEY)
 
     def test_block_validated_whole(self):
         db = ProfilingDatabase()
         db.ingest_training_run(KEY, 88.0, quad_samples())
-        before = db.entry(KEY)
+        before = record(db)
         with pytest.raises(ConfigurationError):
             db.add_samples(KEY, [120.0, 125.0, -1.0], [15000.0, 16000.0, 10.0])
         with pytest.raises(ConfigurationError):
             db.add_samples(KEY, [120.0, 125.0], [15000.0])
-        assert db.entry(KEY) == before
+        assert record(db) == before
 
     def test_sample_to_unknown_key_rejected(self):
         db = ProfilingDatabase()
@@ -218,10 +234,10 @@ class TestOnlineUpdate:
     def test_non_finite_sample_rejected(self, power_w, perf):
         db = ProfilingDatabase()
         db.ingest_training_run(KEY, 88.0, quad_samples())
-        before = db.entry(KEY)
+        before = record(db)
         with pytest.raises(ConfigurationError):
             db.add_sample(KEY, power_w, perf)
-        assert db.entry(KEY) == before
+        assert record(db) == before
         assert np.all(np.isfinite(db.refit(KEY).coefficients))
 
 
@@ -256,6 +272,8 @@ class TestQueries:
 
 
 class TestSnapshotApi:
+    """The checkpoint surface: ``state_dict`` / ``load_state_dict``."""
+
     @pytest.fixture
     def db(self):
         out = ProfilingDatabase()
@@ -266,77 +284,66 @@ class TestSnapshotApi:
         )
         return out
 
-    def test_entry_is_immutable_view(self, db):
-        entry = db.entry(KEY)
-        assert entry.key == KEY
-        assert entry.idle_power_w == 88.0
-        assert entry.powers == tuple(p for p, _ in quad_samples())
-        with pytest.raises(AttributeError):
-            entry.idle_power_w = 1.0
-
-    def test_entry_miss_raises(self, db):
-        with pytest.raises(DatabaseMissError):
-            db.entry(("Xeon-Phi", "SPECjbb"))
+    def test_state_dict_is_a_copy(self, db):
+        rec = record(db)
+        assert rec["idle_power_w"] == 88.0
+        assert rec["powers"] == [p for p, _ in quad_samples()]
+        rec["powers"].append(1.0)
+        rec["fit"]["coefficients"][0] = 0.0
+        assert record(db)["powers"] == [p for p, _ in quad_samples()]
+        assert db.projection(KEY).coefficients[0] != 0.0
 
     def test_snapshot_insertion_order(self, db):
-        keys = [entry.key for entry in db.snapshot()]
+        keys = [(r["platform"], r["workload"]) for r in db.state_dict()["entries"]]
         assert keys == [KEY, ("i5-4460", "SPECjbb")]
 
     def test_restore_entry_round_trip(self, db):
-        entry = db.entry(KEY)
         fresh = ProfilingDatabase()
-        fresh.restore_entry(entry)
-        restored = fresh.entry(KEY)
-        assert restored == entry
+        fresh.load_state_dict(db.state_dict())
+        assert fresh.state_dict() == db.state_dict()
         # The fit is installed verbatim, not refitted.
-        assert restored.fit.coefficients == entry.fit.coefficients
+        assert fresh.projection(KEY) == db.projection(KEY)
 
     def test_restore_entry_replaces_existing(self, db):
-        entry = db.entry(KEY)
+        state = db.state_dict()
         db.ingest_training_run(KEY, 88.0, quad_samples(powers=(101, 111, 121)))
-        assert db.entry(KEY) != entry
-        db.restore_entry(entry)
-        assert db.entry(KEY) == entry
+        assert db.state_dict() != state
+        db.load_state_dict(state)
+        assert db.state_dict() == state
 
     def test_restore_rejects_bad_envelope(self, db):
-        import dataclasses
-
-        bad = dataclasses.replace(db.entry(KEY), max_power_w=10.0)
         with pytest.raises(ConfigurationError):
-            ProfilingDatabase().restore_entry(bad)
+            ProfilingDatabase().load_state_dict(state_with(db, max_power_w=10.0))
 
     def test_restore_rejects_mismatched_samples(self, db):
-        import dataclasses
-
-        bad = dataclasses.replace(db.entry(KEY), perfs=(1.0,))
         with pytest.raises(ConfigurationError):
-            ProfilingDatabase().restore_entry(bad)
+            ProfilingDatabase().load_state_dict(state_with(db, perfs=[1.0]))
 
     @pytest.mark.parametrize("column", ["powers", "perfs"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
     def test_restore_rejects_bad_sample(self, db, column, bad):
-        import dataclasses
-
-        entry = db.entry(KEY)
-        values = list(getattr(entry, column))
+        values = record(db)[column]
         values[2] = bad
-        bad = dataclasses.replace(entry, **{column: tuple(values)})
         with pytest.raises(ConfigurationError):
-            ProfilingDatabase().restore_entry(bad)
+            ProfilingDatabase().load_state_dict(state_with(db, **{column: values}))
 
     def test_restore_rejects_non_finite_envelope(self, db):
-        import dataclasses
-
-        bad = dataclasses.replace(db.entry(KEY), max_power_w=float("inf"))
         with pytest.raises(ConfigurationError):
-            ProfilingDatabase().restore_entry(bad)
+            ProfilingDatabase().load_state_dict(state_with(db, max_power_w=float("inf")))
+
+    @pytest.mark.parametrize("bad", [-5.0, float("nan"), float("inf")])
+    def test_restore_rejects_bad_min_active_power(self, db, bad):
+        with pytest.raises(ConfigurationError, match="min active power"):
+            ProfilingDatabase().load_state_dict(state_with(db, min_active_power_w=bad))
 
     def test_restore_rejects_more_samples_than_the_window(self, db):
+        state = db.state_dict()
+        state["max_samples"] = 4
         with pytest.raises(ConfigurationError):
-            ProfilingDatabase(max_samples=4).restore_entry(db.entry(KEY))
+            ProfilingDatabase().load_state_dict(state)
 
     def test_restored_entry_keeps_learning(self, db):
         fresh = ProfilingDatabase()
-        fresh.restore_entry(db.entry(KEY))
+        fresh.load_state_dict(db.state_dict())
         fresh.add_sample(KEY, 140.0, 23000.0)
-        assert len(fresh.entry(KEY).powers) == len(db.entry(KEY).powers) + 1
+        assert len(record(fresh)["powers"]) == len(record(db)["powers"]) + 1

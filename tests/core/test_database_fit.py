@@ -23,6 +23,14 @@ KEY = ("E5-2620", "SPECjbb")
 POINTS = 50
 
 
+def window(db, key):
+    """The pair's retained (powers, perfs), read from ``db.state_dict()``."""
+    record = next(
+        r for r in db.state_dict()["entries"] if (r["platform"], r["workload"]) == key
+    )
+    return record["powers"], record["perfs"]
+
+
 def polyfit_degree(x, fit_kind):
     """The degree rule the fit keeps: distinct 1e-6 W levels, less one."""
     return min(fit_kind.value, max(1, len(np.unique(np.round(x, 6))) - 1))
@@ -63,9 +71,9 @@ def live_windows():
     refit = ProfilingDatabase.refit
 
     def capturing(self, key):
-        snapshot = self.entry(key)
+        powers, perfs = window(self, key)
         fit = refit(self, key)
-        captured.append((self.fit_kind, snapshot.powers, snapshot.perfs, fit))
+        captured.append((self.fit_kind, powers, perfs, fit))
         return fit
 
     with pytest.MonkeyPatch.context() as mp:
@@ -212,7 +220,7 @@ def assert_refits_identically(live, restored, rng):
         for db in (live, restored):
             db.add_sample(KEY, float(p), float(150.0 * p - 5000.0))
         assert restored.refit(KEY) == live.refit(KEY)
-    assert restored.entry(KEY) == live.entry(KEY)
+    assert restored.state_dict() == live.state_dict()
 
 
 class TestRestoreExactness:
@@ -221,9 +229,9 @@ class TestRestoreExactness:
     @pytest.mark.parametrize("max_samples", [16, 256])
     def test_restore_entry(self, max_samples):
         live = wrapped_database(max_samples)
-        restored = ProfilingDatabase(max_samples=max_samples)
-        restored.restore_entry(live.entry(KEY))
-        assert restored.entry(KEY) == live.entry(KEY)
+        restored = ProfilingDatabase()
+        restored.load_state_dict(live.state_dict())
+        assert restored.state_dict() == live.state_dict()
         assert_refits_identically(live, restored, np.random.default_rng(1))
 
     @pytest.mark.parametrize("max_samples", [16, 256])
@@ -231,5 +239,5 @@ class TestRestoreExactness:
         live = wrapped_database(max_samples)
         save_database(live, tmp_path / "db.json")
         restored = load_database(tmp_path / "db.json")
-        assert restored.entry(KEY) == live.entry(KEY)
+        assert restored.state_dict() == live.state_dict()
         assert_refits_identically(live, restored, np.random.default_rng(2))

@@ -1,8 +1,8 @@
-"""Enforcer: SPC state mapping and PSC flow execution."""
+"""The Enforcer's controllers: SPC state mapping and PSC flow execution."""
 
 import pytest
 
-from repro.core.enforcer import Enforcer, ServerPowerController
+from repro.core.enforcer import PowerSourceController, ServerPowerController
 from repro.core.sources import PowerCase, SourceDecision
 from repro.errors import PowerError
 from repro.obs.metrics import REGISTRY
@@ -22,22 +22,22 @@ def rack():
 
 class TestSPC:
     def test_splits_group_budget_evenly(self, rack):
-        enforced = ServerPowerController.apply(rack, (260.0, 210.0))
-        assert enforced.states == tuple(
+        states = ServerPowerController.apply(rack, (260.0, 210.0))
+        assert states == tuple(
             rack.curve(g).state_for_budget(share)
             for g, share in enumerate((130.0, 70.0))
         )
 
     def test_zero_budget_turns_group_off(self, rack):
-        enforced = ServerPowerController.apply(rack, (0.0, 210.0))
-        assert enforced.states[0].is_off
-        assert enforced.states[0].index == 0
+        states = ServerPowerController.apply(rack, (0.0, 210.0))
+        assert states[0].is_off
+        assert states[0].index == 0
 
     def test_below_min_active_sleeps(self, rack):
         # 2 E5-2620 at 40 W each cannot run: SLEEP state.
-        enforced = ServerPowerController.apply(rack, (80.0, 210.0))
-        assert enforced.states[0].label == "sleep"
-        assert enforced.states[0].index == 1
+        states = ServerPowerController.apply(rack, (80.0, 210.0))
+        assert states[0].label == "sleep"
+        assert states[0].index == 1
 
     def test_negative_budget_rejected(self, rack):
         with pytest.raises(PowerError):
@@ -61,16 +61,16 @@ class TestSPC:
             ResponseCurve, "state_for_budget",
             lambda curve, budget: (lookups.append(budget), lookup(curve, budget))[1],
         )
-        enforced = ServerPowerController.apply(rack, budgets, powered)
-        assert enforced.states == want
+        states = ServerPowerController.apply(rack, budgets, powered)
+        assert states == want
         # Exactly one lookup per group, partly powered groups included.
         assert len(lookups) == len(rack.groups)
 
     def test_enforced_draw_fits_budget(self, rack):
         budgets = (260.0, 210.0)
-        enforced = ServerPowerController.apply(rack, budgets)
+        states = ServerPowerController.apply(rack, budgets)
         for g, (group, budget) in enumerate(zip(rack.groups, budgets)):
-            draw = rack.curve(g).sample_at_state(enforced.states[g]).power_w
+            draw = rack.curve(g).sample_at_state(states[g]).power_w
             assert group.count * draw <= budget + 1e-6
 
 
@@ -82,7 +82,6 @@ class TestPSC:
             BatteryBank(),
             GridSource(budget_w=1000.0),
         )
-        enforcer = Enforcer(pdu)
         decision = SourceDecision(
             case=PowerCase.C,
             rack_budget_w=800.0,
@@ -91,7 +90,7 @@ class TestPSC:
             predicted_renewable_w=0.0,
             predicted_demand_w=800.0,
         )
-        flows = enforcer.psc.apply(decision, actual_load_w=750.0, time_s=0.0, duration_s=900.0)
+        flows = PowerSourceController(pdu).apply(decision, actual_load_w=750.0, time_s=0.0, duration_s=900.0)
         assert flows.delivered_w == pytest.approx(750.0)
         assert flows.breakdown.battery_to_load_w == pytest.approx(750.0)
 
@@ -102,7 +101,6 @@ class TestPSC:
             BatteryBank(),
             GridSource(budget_w=1000.0),
         )
-        enforcer = Enforcer(pdu)
         decision = SourceDecision(
             case=PowerCase.C,
             rack_budget_w=800.0,
@@ -111,7 +109,7 @@ class TestPSC:
             predicted_renewable_w=0.0,
             predicted_demand_w=800.0,
         )
-        flows = enforcer.psc.apply(decision, 750.0, 0.0, 900.0)
+        flows = PowerSourceController(pdu).apply(decision, 750.0, 0.0, 900.0)
         assert flows.breakdown.battery_to_load_w == 0.0
         assert flows.breakdown.grid_to_load_w == pytest.approx(750.0)
 
@@ -134,7 +132,7 @@ class TestPSC:
         calls = REGISTRY.get("repro_psc_calls_total").labels()
         before = calls.value
         epoch_pdu, single_pdu = pdu(), pdu()
-        flows = Enforcer(epoch_pdu).psc.apply(
+        flows = PowerSourceController(epoch_pdu).apply(
             decision, 900.0, 9 * 3600.0, 150.0, intervals=6
         )
         assert calls.value == before + 1

@@ -64,7 +64,7 @@ class TestMixedInteractiveBatch:
         ctl = make_controller(
             [("E5-2620", 3), ("i5-4460", 3)], ["Streamcluster", "Memcached"]
         )
-        states = ServerPowerController.apply(ctl.rack, (3 * 170.0, 3 * 70.0)).states
+        states = ServerPowerController.apply(ctl.rack, (3 * 170.0, 3 * 70.0))
         high = ctl._rack_throughput(states, load_fraction=1.0)
         low = ctl._rack_throughput(states, load_fraction=0.1)
         # Batch share is identical; only the interactive share shrinks.

@@ -15,48 +15,43 @@ def sample(power=100.0, perf=5000.0):
 class TestNoise:
     def test_deterministic_per_seed(self):
         m1, m2 = Monitor(seed=3), Monitor(seed=3)
-        o1 = m1.observe_server(sample(), 0, 0.0)
-        o2 = m2.observe_server(sample(), 0, 0.0)
-        assert o1.power_w == o2.power_w
-        assert o1.throughput == o2.throughput
+        assert m1.observe_server(sample()) == m2.observe_server(sample())
 
     def test_different_seeds_differ(self):
-        o1 = Monitor(seed=1).observe_server(sample(), 0, 0.0)
-        o2 = Monitor(seed=2).observe_server(sample(), 0, 0.0)
-        assert o1.power_w != o2.power_w
+        p1, _ = Monitor(seed=1).observe_server(sample())
+        p2, _ = Monitor(seed=2).observe_server(sample())
+        assert p1 != p2
 
     def test_zero_noise_is_exact(self):
         m = Monitor(power_noise=0.0, perf_noise=0.0, renewable_noise=0.0)
-        obs = m.observe_server(sample(), 1, 10.0)
-        assert obs.power_w == 100.0
-        assert obs.throughput == 5000.0
+        assert m.observe_server(sample()) == (100.0, 5000.0)
         assert m.observe_renewable(750.0) == 750.0
         assert m.observe_demand(900.0) == 900.0
 
     def test_noise_centered_on_truth(self):
         m = Monitor(power_noise=0.05, seed=0)
-        readings = [m.observe_server(sample(), 0, 0.0).power_w for _ in range(500)]
+        readings = [m.observe_server(sample())[0] for _ in range(500)]
         assert np.mean(readings) == pytest.approx(100.0, rel=0.02)
         assert np.std(readings) == pytest.approx(5.0, rel=0.25)
 
     def test_never_negative(self):
         m = Monitor(power_noise=1.0, perf_noise=1.0, seed=0)  # huge noise
         for _ in range(200):
-            obs = m.observe_server(sample(), 0, 0.0)
-            assert obs.power_w >= 0.0
-            assert obs.throughput >= 0.0
+            power_w, throughput = m.observe_server(sample())
+            assert power_w >= 0.0
+            assert throughput >= 0.0
 
     def test_zero_value_stays_zero(self):
         m = Monitor(seed=0)
-        obs = m.observe_server(ServerSample(0.0, 0.0, 0, 0.0), 0, 0.0)
-        assert obs.power_w == 0.0
-        assert obs.throughput == 0.0
+        assert m.observe_server(ServerSample(0.0, 0.0, 0, 0.0)) == (0.0, 0.0)
 
-    def test_state_index_exact(self):
-        obs = Monitor(seed=0).observe_server(sample(), 2, 5.0)
-        assert obs.state_index == 5
-        assert obs.group_index == 2
-        assert obs.time_s == 5.0
+    def test_power_read_before_throughput(self):
+        """Two draws, power first: the stream of the scalar meters."""
+        m, ref = Monitor(seed=0), Monitor(seed=0)
+        assert m.observe_server(sample()) == (
+            ref._jitter(100.0, ref.power_noise), ref._jitter(5000.0, ref.perf_noise)
+        )
+        assert m.state_dict() == ref.state_dict()
 
     def test_observe_throughput(self):
         m = Monitor(perf_noise=0.0)

@@ -77,8 +77,8 @@ class TestPartialGroupSolver:
 class TestEnforcerPartial:
     def test_powers_first_k_servers(self):
         rack = Rack([("E5-2620", 4), ("i5-4460", 2)], "Streamcluster")
-        enforced = ServerPowerController.apply(rack, (300.0, 180.0), powered_counts=(2, 2))
-        e5 = enforced.states[0]
+        states = ServerPowerController.apply(rack, (300.0, 180.0), powered_counts=(2, 2))
+        e5 = states[0]
         assert e5 == rack.curve(0).state_for_budget(150.0)
         assert e5.active
         # The two powered servers draw within the group budget.
@@ -86,13 +86,13 @@ class TestEnforcerPartial:
 
     def test_zero_count_turns_group_off(self):
         rack = Rack([("E5-2620", 2), ("i5-4460", 2)], "Streamcluster")
-        enforced = ServerPowerController.apply(rack, (0.0, 150.0), powered_counts=(0, 2))
-        assert enforced.states[0].is_off
+        states = ServerPowerController.apply(rack, (0.0, 150.0), powered_counts=(0, 2))
+        assert states[0].is_off
 
     def test_zero_count_is_off_whatever_the_budget(self):
         rack = Rack([("E5-2620", 2), ("i5-4460", 2)], "Streamcluster")
-        enforced = ServerPowerController.apply(rack, (500.0, 150.0), powered_counts=(0, 2))
-        assert enforced.states[0].is_off
+        states = ServerPowerController.apply(rack, (500.0, 150.0), powered_counts=(0, 2))
+        assert states[0].is_off
 
     def test_bad_count_rejected(self):
         rack = Rack([("E5-2620", 2)], "Streamcluster")

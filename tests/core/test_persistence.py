@@ -259,17 +259,3 @@ class TestPredictorPersistence:
         state["level"] = float("nan")
         with pytest.raises(ConfigurationError):
             HoltPredictor().load_state_dict(state)
-
-
-class TestPublicSurfaceOnly:
-    def test_database_state_dict_uses_snapshot_api(self, db):
-        """Serialisation must survive a database exposing only its public API."""
-
-        class Facade:
-            fit_kind = db.fit_kind
-            max_samples = db.max_samples
-
-            def snapshot(self):
-                return db.snapshot()
-
-        assert ProfilingDatabase.state_dict(Facade()) == db.state_dict()

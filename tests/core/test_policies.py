@@ -6,6 +6,7 @@ from repro.core.database import PerfPowerFit, ProfilingDatabase
 from repro.core.policies import (
     POLICY_NAMES,
     AllocationContext,
+    AllocationPlan,
     GreenHeteroPolicy,
     GreenHeteroPriorityPolicy,
     GreenHeteroStaticPolicy,
@@ -83,10 +84,18 @@ class TestRegistry:
     def test_repr(self):
         assert "GreenHetero" in repr(GreenHeteroPolicy())
 
+    @pytest.mark.parametrize("name", POLICY_NAMES + ("OnOff", "GreenHetero+"))
+    def test_allocate_plan_is_the_only_entry_point(self, name):
+        policy = make_policy(name)
+        plan = policy.allocate_plan(make_ctx(oracle=lambda ratios: ratios[0]))
+        assert isinstance(plan, AllocationPlan)
+        assert len(plan.ratios) == 2 and sum(plan.ratios) <= 1.0 + 1e-9
+        assert not hasattr(policy, "allocate")
+
 
 class TestUniform:
     def test_equal_per_server(self):
-        ratios = UniformPolicy().allocate(make_ctx())
+        ratios = UniformPolicy().allocate_plan(make_ctx()).ratios
         assert ratios == pytest.approx((0.5, 0.5))
 
     def test_weighted_by_count(self):
@@ -95,16 +104,16 @@ class TestUniform:
             groups=(GroupInfo("E5-2620", 6, E5_KEY), GroupInfo("i5-4460", 3, I5_KEY)),
             database=make_db(),
         )
-        assert UniformPolicy().allocate(ctx) == pytest.approx((2 / 3, 1 / 3))
+        assert UniformPolicy().allocate_plan(ctx).ratios == pytest.approx((2 / 3, 1 / 3))
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ConfigurationError):
-            UniformPolicy().allocate(make_ctx(budget=-1.0))
+            UniformPolicy().allocate_plan(make_ctx(budget=-1.0))
 
     def test_empty_groups_rejected(self):
         ctx = AllocationContext(budget_w=100.0, groups=(), database=make_db())
         with pytest.raises(ConfigurationError):
-            UniformPolicy().allocate(ctx)
+            UniformPolicy().allocate_plan(ctx)
 
 
 class TestManual:
@@ -112,12 +121,12 @@ class TestManual:
         def oracle(ratios):
             return -abs(ratios[0] - 0.7)  # best trial at 70/30
 
-        ratios = ManualPolicy().allocate(make_ctx(oracle=oracle))
+        ratios = ManualPolicy().allocate_plan(make_ctx(oracle=oracle)).ratios
         assert ratios == pytest.approx((0.7, 0.3))
 
     def test_requires_oracle(self):
         with pytest.raises(ConfigurationError):
-            ManualPolicy().allocate(make_ctx(oracle=None))
+            ManualPolicy().allocate_plan(make_ctx(oracle=None))
 
     def test_granularity_is_ten_percent(self):
         seen = []
@@ -126,7 +135,7 @@ class TestManual:
             seen.append(ratios)
             return 0.0
 
-        ManualPolicy().allocate(make_ctx(oracle=oracle))
+        ManualPolicy().allocate_plan(make_ctx(oracle=oracle))
         assert len(seen) == 11  # compositions of 10 steps into 2 groups
 
 
@@ -134,7 +143,7 @@ class TestPriority:
     def test_feeds_most_efficient_first(self):
         # The i5 projection is the efficiency leader: at 1000 W it gets
         # its full saturation power (5 * 80 = 400 W) before the E5s.
-        ratios = GreenHeteroPriorityPolicy().allocate(make_ctx(budget=1000.0))
+        ratios = GreenHeteroPriorityPolicy().allocate_plan(make_ctx(budget=1000.0)).ratios
         assert ratios[1] == pytest.approx(400.0 / 1000.0)
         assert ratios[0] == pytest.approx(600.0 / 1000.0)
 
@@ -142,17 +151,17 @@ class TestPriority:
         # 600 W: i5s take 400, the remaining 200 spills onto the E5s
         # even though 40 W/server cannot power them on (the waste mode
         # the paper demonstrates with Streamcluster).
-        ratios = GreenHeteroPriorityPolicy().allocate(make_ctx(budget=600.0))
+        ratios = GreenHeteroPriorityPolicy().allocate_plan(make_ctx(budget=600.0)).ratios
         assert ratios[1] == pytest.approx(400.0 / 600.0)
         assert ratios[0] == pytest.approx(200.0 / 600.0)
 
     def test_zero_budget(self):
-        ratios = GreenHeteroPriorityPolicy().allocate(make_ctx(budget=0.0))
+        ratios = GreenHeteroPriorityPolicy().allocate_plan(make_ctx(budget=0.0)).ratios
         assert ratios == (0.0, 0.0)
 
     def test_never_exceeds_budget(self):
         for budget in (200.0, 500.0, 900.0, 5000.0):
-            ratios = GreenHeteroPriorityPolicy().allocate(make_ctx(budget=budget))
+            ratios = GreenHeteroPriorityPolicy().allocate_plan(make_ctx(budget=budget)).ratios
             assert sum(ratios) <= 1.0 + 1e-9
 
 
@@ -160,8 +169,8 @@ class TestSolverPolicies:
     def test_greenhetero_beats_uniform_projection(self):
         db = make_db()
         ctx = make_ctx(budget=1000.0, db=db)
-        gh = GreenHeteroPolicy().allocate(ctx)
-        uni = UniformPolicy().allocate(ctx)
+        gh = GreenHeteroPolicy().allocate_plan(ctx).ratios
+        uni = UniformPolicy().allocate_plan(ctx).ratios
 
         def projected(ratios):
             total = 0.0
@@ -173,7 +182,7 @@ class TestSolverPolicies:
 
     def test_static_and_adaptive_same_decision_same_db(self):
         ctx = make_ctx()
-        assert GreenHeteroStaticPolicy().allocate(ctx) == GreenHeteroPolicy().allocate(ctx)
+        assert GreenHeteroStaticPolicy().allocate_plan(ctx) == GreenHeteroPolicy().allocate_plan(ctx)
 
     def test_solver_failure_falls_back_to_uniform(self):
         # A context whose group count exceeds the solver's bound should
@@ -188,8 +197,8 @@ class TestSolverPolicies:
             ),
             database=make_db(),
         )
-        ratios = GreenHeteroPolicy().allocate(ctx)
-        assert ratios == pytest.approx(UniformPolicy().allocate(ctx))
+        ratios = GreenHeteroPolicy().allocate_plan(ctx).ratios
+        assert ratios == pytest.approx(UniformPolicy().allocate_plan(ctx).ratios)
         assert ratios[0] < ratios[-1]
 
     def test_fit_above_quadratic_falls_back_to_uniform(self):
@@ -198,7 +207,7 @@ class TestSolverPolicies:
         cubic = PerfPowerFit((-1 / 3, 0.0, 1e4, 0.0), 50.0, 150.0)
         db.projection = lambda key: cubic
         ctx = make_ctx(db=db)
-        assert GreenHeteroPolicy().allocate(ctx) == UniformPolicy().allocate(ctx)
+        assert GreenHeteroPolicy().allocate_plan(ctx).ratios == UniformPolicy().allocate_plan(ctx).ratios
 
 
 class TestOnOff:
@@ -207,21 +216,21 @@ class TestOnOff:
     def test_powers_exactly_one_group(self):
         from repro.core.policies import OnOffPolicy
 
-        ratios = OnOffPolicy().allocate(make_ctx(budget=1000.0))
+        ratios = OnOffPolicy().allocate_plan(make_ctx(budget=1000.0)).ratios
         assert sum(1 for r in ratios if r > 0) == 1
 
     def test_prefers_most_efficient_group_it_can_power(self):
         from repro.core.policies import OnOffPolicy
 
         # At 1000 W either group fits; the i5 projection leads efficiency.
-        ratios = OnOffPolicy().allocate(make_ctx(budget=1000.0))
+        ratios = OnOffPolicy().allocate_plan(make_ctx(budget=1000.0)).ratios
         assert ratios[1] > 0.0
         assert ratios[0] == 0.0
 
     def test_never_exceeds_saturation(self):
         from repro.core.policies import OnOffPolicy
 
-        ratios = OnOffPolicy().allocate(make_ctx(budget=5000.0))
+        ratios = OnOffPolicy().allocate_plan(make_ctx(budget=5000.0)).ratios
         granted = [r * 5000.0 for r in ratios]
         # i5 group saturates at 5 * 80 W.
         assert max(granted) <= 5 * 80.0 + 1e-6
@@ -229,7 +238,7 @@ class TestOnOff:
     def test_zero_budget(self):
         from repro.core.policies import OnOffPolicy
 
-        assert OnOffPolicy().allocate(make_ctx(budget=0.0)) == (0.0, 0.0)
+        assert OnOffPolicy().allocate_plan(make_ctx(budget=0.0)).ratios == (0.0, 0.0)
 
     def test_registered_in_factory(self):
         assert make_policy("OnOff").name == "OnOff"

@@ -111,6 +111,28 @@ class TestVerbs:
             daemon.stop_from_thread()
             thread.join(timeout=30)
 
+    @pytest.mark.parametrize("field", ["energy_wh", "earliest_start_s"])
+    def test_non_finite_job_rejected_and_rack_keeps_stepping(self, field):
+        # A bare NaN is valid to the daemon's JSON parser; the job must
+        # be refused before it reaches the queue, or every later step fails.
+        daemon = AllocationDaemon(ServeState.build(BATCH), port=0)
+        thread = daemon.run_in_thread()
+        try:
+            with ServeClient(port=daemon.port) as client:
+                clock_s = client.queue_status("rack0")["clock_s"]
+                job = {**make_job(clock_s, "nan-job"), field: float("nan")}
+                with pytest.raises(ServeError, match="must be finite") as err:
+                    client.submit("rack0", job)
+                assert err.value.error_type == "ConfigurationError"
+                for _ in range(3):
+                    client.step("rack0")
+                status = client.queue_status("rack0")
+                assert status["epochs"] == 3
+                assert sum(status["jobs"].values()) == 0
+        finally:
+            daemon.stop_from_thread()
+            thread.join(timeout=30)
+
 
 class TestInteractiveRackRejected:
     def test_submit_needs_deferrable_groups(self):

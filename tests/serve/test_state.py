@@ -40,6 +40,11 @@ class TestServeConfig:
         with pytest.raises(ConfigurationError):
             ServeConfig(epoch_s=0.0)
 
+    @pytest.mark.parametrize("epoch_s", [float("nan"), float("inf")])
+    def test_non_finite_epoch_rejected_at_construction(self, epoch_s):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ServeConfig(epoch_s=epoch_s)
+
     @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
     def test_bad_shared_grid_rejected(self, budget):
         with pytest.raises(ConfigurationError, match="shared grid"):

@@ -55,6 +55,15 @@ class TestShiftJob:
         with pytest.raises(ConfigurationError, match="malformed"):
             ShiftJob.from_dict({"job_id": "x"})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["energy_wh", "power_w", "earliest_start_s", "deadline_s", "value"]
+    )
+    def test_non_finite_field_rejected(self, field, bad):
+        data = {**job().to_dict(), field: bad}
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            ShiftJob.from_dict(data)
+
 
 class TestLifecycle:
     def test_submission_order_preserved(self):

@@ -45,3 +45,9 @@ class TestClock:
     def test_negative_start_rejected(self):
         with pytest.raises(ConfigurationError):
             SimClock(start_s=-1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["start_s", "duration_s", "epoch_s"])
+    def test_non_finite_rejected(self, field, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            SimClock(**{field: bad})

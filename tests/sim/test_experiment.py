@@ -32,6 +32,11 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(days=0.0)
 
+    @pytest.mark.parametrize("days", [float("nan"), float("inf")])
+    def test_non_finite_days_rejected_at_construction(self, days):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ExperimentConfig(days=days)
+
     def test_empty_policies_rejected(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(policies=())

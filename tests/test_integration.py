@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.sources import PowerCase
 from repro.servers.platform import get_platform
-from repro.servers.power_model import ResponseCurve
+from repro.servers.power_model import ResponseCurve, case_study_sweep
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.runner import run_experiment
 
@@ -183,6 +183,12 @@ class TestCaseStudy:
         _, best = self._epu_perf(curves, 0.65)
         _, uniform = self._epu_perf(curves, 0.5)
         assert best > uniform
+
+    def test_shared_sweep_equals_the_formula(self, curves):
+        rows = case_study_sweep(*curves, 220.0)
+        assert [pct for pct, _, _ in rows] == list(range(0, 101, 5))
+        for pct, epu, perf in rows:
+            assert (epu, perf) == self._epu_perf(curves, pct / 100)
 
 
 class TestDeterminism:

@@ -28,9 +28,10 @@ TOP_LEVEL = [
 
 SUBPACKAGE_SURFACE = {
     "repro.core": [
-        "ClusterCoordinator", "Enforcer", "FitKind", "GridSplit",
+        "ClusterCoordinator", "FitKind", "GridSplit",
         "HoltPredictor", "Monitor", "PARSolver", "PerfPowerFit",
-        "PowerCase", "ProfilingDatabase", "SourceSelector",
+        "PowerCase", "PowerSourceController", "ProfilingDatabase",
+        "ServerPowerController", "SourceSelector",
         "load_database", "save_database",
     ],
     "repro.power": [
