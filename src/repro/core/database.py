@@ -72,6 +72,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.core.persistence import Field, check, within
 from repro.errors import ConfigurationError, DatabaseMissError
 from repro.obs.metrics import REGISTRY as _REGISTRY, Gauge
 
@@ -95,6 +96,23 @@ class FitKind(enum.Enum):
 
     LINEAR = 1
     QUADRATIC = 2
+
+
+_FIT_KINDS = tuple(FitKind.__members__)
+
+#: The checkpointed fields of a :class:`ProfilingDatabase`, of each of
+#: its records, and of a record's fit.  A negative ``min_active_power_w``
+#: would fail every later refit, and a negative or non-finite sample
+#: poison every refit until it aged out.
+_STATE_FIELDS = {"fit_kind": Field(str, choices=_FIT_KINDS), "max_samples": Field(int, lo=4),
+                 "entries": Field(dict, many=True)}
+_RECORD_FIELDS = {
+    "platform": Field(str), "workload": Field(str), "idle_power_w": Field(lo=0.0),
+    "max_power_w": Field(), "min_active_power_w": Field(lo=0.0, nullable=True),
+    "powers": Field(lo=0.0, many=True), "perfs": Field(lo=0.0, many=True),
+}
+_FIT_FIELDS = {"coefficients": Field(many=True), "min_power_w": Field(), "max_power_w": Field(),
+               "kind": Field(str, choices=_FIT_KINDS), "n_samples": Field(int, lo=0)}
 
 
 @dataclass(frozen=True)
@@ -333,65 +351,45 @@ class ProfilingDatabase:
             negative, NaN or infinite, or whose fit has a non-finite
             coefficient or power bound or more than three coefficients.
         """
-        try:
-            staged = ProfilingDatabase(
-                fit_kind=FitKind[state["fit_kind"]],
-                max_samples=int(state["max_samples"]),
-            )
-            for record in state["entries"]:
+        v = check(state, _STATE_FIELDS)
+        staged = ProfilingDatabase(FitKind[v["fit_kind"]], v["max_samples"])
+        for i, record in enumerate(v["entries"]):
+            with within(f"entries.{i}"):
                 staged._restore(record)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed database state: {exc}") from exc
         vars(self).update(vars(staged))
 
     def _restore(self, record: dict[str, Any]) -> None:
         """Check one :meth:`state_dict` record and install it verbatim."""
-        key = (record["platform"], record["workload"])
-        idle_power_w, max_power_w = record["idle_power_w"], record["max_power_w"]
-        if not (math.isfinite(idle_power_w) and math.isfinite(max_power_w)):
-            raise ConfigurationError(f"{key}: power envelope must be finite")
+        v = check(record, _RECORD_FIELDS)
+        key = (v["platform"], v["workload"])
+        idle_power_w, max_power_w = v["idle_power_w"], v["max_power_w"]
         if max_power_w <= idle_power_w:
             raise ConfigurationError(
                 f"{key}: max power ({max_power_w}) must exceed idle ({idle_power_w})"
             )
-        powers = tuple(float(p) for p in record["powers"])
-        perfs = tuple(float(p) for p in record["perfs"])
+        powers, perfs = v["powers"], v["perfs"]
         if len(powers) != len(perfs):
             raise ConfigurationError(f"{key}: powers and perfs must have equal length")
         if len(powers) > self.max_samples:
             raise ConfigurationError(
                 f"{key}: {len(powers)} samples exceed max_samples ({self.max_samples})"
             )
-        for power_w, perf in zip(powers, perfs):
-            _check_sample(power_w, perf)
         fit = None
-        fit_doc = record.get("fit")
-        if fit_doc is not None:
-            fit = PerfPowerFit(
-                coefficients=tuple(fit_doc["coefficients"]),
-                min_power_w=fit_doc["min_power_w"],
-                max_power_w=fit_doc["max_power_w"],
-                kind=FitKind[fit_doc["kind"]],
-                n_samples=int(fit_doc["n_samples"]),
-            )
+        if record.get("fit") is not None:
             # Checked here rather than in PerfPowerFit, so the per-epoch
             # refit pays nothing: a NaN coefficient would zero every
             # allocation, and an infinite bound allocate past the envelope.
-            if not all(map(math.isfinite, (*fit.coefficients, fit.min_power_w, fit.max_power_w))):
-                raise ConfigurationError(f"{key}: fit coefficients and power bounds must be finite")
-            if not 1 <= len(fit.coefficients) <= 3:
+            f = check(record["fit"], _FIT_FIELDS, "fit")
+            if not 1 <= len(f["coefficients"]) <= 3:
                 raise ConfigurationError(
-                    f"{key}: a fit has one to three coefficients, got {len(fit.coefficients)}"
+                    f"{key}: a fit has one to three coefficients, got {len(f['coefficients'])}"
                 )
-        min_active = record["min_active_power_w"]
-        # A negative boundary fails every later refit, and a NaN one
-        # never moves again; ``None`` stands for no active sample yet.
-        if min_active is not None and not 0.0 <= min_active < math.inf:
-            raise ConfigurationError(
-                f"{key}: min active power must be finite and non-negative, got {min_active}"
-            )
-        entry = _Entry(float(idle_power_w), float(max_power_w), self.max_samples)
-        entry.min_active_power_w = math.inf if min_active is None else float(min_active)
+            fit = PerfPowerFit(**{**f, "coefficients": tuple(f["coefficients"]),
+                                  "kind": FitKind[f["kind"]]})
+        # ``None`` stands for no active sample yet.
+        min_active = v["min_active_power_w"]
+        entry = _Entry(idle_power_w, max_power_w, self.max_samples)
+        entry.min_active_power_w = math.inf if min_active is None else min_active
         entry.load(powers, perfs)
         entry.fit = fit
         self._entries[key] = entry

@@ -33,11 +33,11 @@ laps, and the racks of a served fleet, which share one demand history.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
+from repro.core.persistence import Field, check, field_error
 from repro.errors import ConfigurationError
 from repro.obs.metrics import REGISTRY as _REGISTRY
 from repro.obs.tracing import trace
@@ -63,6 +63,13 @@ def _remember(key: tuple, constants: tuple[float, float]) -> None:
     _FIT_MEMO[key] = constants
 
 
+#: The smoothing constants, checked on construction, and the checkpointed
+#: fields of a :class:`HoltPredictor`.
+_CONSTANTS = dict.fromkeys(("alpha", "beta"), Field(lo=0.0, hi=1.0))
+_STATE_FIELDS = {**_CONSTANTS, "nonnegative": Field(bool), "level": Field(nullable=True),
+                 "trend": Field(), "n_observed": Field(int, lo=0)}
+
+
 class HoltPredictor:
     """Streaming Holt (double exponential smoothing) forecaster.
 
@@ -78,10 +85,7 @@ class HoltPredictor:
     """
 
     def __init__(self, alpha: float = 0.5, beta: float = 0.3, nonnegative: bool = True) -> None:
-        if not 0.0 <= alpha <= 1.0:
-            raise ConfigurationError(f"alpha must be in [0, 1], got {alpha}")
-        if not 0.0 <= beta <= 1.0:
-            raise ConfigurationError(f"beta must be in [0, 1], got {beta}")
+        check({"alpha": alpha, "beta": beta}, _CONSTANTS)
         self.alpha = alpha
         self.beta = beta
         self.nonnegative = nonnegative
@@ -177,30 +181,14 @@ class HoltPredictor:
         Raises
         ------
         ConfigurationError
-            On missing keys, out-of-range constants, or a non-finite
-            level or trend.
+            On a field that breaks :data:`_STATE_FIELDS`, or a null level
+            after the first observation (the forecast would fail).
         """
-        try:
-            alpha = float(state["alpha"])
-            beta = float(state["beta"])
-            nonnegative = bool(state["nonnegative"])
-            level = None if state["level"] is None else float(state["level"])
-            trend = float(state["trend"])
-            n_observed = int(state["n_observed"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed predictor state: {exc}") from exc
-        if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
-            raise ConfigurationError(
-                f"alpha and beta must be in [0, 1], got {alpha} and {beta}"
-            )
-        if not math.isfinite(trend) or (level is not None and not math.isfinite(level)):
-            raise ConfigurationError("predictor level and trend must be finite")
-        self.alpha = alpha
-        self.beta = beta
-        self.nonnegative = nonnegative
-        self._level = level
-        self._trend = trend
-        self._n_observed = n_observed
+        v = check(state, _STATE_FIELDS)
+        if (v["level"] is None) != (v["n_observed"] == 0):
+            raise field_error("level", "must be null exactly when n_observed is 0")
+        self.alpha, self.beta, self.nonnegative = v["alpha"], v["beta"], v["nonnegative"]
+        self._level, self._trend, self._n_observed = v["level"], v["trend"], v["n_observed"]
 
     # ------------------------------------------------------------------
     # Training (Eq. 5)

@@ -25,11 +25,11 @@ brownouts.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import ConfigurationError, PowerError
+from repro.core.persistence import Field, check
+from repro.errors import PowerError
 from repro.power.battery import BatteryBank
 from repro.power.grid import GridSource
 
@@ -127,13 +127,7 @@ class SourceSelector:
 
     def load_state_dict(self, state: dict[str, Any]) -> None:
         """Install a :meth:`state_dict` capture."""
-        try:
-            grid_mode = state["grid_mode"]
-        except (KeyError, TypeError) as exc:
-            raise ConfigurationError(f"malformed selector state: {exc}") from exc
-        if not isinstance(grid_mode, bool):
-            raise ConfigurationError("selector grid_mode must be a boolean")
-        self._grid_mode = grid_mode
+        self._grid_mode = check(state, {"grid_mode": Field(bool)})["grid_mode"]
 
     def decide(
         self,
@@ -274,12 +268,7 @@ class RationedSourceSelector(SourceSelector):
 
     def load_state_dict(self, state: dict[str, Any]) -> None:
         """Install a :meth:`state_dict` capture."""
-        try:
-            dark_elapsed_s = float(state["dark_elapsed_s"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed selector state: {exc}") from exc
-        if not 0.0 <= dark_elapsed_s < math.inf:
-            raise ConfigurationError("selector dark_elapsed_s must be finite and >= 0")
+        dark_elapsed_s = check(state, {"dark_elapsed_s": Field(lo=0.0)})["dark_elapsed_s"]
         super().load_state_dict(state)
         self._dark_elapsed_s = dark_elapsed_s
 

@@ -16,9 +16,8 @@ recharge cycles of lifetime — and an 80% energy efficiency
 
 from __future__ import annotations
 
-import math
-
-from repro.errors import BatteryError, ConfigurationError
+from repro.core.persistence import Field, check, field_error
+from repro.errors import BatteryError
 
 #: Lead-acid discharge C-rate: capacity / 5 hours.
 DEFAULT_DISCHARGE_HOURS = 5.0
@@ -28,6 +27,12 @@ DEFAULT_CHARGE_HOURS = 10.0
 
 #: Cycle life at 40% DoD for the paper's batteries [31].
 RATED_CYCLES_AT_DOD = 1300.0
+
+
+#: The checkpointed fields of a :class:`BatteryBank`.
+_STATE_FIELDS = dict.fromkeys(
+    ("soc_wh", "discharged_wh_total", "charged_wh_total"), Field(lo=0.0)
+)
 
 
 class BatteryBank:
@@ -178,24 +183,17 @@ class BatteryBank:
         Raises
         ------
         ConfigurationError
-            On missing keys, a SoC outside ``[0, capacity_wh]``, or a
-            negative or non-finite counter.
+            On a field that breaks :data:`_STATE_FIELDS`, or a SoC above
+            ``capacity_wh``.
         """
-        try:
-            soc_wh = float(state["soc_wh"])
-            discharged = float(state["discharged_wh_total"])
-            charged = float(state["charged_wh_total"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed battery state: {exc}") from exc
-        if not 0.0 <= soc_wh <= self.capacity_wh:
-            raise ConfigurationError(
-                f"battery SoC {soc_wh} Wh is outside [0, {self.capacity_wh}]"
+        v = check(state, _STATE_FIELDS)
+        if v["soc_wh"] > self.capacity_wh:
+            raise field_error(
+                "soc_wh", f"must be at most capacity_wh ({self.capacity_wh}), got {v['soc_wh']}"
             )
-        if not (0.0 <= discharged < math.inf and 0.0 <= charged < math.inf):
-            raise ConfigurationError("battery counters must be finite and >= 0")
-        self.soc_wh = soc_wh
-        self._discharged_wh_total = discharged
-        self._charged_wh_total = charged
+        self.soc_wh = v["soc_wh"]
+        self._discharged_wh_total = v["discharged_wh_total"]
+        self._charged_wh_total = v["charged_wh_total"]
 
     # ------------------------------------------------------------------
     # Flow limits (planning queries used by the scheduler)

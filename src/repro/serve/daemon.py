@@ -36,6 +36,7 @@ from typing import Any, TextIO
 
 from time import perf_counter
 
+from repro.core.persistence import Field, check
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.metrics import REGISTRY as _REGISTRY, ChildCache as _ChildCache
 from repro.obs.tracing import trace
@@ -308,13 +309,14 @@ class AllocationDaemon:
                 "families": list(_REGISTRY.families()),
             }
         if op == "allocate":
-            return self._rack(request).allocate(_number(request, "budget_w"))
+            return self._rack(request).allocate(
+                *_numbers(request, budget_w=_OPTIONAL_NUMBER)
+            )
         if op == "forecast":
             return self._rack(request).forecast()
         if op == "observe":
             return self._rack(request).observe(
-                _number(request, "renewable_w", required=True),
-                _number(request, "demand_w", required=True),
+                *_numbers(request, renewable_w=_NUMBER, demand_w=_NUMBER)
             )
         if op == "step":
             return self._step(request)
@@ -345,7 +347,7 @@ class AllocationDaemon:
     # Ops
     # ------------------------------------------------------------------
     def _step(self, request: Request) -> dict[str, Any]:
-        load = _number(request, "load_fraction")
+        (load,) = _numbers(request, load_fraction=_OPTIONAL_NUMBER)
         if request.rack is None and self.state.coordinator is not None:
             return self._step_cluster(load)
         host = self._rack(request)
@@ -425,15 +427,17 @@ class AllocationDaemon:
         self._audit_file.flush()
 
 
-def _number(request: Request, key: str, required: bool = False) -> float | None:
-    """Parameter ``key`` as a float; ``None`` when absent and optional.
+#: A numeric request parameter: any JSON number, whose range the rack
+#: checks (a ``ConfigurationError``); ``true`` or ``"500"`` is a
+#: :class:`ProtocolError`, not a coerced 1 W or 500 W.
+_NUMBER = Field(finite=False)
+_OPTIONAL_NUMBER = Field(finite=False, nullable=True)
 
-    Only a JSON number is accepted: ``true`` or ``"500"`` is a
-    :class:`ProtocolError`, not a coerced 1 W or 500 W.
-    """
-    value = request.params.get(key)
-    if value is None and not required:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProtocolError(f"{request.op} needs a numeric {key!r}, got {value!r}")
-    return float(value)
+
+def _numbers(request: Request, **fields: Field) -> list[float | None]:
+    """The named numeric parameters, in order; an absent one reads as null."""
+    params = {key: request.params.get(key) for key in fields}
+    try:
+        return list(check(params, fields, request.op).values())
+    except ConfigurationError as exc:
+        raise ProtocolError(str(exc)) from None

@@ -27,7 +27,9 @@ from typing import Any
 
 from repro.core.cluster import ClusterCoordinator, GridSplit
 from repro.core.controller import EpochRecord
-from repro.core.persistence import read_document, write_document
+from repro.core.persistence import (
+    Field, check, check_rows, dataclass_fields, read_document, within, write_document,
+)
 from repro.core.policies import make_policy
 from repro.errors import ConfigurationError
 from repro.servers.rack import Rack
@@ -86,24 +88,12 @@ class ServeConfig:
     shift_horizon: int = 8
 
     def __post_init__(self) -> None:
-        if self.n_racks < 1:
-            raise ConfigurationError("need at least one rack")
-        if not (math.isfinite(self.epoch_s) and self.epoch_s > 0):
-            raise ConfigurationError(
-                f"epoch length must be finite and positive, got {self.epoch_s}"
-            )
-        if self.shift_horizon < 1:
-            raise ConfigurationError("shift horizon must be >= 1")
-        if self.shared_grid_w is not None and not (
-            math.isfinite(self.shared_grid_w) and self.shared_grid_w >= 0
-        ):
-            raise ConfigurationError(
-                "shared grid budget must be finite and non-negative, "
-                f"got {self.shared_grid_w}"
-            )
+        v = check(self.to_dict(), _CONFIG_FIELDS)
+        if v["epoch_s"] <= 0:
+            raise ConfigurationError(f"epoch_s must be positive, got {self.epoch_s}")
         # Normalized to float so a persisted-and-reloaded config
         # serializes byte-identically to the original.
-        object.__setattr__(self, "epoch_s", float(self.epoch_s))
+        object.__setattr__(self, "epoch_s", v["epoch_s"])
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -120,47 +110,28 @@ class ServeConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ServeConfig":
-        """Rebuild a config from :meth:`to_dict` output.
-
-        Counts, ``seed`` and ``shift_horizon`` must be integral JSON
-        numbers and ``epoch_s`` and ``shared_grid_w`` JSON numbers (or
-        null, for the grid): a coerced ``2.7`` or ``true`` would restore
-        a differently sized fleet without error.
-        """
-        try:
-            grid = data["shared_grid_w"]
-            return cls(
-                platforms=tuple(
-                    (str(name), _integer(count, "platform count"))
-                    for name, count in data["platforms"]
-                ),
-                workload=str(data["workload"]),
-                policy=str(data["policy"]),
-                n_racks=_integer(data["n_racks"], "n_racks"),
-                weather=Weather[data["weather"]],
-                seed=_integer(data["seed"], "seed"),
-                shared_grid_w=None if grid is None else _real(grid, "shared_grid_w"),
-                epoch_s=_real(data["epoch_s"], "epoch_s"),
-                shift_horizon=_integer(data["shift_horizon"], "shift_horizon"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed serve config: {exc}") from exc
+        """Rebuild a config from :meth:`to_dict` output; a coerced ``2.7``
+        or ``true`` would restore a differently sized fleet."""
+        v = check(data, _CONFIG_FIELDS)
+        return cls(**{
+            **v,
+            "platforms": tuple(check_rows(v["platforms"], _GROUP_FIELDS, "platforms")),
+            "weather": Weather[v["weather"]],
+        })
 
 
-def _real(value: Any, field: str) -> float:
-    """``value`` as a float; it must be a JSON number, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{field} must be a number, got {value!r}")
-    return float(value)
-
-
-def _integer(value: Any, field: str) -> int:
-    """``value`` as an int; it must be an integral JSON number, not a bool."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return value
+#: A config's fields, checked on construction and on load: scalars from
+#: the annotations, the rest declared.
+_CONFIG_FIELDS = dataclass_fields(
+    ServeConfig,
+    platforms=Field(list),
+    n_racks=Field(int, lo=1),
+    weather=Field(str, choices=tuple(Weather.__members__)),
+    seed=Field(int, lo=0),
+    shared_grid_w=Field(lo=0.0, nullable=True),
+    shift_horizon=Field(int, lo=1),
+)
+_GROUP_FIELDS = {"platform": Field(str), "count": Field(int)}
 
 
 class RackHost:
@@ -383,7 +354,8 @@ class ServeState:
             path = Path(checkpoint_dir) / CHECKPOINT_NAME
             if path.exists():
                 document = read_document(path, "fleet checkpoint")
-                config = ServeConfig.from_dict(document.get("config"))
+                with within("config"):
+                    config = ServeConfig.from_dict(document.get("config"))
             elif (path.parent / "manifest.json").exists():
                 raise ConfigurationError(
                     f"{path.parent} holds the retired per-rack checkpoint "
@@ -396,7 +368,8 @@ class ServeState:
         for i in range(config.n_racks):
             name = f"rack{i}"
             # One policy instance per rack: each rack owns its solver and
-            # its memoization cache (the daemon solves racks in parallel).
+            # its memoization cache, so one rack's queries never evict
+            # another's solutions.
             sim = Simulation.assemble(
                 policy=make_policy(config.policy),
                 rack=Rack(list(config.platforms), config.workload),
@@ -488,20 +461,17 @@ class ServeState:
 
     def _restore(self, document: dict[str, Any]) -> None:
         """Install every rack's checkpointed state into the assembled fleet."""
-        try:
-            racks = document["racks"]
-            cluster_epochs = int(document["cluster_epochs"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed fleet checkpoint: {exc}") from exc
-        names = sorted(racks) if isinstance(racks, dict) else None
+        v = check(document, {"cluster_epochs": Field(int, lo=0), "racks": Field(dict)})
+        names = sorted(v["racks"])
         if names != sorted(self.racks):
             raise ConfigurationError(
                 f"checkpoint racks {names} do not match the "
                 f"assembled fleet {sorted(self.racks)}"
             )
-        for name, state in racks.items():
-            self.racks[name].sim.load_state_dict(state)
-        self.cluster_epochs = cluster_epochs
+        for name, state in v["racks"].items():
+            with within(f"racks.{name}"):
+                self.racks[name].sim.load_state_dict(state)
+        self.cluster_epochs = v["cluster_epochs"]
         self.restored = True
 
     # ------------------------------------------------------------------

@@ -78,6 +78,9 @@ import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+from repro.core.persistence import (
+    Field, check, check_rows, dataclass_fields, dump, within,
+)
 from repro.core.predictor import HoltPredictor
 from repro.core.solver import GroupModel, PARSolver
 from repro.errors import ConfigurationError, SolverError
@@ -211,38 +214,17 @@ class Placement:
     grid_avoided_wh: float
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "job_id": self.job_id,
-            "start_offset": int(self.start_offset),
-            "start_s": float(self.start_s),
-            "n_epochs": int(self.n_epochs),
-            "power_w": float(self.power_w),
-            "renewable_wh": float(self.renewable_wh),
-            "battery_wh": float(self.battery_wh),
-            "grid_wh": float(self.grid_wh),
-            "marginal_perf": float(self.marginal_perf),
-            "utility": float(self.utility),
-            "grid_avoided_wh": float(self.grid_avoided_wh),
-        }
+        return dump(self, _PLACEMENT_FIELDS)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Placement":
-        try:
-            return cls(
-                job_id=str(data["job_id"]),
-                start_offset=int(data["start_offset"]),
-                start_s=float(data["start_s"]),
-                n_epochs=int(data["n_epochs"]),
-                power_w=float(data["power_w"]),
-                renewable_wh=float(data["renewable_wh"]),
-                battery_wh=float(data["battery_wh"]),
-                grid_wh=float(data["grid_wh"]),
-                marginal_perf=float(data["marginal_perf"]),
-                utility=float(data["utility"]),
-                grid_avoided_wh=float(data["grid_avoided_wh"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed placement: {exc}") from exc
+        return cls(**check(data, _PLACEMENT_FIELDS))
+
+
+#: A placement's fields, from its annotations.
+_PLACEMENT_FIELDS = dataclass_fields(
+    Placement, start_offset=Field(int, lo=0), n_epochs=Field(int, lo=1)
+)
 
 
 @dataclass(frozen=True)
@@ -291,25 +273,25 @@ class ShiftPlan:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ShiftPlan":
-        try:
-            return cls(
-                time_s=float(data["time_s"]),
-                epoch_s=float(data["epoch_s"]),
-                horizon=int(data["horizon"]),
-                policy=str(data["policy"]),
-                method=str(data["method"]),
-                placements=tuple(
-                    Placement.from_dict(p) for p in data["placements"]
-                ),
-                batch_power_w=tuple(float(v) for v in data["batch_power_w"]),
-                unplaced=tuple(str(j) for j in data["unplaced"]),
-                start_now_grid_wh=tuple(
-                    (str(job_id), float(grid_wh))
-                    for job_id, grid_wh in data["start_now_grid_wh"]
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed shift plan: {exc}") from exc
+        v = check(data, _PLAN_FIELDS)
+        placements = []
+        for i, placement in enumerate(v["placements"]):
+            with within(f"placements.{i}"):
+                placements.append(Placement.from_dict(placement))
+        quotes = check_rows(v["start_now_grid_wh"], _QUOTE_FIELDS, "start_now_grid_wh")
+        return cls(**{
+            **v, "placements": tuple(placements), "batch_power_w": tuple(v["batch_power_w"]),
+            "unplaced": tuple(v["unplaced"]), "start_now_grid_wh": tuple(quotes),
+        })
+
+
+#: A plan's fields: scalars from its annotations, then its sequences.
+_PLAN_FIELDS = dataclass_fields(
+    ShiftPlan, epoch_s=Field(lo=0.0), horizon=Field(int, lo=1),
+    placements=Field(dict, many=True), batch_power_w=Field(many=True),
+    unplaced=Field(str, many=True), start_now_grid_wh=Field(list),
+)
+_QUOTE_FIELDS = {"job_id": Field(str), "grid_wh": Field()}
 
 
 def _pad(series: Sequence[float], span: int) -> list[float]:

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterator
 
+from repro.core.persistence import Field, check, dataclass_fields, dump, within
 from repro.errors import ConfigurationError
 
 #: Tolerance when deriving whole-epoch durations from energy/power, so a
@@ -57,23 +58,17 @@ class ShiftJob:
     value: float = 1.0
 
     def __post_init__(self) -> None:
+        # A non-finite field would reach the planner's epoch-count and
+        # pricing arithmetic.
+        check(vars(self), _JOB_FIELDS)
         if not self.job_id:
             raise ConfigurationError("job_id must be non-empty")
-        # NaN passes every comparison below, and a non-finite field would
-        # reach the planner's epoch-count and pricing arithmetic.
-        for name in ("energy_wh", "power_w", "earliest_start_s", "deadline_s", "value"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"job {self.job_id}: {name} must be finite")
-        if self.energy_wh <= 0:
-            raise ConfigurationError(f"job {self.job_id}: energy must be positive")
-        if self.power_w <= 0:
-            raise ConfigurationError(f"job {self.job_id}: power must be positive")
+        if self.energy_wh <= 0 or self.power_w <= 0:
+            raise ConfigurationError(f"job {self.job_id}: energy and power must be positive")
         if self.deadline_s <= self.earliest_start_s:
             raise ConfigurationError(
                 f"job {self.job_id}: deadline must follow the earliest start"
             )
-        if self.value < 0:
-            raise ConfigurationError(f"job {self.job_id}: value must be non-negative")
 
     def n_epochs(self, epoch_s: float) -> int:
         """Whole epochs the job occupies at its rated power."""
@@ -87,28 +82,13 @@ class ShiftJob:
         return self.deadline_s - self.n_epochs(epoch_s) * epoch_s
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "job_id": self.job_id,
-            "energy_wh": float(self.energy_wh),
-            "power_w": float(self.power_w),
-            "earliest_start_s": float(self.earliest_start_s),
-            "deadline_s": float(self.deadline_s),
-            "value": float(self.value),
-        }
+        return dump(self, _JOB_FIELDS)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ShiftJob":
-        try:
-            return cls(
-                job_id=str(data["job_id"]),
-                energy_wh=float(data["energy_wh"]),
-                power_w=float(data["power_w"]),
-                earliest_start_s=float(data["earliest_start_s"]),
-                deadline_s=float(data["deadline_s"]),
-                value=float(data["value"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed shift job: {exc}") from exc
+        """A job from :meth:`to_dict` output (a checkpoint or a ``submit``):
+        ``true`` or ``"50"`` is not read as 1 or 50, nor ``7`` as ``"7"``."""
+        return cls(**check(data, _JOB_FIELDS))
 
 
 class JobStatus:
@@ -120,6 +100,14 @@ class JobStatus:
     MISSED = "missed"
 
     ALL = (PENDING, RUNNING, DONE, MISSED)
+
+
+#: The fields of a job, from its annotations, and of its lifecycle in a
+#: queue checkpoint (all but ``status`` may be left out).
+_JOB_FIELDS = dataclass_fields(ShiftJob, value=Field(lo=0.0))
+_ENTRY_FIELDS = {"status": Field(str, choices=JobStatus.ALL), "started_s": Field(nullable=True),
+                 "epochs_run": Field(int, lo=0), "completed_s": Field(nullable=True)}
+_ENTRY_DEFAULTS = {"started_s": None, "epochs_run": 0, "completed_s": None}
 
 
 class JobQueue:
@@ -247,24 +235,18 @@ class JobQueue:
         Nothing is installed unless the whole state is valid.
         """
         staged = JobQueue()
-        try:
-            for entry in state["jobs"]:
+        for i, entry in enumerate(check(state, {"jobs": Field(dict, many=True)})["jobs"]):
+            with within(f"jobs.{i}"):
                 job = ShiftJob.from_dict(entry)
-                status = str(entry["status"])
-                if status not in JobStatus.ALL:
-                    raise ConfigurationError(f"unknown job status {status!r}")
-                if job.job_id in staged:
-                    raise ConfigurationError(f"duplicate job id {job.job_id!r}")
-                staged._jobs[job.job_id] = job
-                staged._status[job.job_id] = status
-                if entry.get("started_s") is not None:
-                    staged._started_s[job.job_id] = float(entry["started_s"])
-                if entry.get("epochs_run"):
-                    staged._epochs_run[job.job_id] = int(entry["epochs_run"])
-                elif status in (JobStatus.RUNNING, JobStatus.DONE):
-                    staged._epochs_run[job.job_id] = 0
-                if entry.get("completed_s") is not None:
-                    staged._completed_s[job.job_id] = float(entry["completed_s"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed queue state: {exc}") from exc
+                v = check({**_ENTRY_DEFAULTS, **entry}, _ENTRY_FIELDS)
+            if job.job_id in staged:
+                raise ConfigurationError(f"duplicate job id {job.job_id!r}")
+            staged._jobs[job.job_id] = job
+            staged._status[job.job_id] = v["status"]
+            if v["started_s"] is not None:
+                staged._started_s[job.job_id] = v["started_s"]
+            if v["epochs_run"] or v["status"] in (JobStatus.RUNNING, JobStatus.DONE):
+                staged._epochs_run[job.job_id] = v["epochs_run"]
+            if v["completed_s"] is not None:
+                staged._completed_s[job.job_id] = v["completed_s"]
         vars(self).update(vars(staged))

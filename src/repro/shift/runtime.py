@@ -36,9 +36,9 @@ from typing import TYPE_CHECKING, Any
 from repro.core.controller import (
     NO_DIRECTIVES, EpochDirectives, EpochRecord, GreenHeteroController,
 )
+from repro.core.persistence import Field, check, within
 from repro.core.predictor import HoltPredictor
 from repro.core.solver import GroupModel
-from repro.errors import ConfigurationError
 from repro.shift.planner import (
     IdleInputs, PlanInputs, ShiftPlan, ShiftPlanner, chain_forecast,
 )
@@ -119,6 +119,15 @@ class ShiftLog:
     @property
     def deadline_misses(self) -> int:
         return self.records[-1].deadline_misses if self.records else 0
+
+
+#: The checkpointed fields of a :class:`ShiftRuntime`; the queue, the
+#: interactive predictor and the last plan check their own.
+_STATE_FIELDS = {
+    "queue": Field(dict), "interactive_predictor": Field(dict), "start_baseline_wh": Field(dict),
+    "last_plan": Field(dict, nullable=True), "activated": Field(bool),
+    "epochs": Field(int, lo=0), "grid_avoided_wh": Field(lo=0.0),
+}
 
 
 class ShiftRuntime:
@@ -405,29 +414,21 @@ class ShiftRuntime:
         }
 
     def load_state_dict(self, state: dict[str, Any]) -> None:
-        try:
-            self.queue.load_state_dict(state["queue"])
-            self._interactive_predictor.load_state_dict(state["interactive_predictor"])
-            last_plan = state["last_plan"]
-            self.last_plan = (
-                None if last_plan is None else ShiftPlan.from_dict(last_plan)
-            )
-            self.activated = bool(state["activated"])
-            self._start_baseline_wh = {
-                str(job_id): float(wh)
-                for job_id, wh in state["start_baseline_wh"].items()
-            }
-            epochs = int(state["epochs"])
-            grid_avoided_wh = float(state["grid_avoided_wh"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed shift state: {exc}") from exc
-        if epochs < 0 or not 0.0 <= grid_avoided_wh < math.inf:
-            raise ConfigurationError(
-                "shift totals must be non-negative and finite, got "
-                f"{epochs} epochs and {grid_avoided_wh} Wh avoided"
-            )
-        self.epochs = epochs
-        self.grid_avoided_wh = grid_avoided_wh
+        v = check(state, _STATE_FIELDS)
+        with within("queue"):
+            self.queue.load_state_dict(v["queue"])
+        with within("interactive_predictor"):
+            self._interactive_predictor.load_state_dict(v["interactive_predictor"])
+        with within("last_plan"):
+            last_plan = None if v["last_plan"] is None else ShiftPlan.from_dict(v["last_plan"])
+        baseline = v["start_baseline_wh"]
+        self._start_baseline_wh = check(
+            baseline, dict.fromkeys(baseline, Field()), "start_baseline_wh"
+        )
+        self.last_plan = last_plan
+        self.activated = v["activated"]
+        self.epochs = v["epochs"]
+        self.grid_avoided_wh = v["grid_avoided_wh"]
 
     # ------------------------------------------------------------------
     def summary(self) -> dict[str, Any]:

@@ -29,6 +29,7 @@ from repro.core.controller import (
 )
 from repro.core.database import FitKind, ProfilingDatabase
 from repro.core.monitor import Monitor
+from repro.core.persistence import Field, check, within
 from repro.core.policies import Policy
 from repro.core.predictor import HoltPredictor
 from repro.core.scheduler import AdaptiveScheduler
@@ -52,6 +53,11 @@ from repro.workloads.models import response_for
 
 #: The shared diurnal shape; frozen, so its cached peak is computed once.
 _DIURNAL = DiurnalLoadPattern()
+
+
+#: A simulation's own checkpointed fields; the rest of its state is one
+#: entry per stateful component.
+_STATE_FIELDS = {"epoch_index": Field(int, lo=0), "start_s": Field()}
 
 
 @dataclass
@@ -397,25 +403,19 @@ class Simulation:
             When the components do not match this simulation's, the
             epoch index is negative, or any component rejects its state.
         """
-        try:
-            epoch_index = int(state["epoch_index"])
-            start_s = float(state["start_s"])
-            names = sorted(set(state) - {"epoch_index", "start_s"})
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed simulation state: {exc}") from exc
+        v = check(state, _STATE_FIELDS)
+        names = sorted(set(state) - set(_STATE_FIELDS))
         expected = sorted(self._stateful_components())
         if names != expected:
             raise ConfigurationError(
                 f"state components {names} do not match this simulation's {expected}"
             )
-        if epoch_index < 0:
-            raise ConfigurationError(f"epoch index must be >= 0, got {epoch_index}")
-        if not math.isfinite(start_s):
-            raise ConfigurationError("clock start must be finite")
+        epoch_index, start_s = v["epoch_index"], v["start_s"]
         if epoch_index > 0:
             self._apply_schedule(start_s + (epoch_index - 1) * self.clock.epoch_s)
         for name, component in self._stateful_components().items():
-            component.load_state_dict(state[name])
+            with within(name):
+                component.load_state_dict(state[name])
         self.epoch_index = epoch_index
         self.clock = replace(self.clock, start_s=start_s)
 

@@ -1,4 +1,4 @@
-"""Checkpoint round-trip fuzzing for serve/shift state.
+"""Checkpoint fuzzing for serve/shift state: round trips, cuts, values.
 
 The serve daemon's restore promise is bit-identical learned state; this
 module stress-tests it with seeded randomized instances of the
@@ -11,6 +11,14 @@ restored fleet re-checkpoints byte for byte, and the same document cut
 at random byte offsets (a torn write) is rejected with
 :class:`~repro.errors.ConfigurationError`, never a bare exception.
 
+Last, it mutates values.  A coordinated two-rack fleet with a queued
+shift job on each rack steps three cluster epochs and checkpoints; each
+case writes one leaf of that checkpoint (keeping the first two entries
+of every list) back as NaN, inf, -1, -1e9, ``true``, ``"x"`` or
+``null``.  The restore must raise ``ConfigurationError``, or restore a
+fleet whose own checkpoint holds the leaf exactly as written (``true``
+is not 1; ``1`` equals ``1.0``) and that then steps three epochs.
+
 The serve/shift imports are function-local: the verify package is
 imported by the simulation engine, and pulling :mod:`repro.serve.state`
 at module import time would close an import cycle through the engine.
@@ -18,7 +26,9 @@ at module import time would close an import cycle through the engine.
 
 from __future__ import annotations
 
+import copy
 import json
+import math
 import random
 from dataclasses import dataclass
 
@@ -29,6 +39,9 @@ class FuzzReport:
 
     n_cases: int
     failures: tuple[str, ...]
+    #: Value mutations among ``n_cases``, and how many restores rejected.
+    n_mutations: int = 0
+    n_rejected: int = 0
 
     @property
     def passed(self) -> bool:
@@ -38,7 +51,9 @@ class FuzzReport:
         if self.passed:
             return (
                 f"fuzz: {self.n_cases} checkpoint cases, every round trip "
-                "a fixed point, every torn checkpoint rejected"
+                "a fixed point, every torn checkpoint rejected; "
+                f"{self.n_mutations} value mutations, {self.n_rejected} rejected "
+                "and the rest restored as written"
             )
         lines = [f"fuzz: {len(self.failures)}/{self.n_cases} checkpoint cases FAILED"]
         lines.extend(f"  {failure}" for failure in self.failures[:10])
@@ -253,14 +268,118 @@ def _fleet_checkpoint(rng: random.Random, n_cuts: int) -> list[str]:
     return failures
 
 
+#: What each value mutation writes over one checkpoint leaf.
+_MUTANTS = (math.nan, math.inf, -1, -1e9, True, "x", None)
+
+
+def _leaves(node, path=()):
+    """Paths of the scalar leaves of ``node``, two entries per list."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _leaves(node[key], (*path, key))
+    elif isinstance(node, list):
+        for i, item in enumerate(node[:2]):
+            yield from _leaves(item, (*path, i))
+    else:
+        yield path
+
+
+def _same(got, written) -> bool:
+    """``got`` is ``written`` as JSON reads it: ``true`` is not 1, but
+    ``1`` is ``1.0``."""
+    if isinstance(written, float) and math.isnan(written):
+        return isinstance(got, float) and math.isnan(got)
+    numbers = (int, float)
+    if type(got) in numbers and type(written) in numbers:
+        return got == written
+    return type(got) is type(written) and got == written
+
+
+def _fleet_steps(state, n: int) -> None:
+    for _ in range(n):
+        if state.coordinator is not None:
+            state.step_cluster()
+        else:
+            for host in state.racks.values():
+                host.step()
+
+
+def _value_mutations(rng: random.Random, n_cases: int) -> tuple[list[str], int, int]:
+    """Restore ``n_cases`` copies of a fleet checkpoint, each with one leaf
+    mutated; returns the failures, the cases run and how many restores
+    rejected."""
+    import tempfile
+    from pathlib import Path
+
+    from repro.errors import ConfigurationError
+    from repro.serve.state import CHECKPOINT_NAME, ServeConfig, ServeState
+
+    config = ServeConfig(
+        platforms=(("E5-2620", 1), ("i5-4460", 1)), workload="Streamcluster",
+        n_racks=2, shared_grid_w=rng.uniform(600.0, 1200.0),
+    )
+    failures, rejected = [], 0
+    with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as tmp:
+        state = ServeState.build(config, checkpoint_dir=Path(tmp) / "base")
+        for i, host in enumerate(state.racks.values()):
+            host.submit({
+                "job_id": f"job-{i}", "energy_wh": 60.0, "power_w": 40.0,
+                "earliest_start_s": 0.0, "deadline_s": 86400.0, "value": 1.0,
+            })
+        _fleet_steps(state, 3)
+        base = json.loads((state.checkpoint() / CHECKPOINT_NAME).read_text())
+        cases = [(path, value) for path in _leaves(base) for value in _MUTANTS]
+        cases = rng.sample(cases, min(n_cases, len(cases)))
+        for i, (path, value) in enumerate(cases):
+            document = copy.deepcopy(base)
+            node = document
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            where = f"{'.'.join(map(str, path))} = {value!r}"
+            case = Path(tmp) / f"case-{i}"
+            case.mkdir()
+            (case / CHECKPOINT_NAME).write_text(json.dumps(document))
+            try:
+                restored = ServeState.build(checkpoint_dir=case)
+            except ConfigurationError:
+                rejected += 1
+                continue
+            except Exception as exc:  # pragma: no cover - defect path
+                failures.append(f"{where}: restore raised {exc!r}")
+                continue
+            got = {
+                "format_version": document["format_version"],
+                "config": restored.config.to_dict(),
+                "cluster_epochs": restored.cluster_epochs,
+                "racks": {n: h.sim.state_dict() for n, h in restored.racks.items()},
+            }
+            try:
+                for key in path:
+                    got = got[key]
+            except (KeyError, IndexError, TypeError):
+                got = "<absent>"
+            if not _same(got, value):
+                failures.append(f"{where}: restored as {got!r}")
+                continue
+            try:
+                _fleet_steps(restored, 3)
+            except Exception as exc:  # pragma: no cover - defect path
+                failures.append(f"{where}: restored, then a step raised {exc!r}")
+    return failures, len(cases), rejected
+
+
 def fuzz_round_trips(n_cases: int = 50, seed: int = 0) -> FuzzReport:
     """Run ``n_cases`` seeded round trips across every component kind.
 
     Then one small fleet's checkpoint must re-checkpoint byte for byte
-    after a restore, and ``n_cases`` torn copies of it must be rejected.
-    Deterministic for a given (n_cases, seed): failure ``i`` reproduces
-    from ``random.Random(seed * 7919 + i)``, and the fleet cases from
-    ``random.Random(seed * 7919 + n_cases)``.
+    after a restore, and ``n_cases`` torn copies of it must be rejected;
+    and ``n_cases`` value mutations (drawn without replacement) must each
+    be rejected or restored as written.  Deterministic for a given
+    (n_cases, seed): failure ``i`` reproduces from ``random.Random(seed *
+    7919 + i)``, the fleet cases from ``random.Random(seed * 7919 +
+    n_cases)`` and the mutations from ``random.Random(seed * 7919 +
+    n_cases + 1)``.
     """
     failures: list[str] = []
     total = 0
@@ -279,4 +398,14 @@ def fuzz_round_trips(n_cases: int = 50, seed: int = 0) -> FuzzReport:
         failures.extend(_fleet_checkpoint(rng, n_cases))
     except Exception as exc:  # pragma: no cover - defect path
         failures.append(f"fleet checkpoint: raised {exc!r}")
-    return FuzzReport(n_cases=total + 1 + n_cases, failures=tuple(failures))
+    mutations = rejected = 0
+    try:
+        rng = random.Random(seed * 7919 + n_cases + 1)
+        mutation_failures, mutations, rejected = _value_mutations(rng, n_cases)
+        failures.extend(mutation_failures)
+    except Exception as exc:  # pragma: no cover - defect path
+        failures.append(f"value mutations: raised {exc!r}")
+    return FuzzReport(
+        n_cases=total + 1 + n_cases + mutations, failures=tuple(failures),
+        n_mutations=mutations, n_rejected=rejected,
+    )

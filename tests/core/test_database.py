@@ -333,7 +333,7 @@ class TestSnapshotApi:
 
     @pytest.mark.parametrize("bad", [-5.0, float("nan"), float("inf")])
     def test_restore_rejects_bad_min_active_power(self, db, bad):
-        with pytest.raises(ConfigurationError, match="min active power"):
+        with pytest.raises(ConfigurationError, match="min_active_power_w"):
             ProfilingDatabase().load_state_dict(state_with(db, min_active_power_w=bad))
 
     def test_restore_rejects_more_samples_than_the_window(self, db):

@@ -86,7 +86,7 @@ class TestVerbs:
     def test_malformed_job_rejected(self, client):
         with pytest.raises(ServeError, match="job"):
             client.request("submit", rack="rack0")
-        with pytest.raises(ServeError, match="malformed"):
+        with pytest.raises(ServeError, match="energy_wh is missing"):
             client.submit("rack0", {"job_id": "incomplete"})
 
     def test_verbs_require_a_rack(self, client):
@@ -132,6 +132,20 @@ class TestVerbs:
         finally:
             daemon.stop_from_thread()
             thread.join(timeout=30)
+
+
+    @pytest.mark.parametrize(
+        "field, value", [("power_w", True), ("energy_wh", "50"), ("job_id", 7)]
+    )
+    def test_submit_does_not_coerce_job_fields(self, client, field, value):
+        # ``true`` would be a 1 W job, ``"50"`` 50 Wh and ``7`` the id "7".
+        clock_s = client.queue_status("rack0")["clock_s"]
+        before = client.queue_status("rack0")["jobs"]
+        job = {**make_job(clock_s, "coerced"), field: value}
+        with pytest.raises(ServeError, match=f"{field} must be a") as err:
+            client.submit("rack0", job)
+        assert err.value.error_type == "ConfigurationError"
+        assert client.queue_status("rack0")["jobs"] == before
 
 
 class TestInteractiveRackRejected:

@@ -47,7 +47,7 @@ class TestServeConfig:
 
     @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
     def test_bad_shared_grid_rejected(self, budget):
-        with pytest.raises(ConfigurationError, match="shared grid"):
+        with pytest.raises(ConfigurationError, match="shared_grid_w"):
             ServeConfig(n_racks=2, shared_grid_w=budget)
 
     def test_malformed_document_rejected(self):
@@ -68,7 +68,7 @@ class TestServeConfig:
     @pytest.mark.parametrize("value", [2.9, True, "5"])
     def test_platform_count_must_be_an_integer(self, value):
         document = self.document(platforms=[["E5-2620", value], ["i5-4460", 5]])
-        with pytest.raises(ConfigurationError, match="platform count"):
+        with pytest.raises(ConfigurationError, match="platforms.0.count"):
             ServeConfig.from_dict(document)
 
     @pytest.mark.parametrize("value", [2021.5, False, "2021"])
@@ -361,7 +361,7 @@ class TestCheckpointBoundary:
             return manifest
 
         edit_json(checkpointed / CHECKPOINT_NAME, nan_grid)
-        self.rejects(checkpointed, match="shared grid")
+        self.rejects(checkpointed, match="config.shared_grid_w must be finite")
 
     def test_version_one_checkpoint(self, checkpointed):
         def version_one(manifest):
@@ -389,7 +389,7 @@ class TestCheckpointBoundary:
             return document
 
         edit_json(checkpointed / CHECKPOINT_NAME, drop)
-        self.rejects(checkpointed, match="malformed fleet checkpoint")
+        self.rejects(checkpointed, match=f"{key} is missing")
 
     def test_rack_state_that_is_not_an_object(self, checkpointed):
         def replace_rack(document):
@@ -397,7 +397,7 @@ class TestCheckpointBoundary:
             return document
 
         edit_json(checkpointed / CHECKPOINT_NAME, replace_rack)
-        self.rejects(checkpointed, match="malformed simulation state")
+        self.rejects(checkpointed, match="racks.rack0 must be an object")
 
     def edit_rack_state(self, ckpt, edit):
         def apply(document):
@@ -411,20 +411,20 @@ class TestCheckpointBoundary:
             checkpointed,
             lambda state: state["battery"].update(soc_wh=float("nan")),
         )
-        self.rejects(checkpointed, match="SoC")
+        self.rejects(checkpointed, match="racks.rack0.battery.soc_wh")
 
     @pytest.mark.parametrize("soc_wh", [-1.0, 12001.0])
     def test_battery_soc_outside_capacity(self, checkpointed, soc_wh):
         self.edit_rack_state(
             checkpointed, lambda state: state["battery"].update(soc_wh=soc_wh)
         )
-        self.rejects(checkpointed, match="SoC")
+        self.rejects(checkpointed, match="racks.rack0.battery.soc_wh")
 
     def test_negative_epoch_index(self, checkpointed):
         self.edit_rack_state(
             checkpointed, lambda state: state.update(epoch_index=-1)
         )
-        self.rejects(checkpointed, match="epoch index")
+        self.rejects(checkpointed, match="racks.rack0.epoch_index")
 
     @pytest.mark.parametrize("component", ["monitor", "load_generator"])
     def test_rng_state_for_another_bit_generator(self, checkpointed, component):
@@ -440,7 +440,7 @@ class TestCheckpointBoundary:
     )
     def test_shift_totals_out_of_range(self, checkpointed, totals):
         self.edit_rack_state(checkpointed, lambda state: state["shift"].update(totals))
-        self.rejects(checkpointed, match="shift totals")
+        self.rejects(checkpointed, match="racks.rack0.shift.(epochs|grid_avoided_wh)")
 
     def test_missing_component(self, checkpointed):
         self.edit_rack_state(checkpointed, lambda state: state.pop("selector"))

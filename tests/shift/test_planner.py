@@ -346,9 +346,9 @@ class TestSerialization:
         assert restored.to_dict() == plan.to_dict()
 
     def test_malformed_plan_rejected(self):
-        with pytest.raises(ConfigurationError, match="malformed"):
+        with pytest.raises(ConfigurationError, match="epoch_s is missing"):
             ShiftPlan.from_dict({"time_s": 0.0})
-        with pytest.raises(ConfigurationError, match="malformed"):
+        with pytest.raises(ConfigurationError, match="start_offset is missing"):
             Placement.from_dict({"job_id": "x"})
 
     def test_plan_without_start_now_quotes_rejected(self):

@@ -52,7 +52,7 @@ class TestShiftJob:
         assert ShiftJob.from_dict(j.to_dict()) == j
 
     def test_malformed_dict_rejected(self):
-        with pytest.raises(ConfigurationError, match="malformed"):
+        with pytest.raises(ConfigurationError, match="energy_wh is missing"):
             ShiftJob.from_dict({"job_id": "x"})
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -135,9 +135,9 @@ class TestSerialization:
         assert [j.job_id for j in restored.jobs()] == ["a", "b", "c"]
 
     def test_malformed_state_rejected(self):
-        with pytest.raises(ConfigurationError, match="malformed"):
+        with pytest.raises(ConfigurationError, match="jobs.0.energy_wh is missing"):
             JobQueue().load_state_dict({"jobs": [{"job_id": "x"}]})
-        with pytest.raises(ConfigurationError, match="unknown job status"):
+        with pytest.raises(ConfigurationError, match="jobs.0.status must be one of"):
             JobQueue().load_state_dict(
                 {"jobs": [{**job().to_dict(), "status": "paused"}]}
             )
