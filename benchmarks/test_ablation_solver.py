@@ -32,11 +32,14 @@ def granularity_gap():
     for budget in (700.0, 850.0, 1000.0, 1150.0):
         exact = solver.solve([e5, i5], budget).expected_perf
 
-        def projected(ratios, budget=budget):
-            return sum(
-                g.count * g.fit.predict(r * budget / g.count)
-                for g, r in zip((e5, i5), ratios)
-            )
+        def projected(trials, budget=budget):
+            return [
+                sum(
+                    g.count * g.fit.predict(r * budget / g.count)
+                    for g, r in zip((e5, i5), ratios)
+                )
+                for ratios in trials
+            ]
 
         _, coarse = PARSolver.exhaustive(2, projected, granularity=0.1)
         gaps.append((budget, exact, coarse))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -379,36 +379,42 @@ class GreenHeteroController:
         )
 
     def _make_oracle(self, budget_w: float, load_fraction: float):
-        """The Manual policy's physical trial run: enforce, run, meter.
+        """The Manual policy's physical trial runs: enforce, run, meter.
 
-        Like the paper's physical trials, the measurement carries the
-        Monitor's throughput noise.  Trials differ only in each group's
-        share, and at Manual's 10% steps a group sees at most 11 shares,
-        so each share is mapped to its power state once per epoch (the
-        same ``share * budget_w / count`` the SPC would be handed); many
+        The oracle takes every trial's PAR vector at once and returns
+        each trial's measured rack throughput, in order.  Like the
+        paper's physical trials, the measurements carry the Monitor's
+        throughput noise.  Trials differ only in each group's share, and
+        at Manual's 10% steps a group sees at most 11 shares, so each
+        share is mapped to its power state once per epoch (the same
+        ``share * budget_w / count`` the SPC would be handed); many
         compositions then land on the same power states, so the
-        noise-free throughput is computed once per state tuple.  Each
-        trial is still metered on its own, in trial order.
+        noise-free throughput is computed once per state tuple.  The
+        trials are metered as one batch, from one noise draw, which
+        reads as metering each trial on its own in trial order.
         """
         groups = self.rack.groups
         curves = [self.rack.curve(i) for i in range(len(groups))]
         tables: list[dict[float, PowerState]] = [{} for _ in groups]
         rack_perf: dict[tuple[int, ...], float] = {}
 
-        def measure(ratios: tuple[float, ...]) -> float:
-            states = []
-            for table, share, curve, group in zip(tables, ratios, curves, groups):
-                state = table.get(share)
-                if state is None:
-                    state = table[share] = curve.state_for_budget(
-                        share * budget_w / group.count
-                    )
-                states.append(state)
-            key = tuple(state.index for state in states)
-            perf = rack_perf.get(key)
-            if perf is None:
-                perf = rack_perf[key] = self._rack_throughput(states, load_fraction)
-            return self.monitor.observe_throughput(perf)
+        def measure(trials: Sequence[tuple[float, ...]]) -> list[float]:
+            perfs = []
+            for ratios in trials:
+                states = []
+                for table, share, curve, group in zip(tables, ratios, curves, groups):
+                    state = table.get(share)
+                    if state is None:
+                        state = table[share] = curve.state_for_budget(
+                            share * budget_w / group.count
+                        )
+                    states.append(state)
+                key = tuple(state.index for state in states)
+                perf = rack_perf.get(key)
+                if perf is None:
+                    perf = rack_perf[key] = self._rack_throughput(states, load_fraction)
+                perfs.append(perf)
+            return self.monitor.observe_throughputs(perfs)
 
         return measure
 

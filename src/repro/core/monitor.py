@@ -133,9 +133,10 @@ class Monitor:
         """Meter the PV array's instantaneous output."""
         return self._jitter(power_w, self.renewable_noise)
 
-    def observe_throughput(self, throughput: float) -> float:
-        """Meter an aggregate throughput figure (e.g. a Manual trial run)."""
-        return self._jitter(throughput, self.perf_noise)
+    def observe_throughputs(self, throughputs: Sequence[float]) -> list[float]:
+        """Meter aggregate throughput figures (e.g. Manual's trial runs),
+        each on its own, in order, from one noise draw."""
+        return self._jitter_all([(value, self.perf_noise) for value in throughputs])
 
     def observe_demand(self, power_w: float) -> float:
         """Meter the rack's aggregate power demand."""

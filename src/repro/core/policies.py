@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.core.database import ProfilingDatabase
 from repro.core.solver import GroupModel, PARSolver, PartialGroupSolver
@@ -69,14 +69,15 @@ class AllocationContext:
     database:
         The profiling database (populated for every group's key).
     oracle:
-        Measured rack performance for a trial PAR vector; only the
-        Manual policy uses it (in the paper this is a physical trial).
+        Measured rack performance of each trial PAR vector of a batch,
+        in order; only the Manual policy uses it (in the paper each
+        trial is a physical run).
     """
 
     budget_w: float
     groups: tuple[GroupInfo, ...]
     database: ProfilingDatabase
-    oracle: Callable[[tuple[float, ...]], float] | None = None
+    oracle: Callable[[Sequence[tuple[float, ...]]], Sequence[float]] | None = None
 
     @property
     def n_servers(self) -> int:

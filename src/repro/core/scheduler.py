@@ -166,7 +166,7 @@ class AdaptiveScheduler:
         self,
         budget_w: float,
         groups: Sequence[GroupInfo],
-        oracle: Callable[[tuple[float, ...]], float] | None = None,
+        oracle: Callable[[Sequence[tuple[float, ...]]], Sequence[float]] | None = None,
     ) -> AllocationPlan:
         """Ask the policy for this epoch's full allocation plan."""
         with trace("scheduler.solve"):

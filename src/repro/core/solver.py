@@ -476,18 +476,20 @@ class PARSolver:
     def exhaustive(
         cls,
         k: int,
-        objective: Callable[[tuple[float, ...]], float],
+        objective: Callable[[tuple[tuple[float, ...], ...]], Sequence[float]],
         granularity: float = 0.1,
     ) -> tuple[tuple[float, ...], float]:
         """Try every composition and return the best (Manual's procedure).
 
-        ``objective`` receives a PAR vector and returns measured rack
-        performance; in the paper this is a physical trial run.
+        ``objective`` receives every PAR vector at once, in composition
+        order, and returns each one's measured rack performance; in the
+        paper each is a physical trial run.  The first strictly best
+        composition wins.
         """
+        trials = _compositions(k, granularity)
         best_ratios: tuple[float, ...] | None = None
         best_value = -math.inf
-        for ratios in _compositions(k, granularity):
-            value = objective(ratios)
+        for ratios, value in zip(trials, objective(trials), strict=True):
             if value > best_value:
                 best_value = value
                 best_ratios = ratios

@@ -402,6 +402,7 @@ class Simulation:
         ConfigurationError
             When the components do not match this simulation's, the
             epoch index is negative, or any component rejects its state.
+            The simulation is then left as it was before the call.
         """
         v = check(state, _STATE_FIELDS)
         names = sorted(set(state) - set(_STATE_FIELDS))
@@ -411,11 +412,22 @@ class Simulation:
                 f"state components {names} do not match this simulation's {expected}"
             )
         epoch_index, start_s = v["epoch_index"], v["start_s"]
-        if epoch_index > 0:
-            self._apply_schedule(start_s + (epoch_index - 1) * self.clock.epoch_s)
-        for name, component in self._stateful_components().items():
-            with within(name):
-                component.load_state_dict(state[name])
+        # All or nothing: when a component rejects its state, the
+        # schedule replay and every component installed before it are
+        # rolled back.
+        before = self.state_dict()
+        live = (self.controller.rack, self.controller.groups, self.load_generator)
+        try:
+            if epoch_index > 0:
+                self._apply_schedule(start_s + (epoch_index - 1) * self.clock.epoch_s)
+            for name, component in self._stateful_components().items():
+                with within(name):
+                    component.load_state_dict(state[name])
+        except BaseException:
+            self.controller.rack, self.controller.groups, self.load_generator = live
+            for name, component in self._stateful_components().items():
+                component.load_state_dict(before[name])
+            raise
         self.epoch_index = epoch_index
         self.clock = replace(self.clock, start_s=start_s)
 

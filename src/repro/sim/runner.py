@@ -9,7 +9,7 @@ so fanning the runs out over a :class:`~concurrent.futures.ProcessPoolExecutor`
 merges **bit-identically** to the serial path — parallelism changes wall
 time, never telemetry.
 
-Three engine-level optimisations ride along (DESIGN.md §15):
+Four engine-level optimisations ride along (DESIGN.md §15):
 
 * the synthesized irradiance trace is built **once per config** (via
   :meth:`Simulation.default_trace`) and shared across that config's
@@ -19,7 +19,17 @@ Three engine-level optimisations ride along (DESIGN.md §15):
   parent: :meth:`Simulation.pretrained_predictors` fits each config's
   pair next to its trace, and the pair travels with every task, so no
   worker builds a pretraining history or runs a fit (or loads scipy
-  for one);
+  for one).  Each config is primed just before its policies are
+  submitted, so the workers run one config while the parent primes
+  the next;
+* the worker pool is forked **once per process**: the first
+  ``jobs > 1`` call creates it and every later call with the same
+  ``jobs`` reuses it.  Another ``jobs``, or a pool a dead worker broke
+  (:class:`~concurrent.futures.process.BrokenProcessPool`, which that
+  call raises), replaces it; ``concurrent.futures``' exit hook joins its
+  workers when the process exits.  Workers inherit only what the
+  parent held at the fork, so everything a run reads travels with its
+  task;
 * each policy's :class:`~repro.core.solver.PARSolver` memoizes repeated
   programs (keyed on the exact program, up to the solver's
   ``CACHE_SIZE`` entries), which the cyclic budgets of a
@@ -31,8 +41,9 @@ Three engine-level optimisations ride along (DESIGN.md §15):
 
 from __future__ import annotations
 
+import atexit
 import os
-from typing import Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.core.policies import make_policy
 from repro.core.predictor import HoltPredictor
@@ -42,6 +53,9 @@ from repro.sim.experiment import ExperimentConfig, ExperimentResult
 from repro.sim.faults import FaultInjector
 from repro.sim.telemetry import TelemetryLog
 from repro.traces.nrel import IrradianceTrace
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 def _run_policy(
@@ -78,12 +92,52 @@ def _run_policy(
     return sim.run()
 
 
-def _resolve_jobs(jobs: int | None, n_tasks: int) -> int:
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    return min(jobs, n_tasks)
+#: The process's worker pool, kept across calls: ``(jobs, executor)``.
+_pool: tuple[int, ProcessPoolExecutor] | None = None
+
+
+def _worker_pool(jobs: int) -> ProcessPoolExecutor:
+    """The process's pool of ``jobs`` workers, forked on first use."""
+    global _pool
+    if _pool is None or _pool[0] != jobs:
+        _retire_pool()
+        from concurrent.futures import ProcessPoolExecutor
+
+        _pool = (jobs, ProcessPoolExecutor(max_workers=jobs))
+    return _pool[1]
+
+
+def _retire_pool() -> None:
+    """Shut the pool down and join its workers; the next call forks anew."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown(cancel_futures=True)
+        _pool = None
+
+
+# concurrent.futures' exit hook joins the workers before atexit runs;
+# dropping the executor here, while every module is still loaded, keeps
+# its collection out of interpreter teardown, where it prints a traceback.
+atexit.register(_retire_pool)
+
+
+def _primed_tasks(
+    configs: Sequence[ExperimentConfig],
+) -> Iterator[tuple[int, str, tuple[Any, ...]]]:
+    """Each (config index, policy name, :func:`_run_policy` arguments),
+    config by config.
+
+    A config's trace and pretrained predictor pair are built just before
+    its first task is yielded and shared by all of its policies.
+    """
+    for i, config in enumerate(configs):
+        clock = config.build_clock()
+        trace = Simulation.default_trace(clock, config.weather, config.seed)
+        predictors = Simulation.pretrained_predictors(
+            config.build_rack(), clock, trace, config.solar_scale, config.diurnal_load
+        )
+        for name in config.policies:
+            yield i, name, (config, name, trace, predictors)
 
 
 def run_experiments(
@@ -99,40 +153,37 @@ def run_experiments(
     jobs:
         Worker processes.  ``1`` (default) runs serially in-process;
         ``None`` uses every available core.  Results are bit-identical
-        regardless of ``jobs``.
+        regardless of ``jobs``.  Calls with the same ``jobs`` share one
+        pool, kept until the process exits.
     """
     configs = list(configs)
-    if not configs:
-        return []
-    tasks = [(i, name) for i, config in enumerate(configs) for name in config.policies]
-    jobs = _resolve_jobs(jobs, len(tasks))
-    # One trace and one pretrained predictor pair per config, shared by
-    # all of its policies on either path.
-    primed = []
-    for config in configs:
-        clock = config.build_clock()
-        trace = Simulation.default_trace(clock, config.weather, config.seed)
-        predictors = Simulation.pretrained_predictors(
-            config.build_rack(), clock, trace, config.solar_scale, config.diurnal_load
-        )
-        primed.append((trace, predictors))
-
+    if jobs is None:
+        jobs = os.cpu_count() or 1
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     results = [ExperimentResult(config=config) for config in configs]
-    if jobs == 1:
-        for i, name in tasks:
-            results[i].logs[name] = _run_policy(configs[i], name, *primed[i])
+    if jobs == 1 or sum(len(config.policies) for config in configs) <= 1:
+        for i, name, args in _primed_tasks(configs):
+            results[i].logs[name] = _run_policy(*args)
         return results
 
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(_run_policy, configs[i], name, *primed[i]) for i, name in tasks
-        ]
+    pool = _worker_pool(jobs)
+    pending = []
+    try:
+        for i, name, args in _primed_tasks(configs):
+            pending.append((i, name, pool.submit(_run_policy, *args)))
         # Collect in submission order so each result's policy-log dict
         # is ordered exactly as the serial path builds it.
-        for (i, name), future in zip(tasks, futures):
+        for i, name, future in pending:
             results[i].logs[name] = future.result()
+    except BaseException as exc:
+        for *_, future in pending:
+            future.cancel()
+        if isinstance(exc, BrokenProcessPool):
+            _retire_pool()
+        raise
     return results
 
 

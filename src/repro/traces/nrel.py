@@ -206,12 +206,13 @@ def synthesize_irradiance(
     n = int(days * SECONDS_PER_DAY // interval_s)
     times = np.arange(n, dtype=float) * interval_s
 
-    # AR(1) clearness index, clamped to [0.05, 1].
+    # AR(1) clearness index, clamped to [0.05, 1].  One draw yields the
+    # stream of n scalar draws.
     clearness = np.empty(n)
     x = params.mean_clearness
-    for i in range(n):
+    for i, noise in enumerate(rng.standard_normal(n).tolist()):
         x += params.reversion * (params.mean_clearness - x)
-        x += params.sigma * rng.standard_normal()
+        x += params.sigma * noise
         x = min(max(x, 0.05), 1.0)
         clearness[i] = x
 
@@ -226,7 +227,7 @@ def synthesize_irradiance(
         hi = int((start + duration) // interval_s) + 1
         clearness[lo:hi] *= 1.0 - depth
 
-    values = np.array([clear_sky_irradiance(t) for t in times]) * clearness
+    values = np.array([clear_sky_irradiance(t) for t in times.tolist()]) * clearness
     return IrradianceTrace(times, values, name=weather.value)
 
 

@@ -211,11 +211,12 @@ class TestRackPhysicsOncePerOperatingPoint:
             for ratios in compositions
         ]
         metered = []
-        ctl.monitor.observe_throughput = lambda perf: metered.append(perf) or perf
+        ctl.monitor.observe_throughputs = lambda perfs: metered.append(perfs) or perfs
         calls = self.count_serves(monkeypatch)
         measure = ctl._make_oracle(budget_w, 1.0)
-        assert [measure(ratios) for ratios in compositions] == expected
-        assert metered == expected
+        assert measure(compositions) == expected
+        # Every trial is metered, in trial order, in one batch.
+        assert metered == [expected]
         # Distinct power-state pairs are fewer than the 11 compositions.
         assert len(calls) < 2 * len(compositions)
 
@@ -243,7 +244,7 @@ class TestManualTrialTable:
     def reference_oracle(ctl, budget_w, load_fraction):
         def measure(ratios):
             perf = spc_throughput(ctl, tuple(r * budget_w for r in ratios), load_fraction)
-            return ctl.monitor.observe_throughput(perf)
+            return ctl.monitor._jitter(perf, ctl.monitor.perf_noise)
 
         return measure
 
@@ -272,7 +273,7 @@ class TestManualTrialTable:
         for budget_w in self.budgets(table_ctl):
             table = table_ctl._make_oracle(budget_w, load_fraction)
             reference = self.reference_oracle(reference_ctl, budget_w, load_fraction)
-            got = [table(ratios) for ratios in compositions]
+            got = table(compositions)
             want = [reference(ratios) for ratios in compositions]
             assert got == want, budget_w
         # The same number of meter draws, in the same order.
@@ -282,9 +283,46 @@ class TestManualTrialTable:
         table_ctl = self.controller(self.RACKS["3-group"])
         reference_ctl = self.controller(self.RACKS["3-group"])
         for budget_w in self.budgets(table_ctl)[::7]:
+            reference = self.reference_oracle(reference_ctl, budget_w, 1.0)
             assert PARSolver.exhaustive(
                 3, table_ctl._make_oracle(budget_w, 1.0)
-            ) == PARSolver.exhaustive(3, self.reference_oracle(reference_ctl, budget_w, 1.0))
+            ) == PARSolver.exhaustive(3, lambda trials: [reference(r) for r in trials])
+
+    @pytest.mark.parametrize("rack", sorted(RACKS))
+    def test_day_matches_per_trial_metering(self, rack):
+        """A day of Manual epochs: the batch oracle against the per-trial
+        loop it replaced, each trial mapped, measured and metered on its
+        own and the first strictly best kept."""
+        batch_ctl = self.controller(self.RACKS[rack])
+        loop_ctl = self.controller(self.RACKS[rack])
+        k = len(self.RACKS[rack])
+
+        def per_trial_oracle(budget_w, load_fraction):
+            def measure(trials):
+                values = []
+                for ratios in trials:
+                    states = [
+                        loop_ctl.rack.curve(g).state_for_budget(
+                            share * budget_w / group.count
+                        )
+                        for g, (share, group) in enumerate(zip(ratios, loop_ctl.rack.groups))
+                    ]
+                    perf = loop_ctl._rack_throughput(states, load_fraction)
+                    values.append(loop_ctl.monitor._jitter(perf, loop_ctl.monitor.perf_noise))
+                return values
+
+            return measure
+
+        loop_ctl._make_oracle = per_trial_oracle
+        picks = set()
+        for epoch in range(96):
+            time_s = epoch * 900.0
+            got, want = batch_ctl.run_epoch(time_s), loop_ctl.run_epoch(time_s)
+            assert got.ratios == want.ratios, epoch
+            picks.add(got.ratios)
+        # The day's budgets move Manual between several compositions.
+        assert len(picks) > 1 and all(len(ratios) == k for ratios in picks)
+        assert batch_ctl.monitor.state_dict() == loop_ctl.monitor.state_dict()
 
 
 class ConstantSource:

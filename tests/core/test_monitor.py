@@ -55,7 +55,15 @@ class TestNoise:
 
     def test_observe_throughput(self):
         m = Monitor(perf_noise=0.0)
-        assert m.observe_throughput(42.0) == 42.0
+        assert m.observe_throughputs([42.0, 0.0]) == [42.0, 0.0]
+        # One draw over the non-zero figures: the stream of the scalar
+        # meter called on each figure in turn.
+        m, ref = Monitor(seed=0), Monitor(seed=0)
+        figures = [42.0, 0.0, 5000.0, 17.5]
+        assert m.observe_throughputs(figures) == [
+            ref._jitter(value, ref.perf_noise) for value in figures
+        ]
+        assert m.state_dict() == ref.state_dict()
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -87,7 +87,9 @@ class TestRegistry:
     @pytest.mark.parametrize("name", POLICY_NAMES + ("OnOff", "GreenHetero+"))
     def test_allocate_plan_is_the_only_entry_point(self, name):
         policy = make_policy(name)
-        plan = policy.allocate_plan(make_ctx(oracle=lambda ratios: ratios[0]))
+        plan = policy.allocate_plan(
+            make_ctx(oracle=lambda trials: [ratios[0] for ratios in trials])
+        )
         assert isinstance(plan, AllocationPlan)
         assert len(plan.ratios) == 2 and sum(plan.ratios) <= 1.0 + 1e-9
         assert not hasattr(policy, "allocate")
@@ -118,8 +120,8 @@ class TestUniform:
 
 class TestManual:
     def test_picks_measured_best(self):
-        def oracle(ratios):
-            return -abs(ratios[0] - 0.7)  # best trial at 70/30
+        def oracle(trials):
+            return [-abs(ratios[0] - 0.7) for ratios in trials]  # best trial at 70/30
 
         ratios = ManualPolicy().allocate_plan(make_ctx(oracle=oracle)).ratios
         assert ratios == pytest.approx((0.7, 0.3))
@@ -131,12 +133,13 @@ class TestManual:
     def test_granularity_is_ten_percent(self):
         seen = []
 
-        def oracle(ratios):
-            seen.append(ratios)
-            return 0.0
+        def oracle(trials):
+            seen.append(trials)
+            return [0.0] * len(trials)
 
         ManualPolicy().allocate_plan(make_ctx(oracle=oracle))
-        assert len(seen) == 11  # compositions of 10 steps into 2 groups
+        # One batch of every composition of 10 steps into 2 groups.
+        assert len(seen) == 1 and len(seen[0]) == 11
 
 
 class TestPriority:

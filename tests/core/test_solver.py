@@ -274,8 +274,8 @@ class TestCompositions:
 
     def test_exhaustive_finds_best(self):
         # Objective peaked at (0.6, 0.4).
-        def objective(ratios):
-            return -abs(ratios[0] - 0.6)
+        def objective(trials):
+            return [-abs(ratios[0] - 0.6) for ratios in trials]
 
         best, value = PARSolver.exhaustive(2, objective, 0.1)
         assert best == pytest.approx((0.6, 0.4))

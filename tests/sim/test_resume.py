@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.core.policies import make_policy
+from repro.errors import ConfigurationError
 from repro.serve.state import ServeConfig, ServeState
 from repro.servers.rack import Rack
 from repro.sim.engine import Simulation
@@ -198,3 +199,49 @@ class TestServeResume:
         records, _, _ = serve_run(COORDINATED, tmp_path, k, cluster=True)
         assert set(records) == {"rack0", "rack1"}
         assert records == want_records
+
+
+# ----------------------------------------------------------------------
+# A rejected restore leaves the simulation as it was
+# ----------------------------------------------------------------------
+class TestRestoreAllOrNothing:
+    def test_served_rack_keeps_its_state(self, tmp_path):
+        state = ServeState.build(SHIFT, checkpoint_dir=tmp_path / "ckpt")
+        host = state.rack("rack0")
+        host.submit(shift_job(host.clock_s))
+        for _ in range(3):
+            host.step()
+        before = through_json(host.sim.state_dict())
+        bad = through_json(before)
+        # The battery is installed before the shift runtime rejects its
+        # flag, so a piecemeal restore would keep the 1 Wh.
+        bad["battery"]["soc_wh"] = 1.0
+        bad["shift"]["activated"] = "x"
+        with pytest.raises(ConfigurationError, match="^shift.activated "):
+            host.sim.load_state_dict(bad)
+        assert through_json(host.sim.state_dict()) == before
+
+    def test_schedule_replay_is_rolled_back(self, uninterrupted_sim):
+        # The capture is in the Memcached phase, so the replay switches
+        # the fresh SPECjbb rack; the load generator, rebuilt by that
+        # switch, then rejects its RNG state.
+        schedule = WorkloadSchedule(
+            [WorkloadPhase(0.0, "Memcached"), WorkloadPhase(8.0, "SPECjbb")]
+        )
+        first = build_sim()
+        first.workload_schedule = schedule
+        for _ in range(20):
+            first.step()
+        bad = through_json(first.state_dict())
+        bad["load_generator"]["state"]["inc"] = -1
+        sim = build_sim()
+        sim.workload_schedule = schedule
+        rack, generator = sim.controller.rack, sim.load_generator
+        before = through_json(sim.state_dict())
+        with pytest.raises(ConfigurationError, match="^load_generator."):
+            sim.load_state_dict(bad)
+        assert sim.controller.rack is rack and sim.load_generator is generator
+        assert through_json(sim.state_dict()) == before
+        sim.workload_schedule = None
+        sim.run()
+        assert documents(sim.log) == uninterrupted_sim[0]

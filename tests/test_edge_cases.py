@@ -120,6 +120,6 @@ class TestSolverExhaustiveEdges:
     def test_exhaustive_single_group(self):
         from repro.core.solver import PARSolver
 
-        ratios, value = PARSolver.exhaustive(1, lambda r: 42.0, 0.1)
+        ratios, value = PARSolver.exhaustive(1, lambda trials: [42.0] * len(trials), 0.1)
         assert ratios == (1.0,)
         assert value == 42.0

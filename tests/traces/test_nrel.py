@@ -5,7 +5,9 @@ import pytest
 
 from repro.errors import TraceError
 from repro.traces.nrel import (
+    _CLOUDS,
     GHI_PEAK,
+    SAMPLE_INTERVAL_S,
     IrradianceTrace,
     Weather,
     clear_sky_irradiance,
@@ -82,6 +84,41 @@ class TestSynthesis:
     def test_bad_days_rejected(self):
         with pytest.raises(TraceError):
             synthesize_irradiance(days=0)
+
+
+def scalar_synthesis(days, weather, seed):
+    """The synthesis with one noise draw per sample and the clear-sky
+    curve evaluated on numpy scalars: the loop the one-draw version
+    must reproduce bit for bit."""
+    params = _CLOUDS[weather]
+    rng = np.random.default_rng(seed)
+    n = int(days * SECONDS_PER_DAY // SAMPLE_INTERVAL_S)
+    times = np.arange(n, dtype=float) * SAMPLE_INTERVAL_S
+    clearness = np.empty(n)
+    x = params.mean_clearness
+    for i in range(n):
+        x += params.reversion * (params.mean_clearness - x)
+        x += params.sigma * rng.standard_normal()
+        x = min(max(x, 0.05), 1.0)
+        clearness[i] = x
+    for _ in range(rng.poisson(params.event_rate_per_day * days)):
+        start = rng.uniform(0.0, days * SECONDS_PER_DAY)
+        duration = rng.uniform(*params.event_duration_s)
+        depth = rng.uniform(*params.event_depth)
+        lo = int(start // SAMPLE_INTERVAL_S)
+        hi = int((start + duration) // SAMPLE_INTERVAL_S) + 1
+        clearness[lo:hi] *= 1.0 - depth
+    return times, np.array([clear_sky_irradiance(t) for t in times]) * clearness
+
+
+@pytest.mark.parametrize("weather", list(Weather))
+@pytest.mark.parametrize("days", [0.5, 1, 7, 7.3, 10])
+def test_one_draw_synthesis_matches_scalar_loop(weather, days):
+    for seed in range(60):
+        trace = synthesize_irradiance(days=days, weather=weather, seed=seed)
+        times, values = scalar_synthesis(days, weather, seed)
+        assert trace.times_s.tobytes() == times.tobytes()
+        assert trace.values_w_m2.tobytes() == values.tobytes(), seed
 
 
 class TestTraceContainer:
