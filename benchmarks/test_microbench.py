@@ -16,6 +16,7 @@ import pytest
 from repro.core.database import PerfPowerFit, ProfilingDatabase
 from repro.core.monitor import Monitor
 from repro.core.policies import make_policy
+from repro.core import predictor
 from repro.core.predictor import HoltPredictor
 from repro.core.solver import GroupModel, PARSolver
 from repro.core.controller import GreenHeteroController
@@ -61,11 +62,12 @@ def test_solver_three_groups(benchmark):
     assert solution.expected_perf > 0
 
 
-def test_holt_training(benchmark):
+def test_holt_training(benchmark, monkeypatch):
     t = np.arange(96)
     history = np.maximum(0.0, np.sin((t - 24) * np.pi / 48)) * 1000.0
+    monkeypatch.setattr(predictor, "GRID_STEPS", 5)
     # The search itself: ``fit`` would time memo hits after round one.
-    alpha, beta = benchmark(HoltPredictor._fit_impl, history, 5)
+    alpha, beta = benchmark(HoltPredictor._fit_impl, history)
     assert 0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0
 
 

@@ -23,6 +23,11 @@ Two division strategies are provided:
 
 The ablation bench quantifies the gap between the two, mirroring the
 paper's rack-level result at cluster scale.
+
+Under either split a lone rack's share is the shared budget itself, no
+share is negative, and the shares never sum past the shared budget,
+whether summed exactly or in rack order: a proportional share rounds to
+nearest, so every share steps down one ulp until they fit.
 """
 
 from __future__ import annotations
@@ -95,16 +100,21 @@ class ClusterCoordinator:
 
     def grid_shares_w(self, time_s: float) -> list[float]:
         """This epoch's per-rack grid budgets under the active strategy."""
+        budget = self.shared_grid_budget_w
         n = len(self.sims)
-        if self.split is GridSplit.EQUAL:
-            return [self.shared_grid_budget_w / n] * n
-        shortfalls = [
-            self._predicted_shortfall_w(sim.controller, time_s) for sim in self.sims
-        ]
-        total = sum(shortfalls)
-        if total <= 0.0:
-            return [self.shared_grid_budget_w / n] * n
-        return [self.shared_grid_budget_w * s / total for s in shortfalls]
+        if n == 1:
+            return [budget]
+        shares = [budget / n] * n
+        if self.split is GridSplit.SHORTFALL:
+            shortfalls = [
+                self._predicted_shortfall_w(sim.controller, time_s) for sim in self.sims
+            ]
+            total = sum(shortfalls)
+            if total > 0.0:
+                shares = [budget * s / total for s in shortfalls]
+        while math.fsum(shares) > budget or sum(shares) > budget:
+            shares = [math.nextafter(s, 0.0) for s in shares]
+        return shares
 
     # ------------------------------------------------------------------
     def run_epoch(

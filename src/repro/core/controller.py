@@ -143,6 +143,8 @@ class GreenHeteroController:
         Sensing layer; a default seeded Monitor is created when omitted.
     scheduler:
         The adaptive scheduler; constructed around ``policy`` by default.
+        A given scheduler must hold ``policy`` itself, which
+        :attr:`policy` reads back.
     epoch_s:
         Scheduling epoch length (paper: 15 minutes).
     """
@@ -160,9 +162,10 @@ class GreenHeteroController:
             raise ConfigurationError(
                 f"epoch length must be finite and positive, got {epoch_s}"
             )
+        if scheduler is not None and scheduler.policy is not policy:
+            raise ConfigurationError("the scheduler must hold the controller's policy")
         self.rack = rack
         self.pdu = pdu
-        self.policy = policy
         self.monitor = monitor or Monitor()
         self.scheduler = scheduler or AdaptiveScheduler(policy)
         self.psc = PowerSourceController(pdu)
@@ -170,6 +173,11 @@ class GreenHeteroController:
         self.groups = tuple(
             GroupInfo(name=g.spec.name, count=g.count, key=g.key) for g in rack.groups
         )
+
+    @property
+    def policy(self) -> Policy:
+        """The allocation policy, as held by the scheduler."""
+        return self.scheduler.policy
 
     # ------------------------------------------------------------------
     # Workload switching (Algorithm 1's arrival path over time)

@@ -52,8 +52,8 @@ GRID_STEPS = 11
 #: Searched (alpha, beta) pairs the process keeps; the oldest goes first.
 FIT_MEMO_SIZE = 128
 
-#: ``(class, grid_steps, history bytes) -> (alpha, beta)``.  The key is
-#: the exact input of the search, so a hit is the search's own answer.
+#: ``(class, history bytes) -> (alpha, beta)``.  The key is the exact
+#: input of the search, so a hit is the search's own answer.
 _FIT_MEMO: dict[tuple, tuple[float, float]] = {}
 
 
@@ -246,7 +246,6 @@ class HoltPredictor:
         cls,
         history: Sequence[float],
         nonnegative: bool = True,
-        grid_steps: int = GRID_STEPS,
     ) -> "HoltPredictor":
         """Train alpha and beta on past records (Eq. 5) and return a
         predictor primed with the history.
@@ -264,7 +263,7 @@ class HoltPredictor:
         """
         data = cls._training_data(history)
         _FITS_TOTAL.inc()
-        alpha, beta = cls._constants(data, grid_steps)
+        alpha, beta = cls._constants(data)
         return cls._primed(data, alpha, beta, nonnegative)
 
     @staticmethod
@@ -277,17 +276,17 @@ class HoltPredictor:
         return data
 
     @classmethod
-    def _memo_key(cls, data: np.ndarray, grid_steps: int) -> tuple:
-        return (cls, grid_steps, data.tobytes())
+    def _memo_key(cls, data: np.ndarray) -> tuple:
+        return (cls, data.tobytes())
 
     @classmethod
-    def _constants(cls, data: np.ndarray, grid_steps: int) -> tuple[float, float]:
+    def _constants(cls, data: np.ndarray) -> tuple[float, float]:
         """The trained (alpha, beta): a memo hit, or a search stored FIFO."""
-        key = cls._memo_key(data, grid_steps)
+        key = cls._memo_key(data)
         constants = _FIT_MEMO.get(key)
         if constants is None:
             with trace("predictor.fit"):
-                constants = cls._fit_impl(data, grid_steps)
+                constants = cls._fit_impl(data)
             _remember(key, constants)
         return constants
 
@@ -301,13 +300,13 @@ class HoltPredictor:
         return predictor
 
     @classmethod
-    def _fit_impl(cls, data: np.ndarray, grid_steps: int) -> tuple[float, float]:
+    def _fit_impl(cls, data: np.ndarray) -> tuple[float, float]:
         # One vectorised scoring pass over the whole (alpha, beta) grid;
         # argmin keeps the first minimum, matching the scalar scan's
         # strict-improvement rule in the same (alpha-major) order.
-        grid = np.linspace(0.0, 1.0, grid_steps)
-        alphas = np.repeat(grid, grid_steps)
-        betas = np.tile(grid, grid_steps)
+        grid = np.linspace(0.0, 1.0, GRID_STEPS)
+        alphas = np.repeat(grid, GRID_STEPS)
+        betas = np.tile(grid, GRID_STEPS)
         scores = cls.sse_batch(data, alphas, betas)
         winner = int(np.argmin(scores))
         best = (float(alphas[winner]), float(betas[winner]))

@@ -33,6 +33,17 @@ from repro.errors import PowerError
 from repro.power.battery import BatteryBank
 from repro.power.grid import GridSource
 
+#: Below this the renewable supply counts as "unavailable" (Case C);
+#: PV inverters cut out at a few watts anyway.
+RENEWABLE_FLOOR_W = 5.0
+
+#: Grid mode also ends once the battery has recharged this fraction of
+#: its usable (DoD-depth) capacity: enough autonomy to be worth
+#: discharging again.  This is what produces the multiple
+#: discharge/charge episodes per day the paper observes on the
+#: fluctuating Low trace (Fig. 11b).
+RESUME_USABLE_FRACTION = 0.4
+
 
 class PowerCase(enum.Enum):
     """The three renewable-supply regimes of Fig. 6."""
@@ -88,32 +99,13 @@ class SourceSelector:
     battery.  Grid mode is sticky: flip-flopping between a freshly
     trickle-charged battery and the grid would thrash the battery and
     shorten its life, so the selector stays on the grid until either the
-    renewable supply covers demand again (Case A) or the battery is full.
-
-    Parameters
-    ----------
-    renewable_floor_w:
-        Below this the renewable supply counts as "unavailable"
-        (Case C); PV inverters cut out at a few watts anyway.
-    resume_usable_fraction:
-        Grid mode also ends once the battery has recharged this fraction
-        of its usable (DoD-depth) capacity — enough autonomy to be worth
-        discharging again.  This is what produces the multiple
-        discharge/charge episodes per day the paper observes on the
-        fluctuating Low trace (Fig. 11b).
+    renewable supply covers demand again (Case A) or the battery has
+    recharged :data:`RESUME_USABLE_FRACTION` of its usable capacity.
+    Renewable supply at or below :data:`RENEWABLE_FLOOR_W` counts as
+    absent.
     """
 
-    def __init__(
-        self,
-        renewable_floor_w: float = 5.0,
-        resume_usable_fraction: float = 0.4,
-    ) -> None:
-        if renewable_floor_w < 0:
-            raise PowerError("renewable floor must be non-negative")
-        if not 0.0 < resume_usable_fraction <= 1.0:
-            raise PowerError("resume fraction must be in (0, 1]")
-        self.renewable_floor_w = renewable_floor_w
-        self.resume_usable_fraction = resume_usable_fraction
+    def __init__(self) -> None:
         self._grid_mode = False
 
     @property
@@ -161,14 +153,14 @@ class SourceSelector:
         grid_w = grid.epoch_budget_w(grid_budget_w)
         battery_power = battery.max_discharge_power_w(duration_s)
         resume_wh = (
-            self.resume_usable_fraction
+            RESUME_USABLE_FRACTION
             * battery.depth_of_discharge
             * battery.capacity_wh
         )
         if self._grid_mode and (battery.is_full or battery.usable_wh >= resume_wh):
             self._grid_mode = False
 
-        if renewable >= demand and renewable > self.renewable_floor_w:
+        if renewable >= demand and renewable > RENEWABLE_FLOOR_W:
             # Case A: renewable sustains the load; surplus charges battery.
             self._grid_mode = False
             return SourceDecision(
@@ -180,7 +172,7 @@ class SourceSelector:
                 predicted_demand_w=demand,
             )
 
-        if renewable > self.renewable_floor_w:
+        if renewable > RENEWABLE_FLOOR_W:
             # Case B: renewable + battery while the battery can cover the
             # gap; otherwise the grid supplements and recharges it.
             gap = demand - renewable
@@ -250,13 +242,8 @@ class RationedSourceSelector(SourceSelector):
         toward the paper's greedy behaviour.
     """
 
-    def __init__(
-        self,
-        renewable_floor_w: float = 5.0,
-        resume_usable_fraction: float = 0.4,
-        night_length_s: float = 12 * 3600.0,
-    ) -> None:
-        super().__init__(renewable_floor_w, resume_usable_fraction)
+    def __init__(self, night_length_s: float = 12 * 3600.0) -> None:
+        super().__init__()
         if night_length_s <= 0:
             raise PowerError("night length must be positive")
         self.night_length_s = night_length_s
@@ -286,7 +273,7 @@ class RationedSourceSelector(SourceSelector):
             grid_budget_w,
         )
         grid_w = grid.epoch_budget_w(grid_budget_w)
-        if predicted_renewable_w > self.renewable_floor_w:
+        if predicted_renewable_w > RENEWABLE_FLOOR_W:
             self._dark_elapsed_s = 0.0
             return decision
         self._dark_elapsed_s += duration_s
@@ -335,13 +322,8 @@ class CarbonAwareSelector(SourceSelector):
         empties).
     """
 
-    def __init__(
-        self,
-        renewable_floor_w: float = 5.0,
-        resume_usable_fraction: float = 0.4,
-        grid_cap_fraction: float = 0.3,
-    ) -> None:
-        super().__init__(renewable_floor_w, resume_usable_fraction)
+    def __init__(self, grid_cap_fraction: float = 0.3) -> None:
+        super().__init__()
         if not 0.0 <= grid_cap_fraction <= 1.0:
             raise PowerError("grid cap fraction must be in [0, 1]")
         self.grid_cap_fraction = grid_cap_fraction

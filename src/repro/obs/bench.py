@@ -43,7 +43,9 @@ from repro.traces.nrel import Weather
 from repro.units import SECONDS_PER_DAY
 
 #: The reference scenario: the paper's standard mixed rack under the
-#: GreenHetero policy — the same stack ``repro run`` executes.
+#: GreenHetero policy on the High trace, assembled with
+#: :meth:`Simulation.assemble`'s defaults, so its grid budget is 75% of
+#: the rack's maximum draw (``repro run`` provisions 1000 W instead).
 BENCH_PLATFORMS: tuple[tuple[str, int], ...] = (("E5-2620", 5), ("i5-4460", 5))
 BENCH_WORKLOAD = "SPECjbb"
 

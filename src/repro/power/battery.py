@@ -28,6 +28,10 @@ DEFAULT_CHARGE_HOURS = 10.0
 #: Cycle life at 40% DoD for the paper's batteries [31].
 RATED_CYCLES_AT_DOD = 1300.0
 
+#: The power an :class:`UnlimitedSupply` delivers at most (W): far above
+#: any rack's draw, so only the per-epoch budget limits it.
+UNLIMITED_POWER_W = 1e9
+
 
 #: The checkpointed fields of a :class:`BatteryBank`.
 _STATE_FIELDS = dict.fromkeys(
@@ -285,7 +289,7 @@ class UnlimitedSupply(BatteryBank):
     horizon still hits it — and its discharge total pollutes the
     equivalent-cycle and lifetime telemetry with nonsense wear numbers.
 
-    This sentinel delivers any requested power up to ``power_limit_w``
+    This sentinel delivers any requested power up to :data:`UNLIMITED_POWER_W`
     without ever changing state: SoC stays pinned at full, the cycle
     counters stay at zero, and ``is_unlimited`` is True so consumers
     (the invariant auditor, :func:`repro.analysis.lifetime.project_lifetime`)
@@ -295,14 +299,12 @@ class UnlimitedSupply(BatteryBank):
 
     is_unlimited = True
 
-    def __init__(self, power_limit_w: float = 1e9) -> None:
-        if power_limit_w <= 0:
-            raise BatteryError("power limit must be positive")
+    def __init__(self) -> None:
         # Paper-default geometry keeps every planning query (usable_wh,
         # resume thresholds) finite; the flow methods below pin the state.
         super().__init__()
-        self.max_discharge_w = power_limit_w
-        self.max_charge_w = power_limit_w
+        self.max_discharge_w = UNLIMITED_POWER_W
+        self.max_charge_w = UNLIMITED_POWER_W
 
     def max_discharge_power_w(self, duration_s: float) -> float:
         if duration_s <= 0:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError, PowerError
+from repro.errors import PowerError
 from repro.servers.platform import ServerSpec
 
 #: Wall power of the SLEEP (suspend-to-RAM) state, watts.
@@ -80,9 +80,7 @@ class PowerStateSet:
     Parameters
     ----------
     spec:
-        Platform whose envelope anchors the ladder.
-    levels:
-        Number of DVFS states; defaults to ``spec.dvfs_levels``.
+        Platform whose envelope and ``dvfs_levels`` anchor the ladder.
 
     Notes
     -----
@@ -93,11 +91,9 @@ class PowerStateSet:
     guarantee the cap is honoured.
     """
 
-    def __init__(self, spec: ServerSpec, levels: int | None = None) -> None:
+    def __init__(self, spec: ServerSpec) -> None:
         self.spec = spec
-        n_levels = spec.dvfs_levels if levels is None else levels
-        if n_levels < 2:
-            raise ConfigurationError("a DVFS ladder needs at least 2 levels")
+        n_levels = spec.dvfs_levels
         states = [
             PowerState(0, "off", 0.0, 0.0, active=False),
             PowerState(1, "sleep", 0.0, SLEEP_POWER_W, active=False),

@@ -84,8 +84,6 @@ class ResponseCurve:
         Server platform.
     workload:
         Catalog entry or name.
-    levels:
-        DVFS ladder length override (default: the platform's).
 
     Raises
     ------
@@ -93,9 +91,7 @@ class ResponseCurve:
         If the workload cannot run on this device class.
     """
 
-    def __init__(
-        self, spec: ServerSpec, workload: Workload | str, levels: int | None = None
-    ) -> None:
+    def __init__(self, spec: ServerSpec, workload: Workload | str) -> None:
         self.spec = spec
         self.workload = get_workload(workload.name if isinstance(workload, Workload) else workload)
         self.response: WorkloadResponse = response_for(self.workload)
@@ -104,7 +100,7 @@ class ResponseCurve:
                 f"{self.workload.name!r} cannot run on {spec.name} "
                 f"({spec.device_class.value})"
             )
-        self.states = PowerStateSet(spec, levels=levels)
+        self.states = PowerStateSet(spec)
         self._t_max = self.response.max_throughput(spec)
         # Full-load wall draw of each state *for this workload*: the SPC's
         # power-to-state mapping is workload-aware (the Decision Output

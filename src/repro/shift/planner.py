@@ -8,7 +8,7 @@ battery energy above the depth-of-discharge floor, and the grid budget —
 and places pending jobs into the epochs that maximize total utility:
 
     utility(job, epoch) = value
-                        + perf_weight * marginal_perf
+                        + PERF_WEIGHT * marginal_perf
                         - grid_penalty    * grid_kWh
                         - battery_penalty * battery_kWh
 
@@ -22,13 +22,13 @@ cannot cover is infeasible.
 Two search strategies share the candidate machinery: greedy by utility
 density (utility per Wh, re-priced after each commitment) for arbitrary
 queues, and an exhaustive assignment enumeration when the candidate
-space is small enough to afford it.  A ``no_shift`` policy places every
-job at its earliest feasible epoch — the run-immediately baseline the
-benchmark compares against.
+space is small enough to afford it (:data:`EXHAUSTIVE_LIMIT`).  A
+``no_shift`` policy places every job at its earliest feasible epoch —
+the run-immediately baseline the benchmark compares against.
 
 The exhaustive search is a branch-and-bound that returns exactly the
 plan of the full enumeration.  Placing a job at an offset adds at most
-``value + perf_weight * n_epochs * P`` minus the least energy penalty
+``value + PERF_WEIGHT * n_epochs * P`` minus the least energy penalty
 that offset can pay, where ``P = sum_g count_g * max(0, max of
 fit_g.raw over [min_power_w, max_power_w])``:
 
@@ -89,6 +89,16 @@ from repro.obs.tracing import trace
 from repro.shift.queue import JobQueue, ShiftJob
 
 _EPS = 1e-9
+
+#: Weight of the solver-priced marginal performance in a placement's
+#: utility.  Small and non-negative, so it breaks ties between
+#: energy-equivalent epochs rather than overriding energy costs, and the
+#: exhaustive search's bound holds.
+PERF_WEIGHT = 1e-6
+
+#: Largest job->epoch assignment space the exact enumeration searches;
+#: a larger one is planned greedily.
+EXHAUSTIVE_LIMIT = 3000
 
 #: Float headroom of the exhaustive search's bound test, relative to the
 #: magnitude of the terms summed into a bound.
@@ -499,16 +509,9 @@ class ShiftPlanner:
         Energy prices in the utility, in units of job value; must be
         non-negative.  The grid penalty dominating the battery penalty
         is what makes deferral into renewable-rich epochs win.
-    perf_weight:
-        Non-negative weight of the solver-priced marginal performance
-        term; small, so it breaks ties between energy-equivalent epochs
-        rather than overriding energy costs.
-    exhaustive_limit:
-        Maximum size of the job->epoch assignment space for which the
-        exact enumeration replaces the greedy search.
-    solver:
-        The :class:`PARSolver` used for marginal-performance pricing;
-        a private instance is created when omitted.
+
+    Marginal performance is priced by the planner's own
+    :class:`PARSolver`.
     """
 
     def __init__(
@@ -517,30 +520,22 @@ class ShiftPlanner:
         policy: str = "shift",
         grid_penalty_per_kwh: float = 1.0,
         battery_penalty_per_kwh: float = 0.1,
-        perf_weight: float = 1e-6,
-        exhaustive_limit: int = 3000,
-        solver: PARSolver | None = None,
     ) -> None:
         if horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
         if policy not in ("shift", "no_shift"):
             raise ConfigurationError(f"unknown shift policy {policy!r}")
-        if exhaustive_limit < 0:
-            raise ConfigurationError("exhaustive_limit must be non-negative")
         # The exhaustive search's bound assumes a placement can never earn
         # more than its value plus its best-case performance term.
         for name, price in (("grid_penalty_per_kwh", grid_penalty_per_kwh),
-                            ("battery_penalty_per_kwh", battery_penalty_per_kwh),
-                            ("perf_weight", perf_weight)):
+                            ("battery_penalty_per_kwh", battery_penalty_per_kwh)):
             if not price >= 0:
                 raise ConfigurationError(f"{name} must be non-negative, got {price}")
         self.horizon = horizon
         self.policy = policy
         self.grid_penalty_per_kwh = grid_penalty_per_kwh
         self.battery_penalty_per_kwh = battery_penalty_per_kwh
-        self.perf_weight = perf_weight
-        self.exhaustive_limit = exhaustive_limit
-        self.solver = solver if solver is not None else PARSolver()
+        self.solver = PARSolver()
         self._perf_cache: dict[tuple, float] = {}
         #: Candidates priced by the plan in progress.
         self._priced = 0
@@ -598,9 +593,9 @@ class ShiftPlanner:
             n_combos = 1
             for job in pending:
                 n_combos *= len(job.offsets) + 1
-                if n_combos > self.exhaustive_limit:
+                if n_combos > EXHAUSTIVE_LIMIT:
                     break
-            if pending and n_combos <= self.exhaustive_limit:
+            if pending and n_combos <= EXHAUSTIVE_LIMIT:
                 placements, unplaced = self._plan_exhaustive(pending, inputs, state)
                 method = "exhaustive"
             else:
@@ -684,7 +679,7 @@ class ShiftPlanner:
         )
         utility = (
             job.value
-            + self.perf_weight * marginal
+            + PERF_WEIGHT * marginal
             - self.grid_penalty_per_kwh * grid_wh / 1000.0
             - self.battery_penalty_per_kwh * battery_wh / 1000.0
         )
@@ -880,7 +875,7 @@ class ShiftPlanner:
         options = []
         for job in pending:
             opts = []
-            gain = job.value + self.perf_weight * job.n_epochs * peak
+            gain = job.value + PERF_WEIGHT * job.n_epochs * peak
             for offset in job.offsets:
                 split = state.price(job.power_w, offset, job.n_epochs)
                 if split is None:

@@ -144,17 +144,11 @@ class ShiftRuntime:
     planner:
         The placement planner; a default ``shift``-policy planner with
         horizon 8 is created when omitted.
-    queue:
-        The job queue; fresh when omitted.
     """
 
-    def __init__(
-        self,
-        planner: ShiftPlanner | None = None,
-        queue: JobQueue | None = None,
-    ) -> None:
+    def __init__(self, planner: ShiftPlanner | None = None) -> None:
         self.planner = planner if planner is not None else ShiftPlanner()
-        self.queue = queue if queue is not None else JobQueue()
+        self.queue = JobQueue()
         self.log = ShiftLog()
         self.last_plan: ShiftPlan | None = None
         #: Gating engages only after the first submission, so racks that

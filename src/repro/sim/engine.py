@@ -88,13 +88,9 @@ class Simulation:
     #: offered-load generator consistently.
     diurnal_load: bool = True
     seed: int = 2021
-    #: When True, any invariant violation raises
-    #: :class:`~repro.errors.InvariantViolation` at the offending epoch;
-    #: otherwise violations only accumulate on :attr:`auditor` and in the
-    #: ``repro_verify_violations_total`` metric.
-    strict: bool = False
-    #: The per-epoch invariant auditor; built at construction when
-    #: omitted (pass one to customize the check suite).
+    #: The per-epoch invariant auditor; a non-strict one is built at
+    #: construction when omitted (pass one to customize the check suite
+    #: or to raise at the first violation).
     auditor: "InvariantAuditor | None" = None
     #: Constrained-supply mode (:meth:`assemble`): rack budgets, cycled.
     rack_budgets_w: "tuple[float, ...] | None" = None
@@ -103,7 +99,7 @@ class Simulation:
 
     def __post_init__(self) -> None:
         if self.auditor is None:
-            self.auditor = InvariantAuditor(strict=self.strict)
+            self.auditor = InvariantAuditor()
 
     @classmethod
     def assemble(
@@ -250,7 +246,7 @@ class Simulation:
             load_generator=generator,
             diurnal_load=diurnal_load,
             seed=seed,
-            strict=strict,
+            auditor=InvariantAuditor(strict=strict),
             rack_budgets_w=rack_budgets_w,
         )
 
@@ -457,12 +453,18 @@ class Simulation:
 
         Faults, schedule, SoC capture, offered load (drawn only when
         ``load_fraction`` is None), shift or controller, log, audit.
-        Constrained-supply mode adds its rack budget to ``directives``.
+        A grid fault scales the epoch's grid budget (the caller's share,
+        else the provisioned budget) into ``directives``, and
+        constrained-supply mode adds its rack budget to them.
         Served racks step past the clock's end; the traces wrap.
         """
         t = self.clock_s
         if self.faults is not None:
-            self.faults.apply(self.controller, t)
+            grid_factor = self.faults.apply(self.controller, t)
+            grid_w = directives.grid_budget_w
+            if grid_w is None:
+                grid_w = self.controller.pdu.grid.budget_w
+            directives = replace(directives, grid_budget_w=grid_factor * grid_w)
         self._apply_schedule(t)
         # Captured after fault injection so the audit's SoC delta
         # reflects only the epoch's own flows.

@@ -13,11 +13,15 @@ Three fault families cover the rack's three sources:
   true output (0.0 = total inverter trip) during a window;
 * **battery outage** — the bank cannot discharge (maintenance / BMS
   lockout); charging still works, as in a real lockout;
-* **grid outage** — the utility budget collapses to a fraction of its
-  provisioned value (brownout) or zero (blackout).
+* **grid outage** — the epoch's grid budget collapses to a fraction of
+  what it would otherwise be (brownout) or zero (blackout).
 
-The injector never touches controller internals — it only perturbs the
-same physical interfaces the real world would.
+The injector never touches controller internals.  Renewable and battery
+faults perturb the same physical interfaces the real world would; a
+grid fault is a factor :meth:`FaultInjector.apply` returns, which
+:meth:`~repro.sim.engine.Simulation.step` folds into the epoch's
+``grid_budget_w`` directive, so it also scales a coordinated rack's
+cluster share.
 
 Schedules can be declared as compact text specs —
 ``kind:factor:start_s:end_s`` with ``kind`` one of ``renewable``,
@@ -111,7 +115,6 @@ class FaultInjector:
     grid_windows: list[FaultWindow] = field(default_factory=list)
     _attached: bool = False
     _healthy_discharge_w: float | None = None
-    _healthy_grid_budget_w: float | None = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -156,14 +159,15 @@ class FaultInjector:
             controller.pdu.renewable, self.renewable_windows
         )
         self._healthy_discharge_w = controller.pdu.battery.max_discharge_w
-        self._healthy_grid_budget_w = controller.pdu.grid.budget_w
         self._attached = True
 
-    def apply(self, controller: GreenHeteroController, time_s: float) -> None:
-        """Set component health for the epoch starting at ``time_s``."""
+    def apply(self, controller: GreenHeteroController, time_s: float) -> float:
+        """Set battery health for the epoch starting at ``time_s``.
+
+        Returns the fraction of its grid budget the epoch keeps.
+        """
         self.attach(controller)
         assert self._healthy_discharge_w is not None
-        assert self._healthy_grid_budget_w is not None
 
         battery_factor = 1.0
         for window in self.battery_windows:
@@ -179,4 +183,4 @@ class FaultInjector:
         for window in self.grid_windows:
             if window.active_at(time_s):
                 grid_factor = min(grid_factor, window.factor)
-        controller.pdu.grid.budget_w = grid_factor * self._healthy_grid_budget_w
+        return grid_factor

@@ -4,7 +4,8 @@ Four complementary harnesses:
 
 * :mod:`repro.verify.auditor` — per-epoch invariant auditing of the
   simulation's power accounting (wired into
-  :class:`~repro.sim.engine.Simulation` behind ``strict=``/``--strict``);
+  :class:`~repro.sim.engine.Simulation`; ``Simulation.assemble(strict=)``
+  and ``--strict`` make its auditor raise);
 * :mod:`repro.verify.differential` — checking every PAR solve against
   a reference grid sweep and a weak-duality bound, which proves the
   answer globally optimal on concave programs, on a seeded randomized

@@ -8,8 +8,9 @@ demand curve).
 
 :class:`LoadGenerator` turns a normalised intensity pattern (a callable
 ``time_s -> fraction`` in ``[0, 1]``) plus the workload kind into the
-offered load fraction for any simulation time, with optional seeded
-jitter so that consecutive epochs are not perfectly smooth.
+offered load fraction for any simulation time, with seeded jitter
+(:data:`LOAD_JITTER`) so that consecutive epochs are not perfectly
+smooth.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.rng import load_rng_state
 from repro.workloads.catalog import Workload
+
+#: Standard deviation of the multiplicative load noise on interactive
+#: workloads; the noisy fraction is clamped to ``[0, 1]``.
+LOAD_JITTER = 0.02
 
 
 @dataclass(frozen=True)
@@ -51,9 +56,6 @@ class LoadGenerator:
     pattern:
         Normalised diurnal intensity ``time_s -> [0, 1]`` used for
         interactive workloads.  ``None`` selects a constant 1.0.
-    jitter:
-        Standard deviation of multiplicative load noise (interactive
-        only).  The result is clamped to ``[0, 1]``.
     seed:
         Seed for the jitter RNG; generation is deterministic per seed.
     """
@@ -62,14 +64,10 @@ class LoadGenerator:
         self,
         workload: Workload,
         pattern: Callable[[float], float] | None = None,
-        jitter: float = 0.02,
         seed: int = 0,
     ) -> None:
-        if jitter < 0:
-            raise ConfigurationError("jitter must be non-negative")
         self.workload = workload
         self._pattern = pattern
-        self._jitter = jitter
         self._rng = np.random.default_rng(seed)
 
     @property
@@ -78,7 +76,7 @@ class LoadGenerator:
         return self._pattern
 
     def state_dict(self) -> dict[str, Any]:
-        """The jitter RNG's bit-generator state (pattern and jitter are config)."""
+        """The jitter RNG's bit-generator state (the pattern is config)."""
         return self._rng.bit_generator.state
 
     def load_state_dict(self, state: dict[str, Any]) -> None:
@@ -94,8 +92,7 @@ class LoadGenerator:
             raise ConfigurationError(
                 f"load pattern returned {base} at t={time_s}; must be in [0, 1]"
             )
-        if self._jitter > 0.0:
-            base *= 1.0 + self._jitter * float(self._rng.standard_normal())
+        base *= 1.0 + LOAD_JITTER * float(self._rng.standard_normal())
         return OfferedLoad(fraction=min(max(base, 0.0), 1.0), time_s=time_s)
 
     def series(self, times_s: list[float] | np.ndarray) -> list[OfferedLoad]:

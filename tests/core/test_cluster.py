@@ -1,5 +1,7 @@
 """Cluster coordinator: shared-grid division across racks."""
 
+import math
+
 import pytest
 
 from repro.core.cluster import ClusterCoordinator, GridSplit
@@ -16,6 +18,7 @@ from repro.servers.rack import Rack
 from repro.sim.clock import SimClock
 from repro.sim.engine import Simulation
 from repro.traces.nrel import Weather, synthesize_irradiance
+from repro.units import SECONDS_PER_DAY
 from repro.workloads.generator import LoadGenerator
 
 MIDNIGHT = 0.0
@@ -89,6 +92,67 @@ class TestShortfallSplit:
         b = make_sim(seed=2, solar_peak=50000.0)
         cluster = ClusterCoordinator([a, b], 1000.0, split=GridSplit.SHORTFALL)
         assert cluster.grid_shares_w(NOON) == [500.0, 500.0]
+
+
+def comb1_sim(seed, days=1.0):
+    """A Comb1/SPECjbb rack on the standard methodology, from day 1."""
+    return Simulation.assemble(
+        policy=make_policy("GreenHetero"),
+        rack=Rack([("E5-2620", 5), ("i5-4460", 5)], "SPECjbb"),
+        clock=SimClock(duration_s=days * SECONDS_PER_DAY),
+        seed=seed,
+    )
+
+
+def assert_within_budget(shares, budget):
+    assert all(share >= 0.0 for share in shares)
+    assert math.fsum(shares) <= budget
+    assert sum(shares) <= budget
+
+
+class TestExactShares:
+    """A lone rack gets the budget; shares never sum past it."""
+
+    @pytest.mark.parametrize("split", list(GridSplit))
+    def test_lone_rack_gets_the_budget(self, split):
+        sim = make_sim(seed=1)
+        budget = 850.2750000000001
+        cluster = ClusterCoordinator([sim], budget, split=split)
+        for time_s in (MIDNIGHT, NOON):
+            assert cluster.grid_shares_w(time_s) == [budget]
+
+    def test_one_rack_fleet_equals_the_rack_alone(self):
+        alone = comb1_sim(2021)
+        log = alone.run()
+        fleet_rack = comb1_sim(2021)
+        cluster = ClusterCoordinator([fleet_rack], fleet_rack.controller.pdu.grid.budget_w)
+        records = [cluster.run_epoch()[0] for _ in range(len(log))]
+        assert len(records) == 96
+        assert records == list(log)
+
+    @pytest.mark.parametrize("n, budget", [(3, 1777.7), (7, 1000.0), (7, 2000.0)])
+    def test_equal_shares_fit_the_budget(self, n, budget):
+        # ``[budget / n] * n`` sums past the budget for each of these.
+        assert sum([budget / n] * n) > budget
+        cluster = ClusterCoordinator(
+            [make_sim(seed=i) for i in range(n)], budget, split=GridSplit.EQUAL
+        )
+        shares = cluster.grid_shares_w(MIDNIGHT)
+        assert_within_budget(shares, budget)
+        assert shares == [shares[0]] * n
+        assert shares[0] == pytest.approx(budget / n, rel=1e-15)
+
+    def test_shortfall_shares_fit_the_budget_every_epoch(self):
+        budget = 1777.7
+        sims = [comb1_sim(2021 + i, days=2.0) for i in range(3)]
+        cluster = ClusterCoordinator(sims, budget, split=GridSplit.SHORTFALL)
+        proportional = 0
+        for _ in range(192):
+            shares = cluster.grid_shares_w(sims[0].clock_s)
+            assert_within_budget(shares, budget)
+            proportional += len(set(shares)) > 1
+            cluster.run_epoch()
+        assert proportional > 0
 
 
 class TestEpochExecution:

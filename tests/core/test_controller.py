@@ -8,6 +8,7 @@ from repro.core.enforcer import ServerPowerController
 from repro.core.monitor import Monitor
 from repro.core.policies import make_policy
 from repro.core.predictor import HoltPredictor
+from repro.core.scheduler import AdaptiveScheduler
 from repro.core.solver import PARSolver
 from repro.core.sources import PowerCase
 from repro.errors import ConfigurationError
@@ -119,6 +120,32 @@ class TestEpochExecution:
         for epoch_s in (0.0, float("nan"), float("inf")):
             with pytest.raises(ConfigurationError):
                 GreenHeteroController(rack, pdu, make_policy("Uniform"), epoch_s=epoch_s)
+
+
+class TestOnePolicy:
+    """The scheduler holds the policy; the controller only reads it."""
+
+    def test_policy_is_the_schedulers(self):
+        ctl = make_controller()
+        assert ctl.policy is ctl.scheduler.policy
+        policy = make_policy("Uniform")
+        scheduler = AdaptiveScheduler(policy)
+        given = GreenHeteroController(ctl.rack, ctl.pdu, policy, scheduler=scheduler)
+        assert given.scheduler is scheduler
+        assert given.policy is policy
+
+    def test_policy_other_than_the_schedulers_rejected(self):
+        base = make_controller()
+        scheduler = AdaptiveScheduler(make_policy("Uniform"))
+        with pytest.raises(ConfigurationError, match="scheduler"):
+            GreenHeteroController(
+                base.rack, base.pdu, make_policy("Uniform"), scheduler=scheduler
+            )
+
+    def test_policy_is_read_only(self):
+        ctl = make_controller()
+        with pytest.raises(AttributeError):
+            ctl.policy = make_policy("Uniform")
 
 
 class TestEnergyAccounting:

@@ -261,9 +261,9 @@ class TestFitMemo:
         searched = []
         search = HoltPredictor._fit_impl.__func__
 
-        def counting(cls, data, grid_steps):
+        def counting(cls, data):
             searched.append(data.copy())
-            return search(cls, data, grid_steps)
+            return search(cls, data)
 
         monkeypatch.setattr(HoltPredictor, "_fit_impl", classmethod(counting))
         return searched
@@ -279,7 +279,7 @@ class TestFitMemo:
             hit = HoltPredictor.fit(history)
             assert hit is not cold
             assert hit.state_dict() == cold.state_dict()
-            assert (cold.alpha, cold.beta) == HoltPredictor._fit_impl(data, 11)
+            assert (cold.alpha, cold.beta) == HoltPredictor._fit_impl(data)
         # Two histories per config, one search each (plus the two above).
         assert len(searches) == 4
 
@@ -294,16 +294,16 @@ class TestFitMemo:
         assert len(searches) == 2
         assert searches[1].tobytes() == nudged.tobytes()
 
-    def test_key_includes_grid_and_class(self, searches):
+    def test_key_includes_class(self, searches):
         class Subclass(HoltPredictor):
             pass
 
         history = TestTraining()._solar_like()
         HoltPredictor.fit(history)
-        HoltPredictor.fit(history, grid_steps=5)
+        HoltPredictor.fit(history)
         fitted = Subclass.fit(history)
         assert type(fitted) is Subclass
-        assert len(searches) == 3
+        assert len(searches) == 2
 
     def test_every_call_counted_only_searches_timed(self, searches):
         fits = REGISTRY.get("repro_predictor_fits_total")

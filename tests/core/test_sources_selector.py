@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.sources import PowerCase, SourceSelector
+from repro.core.sources import RENEWABLE_FLOOR_W, PowerCase, SourceSelector
 from repro.errors import PowerError
 from repro.power.battery import BatteryBank
 from repro.power.grid import GridSource
@@ -73,8 +73,8 @@ class TestCaseC:
         assert d.use_battery
 
     def test_renewable_floor_counts_as_night(self, battery, grid):
-        sel = SourceSelector(renewable_floor_w=5.0)
-        d = sel.decide(4.0, 1100.0, battery, grid, EPOCH)
+        sel = SourceSelector()
+        d = sel.decide(RENEWABLE_FLOOR_W - 1.0, 1100.0, battery, grid, EPOCH)
         assert d.case is PowerCase.C
 
     def test_grid_takes_over_when_battery_cannot_sustain(self, drained, grid):
@@ -132,10 +132,6 @@ class TestValidation:
             sel.decide(-1.0, 100.0, battery, grid, EPOCH)
         with pytest.raises(PowerError):
             sel.decide(100.0, -1.0, battery, grid, EPOCH)
-
-    def test_negative_floor_rejected(self):
-        with pytest.raises(PowerError):
-            SourceSelector(renewable_floor_w=-1.0)
 
 
 class TestRationedSelector:

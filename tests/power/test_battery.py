@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import BatteryError
+from repro.power import battery
 from repro.power.battery import BatteryBank, UnlimitedSupply
 
 
@@ -194,8 +195,9 @@ class TestUnlimitedSupply:
         assert supply.equivalent_cycles == 0.0
         assert supply._discharged_wh_total == 0.0
 
-    def test_discharge_caps_at_the_power_limit(self):
-        supply = UnlimitedSupply(power_limit_w=300.0)
+    def test_discharge_caps_at_the_power_limit(self, monkeypatch):
+        monkeypatch.setattr(battery, "UNLIMITED_POWER_W", 300.0)
+        supply = UnlimitedSupply()
         assert supply.discharge(5000.0, 900.0) == 300.0
         assert supply.max_discharge_power_w(900.0) == 300.0
 
@@ -213,8 +215,6 @@ class TestUnlimitedSupply:
             supply.discharge(100.0, 0.0)
         with pytest.raises(BatteryError):
             supply.charge(-1.0, 3600.0)
-        with pytest.raises(BatteryError):
-            UnlimitedSupply(power_limit_w=0.0)
 
     def test_repr_names_the_sentinel(self):
         assert "UnlimitedSupply" in repr(UnlimitedSupply())

@@ -1,8 +1,10 @@
 """DVFS power-state ladders and the power-to-state mapping."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.errors import ConfigurationError, PowerError
+from repro.errors import PowerError
 from repro.servers.dvfs import (
     MIN_STATE_DYNAMIC_FRACTION,
     SLEEP_POWER_W,
@@ -61,12 +63,8 @@ class TestLadderStructure:
         assert len(ladder) == len(list(ladder))
 
     def test_custom_level_count(self):
-        ladder = PowerStateSet(get_platform("i5-4460"), levels=4)
+        ladder = PowerStateSet(replace(get_platform("i5-4460"), dvfs_levels=4))
         assert len(ladder.active_states) == 4
-
-    def test_too_few_levels_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PowerStateSet(get_platform("i5-4460"), levels=1)
 
 
 class TestLadderViews:

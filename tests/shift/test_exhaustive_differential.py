@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.solver import GroupModel
 from repro.obs.metrics import REGISTRY, obs_enabled, set_enabled
+from repro.shift import planner
 from repro.shift.planner import PlanInputs, ShiftPlanner, _peak_perf
 from repro.shift.queue import JobQueue, ShiftJob
 from repro.verify.differential import SHAPES, random_fit
@@ -59,7 +60,7 @@ class UnprunedPlanner(ShiftPlanner):
 
 
 def random_instance(seed):
-    """``(queue, inputs, planner kwargs)`` for one seeded case."""
+    """``(queue, inputs, planner kwargs, PERF_WEIGHT)`` for one seeded case."""
     rng = random.Random(seed)
     horizon = rng.randint(3, 7)
     time_s = 10 * EPOCH
@@ -105,10 +106,8 @@ def random_instance(seed):
         horizon=horizon,
         grid_penalty_per_kwh=rng.choice((0.0, 1.0, rng.uniform(0.0, 10.0))),
         battery_penalty_per_kwh=rng.choice((0.0, 0.1, rng.uniform(0.0, 10.0))),
-        perf_weight=PERF_WEIGHTS[seed % len(PERF_WEIGHTS)],
-        exhaustive_limit=10**6,
     )
-    return queue, inputs, kwargs
+    return queue, inputs, kwargs, PERF_WEIGHTS[seed % len(PERF_WEIGHTS)]
 
 
 def assert_close_plan(got, want):
@@ -147,10 +146,13 @@ def enabled():
 
 
 @pytest.mark.parametrize("block", range(4))
-def test_pruned_search_returns_the_reference_plan(block):
+def test_pruned_search_returns_the_reference_plan(block, monkeypatch):
+    # Every case is searched exhaustively, whatever its assignment space.
+    monkeypatch.setattr(planner, "EXHAUSTIVE_LIMIT", 10**6)
     shapes_seen = set()
     for seed in range(block, N_CASES, 4):
-        queue, inputs, kwargs = random_instance(seed)
+        queue, inputs, kwargs, perf_weight = random_instance(seed)
+        monkeypatch.setattr(planner, "PERF_WEIGHT", perf_weight)
         got = ShiftPlanner(**kwargs).plan(queue, inputs)
         want = UnprunedPlanner(**kwargs).plan(queue, inputs)
         assert_close_plan(got, want)
@@ -163,7 +165,7 @@ def test_corpus_covers_the_hard_cases():
     """Deadlines, running jobs, battery limits and grid shortfalls occur."""
     must_now = committed = battery_limited = grid_short = multi_epoch = 0
     for seed in range(N_CASES):
-        queue, inputs, kwargs = random_instance(seed)
+        queue, inputs, _, _ = random_instance(seed)
         jobs = queue.pending()
         must_now += any(
             inputs.time_s + EPOCH > j.latest_start_s(EPOCH) + 1e-9 for j in jobs

@@ -6,6 +6,7 @@ from repro.core.database import PerfPowerFit
 from repro.core.predictor import HoltPredictor
 from repro.core.solver import GroupModel
 from repro.errors import ConfigurationError
+from repro.shift import planner as planner_module
 from repro.shift.planner import (
     IdleInputs,
     PlanInputs,
@@ -201,15 +202,16 @@ class TestShiftPolicy:
         (placement,) = plan.placements
         assert placement.start_offset >= 3
 
-    def test_exhaustive_and_greedy_agree_on_small_instances(self):
+    def test_exhaustive_and_greedy_agree_on_small_instances(self, monkeypatch):
         inputs = make_inputs(renewable=(0.0, 300.0, 0.0, 300.0) + (0.0,) * 4)
         jobs = [job(job_id="a"), job(job_id="b")]
-        exact = ShiftPlanner(horizon=4, grid_penalty_per_kwh=20.0)
-        greedy = ShiftPlanner(
-            horizon=4, grid_penalty_per_kwh=20.0, exhaustive_limit=0
+        plan_exact = ShiftPlanner(horizon=4, grid_penalty_per_kwh=20.0).plan(
+            queue_of(*jobs), inputs
         )
-        plan_exact = exact.plan(queue_of(*jobs), inputs)
-        plan_greedy = greedy.plan(queue_of(*jobs), inputs)
+        monkeypatch.setattr(planner_module, "EXHAUSTIVE_LIMIT", 0)
+        plan_greedy = ShiftPlanner(horizon=4, grid_penalty_per_kwh=20.0).plan(
+            queue_of(*jobs), inputs
+        )
         assert plan_exact.method == "exhaustive"
         assert plan_greedy.method == "greedy"
         placed = lambda plan: sorted(
@@ -293,17 +295,16 @@ class TestNoShiftPolicy:
 
 class TestPriceValidation:
     @pytest.mark.parametrize(
-        "name", ["grid_penalty_per_kwh", "battery_penalty_per_kwh", "perf_weight"]
+        "name", ["grid_penalty_per_kwh", "battery_penalty_per_kwh"]
     )
     @pytest.mark.parametrize("value", [-1e-9, -1.0, float("nan")])
     def test_negative_or_nan_price_rejected(self, name, value):
         with pytest.raises(ConfigurationError, match=name):
             ShiftPlanner(**{name: value})
 
-    def test_zero_prices_accepted(self):
-        planner = ShiftPlanner(
-            grid_penalty_per_kwh=0.0, battery_penalty_per_kwh=0.0, perf_weight=0.0
-        )
+    def test_zero_prices_accepted(self, monkeypatch):
+        monkeypatch.setattr(planner_module, "PERF_WEIGHT", 0.0)
+        planner = ShiftPlanner(grid_penalty_per_kwh=0.0, battery_penalty_per_kwh=0.0)
         plan = planner.plan(queue_of(job()), make_inputs())
         assert [p.start_offset for p in plan.placements] == [0]
 

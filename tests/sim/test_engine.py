@@ -42,6 +42,12 @@ class TestAssembly:
         sim = assemble(grid_budget_w=777.0)
         assert sim.controller.pdu.grid.budget_w == 777.0
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_the_auditor_owns_strictness(self, strict):
+        sim = assemble(strict=strict)
+        assert sim.auditor.strict is strict
+        assert not hasattr(sim, "strict")
+
     def test_grid_budget_default_underprovisioned(self):
         sim = assemble(grid_budget_w=None)
         assert sim.controller.pdu.grid.budget_w < sim.controller.rack.max_draw_w

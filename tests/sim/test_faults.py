@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.cluster import ClusterCoordinator, GridSplit
+from repro.core.controller import ChargeSource
 from repro.core.policies import make_policy
 from repro.errors import ConfigurationError
 from repro.servers.rack import Rack
@@ -114,8 +116,33 @@ class TestGridOutage:
     def test_grid_restored_after_window(self):
         faults = FaultInjector().add_grid_outage(DAY, DAY + 3600.0)
         sim = assemble(faults, hours=3.0, start_hour=0.0)
+        provisioned = sim.controller.pdu.grid.budget_w
         sim.run()
-        assert sim.controller.pdu.grid.budget_w > 0.0
+        assert sim.controller.pdu.grid.budget_w == provisioned > 0.0
+
+    def test_coordinated_rack_keeps_its_grid_fault(self):
+        # A day-long blackout on one Comb1/SPECjbb rack of a two-rack
+        # fleet sharing 2000 W: its cluster share must not lift the fault.
+        def comb1(seed):
+            return Simulation.assemble(
+                policy=make_policy("GreenHetero"),
+                rack=Rack([("E5-2620", 5), ("i5-4460", 5)], "SPECjbb"),
+                seed=seed,
+            )
+
+        faulted, other = comb1(2021), comb1(2022)
+        faulted.faults = FaultInjector().add_grid_outage(DAY, 2 * DAY, 0.0)
+        provisioned = faulted.controller.pdu.grid.budget_w
+        cluster = ClusterCoordinator([faulted, other], 2000.0, split=GridSplit.SHORTFALL)
+        epochs = [cluster.run_epoch() for _ in range(96)]
+        for mine, _ in epochs:
+            assert mine.grid_to_load_w == 0.0
+            assert mine.charge_source is not ChargeSource.GRID or mine.charge_w == 0.0
+        assert max(theirs.grid_to_load_w for _, theirs in epochs) > 0.0
+        # The provisioned budget is left alone, and the auditor checked
+        # every epoch's draw against the faulted budget.
+        assert faulted.controller.pdu.grid.budget_w == provisioned
+        assert faulted.auditor.summary()["violations"] == 0
 
 
 class TestComposition:

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.database import PerfPowerFit
 from repro.core.epu import effective_power_utilization
+from repro.core import predictor
 from repro.core.predictor import HoltPredictor
 from repro.core.solver import GroupModel, PARSolver
 from repro.power.battery import BatteryBank
@@ -281,7 +282,11 @@ def test_holt_sse_non_negative(data):
 @given(data=st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=5, max_size=30))
 @settings(max_examples=25, deadline=None)
 def test_holt_fit_never_worse_than_grid_seed(data):
-    fitted = HoltPredictor.fit(data, grid_steps=5)
+    # A coarse 5-point seed grid, searched fresh rather than read from the memo.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(predictor, "GRID_STEPS", 5)
+        mp.setattr(predictor, "_FIT_MEMO", {})
+        fitted = HoltPredictor.fit(data)
     fitted_sse = HoltPredictor.sse(data, fitted.alpha, fitted.beta)
     grid = np.linspace(0.0, 1.0, 5)
     best_grid = min(HoltPredictor.sse(data, a, b) for a in grid for b in grid)

@@ -39,6 +39,10 @@ per cluster step.  ``policy-sweep`` adds the solver-cache hits and
 misses and the solves by winning method (``solver_methods``), which pin
 how often the memo cache spares the sweep a solve.
 
+The scenario constants (days, horizon, jobs, seeds, fleet size, shared
+grid and what-if budgets) are read from ``perfbench/workloads.py``, so
+the counts follow whatever perfbench runs.
+
 Unlike wall time, which moves by tens of percent between runs on a
 shared host, these counts are host-independent, so CI compares them
 exactly with the committed file; a change that alters a count must
@@ -58,28 +62,24 @@ from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
 from repro import ExperimentConfig, run_experiment, run_experiments  # noqa: E402
 from repro.obs import REGISTRY  # noqa: E402
 from repro.serve import AllocationDaemon, ServeClient, ServeConfig, ServeState  # noqa: E402
 from repro.shift.bench import run_shift_bench  # noqa: E402
+from perfbench.workloads import (  # noqa: E402
+    SERVE_RACKS, SERVE_SHARED_GRID_W, SERVE_WHATIF_W, SHIFT_DAY_DAYS,
+    SHIFT_HORIZON, SHIFT_JOBS, SIM_DAY_DAYS, SWEEP_SEEDS, lap_seeds,
+)
 
 SEED = 2021
-#: perfbench's lap rotation: scenario seeds ``4 * seed + k``, k = 0..3.
-SCENARIOS = tuple(4 * SEED + k for k in range(4))
-#: perfbench's sweep rotation: scenario seeds ``2 * seed + k``, k = 0..1.
-SWEEP_SCENARIOS = tuple(2 * SEED + k for k in range(2))
-SIM_DAY_DAYS = 3.0
-SHIFT_DAY_DAYS = 1.0
-SHIFT_HORIZON = 8
-SHIFT_JOBS = 6
-SERVE_RACKS = 4
-SERVE_SHARED_GRID_W = 2000.0
+#: perfbench's lap rotation for ``--seed 2021``.
+SCENARIOS = tuple(lap_seeds(SEED))
+#: perfbench's sweep rotation for ``--seed 2021``.
+SWEEP_SCENARIOS = tuple(range(SEED * SWEEP_SEEDS, (SEED + 1) * SWEEP_SEEDS))
 SERVE_CLUSTER_STEPS = 96
 SERVE_DAEMON_ROUNDS = 96
-#: Explicit ``allocate`` budgets of a ``serve-daemon`` round, after the
-#: planned one (perfbench's ``serve-fleet`` levels).
-SERVE_DAEMON_BUDGETS_W = (400.0, 700.0, 1000.0)
 
 #: Output key -> metric family; a labelled family counts all its children.
 COUNTERS = {
@@ -199,7 +199,7 @@ def serve_daemon(seed: int) -> dict[str, int]:
             for _ in range(SERVE_DAEMON_ROUNDS):
                 for rack in state.rack_names():
                     client.allocate(rack)
-                    for budget_w in SERVE_DAEMON_BUDGETS_W:
+                    for budget_w in SERVE_WHATIF_W:
                         client.allocate(rack, budget_w=budget_w)
                     client.forecast(rack)
                 client.step()
