@@ -1,30 +1,18 @@
 """Analysis: metrics aggregation and paper-figure reporting."""
 
 from repro.analysis.comparison import GainStatistics, gain_statistics, seed_sweep
-from repro.analysis.lifetime import LifetimeProjection, project_lifetime
-from repro.analysis.metrics import (
-    geometric_mean,
-    normalize_to_baseline,
-    projection_error,
-    summarize_gains,
-)
-from repro.analysis.plotting import bar_chart, hbar, sparkline, timeline
+from repro.analysis.metrics import geometric_mean, summarize_gains
+from repro.analysis.plotting import sparkline, timeline
 from repro.analysis.reporting import format_series, format_table
 from repro.analysis.sustainability import SustainabilityReport, sustainability_report
 
 __all__ = [
     "GainStatistics",
-    "LifetimeProjection",
     "SustainabilityReport",
-    "bar_chart",
     "format_series",
     "format_table",
     "gain_statistics",
     "geometric_mean",
-    "hbar",
-    "normalize_to_baseline",
-    "project_lifetime",
-    "projection_error",
     "seed_sweep",
     "sparkline",
     "summarize_gains",

@@ -6,9 +6,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.database import PerfPowerFit
 from repro.errors import ConfigurationError
-from repro.servers.power_model import ResponseCurve
 
 
 def geometric_mean(values: Sequence[float]) -> float:
@@ -25,47 +23,6 @@ def geometric_mean(values: Sequence[float]) -> float:
     if np.any(data <= 0):
         raise ConfigurationError("geometric mean requires positive values")
     return float(np.exp(np.log(data).mean()))
-
-
-def normalize_to_baseline(
-    values: Mapping[str, float], baseline: str
-) -> dict[str, float]:
-    """Divide every entry by the baseline's value (the paper's bar charts).
-
-    Raises
-    ------
-    ConfigurationError
-        When the baseline is missing or zero.
-    """
-    if baseline not in values:
-        raise ConfigurationError(f"baseline {baseline!r} not in values")
-    base = values[baseline]
-    if base == 0:
-        raise ConfigurationError("baseline value is zero")
-    return {name: v / base for name, v in values.items()}
-
-
-def projection_error(
-    fit: PerfPowerFit, curve: ResponseCurve, n_points: int = 50
-) -> float:
-    """Mean relative error of a database projection vs ground truth.
-
-    Evaluated over the *enforceable* operating range (the power levels
-    the SPC can actually set), normalised by the curve's maximum
-    throughput — the quantity GreenHetero's online updating is supposed
-    to drive down over time (Algorithm 1).
-    """
-    if n_points < 2:
-        raise ConfigurationError("need at least 2 evaluation points")
-    budgets = np.linspace(
-        curve.min_active_power_w, curve.max_draw_w, n_points
-    )
-    scale = curve.max_throughput
-    errors = [
-        abs(fit.predict(float(b)) - curve.perf_at_power(float(b)).throughput) / scale
-        for b in budgets
-    ]
-    return float(np.mean(errors))
 
 
 def shift_comparison(

@@ -43,35 +43,6 @@ def sparkline(values: Sequence[float], lo: float | None = None, hi: float | None
     return "".join(out)
 
 
-def hbar(value: float, scale: float, width: int = 30, fill: str = "#", empty: str = ".") -> str:
-    """A horizontal bar of ``width`` cells, filled to ``value/scale``."""
-    if width < 1:
-        raise ConfigurationError("width must be >= 1")
-    if scale <= 0:
-        return empty * width
-    filled = int(round(width * min(max(value / scale, 0.0), 1.0)))
-    return fill * filled + empty * (width - filled)
-
-
-def bar_chart(
-    values: Mapping[str, float],
-    width: int = 40,
-    fmt: str = "{:.2f}",
-    title: str | None = None,
-) -> str:
-    """Render a labelled horizontal bar chart (the Fig. 9/10 bar groups)."""
-    if not values:
-        raise ConfigurationError("cannot chart an empty mapping")
-    scale = max(values.values())
-    label_w = max(len(k) for k in values)
-    lines = [] if title is None else [title]
-    for name, value in values.items():
-        lines.append(
-            f"{name.ljust(label_w)} | {hbar(value, scale, width)} {fmt.format(value)}"
-        )
-    return "\n".join(lines)
-
-
 def timeline(
     series: Mapping[str, Sequence[float]],
     step_label: str = "h",

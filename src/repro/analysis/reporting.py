@@ -6,7 +6,7 @@ paper-vs-measured comparison is legible in CI logs without plotting.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 
@@ -49,12 +49,6 @@ def format_series(
     for i in range(0, len(rendered), per_line):
         chunks.append("  " + " ".join(rendered[i : i + per_line]))
     return f"{name} (n={len(values)}):\n" + "\n".join(chunks)
-
-
-def format_gains(gains: Mapping[str, float], baseline: str = "Uniform") -> str:
-    """One-line summary of per-policy gains vs the baseline."""
-    parts = [f"{name}: {value:.2f}x" for name, value in gains.items()]
-    return f"gain vs {baseline} -> " + ", ".join(parts)
 
 
 def _cell(value: object) -> str:

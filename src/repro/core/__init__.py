@@ -19,7 +19,7 @@ from repro.core.cluster import ClusterCoordinator, GridSplit
 from repro.core.database import FitKind, PerfPowerFit, ProfilingDatabase
 from repro.core.enforcer import PowerSourceController, ServerPowerController
 from repro.core.persistence import load_database, save_database
-from repro.core.epu import effective_power_utilization, useful_power
+from repro.core.epu import effective_power_utilization
 from repro.core.monitor import Monitor
 from repro.core.policies import (
     GreenHeteroPolicy,
@@ -60,5 +60,4 @@ __all__ = [
     "load_database",
     "make_policy",
     "save_database",
-    "useful_power",
 ]

@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.core.enforcer import PowerSourceController, ServerPowerController
+from repro.core.epu import effective_power_utilization
 from repro.core.monitor import Monitor
 from repro.core.policies import GroupInfo, Policy
 from repro.core.scheduler import AdaptiveScheduler
@@ -494,7 +495,6 @@ class GreenHeteroController:
 
         n = float(N_SUBSTEPS)
         useful_mean = useful_sum / n
-        epu = 0.0 if budget_w <= 0 else min(useful_mean / budget_w, 1.0)
         breakdown = flows.breakdown
         return EpochRecord(
             time_s=time_s,
@@ -507,7 +507,7 @@ class GreenHeteroController:
             group_budgets_w=group_budgets,
             state_indices=tuple(state.index for state in states),
             throughput=perf_sum / n,
-            epu=epu,
+            epu=effective_power_utilization(useful_mean, budget_w),
             useful_power_w=useful_mean,
             renewable_to_load_w=breakdown.renewable_to_load_w,
             battery_to_load_w=breakdown.battery_to_load_w,

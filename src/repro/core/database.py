@@ -158,10 +158,6 @@ class PerfPowerFit:
         pad = 2 - len(self.coefficients)
         return 0.0 if pad > 0 else self.coefficients[-2]
 
-    @property
-    def n(self) -> float:
-        return self.coefficients[-1]
-
     def raw(self, power_w: float) -> float:
         """Unclamped polynomial value (internal solver use).
 
@@ -288,14 +284,6 @@ class ProfilingDatabase:
     def keys(self) -> tuple[PairKey, ...]:
         return tuple(self._entries)
 
-    def has(self, platform: str, workload: str) -> bool:
-        """Algorithm 1 line 3: does a relational equation exist?"""
-        return (platform, workload) in self
-
-    def sample_count(self, key: PairKey) -> int:
-        entry = self._entries.get(key)
-        return 0 if entry is None else entry.count
-
     # ------------------------------------------------------------------
     # Checkpointing (DESIGN.md §9)
     # ------------------------------------------------------------------
@@ -405,10 +393,6 @@ class ProfilingDatabase:
             )
         if key not in self._entries:
             self._entries[key] = _Entry(idle_power_w, max_power_w, self.max_samples)
-
-    def add_sample(self, key: PairKey, power_w: float, perf: float) -> None:
-        """Append one observed (power, performance) point (see :meth:`add_samples`)."""
-        self.add_samples(key, (power_w,), (perf,))
 
     def add_samples(
         self, key: PairKey, powers: Sequence[float], perfs: Sequence[float]

@@ -10,69 +10,19 @@ allocated to servers that cannot use it (below idle power, above the
 workload's maximum draw, or to servers parked asleep).
 
 Unlike PUE, which measures facility overhead, EPU measures *allocation*
-quality, which is why the paper introduces it (Section III-A).
+quality, which is why the paper introduces it (Section III-A).  The
+controller's epoch (:class:`repro.core.controller.GreenHeteroController`)
+and the Fig. 3 case study (:func:`repro.servers.power_model.case_study_sweep`)
+both compute it here; the auditor's ``epu-range`` check holds every
+epoch's value in [0, 1].
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
 
-from repro.errors import PowerError
+def effective_power_utilization(useful_w: float, supply_w: float) -> float:
+    """EPU of one interval (Eq. 1): ``useful_w / supply_w``, at most 1.
 
-
-def useful_power(draws_w: Sequence[float], throughputs: Sequence[float]) -> float:
-    """Power drawn by servers producing non-zero throughput (W).
-
-    Parameters
-    ----------
-    draws_w:
-        Wall power drawn by each server.
-    throughputs:
-        Corresponding delivered throughput; a server contributes its draw
-        to ``P_throughput`` only when this is positive.
-    """
-    if len(draws_w) != len(throughputs):
-        raise PowerError("draws and throughputs must have equal length")
-    total = 0.0
-    for draw, perf in zip(draws_w, throughputs):
-        if draw < 0:
-            raise PowerError(f"negative power draw: {draw}")
-        if perf > 0.0:
-            total += draw
-    return total
-
-
-def effective_power_utilization(
-    p_throughput_w: float | Iterable[float],
-    p_supply_w: float | Iterable[float],
-) -> float:
-    """EPU over one interval or a whole run (Eq. 1).
-
-    Accepts scalars (one interval) or iterables (summed over a run).
     Returns 0.0 when no power was supplied.
-
-    Raises
-    ------
-    PowerError
-        If throughput power exceeds supplied power (allocation accounting
-        must never create energy) or either quantity is negative.
     """
-    throughput = (
-        float(p_throughput_w)
-        if isinstance(p_throughput_w, (int, float))
-        else float(sum(p_throughput_w))
-    )
-    supply = (
-        float(p_supply_w)
-        if isinstance(p_supply_w, (int, float))
-        else float(sum(p_supply_w))
-    )
-    if throughput < 0 or supply < 0:
-        raise PowerError("power totals must be non-negative")
-    if supply == 0.0:
-        return 0.0
-    if throughput > supply * (1.0 + 1e-9):
-        raise PowerError(
-            f"P_throughput ({throughput:.3f} W) exceeds P_supply ({supply:.3f} W)"
-        )
-    return min(throughput / supply, 1.0)
+    return 0.0 if supply_w <= 0 else min(useful_w / supply_w, 1.0)

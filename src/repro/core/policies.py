@@ -147,9 +147,6 @@ class Policy(abc.ABC):
         if self.requires_oracle and ctx.oracle is None:
             raise ConfigurationError(f"{self.name} needs a measurement oracle")
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.name!r})"
-
 
 class UniformPolicy(Policy):
     """Equal power per *server* — the heterogeneity-unaware baseline."""

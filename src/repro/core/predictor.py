@@ -101,16 +101,6 @@ class HoltPredictor:
         """True once at least one observation has been absorbed."""
         return self._level is not None
 
-    @property
-    def level(self) -> float | None:
-        """Current level estimate ``S_t``."""
-        return self._level
-
-    @property
-    def trend(self) -> float:
-        """Current trend estimate ``B_t``."""
-        return self._trend
-
     def observe(self, value: float) -> None:
         """Absorb the epoch's observation ``O_t`` (Eq. 2-3).
 
@@ -150,12 +140,6 @@ class HoltPredictor:
         if self.nonnegative:
             forecast = max(0.0, forecast)
         return forecast
-
-    def reset(self) -> None:
-        """Forget all state but keep the trained constants."""
-        self._level = None
-        self._trend = 0.0
-        self._n_observed = 0
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -352,9 +336,6 @@ class PersistencePredictor:
             raise ConfigurationError("horizon must be >= 1")
         return max(0.0, self._last) if self.nonnegative else self._last
 
-    def reset(self) -> None:
-        self._last = None
-
 
 class MovingAveragePredictor:
     """Sliding-window mean baseline.
@@ -390,6 +371,3 @@ class MovingAveragePredictor:
             raise ConfigurationError("horizon must be >= 1")
         forecast = sum(self._values) / len(self._values)
         return max(0.0, forecast) if self.nonnegative else forecast
-
-    def reset(self) -> None:
-        self._values = []

@@ -44,11 +44,12 @@ and ``count * f`` at the bounds and at 0), so only a free group's power
 is computed and scored per candidate.  :class:`PartialGroupSolver` runs
 the same kernel on each powered-count combination.  Candidate order,
 tie rule and float operations are those of building each candidate's
-power vector and scoring it with :meth:`PARSolver._score`, so answers
-are bit-identical to doing exactly that (DESIGN.md §13).
+power vector and scoring it as the sum of ``count * fit.predict(p)``
+over the groups, so answers are bit-identical to doing exactly that
+(DESIGN.md §13).
 
 The same machinery at 10% granularity with the *measured* objective is
-exactly the paper's Manual baseline (:meth:`PARSolver.compositions`).
+exactly the paper's Manual baseline (:meth:`PARSolver.exhaustive`).
 """
 
 from __future__ import annotations
@@ -148,11 +149,6 @@ class PARSolution:
     #: :class:`PartialGroupSolver`.
     powered_counts: tuple[int, ...] | None = None
 
-    @property
-    def allocated_fraction(self) -> float:
-        """Share of the budget actually handed to servers."""
-        return sum(self.ratios)
-
 
 class _KKTFit(NamedTuple):
     """One group's count-independent constants for :func:`_kkt_scan`."""
@@ -201,7 +197,12 @@ def _patterns(k: int) -> tuple:
 
 @functools.lru_cache(maxsize=16)
 def _compositions(k: int, granularity: float) -> tuple[tuple[float, ...], ...]:
-    """:meth:`PARSolver.compositions`, built once per ``(k, granularity)``."""
+    """Every PAR vector of ``k`` groups summing to exactly 1 in
+    ``granularity`` steps, built once per ``(k, granularity)``.
+
+    At 10% this is the search space of the paper's Manual baseline
+    (Table III).
+    """
     if k < 1:
         raise SolverError("k must be >= 1")
     steps = round(1.0 / granularity)
@@ -232,9 +233,9 @@ def _kkt_scan(
     ``(best_p, best_score)`` only when it scores more than ``best_score
     + margin``, so the first of tied candidates wins.  Every float
     operation is the one, in the same order, that assembling the
-    candidate as a per-server power vector and scoring it with
-    :meth:`PARSolver._score` performs, so the answer is the same to the
-    bit: a group at a bound scores the precomputed ``count *
+    candidate as a per-server power vector and summing
+    ``count * fit.predict(p)`` over it performs, so the answer is the
+    same to the bit: a group at a bound scores the precomputed ``count *
     predict(bound)``, and a free group :meth:`PerfPowerFit.predict`'s
     clamp and Horner loop, inlined.
     """
@@ -463,15 +464,6 @@ class PARSolver:
         best_p, best_score = self._kkt_best(groups, total_power_w)
         return self._to_solution(groups, best_p, best_score, "kkt", total_power_w)
 
-    @staticmethod
-    def compositions(k: int, granularity: float = 0.1) -> list[tuple[float, ...]]:
-        """All PAR vectors summing to exactly 1 at ``granularity`` steps.
-
-        This is the search space of the paper's Manual baseline (10%
-        granularity, Table III).
-        """
-        return list(_compositions(k, granularity))
-
     @classmethod
     def exhaustive(
         cls,
@@ -500,13 +492,6 @@ class PARSolver:
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    @staticmethod
-    def _score(groups: Sequence[GroupModel], per_server_w: Sequence[float]) -> float:
-        """Projected aggregate performance (clamped fits)."""
-        return sum(
-            g.count * g.fit.predict(p) for g, p in zip(groups, per_server_w)
-        )
-
     def _to_solution(
         self,
         groups: Sequence[GroupModel],

@@ -83,11 +83,6 @@ class SourceDecision:
     #: behaviour).  Used by :class:`RationedSourceSelector`.
     battery_cap_w: float | None = None
 
-    @property
-    def sufficient(self) -> bool:
-        """True when the budget covers the predicted demand."""
-        return self.rack_budget_w >= self.predicted_demand_w - 1e-9
-
 
 class SourceSelector:
     """Implements the Case A/B/C decision table with grid-mode hysteresis.
@@ -107,11 +102,6 @@ class SourceSelector:
 
     def __init__(self) -> None:
         self._grid_mode = False
-
-    @property
-    def grid_mode(self) -> bool:
-        """True while the grid has taken over from a drained battery."""
-        return self._grid_mode
 
     def state_dict(self) -> dict[str, Any]:
         """The grid-mode hysteresis flag (the thresholds are config)."""

@@ -41,7 +41,7 @@ from repro.obs.metrics import (
     set_enabled,
 )
 from repro.obs.stats import percentile
-from repro.obs.tracing import Span, current_span, set_trace_sink, trace
+from repro.obs.tracing import Span, set_trace_sink, trace
 
 __all__ = [
     "Counter",
@@ -51,7 +51,6 @@ __all__ = [
     "POWER_OF_TWO_BUCKETS",
     "REGISTRY",
     "Span",
-    "current_span",
     "obs_enabled",
     "parse_exposition",
     "percentile",

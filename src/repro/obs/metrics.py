@@ -298,8 +298,9 @@ class Histogram:
 class _Family:
     """A named metric with a label schema and one child per label tuple.
 
-    An unlabelled family builds its one child here, and its
-    ``inc``/``set``/``observe``/``value`` go straight to it.
+    An unlabelled family builds its one child here; ``labels()`` with
+    no values returns it, and an unlabelled counter's ``inc`` goes
+    straight to it.  Each subclass's ``_new_child`` builds its child type.
     """
 
     def __init__(self, name: str, help: str, labelnames: tuple[str, ...]) -> None:
@@ -310,10 +311,6 @@ class _Family:
         self._lock = threading.Lock()
         if not labelnames:
             self._child = self._children[()] = self._new_child()
-
-    # Subclasses build the right child type.
-    def _new_child(self) -> Any:
-        raise NotImplementedError
 
     def labels(self, *values: object) -> Any:
         """The child for one label-value tuple, created on first use."""
@@ -369,10 +366,6 @@ class CounterFamily(_Family):
     def inc(self, amount: float = 1.0) -> None:
         self._child.inc(amount)
 
-    @property
-    def value(self) -> float:
-        return self._child.value
-
 
 class GaugeFamily(_Family):
     kind = "gauge"
@@ -380,22 +373,12 @@ class GaugeFamily(_Family):
     def _new_child(self) -> Gauge:
         return Gauge()
 
-    def set(self, value: float) -> None:
-        self._child.set(value)
-
-    @property
-    def value(self) -> float:
-        return self._child.value
-
 
 class HistogramFamily(_Family):
     kind = "histogram"
 
     def _new_child(self) -> Histogram:
         return Histogram()
-
-    def observe(self, value: float) -> None:
-        self._child.observe(value)
 
 
 class MetricsRegistry:

@@ -147,11 +147,6 @@ def trace(name: str, **attrs: Any) -> Span:
     return Span(name, attrs)
 
 
-def current_span() -> Span | None:
-    """The innermost open span in this context, if any."""
-    return _CURRENT.get()
-
-
 def set_trace_sink(path: str | Path | None) -> None:
     """Append finished spans as JSON lines to ``path`` (None: off)."""
     global _sink_path

@@ -53,11 +53,6 @@ class SizingResult:
     target: float
     evaluations: int
 
-    @property
-    def met(self) -> bool:
-        """Whether the target was reached within the search bounds."""
-        return self.achieved >= self.target - 1e-9
-
 
 def _bisect_min(
     evaluate: Callable[[float], float],

@@ -10,8 +10,7 @@ recharge cycles of lifetime — and an 80% energy efficiency
   discharge below,
 * charging losses (the 80% round-trip efficiency applied on the way in),
 * C-rate limits on charge and discharge power, and
-* equivalent-full-cycle counting for lifetime analysis (Fig. 8b/11b
-  discussions).
+* equivalent-full-cycle counting (Fig. 8b/11b discussions).
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ DEFAULT_DISCHARGE_HOURS = 5.0
 
 #: Lead-acid charge C-rate: capacity / 10 hours.
 DEFAULT_CHARGE_HOURS = 10.0
-
-#: Cycle life at 40% DoD for the paper's batteries [31].
-RATED_CYCLES_AT_DOD = 1300.0
 
 #: The power an :class:`UnlimitedSupply` delivers at most (W): far above
 #: any rack's draw, so only the per-epoch budget limits it.
@@ -43,8 +39,8 @@ class BatteryBank:
     """A bank of identical lead-acid batteries with DoD and rate limits.
 
     ``is_unlimited`` is False for every real bank; the
-    :class:`UnlimitedSupply` sentinel overrides it so telemetry and
-    lifetime analysis can recognise a pseudo-battery and skip it.
+    :class:`UnlimitedSupply` sentinel overrides it so the invariant
+    auditor can recognise a pseudo-battery and skip it.
 
     Parameters
     ----------
@@ -151,11 +147,6 @@ class BatteryBank:
         return self.soc_wh / self.capacity_wh
 
     @property
-    def at_dod_floor(self) -> bool:
-        """True when the bank is drained to its DoD limit."""
-        return self.usable_wh <= 1e-9
-
-    @property
     def is_full(self) -> bool:
         return self.headroom_wh <= 1e-9
 
@@ -164,11 +155,6 @@ class BatteryBank:
         """Total discharge expressed in full DoD-depth cycles."""
         per_cycle = self.depth_of_discharge * self.capacity_wh
         return self._discharged_wh_total / per_cycle
-
-    @property
-    def lifetime_consumed_fraction(self) -> float:
-        """Fraction of the rated 1300-cycle lifetime consumed so far."""
-        return self.equivalent_cycles / RATED_CYCLES_AT_DOD
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -272,12 +258,6 @@ class BatteryBank:
         self._charged_wh_total += energy_in
         return accepted
 
-    def __repr__(self) -> str:
-        return (
-            f"BatteryBank(soc={self.soc_fraction:.1%} of {self.capacity_wh:.0f} Wh, "
-            f"floor={self.floor_wh:.0f} Wh, cycles={self.equivalent_cycles:.2f})"
-        )
-
 
 class UnlimitedSupply(BatteryBank):
     """An inexhaustible pseudo-battery for the constrained-supply sweeps.
@@ -287,13 +267,12 @@ class UnlimitedSupply(BatteryBank):
     must never run dry.  Oversizing a real :class:`BatteryBank` (the old
     ``count=1000`` trick) merely postpones the DoD floor — a long enough
     horizon still hits it — and its discharge total pollutes the
-    equivalent-cycle and lifetime telemetry with nonsense wear numbers.
+    equivalent-cycle telemetry with nonsense wear numbers.
 
     This sentinel delivers any requested power up to :data:`UNLIMITED_POWER_W`
     without ever changing state: SoC stays pinned at full, the cycle
-    counters stay at zero, and ``is_unlimited`` is True so consumers
-    (the invariant auditor, :func:`repro.analysis.lifetime.project_lifetime`)
-    can recognise and exclude it.  It reports itself full, so the PDU
+    counters stay at zero, and ``is_unlimited`` is True so the invariant
+    auditor can recognise and exclude it.  It reports itself full, so the PDU
     curtails renewable surplus instead of "charging" it away.
     """
 
@@ -311,11 +290,6 @@ class UnlimitedSupply(BatteryBank):
             raise BatteryError("duration must be positive")
         return self.max_discharge_w
 
-    def max_charge_power_w(self, duration_s: float) -> float:
-        if duration_s <= 0:
-            raise BatteryError("duration must be positive")
-        return 0.0
-
     def discharge(self, power_w: float, duration_s: float) -> float:
         if power_w < 0:
             raise BatteryError(f"discharge power must be non-negative, got {power_w}")
@@ -329,6 +303,3 @@ class UnlimitedSupply(BatteryBank):
         if duration_s <= 0:
             raise BatteryError("duration must be positive")
         return 0.0  # always "full": surplus is curtailed, not stored
-
-    def __repr__(self) -> str:
-        return f"UnlimitedSupply(limit={self.max_discharge_w:.0f} W)"

@@ -7,8 +7,9 @@ because peak grid power is expensive (the paper cites up to $13.61/kW
 peak charges from [21]) and because GreenHetero explicitly targets
 under-provisioned grid infrastructure (Fig. 12).
 
-:class:`GridSource` enforces the budget, meters energy and peak draw, and
-prices the usage with a simple peak-demand tariff for the cost analyses.
+:class:`GridSource` enforces the budget.  The cost analyses price the
+metered draws from the epoch log with the tariff below
+(:func:`repro.analysis.sustainability.sustainability_report`).
 """
 
 from __future__ import annotations
@@ -25,34 +26,19 @@ DEFAULT_ENERGY_PRICE_PER_KWH = 0.11
 
 
 class GridSource:
-    """Budget-capped grid feed with energy and peak-demand metering.
+    """Budget-capped grid feed.
 
     Parameters
     ----------
     budget_w:
         Maximum combined power the rack may draw from the grid at any
         instant (load + battery charging).
-    peak_price_per_kw:
-        Monthly peak-demand charge, $/kW.
-    energy_price_per_kwh:
-        Volumetric charge, $/kWh.
     """
 
-    def __init__(
-        self,
-        budget_w: float = 1000.0,
-        peak_price_per_kw: float = DEFAULT_PEAK_PRICE_PER_KW,
-        energy_price_per_kwh: float = DEFAULT_ENERGY_PRICE_PER_KWH,
-    ) -> None:
+    def __init__(self, budget_w: float = 1000.0) -> None:
         if not (math.isfinite(budget_w) and budget_w >= 0):
             raise PowerError(f"grid budget must be finite and non-negative, got {budget_w}")
-        if peak_price_per_kw < 0 or energy_price_per_kwh < 0:
-            raise PowerError("prices must be non-negative")
         self.budget_w = budget_w
-        self.peak_price_per_kw = peak_price_per_kw
-        self.energy_price_per_kwh = energy_price_per_kwh
-        self._energy_wh = 0.0
-        self._peak_draw_w = 0.0
 
     def epoch_budget_w(self, budget_w: float | None = None) -> float:
         """An epoch's budget: ``budget_w`` (a cluster share) or the provisioned one."""
@@ -68,30 +54,4 @@ class GridSource:
             raise PowerError(f"grid draw must be non-negative, got {power_w}")
         if duration_s <= 0:
             raise PowerError("duration must be positive")
-        delivered = min(power_w, self.epoch_budget_w(budget_w))
-        self._energy_wh += delivered * duration_s / 3600.0
-        self._peak_draw_w = max(self._peak_draw_w, delivered)
-        return delivered
-
-    @property
-    def energy_wh(self) -> float:
-        """Total grid energy consumed so far (Wh)."""
-        return self._energy_wh
-
-    @property
-    def peak_draw_w(self) -> float:
-        """Highest instantaneous grid draw observed (W)."""
-        return self._peak_draw_w
-
-    def cost_usd(self) -> float:
-        """Peak-demand charge plus volumetric energy cost ($)."""
-        return (
-            self._peak_draw_w / 1000.0 * self.peak_price_per_kw
-            + self._energy_wh / 1000.0 * self.energy_price_per_kwh
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"GridSource(budget={self.budget_w:.0f} W, used={self._energy_wh:.0f} Wh, "
-            f"peak={self._peak_draw_w:.0f} W)"
-        )
+        return min(power_w, self.epoch_budget_w(budget_w))

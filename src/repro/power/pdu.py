@@ -85,14 +85,6 @@ class PDU:
         self.battery = battery
         self.grid = grid
 
-    def available_w(self, time_s: float, duration_s: float) -> float:
-        """Upper bound on rack power deliverable now (planning aid)."""
-        return (
-            self.renewable.power_at(time_s)
-            + self.battery.max_discharge_power_w(duration_s)
-            + self.grid.budget_w
-        )
-
     def supply(
         self,
         load_w: float,

@@ -63,18 +63,9 @@ class SolarFarm:
         area = peak_power_w / (GHI_PEAK * efficiency)
         return cls(trace, panel_area_m2=area, efficiency=efficiency)
 
-    @property
-    def rated_peak_w(self) -> float:
-        """Clear-sky-peak AC output (W)."""
-        return GHI_PEAK * self.panel_area_m2 * self.efficiency
-
     def power_at(self, time_s: float) -> float:
         """AC power available from the array at ``time_s`` (W)."""
         power = self.trace.at(time_s) * self.panel_area_m2 * self.efficiency
         if power < 0:  # defensive: traces validate, but belt and braces
             raise TraceError(f"negative solar power at t={time_s}")
         return power
-
-    def mean_power_w(self) -> float:
-        """Trace-average AC output (W)."""
-        return self.trace.mean_w_m2() * self.panel_area_m2 * self.efficiency

@@ -62,17 +62,6 @@ class SupplyBreakdown:
         """Total power delivered to the rack (W)."""
         return self.renewable_to_load_w + self.battery_to_load_w + self.grid_to_load_w
 
-    @property
-    def green_to_load_w(self) -> float:
-        """Green (renewable + battery) share of the rack supply (W)."""
-        return self.renewable_to_load_w + self.battery_to_load_w
-
-    @property
-    def grid_total_w(self) -> float:
-        """All grid draw: load plus any grid-sourced charging (W)."""
-        charging = self.charge_w if self.charge_source is ChargeSource.GRID else 0.0
-        return self.grid_to_load_w + charging
-
 
 def check_flows(
     renewable_to_load_w: float,

@@ -124,11 +124,6 @@ class WindFarm:
         """AC power available from the turbines at ``time_s`` (W)."""
         return self.rated_power_w * turbine_power_fraction(self.trace.at(time_s))
 
-    def mean_power_w(self, samples: int = 500) -> float:
-        """Trace-average output, estimated over ``samples`` points (W)."""
-        times = np.linspace(0.0, self.trace.duration_s, samples, endpoint=False)
-        return float(np.mean([self.power_at(float(t)) for t in times]))
-
 
 class HybridRenewable:
     """Sum of several renewable feeds sharing one PDU input.

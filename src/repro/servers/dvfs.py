@@ -21,10 +21,8 @@ highest maps to peak power.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
-from repro.errors import PowerError
 from repro.servers.platform import ServerSpec
 
 #: Wall power of the SLEEP (suspend-to-RAM) state, watts.
@@ -69,10 +67,6 @@ class PowerState:
     power_cap_w: float
     active: bool
 
-    @property
-    def is_off(self) -> bool:
-        return self.label == "off"
-
 
 class PowerStateSet:
     """The ordered power-state set :math:`S_N` for one server platform.
@@ -115,7 +109,6 @@ class PowerStateSet:
         # The ladder never changes after construction: build both views once.
         self._states: tuple[PowerState, ...] = tuple(states)
         self._active = tuple(s for s in states if s.active)
-        self._caps = [s.power_cap_w for s in states]
 
     def _power_at_frequency(self, freq_hz: float) -> float:
         """Full-load wall power at ``freq_hz``, anchored to the spec envelope.
@@ -133,9 +126,6 @@ class PowerStateSet:
         ) * x**POWER_FREQ_EXPONENT
         return spec.idle_power_w + dyn * spec.dynamic_range_w
 
-    def __len__(self) -> int:
-        return len(self._states)
-
     def __iter__(self):
         return iter(self._states)
 
@@ -143,41 +133,6 @@ class PowerStateSet:
         return self._states[index]
 
     @property
-    def states(self) -> tuple[PowerState, ...]:
-        """All states, ordered from lowest to highest power."""
-        return self._states
-
-    @property
     def active_states(self) -> tuple[PowerState, ...]:
         """Only the DVFS (work-executing) states, low to high."""
         return self._active
-
-    @property
-    def min_active_power_w(self) -> float:
-        """Power cap of the lowest DVFS state."""
-        return self.active_states[0].power_cap_w
-
-    def state_for_budget(self, budget_w: float) -> PowerState:
-        """Map a per-server power budget to the state the SPC enforces.
-
-        The highest state whose full-load power cap fits within
-        ``budget_w``.  A budget below the lowest active state's cap (i.e.
-        the server cannot run even at minimum frequency) falls back to
-        SLEEP if the sleep power fits, else OFF.
-
-        Raises
-        ------
-        PowerError
-            If ``budget_w`` is negative.
-        """
-        if budget_w < 0:
-            raise PowerError(f"power budget must be non-negative, got {budget_w}")
-        # caps are sorted ascending; find the rightmost cap <= budget.
-        pos = bisect.bisect_right(self._caps, budget_w) - 1
-        if pos < 0:
-            return self._states[0]
-        return self._states[pos]
-
-    def frequency_for_budget(self, budget_w: float) -> float:
-        """Convenience: operating frequency chosen for ``budget_w`` (Hz)."""
-        return self.state_for_budget(budget_w).frequency_hz

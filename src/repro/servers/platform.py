@@ -89,11 +89,6 @@ class ServerSpec:
         """Peak-minus-idle power: the controllable dynamic envelope (W)."""
         return self.peak_power_w - self.idle_power_w
 
-    @property
-    def is_gpu(self) -> bool:
-        """True for accelerator platforms."""
-        return self.device_class is DeviceClass.GPU
-
 
 def _spec(
     name: str,

@@ -33,11 +33,11 @@ allocation on real hardware in the paper) and for analysis plots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.errors import IncompatibleWorkloadError, PowerError
+from repro.core.epu import effective_power_utilization
+from repro.errors import ConfigurationError, IncompatibleWorkloadError, PowerError
 from repro.servers.dvfs import PowerState, PowerStateSet
 from repro.servers.platform import ServerSpec
 from repro.workloads.catalog import Workload, get_workload
@@ -128,11 +128,6 @@ class ResponseCurve:
     def idle_power_w(self) -> float:
         """Platform idle power (W); allocations below it yield nothing."""
         return self.spec.idle_power_w
-
-    @property
-    def min_active_power_w(self) -> float:
-        """Smallest allocation at which the server can execute work (W)."""
-        return self._state_draws[self.states.active_states[0].index]
 
     @property
     def peak_efficiency(self) -> float:
@@ -238,14 +233,6 @@ class ResponseCurve:
         state = self.state_for_budget(budget_w)
         return self.sample_at_state(state, load_fraction)
 
-    def curve(self, n_points: int = 200, load_fraction: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (allocated power, throughput) arrays for plotting/analysis."""
-        budgets = np.linspace(0.0, 1.1 * self.spec.peak_power_w, n_points)
-        perfs = np.array(
-            [self.perf_at_power(float(b), load_fraction).throughput for b in budgets]
-        )
-        return budgets, perfs
-
 
 def case_study_sweep(
     a: ResponseCurve, b: ResponseCurve, budget_w: float, step_pct: int = 5
@@ -254,15 +241,24 @@ def case_study_sweep(
 
     At each power allocation ratio (PAR) from 0% to 100% in ``step_pct``
     steps, server ``a`` gets PAR × ``budget_w`` and ``b`` the rest.
-    Returns one ``(par_pct, epu, perf)`` row per step: the EPU is the
-    power drawn by the servers that deliver throughput over
+    Returns one ``(par_pct, epu, perf)`` row per step: the EPU (Eq. 1)
+    is the power drawn by the servers that deliver throughput over
     ``budget_w``, and perf the two servers' summed throughput.
+
+    Raises :class:`ConfigurationError` unless ``budget_w`` is finite and
+    positive and ``1 <= step_pct <= 100``.
     """
+    if not (math.isfinite(budget_w) and budget_w > 0):
+        raise ConfigurationError(f"budget_w must be finite and > 0, got {budget_w}")
+    if not 1 <= step_pct <= 100:
+        raise ConfigurationError(f"step_pct must be from 1 to 100, got {step_pct}")
     rows = []
     for pct in range(0, 101, step_pct):
         par = pct / 100.0
         sa = a.perf_at_power(par * budget_w)
         sb = b.perf_at_power((1 - par) * budget_w)
         useful = sum(s.power_w for s in (sa, sb) if s.throughput > 0)
-        rows.append((pct, useful / budget_w, sa.throughput + sb.throughput))
+        rows.append(
+            (pct, effective_power_utilization(useful, budget_w), sa.throughput + sb.throughput)
+        )
     return rows

@@ -99,18 +99,6 @@ class Rack:
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.groups)
-
-    @property
-    def n_servers(self) -> int:
-        """Total number of machines in the rack."""
-        return sum(g.count for g in self.groups)
-
-    @property
-    def platform_names(self) -> tuple[str, ...]:
-        return tuple(g.spec.name for g in self.groups)
-
     def curve(self, index: int) -> ResponseCurve:
         """Ground-truth response curve of group ``index``."""
         return self._curves[index]
@@ -131,21 +119,6 @@ class Rack:
         (PDU, solar array, grid feed) is provisioned against.
         """
         return sum(g.spec.peak_power_w * g.count for g in self.groups)
-
-    @property
-    def idle_power_w(self) -> float:
-        """Rack power with every server powered but idle (W)."""
-        return sum(g.spec.idle_power_w * g.count for g in self.groups)
-
-    @property
-    def min_active_power_w(self) -> float:
-        """Cheapest way to have one server doing work (W)."""
-        return min(c.min_active_power_w for c in self._curves)
-
-    @property
-    def max_throughput(self) -> float:
-        """Aggregate throughput with unlimited power."""
-        return sum(c.max_throughput * g.count for c, g in zip(self._curves, self.groups))
 
     def group_demands_at_load(self, load_fraction: float) -> tuple[float, ...]:
         """Per-group power demand at ``load_fraction`` load (W).

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from repro.core.persistence import Field, check, dataclass_fields, dump, within
 from repro.errors import ConfigurationError
@@ -129,9 +129,6 @@ class JobQueue:
         self._jobs[job.job_id] = job
         self._status[job.job_id] = JobStatus.PENDING
 
-    def __len__(self) -> int:
-        return len(self._jobs)
-
     def __contains__(self, job_id: str) -> bool:
         return job_id in self._jobs
 
@@ -144,10 +141,6 @@ class JobQueue:
     def status(self, job_id: str) -> str:
         self.job(job_id)
         return self._status[job_id]
-
-    def jobs(self) -> Iterator[ShiftJob]:
-        """Every job, in submission order."""
-        yield from self._jobs.values()
 
     def with_status(self, status: str) -> list[ShiftJob]:
         return [j for j in self._jobs.values() if self._status[j.job_id] == status]
@@ -162,10 +155,6 @@ class JobQueue:
         """Epochs a running/finished job has already executed."""
         self.job(job_id)
         return self._epochs_run.get(job_id, 0)
-
-    def started_s(self, job_id: str) -> float | None:
-        self.job(job_id)
-        return self._started_s.get(job_id)
 
     def backlog_wh(self) -> float:
         """Total energy demanded by jobs not yet started."""

@@ -110,16 +110,8 @@ class ShiftLog:
     def append(self, record: ShiftEpochRecord) -> None:
         self.records.append(record)
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     def __iter__(self):
         return iter(self.records)
-
-    @property
-    def deadline_misses(self) -> int:
-        return self.records[-1].deadline_misses if self.records else 0
-
 
 #: The checkpointed fields of a :class:`ShiftRuntime`; the queue, the
 #: interactive predictor and the last plan check their own.

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import ConfigurationError
 from repro.units import EPOCH_SECONDS, SECONDS_PER_DAY
@@ -45,11 +44,6 @@ class SimClock:
     def n_epochs(self) -> int:
         """Number of whole epochs in the run."""
         return int(self.duration_s // self.epoch_s)
-
-    def epoch_times(self) -> Iterator[float]:
-        """Start timestamp of each epoch, in order."""
-        for i in range(self.n_epochs):
-            yield self.start_s + i * self.epoch_s
 
     def history_times(self, n_epochs: int) -> list[float]:
         """Timestamps of the ``n_epochs`` epochs *preceding* the run.

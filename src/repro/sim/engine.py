@@ -207,7 +207,7 @@ class Simulation:
             # Constrained-supply mode: a truly unlimited supply sentinel
             # and no grid — the override below is the only scarcity.  A
             # merely oversized BatteryBank would still hit its DoD floor
-            # on long horizons and pollute cycle/lifetime telemetry.
+            # on long horizons and pollute the cycle telemetry.
             battery = UnlimitedSupply()
             grid = GridSource(budget_w=0.0)
         else:

@@ -102,9 +102,6 @@ class _FaultableRenewable:
                 power *= window.factor
         return power
 
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
 
 @dataclass
 class FaultInjector:

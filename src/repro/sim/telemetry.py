@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -28,8 +27,7 @@ def record_to_dict(record: EpochRecord) -> dict[str, Any]:
     """One :class:`EpochRecord` as a JSON-ready dictionary.
 
     Enums become their string values and tuples become lists; this is
-    the per-line schema of :meth:`TelemetryLog.to_jsonl` and the event
-    format of the :mod:`repro.serve` daemon's audit stream.
+    the event format of the :mod:`repro.serve` daemon's audit stream.
     """
     data = {name: getattr(record, name) for name in _RECORD_FIELDS}
     data["case"] = record.case.value
@@ -63,10 +61,6 @@ class TelemetryLog:
     def __getitem__(self, index: int) -> EpochRecord:
         return self._records[index]
 
-    @property
-    def records(self) -> tuple[EpochRecord, ...]:
-        return tuple(self._records)
-
     # ------------------------------------------------------------------
     # Series
     # ------------------------------------------------------------------
@@ -90,10 +84,6 @@ class TelemetryLog:
     @property
     def epus(self) -> np.ndarray:
         return self.series("epu")
-
-    @property
-    def budgets_w(self) -> np.ndarray:
-        return self.series("budget_w")
 
     @property
     def demands_w(self) -> np.ndarray:
@@ -127,11 +117,6 @@ class TelemetryLog:
         """
         self._require_nonempty()
         return ~self.case_mask(PowerCase.A)
-
-    def budget_short_mask(self, tolerance: float = 1e-6) -> np.ndarray:
-        """True where the rack budget fell short of predicted demand."""
-        self._require_nonempty()
-        return self.budgets_w < self.demands_w * (1.0 - tolerance)
 
     def case_mask(self, *cases: PowerCase) -> np.ndarray:
         self._require_nonempty()
@@ -199,23 +184,6 @@ class TelemetryLog:
                 row += [f"{ratio:.6g}" for ratio in r.ratios]
                 row += [r.charge_source.value, int(r.brownout)]
                 writer.writerow(row)
-
-    def to_jsonl(
-        self, path: str | Path, extra: Mapping[str, Any] | None = None
-    ) -> None:
-        """Write the epoch log as newline-delimited JSON.
-
-        One object per epoch in :func:`record_to_dict` form — the
-        daemon's event-stream/audit-log format, and friendlier than CSV
-        for log shippers and ``jq``.  ``extra`` keys (rack name, policy,
-        cache counters, ...) are merged into every line.
-        """
-        self._require_nonempty()
-        extras = dict(extra) if extra else {}
-        with open(path, "w") as f:
-            for record in self._records:
-                f.write(json.dumps({**record_to_dict(record), **extras}))
-                f.write("\n")
 
     @staticmethod
     def _masked_mean(values: np.ndarray, mask: np.ndarray | None) -> float:

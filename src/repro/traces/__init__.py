@@ -7,14 +7,12 @@ and a "typical datacenter server rack power pattern" from the SIGMETRICS
 reproduction, so this subpackage synthesises statistically equivalent
 traces: a clear-sky solar model with seeded stochastic cloud attenuation
 (High and Low weather regimes), and a two-peak diurnal load curve.
-Real CSV traces can be loaded through the same interfaces.
 """
 
 from repro.traces.datacenter_load import DiurnalLoadPattern
 from repro.traces.nrel import (
     IrradianceTrace,
     Weather,
-    load_irradiance_csv,
     synthesize_irradiance,
 )
 
@@ -22,6 +20,5 @@ __all__ = [
     "DiurnalLoadPattern",
     "IrradianceTrace",
     "Weather",
-    "load_irradiance_csv",
     "synthesize_irradiance",
 ]

@@ -88,16 +88,3 @@ class DiurnalLoadPattern:
         if day_of_week >= 5:
             value *= self.weekend_scale
         return value
-
-    def __call__(self, time_s: float) -> float:
-        return self.at(time_s)
-
-    def daily_peak_hour(self) -> float:
-        """Hour of day at which the pattern attains its maximum."""
-        best_h, best_v = 0.0, -1.0
-        for tenth in range(0, 240):
-            h = tenth / 10.0
-            v = self.at(h * SECONDS_PER_HOUR)
-            if v > best_v:
-                best_h, best_v = h, v
-        return best_h

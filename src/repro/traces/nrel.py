@@ -17,8 +17,7 @@ traces from first principles:
   centres it near 0.55 with frequent deep events, reproducing the "more
   fluctuated" supply the paper observes in Fig. 11.
 
-Everything is deterministic for a given seed.  Real MIDC CSV exports can
-be loaded with :func:`load_irradiance_csv` and used interchangeably.
+Everything is deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -131,10 +130,6 @@ class IrradianceTrace:
         """Total covered duration (s)."""
         return float(self.times_s[-1] - self.times_s[0] + self.interval_s)
 
-    @property
-    def peak_w_m2(self) -> float:
-        return float(self.values_w_m2.max())
-
     def at(self, time_s: float) -> float:
         """Irradiance at ``time_s`` (zero-order hold; wraps past the end).
 
@@ -146,16 +141,6 @@ class IrradianceTrace:
         idx = int((wrapped - start) // self._interval_s)
         values = self._values
         return values[min(idx, len(values) - 1)]
-
-    def mean_w_m2(self) -> float:
-        return float(self.values_w_m2.mean())
-
-    def window(self, start_s: float, end_s: float) -> "IrradianceTrace":
-        """Sub-trace covering ``[start_s, end_s)``."""
-        mask = (self.times_s >= start_s) & (self.times_s < end_s)
-        if mask.sum() < 2:
-            raise TraceError("window selects fewer than two samples")
-        return IrradianceTrace(self.times_s[mask], self.values_w_m2[mask], self.name)
 
     def save_csv(self, path: str | Path) -> None:
         """Write the trace as a two-column ``time_s,ghi_w_m2`` CSV."""
@@ -229,94 +214,3 @@ def synthesize_irradiance(
 
     values = np.array([clear_sky_irradiance(t) for t in times.tolist()]) * clearness
     return IrradianceTrace(times, values, name=weather.value)
-
-
-def load_midc_csv(
-    path: str | Path,
-    ghi_column: str = "Global Horizontal [W/m^2]",
-    name: str | None = None,
-) -> IrradianceTrace:
-    """Load a real NREL MIDC export (the paper's actual data source).
-
-    MIDC's daily CSV exports carry ``DATE (MM/DD/YYYY)`` and
-    ``MST``/``HH:MM`` time columns plus one column per instrument; this
-    reads the global-horizontal-irradiance column and converts the
-    timestamps to seconds from the first sample.  Negative night-time
-    sensor readings (a known MIDC artefact) are clamped to zero.
-
-    Parameters
-    ----------
-    path:
-        The CSV export.
-    ghi_column:
-        Column holding GHI; instruments differ per station, so pass the
-        exact header from your export.
-    name:
-        Trace label; defaults to the file stem.
-
-    Raises
-    ------
-    TraceError
-        On missing columns, unparseable rows, or irregular sampling.
-    """
-    times: list[float] = []
-    values: list[float] = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None:
-            raise TraceError(f"{path}: empty file")
-        date_col = next(
-            (c for c in reader.fieldnames if c.upper().startswith("DATE")), None
-        )
-        time_col = next(
-            (c for c in reader.fieldnames if c in ("MST", "LST", "HH:MM", "Time")),
-            None,
-        )
-        if date_col is None or time_col is None or ghi_column not in reader.fieldnames:
-            raise TraceError(
-                f"{path}: expected a DATE column, a time column (MST/LST/HH:MM) "
-                f"and {ghi_column!r}; found {reader.fieldnames}"
-            )
-        import datetime as _dt
-
-        first: _dt.datetime | None = None
-        for row in reader:
-            try:
-                month, day, year = (int(x) for x in row[date_col].split("/"))
-                hour, minute = (int(x) for x in row[time_col].split(":"))
-                stamp = _dt.datetime(year, month, day, hour, minute)
-                ghi = max(0.0, float(row[ghi_column]))
-            except (TypeError, ValueError, KeyError) as exc:
-                raise TraceError(f"{path}: bad row {row!r}") from exc
-            if first is None:
-                first = stamp
-            times.append((stamp - first).total_seconds())
-            values.append(ghi)
-    return IrradianceTrace(
-        np.array(times), np.array(values), name=name or Path(path).stem
-    )
-
-
-def load_irradiance_csv(path: str | Path, name: str | None = None) -> IrradianceTrace:
-    """Load a two-column ``time_s,ghi_w_m2`` CSV (as written by ``save_csv``).
-
-    Raises
-    ------
-    TraceError
-        On missing columns or unparseable rows.
-    """
-    times: list[float] = []
-    values: list[float] = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or not {"time_s", "ghi_w_m2"} <= set(reader.fieldnames):
-            raise TraceError(f"{path}: expected columns time_s, ghi_w_m2")
-        for row in reader:
-            try:
-                times.append(float(row["time_s"]))
-                values.append(float(row["ghi_w_m2"]))
-            except (TypeError, ValueError) as exc:
-                raise TraceError(f"{path}: bad row {row!r}") from exc
-    return IrradianceTrace(
-        np.array(times), np.array(values), name=name or Path(path).stem
-    )

@@ -44,33 +44,3 @@ EPOCHS_PER_DAY = SECONDS_PER_DAY // EPOCH_SECONDS
 def minutes(m: float) -> float:
     """Convert minutes to seconds."""
     return m * SECONDS_PER_MINUTE
-
-
-def hours(h: float) -> float:
-    """Convert hours to seconds."""
-    return h * SECONDS_PER_HOUR
-
-
-def days(d: float) -> float:
-    """Convert days to seconds."""
-    return d * SECONDS_PER_DAY
-
-
-def watt_hours(power_w: float, duration_s: float) -> float:
-    """Energy in Wh delivered by ``power_w`` watts over ``duration_s`` seconds."""
-    return power_w * duration_s / SECONDS_PER_HOUR
-
-
-def wh_to_joules(energy_wh: float) -> float:
-    """Convert watt-hours to joules."""
-    return energy_wh * SECONDS_PER_HOUR
-
-
-def ghz(f: float) -> float:
-    """Convert GHz to Hz."""
-    return f * 1e9
-
-
-def mhz(f: float) -> float:
-    """Convert MHz to Hz."""
-    return f * 1e6

@@ -16,7 +16,6 @@ from repro.workloads.catalog import (
     Workload,
     WorkloadKind,
     get_workload,
-    workload_names,
 )
 from repro.workloads.generator import LoadGenerator, OfferedLoad
 from repro.workloads.models import WorkloadResponse, response_for
@@ -36,5 +35,4 @@ __all__ = [
     "get_workload",
     "response_for",
     "slo_constrained_throughput",
-    "workload_names",
 ]

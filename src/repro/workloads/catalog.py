@@ -148,11 +148,6 @@ FIG9_WORKLOADS: tuple[str, ...] = (
 )
 
 
-def workload_names() -> tuple[str, ...]:
-    """All catalog keys, in Table I order."""
-    return tuple(WORKLOADS)
-
-
 def get_workload(name: str) -> Workload:
     """Look up a workload by name (case-insensitive).
 
@@ -166,4 +161,4 @@ def get_workload(name: str) -> Workload:
     for key, workload in WORKLOADS.items():
         if key.lower() == name.lower():
             return workload
-    raise UnknownWorkloadError(name, workload_names())
+    raise UnknownWorkloadError(name, tuple(WORKLOADS))

@@ -70,11 +70,6 @@ class LoadGenerator:
         self._pattern = pattern
         self._rng = np.random.default_rng(seed)
 
-    @property
-    def pattern(self) -> Callable[[float], float] | None:
-        """The normalised intensity pattern driving interactive load."""
-        return self._pattern
-
     def state_dict(self) -> dict[str, Any]:
         """The jitter RNG's bit-generator state (the pattern is config)."""
         return self._rng.bit_generator.state
@@ -94,7 +89,3 @@ class LoadGenerator:
             )
         base *= 1.0 + LOAD_JITTER * float(self._rng.standard_normal())
         return OfferedLoad(fraction=min(max(base, 0.0), 1.0), time_s=time_s)
-
-    def series(self, times_s: list[float] | np.ndarray) -> list[OfferedLoad]:
-        """Offered load at each time in ``times_s`` (in order)."""
-        return [self.at(float(t)) for t in times_s]

@@ -88,13 +88,3 @@ def slo_constrained_throughput(capacity_ops: float, slo: LatencySLO | None) -> f
     if slo is None:
         return capacity_ops
     return max(0.0, capacity_ops - slo.headroom_ops)
-
-
-def percentile_latency(capacity_ops: float, offered_ops: float, slo: LatencySLO) -> float:
-    """The p-th percentile latency at ``offered_ops`` load (seconds).
-
-    Returns ``math.inf`` when the queue is unstable (offered >= capacity).
-    """
-    if offered_ops >= capacity_ops:
-        return math.inf
-    return math.log(1.0 / (1.0 - slo.percentile)) / (capacity_ops - offered_ops)

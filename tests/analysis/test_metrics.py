@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.metrics import (
     geometric_mean,
-    normalize_to_baseline,
     summarize_gains,
 )
 from repro.errors import ConfigurationError
@@ -28,20 +27,6 @@ class TestGeometricMean:
     def test_nonpositive_rejected(self):
         with pytest.raises(ConfigurationError):
             geometric_mean([1.0, 0.0])
-
-
-class TestNormalize:
-    def test_normalizes(self):
-        out = normalize_to_baseline({"a": 10.0, "b": 20.0}, "a")
-        assert out == {"a": 1.0, "b": 2.0}
-
-    def test_missing_baseline_rejected(self):
-        with pytest.raises(ConfigurationError):
-            normalize_to_baseline({"a": 1.0}, "z")
-
-    def test_zero_baseline_rejected(self):
-        with pytest.raises(ConfigurationError):
-            normalize_to_baseline({"a": 0.0}, "a")
 
 
 class TestSummarize:
@@ -118,11 +103,3 @@ class TestShiftComparisonEdgeCases:
                 self.make_log(0.0), short, epoch_s=900.0,
                 shift_jobs={}, no_shift_jobs={},
             )
-
-
-class TestProjectionErrorEdgeCases:
-    def test_too_few_points_rejected(self):
-        from repro.analysis.metrics import projection_error
-
-        with pytest.raises(ConfigurationError, match="at least 2"):
-            projection_error(None, None, n_points=1)

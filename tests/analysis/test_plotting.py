@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.plotting import bar_chart, hbar, sparkline, timeline
+from repro.analysis.plotting import sparkline, timeline
 from repro.errors import ConfigurationError
 
 
@@ -29,46 +29,6 @@ class TestSparkline:
     def test_bad_bounds_rejected(self):
         with pytest.raises(ConfigurationError):
             sparkline([1.0], lo=2.0, hi=1.0)
-
-
-class TestHbar:
-    def test_full_and_empty(self):
-        assert hbar(1.0, 1.0, width=5) == "#####"
-        assert hbar(0.0, 1.0, width=5) == "....."
-
-    def test_half(self):
-        assert hbar(0.5, 1.0, width=4) == "##.."
-
-    def test_overflow_clamped(self):
-        assert hbar(10.0, 1.0, width=3) == "###"
-
-    def test_zero_scale(self):
-        assert hbar(1.0, 0.0, width=3) == "..."
-
-    def test_bad_width_rejected(self):
-        with pytest.raises(ConfigurationError):
-            hbar(1.0, 1.0, width=0)
-
-
-class TestBarChart:
-    def test_renders_all_rows(self):
-        chart = bar_chart({"Uniform": 1.0, "GreenHetero": 1.6})
-        assert "Uniform" in chart and "GreenHetero" in chart
-        assert "1.60" in chart
-
-    def test_longest_bar_is_max(self):
-        chart = bar_chart({"a": 1.0, "b": 2.0}, width=10)
-        lines = chart.splitlines()
-        assert lines[1].count("#") == 10
-        assert lines[0].count("#") == 5
-
-    def test_title(self):
-        chart = bar_chart({"a": 1.0}, title="Fig 9")
-        assert chart.splitlines()[0] == "Fig 9"
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            bar_chart({})
 
 
 class TestTimeline:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.reporting import format_gains, format_series, format_table
+from repro.analysis.reporting import format_series, format_table
 from repro.errors import ConfigurationError
 
 
@@ -41,10 +41,3 @@ class TestSeries:
 
     def test_custom_format(self):
         assert "1.5x" in format_series("g", [1.5], fmt="{:.1f}x")
-
-
-class TestGains:
-    def test_one_line(self):
-        text = format_gains({"GreenHetero": 1.55, "Manual": 1.4})
-        assert "GreenHetero: 1.55x" in text
-        assert "Uniform" in text

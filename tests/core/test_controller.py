@@ -9,7 +9,7 @@ from repro.core.monitor import Monitor
 from repro.core.policies import make_policy
 from repro.core.predictor import HoltPredictor
 from repro.core.scheduler import AdaptiveScheduler
-from repro.core.solver import PARSolver
+from repro.core.solver import PARSolver, _compositions
 from repro.core.sources import PowerCase
 from repro.errors import ConfigurationError
 from repro.power.battery import BatteryBank
@@ -19,6 +19,7 @@ from repro.power.solar import SolarFarm
 from repro.servers.power_model import ResponseCurve
 from repro.servers.rack import Rack
 from repro.traces.nrel import Weather, synthesize_irradiance
+from tests.core.samples import sample_count
 
 NOON = 12 * 3600.0
 MIDNIGHT = 0.0
@@ -86,17 +87,17 @@ class TestEpochExecution:
         ctl = make_controller("GreenHetero")
         ctl.run_epoch(NOON)
         key = ("E5-2620", "SPECjbb")
-        after_training = ctl.scheduler.database.sample_count(key)
+        after_training = sample_count(ctl.scheduler.database, key)
         ctl.run_epoch(NOON + 900.0)
-        assert ctl.scheduler.database.sample_count(key) > after_training
+        assert sample_count(ctl.scheduler.database, key) > after_training
 
     def test_database_frozen_under_static_policy(self):
         ctl = make_controller("GreenHetero-a")
         ctl.run_epoch(NOON)
         key = ("E5-2620", "SPECjbb")
-        after_training = ctl.scheduler.database.sample_count(key)
+        after_training = sample_count(ctl.scheduler.database, key)
         ctl.run_epoch(NOON + 900.0)
-        assert ctl.scheduler.database.sample_count(key) == after_training
+        assert sample_count(ctl.scheduler.database, key) == after_training
 
     def test_night_uses_battery(self):
         ctl = make_controller()
@@ -232,7 +233,7 @@ class TestRackPhysicsOncePerOperatingPoint:
     def test_manual_oracle_meters_every_trial(self, monkeypatch):
         ctl = make_controller("Manual")
         budget_w = 900.0
-        compositions = PARSolver.compositions(2)
+        compositions = list(_compositions(2, 0.1))
         expected = [
             spc_throughput(ctl, tuple(r * budget_w for r in ratios), 1.0)
             for ratios in compositions
@@ -296,7 +297,7 @@ class TestManualTrialTable:
         table_ctl = self.controller(self.RACKS[rack])
         reference_ctl = self.controller(self.RACKS[rack])
         k = len(self.RACKS[rack])
-        compositions = PARSolver.compositions(k)
+        compositions = list(_compositions(k, 0.1))
         for budget_w in self.budgets(table_ctl):
             table = table_ctl._make_oracle(budget_w, load_fraction)
             reference = self.reference_oracle(reference_ctl, budget_w, load_fraction)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.database import FitKind, PerfPowerFit, ProfilingDatabase
 from repro.errors import ConfigurationError, DatabaseMissError
+from tests.core.samples import sample_count
 
 KEY = ("E5-2620", "SPECjbb")
 
@@ -44,13 +45,13 @@ class TestPerfPowerFit:
         fit = self._fit()
         assert fit.l == -2.0
         assert fit.m == 600.0
-        assert fit.n == -20000.0
+        assert fit.coefficients[-1] == -20000.0
 
     def test_linear_fit_has_zero_l(self):
         fit = self._fit(coefficients=(10.0, 50.0), kind=FitKind.LINEAR)
         assert fit.l == 0.0
         assert fit.m == 10.0
-        assert fit.n == 50.0
+        assert fit.coefficients[-1] == 50.0
 
     def test_zero_below_min(self):
         assert self._fit().predict(90.0) == 0.0
@@ -97,9 +98,9 @@ class TestPerfPowerFit:
 class TestTrainingRun:
     def test_ingest_creates_projection(self):
         db = ProfilingDatabase()
-        assert not db.has(*KEY)
+        assert not KEY in db
         db.ingest_training_run(KEY, idle_power_w=88.0, samples=quad_samples())
-        assert db.has(*KEY)
+        assert KEY in db
         assert KEY in db
 
     def test_fit_recovers_known_quadratic(self):
@@ -107,7 +108,7 @@ class TestTrainingRun:
         fit = db.ingest_training_run(KEY, 88.0, quad_samples())
         assert fit.l == pytest.approx(-2.0, rel=0.01)
         assert fit.m == pytest.approx(600.0, rel=0.01)
-        assert fit.n == pytest.approx(-20000.0, rel=0.01)
+        assert fit.coefficients[-1] == pytest.approx(-20000.0, rel=0.01)
 
     def test_min_power_from_lowest_active_sample(self):
         db = ProfilingDatabase()
@@ -149,7 +150,7 @@ class TestOnlineUpdate:
         initial_err = abs(db.projection(KEY).predict(105.0) - true(105.0))
         # Online feedback at the low-power operating points.
         for p in np.linspace(100, 150, 40):
-            db.add_sample(KEY, float(p), true(float(p)))
+            db.add_samples(KEY, (float(p),), (true(float(p)),))
         db.refit(KEY)
         final_err = abs(db.projection(KEY).predict(105.0) - true(105.0))
         assert final_err < initial_err
@@ -157,21 +158,21 @@ class TestOnlineUpdate:
     def test_max_power_widens_with_feedback(self):
         db = ProfilingDatabase()
         db.ingest_training_run(KEY, 88.0, quad_samples())
-        db.add_sample(KEY, 160.0, 25000.0)
+        db.add_samples(KEY, (160.0,), (25000.0,))
         fit = db.refit(KEY)
         assert fit.max_power_w == pytest.approx(160.0)
 
     def test_min_power_narrows_with_feedback(self):
         db = ProfilingDatabase()
         db.ingest_training_run(KEY, 88.0, quad_samples())
-        db.add_sample(KEY, 96.0, 2000.0)
+        db.add_samples(KEY, (96.0,), (2000.0,))
         fit = db.refit(KEY)
         assert fit.min_power_w == pytest.approx(96.0)
 
     def test_zero_perf_samples_do_not_move_boundaries(self):
         db = ProfilingDatabase()
         db.ingest_training_run(KEY, 88.0, quad_samples())
-        db.add_sample(KEY, 50.0, 0.0)
+        db.add_samples(KEY, (50.0,), (0.0,))
         fit = db.refit(KEY)
         assert fit.min_power_w == pytest.approx(100.0)
 
@@ -179,8 +180,8 @@ class TestOnlineUpdate:
         with_zeros, without = ProfilingDatabase(), ProfilingDatabase()
         for db in (with_zeros, without):
             db.ingest_training_run(KEY, 88.0, quad_samples())
-        with_zeros.add_sample(KEY, 50.0, 0.0)
-        with_zeros.add_sample(KEY, 70.0, 0.0)
+        with_zeros.add_samples(KEY, (50.0,), (0.0,))
+        with_zeros.add_samples(KEY, (70.0,), (0.0,))
         assert with_zeros.refit(KEY) == without.refit(KEY)
         assert with_zeros.refit(KEY).n_samples == 5
 
@@ -188,8 +189,8 @@ class TestOnlineUpdate:
         db = ProfilingDatabase(max_samples=10)
         db.ingest_training_run(KEY, 88.0, quad_samples())
         for i in range(50):
-            db.add_sample(KEY, 120.0 + i * 0.1, 15000.0)
-        assert db.sample_count(KEY) == 10
+            db.add_samples(KEY, (120.0 + i * 0.1,), (15000.0,))
+        assert sample_count(db, KEY) == 10
 
     def test_block_append_equals_single_appends(self):
         one, block = ProfilingDatabase(max_samples=8), ProfilingDatabase(max_samples=8)
@@ -198,7 +199,7 @@ class TestOnlineUpdate:
         powers = [96.0, 160.0, 50.0, 120.5, 131.0, 99.0, 141.0]
         perfs = [2000.0, 25000.0, 0.0, 15000.0, 18000.0, 0.0, 21000.0]
         for power_w, perf in zip(powers, perfs):
-            one.add_sample(KEY, power_w, perf)
+            one.add_samples(KEY, (power_w,), (perf,))
         block.add_samples(KEY, powers, perfs)
         # The window wrapped; both envelope edges moved, zero perf did not.
         assert record(block) == record(one)
@@ -219,13 +220,13 @@ class TestOnlineUpdate:
     def test_sample_to_unknown_key_rejected(self):
         db = ProfilingDatabase()
         with pytest.raises(DatabaseMissError):
-            db.add_sample(("x", "y"), 100.0, 10.0)
+            db.add_samples(("x", "y"), (100.0,), (10.0,))
 
     def test_negative_sample_rejected(self):
         db = ProfilingDatabase()
         db.ingest_training_run(KEY, 88.0, quad_samples())
         with pytest.raises(ConfigurationError):
-            db.add_sample(KEY, -1.0, 10.0)
+            db.add_samples(KEY, (-1.0,), (10.0,))
 
     @pytest.mark.parametrize("power_w,perf", [
         (float("nan"), 1200.0), (125.0, float("nan")),
@@ -236,7 +237,7 @@ class TestOnlineUpdate:
         db.ingest_training_run(KEY, 88.0, quad_samples())
         before = record(db)
         with pytest.raises(ConfigurationError):
-            db.add_sample(KEY, power_w, perf)
+            db.add_samples(KEY, (power_w,), (perf,))
         assert record(db) == before
         assert np.all(np.isfinite(db.refit(KEY).coefficients))
 
@@ -345,5 +346,5 @@ class TestSnapshotApi:
     def test_restored_entry_keeps_learning(self, db):
         fresh = ProfilingDatabase()
         fresh.load_state_dict(db.state_dict())
-        fresh.add_sample(KEY, 140.0, 23000.0)
+        fresh.add_samples(KEY, (140.0,), (23000.0,))
         assert len(record(fresh)["powers"]) == len(record(db)["powers"]) + 1

@@ -129,7 +129,7 @@ class TestDegenerateWindows:
         db = ProfilingDatabase(fit_kind=fit_kind)
         db.ensure_entry(KEY, idle_power_w=80.0, max_power_w=150.0)
         for p, q in zip(x, y):
-            db.add_sample(KEY, float(p), float(q))
+            db.add_samples(KEY, (float(p),), (float(q),))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fit = db.refit(KEY)
@@ -144,7 +144,7 @@ class TestDegenerateWindows:
         db = ProfilingDatabase()
         db.ensure_entry(KEY, idle_power_w=80.0, max_power_w=150.0)
         for perf in (100.0, 110.0, 120.0):
-            db.add_sample(KEY, 120.0, perf)
+            db.add_samples(KEY, (120.0,), (perf,))
         fit = db.refit(KEY)
         assert fit.kind is FitKind.LINEAR
         assert fit.coefficients == (0.0, pytest.approx(110.0, rel=1e-15))
@@ -175,7 +175,7 @@ class TestDegenerateWindows:
         db = ProfilingDatabase(fit_kind=fit_kind)
         db.ensure_entry(KEY, idle_power_w=80.0, max_power_w=150.0)
         for p, q in zip(x, y):
-            db.add_sample(KEY, float(p), float(q))
+            db.add_samples(KEY, (float(p),), (float(q),))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fit = db.refit(KEY)
@@ -209,7 +209,7 @@ def wrapped_database(max_samples):
     db.ensure_entry(KEY, idle_power_w=80.0, max_power_w=150.0)
     for p in rng.uniform(90.0, 150.0, 3 * max_samples + 7):
         perf = (-2.0 * p * p + 600.0 * p - 20000.0) * (1 + 0.03 * rng.standard_normal())
-        db.add_sample(KEY, float(p), float(perf))
+        db.add_samples(KEY, (float(p),), (float(perf),))
     db.refit(KEY)
     return db
 
@@ -218,7 +218,7 @@ def assert_refits_identically(live, restored, rng):
     assert restored.refit(KEY).coefficients == live.refit(KEY).coefficients
     for p in rng.uniform(90.0, 150.0, 25):
         for db in (live, restored):
-            db.add_sample(KEY, float(p), float(150.0 * p - 5000.0))
+            db.add_samples(KEY, (float(p),), (float(150.0 * p - 5000.0),))
         assert restored.refit(KEY) == live.refit(KEY)
     assert restored.state_dict() == live.state_dict()
 

@@ -30,7 +30,7 @@ class TestSPC:
 
     def test_zero_budget_turns_group_off(self, rack):
         states = ServerPowerController.apply(rack, (0.0, 210.0))
-        assert states[0].is_off
+        assert states[0].label == "off"
         assert states[0].index == 0
 
     def test_below_min_active_sleeps(self, rack):

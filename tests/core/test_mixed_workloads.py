@@ -54,9 +54,9 @@ class TestMixedBatch:
         )
         ctl.run_epoch(NOON)
         db = ctl.scheduler.database
-        assert db.has("E5-2620", "Streamcluster")
-        assert db.has("i5-4460", "Canneal")
-        assert not db.has("E5-2620", "Canneal")
+        assert ("E5-2620", "Streamcluster") in db
+        assert ("i5-4460", "Canneal") in db
+        assert ("E5-2620", "Canneal") not in db
 
 
 class TestMixedInteractiveBatch:

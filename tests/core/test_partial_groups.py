@@ -87,12 +87,12 @@ class TestEnforcerPartial:
     def test_zero_count_turns_group_off(self):
         rack = Rack([("E5-2620", 2), ("i5-4460", 2)], "Streamcluster")
         states = ServerPowerController.apply(rack, (0.0, 150.0), powered_counts=(0, 2))
-        assert states[0].is_off
+        assert states[0].label == "off"
 
     def test_zero_count_is_off_whatever_the_budget(self):
         rack = Rack([("E5-2620", 2), ("i5-4460", 2)], "Streamcluster")
         states = ServerPowerController.apply(rack, (500.0, 150.0), powered_counts=(0, 2))
-        assert states[0].is_off
+        assert states[0].label == "off"
 
     def test_bad_count_rejected(self):
         rack = Rack([("E5-2620", 2)], "Streamcluster")

@@ -16,6 +16,7 @@ from repro.core.persistence import (
 )
 from repro.core.predictor import HoltPredictor
 from repro.errors import ConfigurationError
+from tests.core.samples import sample_count
 
 KEY = ("E5-2620", "SPECjbb")
 SAMPLES = [(100.0, 11000.0), (112.0, 15500.0), (125.0, 19000.0), (150.0, 24000.0)]
@@ -58,7 +59,7 @@ class TestRoundTrip:
 
     def test_samples_survive_and_refit_matches(self, db):
         restored = reloaded(db)
-        assert restored.sample_count(KEY) == db.sample_count(KEY)
+        assert sample_count(restored, KEY) == sample_count(db, KEY)
         a = restored.refit(KEY)
         b = db.refit(KEY)
         assert a.coefficients == pytest.approx(b.coefficients)
@@ -83,7 +84,7 @@ class TestRoundTrip:
 
     def test_restored_db_keeps_learning(self, db):
         restored = reloaded(db)
-        restored.add_sample(KEY, 140.0, 22000.0)
+        restored.add_samples(KEY, (140.0,), (22000.0,))
         fit = restored.refit(KEY)
         assert fit.n_samples >= 5
 
@@ -91,7 +92,7 @@ class TestRoundTrip:
         db = ProfilingDatabase()
         db.ensure_entry(KEY, 88.0, 150.0)
         restored = reloaded(db)
-        assert not restored.has(*KEY)
+        assert not KEY in restored
         assert KEY in restored.keys()
 
     def test_load_replaces_existing_records(self, db):

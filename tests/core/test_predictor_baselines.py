@@ -39,12 +39,6 @@ class TestPersistence:
         p.observe(-5.0)
         assert p.predict() == 0.0
 
-    def test_reset(self):
-        p = PersistencePredictor()
-        p.observe(1.0)
-        p.reset()
-        assert not p.ready
-
 
 class TestMovingAverage:
     def test_window_mean(self):
@@ -66,12 +60,6 @@ class TestMovingAverage:
     def test_predict_before_observe_rejected(self):
         with pytest.raises(ConfigurationError):
             MovingAveragePredictor().predict()
-
-    def test_reset(self):
-        p = MovingAveragePredictor()
-        p.observe(1.0)
-        p.reset()
-        assert not p.ready
 
 
 class TestSchedulerInterop:

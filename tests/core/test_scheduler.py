@@ -15,6 +15,7 @@ from repro.power.pdu import PDU
 from repro.power.solar import SolarFarm
 from repro.servers.rack import Rack
 from repro.traces.nrel import synthesize_irradiance
+from tests.core.samples import sample_count
 
 E5_KEY = ("E5-2620", "SPECjbb")
 I5_KEY = ("i5-4460", "SPECjbb")
@@ -89,28 +90,28 @@ class TestDatabaseFlow:
         s = make_scheduler()
         s.database.ingest_training_run(E5_KEY, 88.0, TRAIN_E5)
         assert controller_on(s).ensure_profiled() == (I5_KEY,)
-        assert s.database.sample_count(E5_KEY) == len(TRAIN_E5)
+        assert sample_count(s.database, E5_KEY) == len(TRAIN_E5)
 
     def test_feedback_updates_database_when_enabled(self):
         s = make_scheduler("GreenHetero")
         s.database.ingest_training_run(E5_KEY, 88.0, TRAIN_E5)
-        before = s.database.sample_count(E5_KEY)
+        before = sample_count(s.database, E5_KEY)
         s.feed_back(GROUPS[:1], [[120.0]], [[17000.0]])
-        assert s.database.sample_count(E5_KEY) == before + 1
+        assert sample_count(s.database, E5_KEY) == before + 1
 
     def test_feedback_noop_for_static_policy(self):
         s = make_scheduler("GreenHetero-a")
         s.database.ingest_training_run(E5_KEY, 88.0, TRAIN_E5)
-        before = s.database.sample_count(E5_KEY)
+        before = sample_count(s.database, E5_KEY)
         s.feed_back(GROUPS[:1], [[120.0]], [[17000.0]])
-        assert s.database.sample_count(E5_KEY) == before
+        assert sample_count(s.database, E5_KEY) == before
 
     def test_zero_throughput_feedback_skipped(self):
         s = make_scheduler("GreenHetero")
         s.database.ingest_training_run(E5_KEY, 88.0, TRAIN_E5)
-        before = s.database.sample_count(E5_KEY)
+        before = sample_count(s.database, E5_KEY)
         s.feed_back(GROUPS[:1], [[3.0]], [[0.0]])
-        assert s.database.sample_count(E5_KEY) == before
+        assert sample_count(s.database, E5_KEY) == before
 
     def test_one_block_and_one_refit_per_pair(self, monkeypatch):
         s = make_scheduler("GreenHetero")

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import solver as solver_module
 from repro.core.database import FitKind, PerfPowerFit
-from repro.core.solver import MAX_GROUPS, GroupModel, PARSolver
+from repro.core.solver import MAX_GROUPS, GroupModel, PARSolver, _compositions
 from repro.errors import ConfigurationError, SolverError
 
 
@@ -242,35 +242,35 @@ class TestSafetyMargin:
 class TestCompositions:
     def test_ten_percent_grid_size(self):
         # Compositions of 10 steps into 2 groups: 11 vectors.
-        assert len(PARSolver.compositions(2, 0.1)) == 11
+        assert len(_compositions(2, 0.1)) == 11
 
     def test_three_groups_composition_count(self):
         # Stars and bars: C(10 + 2, 2) = 66.
-        assert len(PARSolver.compositions(3, 0.1)) == 66
+        assert len(_compositions(3, 0.1)) == 66
 
     def test_all_sum_to_one(self):
-        for ratios in PARSolver.compositions(3, 0.1):
+        for ratios in _compositions(3, 0.1):
             assert sum(ratios) == pytest.approx(1.0)
 
     def test_bad_granularity_rejected(self):
         with pytest.raises(SolverError):
-            PARSolver.compositions(2, 0.3)
+            _compositions(2, 0.3)
 
     def test_bad_k_rejected(self):
         with pytest.raises(SolverError):
-            PARSolver.compositions(0, 0.1)
+            _compositions(0, 0.1)
 
     def test_built_once_returned_fresh(self):
-        first = PARSolver.compositions(3, 0.1)
-        first.append((0.0, 0.0, 0.0))
-        again = PARSolver.compositions(3, 0.1)
-        assert type(again) is list and len(again) == 66
-        assert again is not first
+        # Built once per (k, granularity), as an immutable tuple.
+        first = _compositions(3, 0.1)
+        again = _compositions(3, 0.1)
+        assert type(again) is tuple and len(again) == 66
+        assert again is first
         # Same vectors, same order as the stars-and-bars enumeration.
         expected = []
         for combo in itertools.combinations_with_replacement(range(3), 10):
             expected.append(tuple(combo.count(i) * 0.1 for i in range(3)))
-        assert again == expected
+        assert list(again) == expected
 
     def test_exhaustive_finds_best(self):
         # Objective peaked at (0.6, 0.4).

@@ -33,6 +33,11 @@ NEAR_LINEAR_L = (0.0, 1e-16, 1e-14)
 class ReferenceSolver(PARSolver):
     """:class:`PARSolver` with the generator enumeration it used to run."""
 
+    @staticmethod
+    def _score(groups: Sequence[GroupModel], per_server_w: Sequence[float]) -> float:
+        """Projected aggregate performance (clamped fits)."""
+        return sum(g.count * g.fit.predict(p) for g, p in zip(groups, per_server_w))
+
     def _kkt_best(
         self, groups: Sequence[GroupModel], budget_w: float
     ) -> tuple[tuple[float, ...], float]:

@@ -261,7 +261,7 @@ class TestDatabaseInstrumentation:
     def test_curvature_follows_the_latest_fit(self, enabled):
         db = self._db(l=-2.0)
         for p in (100.0, 120.0, 140.0, 150.0):
-            db.add_sample(self.KEY, p, 2.0 * p * p - 200.0 * p + 10000.0)
+            db.add_samples(self.KEY, (p,), (2.0 * p * p - 200.0 * p + 10000.0,))
         fit = db.refit(self.KEY)
         assert REGISTRY.get("repro_database_fit_curvature").labels(*self.KEY).value == fit.l
 

@@ -33,10 +33,10 @@ def enabled():
 class TestCounter:
     def test_starts_at_zero_and_increments(self, registry, enabled):
         c = registry.counter("c_total")
-        assert c.value == 0.0
+        assert c.labels().value == 0.0
         c.inc()
         c.inc(2.5)
-        assert c.value == 3.5
+        assert c.labels().value == 3.5
 
     def test_negative_increment_rejected(self, registry, enabled):
         c = registry.counter("c_total")
@@ -47,13 +47,13 @@ class TestCounter:
         c = registry.counter("c_total")
         c.inc(4.0)
         registry.reset()
-        assert c.value == 0.0
+        assert c.labels().value == 0.0
 
     def test_disabled_is_a_noop(self, registry, enabled):
         c = registry.counter("c_total")
         set_enabled(False)
         c.inc(100.0)
-        assert c.value == 0.0
+        assert c.labels().value == 0.0
 
     def test_labelled_children_are_independent(self, registry, enabled):
         fam = registry.counter("hits_total", labelnames=("result",))
@@ -80,15 +80,15 @@ class TestCounter:
 class TestGauge:
     def test_set_replaces_value(self, registry, enabled):
         g = registry.gauge("depth")
-        g.set(10.0)
-        g.set(7.0)
-        assert g.value == 7.0
+        g.labels().set(10.0)
+        g.labels().set(7.0)
+        assert g.labels().value == 7.0
 
     def test_disabled_is_a_noop(self, registry, enabled):
         g = registry.gauge("depth")
         set_enabled(False)
-        g.set(42.0)
-        assert g.value == 0.0
+        g.labels().set(42.0)
+        assert g.labels().value == 0.0
 
 
 class TestHistogram:
@@ -103,7 +103,7 @@ class TestHistogram:
     def test_count_sum_mean(self, registry, enabled):
         h = registry.histogram("h_seconds")
         for v in (0.5, 1.5, 4.0):
-            h.observe(v)
+            h.labels().observe(v)
         child = h.labels()
         assert child.count == 3
         assert child.sum == 6.0
@@ -203,7 +203,7 @@ class TestRegistry:
 class TestExposition:
     def test_counter_and_gauge_lines(self, registry, enabled):
         registry.counter("c_total", "requests").inc(3)
-        registry.gauge("g", "depth").set(1.5)
+        registry.gauge("g", "depth").labels().set(1.5)
         text = registry.expose()
         assert "# HELP c_total requests" in text
         assert "# TYPE c_total counter" in text
@@ -212,7 +212,7 @@ class TestExposition:
         assert text.endswith("\n")
 
     def test_histogram_series(self, registry, enabled):
-        registry.histogram("h_seconds").observe(1.5)
+        registry.histogram("h_seconds").labels().observe(1.5)
         text = registry.expose()
         assert 'h_seconds_bucket{le="1"} 0' in text
         assert 'h_seconds_bucket{le="2"} 1' in text
@@ -227,7 +227,7 @@ class TestExposition:
 
     def test_round_trip_through_parser(self, registry, enabled):
         registry.counter("c_total", "requests", labelnames=("op",)).labels("get").inc(2)
-        registry.histogram("h_seconds").observe(0.5)
+        registry.histogram("h_seconds").labels().observe(0.5)
         families = parse_exposition(registry.expose())
         assert families["c_total"]["kind"] == "counter"
         assert ("c_total", '{op="get"}', 2.0) in families["c_total"]["samples"]

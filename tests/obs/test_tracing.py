@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.obs.metrics import REGISTRY, obs_enabled, set_enabled
-from repro.obs.tracing import Span, current_span, set_trace_sink, trace
+from repro.obs import tracing
+from repro.obs.tracing import Span, set_trace_sink, trace
 
 
 @pytest.fixture
@@ -34,8 +35,8 @@ class TestSpans:
         with trace("unit.outer") as span:
             assert span is not None
             assert span.name == "unit.outer"
-            assert current_span() is span
-        assert current_span() is None
+            assert tracing._CURRENT.get() is span
+        assert tracing._CURRENT.get() is None
 
     def test_nesting_links_parent_and_trace(self, enabled):
         with trace("unit.parent") as parent:
@@ -86,7 +87,7 @@ class TestSpans:
 
         @trace("unit.fresh", rack="rack0")
         def work():
-            seen.append(current_span())
+            seen.append(tracing._CURRENT.get())
 
         work()
         work()

@@ -47,7 +47,7 @@ class TestDischarge:
         for _ in range(20):
             bank.discharge(2400.0, 3600.0)
         assert bank.soc_wh >= bank.floor_wh - 1e-9
-        assert bank.at_dod_floor
+        assert bank.usable_wh <= 1e-9
 
     def test_energy_limited_power(self, bank):
         bank.soc_wh = bank.floor_wh + 100.0  # 100 Wh usable
@@ -96,13 +96,6 @@ class TestLifetime:
         bank.discharge(2400.0, 3600.0)
         bank.discharge(2400.0, 3600.0)
         assert bank.equivalent_cycles == pytest.approx(1.0)
-
-    def test_lifetime_fraction(self, bank):
-        bank.discharge(2400.0, 3600.0)
-        assert bank.lifetime_consumed_fraction == pytest.approx(0.5 / 1300.0)
-
-    def test_repr_mentions_soc(self, bank):
-        assert "soc" in repr(bank).lower()
 
 
 class TestValidation:

@@ -37,30 +37,3 @@ class TestBudget:
         with pytest.raises(PowerError):
             GridSource().draw(100.0, 0.0)
 
-
-class TestMetering:
-    def test_energy_accumulates(self):
-        grid = GridSource(budget_w=1000.0)
-        grid.draw(500.0, 3600.0)
-        grid.draw(250.0, 7200.0)
-        assert grid.energy_wh == pytest.approx(500.0 + 500.0)
-
-    def test_peak_draw_tracked(self):
-        grid = GridSource(budget_w=1000.0)
-        grid.draw(300.0, 60.0)
-        grid.draw(900.0, 60.0)
-        grid.draw(100.0, 60.0)
-        assert grid.peak_draw_w == 900.0
-
-    def test_cost_model(self):
-        grid = GridSource(
-            budget_w=2000.0, peak_price_per_kw=13.61, energy_price_per_kwh=0.10
-        )
-        grid.draw(1000.0, 3600.0)  # 1 kWh at a 1 kW peak
-        assert grid.cost_usd() == pytest.approx(13.61 + 0.10)
-
-    def test_unused_grid_costs_nothing(self):
-        assert GridSource().cost_usd() == 0.0
-
-    def test_repr(self):
-        assert "budget" in repr(GridSource())

@@ -1,9 +1,11 @@
 """Solar farm model."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.power.solar import DEFAULT_SYSTEM_EFFICIENCY, SolarFarm
+from repro.traces.nrel import GHI_PEAK
 from repro.traces.nrel import Weather, synthesize_irradiance
 
 
@@ -24,13 +26,14 @@ class TestConversion:
 
     def test_mean_power(self, high_trace):
         farm = SolarFarm(high_trace, panel_area_m2=10.0, efficiency=0.2)
-        assert farm.mean_power_w() == pytest.approx(high_trace.mean_w_m2() * 2.0)
+        mean_w = np.mean([farm.power_at(t) for t in high_trace.times_s])
+        assert mean_w == pytest.approx(high_trace.values_w_m2.mean() * 2.0)
 
 
 class TestSizing:
     def test_sized_for_peak(self, high_trace):
         farm = SolarFarm.sized_for(high_trace, peak_power_w=1500.0)
-        assert farm.rated_peak_w == pytest.approx(1500.0)
+        assert GHI_PEAK * farm.panel_area_m2 * farm.efficiency == pytest.approx(1500.0)
 
     def test_sizing_independent_of_weather(self, high_trace):
         low_trace = synthesize_irradiance(days=2, weather=Weather.LOW, seed=1)
@@ -43,7 +46,9 @@ class TestSizing:
         low_trace = synthesize_irradiance(days=2, weather=Weather.LOW, seed=1)
         high = SolarFarm.sized_for(high_trace, peak_power_w=1500.0)
         low = SolarFarm.sized_for(low_trace, peak_power_w=1500.0)
-        assert high.mean_power_w() > low.mean_power_w()
+        assert np.mean([high.power_at(t) for t in high_trace.times_s]) > np.mean(
+            [low.power_at(t) for t in low_trace.times_s]
+        )
 
 
 class TestValidation:

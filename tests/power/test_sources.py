@@ -16,8 +16,8 @@ class TestSupplyBreakdown:
             charge_source=ChargeSource.GRID,
         )
         assert b.total_to_load_w == 175.0
-        assert b.green_to_load_w == 150.0
-        assert b.grid_total_w == 35.0
+        assert b.renewable_to_load_w + b.battery_to_load_w == 150.0
+        assert b.grid_to_load_w + b.charge_w == 35.0
 
     def test_renewable_charging_not_counted_as_grid(self):
         b = SupplyBreakdown(
@@ -25,7 +25,7 @@ class TestSupplyBreakdown:
             charge_w=20.0,
             charge_source=ChargeSource.RENEWABLE,
         )
-        assert b.grid_total_w == 0.0
+        assert b.charge_source is not ChargeSource.GRID and b.grid_to_load_w == 0.0
 
     def test_negative_flow_rejected(self):
         with pytest.raises(PowerError):
@@ -38,4 +38,4 @@ class TestSupplyBreakdown:
     def test_empty_breakdown(self):
         b = SupplyBreakdown()
         assert b.total_to_load_w == 0.0
-        assert b.grid_total_w == 0.0
+        assert b.grid_to_load_w == 0.0 and b.charge_w == 0.0

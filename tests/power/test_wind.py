@@ -80,7 +80,8 @@ class TestWindFarm:
 
     def test_mean_power(self):
         farm = WindFarm(WindSpeedTrace(days=2, mean_speed_ms=8.0, seed=6), 1000.0)
-        assert 0.0 < farm.mean_power_w() < 1000.0
+        mean_w = sum(farm.power_at(t * 600.0) for t in range(288)) / 288
+        assert 0.0 < mean_w < 1000.0
 
     def test_bad_rating_rejected(self):
         with pytest.raises(ConfigurationError):

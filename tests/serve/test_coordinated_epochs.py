@@ -41,7 +41,7 @@ class TestCoordinatedShift:
         shift = clustered.rack("rack0").shift
         status = shift.queue.status(job_id)
         assert status != JobStatus.PENDING
-        assert len(shift.log) == DEADLINE_EPOCHS
+        assert len(shift.log.records) == DEADLINE_EPOCHS
 
         single = ServeState.build(CANNEAL)
         submit_job(single)

@@ -1,5 +1,6 @@
 """DVFS power-state ladders and the power-to-state mapping."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -12,11 +13,22 @@ from repro.servers.dvfs import (
     PowerStateSet,
 )
 from repro.servers.platform import get_platform
+from repro.servers.power_model import ResponseCurve
 
 
 @pytest.fixture
 def ladder():
     return PowerStateSet(get_platform("E5-2620"))
+
+
+@pytest.fixture
+def curve():
+    return ResponseCurve(get_platform("E5-2620"), "Streamcluster")
+
+
+def full_load_draw(curve, state):
+    """Wall draw of ``state`` running flat out: what the SPC maps budgets by."""
+    return curve.serve(state, math.inf).power_w if state.active else state.power_cap_w
 
 
 class TestLadderStructure:
@@ -57,10 +69,10 @@ class TestLadderStructure:
     def test_bottom_active_state_above_idle(self, ladder):
         spec = get_platform("E5-2620")
         expected = spec.idle_power_w + MIN_STATE_DYNAMIC_FRACTION * spec.dynamic_range_w
-        assert ladder.min_active_power_w == pytest.approx(expected)
+        assert ladder.active_states[0].power_cap_w == pytest.approx(expected)
 
     def test_len_and_iter(self, ladder):
-        assert len(ladder) == len(list(ladder))
+        assert len(list(ladder)) == 2 + len(ladder.active_states)
 
     def test_custom_level_count(self):
         ladder = PowerStateSet(replace(get_platform("i5-4460"), dvfs_levels=4))
@@ -68,7 +80,7 @@ class TestLadderStructure:
 
 
 class TestLadderViews:
-    """``states`` and ``active_states`` are built once, at construction."""
+    """The ladder and ``active_states`` are built once, at construction."""
 
     @pytest.mark.parametrize("name", ["E5-2620", "E5-2603", "i5-4460"])
     def test_values_unchanged(self, name):
@@ -84,62 +96,62 @@ class TestLadderViews:
             freq = f_lo + k / (n - 1) * (f_hi - f_lo)
             cap = ladder._power_at_frequency(freq)
             expected.append(PowerState(2 + k, f"p{k}", freq, cap, True))
-        assert ladder.states == tuple(expected)
+        assert tuple(ladder) == tuple(expected)
         assert ladder.active_states == tuple(expected[2:])
         assert list(ladder) == expected
-        assert [ladder[i] for i in range(len(ladder))] == expected
+        assert [ladder[i] for i in range(len(expected))] == expected
 
     def test_same_tuple_every_call(self, ladder):
-        assert ladder.states is ladder.states
         assert ladder.active_states is ladder.active_states
-        assert isinstance(ladder.states, tuple)
         assert isinstance(ladder.active_states, tuple)
 
 
 class TestBudgetMapping:
-    """Section IV-B.4: budget -> highest state whose cap fits."""
+    """Section IV-B.4: budget -> highest state whose full-load draw of the
+    workload fits (:meth:`ResponseCurve.state_for_budget`, the SPC's map)."""
 
-    def test_zero_budget_is_off(self, ladder):
-        assert ladder.state_for_budget(0.0).is_off
+    def test_zero_budget_is_off(self, curve):
+        assert curve.state_for_budget(0.0).label == "off"
 
-    def test_tiny_budget_is_off(self, ladder):
-        assert ladder.state_for_budget(SLEEP_POWER_W - 0.1).is_off
+    def test_tiny_budget_is_off(self, curve):
+        assert curve.state_for_budget(SLEEP_POWER_W - 0.1).label == "off"
 
-    def test_sleep_budget_is_sleep(self, ladder):
-        assert ladder.state_for_budget(SLEEP_POWER_W).label == "sleep"
+    def test_sleep_budget_is_sleep(self, curve):
+        assert curve.state_for_budget(SLEEP_POWER_W).label == "sleep"
 
-    def test_below_min_active_sleeps(self, ladder):
-        budget = ladder.min_active_power_w - 1.0
-        state = ladder.state_for_budget(budget)
+    def test_below_min_active_sleeps(self, curve):
+        budget = full_load_draw(curve, curve.states.active_states[0]) - 1.0
+        state = curve.state_for_budget(budget)
         assert not state.active
 
-    def test_exact_min_active_runs(self, ladder):
-        state = ladder.state_for_budget(ladder.min_active_power_w)
+    def test_exact_min_active_runs(self, curve):
+        lowest = curve.states.active_states[0]
+        state = curve.state_for_budget(full_load_draw(curve, lowest))
         assert state.active
-        assert state.index == ladder.active_states[0].index
+        assert state.index == lowest.index
 
-    def test_huge_budget_selects_top(self, ladder):
-        assert ladder.state_for_budget(1e6) == ladder.states[-1]
+    def test_huge_budget_selects_top(self, curve):
+        assert curve.state_for_budget(1e6) == curve.states.active_states[-1]
 
-    def test_mapping_monotone_in_budget(self, ladder):
+    def test_mapping_monotone_in_budget(self, curve):
         prev = -1
         for budget in range(0, 200, 5):
-            idx = ladder.state_for_budget(float(budget)).index
+            idx = curve.state_for_budget(float(budget)).index
             assert idx >= prev
             prev = idx
 
-    def test_selected_state_never_exceeds_budget(self, ladder):
+    def test_selected_state_never_exceeds_budget(self, curve):
         for budget in (0.0, 3.0, 50.0, 99.0, 120.0, 178.0, 500.0):
-            state = ladder.state_for_budget(budget)
-            assert state.power_cap_w <= budget + 1e-9
+            state = curve.state_for_budget(budget)
+            assert full_load_draw(curve, state) <= budget + 1e-9
 
-    def test_negative_budget_rejected(self, ladder):
+    def test_negative_budget_rejected(self, curve):
         with pytest.raises(PowerError):
-            ladder.state_for_budget(-1.0)
+            curve.state_for_budget(-1.0)
 
-    def test_frequency_for_budget(self, ladder):
-        assert ladder.frequency_for_budget(1e6) == pytest.approx(2.0e9)
-        assert ladder.frequency_for_budget(0.0) == 0.0
+    def test_frequency_for_budget(self, curve):
+        assert curve.state_for_budget(1e6).frequency_hz == pytest.approx(2.0e9)
+        assert curve.state_for_budget(0.0).frequency_hz == 0.0
 
 
 class TestAcrossPlatforms:

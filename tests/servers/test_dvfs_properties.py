@@ -1,10 +1,13 @@
 """Property-based tests on DVFS ladders over randomized platforms."""
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.servers.dvfs import PowerStateSet
 from repro.servers.platform import DeviceClass, ServerSpec
+from repro.servers.power_model import ResponseCurve
 
 
 @st.composite
@@ -40,14 +43,18 @@ def test_ladder_monotone_and_anchored(spec):
 @given(spec=specs(), budget=st.floats(min_value=0.0, max_value=800.0))
 @settings(max_examples=100, deadline=None)
 def test_budget_mapping_safe_and_maximal(spec, budget):
-    ladder = PowerStateSet(spec)
-    state = ladder.state_for_budget(budget)
-    # Safe: the chosen state never exceeds the budget.
-    assert state.power_cap_w <= budget + 1e-9
+    curve = ResponseCurve(spec, "Streamcluster")
+
+    def draw(s):
+        return curve.serve(s, math.inf).power_w if s.active else s.power_cap_w
+
+    state = curve.state_for_budget(budget)
+    # Safe: the chosen state's full-load draw never exceeds the budget.
+    assert draw(state) <= budget + 1e-9
     # Maximal: no higher state would also have fit.
-    higher = [s for s in ladder if s.index > state.index]
+    higher = [s for s in curve.states if s.index > state.index]
     for s in higher:
-        assert s.power_cap_w > budget - 1e-9
+        assert draw(s) > budget - 1e-9
 
 
 @given(spec=specs())

@@ -47,8 +47,8 @@ class TestTableII:
         assert get_platform("E5-2620").dynamic_range_w == pytest.approx(90.0)
 
     def test_is_gpu_flag(self):
-        assert get_platform("TitanXp").is_gpu
-        assert not get_platform("i5-4460").is_gpu
+        assert get_platform("TitanXp").device_class is DeviceClass.GPU
+        assert get_platform("i5-4460").device_class is not DeviceClass.GPU
 
 
 class TestLookup:

@@ -4,9 +4,14 @@ import math
 
 import pytest
 
-from repro.errors import IncompatibleWorkloadError, PowerError
+from repro.errors import ConfigurationError, IncompatibleWorkloadError, PowerError
 from repro.servers.platform import get_platform
-from repro.servers.power_model import ResponseCurve
+from repro.servers.power_model import ResponseCurve, case_study_sweep
+
+
+def min_active_power_w(curve):
+    """Smallest allocation, to 0.01 W, that the SPC maps to a running state."""
+    return next(c / 100 for c in range(100_000) if curve.state_for_budget(c / 100).active)
 
 
 @pytest.fixture
@@ -30,7 +35,7 @@ class TestEnvelope:
         assert e5_jbb.max_draw_w <= e5_jbb.spec.peak_power_w
 
     def test_min_active_above_idle(self, e5_jbb):
-        assert e5_jbb.min_active_power_w > e5_jbb.idle_power_w
+        assert min_active_power_w(e5_jbb) > e5_jbb.idle_power_w
 
     def test_max_throughput_positive(self, e5_jbb):
         assert e5_jbb.max_throughput > 0
@@ -49,7 +54,7 @@ class TestShape:
         assert sample.throughput == 0.0
 
     def test_zero_below_min_active(self, e5_jbb):
-        sample = e5_jbb.perf_at_power(e5_jbb.min_active_power_w - 0.5)
+        sample = e5_jbb.perf_at_power(min_active_power_w(e5_jbb) - 0.5)
         assert sample.throughput == 0.0
 
     def test_plateau_beyond_max_draw(self, e5_jbb):
@@ -81,11 +86,6 @@ class TestShape:
         ]
         for m1, m2 in zip(marginals, marginals[1:]):
             assert m2 <= m1 * 1.01  # small tolerance for the SLO knee
-
-    def test_curve_helper_returns_arrays(self, e5_jbb):
-        budgets, perfs = e5_jbb.curve(n_points=50)
-        assert len(budgets) == len(perfs) == 50
-        assert perfs.max() == pytest.approx(e5_jbb.max_throughput, rel=0.01)
 
 
 class TestServing:
@@ -173,3 +173,27 @@ class TestStateSelection:
     def test_negative_budget_rejected(self, e5_jbb):
         with pytest.raises(PowerError):
             e5_jbb.state_for_budget(-0.1)
+
+
+class TestCaseStudySweep:
+    """Section III-B / Fig. 3: the fixed-budget PAR sweep."""
+
+    def test_rows_span_the_par_range(self, e5_jbb, i5_jbb):
+        rows = case_study_sweep(e5_jbb, i5_jbb, 220.0, step_pct=25)
+        assert [pct for pct, _, _ in rows] == [0, 25, 50, 75, 100]
+        assert all(0.0 <= epu <= 1.0 for _, epu, _ in rows)
+
+    @pytest.mark.parametrize("budget", [0.0, -5.0, math.nan, math.inf, -math.inf])
+    def test_bad_budget_rejected(self, e5_jbb, i5_jbb, budget):
+        with pytest.raises(ConfigurationError, match="budget_w"):
+            case_study_sweep(e5_jbb, i5_jbb, budget)
+
+    @pytest.mark.parametrize("step", [0, -5, 101])
+    def test_bad_step_rejected(self, e5_jbb, i5_jbb, step):
+        with pytest.raises(ConfigurationError, match="step_pct"):
+            case_study_sweep(e5_jbb, i5_jbb, 220.0, step)
+
+    @pytest.mark.parametrize("step", [1, 100])
+    def test_step_bounds_accepted(self, e5_jbb, i5_jbb, step):
+        rows = case_study_sweep(e5_jbb, i5_jbb, 220.0, step)
+        assert len(rows) == 100 // step + 1

@@ -14,9 +14,9 @@ def fig8_rack():
 
 class TestConstruction:
     def test_groups(self, fig8_rack):
-        assert len(fig8_rack) == 2
-        assert fig8_rack.n_servers == 10
-        assert fig8_rack.platform_names == ("E5-2620", "i5-4460")
+        assert len(fig8_rack.groups) == 2
+        assert sum(g.count for g in fig8_rack.groups) == 10
+        assert tuple(g.spec.name for g in fig8_rack.groups) == ("E5-2620", "i5-4460")
 
     def test_empty_rack_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -56,11 +56,8 @@ class TestEnvelope:
         assert fig8_rack.max_draw_w < fig8_rack.envelope_w
 
     def test_idle_power(self, fig8_rack):
-        assert fig8_rack.idle_power_w == pytest.approx(5 * 88 + 5 * 47)
-
-    def test_min_active_power_is_cheapest_server(self, fig8_rack):
-        i5 = fig8_rack.curve(1)
-        assert fig8_rack.min_active_power_w == pytest.approx(i5.min_active_power_w)
+        idle_w = sum(g.spec.idle_power_w * g.count for g in fig8_rack.groups)
+        assert idle_w == pytest.approx(5 * 88 + 5 * 47)
 
     def test_demand_scales_with_load(self, fig8_rack):
         low = fig8_rack.demand_at_load(0.2)
@@ -71,7 +68,7 @@ class TestEnvelope:
         assert high == pytest.approx(fig8_rack.max_draw_w, rel=0.01)
 
     def test_max_throughput_positive(self, fig8_rack):
-        assert fig8_rack.max_throughput > 0
+        assert all(fig8_rack.curve(i).max_throughput > 0 for i in range(len(fig8_rack.groups)))
 
 
 class TestServers:

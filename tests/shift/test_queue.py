@@ -70,7 +70,7 @@ class TestLifecycle:
         q = JobQueue()
         for i in (3, 1, 2):
             q.submit(job(job_id=f"j{i}"))
-        assert [j.job_id for j in q.jobs()] == ["j3", "j1", "j2"]
+        assert [e["job_id"] for e in q.state_dict()["jobs"]] == ["j3", "j1", "j2"]
 
     def test_duplicate_id_rejected(self):
         q = JobQueue()
@@ -132,7 +132,7 @@ class TestSerialization:
         assert restored.epochs_run("a") == 1
         assert restored.status("b") == JobStatus.MISSED
         assert restored.status("c") == JobStatus.PENDING
-        assert [j.job_id for j in restored.jobs()] == ["a", "b", "c"]
+        assert [e["job_id"] for e in restored.state_dict()["jobs"]] == ["a", "b", "c"]
 
     def test_malformed_state_rejected(self):
         with pytest.raises(ConfigurationError, match="jobs.0.energy_wh is missing"):

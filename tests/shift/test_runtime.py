@@ -69,13 +69,13 @@ class TestExecution:
         sim.run()
         assert runtime.queue.status("j0") == JobStatus.DONE
         assert runtime.queue.epochs_run("j0") == 2
-        assert len(runtime.log) == sim.clock.n_epochs
+        assert len(runtime.log.records) == sim.clock.n_epochs
         started = [r for r in runtime.log if r.jobs_started]
         assert len(started) == 1
         assert started[0].batch_power_w == pytest.approx(job.power_w)
         # Once the job finishes, gating drops batch draw back to zero.
         assert runtime.log.records[-1].batch_power_w == 0.0
-        assert runtime.log.deadline_misses == 0
+        assert runtime.log.records[-1].deadline_misses == 0
 
     def test_impossible_job_is_missed_and_accounted(self):
         runtime = ShiftRuntime()
@@ -92,7 +92,7 @@ class TestExecution:
         )
         sim.run()
         assert runtime.queue.status("doomed") == JobStatus.MISSED
-        assert runtime.log.deadline_misses == 1
+        assert runtime.log.records[-1].deadline_misses == 1
 
     def test_state_roundtrip_mid_run(self):
         runtime = ShiftRuntime()
@@ -106,9 +106,9 @@ class TestExecution:
         clone.load_state_dict(state)
         assert clone.state_dict() == state
         assert clone.activated
-        assert [j.job_id for j in clone.queue.jobs()] == ["a", "b"]
+        assert [e["job_id"] for e in clone.queue.state_dict()["jobs"]] == ["a", "b"]
         # The status totals survive the restore; the epoch log does not.
-        assert len(clone.log) == 0
+        assert len(clone.log.records) == 0
         assert clone.summary() == runtime.summary()
         assert clone.summary()["epochs"] == 4
 
@@ -122,7 +122,7 @@ class TestRunningTotals:
         runtime.submit(small_job(sim.clock, epochs=2))
         sim.run()
         summary = runtime.summary()
-        assert summary["epochs"] == len(runtime.log) == sim.clock.n_epochs
+        assert summary["epochs"] == len(runtime.log.records) == sim.clock.n_epochs
         assert summary["grid_avoided_wh"] == sum(
             r.grid_avoided_wh for r in runtime.log
         )
@@ -215,7 +215,7 @@ class TestFaultReplanning:
         )
         assert sunny.queue.status("j0") == JobStatus.DONE
         assert dark.queue.status("j0") == JobStatus.DONE
-        assert dark.log.deadline_misses == 0
+        assert dark.log.records[-1].deadline_misses == 0
         # The sunny run found renewable-covered epochs worth waiting for;
         # the dark run had nothing to chase and saved no grid energy.
         assert sunny.grid_avoided_wh > 0.0
@@ -294,7 +294,7 @@ def snapshot(sim):
     return (
         runtime.last_plan,
         runtime.log.records[-1],
-        repr(sim.log.records[-1]),
+        repr(sim.log[-1]),
         json.dumps(runtime.state_dict(), sort_keys=True),
         json.dumps(sim.state_dict(), sort_keys=True, default=str),
     )

@@ -13,15 +13,6 @@ class TestClock:
         assert clock.n_epochs == 96
         assert clock.epoch_s == EPOCH_SECONDS
 
-    def test_epoch_times(self):
-        clock = SimClock(start_s=0.0, duration_s=3600.0, epoch_s=900.0)
-        assert list(clock.epoch_times()) == [0.0, 900.0, 1800.0, 2700.0]
-
-    def test_start_offset(self):
-        clock = SimClock(start_s=SECONDS_PER_DAY, duration_s=1800.0, epoch_s=900.0)
-        times = list(clock.epoch_times())
-        assert times[0] == SECONDS_PER_DAY
-
     def test_partial_epoch_dropped(self):
         clock = SimClock(start_s=0.0, duration_s=1000.0, epoch_s=900.0)
         assert clock.n_epochs == 1

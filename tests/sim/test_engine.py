@@ -10,7 +10,7 @@ from repro.servers.rack import Rack
 from repro.sim.clock import SimClock
 from repro.sim.engine import Simulation
 from repro.sim.experiment import ExperimentConfig
-from repro.traces.nrel import Weather
+from repro.traces.nrel import GHI_PEAK, Weather
 from repro.shift.queue import ShiftJob
 from repro.shift.runtime import ShiftRuntime
 from repro.units import SECONDS_PER_DAY
@@ -34,7 +34,8 @@ class TestAssembly:
 
     def test_solar_sized_to_rack(self):
         sim = assemble(solar_scale=1.5)
-        assert sim.controller.pdu.renewable.rated_peak_w == pytest.approx(
+        farm = sim.controller.pdu.renewable
+        assert GHI_PEAK * farm.panel_area_m2 * farm.efficiency == pytest.approx(
             1.5 * sim.controller.rack.max_draw_w
         )
 

@@ -83,7 +83,7 @@ class TestConfig:
 
     def test_build_rack(self):
         rack = ExperimentConfig().build_rack()
-        assert rack.n_servers == 10
+        assert sum(g.count for g in rack.groups) == 10
 
     def test_build_clock(self):
         clock = ExperimentConfig(days=0.5).build_clock()

@@ -76,9 +76,9 @@ class TestEngineIntegration:
         sim.run()
         db = sim.controller.scheduler.database
         # Both phases' pairs were profiled on their first arrival.
-        assert db.has("E5-2620", "SPECjbb")
-        assert db.has("E5-2620", "Streamcluster")
-        assert db.has("i5-4460", "Streamcluster")
+        assert ("E5-2620", "SPECjbb") in db
+        assert ("E5-2620", "Streamcluster") in db
+        assert ("i5-4460", "Streamcluster") in db
 
     def test_rack_workload_matches_schedule_at_end(self, day_night):
         sim = self._sim(day_night, hours=22.0)  # ends at 22:00: batch phase

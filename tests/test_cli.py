@@ -79,6 +79,25 @@ class TestCaseStudy:
         assert "optimal PAR" in out
         assert "E5-2620" in out
 
+    @pytest.mark.parametrize(
+        "args,name",
+        [
+            (["--budget", "0"], "budget_w"),
+            (["--budget", "-5"], "budget_w"),
+            (["--budget", "nan"], "budget_w"),
+            (["--budget", "inf"], "budget_w"),
+            (["--step", "0"], "step_pct"),
+            (["--step", "-5"], "step_pct"),
+            (["--step", "101"], "step_pct"),
+        ],
+    )
+    def test_bad_input_is_clean_error(self, capsys, args, name):
+        code = main(["case-study", *args])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and name in captured.err
+        assert captured.out == ""
+
 
 class TestCombos:
     def test_single_combo(self, capsys):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.planning import SizingResult, size_battery, size_grid, size_solar
+from repro.planning import size_battery, size_grid, size_solar
 from repro.sim.experiment import ExperimentConfig
 
 
@@ -19,7 +19,7 @@ class TestSizeSolar:
             quick_config, target_renewable_fraction=0.5, lo=0.2, hi=3.0,
             tolerance=0.2,
         )
-        assert result.met
+        assert result.achieved >= result.target - 1e-9
         assert 0.2 <= result.value <= 3.0
         # Minimality: meaningfully below the scale would miss the target.
         smaller = size_solar(
@@ -28,14 +28,14 @@ class TestSizeSolar:
             tolerance=0.2,
         )
         if result.value - 0.5 > 0.2:
-            assert not smaller.met
+            assert smaller.achieved < smaller.target - 1e-9
 
     def test_unreachable_target_reports_miss(self, quick_config):
         result = size_solar(
             quick_config, target_renewable_fraction=1.0, lo=0.2, hi=0.3,
             tolerance=0.1,
         )
-        assert not result.met
+        assert result.achieved < result.target - 1e-9
         assert result.value == 0.3
 
     def test_bigger_target_needs_bigger_array(self, quick_config):
@@ -54,7 +54,7 @@ class TestSizeBattery:
             quick_config, target_renewable_fraction=0.6, solar_scale=1.4,
             lo=1, hi=24,
         )
-        assert result.met
+        assert result.achieved >= result.target - 1e-9
         assert result.value == int(result.value)
         assert 1 <= result.value <= 24
 
@@ -71,7 +71,7 @@ class TestSizeGrid:
             quick_config, target_performance_fraction=0.85,
             lo=0.0, hi=1600.0, tolerance=200.0,
         )
-        assert result.met
+        assert result.achieved >= result.target - 1e-9
         # GreenHetero sustains 85% of unconstrained perf well below the
         # full feed — the Fig. 12 argument.
         assert result.value < 1600.0
@@ -79,9 +79,3 @@ class TestSizeGrid:
     def test_bad_target_rejected(self, quick_config):
         with pytest.raises(ConfigurationError):
             size_grid(quick_config, target_performance_fraction=1.5)
-
-
-class TestSizingResult:
-    def test_met_property(self):
-        assert SizingResult(1.0, 0.8, 0.75, 3).met
-        assert not SizingResult(1.0, 0.7, 0.75, 3).met

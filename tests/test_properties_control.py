@@ -153,6 +153,6 @@ def test_selector_case_a_iff_renewable_covers(renewable, demand):
     )
     if renewable > demand:
         assert decision.case is PowerCase.A
-        assert decision.sufficient
+        assert decision.rack_budget_w >= decision.predicted_demand_w - 1e-9
     else:
         assert decision.case is not PowerCase.A

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.core.database import FitKind, ProfilingDatabase
+from tests.core.samples import sample_count
 
 
 @st.composite
@@ -31,7 +32,7 @@ def databases(draw):
             )
         )
         for p in powers:
-            db.add_sample(key, p, draw(st.floats(min_value=0.1, max_value=1e5)))
+            db.add_samples(key, (p,), (draw(st.floats(min_value=0.1, max_value=1e5)),))
         if len({round(p, 6) for p in powers}) >= 2:
             db.refit(key)
     return db
@@ -52,7 +53,7 @@ def test_round_trip_preserves_everything(db):
     assert restored.fit_kind is db.fit_kind
     assert restored.max_samples == db.max_samples
     for key in db.keys():
-        assert restored.sample_count(key) == db.sample_count(key)
+        assert sample_count(restored, key) == sample_count(db, key)
         assert (key in restored) == (key in db)
         if key in db:
             a, b = db.projection(key), restored.projection(key)

@@ -52,9 +52,9 @@ SUBPACKAGE_SURFACE = {
         "run_experiments",
     ],
     "repro.analysis": [
-        "GainStatistics", "SustainabilityReport", "bar_chart",
+        "GainStatistics", "SustainabilityReport",
         "format_table", "gain_statistics", "geometric_mean",
-        "projection_error", "seed_sweep", "sparkline",
+        "seed_sweep", "sparkline",
         "sustainability_report",
     ],
     "repro.traces": [

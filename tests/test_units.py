@@ -1,6 +1,4 @@
-"""Unit-convention helpers."""
-
-import pytest
+"""Unit-convention constants."""
 
 from repro import units
 
@@ -28,35 +26,6 @@ def test_epochs_per_day():
 
 def test_minutes():
     assert units.minutes(2) == 120
-
-
-def test_hours():
-    assert units.hours(1.5) == 5400
-
-
-def test_days():
-    assert units.days(2) == 2 * 86400
-
-
-def test_watt_hours():
-    # 1000 W for half an hour is 500 Wh.
-    assert units.watt_hours(1000.0, 1800.0) == pytest.approx(500.0)
-
-
-def test_watt_hours_zero_duration():
-    assert units.watt_hours(500.0, 0.0) == 0.0
-
-
-def test_wh_to_joules():
-    assert units.wh_to_joules(1.0) == 3600.0
-
-
-def test_ghz():
-    assert units.ghz(2.0) == 2.0e9
-
-
-def test_mhz():
-    assert units.mhz(1582) == pytest.approx(1.582e9)
 
 
 def test_seconds_per_day_consistency():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import TraceError
 from repro.traces.datacenter_load import DiurnalLoadPattern
-from repro.units import SECONDS_PER_DAY, hours
+from repro.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 
 @pytest.fixture
@@ -12,38 +12,39 @@ def pattern():
     return DiurnalLoadPattern()
 
 
+def peak_hour(pattern):
+    """Hour of day, to a tenth, at which ``pattern`` is highest."""
+    return max(range(240), key=lambda tenth: pattern.at(tenth / 10 * SECONDS_PER_HOUR)) / 10
+
+
 class TestShape:
     def test_bounded(self, pattern):
         for h in range(0, 24):
-            v = pattern.at(hours(h))
+            v = pattern.at(h * SECONDS_PER_HOUR)
             assert pattern.trough - 1e-9 <= v <= 1.0 + 1e-9
 
     def test_peak_is_one(self, pattern):
-        peak_hour = pattern.daily_peak_hour()
-        assert pattern.at(hours(peak_hour)) == pytest.approx(1.0, abs=1e-3)
+        assert pattern.at(peak_hour(pattern) * SECONDS_PER_HOUR) == pytest.approx(1.0, abs=1e-3)
 
     def test_evening_peak(self, pattern):
         # The evening bump is the daily maximum, per the paper's Fig. 6.
-        assert 18.0 <= pattern.daily_peak_hour() <= 22.0
+        assert 18.0 <= peak_hour(pattern) <= 22.0
 
     def test_overnight_trough(self, pattern):
-        assert pattern.at(hours(3)) < 0.65
+        assert pattern.at(3 * SECONDS_PER_HOUR) < 0.65
 
     def test_morning_activity(self, pattern):
-        assert pattern.at(hours(10)) > pattern.at(hours(3))
+        assert pattern.at(10 * SECONDS_PER_HOUR) > pattern.at(3 * SECONDS_PER_HOUR)
 
     def test_wraps_daily(self, pattern):
-        assert pattern.at(hours(5)) == pytest.approx(
-            pattern.at(hours(5) + SECONDS_PER_DAY)
+        assert pattern.at(5 * SECONDS_PER_HOUR) == pytest.approx(
+            pattern.at(5 * SECONDS_PER_HOUR + SECONDS_PER_DAY)
         )
 
     def test_continuous_at_midnight(self, pattern):
-        before = pattern.at(hours(23.99))
-        after = pattern.at(hours(0.01))
+        before = pattern.at(23.99 * SECONDS_PER_HOUR)
+        after = pattern.at(0.01 * SECONDS_PER_HOUR)
         assert abs(before - after) < 0.01
-
-    def test_callable(self, pattern):
-        assert pattern(hours(12)) == pattern.at(hours(12))
 
 
 class TestValidation:
@@ -61,7 +62,7 @@ class TestValidation:
 
     def test_custom_trough(self):
         pattern = DiurnalLoadPattern(trough=0.3)
-        assert min(pattern.at(hours(h)) for h in range(24)) >= 0.3 - 1e-9
+        assert min(pattern.at(h * SECONDS_PER_HOUR) for h in range(24)) >= 0.3 - 1e-9
 
 
 class TestWeeklyStructure:

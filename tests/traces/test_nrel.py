@@ -11,32 +11,31 @@ from repro.traces.nrel import (
     IrradianceTrace,
     Weather,
     clear_sky_irradiance,
-    load_irradiance_csv,
     synthesize_irradiance,
 )
-from repro.units import SECONDS_PER_DAY, hours
+from repro.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 
 class TestClearSky:
     def test_zero_at_night(self):
-        assert clear_sky_irradiance(hours(0)) == 0.0
-        assert clear_sky_irradiance(hours(5.9)) == 0.0
-        assert clear_sky_irradiance(hours(18.1)) == 0.0
+        assert clear_sky_irradiance(0 * SECONDS_PER_HOUR) == 0.0
+        assert clear_sky_irradiance(5.9 * SECONDS_PER_HOUR) == 0.0
+        assert clear_sky_irradiance(18.1 * SECONDS_PER_HOUR) == 0.0
 
     def test_peak_at_noon(self):
-        noon = clear_sky_irradiance(hours(12))
+        noon = clear_sky_irradiance(12 * SECONDS_PER_HOUR)
         assert noon == pytest.approx(GHI_PEAK)
-        assert clear_sky_irradiance(hours(9)) < noon
-        assert clear_sky_irradiance(hours(15)) < noon
+        assert clear_sky_irradiance(9 * SECONDS_PER_HOUR) < noon
+        assert clear_sky_irradiance(15 * SECONDS_PER_HOUR) < noon
 
     def test_symmetric_about_noon(self):
-        assert clear_sky_irradiance(hours(10)) == pytest.approx(
-            clear_sky_irradiance(hours(14))
+        assert clear_sky_irradiance(10 * SECONDS_PER_HOUR) == pytest.approx(
+            clear_sky_irradiance(14 * SECONDS_PER_HOUR)
         )
 
     def test_wraps_daily(self):
-        assert clear_sky_irradiance(hours(12)) == pytest.approx(
-            clear_sky_irradiance(hours(36))
+        assert clear_sky_irradiance(12 * SECONDS_PER_HOUR) == pytest.approx(
+            clear_sky_irradiance(36 * SECONDS_PER_HOUR)
         )
 
 
@@ -64,7 +63,7 @@ class TestSynthesis:
     def test_high_outproduces_low(self):
         high = synthesize_irradiance(days=7, weather=Weather.HIGH, seed=4)
         low = synthesize_irradiance(days=7, weather=Weather.LOW, seed=4)
-        assert high.mean_w_m2() > 1.3 * low.mean_w_m2()
+        assert high.values_w_m2.mean() > 1.3 * low.values_w_m2.mean()
 
     def test_low_trace_more_variable(self):
         # Fig. 11: "the power supply ... becomes more fluctuated".
@@ -146,8 +145,9 @@ class TestTraceContainer:
             return float(values[min(idx, len(values) - 1)])
 
         week = synthesize_irradiance(days=7, seed=3)
-        day2 = synthesize_irradiance(days=3, seed=4).window(
-            SECONDS_PER_DAY, 2 * SECONDS_PER_DAY)  # starts at 86,400 s
+        three = synthesize_irradiance(days=3, seed=4)
+        second = (three.times_s >= SECONDS_PER_DAY) & (three.times_s < 2 * SECONDS_PER_DAY)
+        day2 = IrradianceTrace(three.times_s[second], three.values_w_m2[second])  # starts at 86,400 s
         odd = IrradianceTrace(37.5 + 60.0 * np.arange(500), np.linspace(0.0, 900.0, 500))
         rng = np.random.default_rng(2021)
         for trace in (week, day2, odd):
@@ -173,16 +173,6 @@ class TestTraceContainer:
         with pytest.raises(ValueError):
             trace.times_s[0] = 1.0
 
-    def test_window(self):
-        trace = synthesize_irradiance(days=2, seed=9)
-        day2 = trace.window(SECONDS_PER_DAY, 2 * SECONDS_PER_DAY)
-        assert len(day2.times_s) == 96
-
-    def test_window_too_small_rejected(self):
-        trace = synthesize_irradiance(days=1, seed=9)
-        with pytest.raises(TraceError):
-            trace.window(0.0, 900.0)
-
     def test_validation_irregular_sampling(self):
         with pytest.raises(TraceError):
             IrradianceTrace(np.array([0.0, 900.0, 2000.0]), np.zeros(3))
@@ -205,102 +195,8 @@ class TestCsvRoundTrip:
         trace = synthesize_irradiance(days=1, seed=11)
         path = tmp_path / "trace.csv"
         trace.save_csv(path)
-        loaded = load_irradiance_csv(path)
-        assert np.allclose(loaded.values_w_m2, trace.values_w_m2, atol=1e-3)
-        assert loaded.name == "trace"
-
-    def test_missing_columns_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(TraceError):
-            load_irradiance_csv(path)
-
-    def test_bad_rows_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("time_s,ghi_w_m2\n0,x\n")
-        with pytest.raises(TraceError):
-            load_irradiance_csv(path)
-
-
-class TestMidcFormat:
-    """Parsing real NREL MIDC exports (the paper's data source)."""
-
-    def _write_midc(self, path, rows, ghi_header="Global Horizontal [W/m^2]"):
-        lines = [f"DATE (MM/DD/YYYY),MST,{ghi_header}"]
-        lines += [",".join(str(v) for v in row) for row in rows]
-        path.write_text("\n".join(lines) + "\n")
-
-    def test_parses_midc_export(self, tmp_path):
-        from repro.traces.nrel import load_midc_csv
-
-        path = tmp_path / "midc.csv"
-        self._write_midc(
-            path,
-            [
-                ("07/01/2020", "10:00", 650.2),
-                ("07/01/2020", "10:15", 675.9),
-                ("07/01/2020", "10:30", 640.1),
-            ],
-        )
-        trace = load_midc_csv(path)
-        assert trace.interval_s == 900.0
-        assert trace.at(0.0) == pytest.approx(650.2)
-        assert trace.name == "midc"
-
-    def test_clamps_negative_night_readings(self, tmp_path):
-        from repro.traces.nrel import load_midc_csv
-
-        path = tmp_path / "midc.csv"
-        self._write_midc(
-            path,
-            [
-                ("07/01/2020", "02:00", -1.8),
-                ("07/01/2020", "02:15", -2.1),
-            ],
-        )
-        trace = load_midc_csv(path)
-        assert trace.at(0.0) == 0.0
-
-    def test_crosses_midnight(self, tmp_path):
-        from repro.traces.nrel import load_midc_csv
-
-        path = tmp_path / "midc.csv"
-        self._write_midc(
-            path,
-            [
-                ("07/01/2020", "23:45", 0.0),
-                ("07/02/2020", "00:00", 0.0),
-                ("07/02/2020", "00:15", 0.0),
-            ],
-        )
-        trace = load_midc_csv(path)
-        assert trace.interval_s == 900.0
-
-    def test_missing_ghi_column_rejected(self, tmp_path):
-        from repro.traces.nrel import load_midc_csv
-
-        path = tmp_path / "midc.csv"
-        self._write_midc(path, [("07/01/2020", "10:00", 1.0)], ghi_header="Diffuse")
-        with pytest.raises(TraceError):
-            load_midc_csv(path)
-
-    def test_bad_row_rejected(self, tmp_path):
-        from repro.traces.nrel import load_midc_csv
-
-        path = tmp_path / "midc.csv"
-        self._write_midc(path, [("07/01/2020", "oops", 1.0), ("07/01/2020", "10:15", 2.0)])
-        with pytest.raises(TraceError):
-            load_midc_csv(path)
-
-    def test_loaded_trace_drives_a_farm(self, tmp_path):
-        from repro.power.solar import SolarFarm
-        from repro.traces.nrel import load_midc_csv
-
-        path = tmp_path / "midc.csv"
-        self._write_midc(
-            path,
-            [("07/01/2020", f"{10 + i // 4:02d}:{(i % 4) * 15:02d}", 500.0 + i)
-             for i in range(8)],
-        )
-        farm = SolarFarm.sized_for(load_midc_csv(path), peak_power_w=1500.0)
-        assert farm.power_at(0.0) > 0.0
+        header, *rows = path.read_text().splitlines()
+        assert header == "time_s,ghi_w_m2"
+        loaded = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert np.allclose(loaded[:, 0], trace.times_s)
+        assert np.allclose(loaded[:, 1], trace.values_w_m2, atol=1e-3)

@@ -143,7 +143,8 @@ class TestCheckCase:
                     sol.per_server_w[1] - 1.0 / b.count,
                 )
                 return dataclasses.replace(
-                    sol, per_server_w=p, expected_perf=self._score(groups, p)
+                    sol, per_server_w=p,
+                    expected_perf=sum(g.count * g.fit.predict(x) for g, x in zip(groups, p)),
                 )
 
         exact = PARSolver().solve(groups, budget)

@@ -56,6 +56,6 @@ class TestInteractive:
     def test_series(self, monkeypatch):
         monkeypatch.setattr(generator, "LOAD_JITTER", 0.0)
         gen = LoadGenerator(get_workload("SPECjbb"), pattern=half_sine)
-        loads = gen.series([0.0, 60.0, 120.0])
+        loads = [gen.at(t) for t in (0.0, 60.0, 120.0)]
         assert len(loads) == 3
         assert [l.time_s for l in loads] == [0.0, 60.0, 120.0]

@@ -5,11 +5,7 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.workloads.slo import (
-    LatencySLO,
-    percentile_latency,
-    slo_constrained_throughput,
-)
+from repro.workloads.slo import LatencySLO, slo_constrained_throughput
 
 
 class TestLatencySLO:
@@ -57,22 +53,3 @@ class TestConstrainedThroughput:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ConfigurationError):
             slo_constrained_throughput(-1.0, None)
-
-
-class TestPercentileLatency:
-    def test_latency_at_headroom_equals_bound(self):
-        slo = LatencySLO(0.95, 0.2)
-        mu = 1000.0
-        lam = slo_constrained_throughput(mu, slo)
-        assert percentile_latency(mu, lam, slo) == pytest.approx(0.2)
-
-    def test_unstable_queue_is_infinite(self):
-        slo = LatencySLO(0.95, 0.2)
-        assert percentile_latency(100.0, 100.0, slo) == math.inf
-        assert percentile_latency(100.0, 150.0, slo) == math.inf
-
-    def test_latency_increases_with_load(self):
-        slo = LatencySLO(0.95, 0.2)
-        l1 = percentile_latency(1000.0, 100.0, slo)
-        l2 = percentile_latency(1000.0, 900.0, slo)
-        assert l2 > l1
